@@ -151,6 +151,10 @@ func main() {
 				ut := tlc.UpdateCounters()
 				fmt.Printf("updates: total=%d conflicts=%d stats_deltas=%d versions_live=%d update_gen=%d\n",
 					ut.Updates, ut.Conflicts, ut.StatsDeltas, db.VersionsLive(), db.UpdateGeneration())
+				for i, d := range db.DictionaryStats() {
+					fmt.Printf("shard %d dictionaries: dict_tag_strings=%d dict_value_strings=%d dict_value_live=%d\n",
+						i, d.TagStrings, d.ValueStrings, d.ValueLive)
+				}
 				kills := governor.KillTotals()
 				fmt.Printf("governor kills:")
 				for _, res := range governor.Resources() {

@@ -44,6 +44,7 @@ import (
 	"tlc/internal/governor"
 	"tlc/internal/plancache"
 	"tlc/internal/seq"
+	"tlc/internal/store"
 )
 
 // Config configures a Server. The zero value of every field selects a
@@ -986,15 +987,18 @@ type varz struct {
 	// Arena holds process-wide witness-node allocation totals: nodes drawn
 	// from slab arenas, slabs that cost, and nodes allocated individually
 	// because no arena was in scope.
-	Arena      map[string]int64 `json:"arena"`
+	Arena map[string]int64 `json:"arena"`
 	// Snapshot holds the snapshot gauges: bytes currently mmap'd from
 	// opened snapshots, snapshots written since start, and the size and
 	// wall time of the most recent write.
-	Snapshot   map[string]int64 `json:"snapshot"`
+	Snapshot map[string]int64 `json:"snapshot"`
 	// Mutate holds the MVCC update gauges: updates committed since process
 	// start, commit races lost (each one retried), document versions still
-	// reachable (live + pinned superseded), and incremental statistics
-	// deltas applied in place of catalog rebuilds.
+	// reachable (live + pinned superseded), incremental statistics deltas
+	// applied in place of catalog rebuilds, and the dictionary gauges summed
+	// over the shards (each shard's own are under Shards): strings interned
+	// against values documents hold now — the difference is garbage that
+	// updates left behind and the next checkpoint drops.
 	Mutate     map[string]int64 `json:"mutate"`
 	Documents  int              `json:"documents"`
 	Generation uint64           `json:"generation"`
@@ -1030,27 +1034,37 @@ type varz struct {
 
 // mutateVarz builds the /varz MVCC update gauge map (also mirrored by the
 // tlcshell .stats command).
-func mutateVarz(db *tlc.Database) map[string]int64 {
+func mutateVarz(db *tlc.Database, dicts []store.DictStats) map[string]int64 {
 	ut := tlc.UpdateCounters()
-	return map[string]int64{
+	m := map[string]int64{
 		"updates_total":        ut.Updates,
 		"update_conflicts":     ut.Conflicts,
 		"versions_live":        db.VersionsLive(),
 		"stats_deltas_applied": ut.StatsDeltas,
 	}
+	for _, d := range dicts {
+		m["dict_tag_strings"] += int64(d.TagStrings)
+		m["dict_value_strings"] += int64(d.ValueStrings)
+		m["dict_value_live"] += int64(d.ValueLive)
+	}
+	return m
 }
 
 // shardVarz is one store shard's /varz entry.
 type shardVarz struct {
-	Shard      int    `json:"shard"`
-	Documents  int    `json:"documents"`
-	Generation uint64 `json:"generation"`
+	Shard            int    `json:"shard"`
+	Documents        int    `json:"documents"`
+	Generation       uint64 `json:"generation"`
+	DictTagStrings   int    `json:"dict_tag_strings"`
+	DictValueStrings int    `json:"dict_value_strings"`
+	DictValueLive    int    `json:"dict_value_live"`
 }
 
 func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
 	snap := s.metrics.Snapshot()
 	cs := s.cache.Stats()
 	st := s.db.Stats()
+	dicts := s.db.DictionaryStats()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	arenaNodes, arenaSlabs, plainNodes := seq.ArenaTotals()
@@ -1086,7 +1100,7 @@ func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
 			"last_bytes":       s.lastSnapshotBytes.Load(),
 			"last_duration_ms": time.Duration(s.lastSnapshotWall.Load()).Milliseconds(),
 		},
-		Mutate:          mutateVarz(s.db),
+		Mutate:          mutateVarz(s.db, dicts),
 		Documents:       len(s.db.Documents()),
 		Generation:      s.db.Generation(),
 		Governor:        make(map[string]int64, 4),
@@ -1127,7 +1141,10 @@ func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
 	gens := s.db.ShardGenerations()
 	v.Shards = make([]shardVarz, len(gens))
 	for i, g := range gens {
-		v.Shards[i] = shardVarz{Shard: i, Documents: len(s.db.ShardDocuments(i)), Generation: g}
+		v.Shards[i] = shardVarz{
+			Shard: i, Documents: len(s.db.ShardDocuments(i)), Generation: g,
+			DictTagStrings: dicts[i].TagStrings, DictValueStrings: dicts[i].ValueStrings, DictValueLive: dicts[i].ValueLive,
+		}
 	}
 	for res, n := range governor.KillTotals() {
 		v.Governor[string(res)] = n

@@ -294,29 +294,58 @@ func TestLoadAndDocumentsEndpoints(t *testing.T) {
 	}
 }
 
+// TestLoadInvalidatesPlanCache: invalidation is per shard, so a load
+// flushes the plans that read the shard it lands on and no others. The
+// shard count is pinned and the document names are picked by their shard,
+// so the test does not depend on GOMAXPROCS.
 func TestLoadInvalidatesPlanCache(t *testing.T) {
-	db := tlc.Open()
+	db := tlc.Open(tlc.WithShards(2))
 	if err := db.LoadXMLString("site.xml", siteXML); err != nil {
 		t.Fatal(err)
 	}
+	nameOn := func(shard int) string {
+		for i := 0; ; i++ {
+			if name := fmt.Sprintf("other-%d.xml", i); db.ShardOfDocument(name) == shard {
+				return name
+			}
+		}
+	}
+	home := db.ShardOfDocument("site.xml")
 	srv, ts := newServer(t, Config{DB: db})
-	postJSON(t, ts.URL+"/query", map[string]any{"query": siteQuery})
-	postJSON(t, ts.URL+"/query", map[string]any{"query": siteQuery})
-	if srv.cache.Stats().Hits != 1 {
-		t.Fatalf("cache stats = %+v", srv.cache.Stats())
+	load := func(name string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/load?name="+name, "application/xml", strings.NewReader("<r><x>1</x></r>"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("load %s: status %d", name, resp.StatusCode)
+		}
 	}
-	resp, err := http.Post(ts.URL+"/load?name=other.xml", "application/xml", strings.NewReader("<r><x>1</x></r>"))
-	if err != nil {
-		t.Fatal(err)
+	cacheHit := func() bool {
+		t.Helper()
+		_, body := postJSON(t, ts.URL+"/query", map[string]any{"query": siteQuery})
+		return decode[queryResponse](t, body).CacheHit
 	}
-	resp.Body.Close()
-	// Same query again: the load flushed the cache, so this is a miss.
-	_, body := postJSON(t, ts.URL+"/query", map[string]any{"query": siteQuery})
-	if out := decode[queryResponse](t, body); out.CacheHit {
-		t.Error("query after a load hit a stale cached plan")
+	if cacheHit() || !cacheHit() {
+		t.Fatalf("warm-up: want a miss then a hit, cache stats = %+v", srv.cache.Stats())
+	}
+
+	load(nameOn(1 - home))
+	if !cacheHit() {
+		t.Error("a load into another shard invalidated the cached plan")
+	}
+	if n := srv.cache.Stats().Invalidations; n != 0 {
+		t.Errorf("a load into another shard caused %d invalidations", n)
+	}
+
+	load(nameOn(home))
+	if cacheHit() {
+		t.Error("query after a load into its shard hit a stale cached plan")
 	}
 	if srv.cache.Stats().Invalidations == 0 {
-		t.Error("load did not invalidate the plan cache")
+		t.Error("a load into the plan's shard did not invalidate the plan cache")
 	}
 }
 

@@ -100,6 +100,18 @@ func TestUpdateEndpoint(t *testing.T) {
 	if v.Mutate["stats_deltas_applied"] == 0 {
 		t.Error("varz mutate.stats_deltas_applied = 0 after three updates")
 	}
+	// The dictionary gauges: the delete left strings behind that no
+	// document holds, and the per-shard entries add up to the totals.
+	if live, all := v.Mutate["dict_value_live"], v.Mutate["dict_value_strings"]; live == 0 || all <= live {
+		t.Errorf("varz mutate dict_value_live = %d, dict_value_strings = %d, want 0 < live < strings", live, all)
+	}
+	var tagStrings int64
+	for _, sh := range v.Shards {
+		tagStrings += int64(sh.DictTagStrings)
+	}
+	if tagStrings == 0 || tagStrings != v.Mutate["dict_tag_strings"] {
+		t.Errorf("varz shards' dict_tag_strings add up to %d, mutate.dict_tag_strings = %d", tagStrings, v.Mutate["dict_tag_strings"])
+	}
 	if _, ok := v.Breakers["update"]; !ok {
 		t.Errorf("varz breakers lack the update endpoint: %v", v.Breakers)
 	}

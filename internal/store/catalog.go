@@ -1,10 +1,10 @@
 package store
 
 // This file implements the statistics catalog: per-document, per-tag
-// summaries computed once at load time and served to the cost-based
-// planner (internal/planner). Catalog probes are free — no access
-// counters are touched — because a real system keeps these numbers in
-// its catalog, not in the data pages.
+// summaries computed at load time, carried forward across updates
+// (mutate.go) and served to the cost-based planner (internal/planner).
+// Catalog probes are free — no access counters are touched — because a
+// real system keeps these numbers in its catalog, not in the data pages.
 //
 // The summaries are keyed by dictionary IDs (the same IDs the node
 // columns hold), so they serialize into snapshots as flat integer
@@ -25,6 +25,11 @@ package store
 //     ancestor — the "//" analogue of the child-fanout pair counts;
 //   - per-tag level bounds and total children (average fanout).
 
+import (
+	"cmp"
+	"slices"
+)
+
 // TagStats summarizes one tag class within one document.
 type TagStats struct {
 	// Count is the number of nodes carrying the tag.
@@ -39,40 +44,97 @@ type TagStats struct {
 	MinLevel, MaxLevel int32
 }
 
-// idPair keys the structural co-occurrence maps by tag dictionary IDs.
-type idPair struct{ up, down uint32 }
+// tagStatRec is one tag's summary keyed by tag dictionary ID, and pairRec
+// one (parent, child) or (ancestor, descendant) count. They are at once
+// the in-memory catalog and the snapshot's on-disk records: flat integer
+// structs in arrays sorted by ID, so a snapshot-opened catalog is a view
+// into the mapped file, writing one is an append, and carrying one across
+// an update is a block copy with the touched entries merged in
+// (spliceStats) — never a map copied entry by entry.
+type tagStatRec struct {
+	Tag, Count, Distinct, Children uint32
+	MinLevel, MaxLevel             int32
+}
 
-// docStats holds the per-document catalog, built once at load (or
-// decoded from a snapshot).
+type pairRec struct{ Up, Down, Count uint32 }
+
+func cmpTagStat(a, b tagStatRec) int { return cmp.Compare(a.Tag, b.Tag) }
+
+func cmpPair(a, b pairRec) int {
+	if c := cmp.Compare(a.Up, b.Up); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Down, b.Down)
+}
+
+// docStats holds the per-document catalog: built once at load (or viewed
+// from a snapshot) and carried forward by every splice. Like the columns
+// it is immutable once its document version is published.
 type docStats struct {
 	// rootTag is the tag dictionary ID of the document root.
 	rootTag uint32
 	nodes   int
 	depth   int32
-	tags    map[uint32]TagStats
-	// child counts childTag nodes per parentTag.
-	child map[idPair]int
-	// desc counts descTag nodes having at least one ancTag ancestor.
-	desc map[idPair]int
+	// tags is sorted by Tag and holds only tags the document contains.
+	tags []tagStatRec
+	// child counts childTag nodes per parentTag; desc counts descTag nodes
+	// having at least one ancTag ancestor. Both are sorted by (Up, Down)
+	// and hold no zero counts.
+	child, desc []pairRec
+}
+
+// tag returns the summary of one tag ID (zero value when absent). The
+// planner probes the catalog many times per plan, so the two lookups are
+// plain loops over the sorted arrays rather than generic searches.
+func (st *docStats) tag(id uint32) tagStatRec {
+	lo, hi := 0, len(st.tags)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); st.tags[mid].Tag < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(st.tags) && st.tags[lo].Tag == id {
+		return st.tags[lo]
+	}
+	return tagStatRec{}
+}
+
+// pairCount looks one pair up in a sorted pair array.
+func pairCount(pairs []pairRec, up, down uint32) int {
+	key := uint64(up)<<32 | uint64(down)
+	lo, hi := 0, len(pairs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if p := pairs[mid]; uint64(p.Up)<<32|uint64(p.Down) < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(pairs) && pairs[lo].Up == up && pairs[lo].Down == down {
+		return int(pairs[lo].Count)
+	}
+	return 0
 }
 
 // buildDocStats computes the catalog summary in one pass over the
 // document's columns (document order, so the ancestor chain is a stack).
 func buildDocStats(d *Doc) *docStats {
 	n := d.Len()
-	st := &docStats{
-		rootTag: d.c.tag[0],
-		nodes:   n,
-		tags:    make(map[uint32]TagStats),
-		child:   make(map[idPair]int),
-		desc:    make(map[idPair]int),
-	}
+	st := &docStats{rootTag: d.c.tag[0], nodes: n}
+	tags := make(map[uint32]tagStatRec)
+	child := make(map[[2]uint32]uint32)
+	desc := make(map[[2]uint32]uint32)
 	type stackEntry struct {
 		ord int32
 		tag uint32
 	}
 	var stack []stackEntry
-	distinct := make(map[uint32]map[string]struct{})
+	// Dictionary IDs are a bijection with strings, so distinct (tag, value
+	// ID) pairs are distinct (tag, value) pairs.
+	distinct := make(map[[2]uint32]struct{})
 	seen := make([]uint32, 0, 16)
 	for i := 0; i < n; i++ {
 		tag := d.c.tag[i]
@@ -83,63 +145,57 @@ func buildDocStats(d *Doc) *docStats {
 			stack = stack[:len(stack)-1]
 		}
 
-		ts := st.tags[tag]
+		ts := tags[tag]
 		if ts.Count == 0 {
-			ts.MinLevel = level
+			ts.Tag, ts.MinLevel = tag, level
 		}
 		ts.Count++
-		if level < ts.MinLevel {
-			ts.MinLevel = level
-		}
-		if level > ts.MaxLevel {
-			ts.MaxLevel = level
-		}
-		st.tags[tag] = ts
-		if level > st.depth {
-			st.depth = level
-		}
-
+		ts.MinLevel = min(ts.MinLevel, level)
+		ts.MaxLevel = max(ts.MaxLevel, level)
 		if v := d.c.val[i]; v != 0 {
-			set := distinct[tag]
-			if set == nil {
-				set = make(map[string]struct{})
-				distinct[tag] = set
+			if _, dup := distinct[[2]uint32{tag, v}]; !dup {
+				distinct[[2]uint32{tag, v}] = struct{}{}
+				ts.Distinct++
 			}
-			set[d.vals.str(v-1)] = struct{}{}
 		}
+		tags[tag] = ts
+		st.depth = max(st.depth, level)
 
 		if len(stack) > 0 {
 			parentTag := stack[len(stack)-1].tag
-			st.child[idPair{parentTag, tag}]++
-			pts := st.tags[parentTag]
+			child[[2]uint32{parentTag, tag}]++
+			pts := tags[parentTag]
 			pts.Children++
-			st.tags[parentTag] = pts
+			tags[parentTag] = pts
 			// Distinct ancestor tags: the stack is short (document
 			// depth), so a linear dedup beats a map.
 			seen = seen[:0]
 			for _, a := range stack {
-				dup := false
-				for _, s := range seen {
-					if s == a.tag {
-						dup = true
-						break
-					}
-				}
-				if dup {
+				if slices.Contains(seen, a.tag) {
 					continue
 				}
 				seen = append(seen, a.tag)
-				st.desc[idPair{a.tag, tag}]++
+				desc[[2]uint32{a.tag, tag}]++
 			}
 		}
 		stack = append(stack, stackEntry{ord: int32(i), tag: tag})
 	}
-	for tag, set := range distinct {
-		ts := st.tags[tag]
-		ts.Distinct = len(set)
-		st.tags[tag] = ts
+	st.tags = make([]tagStatRec, 0, len(tags))
+	for _, ts := range tags {
+		st.tags = append(st.tags, ts)
 	}
+	slices.SortFunc(st.tags, cmpTagStat)
+	st.child, st.desc = sortedPairs(child), sortedPairs(desc)
 	return st
+}
+
+func sortedPairs(m map[[2]uint32]uint32) []pairRec {
+	out := make([]pairRec, 0, len(m))
+	for p, n := range m {
+		out = append(out, pairRec{Up: p[0], Down: p[1], Count: n})
+	}
+	slices.SortFunc(out, cmpPair)
+	return out
 }
 
 // tagStats resolves a tag name against one document's summary (zero value
@@ -149,10 +205,14 @@ func (d *Doc) tagStats(tag string) TagStats {
 	if !ok {
 		return TagStats{}
 	}
-	return d.stats.tags[id]
+	r := d.stats.tag(id)
+	return TagStats{
+		Count: int(r.Count), Distinct: int(r.Distinct), Children: int(r.Children),
+		MinLevel: r.MinLevel, MaxLevel: r.MaxLevel,
+	}
 }
 
-// Catalog is a read-only view of the load-time statistics of a store.
+// Catalog is a read-only view of the statistics of a store.
 // Every query method takes a document scope: nil means "all loaded
 // documents", the conservative scope for patterns whose document is not
 // statically known (extension selects anchored at a logical class).
@@ -167,8 +227,9 @@ type Catalog struct {
 	s *Store
 }
 
-// Catalog returns the statistics catalog of the store. The view is
-// immutable once the documents are loaded and safe for concurrent use.
+// Catalog returns the statistics catalog of the store. The view is safe
+// for concurrent use; each probe reads the document versions current when
+// it runs.
 func (s *Store) Catalog() Catalog { return Catalog{s: s} }
 
 // Docs returns the IDs of all loaded documents.
@@ -280,7 +341,7 @@ func (c Catalog) AvgFanout(docs []DocID, tag string) float64 {
 }
 
 // ChildPerParent returns E[number of childTag children per parentTag
-// node] in scope — exact, from the load-time pair counts.
+// node] in scope — exact, from the pair counts.
 func (c Catalog) ChildPerParent(docs []DocID, parentTag, childTag string) float64 {
 	parents, pairs := 0, 0
 	for _, id := range c.scope(docs) {
@@ -288,7 +349,7 @@ func (c Catalog) ChildPerParent(docs []DocID, parentTag, childTag string) float6
 		parents += d.tagStats(parentTag).Count
 		if up, ok := d.tags.lookup(parentTag); ok {
 			if down, ok := d.tags.lookup(childTag); ok {
-				pairs += d.stats.child[idPair{up, down}]
+				pairs += pairCount(d.stats.child, up, down)
 			}
 		}
 	}
@@ -299,7 +360,7 @@ func (c Catalog) ChildPerParent(docs []DocID, parentTag, childTag string) float6
 }
 
 // DescPerAncestor returns E[number of descTag descendants per ancTag
-// node] in scope, from the load-time co-occurrence counts. (Each descTag
+// node] in scope, from the co-occurrence counts. (Each descTag
 // node is counted once per distinct ancestor tag, so for recursive tags
 // the figure is a lower bound on the pair count and still the right
 // per-ancestor average under uniformity.)
@@ -310,7 +371,7 @@ func (c Catalog) DescPerAncestor(docs []DocID, ancTag, descTag string) float64 {
 		ancs += d.tagStats(ancTag).Count
 		if up, ok := d.tags.lookup(ancTag); ok {
 			if down, ok := d.tags.lookup(descTag); ok {
-				pairs += d.stats.desc[idPair{up, down}]
+				pairs += pairCount(d.stats.desc, up, down)
 			}
 		}
 	}

@@ -76,7 +76,8 @@ type Doc struct {
 	tagPost, valPost []int32
 	// tags/vals resolve the dictionary IDs of this document's columns.
 	tags, vals *dict
-	// stats is the load-time statistics summary served through Catalog.
+	// stats is the statistics summary served through Catalog: built at
+	// load, carried forward by every splice.
 	stats *docStats
 	// version is the document's MVCC version: 1 for a freshly loaded
 	// document, incremented by every committed splice (mutate.go). A Doc is

@@ -49,29 +49,25 @@ func (d *Doc) Fingerprint() string {
 
 	st := d.stats
 	fmt.Fprintf(&sb, "stats root=%s nodes=%d depth=%d\n", d.tags.str(st.rootTag), st.nodes, st.depth)
-	tagNames := make([]string, 0, len(st.tags))
-	byName := make(map[string]TagStats, len(st.tags))
-	for id, ts := range st.tags {
-		name := d.tags.str(id)
-		tagNames = append(tagNames, name)
-		byName[name] = ts
+	lines := make([]string, 0, len(st.tags))
+	for _, ts := range st.tags {
+		lines = append(lines, fmt.Sprintf("tag %q count=%d distinct=%d children=%d lvl=[%d,%d]",
+			d.tags.str(ts.Tag), ts.Count, ts.Distinct, ts.Children, ts.MinLevel, ts.MaxLevel))
 	}
-	sort.Strings(tagNames)
-	for _, name := range tagNames {
-		ts := byName[name]
-		fmt.Fprintf(&sb, "tag %q count=%d distinct=%d children=%d lvl=[%d,%d]\n",
-			name, ts.Count, ts.Distinct, ts.Children, ts.MinLevel, ts.MaxLevel)
-	}
-	writePairs := func(label string, m map[idPair]int) {
-		lines := make([]string, 0, len(m))
-		for p, c := range m {
-			lines = append(lines, fmt.Sprintf("%s %q %q = %d", label, d.tags.str(p.up), d.tags.str(p.down), c))
-		}
+	writeSorted := func(lines []string) {
 		sort.Strings(lines)
 		for _, l := range lines {
 			sb.WriteString(l)
 			sb.WriteByte('\n')
 		}
+	}
+	writeSorted(lines)
+	writePairs := func(label string, pairs []pairRec) {
+		lines := make([]string, 0, len(pairs))
+		for _, p := range pairs {
+			lines = append(lines, fmt.Sprintf("%s %q %q = %d", label, d.tags.str(p.Up), d.tags.str(p.Down), p.Count))
+		}
+		writeSorted(lines)
 	}
 	writePairs("child", st.child)
 	writePairs("desc", st.desc)

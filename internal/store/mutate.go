@@ -16,14 +16,25 @@ package store
 // so readers pinned on the old version keep a consistent view to
 // completion while writers never wait for them.
 //
-// The tag/value postings indexes are maintained incrementally: for every
-// dictionary ID, the new postings list is the concatenation of the
-// unshifted prefix (< At), the fragment's ordinals ([At, At+m)), and the
-// shifted suffix (>= DelEnd) — a merge, never a rebuild from the columns.
-// The statistics catalog is maintained by delta counts: each deleted and
-// inserted node adjusts its tag cardinality, its parent pair and its
-// distinct-ancestor pairs by ±1; only the level bounds and distinct-value
-// counts of the touched tags are rescanned (they are extrema, not sums).
+// What an update costs depends on the document and the fragment, never on
+// the updates that came before. The columns are block copies with the
+// fragment written into a gap: ordinals are kept dense (start == ordinal is
+// what makes every structural join a comparison of integers and every
+// postings list a sorted array), so the nodes past the splice point move —
+// as a memmove plus straight loops that shift interval ends, parents and
+// first children. The tag/value postings indexes are maintained
+// incrementally: for a dictionary ID the splice touches, the new postings
+// list is the concatenation of the unshifted prefix (< At), the fragment's
+// ordinals ([At, At+m)), and the shifted suffix (>= DelEnd); all other
+// lists are carried over in runs, never searched (spliceIndex). The
+// statistics catalog is sorted arrays maintained by delta counts: each
+// deleted and inserted node adjusts its tag cardinality, its parent pair
+// and its distinct-ancestor pairs by ±1, and the folded adjustments are
+// merged into block copies of the old arrays; distinct-value counts and
+// level bounds, which are not sums, are adjusted from the postings of just
+// the (tag, value) pairs and tags the splice touched (spliceStats). Strings
+// are interned into the shard's shared append-only dictionaries, which
+// costs the strings that are new (dict.go).
 //
 // One invariant keeps the arithmetic exact: a splice must not change the
 // concatenated text content of the parent P. Deleting an element between
@@ -32,10 +43,12 @@ package store
 // also exactly what re-parsing the serialized document would produce.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 
 	"tlc/internal/faultinject"
@@ -133,49 +146,57 @@ func (s *Store) BuildSplice(d *Doc, op SpliceOp) (*Doc, SpliceResult, error) {
 
 	delN := d1 - d0
 	shift := m - delN
-	n2 := n + shift
 	res.NodesRemoved, res.NodesAdded = int(delN), int(m)
-
-	// Ancestors of the splice point (P and up): the only survivors before
-	// At whose interval ends move.
-	isAnc := make([]bool, d0)
-	for a := P; a >= 0; a = d.c.parent[a] {
-		isAnc[a] = true
-	}
 
 	nd := &Doc{
 		name:  d.name,
 		id:    d.id,
 		shard: d.shard,
 		c: cols{
-			start:      make([]int32, n2),
-			end:        make([]int32, n2),
-			level:      make([]int32, n2),
-			parent:     make([]int32, n2),
-			firstChild: make([]int32, n2),
-			kind:       make([]uint8, n2),
-			tag:        make([]uint32, n2),
-			val:        make([]uint32, n2),
+			start:      identity(int(n + shift)),
+			end:        gapped(d.c.end, d0, d1, m),
+			level:      gapped(d.c.level, d0, d1, m),
+			parent:     gapped(d.c.parent, d0, d1, m),
+			firstChild: gapped(d.c.firstChild, d0, d1, m),
+			kind:       gapped(d.c.kind, d0, d1, m),
+			tag:        gapped(d.c.tag, d0, d1, m),
+			val:        gapped(d.c.val, d0, d1, m),
 		},
 		tags:    d.tags,
 		vals:    d.vals,
 		version: d.version + 1,
 	}
 
-	// Prefix: ordinals below the splice point are stable; only ancestor
-	// interval ends (and ends at or past the deleted range) move.
-	for j := int32(0); j < d0; j++ {
-		e := d.c.end[j]
-		if isAnc[j] || e >= d1 {
-			e += shift
+	// Survivors. Level, kind, tag and value never change, and ordinals
+	// below the splice point are stable, so the block copies above are
+	// already right except for three things. Before the splice point only
+	// the intervals containing it move: exactly P and its ancestors (any
+	// other node before At ends before At). At or past the deleted range
+	// everything shifts as a block: every interval end, every first child,
+	// and every parent that is itself in the block.
+	for a := P; a >= 0; a = d.c.parent[a] {
+		nd.c.end[a] += shift
+	}
+	if nd.c.end[P] > P {
+		nd.c.firstChild[P] = P + 1
+	} else {
+		nd.c.firstChild[P] = -1
+	}
+	if shift != 0 {
+		s0 := d0 + m
+		for j, e := range nd.c.end[s0:] {
+			nd.c.end[s0+int32(j)] = e + shift
 		}
-		nd.c.start[j] = j
-		nd.c.end[j] = e
-		nd.c.level[j] = d.c.level[j]
-		nd.c.parent[j] = d.c.parent[j]
-		nd.c.kind[j] = d.c.kind[j]
-		nd.c.tag[j] = d.c.tag[j]
-		nd.c.val[j] = d.c.val[j]
+		for j, p := range nd.c.parent[s0:] {
+			if p >= d1 {
+				nd.c.parent[s0+int32(j)] = p + shift
+			}
+		}
+		for j, fc := range nd.c.firstChild[s0:] {
+			if fc >= 0 {
+				nd.c.firstChild[s0+int32(j)] = fc + shift
+			}
+		}
 	}
 
 	// Fragment: local preorder shifted to [At, At+m), levels rebased under
@@ -220,7 +241,6 @@ func (s *Store) BuildSplice(d *Doc, op SpliceOp) (*Doc, SpliceResult, error) {
 		for k := int32(0); k < m; k++ {
 			fn := &op.Frag.Nodes[k]
 			j := d0 + k
-			nd.c.start[j] = j
 			nd.c.end[j] = fn.ID.End + d0
 			nd.c.level[j] = fn.ID.Level + baseLevel
 			if fn.Parent < 0 {
@@ -228,37 +248,17 @@ func (s *Store) BuildSplice(d *Doc, op SpliceOp) (*Doc, SpliceResult, error) {
 			} else {
 				nd.c.parent[j] = fn.Parent + d0
 			}
+			if fn.ID.End > k {
+				nd.c.firstChild[j] = j + 1
+			} else {
+				nd.c.firstChild[j] = -1
+			}
 			nd.c.kind[j] = uint8(fn.Kind)
 			nd.c.tag[j] = gTag[fragTag[k]]
+			nd.c.val[j] = 0
 			if v := fragVal[k]; v != 0 {
 				nd.c.val[j] = gVal[v-1] + 1
 			}
-		}
-	}
-
-	// Suffix: everything at or past the deleted range shifts as a block.
-	for j := d1; j < n; j++ {
-		j2 := j + shift
-		pp := d.c.parent[j]
-		if pp >= d1 {
-			pp += shift
-		}
-		nd.c.start[j2] = j2
-		nd.c.end[j2] = d.c.end[j] + shift
-		nd.c.level[j2] = d.c.level[j]
-		nd.c.parent[j2] = pp
-		nd.c.kind[j2] = d.c.kind[j]
-		nd.c.tag[j2] = d.c.tag[j]
-		nd.c.val[j2] = d.c.val[j]
-	}
-
-	// firstChild is derivable in preorder: the first child of any interior
-	// node is the next ordinal.
-	for i := int32(0); i < n2; i++ {
-		if nd.c.end[i] > i {
-			nd.c.firstChild[i] = i + 1
-		} else {
-			nd.c.firstChild[i] = -1
 		}
 	}
 
@@ -270,8 +270,8 @@ func (s *Store) BuildSplice(d *Doc, op SpliceOp) (*Doc, SpliceResult, error) {
 	}
 
 	// Incremental index maintenance: merge, never rebuild.
-	nd.tagDir, nd.tagPost = spliceIndex(d.tagDir, d.tagPost, nd.c.tag, 0, d0, d1, m, shift)
-	nd.valDir, nd.valPost = spliceIndex(d.valDir, d.valPost, nd.c.val, 1, d0, d1, m, shift)
+	nd.tagDir, nd.tagPost = spliceIndex(d.tagDir, d.tagPost, d.c.tag, nd.c.tag, 0, d0, d1, m, shift)
+	nd.valDir, nd.valPost = spliceIndex(d.valDir, d.valPost, d.c.val, nd.c.val, 1, d0, d1, m, shift)
 
 	// Incremental statistics: delta counts against the old catalog.
 	if err := faultinject.Hit(faultinject.PointMutateStatsDelta); err != nil {
@@ -279,6 +279,24 @@ func (s *Store) BuildSplice(d *Doc, op SpliceOp) (*Doc, SpliceResult, error) {
 	}
 	nd.stats, res.StatsDeltas = spliceStats(d, nd, d0, d1, m)
 	return nd, res, nil
+}
+
+// gapped returns old[:d0] ++ m unspecified elements ++ old[d1:] in a fresh
+// array: the block copy every column of a splice starts from.
+func gapped[T any](old []T, d0, d1, m int32) []T {
+	out := make([]T, int32(len(old))+m-(d1-d0))
+	copy(out, old[:d0])
+	copy(out[d0+m:], old[d1:])
+	return out
+}
+
+// identity returns the start column of an n-node document: start == ordinal.
+func identity(n int) []int32 {
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = int32(i)
+	}
+	return out
 }
 
 // textConcat returns the concatenated direct text children of p.
@@ -296,183 +314,314 @@ func textConcat(c *cols, vals *dict, p int32) string {
 	return sb.String()
 }
 
-// spliceIndex produces the postings index of the spliced document from
-// the old index and the new column. For every dictionary ID the new list
-// is prefix (old ordinals < d0, unshifted) ++ fragment ordinals
-// ([d0, d0+m), read from the new column) ++ suffix (old ordinals >= d1,
-// shifted) — each part is already sorted and the parts are disjoint
-// ascending ranges, so the merge is pure concatenation. Directory entries
-// that end up empty are dropped, exactly as a fresh build would never
-// create them.
-func spliceIndex(oldDir []dirEntry, oldPost []int32, newCol []uint32, bias uint32, d0, d1, m, shift int32) ([]dirEntry, []int32) {
-	frag := make(map[uint32][]int32)
-	var fragIDs []uint32
-	for k := int32(0); k < m; k++ {
-		v := newCol[d0+k]
-		if v < bias {
-			continue // val column: 0 means "no content"
-		}
-		id := v - bias
-		if _, ok := frag[id]; !ok {
-			fragIDs = append(fragIDs, id)
-		}
-		frag[id] = append(frag[id], d0+k)
-	}
-	sort.Slice(fragIDs, func(i, j int) bool { return fragIDs[i] < fragIDs[j] })
+// posting is one index entry the splice touches: the dictionary ID of a
+// fragment node with the ordinal it lands on, or of a deleted node (ord -1).
+type posting struct {
+	id  uint32
+	ord int32
+}
 
-	dir := make([]dirEntry, 0, len(oldDir)+len(fragIDs))
-	post := make([]int32, 0, len(oldPost)+int(m))
-	emit := func(id uint32, pre, ins, suf []int32) {
-		total := len(pre) + len(ins) + len(suf)
-		if total == 0 {
-			return
-		}
-		dir = append(dir, dirEntry{id: id, off: uint32(len(post)), n: uint32(total)})
-		post = append(post, pre...)
-		post = append(post, ins...)
-		for _, r := range suf {
-			post = append(post, r+shift)
-		}
-	}
-	i, j := 0, 0
-	for i < len(oldDir) || j < len(fragIDs) {
-		switch {
-		case j >= len(fragIDs) || (i < len(oldDir) && oldDir[i].id < fragIDs[j]):
-			e := oldDir[i]
-			refs := oldPost[e.off : e.off+e.n]
-			lo := sort.Search(len(refs), func(k int) bool { return refs[k] >= d0 })
-			hi := sort.Search(len(refs), func(k int) bool { return refs[k] >= d1 })
-			emit(e.id, refs[:lo], nil, refs[hi:])
-			i++
-		case i >= len(oldDir) || oldDir[i].id > fragIDs[j]:
-			emit(fragIDs[j], nil, frag[fragIDs[j]], nil)
-			j++
-		default:
-			e := oldDir[i]
-			refs := oldPost[e.off : e.off+e.n]
-			lo := sort.Search(len(refs), func(k int) bool { return refs[k] >= d0 })
-			hi := sort.Search(len(refs), func(k int) bool { return refs[k] >= d1 })
-			emit(e.id, refs[:lo], frag[e.id], refs[hi:])
-			i++
-			j++
+// spliceIndex produces the postings index of the spliced document from
+// the old index and the old and new column. For a dictionary ID that
+// neither a deleted nor a fragment node carries — all but a handful — no
+// posting lies in the deleted range, so the new list is the old one with
+// every ordinal at or past the range shifted: runs of such directory
+// entries are copied, offsets adjusted, and their postings rewritten in one
+// straight loop, never searched. For the touched IDs the new list is
+// prefix (old ordinals < d0, unshifted) ++ fragment ordinals ([d0, d0+m))
+// ++ suffix (old ordinals >= d1, shifted) — each part is already sorted and
+// the parts are disjoint ascending ranges, so the merge is pure
+// concatenation; entries that end up empty are dropped, exactly as a fresh
+// build would never create them.
+func spliceIndex(oldDir []dirEntry, oldPost []int32, oldCol, newCol []uint32, bias uint32, d0, d1, m, shift int32) ([]dirEntry, []int32) {
+	touched := make([]posting, 0, d1-d0+m)
+	for _, v := range oldCol[d0:d1] {
+		if v >= bias { // val column: 0 means "no content"
+			touched = append(touched, posting{id: v - bias, ord: -1})
 		}
 	}
+	removed := len(touched)
+	for j := d0; j < d0+m; j++ {
+		if v := newCol[j]; v >= bias {
+			touched = append(touched, posting{id: v - bias, ord: j})
+		}
+	}
+	added := len(touched) - removed
+	// Stable by ID keeps each ID's fragment ordinals ascending.
+	slices.SortStableFunc(touched, func(a, b posting) int { return cmp.Compare(a.id, b.id) })
+
+	dir := make([]dirEntry, 0, len(oldDir)+added)
+	post := make([]int32, len(oldPost)-removed+added)
+	w := 0 // postings written
+	// shifted writes old postings that all survive: at or past the deleted
+	// range they move with the block.
+	shifted := func(refs []int32) {
+		dst := post[w : w+len(refs)]
+		for k, r := range refs {
+			if r >= d1 {
+				r += shift
+			}
+			dst[k] = r
+		}
+		w += len(refs)
+	}
+	// untouched carries a run of directory entries over. Postings of
+	// consecutive entries are normally adjacent, so the loops run over
+	// whole stretches of the directory and of the postings array.
+	untouched := func(run []dirEntry) {
+		for len(run) > 0 {
+			k, end := 1, run[0].off+run[0].n
+			for k < len(run) && run[k].off == end {
+				end += run[k].n
+				k++
+			}
+			delta := uint32(w) - run[0].off
+			for _, e := range run[:k] {
+				dir = append(dir, dirEntry{id: e.id, off: e.off + delta, n: e.n})
+			}
+			shifted(oldPost[run[0].off:end])
+			run = run[k:]
+		}
+	}
+	i := 0
+	for t := 0; t < len(touched); {
+		id := touched[t].id
+		j, known := slices.BinarySearchFunc(oldDir[i:], id, func(e dirEntry, id uint32) int { return cmp.Compare(e.id, id) })
+		untouched(oldDir[i : i+j])
+		i += j
+		var refs []int32
+		if known {
+			refs = oldPost[oldDir[i].off : oldDir[i].off+oldDir[i].n]
+			i++
+		}
+		lo, _ := slices.BinarySearch(refs, d0)
+		hi, _ := slices.BinarySearch(refs, d1)
+		off := w
+		w += copy(post[w:], refs[:lo])
+		for ; t < len(touched) && touched[t].id == id; t++ {
+			if touched[t].ord >= 0 {
+				post[w] = touched[t].ord
+				w++
+			}
+		}
+		shifted(refs[hi:])
+		if w > off {
+			dir = append(dir, dirEntry{id: id, off: uint32(off), n: uint32(w - off)})
+		}
+	}
+	untouched(oldDir[i:])
 	return dir, post
 }
 
-// spliceStats produces the spliced document's catalog from the old one by
-// delta counts: every deleted node subtracts, every inserted node adds,
-// its tag cardinality, its (parentTag, tag) child pair, its parent tag's
-// child total, and one (ancestorTag, tag) pair per distinct ancestor tag.
-// Level bounds and distinct-value counts are extrema, not sums, so they
-// are rescanned — but only over the postings of the touched tags. The
-// second result counts the individual adjustments applied.
-func spliceStats(old, nd *Doc, d0, d1, m int32) (*docStats, int) {
-	os := old.stats
-	st := &docStats{
-		rootTag: os.rootTag,
-		nodes:   os.nodes + int(m) - int(d1-d0),
-		depth:   os.depth,
-		tags:    make(map[uint32]TagStats, len(os.tags)),
-		child:   make(map[idPair]int, len(os.child)),
-		desc:    make(map[idPair]int, len(os.desc)),
-	}
-	for k, v := range os.tags {
-		st.tags[k] = v
-	}
-	for k, v := range os.child {
-		st.child[k] = v
-	}
-	for k, v := range os.desc {
-		st.desc[k] = v
-	}
+// statsDelta accumulates what the deleted and inserted nodes of one splice
+// change in the catalog, as unsorted lists of single adjustments that
+// spliceStats folds per key and merges into the old arrays. An adjustment
+// is a record of the catalog whose counts are signed (two's complement:
+// adding uint32(-1) subtracts one).
+type statsDelta struct {
+	tags        []tagDelta
+	child, desc []pairRec
+	// vals notes every (tag, value ID) the splice removed a holder of
+	// (bit 0), added a holder of (bit 1), or both.
+	vals map[[2]uint32]uint8
+	// n counts the individual adjustments (SpliceResult.StatsDeltas).
+	n    int
+	seen []uint32
+}
 
-	deltas := 0
-	affected := make(map[uint32]bool)
-	seen := make([]uint32, 0, 16)
-	apply := func(c *cols, i int32, sign int) {
-		tag := c.tag[i]
-		affected[tag] = true
-		ts := st.tags[tag]
-		ts.Count += sign
-		st.tags[tag] = ts
-		deltas++
-		p := c.parent[i] // never -1: the root cannot be spliced out
-		ptag := c.tag[p]
-		st.child[idPair{ptag, tag}] += sign
-		pts := st.tags[ptag]
-		pts.Children += sign
-		st.tags[ptag] = pts
-		deltas += 2
-		seen = seen[:0]
-		for a := p; a >= 0; a = c.parent[a] {
-			atag := c.tag[a]
-			dup := false
-			for _, s := range seen {
-				if s == atag {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			seen = append(seen, atag)
-			st.desc[idPair{atag, tag}] += sign
-			deltas++
-		}
-	}
-	for i := d0; i < d1; i++ {
-		apply(&old.c, i, -1)
-	}
-	for k := int32(0); k < m; k++ {
-		apply(&nd.c, d0+k, +1)
-	}
+// tagDelta adjusts one tag's summary: signed counts, the level bounds of
+// the inserted nodes carrying the tag in MinLevel/MaxLevel and those of the
+// deleted ones in delMin/delMax. Bounds start out empty (min > max).
+type tagDelta struct {
+	tagStatRec
+	delMin, delMax int32
+}
 
-	// Extrema and distinct counts of the touched tags, from the already
-	// spliced index.
-	for t := range affected {
-		refs := nd.tagRefs(t)
-		if len(refs) == 0 {
-			delete(st.tags, t)
+func newTagDelta(tag uint32) tagDelta {
+	return tagDelta{tagStatRec{Tag: tag, MinLevel: math.MaxInt32, MaxLevel: -1}, math.MaxInt32, -1}
+}
+
+// node records node i of c leaving (sign -1) or joining (sign +1) the
+// document: its tag cardinality, its (parentTag, tag) child pair, its
+// parent tag's child total, and one (ancestorTag, tag) pair per distinct
+// ancestor tag.
+func (a *statsDelta) node(c *cols, i int32, sign int32) {
+	tag, level := c.tag[i], c.level[i]
+	td := newTagDelta(tag)
+	td.Count = uint32(sign)
+	if sign < 0 {
+		td.delMin, td.delMax = level, level
+	} else {
+		td.MinLevel, td.MaxLevel = level, level
+	}
+	p := c.parent[i] // never -1: the root cannot be spliced out
+	ptag := c.tag[p]
+	pd := newTagDelta(ptag)
+	pd.Children = uint32(sign)
+	a.tags = append(a.tags, td, pd)
+	a.child = append(a.child, pairRec{ptag, tag, uint32(sign)})
+	a.n += 3
+	a.seen = a.seen[:0]
+	for ; p >= 0; p = c.parent[p] {
+		atag := c.tag[p]
+		if slices.Contains(a.seen, atag) {
 			continue
 		}
-		ts := st.tags[t]
-		minL, maxL := nd.c.level[refs[0]], nd.c.level[refs[0]]
-		distinct := make(map[uint32]struct{})
-		for _, r := range refs {
-			if l := nd.c.level[r]; l < minL {
-				minL = l
-			}
-			if l := nd.c.level[r]; l > maxL {
-				maxL = l
-			}
-			if v := nd.c.val[r]; v != 0 {
-				distinct[v] = struct{}{}
-			}
-		}
-		ts.MinLevel, ts.MaxLevel = minL, maxL
-		ts.Distinct = len(distinct)
-		st.tags[t] = ts
+		a.seen = append(a.seen, atag)
+		a.desc = append(a.desc, pairRec{atag, tag, uint32(sign)})
+		a.n++
 	}
-	depth := int32(0)
+	if v := c.val[i]; v != 0 {
+		bit := uint8(1)
+		if sign > 0 {
+			bit = 2
+		}
+		a.vals[[2]uint32{tag, v - 1}] |= bit
+	}
+}
+
+// spliceStats produces the spliced document's catalog from the old one.
+// Counts are sums, so every deleted node subtracts and every inserted node
+// adds its adjustments (statsDelta.node); the adjustments are folded per
+// key and merged into the old sorted arrays, whose untouched stretches are
+// block copies. Distinct-value counts and level bounds are not sums, yet
+// neither is recounted over a tag's postings when the splice cannot have
+// changed it: a tag's distinct count moves only for a (tag, value) the
+// splice removed or added, and then by whether another holder exists
+// before and after (Doc.holds: the shorter of the two postings lists); a
+// level bound only widens on insert, and is rescanned only when a deleted
+// node sat on it. The second result counts the individual adjustments.
+func spliceStats(old, nd *Doc, d0, d1, m int32) (*docStats, int) {
+	a := statsDelta{vals: make(map[[2]uint32]uint8)}
+	for i := d0; i < d1; i++ {
+		a.node(&old.c, i, -1)
+	}
+	for j := d0; j < d0+m; j++ {
+		a.node(&nd.c, j, +1)
+	}
+	// A (tag, value) the splice both removed and added had a holder before
+	// and has one after; one it only added counts if the old version had
+	// no holder, one it only removed if the new version has none left.
+	for tv, bits := range a.vals {
+		td := newTagDelta(tv[0])
+		switch {
+		case bits == 2 && !old.holds(tv[0], tv[1]):
+			td.Distinct = 1
+		case bits == 1 && !nd.holds(tv[0], tv[1]):
+			td.Distinct--
+		default:
+			continue
+		}
+		a.tags = append(a.tags, td)
+	}
+
+	st := &docStats{
+		rootTag: old.stats.rootTag,
+		nodes:   old.stats.nodes + int(m) - int(d1-d0),
+		tags:    mergeTagStats(old.stats.tags, a.tags, nd),
+		child:   mergePairs(old.stats.child, a.child),
+		desc:    mergePairs(old.stats.desc, a.desc),
+	}
 	for _, ts := range st.tags {
-		if ts.MaxLevel > depth {
-			depth = ts.MaxLevel
+		st.depth = max(st.depth, ts.MaxLevel)
+	}
+	return st, a.n
+}
+
+// holds reports whether some node of d carries both the tag and the value
+// (dictionary IDs), walking the shorter of the two postings lists.
+func (d *Doc) holds(tag, val uint32) bool {
+	vr := d.valueRefs(val)
+	if len(vr) == 0 {
+		return false
+	}
+	if tr := d.tagRefs(tag); len(tr) < len(vr) {
+		for _, r := range tr {
+			if d.c.val[r] == val+1 {
+				return true
+			}
+		}
+		return false
+	}
+	for _, r := range vr {
+		if d.c.tag[r] == tag {
+			return true
 		}
 	}
-	st.depth = depth
-	for k, v := range st.child {
-		if v <= 0 {
-			delete(st.child, k)
+	return false
+}
+
+// mergeTagStats applies the adjustments to the old per-tag summaries
+// (sorted by tag ID) and returns the new array; nd is the spliced document,
+// already indexed, for the level rescans.
+func mergeTagStats(old []tagStatRec, deltas []tagDelta, nd *Doc) []tagStatRec {
+	slices.SortFunc(deltas, func(a, b tagDelta) int { return cmp.Compare(a.Tag, b.Tag) })
+	out := make([]tagStatRec, 0, len(old)+len(deltas))
+	i := 0
+	for k := 0; k < len(deltas); {
+		dl := deltas[k]
+		fold := func(o tagStatRec) {
+			dl.Count += o.Count
+			dl.Distinct += o.Distinct
+			dl.Children += o.Children
+			dl.MinLevel, dl.MaxLevel = min(dl.MinLevel, o.MinLevel), max(dl.MaxLevel, o.MaxLevel)
+		}
+		for k++; k < len(deltas) && deltas[k].Tag == dl.Tag; k++ {
+			fold(deltas[k].tagStatRec)
+			dl.delMin, dl.delMax = min(dl.delMin, deltas[k].delMin), max(dl.delMax, deltas[k].delMax)
+		}
+		j, known := slices.BinarySearchFunc(old[i:], dl.tagStatRec, cmpTagStat)
+		out = append(out, old[i:i+j]...)
+		i += j
+		rescan := false
+		if known {
+			// A level bound widens with the inserted nodes, unless a
+			// deleted node sat on it: then it has to be found again.
+			rescan = dl.delMin == old[i].MinLevel || dl.delMax == old[i].MaxLevel
+			fold(old[i])
+			i++
+		}
+		r := dl.tagStatRec
+		if r.Count == 0 {
+			continue // the tag left the document
+		}
+		if rescan {
+			refs := nd.tagRefs(r.Tag)
+			r.MinLevel, r.MaxLevel = nd.c.level[refs[0]], nd.c.level[refs[0]]
+			for _, ref := range refs[1:] {
+				r.MinLevel = min(r.MinLevel, nd.c.level[ref])
+				r.MaxLevel = max(r.MaxLevel, nd.c.level[ref])
+			}
+		}
+		out = append(out, r)
+	}
+	return append(out, old[i:]...)
+}
+
+// mergePairs applies the adjustments to an old pair array (sorted by
+// (Up, Down)) and returns the new one; pairs whose count reaches zero are
+// dropped, exactly as a fresh build would never create them.
+func mergePairs(old, deltas []pairRec) []pairRec {
+	slices.SortFunc(deltas, cmpPair)
+	out := make([]pairRec, 0, len(old)+len(deltas))
+	i := 0
+	for k := 0; k < len(deltas); {
+		r := deltas[k]
+		for k++; k < len(deltas) && cmpPair(deltas[k], r) == 0; k++ {
+			r.Count += deltas[k].Count
+		}
+		j, known := slices.BinarySearchFunc(old[i:], r, cmpPair)
+		out = append(out, old[i:i+j]...)
+		i += j
+		if known {
+			r.Count += old[i].Count
+			i++
+		}
+		if r.Count != 0 {
+			out = append(out, r)
 		}
 	}
-	for k, v := range st.desc {
-		if v <= 0 {
-			delete(st.desc, k)
-		}
-	}
-	return st, deltas
+	return append(out, old[i:]...)
 }
 
 // Commit publishes nd as the new version of old: the directory entry is
@@ -525,6 +674,12 @@ func (s *Store) CommitLogged(old, nd *Doc, payload []byte) error {
 	s.dir.Store(next)
 	s.updateGen.Add(1)
 	s.superseded.Add(1)
-	runtime.SetFinalizer(old, func(*Doc) { s.superseded.Add(-1) })
+	// The finalizer watches the version's catalog, not the Doc: a finalizer
+	// keeps its object and everything it references alive for one more
+	// collection cycle, and the Doc references the columns. The catalog is
+	// a few kilobytes that belong to exactly this version and become
+	// unreachable with it. (With updates allocating little besides the next
+	// version, versions held back by their finalizers were most of the heap.)
+	runtime.SetFinalizer(old.stats, func(*docStats) { s.superseded.Add(-1) })
 	return nil
 }

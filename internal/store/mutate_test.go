@@ -438,6 +438,63 @@ func TestMutateFaultInjection(t *testing.T) {
 	checkOracle(t, s.Doc(id))
 }
 
+// TestSpliceDistinctCounts walks the three cases the incremental
+// distinct-value count distinguishes, by hand: inserting a value another
+// node of the tag already holds (no change), deleting one of several
+// holders (no change), deleting the last holder (one less) — each checked
+// against the catalog and the rebuild-from-XML oracle.
+func TestSpliceDistinctCounts(t *testing.T) {
+	s, id := load(t)
+	distinct := func(tag string) int { return s.Catalog().Tag(id, tag).Distinct }
+	splice := func(op SpliceOp) {
+		t.Helper()
+		d := s.Doc(id)
+		nd, _, err := s.BuildSplice(d, op)
+		if err != nil {
+			t.Fatalf("BuildSplice: %v", err)
+		}
+		if err := s.Commit(d, nd); err != nil {
+			t.Fatalf("Commit: %v", err)
+		}
+		checkOracle(t, nd)
+	}
+	if got := distinct("age"); got != 1 { // both persons are 30
+		t.Fatalf("distinct(age) = %d at load, want 1", got)
+	}
+
+	// A third 30 and, twice in one fragment, a first 41.
+	people := ordOf(t, s, id, "people", 0)
+	at := s.Doc(id).End(people) + 1
+	splice(SpliceOp{Parent: people, At: at, DelEnd: at,
+		Frag: mustFrag(t, `<person id="p2"><age>30</age><age>41</age><age>41</age></person>`)})
+	if got := distinct("age"); got != 2 {
+		t.Fatalf("distinct(age) = %d after inserting 30, 41, 41, want 2", got)
+	}
+
+	// One of the two 41s goes: 41 is still held.
+	d := s.Doc(id)
+	ages := s.Tag(id, "age")
+	last := ages[len(ages)-1]
+	splice(SpliceOp{Parent: d.Parent(last), At: last, DelEnd: d.End(last) + 1})
+	if got := distinct("age"); got != 2 {
+		t.Fatalf("distinct(age) = %d after deleting one of two 41s, want 2", got)
+	}
+
+	// The other 41 goes: nobody holds it any more. #text loses "41" too,
+	// while "30" stays with the three other text nodes.
+	texts := distinct("#text")
+	d = s.Doc(id)
+	ages = s.Tag(id, "age")
+	last = ages[len(ages)-1]
+	splice(SpliceOp{Parent: d.Parent(last), At: last, DelEnd: d.End(last) + 1})
+	if got := distinct("age"); got != 1 {
+		t.Fatalf("distinct(age) = %d after deleting the last 41, want 1", got)
+	}
+	if got := distinct("#text"); got != texts-1 {
+		t.Fatalf("distinct(#text) = %d after deleting the last 41, want %d", got, texts-1)
+	}
+}
+
 // FuzzMutate drives random valid insert/delete/replace sequences against
 // the store and checks after every commit that the spliced document is
 // byte-for-byte semantically identical (columns, indexes, statistics) to
@@ -446,11 +503,23 @@ func FuzzMutate(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5})
 	f.Add([]byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 11, 23})
 	f.Add([]byte{200, 3, 17, 42, 250, 1, 7, 99, 128, 64, 32, 16, 8, 4, 2, 1})
+	// Insert the repeating fragments several times over, then delete and
+	// replace among them, well past six operations.
+	f.Add([]byte{1, 0, 0, 4, 1, 0, 1, 4, 12, 0, 0, 5, 12, 0, 1, 5, 2, 0, 0, 6, 2, 0, 1, 6,
+		1, 1, 0, 0, 1, 1, 1, 0, 12, 1, 0, 0, 12, 2, 1, 6, 2, 1, 0, 0, 2, 1, 0, 0, 1, 2, 0, 4, 1, 1, 0, 0})
+	// The last three repeat a value inside the fragment and carry values
+	// that nodes of sampleXML (and earlier copies of themselves) also hold,
+	// so the incremental distinct-value counts see every case: a value
+	// inserted that is already present, one of several holders deleted,
+	// the last holder deleted.
 	fragments := []string{
 		`<person id="f0"><name>Fuzz</name></person>`,
 		`<extra/>`,
 		`<bidder><personref person="p9"/><increase>1</increase></bidder>`,
 		`<note lang="en">hi</note>`,
+		`<person id="p0"><name>Alice</name><name>Alice</name><age>30</age></person>`,
+		`<bidder><personref person="p1"/><increase>3</increase><increase>3</increase><increase>5</increase></bidder>`,
+		`<age>30</age>`,
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := New()
@@ -459,7 +528,7 @@ func FuzzMutate(f *testing.F) {
 			t.Fatalf("LoadXML: %v", err)
 		}
 		ops := 0
-		for i := 0; i+3 < len(data) && ops < 6; i += 4 {
+		for i := 0; i+3 < len(data) && ops < 48; i += 4 {
 			d := s.Doc(id)
 			n := int32(d.Len())
 			p := int32(data[i]) % n

@@ -7,6 +7,7 @@ import (
 	"hash/crc64"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"unsafe"
 )
@@ -129,15 +130,6 @@ type docRec struct {
 	DPOff, DPN         uint32
 	Res0, Res1         uint32
 }
-
-// tagStatRec is the flattened form of one TagStats entry.
-type tagStatRec struct {
-	Tag, Count, Distinct, Children uint32
-	MinLevel, MaxLevel             int32
-}
-
-// pairRec is one child- or descendant-pair count.
-type pairRec struct{ Up, Down, Count uint32 }
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
@@ -359,19 +351,38 @@ func (w *dictWriter) intern(s string) uint32 {
 	return id
 }
 
-// remap builds (and caches) the translation from a live dictionary's IDs
-// to the file dictionary's IDs.
-func (w *dictWriter) remap(cache map[*dict][]uint32, d *dict) []uint32 {
-	if r, ok := cache[d]; ok {
-		return r
+// remapAll builds the translation from live dictionary IDs to file
+// dictionary IDs for every dictionary the documents use, in order of first
+// use (which(doc) picks a document's dictionary and the directory that
+// indexes it). Only IDs that some document's directory names are written,
+// in ascending order: a live dictionary also remembers every string that
+// updates brought and later removed, and a checkpoint that persisted them
+// would hand the garbage to the next process. For a store that was never
+// updated every ID is live and the file dictionary is the live one.
+func (w *dictWriter) remapAll(docs []*Doc, which func(*Doc) (*dict, []dirEntry)) map[*dict][]uint32 {
+	var order []*dict
+	live := make(map[*dict][]bool)
+	for _, doc := range docs {
+		d, dir := which(doc)
+		if live[d] == nil {
+			order = append(order, d)
+			live[d] = make([]bool, d.size())
+		}
+		for _, e := range dir {
+			live[d][e.id] = true
+		}
 	}
-	dv := d.v.Load()
-	r := make([]uint32, len(dv.strs))
-	for i, s := range dv.strs {
-		r[i] = w.intern(s)
+	out := make(map[*dict][]uint32, len(order))
+	for _, d := range order {
+		r := make([]uint32, len(live[d]))
+		for id, ok := range live[d] {
+			if ok {
+				r[id] = w.intern(d.str(uint32(id)))
+			}
+		}
+		out[d] = r
 	}
-	cache[d] = r
-	return r
+	return out
 }
 
 // encode appends the dictionary as an offsets array (len+1 entries) and a
@@ -405,17 +416,16 @@ func encodeShard(docs []*Doc) []byte {
 		childPairs, descPairs            []pairRec
 	)
 	tagW, valW := newDictWriter(), newDictWriter()
-	tagCache := make(map[*dict][]uint32)
-	valCache := make(map[*dict][]uint32)
+	tagMaps := tagW.remapAll(docs, func(d *Doc) (*dict, []dirEntry) { return d.tags, d.tagDir })
+	valMaps := valW.remapAll(docs, func(d *Doc) (*dict, []dirEntry) { return d.vals, d.valDir })
 
 	for _, doc := range docs {
-		rt := tagW.remap(tagCache, doc.tags)
-		rv := valW.remap(valCache, doc.vals)
+		rt, rv := tagMaps[doc.tags], valMaps[doc.vals]
 		rec := docRec{
 			NameOff: uint32(len(names)), NameLen: uint32(len(doc.name)),
 			Base: uint32(len(start)), Nodes: uint32(doc.Len()),
 			RootTag: rt[doc.stats.rootTag], Depth: doc.stats.depth,
-			Res0:    uint32(doc.version),
+			Res0: uint32(doc.version),
 		}
 		names = append(names, doc.name...)
 		start = append(start, doc.c.start...)
@@ -444,28 +454,20 @@ func encodeShard(docs []*Doc) []byte {
 		rec.ValDirOff, rec.ValDirN = uint32(len(valDir)), uint32(len(doc.valDir))
 		valDir, valPost = appendIndex(valDir, valPost, doc.valDir, doc.valPost, rv)
 
-		// Statistics, in deterministic (sorted) order.
-		rec.TSOff = uint32(len(statRecs))
-		ts := make([]tagStatRec, 0, len(doc.stats.tags))
-		for id, st := range doc.stats.tags {
-			ts = append(ts, tagStatRec{
-				Tag: rt[id], Count: uint32(st.Count), Distinct: uint32(st.Distinct),
-				Children: uint32(st.Children), MinLevel: st.MinLevel, MaxLevel: st.MaxLevel,
-			})
+		// Statistics: the in-memory arrays are the file's records, sorted by
+		// live ID; re-sorted because the translation to file IDs need not
+		// be monotonic when two live dictionaries share strings.
+		rec.TSOff, rec.TSN = uint32(len(statRecs)), uint32(len(doc.stats.tags))
+		statRecs = append(statRecs, doc.stats.tags...)
+		ts := statRecs[rec.TSOff:]
+		for i := range ts {
+			ts[i].Tag = rt[ts[i].Tag]
 		}
-		sort.Slice(ts, func(i, j int) bool { return ts[i].Tag < ts[j].Tag })
-		statRecs = append(statRecs, ts...)
-		rec.TSN = uint32(len(ts))
-
-		rec.CPOff = uint32(len(childPairs))
-		cp := encodePairs(doc.stats.child, rt)
-		childPairs = append(childPairs, cp...)
-		rec.CPN = uint32(len(cp))
-
-		rec.DPOff = uint32(len(descPairs))
-		dp := encodePairs(doc.stats.desc, rt)
-		descPairs = append(descPairs, dp...)
-		rec.DPN = uint32(len(dp))
+		slices.SortFunc(ts, cmpTagStat)
+		rec.CPOff, rec.CPN = uint32(len(childPairs)), uint32(len(doc.stats.child))
+		childPairs = appendPairs(childPairs, doc.stats.child, rt)
+		rec.DPOff, rec.DPN = uint32(len(descPairs)), uint32(len(doc.stats.desc))
+		descPairs = appendPairs(descPairs, doc.stats.desc, rt)
 
 		recs = append(recs, rec)
 	}
@@ -511,18 +513,16 @@ func appendIndex(dir []dirEntry, post []int32, srcDir []dirEntry, srcPost []int3
 	return append(dir, ds...), post
 }
 
-func encodePairs(m map[idPair]int, remap []uint32) []pairRec {
-	out := make([]pairRec, 0, len(m))
-	for p, n := range m {
-		out = append(out, pairRec{Up: remap[p.up], Down: remap[p.down], Count: uint32(n)})
+// appendPairs copies one document's pair counts into the shard-wide
+// array, translated to file IDs and sorted by them.
+func appendPairs(dst, src []pairRec, remap []uint32) []pairRec {
+	n := len(dst)
+	dst = append(dst, src...)
+	for i := n; i < len(dst); i++ {
+		dst[i].Up, dst[i].Down = remap[dst[i].Up], remap[dst[i].Down]
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Up != out[j].Up {
-			return out[i].Up < out[j].Up
-		}
-		return out[i].Down < out[j].Down
-	})
-	return out
+	slices.SortFunc(dst[n:], cmpPair)
+	return dst
 }
 
 // encodeManifest lists the documents in global DocID order.
@@ -692,6 +692,13 @@ func decodeShard(data []byte, wantShard, wantCount int) ([]*Doc, error) {
 			return nil, fmt.Errorf("%w: %s statistics name tag %d of %d", ErrSnapshotCorrupt, what, r.Tag, nTags)
 		}
 	}
+	for _, pairs := range [][]pairRec{childPairs, descPairs} {
+		for _, p := range pairs {
+			if int(p.Up) >= nTags || int(p.Down) >= nTags {
+				return nil, fmt.Errorf("%w: %s statistics pair names tag (%d, %d) of %d", ErrSnapshotCorrupt, what, p.Up, p.Down, nTags)
+			}
+		}
+	}
 
 	names := raw[secNames]
 	docs := make([]*Doc, 0, len(recs))
@@ -754,35 +761,27 @@ func decodeShard(data []byte, wantShard, wantCount int) ([]*Doc, error) {
 				return nil, fmt.Errorf("%w: %s doc %d node %d fails bounds checks", ErrSnapshotCorrupt, what, di, i)
 			}
 		}
-		// Rebuild the per-document statistics maps from the flat records.
-		st := &docStats{
+		// The statistics are views of the flat records, which lookups
+		// binary-search and splices merge into: they must be sorted.
+		d.stats = &docStats{
 			rootTag: rec.RootTag,
 			nodes:   int(n),
 			depth:   rec.Depth,
-			tags:    make(map[uint32]TagStats, rec.TSN),
-			child:   make(map[idPair]int, rec.CPN),
-			desc:    make(map[idPair]int, rec.DPN),
+			tags:    statRecs[rec.TSOff : rec.TSOff+rec.TSN : rec.TSOff+rec.TSN],
+			child:   childPairs[rec.CPOff : rec.CPOff+rec.CPN : rec.CPOff+rec.CPN],
+			desc:    descPairs[rec.DPOff : rec.DPOff+rec.DPN : rec.DPOff+rec.DPN],
 		}
-		for _, r := range statRecs[rec.TSOff : rec.TSOff+rec.TSN] {
-			st.tags[r.Tag] = TagStats{
-				Count: int(r.Count), Distinct: int(r.Distinct), Children: int(r.Children),
-				MinLevel: r.MinLevel, MaxLevel: r.MaxLevel,
-			}
+		if !slices.IsSortedFunc(d.stats.tags, cmpTagStat) ||
+			!slices.IsSortedFunc(d.stats.child, cmpPair) || !slices.IsSortedFunc(d.stats.desc, cmpPair) {
+			return nil, fmt.Errorf("%w: %s doc %d statistics out of order", ErrSnapshotCorrupt, what, di)
 		}
-		for _, p := range childPairs[rec.CPOff : rec.CPOff+rec.CPN] {
-			st.child[idPair{p.Up, p.Down}] = int(p.Count)
-		}
-		for _, p := range descPairs[rec.DPOff : rec.DPOff+rec.DPN] {
-			st.desc[idPair{p.Up, p.Down}] = int(p.Count)
-		}
-		d.stats = st
 		docs = append(docs, d)
 	}
 	return docs, nil
 }
 
-// decodeDict rebuilds a frozen dictionary whose strings are views into
-// the mapped blob.
+// decodeDict rebuilds a frozen dictionary whose offsets and strings are
+// views into the mapped file.
 func decodeDict(offsRaw, blob []byte, what string) (*dict, error) {
 	offs, err := rawView[uint32](offsRaw)
 	if err != nil {
@@ -795,19 +794,12 @@ func decodeDict(offsRaw, blob []byte, what string) (*dict, error) {
 	if uint64(offs[n]) != uint64(len(blob)) {
 		return nil, fmt.Errorf("%w: %s dictionary blob length %d, offsets end at %d", ErrSnapshotCorrupt, what, len(blob), offs[n])
 	}
-	strs := make([]string, n)
 	for i := 0; i < n; i++ {
-		lo, hi := offs[i], offs[i+1]
-		if lo > hi {
+		if offs[i] > offs[i+1] {
 			return nil, fmt.Errorf("%w: %s dictionary offsets not monotonic at %d", ErrSnapshotCorrupt, what, i)
 		}
-		if lo == hi {
-			strs[i] = ""
-			continue
-		}
-		strs[i] = unsafe.String(&blob[lo], int(hi-lo))
 	}
-	return newFrozenDict(strs), nil
+	return newFrozenDict(offs, blob), nil
 }
 
 // LoadSnapshot opens the snapshot directory and adds every document it

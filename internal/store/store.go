@@ -30,11 +30,12 @@
 // load sequence yields the same DocIDs whether the store has 1 shard or
 // 64 — which is what makes results byte-identical across shard counts.
 //
-// Reads never lock. Loaded documents are immutable, the directory is
-// replaced (never mutated) on load, the dictionaries publish through
-// atomic pointers, and the per-shard statistics counters are maintained
-// with sync/atomic, so the parallel executor's worker goroutines probe
-// indexes and fetch nodes without coordination. Serial evaluation
+// Reads never lock. Document versions are immutable, the directory is
+// replaced (never mutated) on load and commit, the dictionaries are
+// append-only behind atomic pointers (dict.go), and the per-shard
+// statistics counters are maintained with sync/atomic, so the parallel
+// executor's worker goroutines probe indexes and fetch nodes without
+// coordination. Serial evaluation
 // (parallelism 1) produces exactly the counter values the paper's
 // single-query-at-a-time measurements would.
 package store
@@ -478,6 +479,46 @@ func (s *Store) Close() error {
 		}
 	}
 	return firstErr
+}
+
+// DictStats is one shard's dictionary gauges. The dictionaries are
+// append-only, so between checkpoints they accumulate strings that updates
+// brought and later removed: ValueStrings - ValueLive is roughly that
+// garbage (a snapshot drops it, see dictWriter.remap).
+type DictStats struct {
+	// TagStrings and ValueStrings count the strings interned in the
+	// dictionaries the shard's current document versions resolve through.
+	TagStrings, ValueStrings int
+	// ValueLive counts value-index directory entries across those
+	// versions: the values some document of the shard actually holds.
+	ValueLive int
+}
+
+// DictStats returns the dictionary gauges of every shard, in shard order.
+// It reads the current directory and the dictionaries' published lengths —
+// atomic loads only, so it never waits for a writer or a load.
+func (s *Store) DictStats() []DictStats {
+	out := make([]DictStats, len(s.shards))
+	counted := make(map[*dict]bool)
+	count := func(d *dict) int {
+		if counted[d] {
+			return 0
+		}
+		counted[d] = true
+		return d.size()
+	}
+	for i, sh := range s.shards {
+		out[i].TagStrings, out[i].ValueStrings = count(sh.tags), count(sh.vals)
+	}
+	// Snapshot-opened documents resolve through their file's dictionaries,
+	// not the shard's.
+	for _, d := range s.dir.Load().docs {
+		g := &out[d.shard]
+		g.TagStrings += count(d.tags)
+		g.ValueStrings += count(d.vals)
+		g.ValueLive += len(d.valDir)
+	}
+	return out
 }
 
 // ResetStats zeroes the access counters of every shard.

@@ -325,6 +325,12 @@ func (db *Database) UpdateGeneration() uint64 { return db.st.UpdateGeneration() 
 // garbage collector once the last reference drops).
 func (db *Database) VersionsLive() int64 { return db.st.VersionsLive() }
 
+// DictionaryStats returns each shard's dictionary gauges, in shard order:
+// strings interned (dictionaries are append-only, so this includes what
+// updates brought and later removed) against values the shard's documents
+// hold now. It never waits for a writer.
+func (db *Database) DictionaryStats() []store.DictStats { return db.st.DictStats() }
+
 // NumShards returns the number of store shards.
 func (db *Database) NumShards() int { return db.st.NumShards() }
 
