@@ -35,15 +35,12 @@
 //
 //	tlcbench -update-mix 95/5 -factor 0.1 -json bench.json
 //
-// -disjuncts runs the OR/NOT ablation — each disjunctive query compiled
-// natively (logical-operator edges, one index probe per tag) and through
-// the legacy union-chain form, reporting the speedup (recorded under
-// "disjuncts" in the -json report). -contain-mix runs a skewed
-// multi-client query mix through the plan cache, reporting how much of
-// the workload was served by exact hits and containment-based reuse
-// instead of compilation (recorded under "contain_mix"):
+// -contain-mix runs a skewed multi-client query mix through the plan
+// cache, reporting how much of the workload was served by exact hits and
+// containment-based reuse instead of compilation (recorded under
+// "contain_mix" in the -json report):
 //
-//	tlcbench -disjuncts -contain-mix -factor 0.1 -json bench.json
+//	tlcbench -contain-mix -factor 0.1 -json bench.json
 //
 // -durability sweeps the WAL fsync policies (off, batch, always) with a
 // sequential update workload, reporting commit cost and throughput per
@@ -84,7 +81,6 @@ func main() {
 	updateMix := flag.String("update-mix", "", "mixed read/write ratio \"95/5\": concurrent readers vs one MVCC writer, reporting update throughput and reader-latency impact (included in -json under \"update_mix\")")
 	updateOps := flag.Int("update-ops", 2000, "total operations for the -update-mix workload")
 	updateReaders := flag.Int("update-readers", 4, "concurrent reader goroutines for -update-mix")
-	disjuncts := flag.Bool("disjuncts", false, "run the OR/NOT disjunct ablation — native logical-edge matching vs the legacy union-chain compilation (included in -json under \"disjuncts\")")
 	containMix := flag.Bool("contain-mix", false, "run the skewed multi-client plan-cache mix — exact vs containment reuse (included in -json under \"contain_mix\")")
 	containClients := flag.Int("contain-clients", 4, "concurrent client goroutines for -contain-mix")
 	containOps := flag.Int("contain-ops", 2000, "total queries for the -contain-mix workload")
@@ -119,7 +115,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tlcbench: unknown figure %q\n", *fig)
 		os.Exit(2)
 	}
-	if (*startup || *updateMix != "" || *disjuncts || *containMix || *durability) && *fig == "all" && !figFlagSet() {
+	if (*startup || *updateMix != "" || *containMix || *durability) && *fig == "all" && !figFlagSet() {
 		// A standalone experiment flag (no explicit -fig) measures only
 		// that experiment.
 		*fig = "none"
@@ -211,23 +207,6 @@ func main() {
 				rep = &harness.BenchReport{Factor: *factor, Reps: cfg.Reps, Parallelism: cfg.Parallelism, Shards: cfg.Shards}
 			}
 			rep.UpdateMix = ur
-		}
-	}
-
-	if *disjuncts {
-		db, err := openBenchDatabase(*factor, cfg.Shards, *snapshot)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("=== Disjunct ablation: native OR/NOT edges vs legacy union chains, XMark factor %g ===\n", *factor)
-		dr := harness.MeasureDisjuncts(db, cfg)
-		fmt.Print(dr.String())
-		db.Close()
-		if *jsonOut != "" {
-			if rep == nil {
-				rep = &harness.BenchReport{Factor: *factor, Reps: cfg.Reps, Parallelism: cfg.Parallelism, Shards: cfg.Shards}
-			}
-			rep.Disjuncts = dr
 		}
 	}
 

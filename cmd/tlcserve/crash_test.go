@@ -107,7 +107,9 @@ func startServer(t *testing.T, faults string, extraArgs ...string) *server {
 	}
 	s := &server{cmd: cmd, stderr: &lockedBuffer{}, exited: make(chan struct{})}
 	addrCh := make(chan string, 1)
+	stderrDone := make(chan struct{}) // closed at EOF on the server's stderr
 	go func() {
+		defer close(stderrDone)
 		// Tee stderr: scan for the listen line, keep everything for the
 		// scenario's log assertions.
 		buf := make([]byte, 4096)
@@ -137,6 +139,9 @@ func startServer(t *testing.T, faults string, extraArgs ...string) *server {
 		t.Fatal(err)
 	}
 	go func() {
+		// Wait closes the pipe, so it must not run before the reader has
+		// seen EOF, or the server's last log lines are lost.
+		<-stderrDone
 		s.waitErr = cmd.Wait()
 		close(s.exited)
 	}()

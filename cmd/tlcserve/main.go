@@ -41,7 +41,7 @@ func main() {
 	maxTimeout := flag.Duration("max-timeout", 5*time.Minute, "cap on request-supplied deadlines")
 	cacheSize := flag.Int("cache-size", 128, "plan cache capacity in plans")
 	parallel := flag.Int("parallel", 1, "default intra-query parallelism: 1 = serial, 0 = GOMAXPROCS")
-	shards := flag.Int("shards", 0, "store shard count (0 = GOMAXPROCS); a load into one shard only blocks queries touching that shard")
+	shards := flag.Int("shards", 0, "store shard count (0 = GOMAXPROCS)")
 	snapshot := flag.String("snapshot", "", "snapshot directory: open it if it holds a snapshot (mmap fast start; overrides -shards), otherwise write one there after the startup loads")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (heap, cpu, goroutine profiles)")
 	maxNodes := flag.Int64("max-nodes", 0, "per-query witness-node budget; exceeding aborts the query with 422 (0 = unlimited)")

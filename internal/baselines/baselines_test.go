@@ -102,6 +102,13 @@ var crossQueries = map[string]string{
 	"or-under-and": `FOR $p IN document("auction.xml")//person
 		WHERE $p/age > 25 AND ($p/name = "Carol" OR $p/age < 35)
 		RETURN $p/name/text()`,
+	// The disjuncts hang off two different pattern nodes, so the TLC
+	// translator cannot fold them into one OR-annotated edge group and
+	// compiles optional branches under a DisjFilter instead.
+	"or-two-anchors": `FOR $o IN document("auction.xml")//open_auction
+		FOR $b IN $o/bidder
+		WHERE $b/increase > 7 OR $o/quantity > 4
+		RETURN $b/increase/text()`,
 	"order-by": `FOR $p IN document("auction.xml")//person
 		WHERE $p/age > 0
 		ORDER BY $p/age DESCENDING

@@ -40,9 +40,6 @@ type BenchReport struct {
 	// tlcbench -update-mix: MVCC update throughput and the reader-latency
 	// quantiles against a read-only baseline.
 	UpdateMix *UpdateMixReport `json:"update_mix,omitempty"`
-	// Disjuncts, when present, is the tlcbench -disjuncts ablation: native
-	// logical-edge OR/NOT matching versus the legacy union-chain form.
-	Disjuncts *DisjunctReport `json:"disjuncts,omitempty"`
 	// ContainMix, when present, is the tlcbench -contain-mix workload:
 	// plan-cache exact versus containment reuse under a skewed client mix.
 	ContainMix *ContainMixReport `json:"contain_mix,omitempty"`

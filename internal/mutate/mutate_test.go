@@ -139,7 +139,7 @@ func TestApplyDeleteCoalescesText(t *testing.T) {
 func TestApplyReplace(t *testing.T) {
 	s, id := loadStore(t, "a.xml", auctionXML)
 	res := apply(t, s, Request{Doc: "a.xml", Op: Replace,
-		Target: "/site/open_auctions/open_auction/bidder",
+		Target:   "/site/open_auctions/open_auction/bidder",
 		Fragment: `<bidder><personref person="p1"/><increase>7</increase></bidder>`})
 	if res.NodesRemoved != 5 || res.NodesAdded != 5 {
 		t.Fatalf("res = %+v", res)

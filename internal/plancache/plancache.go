@@ -18,20 +18,16 @@
 // translate, rewrite and planning entirely. Exact and containment hits
 // are counted separately.
 //
-// Invalidation is by shard generation and document version: every
-// successful document load bumps the owning shard's generation, and every
-// committed update bumps only the mutated document's version. Each cached
-// entry records both the generations of the shards its plan's documents
-// route to and the versions of those documents at compile time; a lookup
-// revalidates exactly that footprint — so loading a document invalidates
-// the plans whose input shards moved, and updating a document invalidates
-// only the plans that reference that document, not every plan on its
-// shard. Plans whose document footprint cannot be fully resolved (no
-// document references, or a referenced document not yet loaded — the
-// cases where the planner falls back to whole-database statistics scope)
-// keep the conservative whole-database generation check (which updates
-// also bump), and Flush remains the whole-cache path for schema-wide
-// changes.
+// Staleness has one rule: a cached plan is current while every document
+// it names (tlc.Prepared.Documents) still reports the version it had when
+// the plan was compiled, where a name that is not loaded reports version 0.
+// A committed update moves only the mutated document's version, and a load
+// moves only the loaded name from 0 to 1 (documents are never unloaded or
+// reloaded), so an update drops exactly the plans naming that document, a
+// load drops exactly the plans that named the document while it was
+// absent, and a plan naming no document has nothing to go stale. A stale
+// plan would still compute the right answer — every plan for a query
+// does — the rule only keeps cached plans costed from current statistics.
 package plancache
 
 import (
@@ -79,9 +75,9 @@ type Stats struct {
 	Misses uint64 `json:"misses"`
 	// Evictions counts entries dropped to capacity pressure.
 	Evictions uint64 `json:"evictions"`
-	// Invalidations counts entries dropped because a shard, a referenced
-	// document's version, or (for footprint-less plans) the whole database
-	// moved past their compile-time record, plus entries removed by Flush.
+	// Invalidations counts entries dropped because a document their plan
+	// names moved past its compile-time version: it was updated, or it was
+	// not loaded then (version 0) and has been loaded since.
 	Invalidations uint64 `json:"invalidations"`
 	// Size and Capacity describe the current occupancy.
 	Size     int `json:"size"`
@@ -103,20 +99,15 @@ type entry struct {
 	// eligible engine whose canonicalizer and translator agree on every
 	// predicate site.
 	containable bool
-	// shardGens maps each shard the plan's referenced documents route to
-	// onto that shard's generation at compile time; the entry is valid
-	// while every recorded shard still reports its recorded generation.
-	// nil marks a conservatively scoped entry validated against gen.
-	shardGens map[int]uint64
-	// docVers maps each referenced document onto its MVCC version at
-	// compile time. Commits bump a document's version without touching its
-	// shard's load generation, so this is what invalidates per document:
-	// an update to one document drops only the plans that reference it.
-	// Set exactly when shardGens is.
-	docVers map[string]uint64
-	// gen is the whole-database generation at compile time, used only when
-	// shardGens is nil.
-	gen uint64
+	// docs is the validity record: each document the plan names with the
+	// version it reported before the plan was compiled.
+	docs []docVersion
+}
+
+// docVersion is a document name and a version of it; 0 is "not loaded".
+type docVersion struct {
+	name    string
+	version uint64
 }
 
 // Cache is a fixed-capacity LRU of compiled plans. The zero value is not
@@ -156,51 +147,15 @@ func containmentEngine(e tlc.Engine) bool {
 	return e == tlc.TLC || e == tlc.GTP || e == tlc.TAX
 }
 
-// valid reports whether an entry's recorded generations still match the
-// database: per recorded shard for footprint-scoped entries, the whole
-// database generation otherwise.
+// valid reports whether every document the entry's plan names still
+// reports its recorded version.
 func valid(db *tlc.Database, e *entry) bool {
-	if e.shardGens == nil {
-		return db.Generation() == e.gen
-	}
-	for sh, g := range e.shardGens {
-		if db.ShardGeneration(sh) != g {
-			return false
-		}
-	}
-	for name, v := range e.docVers {
-		if cur, ok := db.DocumentVersion(name); !ok || cur != v {
+	for _, d := range e.docs {
+		if cur, _ := db.DocumentVersion(d.name); cur != d.version {
 			return false
 		}
 	}
 	return true
-}
-
-// footprint resolves a compiled plan's shard-generation and
-// document-version record against the pre-compile snapshots. It returns
-// nils when the plan references no documents or references one that is
-// not loaded — the cases where compilation (planner statistics scope,
-// name resolution) may depend on documents beyond the footprint, which
-// must keep whole-database validity.
-func footprint(db *tlc.Database, prep *tlc.Prepared, gens []uint64, vers map[string]uint64) (map[int]uint64, map[string]uint64) {
-	docs := prep.Documents()
-	if len(docs) == 0 {
-		return nil, nil
-	}
-	shards := make(map[int]uint64, len(docs))
-	dv := make(map[string]uint64, len(docs))
-	for _, name := range docs {
-		v, loaded := vers[name]
-		if !loaded {
-			return nil, nil
-		}
-		dv[name] = v
-		sh := db.ShardOfDocument(name)
-		if sh >= 0 && sh < len(gens) {
-			shards[sh] = gens[sh]
-		}
-	}
-	return shards, dv
 }
 
 // remove drops one entry from the LRU and both indexes. Caller holds mu.
@@ -285,15 +240,6 @@ func impliesSite(strong, weak tlc.CanonicalSite) bool {
 // twice, and the last finisher's plan stays cached (both plans are valid,
 // so either may be handed out).
 func (c *Cache) Load(ctx context.Context, db *tlc.Database, key Key) (*tlc.Prepared, bool, error) {
-	// Snapshot the generations and document versions before compiling: a
-	// load or update landing during the compile must make the freshly
-	// compiled plan uncacheable (it may have seen a half-updated catalog),
-	// which the post-compile re-check below detects by comparing against
-	// this snapshot.
-	gen := db.Generation()
-	gens := db.ShardGenerations()
-	vers := db.DocumentVersions()
-
 	canon, canonErr := tlc.Canonicalize(key.Query)
 	ekey := key
 	var skey Key
@@ -317,8 +263,7 @@ func (c *Cache) Load(ctx context.Context, db *tlc.Database, key Key) (*tlc.Prepa
 				c.mu.Unlock()
 				return prep, true, nil
 			}
-			// Stale: one of the plan's input shards moved. Drop just this
-			// entry; plans on untouched shards stay cached.
+			// Stale: a document the plan names moved. Drop just this entry.
 			c.remove(el)
 			c.invalidations++
 		}
@@ -339,6 +284,18 @@ func (c *Cache) Load(ctx context.Context, db *tlc.Database, key Key) (*tlc.Prepa
 		c.mu.Unlock()
 	}
 
+	// The record is taken before compiling and re-checked after: a load or
+	// commit landing in between must leave the fresh plan uncached, because
+	// the planner may have costed it from either version. Which documents
+	// the plan names is known only once it is compiled, so every loaded
+	// document's version is read here; a name missing from before reads
+	// back as 0, not loaded.
+	names := db.Documents()
+	before := make(map[string]uint64, len(names))
+	for _, name := range names {
+		before[name], _ = db.DocumentVersion(name)
+	}
+
 	if err := faultinject.Hit(faultinject.PointPlanCacheFill); err != nil {
 		return nil, false, err
 	}
@@ -357,16 +314,17 @@ func (c *Cache) Load(ctx context.Context, db *tlc.Database, key Key) (*tlc.Prepa
 		// (both start from xquery.Parse); hand the plan out uncached.
 		return prep, false, nil
 	}
-	shardGens, docVers := footprint(db, prep, gens, vers)
-	e := &entry{key: ekey, prep: prep, shardGens: shardGens, docVers: docVers, gen: gen}
+	e := &entry{key: ekey, prep: prep}
+	for _, name := range prep.Documents() {
+		e.docs = append(e.docs, docVersion{name, before[name]})
+	}
 	e.fillContainment(key, skey, canon)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// A load may have landed on one of the plan's shards while we compiled;
-	// such a plan must not enter the cache (it is still returned — the
-	// caller observed the old generations, which is the best a racing
-	// request can claim anyway).
+	// A plan whose documents moved while it compiled does not enter the
+	// cache; it is still returned (its answer is right whichever version
+	// costed it).
 	if !valid(db, e) {
 		return prep, false, nil
 	}
@@ -424,17 +382,6 @@ func (e *entry) fillContainment(key, skey Key, canon *tlc.Canonical) {
 	e.canonSites = canon.Sites
 	e.predSites = ps
 	e.containable = true
-}
-
-// Flush drops every entry — the whole-cache invalidation path for
-// schema-wide changes that per-shard generations cannot describe.
-func (c *Cache) Flush() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.invalidations += uint64(c.order.Len())
-	c.order.Init()
-	c.byKey = make(map[Key]*list.Element, c.capacity)
-	c.byStruct = make(map[Key][]*list.Element)
 }
 
 // Stats returns a snapshot of the counters.

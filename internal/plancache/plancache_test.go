@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"tlc"
+	"tlc/internal/faultinject"
 )
 
 const testXML = `<site>
@@ -128,75 +130,6 @@ func TestLRUOrderOnHit(t *testing.T) {
 	}
 }
 
-func TestShardGenerationInvalidation(t *testing.T) {
-	db := tlc.Open(tlc.WithShards(4))
-	if err := db.LoadXMLString("a.xml", testXML); err != nil {
-		t.Fatal(err)
-	}
-	c := New(4)
-	ctx := context.Background()
-	key := Key{Query: testQuery}
-	if _, _, err := c.Load(ctx, db, key); err != nil {
-		t.Fatal(err)
-	}
-
-	// Pick one document name routing to a.xml's shard and one routing
-	// elsewhere (the routing is a pure name hash, so this is deterministic).
-	target := db.ShardOfDocument("a.xml")
-	same, other := "", ""
-	for i := 0; same == "" || other == ""; i++ {
-		name := fmt.Sprintf("doc%d.xml", i)
-		if db.ShardOfDocument(name) == target {
-			if same == "" {
-				same = name
-			}
-		} else if other == "" {
-			other = name
-		}
-	}
-
-	// A load on a different shard leaves the cached plan valid.
-	if err := db.LoadXMLString(other, `<r><x>1</x></r>`); err != nil {
-		t.Fatal(err)
-	}
-	if _, hit, err := c.Load(ctx, db, key); err != nil || !hit {
-		t.Fatalf("after unrelated-shard load: hit=%v err=%v, want hit", hit, err)
-	}
-	if st := c.Stats(); st.Invalidations != 0 {
-		t.Errorf("invalidations = %d after unrelated-shard load, want 0", st.Invalidations)
-	}
-
-	// A load on the plan's own shard invalidates exactly that entry.
-	if err := db.LoadXMLString(same, `<r><x>1</x></r>`); err != nil {
-		t.Fatal(err)
-	}
-	if _, hit, err := c.Load(ctx, db, key); err != nil || hit {
-		t.Fatalf("after same-shard load: hit=%v err=%v, want recompile", hit, err)
-	}
-	if st := c.Stats(); st.Invalidations != 1 {
-		t.Errorf("invalidations = %d, want 1", st.Invalidations)
-	}
-	// The recompiled plan is cached at the new shard generations.
-	if _, hit, _ := c.Load(ctx, db, key); !hit {
-		t.Error("recompiled plan was not cached")
-	}
-}
-
-func TestFlush(t *testing.T) {
-	db := newDB(t)
-	c := New(4)
-	ctx := context.Background()
-	key := Key{Query: testQuery}
-	c.Load(ctx, db, key)
-	c.Flush()
-	if st := c.Stats(); st.Size != 0 || st.Invalidations != 1 {
-		t.Errorf("stats after Flush = %+v, want empty with 1 invalidation", st)
-	}
-	if _, hit, err := c.Load(ctx, db, key); err != nil || hit {
-		t.Fatalf("after Flush: hit=%v err=%v, want recompile", hit, err)
-	}
-}
-
 func TestCompileErrorNotCached(t *testing.T) {
 	db := newDB(t)
 	c := New(4)
@@ -242,117 +175,151 @@ func TestConcurrentLoad(t *testing.T) {
 	}
 }
 
-// TestSnapshotLoadShardInvalidation: loading a snapshot invalidates only
-// the cached plans whose shard footprint the snapshot's documents touch —
-// the snapshot path must honor the same per-shard generation contract as
-// LoadXML.
-func TestSnapshotLoadShardInvalidation(t *testing.T) {
-	db := tlc.Open(tlc.WithShards(4))
-	if err := db.LoadXMLString("a.xml", testXML); err != nil {
-		t.Fatal(err)
+// TestStaleness is the cache's one staleness rule, event by event: a plan
+// is recompiled exactly when a document it names moved past the version it
+// had at compile time, 0 being "not loaded". Everything lives on one shard,
+// so nothing here can be told apart by shard.
+func TestStaleness(t *testing.T) {
+	keys := map[string]Key{
+		"a":      {Query: testQuery},
+		"b":      {Query: `FOR $x IN document("b.xml")//x RETURN $x`},
+		"absent": {Query: `FOR $x IN document("c.xml")//x RETURN $x`},
 	}
-	c := New(4)
-	ctx := context.Background()
-	key := Key{Query: testQuery}
-	if _, _, err := c.Load(ctx, db, key); err != nil {
-		t.Fatal(err)
-	}
-
-	// One document name routing to a.xml's shard, one routing elsewhere
-	// (routing is a pure name hash, identical in every 4-shard database).
-	target := db.ShardOfDocument("a.xml")
-	same, other := "", ""
-	for i := 0; same == "" || other == ""; i++ {
-		name := fmt.Sprintf("doc%d.xml", i)
-		if db.ShardOfDocument(name) == target {
-			if same == "" {
-				same = name
+	const cXML = `<r><x>1</x><x>2</x><x>3</x></r>`
+	cases := []struct {
+		name  string
+		event func(t *testing.T, db *tlc.Database)
+		stale string // the one key that must recompile; "" for none
+	}{
+		{"load of an unrelated document on the same shard", func(t *testing.T, db *tlc.Database) {
+			if err := db.LoadXMLString("d.xml", cXML); err != nil {
+				t.Fatal(err)
 			}
-		} else if other == "" {
-			other = name
-		}
+		}, ""},
+		{"XML load of a document named while absent", func(t *testing.T, db *tlc.Database) {
+			if err := db.LoadXMLString("c.xml", cXML); err != nil {
+				t.Fatal(err)
+			}
+		}, "absent"},
+		{"snapshot load of a document named while absent", func(t *testing.T, db *tlc.Database) {
+			src := tlc.Open(tlc.WithShards(1))
+			if err := src.LoadXMLString("c.xml", cXML); err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			if _, err := src.Snapshot(dir); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.LoadSnapshot(dir); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { db.Close() })
+		}, "absent"},
+		{"update", func(t *testing.T, db *tlc.Database) {
+			if _, err := db.Update(tlc.UpdateRequest{
+				Doc: "a.xml", Op: tlc.UpdateInsert, Target: "/site",
+				Fragment: `<person id="p3"><name>Dave</name><age>50</age></person>`,
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}, "a"},
 	}
-	snapshotOf := func(name string) string {
-		t.Helper()
-		src := tlc.Open(tlc.WithShards(4))
-		if err := src.LoadXMLString(name, `<r><x>1</x></r>`); err != nil {
-			t.Fatal(err)
-		}
-		dir := t.TempDir()
-		if _, err := src.Snapshot(dir); err != nil {
-			t.Fatal(err)
-		}
-		return dir
-	}
+	// What each query answers once its document is in its final state.
+	wantLen := map[string]int{"a": 3, "absent": 3}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			db := tlc.Open(tlc.WithShards(1))
+			if err := db.LoadXMLString("a.xml", testXML); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.LoadXMLString("b.xml", `<r><x>1</x><x>2</x></r>`); err != nil {
+				t.Fatal(err)
+			}
+			c := New(4)
+			ctx := context.Background()
+			for name, k := range keys {
+				if _, hit, err := c.Load(ctx, db, k); err != nil || hit {
+					t.Fatalf("warm-up %s: hit=%v err=%v, want a compile", name, hit, err)
+				}
+			}
 
-	// A snapshot landing on a different shard leaves the cached plan valid.
-	if err := db.LoadSnapshot(snapshotOf(other)); err != nil {
-		t.Fatal(err)
-	}
-	if _, hit, err := c.Load(ctx, db, key); err != nil || !hit {
-		t.Fatalf("after unrelated-shard snapshot load: hit=%v err=%v, want hit", hit, err)
-	}
+			tc.event(t, db)
 
-	// A snapshot landing on the plan's own shard invalidates it.
-	if err := db.LoadSnapshot(snapshotOf(same)); err != nil {
-		t.Fatal(err)
+			for name, k := range keys {
+				p, hit, err := c.Load(ctx, db, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if hit == (name == tc.stale) {
+					t.Errorf("plan %q: hit=%v, want %v", name, hit, name != tc.stale)
+				}
+				if name != tc.stale {
+					continue
+				}
+				// The recompiled plan sees the moved document and is cached
+				// at its new version.
+				res, err := db.Run(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Len() != wantLen[name] {
+					t.Errorf("recompiled plan %q returned %d trees, want %d", name, res.Len(), wantLen[name])
+				}
+				if _, hit, _ := c.Load(ctx, db, k); !hit {
+					t.Errorf("recompiled plan %q was not cached", name)
+				}
+			}
+			want := uint64(0)
+			if tc.stale != "" {
+				want = 1
+			}
+			if st := c.Stats(); st.Invalidations != want {
+				t.Errorf("invalidations = %d, want %d", st.Invalidations, want)
+			}
+		})
 	}
-	if _, hit, err := c.Load(ctx, db, key); err != nil || hit {
-		t.Fatalf("after same-shard snapshot load: hit=%v err=%v, want recompile", hit, err)
-	}
-	db.Close()
 }
 
-// TestDocumentVersionInvalidation proves per-document invalidation: an
-// update to one document drops only the plans referencing it, even when
-// another cached plan's document lives on the very same shard.
-func TestDocumentVersionInvalidation(t *testing.T) {
-	db := tlc.Open(tlc.WithShards(1)) // one shard: everything co-resident
-	if err := db.LoadXMLString("a.xml", testXML); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.LoadXMLString("b.xml", `<r><x>1</x><x>2</x></r>`); err != nil {
-		t.Fatal(err)
-	}
+// TestCommitRacingCompile: a commit that lands between the version record
+// and the end of the compile leaves the plan uncached — it is returned, its
+// answer is right either way, but the cache cannot say which version costed
+// it. The injected stall sits after the record is taken.
+func TestCommitRacingCompile(t *testing.T) {
+	t.Cleanup(faultinject.Disable)
+	db := newDB(t)
 	c := New(4)
-	ctx := context.Background()
-	keyA := Key{Query: testQuery}
-	keyB := Key{Query: `FOR $x IN document("b.xml")//x RETURN $x`}
-	for _, k := range []Key{keyA, keyB} {
-		if _, _, err := c.Load(ctx, db, k); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Update a.xml: Dave (age 50) joins the WHERE age > 25 result set.
-	if _, err := db.Update(tlc.UpdateRequest{
-		Doc: "a.xml", Op: tlc.UpdateInsert, Target: "/site",
-		Fragment: `<person id="p3"><name>Dave</name><age>50</age></person>`,
-	}); err != nil {
+	key := Key{Query: testQuery}
+	if err := faultinject.Enable(faultinject.PointPlanCacheFill + "=slow,delay=300ms,times=1"); err != nil {
 		t.Fatal(err)
 	}
-
-	// The b.xml plan shares the shard but not the document: still cached.
-	if _, hit, err := c.Load(ctx, db, keyB); err != nil || !hit {
-		t.Fatalf("b.xml plan after a.xml update: hit=%v err=%v, want hit", hit, err)
+	type loaded struct {
+		prep *tlc.Prepared
+		hit  bool
+		err  error
 	}
-	// The a.xml plan is stale: its document's version moved.
-	p, hit, err := c.Load(ctx, db, keyA)
-	if err != nil || hit {
-		t.Fatalf("a.xml plan after a.xml update: hit=%v err=%v, want recompile", hit, err)
+	done := make(chan loaded, 1)
+	go func() {
+		p, hit, err := c.Load(context.Background(), db, key)
+		done <- loaded{p, hit, err}
+	}()
+	for faultinject.Stats()[faultinject.PointPlanCacheFill].Fired == 0 {
+		time.Sleep(time.Millisecond)
 	}
-	if st := c.Stats(); st.Invalidations != 1 {
-		t.Errorf("invalidations = %d, want 1", st.Invalidations)
-	}
-	// The recompiled plan sees the new version and is cached at it.
-	res, err := db.Run(p)
-	if err != nil {
+	if _, err := db.Update(tlc.UpdateRequest{Doc: "a.xml", Op: tlc.UpdateDelete, Target: "/site/person[2]"}); err != nil {
 		t.Fatal(err)
 	}
-	if res.Len() != 3 {
-		t.Errorf("got %d results after update, want 3", res.Len())
+	got := <-done
+	if got.err != nil || got.hit || got.prep == nil {
+		t.Fatalf("raced load: prep=%v hit=%v err=%v, want an uncached plan", got.prep, got.hit, got.err)
 	}
-	if _, hit, _ := c.Load(ctx, db, keyA); !hit {
-		t.Error("recompiled plan was not cached")
+	if st := c.Stats(); st.Size != 0 {
+		t.Fatalf("raced plan entered the cache: %+v", st)
+	}
+	// Undisturbed, the next lookup compiles again and is cached.
+	if _, hit, err := c.Load(context.Background(), db, key); err != nil || hit {
+		t.Fatalf("after the race: hit=%v err=%v, want a compile", hit, err)
+	}
+	if _, hit, _ := c.Load(context.Background(), db, key); !hit {
+		t.Error("plan compiled after the race was not cached")
 	}
 }

@@ -259,27 +259,22 @@ func branchOrderKey(branches []algebra.FilterBranch) string {
 // the nested loop costs l·r; the merge join costs l + 2r (each side
 // grouped once, the right side's groups also re-emitted) plus a constant
 // setup for its group table. Tiny inputs therefore go nested-loop, real
-// inputs merge. The ablation can pin the choice through
-// Options.PinNestedLoop; non-equality predicates always run the loop (the
-// merge join requires equality groups).
+// inputs merge. Non-equality predicates always run the loop (the merge
+// join requires equality groups).
 
 const smsSetupCost = 64
 
-func chooseJoins(root algebra.Op, est *estimator, opts Options, info *Info) {
+func chooseJoins(root algebra.Op, est *estimator, info *Info) {
 	for _, op := range algebra.Ops(root) {
 		j, ok := op.(*algebra.Join)
 		if !ok || j.Pred == nil || j.Pred.Op != pattern.EQ {
 			continue
 		}
-		if opts.PinNestedLoop != nil {
-			j.ForceNestedLoop = *opts.PinNestedLoop
-		} else {
-			ins := j.Inputs()
-			l, r := est.estimate(ins[0]), est.estimate(ins[1])
-			costNL := l * r
-			costSMS := l + 2*r + smsSetupCost
-			j.ForceNestedLoop = costNL < costSMS
-		}
+		ins := j.Inputs()
+		l, r := est.estimate(ins[0]), est.estimate(ins[1])
+		costNL := l * r
+		costSMS := l + 2*r + smsSetupCost
+		j.ForceNestedLoop = costNL < costSMS
 		if j.ForceNestedLoop {
 			info.NestedLoopJoins++
 		} else {

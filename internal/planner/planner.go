@@ -27,14 +27,10 @@ import (
 	"tlc/internal/store"
 )
 
-// Options configures a planning pass.
-type Options struct {
-	// PinNestedLoop, when non-nil, pins the algorithm of every equality
-	// value join instead of costing it: true forces nested-loop, false
-	// forces sort–merge–sort. Used by the ablation benchmarks; normal
-	// planning leaves it nil.
-	PinNestedLoop *bool
-}
+// Options configures a planning pass. There is nothing left to configure:
+// the type remains a parameter of Plan because the repository benchmark
+// (bench/, not part of this module's build) constructs it.
+type Options struct{}
 
 // Info reports what the planner did and what it expects, keyed by operator
 // identity so EXPLAIN/PROFILE can annotate the plan they already render.
@@ -57,13 +53,6 @@ type Info struct {
 	// (Catalog.TagCountByShard) whose sum drives every TagCount-based
 	// estimate, so the costing total and the shard breakdown always agree.
 	ShardScan map[int]float64
-	// DocVersions records the MVCC version of every document the plan's
-	// pattern selects resolved against at planning time. The estimates
-	// above were read from those versions' statistics catalogs, so a plan
-	// cache can revalidate per document: a committed update bumps the
-	// mutated document's version (and only that), marking exactly the
-	// plans whose costing inputs moved.
-	DocVersions map[string]uint64
 }
 
 // Estimate returns the estimated output cardinality of op, if planned.
@@ -114,7 +103,7 @@ func (i *Info) Summary() string {
 //
 // Plan mutates operators in place (edge slices, filter links, join flags);
 // it must run before the plan is first evaluated.
-func Plan(root algebra.Op, st *store.Store, opts Options) (algebra.Op, *Info) {
+func Plan(root algebra.Op, st *store.Store, _ Options) (algebra.Op, *Info) {
 	info := &Info{est: make(map[algebra.Op]float64)}
 	est := newEstimator(st, root)
 
@@ -124,7 +113,7 @@ func Plan(root algebra.Op, st *store.Store, opts Options) (algebra.Op, *Info) {
 
 	// Join algorithm choice needs input cardinalities of the final shape.
 	est = newEstimator(st, root)
-	chooseJoins(root, est, opts, info)
+	chooseJoins(root, est, info)
 
 	for _, op := range algebra.Ops(root) {
 		info.est[op] = est.estimate(op)
@@ -134,10 +123,6 @@ func Plan(root algebra.Op, st *store.Store, opts Options) (algebra.Op, *Info) {
 					info.ShardScan = make(map[int]float64)
 				}
 				info.ShardScan[st.ShardOf(id)] += info.est[op]
-				if info.DocVersions == nil {
-					info.DocVersions = make(map[string]uint64)
-				}
-				info.DocVersions[sel.APT.Root.Doc] = st.Doc(id).Version()
 			}
 		}
 	}

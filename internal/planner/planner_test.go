@@ -104,8 +104,7 @@ func TestSelectEstimateOrderOfMagnitude(t *testing.T) {
 }
 
 // TestJoinChoiceCosted: on a store this small, the nested loop beats the
-// sort–merge–sort setup cost and the planner must pick it; the ablation pin
-// overrides the cost model in both directions.
+// sort–merge–sort setup cost and the planner must pick it.
 func TestJoinChoiceCosted(t *testing.T) {
 	s := loadStore(t)
 	q := `FOR $p IN document("auction.xml")//person
@@ -136,17 +135,6 @@ func TestJoinChoiceCosted(t *testing.T) {
 	for _, j := range joins {
 		if !j.ForceNestedLoop {
 			t.Errorf("tiny join not costed to nested loop: %s", j.Label())
-		}
-	}
-
-	for _, pin := range []bool{true, false} {
-		pin := pin
-		plan := buildPlan(t, q)
-		plan, _ = Plan(plan, s, Options{PinNestedLoop: &pin})
-		for _, j := range joinsOf(plan) {
-			if j.ForceNestedLoop != pin {
-				t.Errorf("PinNestedLoop=%v not honored: %s", pin, j.Label())
-			}
 		}
 	}
 }

@@ -33,7 +33,6 @@ import (
 	"math/rand"
 	"net/http"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -129,13 +128,6 @@ type Server struct {
 	limiter *Limiter
 	metrics *Metrics
 	start   time.Time
-
-	// Loads are serialized against in-flight queries per shard: a load
-	// takes the write half of only its target shard's lock
-	// (db.ShardLock), and a query takes the read half of just the shards
-	// its documents route to — so a slow load stalls only the queries
-	// that actually read the shard being loaded. The locks live on the
-	// database (per shard), not here; see lockShards/handleLoad.
 
 	// breakers holds one circuit breaker per evaluation endpoint, keyed by
 	// endpoint name (query, explain, profile, load, snapshot, update).
@@ -491,50 +483,6 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, req *queryRequest
 	return ctx, cancel, s.limiter.Release, true
 }
 
-// queryShards resolves the shards a query's documents route to, as a
-// sorted, deduplicated index list. When the query cannot be parsed (the
-// compile path will report the real error) the footprint defaults to all
-// shards — the conservative scope.
-func (s *Server) queryShards(query string) []int {
-	n := s.db.NumShards()
-	all := func() []int {
-		out := make([]int, n)
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
-	docs, err := tlc.QueryDocuments(query)
-	if err != nil || len(docs) == 0 {
-		return all()
-	}
-	seen := make(map[int]bool, len(docs))
-	var out []int
-	for _, name := range docs {
-		sh := s.db.ShardOfDocument(name)
-		if !seen[sh] {
-			seen[sh] = true
-			out = append(out, sh)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// rlockShards takes the read half of each listed shard lock in ascending
-// index order (the deadlock-free acquisition order shared with loads) and
-// returns the matching unlock.
-func (s *Server) rlockShards(shards []int) func() {
-	for _, sh := range shards {
-		s.db.ShardLock(sh).RLock()
-	}
-	return func() {
-		for i := len(shards) - 1; i >= 0; i-- {
-			s.db.ShardLock(shards[i]).RUnlock()
-		}
-	}
-}
-
 // parallelism resolves the request's effective intra-query parallelism.
 func (s *Server) parallelism(req *queryRequest) int {
 	if req.Parallelism > 0 {
@@ -573,8 +521,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cancel()
 	defer release()
-
-	defer s.rlockShards(s.queryShards(req.Query))()
 
 	begin := time.Now()
 	par := s.parallelism(req)
@@ -638,8 +584,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	defer release()
 
-	defer s.rlockShards(s.queryShards(req.Query))()
-
 	engine, _ := tlc.ParseEngine(req.Engine)
 	opts := []tlc.Option{tlc.WithEngine(engine), tlc.WithPlanner(!req.NoPlanner)}
 	plan, err := s.db.ExplainContext(ctx, req.Query, opts...)
@@ -672,8 +616,6 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	defer release()
 
-	defer s.rlockShards(s.queryShards(req.Query))()
-
 	engine, _ := tlc.ParseEngine(req.Engine)
 	opts := []tlc.Option{
 		tlc.WithEngine(engine),
@@ -699,9 +641,9 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 
 // handleLoad loads a document: an XML body under ?name=doc.xml, or a
 // generated XMark document with ?name=doc.xml&xmark=<factor> and an empty
-// body. The load takes the write half of only the target shard's lock,
-// draining in-flight queries on that shard and blocking new ones for the
-// duration — queries whose documents live on other shards are unaffected.
+// body. The handler takes no lock: the store publishes the document with
+// one atomic directory swap, so a query overlapping the load runs on the
+// document set it pinned and never waits for it.
 func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeErrorCode(w, http.StatusMethodNotAllowed, codeUserError, "POST required")
@@ -730,9 +672,6 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	mu := s.db.ShardLock(s.db.ShardOfDocument(name))
-	mu.Lock()
-	defer mu.Unlock()
 	var err error
 	if factor > 0 {
 		err = s.db.LoadXMark(name, factor)
@@ -748,16 +687,13 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		writeErrorCode(w, http.StatusBadRequest, codeUserError, "load: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"documents":  s.db.Documents(),
-		"generation": s.db.Generation(),
-	})
+	writeJSON(w, http.StatusOK, map[string]any{"documents": s.db.Documents()})
 }
 
 // handleSnapshot writes a columnar snapshot of the current store to the
 // directory named by ?dir=. The write captures a consistent document set
 // without blocking queries or loads (the store's directory is swapped
-// atomically), so the handler takes no shard locks.
+// atomically).
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeErrorCode(w, http.StatusMethodNotAllowed, codeUserError, "POST required")
@@ -816,11 +752,9 @@ type updateRequest struct {
 }
 
 // handleUpdate applies one subtree update (insert, delete or replace)
-// through the MVCC write path. The handler takes only the READ half of
-// the target document's shard lock: updates coexist with in-flight
-// queries by design (readers pin the pre-commit version; the commit is a
-// copy-on-write directory swap), so the lock only excludes /load, which
-// replaces whole documents non-versioned under the write half.
+// through the MVCC write path. Updates coexist with in-flight queries by
+// design: readers pin the pre-commit version and the commit is a
+// copy-on-write directory swap.
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeErrorCode(w, http.StatusMethodNotAllowed, codeUserError, "POST required")
@@ -860,8 +794,6 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cancel()
 	defer release()
-
-	defer s.rlockShards([]int{s.db.ShardOfDocument(req.Doc)})()
 
 	begin := time.Now()
 	apply := s.db.UpdateContext
@@ -918,7 +850,6 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		"nodes_removed": res.NodesRemoved,
 		"stats_deltas":  res.StatsDeltas,
 		"conflicts":     res.Conflicts,
-		"generation":    s.db.Generation(),
 		"elapsed_ms":    float64(time.Since(begin)) / float64(time.Millisecond),
 	})
 }
@@ -930,9 +861,13 @@ func (s *Server) handleDocuments(w http.ResponseWriter, r *http.Request) {
 	if docs == nil {
 		docs = []string{}
 	}
+	versions := make(map[string]uint64, len(docs))
+	for _, name := range docs {
+		versions[name], _ = s.db.DocumentVersion(name)
+	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"documents": docs,
-		"versions":  s.db.DocumentVersions(),
+		"versions":  versions,
 	})
 }
 
@@ -999,11 +934,10 @@ type varz struct {
 	// over the shards (each shard's own are under Shards): strings interned
 	// against values documents hold now — the difference is garbage that
 	// updates left behind and the next checkpoint drops.
-	Mutate     map[string]int64 `json:"mutate"`
-	Documents  int              `json:"documents"`
-	Generation uint64           `json:"generation"`
-	// Shards reports the per-shard gauges: document count and load
-	// generation per store shard, in shard-index order.
+	Mutate    map[string]int64 `json:"mutate"`
+	Documents int              `json:"documents"`
+	// Shards reports the per-shard gauges: document count and dictionary
+	// sizes per store shard, in shard-index order.
 	Shards []shardVarz `json:"shards"`
 	// Governor counts queries aborted by each resource budget since start.
 	Governor map[string]int64 `json:"governor"`
@@ -1052,12 +986,11 @@ func mutateVarz(db *tlc.Database, dicts []store.DictStats) map[string]int64 {
 
 // shardVarz is one store shard's /varz entry.
 type shardVarz struct {
-	Shard            int    `json:"shard"`
-	Documents        int    `json:"documents"`
-	Generation       uint64 `json:"generation"`
-	DictTagStrings   int    `json:"dict_tag_strings"`
-	DictValueStrings int    `json:"dict_value_strings"`
-	DictValueLive    int    `json:"dict_value_live"`
+	Shard            int `json:"shard"`
+	Documents        int `json:"documents"`
+	DictTagStrings   int `json:"dict_tag_strings"`
+	DictValueStrings int `json:"dict_value_strings"`
+	DictValueLive    int `json:"dict_value_live"`
 }
 
 func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
@@ -1102,7 +1035,6 @@ func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
 		},
 		Mutate:          mutateVarz(s.db, dicts),
 		Documents:       len(s.db.Documents()),
-		Generation:      s.db.Generation(),
 		Governor:        make(map[string]int64, 4),
 		PanicsRecovered: failure.PanicsRecovered(),
 		Breakers:        make(map[string]string, len(s.breakers)),
@@ -1138,11 +1070,10 @@ func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
 			"replay_skipped":   replay.Skipped,
 		}
 	}
-	gens := s.db.ShardGenerations()
-	v.Shards = make([]shardVarz, len(gens))
-	for i, g := range gens {
+	v.Shards = make([]shardVarz, len(dicts))
+	for i := range dicts {
 		v.Shards[i] = shardVarz{
-			Shard: i, Documents: len(s.db.ShardDocuments(i)), Generation: g,
+			Shard: i, Documents: len(s.db.ShardDocuments(i)),
 			DictTagStrings: dicts[i].TagStrings, DictValueStrings: dicts[i].ValueStrings, DictValueLive: dicts[i].ValueLive,
 		}
 	}

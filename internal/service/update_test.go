@@ -136,10 +136,10 @@ func TestUpdateEndpointErrors(t *testing.T) {
 	}
 
 	cases := []struct {
-		name     string
-		body     any
-		status   int
-		code     string
+		name   string
+		body   any
+		status int
+		code   string
 	}{
 		{"non-object body", "zap", http.StatusBadRequest, "user_error"},
 		{"missing doc", map[string]any{"op": "delete", "target": "/site/person[1]"}, http.StatusBadRequest, "user_error"},

@@ -633,10 +633,6 @@ func mergePairs(old, deltas []pairRec) []pairRec {
 // swap — or pinned the directory — keep the old version until they finish;
 // its memory is reclaimed by the garbage collector once the last reader
 // drops it (VersionsLive watches this via a finalizer).
-//
-// A commit does not bump the owning shard's load generation: loads and
-// mutations invalidate differently (per-shard vs per-document), and the
-// plan cache checks document versions for exactly this reason.
 func (s *Store) Commit(old, nd *Doc) error {
 	return s.CommitLogged(old, nd, nil)
 }

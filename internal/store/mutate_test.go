@@ -324,9 +324,8 @@ func TestVersionCounters(t *testing.T) {
 	if v, ok := s.DocVersion("auction.xml"); !ok || v != 2 {
 		t.Fatalf("DocVersion = %d, %v; want 2, true", v, ok)
 	}
-	vers := s.DocVersions()
-	if len(vers) != 1 || vers["auction.xml"] != 2 {
-		t.Fatalf("DocVersions = %v", vers)
+	if v, ok := s.DocVersion("absent.xml"); ok || v != 0 {
+		t.Fatalf("DocVersion of an absent document = %d, %v; want 0, false", v, ok)
 	}
 	// The superseded version is still reachable through d, so it counts as
 	// live alongside the current one.

@@ -805,10 +805,8 @@ func decodeDict(offsRaw, blob []byte, what string) (*dict, error) {
 // LoadSnapshot opens the snapshot directory and adds every document it
 // contains to the store. The snapshot's shard count must equal the
 // store's (DocIDs and shard routing are shard-count dependent); loading a
-// document name that is already present is an error. On success only the
-// generations of the shards that received documents are bumped, so plan
-// caches keyed on untouched shards stay valid. On any error the store is
-// unchanged.
+// document name that is already present is an error. On any error the
+// store is unchanged.
 func (s *Store) LoadSnapshot(dir string) error {
 	if s.pinned {
 		return fmt.Errorf("store: load snapshot into a pinned (read-only) view")
@@ -899,7 +897,6 @@ func (s *Store) LoadSnapshot(dir string) error {
 	for k, v := range old.byName {
 		next.byName[k] = v
 	}
-	touched := make(map[int]bool)
 	for _, e := range entries {
 		d := byName[e.name]
 		id := DocID(len(next.docs))
@@ -907,7 +904,6 @@ func (s *Store) LoadSnapshot(dir string) error {
 		next.docs = append(next.docs, d)
 		next.byName[d.name] = id
 		s.shards[d.shard].docs = append(s.shards[d.shard].docs, id)
-		touched[d.shard] = true
 	}
 	s.dir.Store(next)
 	// Carry the snapshot's update generation forward so a later snapshot
@@ -917,9 +913,6 @@ func (s *Store) LoadSnapshot(dir string) error {
 		if snapGen <= cur || s.updateGen.CompareAndSwap(cur, snapGen) {
 			break
 		}
-	}
-	for i := range touched {
-		s.shards[i].gen.Add(1)
 	}
 	for _, m := range maps {
 		s.mappedBytes.Add(int64(len(m.data)))

@@ -336,55 +336,12 @@ func TestSnapshotDuplicateName(t *testing.T) {
 	if _, err := dst.LoadXML("notes.xml", strings.NewReader(`<n/>`)); err != nil {
 		t.Fatal(err)
 	}
-	gens := dst.Generations()
 	err := dst.LoadSnapshot(dir)
 	if !errors.Is(err, ErrSnapshotMismatch) {
 		t.Fatalf("err = %v, want ErrSnapshotMismatch", err)
 	}
 	if len(dst.Names()) != 1 {
 		t.Fatalf("failed load published documents: %v", dst.Names())
-	}
-	for i, g := range dst.Generations() {
-		if g != gens[i] {
-			t.Fatalf("failed load bumped shard %d generation", i)
-		}
-	}
-}
-
-// TestSnapshotGenerations is the per-shard invalidation regression test:
-// loading a snapshot bumps the generation of exactly the shards that
-// received documents, so cached plans scoped to untouched shards stay
-// valid.
-func TestSnapshotGenerations(t *testing.T) {
-	const shards = 8
-	src := loadSnapDocs(t, shards)
-	dir := t.TempDir()
-	if _, err := src.WriteSnapshot(dir); err != nil {
-		t.Fatal(err)
-	}
-	// Which shards hold the three documents (routing is a pure name hash,
-	// identical in src and dst).
-	expect := make(map[int]bool)
-	for _, name := range []string{"auction.xml", "catalog.xml", "notes.xml"} {
-		expect[src.ShardOfName(name)] = true
-	}
-	if len(expect) == shards {
-		t.Fatalf("fixture routes to every shard; pick more shards")
-	}
-
-	dst := NewSharded(shards)
-	before := dst.Generations()
-	if err := dst.LoadSnapshot(dir); err != nil {
-		t.Fatal(err)
-	}
-	defer dst.Close()
-	after := dst.Generations()
-	for i := 0; i < shards; i++ {
-		bumped := after[i] != before[i]
-		if bumped != expect[i] {
-			t.Errorf("shard %d: generation bumped=%v, want %v (before=%d after=%d)",
-				i, bumped, expect[i], before[i], after[i])
-		}
 	}
 }
 

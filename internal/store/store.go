@@ -15,14 +15,12 @@
 //
 // The store is horizontally partitioned: documents are routed by a hash of
 // their name to one of N shards, and each shard owns its node tables, its
-// string dictionaries, its tag/value indexes, its statistics summaries,
-// its access counters, its load generation and its load-vs-query RWMutex.
-// Because the paper's interval node identifiers (Section 5.1) make every
-// structural decision purely position-based *within* a document, nothing
-// an engine does ever crosses a shard boundary mid-join — cross-document
-// work composes from shard-local runs merged in document order — so a
-// shard is a complete, independent lock domain: loading a document stalls
-// only its own shard.
+// string dictionaries, its tag/value indexes, its statistics summaries and
+// its access counters. Because the paper's interval node identifiers
+// (Section 5.1) make every structural decision purely position-based
+// *within* a document, nothing an engine does ever crosses a shard
+// boundary mid-join — cross-document work composes from shard-local runs
+// merged in document order.
 //
 // Document identity stays global and shard-count independent: DocIDs are
 // issued in load order from a single counter and resolved through a
@@ -120,24 +118,11 @@ func (c *counters) reset() {
 	c.nodesMaterialized.Store(0)
 }
 
-// shard is one lock domain of the store: the documents routed to it, their
-// string dictionaries, their access counters, and the load generation plan
-// caches key their validity on. The document data itself is reached
-// through the store's directory; the shard records ownership for counter
-// attribution and per-shard introspection (/varz, tests).
+// shard is one partition of the store: the documents routed to it, their
+// string dictionaries and their access counters. The document data itself
+// is reached through the store's directory; the shard records ownership
+// for counter attribution and per-shard introspection (/varz, tests).
 type shard struct {
-	// mu is the shard's load-vs-query lock. The store's own read paths
-	// never take it (loaded entries are immutable and the directory swap is
-	// atomic); it exists for embedders that want the stronger "store does
-	// not grow during my evaluation" discipline — the query service write-
-	// locks it for the duration of a load into this shard and read-locks it
-	// for queries resolving on this shard, so a slow load stalls only the
-	// queries that actually read the loading shard.
-	mu sync.RWMutex
-	// gen counts successful loads into this shard. Plan caches compare the
-	// generations of only the shards a plan reads, so a load into one shard
-	// no longer invalidates every cached plan.
-	gen atomic.Uint64
 	// docs lists the DocIDs owned by the shard, in load order.
 	docs []DocID
 	// tags and vals are the shard's interned string dictionaries for
@@ -176,7 +161,7 @@ type Store struct {
 	// /varz).
 	mappedBytes atomic.Int64
 	// pinned marks a read-only directory view returned by Pin: it shares
-	// the shards (dictionaries, counters, locks) with its parent but its
+	// the shards (dictionaries, counters) with its parent but its
 	// dir pointer is frozen, giving a query snapshot isolation for its
 	// whole lifetime. Pinned views reject loads and commits.
 	pinned bool
@@ -233,7 +218,7 @@ func (s *Store) AdvanceUpdateGen(gen uint64) {
 
 // DefaultShards is the shard count New uses: one per available CPU, the
 // configuration that lets loads and shard-local scans proceed on every
-// core without sharing a lock domain.
+// core.
 func DefaultShards() int { return runtime.GOMAXPROCS(0) }
 
 // New returns an empty store with DefaultShards shards.
@@ -261,8 +246,7 @@ func (s *Store) NumShards() int { return len(s.shards) }
 
 // ShardOfName returns the shard index the document with the given name is
 // (or would be) routed to. The routing is a pure hash of the name, so it
-// can be computed before the document is loaded — the query service uses
-// it to pick the lock for a /load, and the plan cache to key validity.
+// can be computed before the document is loaded.
 func (s *Store) ShardOfName(name string) int {
 	h := fnv.New32a()
 	io.WriteString(h, name)
@@ -271,23 +255,6 @@ func (s *Store) ShardOfName(name string) int {
 
 // ShardOf returns the shard index owning the loaded document id.
 func (s *Store) ShardOf(id DocID) int { return s.dir.Load().docs[id].shard }
-
-// ShardLock returns shard i's load-vs-query RWMutex. The store's own read
-// paths are lock-free; the lock is the coordination point for embedders
-// that serialize loads against in-flight queries per shard (see shard.mu).
-func (s *Store) ShardLock(i int) *sync.RWMutex { return &s.shards[i].mu }
-
-// ShardGeneration returns the number of successful loads into shard i.
-func (s *Store) ShardGeneration(i int) uint64 { return s.shards[i].gen.Load() }
-
-// Generations returns the per-shard load generations, indexed by shard.
-func (s *Store) Generations() []uint64 {
-	out := make([]uint64, len(s.shards))
-	for i, sh := range s.shards {
-		out[i] = sh.gen.Load()
-	}
-	return out
-}
 
 // ShardDocs returns the names of the documents owned by shard i, in load
 // order.
@@ -337,8 +304,7 @@ func (s *Store) Load(doc *xmltree.Document) (DocID, error) {
 	return s.publish(d)
 }
 
-// publish adds a fully-built document to the directory under loadMu and
-// bumps its shard's generation.
+// publish adds a fully-built document to the directory under loadMu.
 func (s *Store) publish(d *Doc) (DocID, error) {
 	if s.pinned {
 		return 0, fmt.Errorf("store: load into a pinned (read-only) view")
@@ -363,7 +329,6 @@ func (s *Store) publish(d *Doc) (DocID, error) {
 	next.byName[d.name] = id
 	s.shards[d.shard].docs = append(s.shards[d.shard].docs, id)
 	s.dir.Store(next)
-	s.shards[d.shard].gen.Add(1)
 	return id, nil
 }
 
@@ -402,7 +367,7 @@ func (s *Store) NumDocs() int { return len(s.dir.Load().docs) }
 
 // Pin returns a read-only view of the store frozen at the current
 // directory state. The view shares the shards (dictionaries, access
-// counters, locks) with its parent, so counted accesses are still
+// counters) with its parent, so counted accesses are still
 // attributed correctly, but its directory pointer never moves: a query
 // evaluated against the view is snapshot-isolated — it sees no document
 // version committed, and no document loaded, after the Pin. Pinning is
@@ -421,17 +386,6 @@ func (s *Store) DocVersion(name string) (uint64, bool) {
 		return 0, false
 	}
 	return dir.docs[id].version, true
-}
-
-// DocVersions returns the current MVCC version of every loaded document,
-// keyed by name — one consistent directory snapshot.
-func (s *Store) DocVersions() map[string]uint64 {
-	dir := s.dir.Load()
-	out := make(map[string]uint64, len(dir.docs))
-	for _, d := range dir.docs {
-		out[d.name] = d.version
-	}
-	return out
 }
 
 // UpdateGeneration returns the number of mutations committed into the

@@ -64,24 +64,19 @@ type PredSite struct {
 	Liftable bool
 }
 
-// Options tune the translation.
-type Options struct {
-	// LegacyDisjuncts disables native OR/NOT pattern-edge annotations and
-	// compiles disjunctions to the pre-PR9 optional-branch + DisjFilter
-	// form. Kept as an ablation baseline for tlcbench -disjuncts.
-	LegacyDisjuncts bool
-}
+// Options tune the translation. There is nothing left to tune: the type
+// and TranslateOpts remain because the repository benchmark (bench/, not
+// part of this module's build) constructs them.
+type Options struct{}
+
+// TranslateOpts is Translate; see Options.
+func TranslateOpts(f *xquery.FLWOR, _ Options) (*Result, error) { return Translate(f) }
 
 // Translate compiles a parsed query into a TLC plan.
 func Translate(f *xquery.FLWOR) (*Result, error) {
-	return TranslateOpts(f, Options{})
-}
-
-// TranslateOpts compiles a parsed query into a TLC plan with options.
-func TranslateOpts(f *xquery.FLWOR, opts Options) (*Result, error) {
 	counter := 0
 	tagOf := make(map[int]string)
-	shared := &sharedState{opts: opts}
+	shared := &sharedState{}
 	t := &translator{lclCounter: &counter, tagOf: tagOf, shared: shared}
 	res, err := t.block(f)
 	if err != nil {
@@ -140,7 +135,6 @@ type blockResult struct {
 type sharedState struct {
 	varLCLs  []int
 	docNames []string
-	opts     Options
 	// predSites accumulates conjunctive simple predicates in translation
 	// order (see Result.PredSites).
 	predSites []PredSite

@@ -82,20 +82,6 @@ func (t *translator) whereNotSimple(path *xquery.Path, pred *pattern.Predicate) 
 		t.root = algebra.NewFilter(t.root, b.node.LCL, *pred, algebra.NoneOf)
 		return nil
 	}
-	if t.shared.opts.LegacyDisjuncts {
-		// Ablation mode: no pattern annotations; compile to an optional
-		// "*" branch plus a NoneOf filter over its class.
-		leaf, err := t.extendChain(b.node, path.Steps, pattern.ZeroOrMore)
-		if err != nil {
-			return err
-		}
-		p := pattern.Predicate{Op: pattern.NE, Value: "\x00tlc-never"}
-		if pred != nil {
-			p = *pred
-		}
-		t.root = algebra.NewFilter(t.root, leaf.LCL, p, algebra.NoneOf)
-		return nil
-	}
 	t.logicalChain(b.node, path.Steps, pred, 0, true)
 	return nil
 }
@@ -387,18 +373,17 @@ func (t *translator) quantTarget(q *xquery.Quantified) (int, error) {
 	}
 }
 
-// whereOr compiles a disjunction: every disjunct must be a simple
-// predicate; the paths accrete with "*" edges (optional — absence must not
+// whereOr compiles a disjunction — natively when whereOrNative accepts its
+// shape, otherwise as follows: every disjunct must be a simple predicate;
+// the paths accrete with "*" edges (optional — absence must not
 // drop the tree before the disjunction is decided) and a DisjFilter
 // evaluates the OR. Per Figure 6 the paper formulates OR as a UNION of
 // plans; the optional-branch formulation yields the same trees without
 // duplicating the block plan, keeping class labels consistent across
 // disjuncts, which is what the ORExp case demands.
 func (t *translator) whereOr(o *xquery.Or) error {
-	if t.shared == nil || !t.shared.opts.LegacyDisjuncts {
-		if done, err := t.whereOrNative(o); done || err != nil {
-			return err
-		}
+	if done, err := t.whereOrNative(o); done || err != nil {
+		return err
 	}
 	var branches []algebra.FilterBranch
 	var collect func(e xquery.Expr, neg bool) error

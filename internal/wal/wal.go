@@ -206,8 +206,8 @@ type Log struct {
 	// later append refuses, so the damage cannot grow silently.
 	broken error
 
-	stAppended, stSynced, stRotations   int64
-	stTornRepairs, stRemoved, stBytes   int64
+	stAppended, stSynced, stRotations int64
+	stTornRepairs, stRemoved, stBytes int64
 }
 
 // Open opens (creating if needed) the log in dir, validating every

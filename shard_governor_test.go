@@ -10,121 +10,106 @@ import (
 
 	"tlc/internal/faultinject"
 	"tlc/internal/governor"
+	"tlc/internal/seq"
 )
 
-// shardBudgetFixture loads the same pair of person documents — routed to
-// two different shards of the 4-shard database — into a 1-shard and a
-// 4-shard database, and returns a cross-document join query over them
-// whose matching allocates witness nodes on both shards but returns no
-// rows (the ages are disjoint), so arena usage comes from matching, not
-// result construction.
+// shardBudgetFixture loads the same four person documents — one on each
+// shard of the 4-shard database — into a 1-shard and a 4-shard database,
+// and returns a cross-document join query over them whose matching
+// allocates about the same number of witness nodes on every shard but
+// returns no rows (the ages are disjoint), so arena usage comes from
+// matching, not result construction.
 func shardBudgetFixture(t *testing.T) (db1, db4 *Database, query string) {
 	t.Helper()
 	db1 = Open(WithShards(1))
 	db4 = Open(WithShards(4))
 
-	var nameA, nameB string
-	for i := 0; nameB == ""; i++ {
-		name := fmt.Sprintf("budget%d.xml", i)
-		if nameA == "" {
-			nameA = name
-		} else if db4.ShardOfDocument(name) != db4.ShardOfDocument(nameA) {
-			nameB = name
-		}
+	names := make([]string, 4) // names[i] routes to shard i of db4
+	for i, found := 0, 0; found < len(names); i++ {
 		if i > 1<<16 {
-			t.Fatal("no shard-distinct names found")
+			t.Fatal("no name found for every shard")
+		}
+		name := fmt.Sprintf("budget%d.xml", i)
+		if sh := db4.ShardOfDocument(name); names[sh] == "" {
+			names[sh] = name
+			found++
 		}
 	}
-
-	doc := func(base int) string {
+	for i, name := range names {
 		var b strings.Builder
 		b.WriteString("<site>")
-		for i := 0; i < 40; i++ {
-			fmt.Fprintf(&b, "<person id=\"p%d\"><name>n%d</name><age>%d</age></person>", i, i, base+i)
+		for j := 0; j < 40; j++ {
+			fmt.Fprintf(&b, "<person id=\"p%d\"><name>n%d</name><age>%d</age></person>", j, j, 1000*i+j)
 		}
 		b.WriteString("</site>")
-		return b.String()
-	}
-	for _, load := range []struct {
-		name string
-		base int
-	}{{nameA, 100}, {nameB, 1000}} {
 		for _, db := range []*Database{db1, db4} {
-			if err := db.LoadXMLString(load.name, doc(load.base)); err != nil {
+			if err := db.LoadXMLString(name, b.String()); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	query = fmt.Sprintf(`FOR $a IN document(%q)//person
 	                     FOR $b IN document(%q)//person
-	                     WHERE $a/age = $b/age RETURN $a/name`, nameA, nameB)
+	                     FOR $c IN document(%q)//person
+	                     FOR $d IN document(%q)//person
+	                     WHERE $a/age = $b/age AND $b/age = $c/age AND $c/age = $d/age
+	                     RETURN $a/name`, names[0], names[1], names[2], names[3])
 	return db1, db4, query
 }
 
 // TestShardSharedBudget checks the governor budget is query-wide, not
-// per-shard: a node budget calibrated to trip on the 1-shard database must
-// trip identically on the 4-shard database — serial and parallel — because
-// every per-shard arena charges the same governor. An implementation that
-// gave each shard worker its own budget would let the 4-shard run spend up
-// to shards× the configured limit without tripping.
+// per-shard: every per-shard arena charges the same governor, so a node
+// budget of half what a run allocates must trip at every shard count,
+// serial and parallel. An implementation that gave each shard worker its
+// own budget would let the 4-shard parallel run — a quarter of the
+// allocation on each shard — finish inside it.
 func TestShardSharedBudget(t *testing.T) {
-	// The governed usage of a run is not exactly repeatable: the governor
-	// charges per slab, partially-filled slabs live in a sync.Pool, and a
-	// pool miss charges a whole fresh slab. Pool hits depend on GC timing
-	// (pool cleanup) — pinned off below — and, under the race detector, on
-	// sync.Pool's deliberate random drop of ~1/4 of Puts, which nothing
-	// can pin. Calibration therefore asserts with a 2× margin: usage
-	// varies run-to-run by ~1.3× at worst, while the bug this test exists
-	// to catch (per-shard budgets instead of one shared budget) is a 4×
-	// error, so the margin costs no sensitivity.
+	// What a run allocates is not repeatable and differs by configuration:
+	// the governor charges per slab, partially filled slabs live in a
+	// sync.Pool, and a pool miss charges a whole fresh slab. Misses come
+	// from workers allocating at once (a parallel run takes several times a
+	// serial run's slabs), from GC clearing the pool — pinned off below —
+	// and, under the race detector, from sync.Pool dropping a random
+	// quarter of Puts, which multiplies the slab count by some fifty and
+	// lets it wander by about a tenth from run to run. So each
+	// configuration is measured as itself, by the slabs it allocates
+	// (which a budgeting bug cannot distort), and the budget is half of
+	// that: five or more standard deviations below any shared-budget run,
+	// twice what one shard of four allocates.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
 	db1, db4, query := shardBudgetFixture(t)
+	const generous = 1 << 30
 
-	// Calibrate: the smallest power-of-two node budget the query fits in
-	// on one shard. Half the largest failing budget must trip on every
-	// configuration.
-	var budget, tripped int64
-	for budget = 64; budget < 1<<30; budget *= 2 {
-		_, err := db1.Query(query, WithMaxArenaNodes(budget))
-		if err == nil {
-			break
-		}
-		var be *BudgetError
-		if !errors.As(err, &be) {
-			t.Fatalf("budget %d: err = %v, want *BudgetError", budget, err)
-		}
-		tripped = budget
+	// The governor's charge for one slab, read off a budget no slab fits in.
+	var be *BudgetError
+	if _, err := db1.Query(query, WithMaxArenaNodes(1)); !errors.As(err, &be) {
+		t.Fatalf("one-node budget: err = %v, want *BudgetError", err)
 	}
-	if tripped < 2 {
-		t.Fatal("query fits in 64 arena nodes; fixture too small to calibrate")
-	}
-	check := tripped / 2
+	slabNodes := be.Observed
 
 	for _, cfg := range []struct {
 		db  *Database
 		par int
 	}{{db1, 1}, {db1, 4}, {db4, 1}, {db4, 4}} {
-		_, err := cfg.db.Query(query, WithMaxArenaNodes(check), WithParallelism(cfg.par))
-		var be *BudgetError
+		_, before, _ := seq.ArenaTotals()
+		if _, err := cfg.db.Query(query, WithMaxArenaNodes(generous), WithParallelism(cfg.par)); err != nil {
+			// Governance is shared, not stricter, at higher shard counts.
+			t.Fatalf("shards=%d parallelism=%d: generous budget: %v", cfg.db.NumShards(), cfg.par, err)
+		}
+		_, after, _ := seq.ArenaTotals()
+		budget := (after - before) * slabNodes / 2
+
+		_, err := cfg.db.Query(query, WithMaxArenaNodes(budget), WithParallelism(cfg.par))
 		if !errors.As(err, &be) {
-			t.Errorf("shards=%d parallelism=%d: err = %v, want *BudgetError",
-				cfg.db.NumShards(), cfg.par, err)
+			t.Errorf("shards=%d parallelism=%d: err = %v under half the %d slabs the run allocates, want *BudgetError",
+				cfg.db.NumShards(), cfg.par, err, after-before)
 			continue
 		}
-		if be.Resource != governor.ResourceNodes || be.Limit != check {
+		if be.Resource != governor.ResourceNodes || be.Limit != budget {
 			t.Errorf("shards=%d parallelism=%d: tripped %s at limit %d, want %s at %d",
-				cfg.db.NumShards(), cfg.par, be.Resource, be.Limit, governor.ResourceNodes, check)
+				cfg.db.NumShards(), cfg.par, be.Resource, be.Limit, governor.ResourceNodes, budget)
 		}
-	}
-
-	// And a genuinely generous budget fits everywhere: governance is
-	// shared, not stricter, at higher shard counts. The headroom is wide
-	// because every shard arena (plus the main arena) rounds its charge up
-	// to a whole slab, so the 4-shard run's governed usage can be several
-	// slabs above the 1-shard calibration.
-	if _, err := db4.Query(query, WithMaxArenaNodes(1<<30), WithParallelism(4)); err != nil {
-		t.Errorf("generous budget on 4 shards: %v", err)
 	}
 }
 

@@ -175,9 +175,8 @@ func TestShardMergeProperty(t *testing.T) {
 }
 
 // TestShardAccessors pins the Database shard surface: routing is stable
-// and in range, generations count per-shard loads, and Prepared.Documents
-// reports the query's footprint for both plan-walking and AST-walking
-// engines.
+// and in range, and Prepared.Documents reports the documents a query names
+// for both plan-walking and AST-walking engines.
 func TestShardAccessors(t *testing.T) {
 	db := Open(WithShards(4))
 	if err := db.LoadXMLString("a.xml", `<site><person><name>X</name><age>30</age></person></site>`); err != nil {
@@ -187,15 +186,8 @@ func TestShardAccessors(t *testing.T) {
 	if sh < 0 || sh >= 4 {
 		t.Fatalf("ShardOfDocument out of range: %d", sh)
 	}
-	if got := db.ShardGeneration(sh); got != 1 {
-		t.Errorf("target shard generation = %d, want 1", got)
-	}
-	var total uint64
-	for _, g := range db.ShardGenerations() {
-		total += g
-	}
-	if total != db.Generation() {
-		t.Errorf("sum of shard generations = %d, want %d", total, db.Generation())
+	if docs := db.ShardDocuments(sh); len(docs) != 1 || docs[0] != "a.xml" {
+		t.Errorf("ShardDocuments(%d) = %v, want [a.xml]", sh, docs)
 	}
 
 	q := `FOR $p IN document("a.xml")//person RETURN $p/name`

@@ -27,8 +27,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"tlc/internal/algebra"
@@ -115,24 +113,21 @@ func ParseEngine(s string) (Engine, bool) {
 
 // Database is a collection of loaded XML documents with the indexes the
 // engines use (element tag index and content value index). Documents are
-// multi-versioned: loads add documents, and Update produces a new version
-// of one document with copy-on-write semantics — each query pins the
-// version set current when it starts and runs snapshot-isolated to
-// completion, so queries never block on writers and writers never wait
-// for readers. The store's statistics counters are atomic, so concurrent
-// Run calls interleave counter updates rather than corrupt them. The
-// benchmark harness still runs queries sequentially with intra-query
-// parallelism 1, as the paper did.
+// multi-versioned: a load adds a document at version 1, and Update produces
+// a new version of one document with copy-on-write semantics. Each query
+// pins the version set current when it starts and runs snapshot-isolated
+// to completion, so queries never block on loads or writers and neither
+// waits for readers; a query that overlaps a load or an update sees the
+// set it pinned. That is the only isolation mechanism, and DocumentVersion
+// is the only staleness signal: a compiled plan is current while every
+// document it names still reports the version it had at compile time (0
+// for a document not loaded — documents are never unloaded, so 0 -> 1 is
+// the only way an absent name changes). The store's statistics counters
+// are atomic, so concurrent Run calls interleave counter updates rather
+// than corrupt them. The benchmark harness still runs queries sequentially
+// with intra-query parallelism 1, as the paper did.
 type Database struct {
 	st *store.Store
-	// gen counts successful document loads and committed updates. Plan
-	// caches key their validity on it: a cached Prepared compiled at
-	// generation g is stale once Generation() != g, because plans embed
-	// document references and the cost-based planner's choices embed the
-	// catalog statistics. Caches that resolve a plan's document footprint
-	// use the finer per-shard generations and per-document versions
-	// instead.
-	gen atomic.Uint64
 	// wal, when AttachWAL has run, is the durable write-ahead log every
 	// commit appends to before its directory swap; walReplay records what
 	// recovery did at attach time.
@@ -149,11 +144,9 @@ type openConfig struct {
 
 // WithShards sets the number of store shards documents are partitioned
 // across (n < 1 selects the default, GOMAXPROCS). Each shard owns its node
-// tables, tag/value indexes, statistics and access counters, and exposes
-// its own load-vs-query lock domain — a load into one shard never blocks
-// queries resolving entirely on other shards. Query results are identical
-// for every shard count: shard routing partitions storage and locks, not
-// semantics.
+// tables, tag/value indexes, statistics and access counters. Query results
+// are identical for every shard count: shard routing partitions storage,
+// not semantics.
 func WithShards(n int) OpenOption {
 	return func(c *openConfig) { c.shards = n }
 }
@@ -171,15 +164,12 @@ func Open(opts ...OpenOption) *Database {
 }
 
 // LoadXML parses and indexes an XML document under the given name (the
-// name used in document("...") references). Loads must not run
-// concurrently with queries or other loads: the store is immutable only
-// *after* loading. The query service serializes loads against in-flight
-// queries with a lock; embedders doing runtime loads must do the same.
+// name used in document("...") references). Loads may run concurrently
+// with queries, updates and other loads: the document is indexed off to
+// the side and published by one atomic directory swap, so a query sees it
+// entirely or (if it pinned earlier) not at all.
 func (db *Database) LoadXML(name string, r io.Reader) error {
 	_, err := db.st.LoadXML(name, r)
-	if err == nil {
-		db.gen.Add(1)
-	}
 	return err
 }
 
@@ -192,9 +182,6 @@ func (db *Database) LoadXMLString(name, xml string) error {
 // given scale factor (see the xmark package for the populations).
 func (db *Database) LoadXMark(name string, factor float64) error {
 	_, err := db.st.Load(xmark.Generate(name, factor))
-	if err == nil {
-		db.gen.Add(1)
-	}
 	return err
 }
 
@@ -274,15 +261,7 @@ func (db *Database) UpdateContext(ctx context.Context, req UpdateRequest, opts .
 		o(&cfg)
 	}
 	ctx = cfg.limits.govern(ctx)
-	res, err := mutate.Apply(ctx, db.st, req)
-	if err == nil {
-		// Updates advance the whole-database generation (conservative plan
-		// cache entries must revalidate) but not any shard's load
-		// generation — per-document invalidation comes from the version
-		// bump the commit already did.
-		db.gen.Add(1)
-	}
-	return res, err
+	return mutate.Apply(ctx, db.st, req)
 }
 
 // UpdateTotals is a snapshot of the process-wide update counters.
@@ -292,26 +271,11 @@ type UpdateTotals = mutate.Totals
 // committed, conflicts hit, statistics deltas applied).
 func UpdateCounters() UpdateTotals { return mutate.Counters() }
 
-// Generation returns the number of successful loads and committed updates
-// so far. It increases exactly when previously compiled plans may have
-// become stale (new documents and new document versions change both name
-// resolution and the statistics catalog), which makes it the invalidation
-// key for prepared-plan caches. Caches that know a plan's document
-// footprint should prefer the finer-grained per-shard generations
-// (ShardGeneration) plus per-document versions (DocumentVersion) and keep
-// this whole-database generation for schema-wide invalidation.
-func (db *Database) Generation() uint64 { return db.gen.Load() }
-
-// DocumentVersion returns the MVCC version of a loaded document (fresh
-// loads are version 1; every committed update increments it) and whether
-// the document exists. Plan caches use it to invalidate per document: an
-// update bumps only the mutated document's version, not its shard's load
-// generation.
+// DocumentVersion returns the MVCC version of a document (fresh loads are
+// version 1; every committed update increments it) and whether it is
+// loaded; a name that is not loaded reports version 0. It is what a plan
+// cache records per named document at compile time and compares on lookup.
 func (db *Database) DocumentVersion(name string) (uint64, bool) { return db.st.DocVersion(name) }
-
-// DocumentVersions returns the version of every loaded document, read
-// from one consistent directory snapshot.
-func (db *Database) DocumentVersions() map[string]uint64 { return db.st.DocVersions() }
 
 // UpdateGeneration returns the number of updates committed into the
 // database. A snapshot written earlier is stale relative to this database
@@ -336,30 +300,12 @@ func (db *Database) NumShards() int { return db.st.NumShards() }
 
 // ShardOfDocument returns the shard a document name routes to. The routing
 // is a pure hash of the name, so it is answerable before the document is
-// loaded — which is what lets a plan cache compute a plan's shard footprint
-// from its document references alone.
+// loaded.
 func (db *Database) ShardOfDocument(name string) int { return db.st.ShardOfName(name) }
-
-// ShardGeneration returns shard i's load generation: the number of
-// successful loads routed to that shard. A cached plan whose referenced
-// documents all live on shards with unchanged generations is still valid.
-func (db *Database) ShardGeneration(i int) uint64 { return db.st.ShardGeneration(i) }
-
-// ShardGenerations returns every shard's load generation, indexed by shard.
-func (db *Database) ShardGenerations() []uint64 { return db.st.Generations() }
 
 // ShardDocuments returns the names of the documents loaded into shard i,
 // in load order.
 func (db *Database) ShardDocuments(i int) []string { return db.st.ShardDocs(i) }
-
-// ShardLock returns shard i's load-vs-query RWMutex. The store's own reads
-// are lock-free (loads swap an immutable directory atomically), but
-// embedders that must serialize loads against in-flight queries — like the
-// query service — take the write side around loads into the shard and the
-// read side around queries that touch it, instead of stalling the whole
-// database behind one lock. Callers locking several shards must acquire
-// them in ascending shard order.
-func (db *Database) ShardLock(i int) *sync.RWMutex { return db.st.ShardLock(i) }
 
 // SnapshotInfo reports what a Snapshot call wrote: directory, total
 // bytes, documents captured and shard files emitted.
@@ -418,21 +364,16 @@ func (db *Database) Snapshot(dir string) (SnapshotInfo, error) {
 // served from the mapped region without copying. The snapshot must have
 // been written with the same shard count. Document names must not collide
 // with already-loaded documents, and the load is refused with
-// ErrConcurrentMutation while an update is in flight. Only the shards
-// that receive documents have their generation bumped, so cached plans
-// scoped to untouched shards stay valid.
+// ErrConcurrentMutation while an update is in flight.
 func (db *Database) LoadSnapshot(dir string) error {
 	err := db.st.LoadSnapshot(dir)
-	if err == nil {
-		db.gen.Add(1)
-		if db.wal != nil {
-			// The load may have jumped the update generation past the
-			// log's tail (the snapshot was written by a store with more
-			// committed updates). Seal the gap so the next commit appends
-			// at the new generation in a fresh segment.
-			if g := db.st.UpdateGeneration(); g > db.wal.LastSeq() {
-				db.wal.RotateTo(g)
-			}
+	if err == nil && db.wal != nil {
+		// The load may have jumped the update generation past the log's
+		// tail (the snapshot was written by a store with more committed
+		// updates). Seal the gap so the next commit appends at the new
+		// generation in a fresh segment.
+		if g := db.st.UpdateGeneration(); g > db.wal.LastSeq() {
+			db.wal.RotateTo(g)
 		}
 	}
 	return err
@@ -459,9 +400,7 @@ func OpenSnapshot(dir string) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := &Database{st: st}
-	db.gen.Add(1)
-	return db, nil
+	return &Database{st: st}, nil
 }
 
 // Close releases resources held by the database: the write-ahead log (any
@@ -594,7 +533,6 @@ func (db *Database) AttachWAL(o WALOptions) (WALReplayStats, error) {
 		if got := db.st.UpdateGeneration(); got != rec.Seq {
 			return fmt.Errorf("replayed record %d committed at generation %d", rec.Seq, got)
 		}
-		db.gen.Add(1)
 		nApplied++
 		if o.OnProgress != nil {
 			o.OnProgress(nApplied, nSkipped)
@@ -705,11 +643,10 @@ type BudgetError = governor.ErrBudgetExceeded
 type Option func(*queryConfig)
 
 type queryConfig struct {
-	engine          Engine
-	parallelism     int
-	plannerOff      bool
-	limits          Limits
-	legacyDisjuncts bool
+	engine      Engine
+	parallelism int
+	plannerOff  bool
+	limits      Limits
 }
 
 // WithEngine selects the evaluation engine for a query.
@@ -741,15 +678,6 @@ func WithParallelism(n int) Option {
 // WithLimits sets the query's whole resource budget at once.
 func WithLimits(l Limits) Option {
 	return func(c *queryConfig) { c.limits = l }
-}
-
-// WithLegacyDisjuncts disables native OR/NOT pattern-tree annotations for
-// the TLC translator: disjunctions compile to the pre-annotation form of
-// one optional "*" branch per disjunct plus a disjunctive filter. This is
-// the ablation baseline tlcbench -disjuncts measures against; production
-// queries should leave it off.
-func WithLegacyDisjuncts(on bool) Option {
-	return func(c *queryConfig) { c.legacyDisjuncts = on }
 }
 
 // WithMaxArenaNodes caps the query's witness-node allocation (n <= 0 is
@@ -812,12 +740,11 @@ func (p *Prepared) Engine() Engine { return p.engine }
 func (p *Prepared) Limits() Limits { return p.limits }
 
 // Documents returns the names of the documents the query references,
-// sorted and deduplicated — the query's shard footprint. For the algebra
-// engines the set is read off the compiled plan (document-rooted pattern
-// selects); for the navigational engine it is read off the AST. A query
-// service uses it to lock only the touched shards, and a plan cache uses
-// it (via ShardOfDocument) to scope invalidation to the shards whose
-// generation actually moved.
+// sorted and deduplicated. For the algebra engines the set is read off the
+// compiled plan (document-rooted pattern selects); for the navigational
+// engine it is read off the AST. These are the names whose DocumentVersion
+// a plan cache records: nothing else in the database can make the plan
+// stale.
 func (p *Prepared) Documents() []string {
 	if p.engine == Nav {
 		return p.ast.Documents()
@@ -846,19 +773,6 @@ func (p *Prepared) Documents() []string {
 	return out
 }
 
-// QueryDocuments parses text and returns the document names it references,
-// sorted and deduplicated, without compiling a plan. A query service uses
-// it to resolve a request's shard footprint (via ShardOfDocument) before
-// taking any shard locks — parsing needs no store access, so the footprint
-// is computable even while a load is in flight.
-func QueryDocuments(text string) ([]string, error) {
-	ast, err := xquery.Parse(text)
-	if err != nil {
-		return nil, err
-	}
-	return ast.Documents(), nil
-}
-
 // Compile parses and translates a query for the selected engine.
 func (db *Database) Compile(text string, opts ...Option) (*Prepared, error) {
 	return db.CompileContext(context.Background(), text, opts...)
@@ -885,19 +799,18 @@ func (db *Database) CompileContext(ctx context.Context, text string, opts ...Opt
 		return nil, err
 	}
 	p := &Prepared{engine: cfg.engine, ast: ast, parallelism: cfg.parallelism, limits: cfg.limits}
-	topts := translate.Options{LegacyDisjuncts: cfg.legacyDisjuncts}
 	switch cfg.engine {
 	case Nav:
 		return p, nil
 	case TLC:
-		res, err := translate.TranslateOpts(ast, topts)
+		res, err := translate.Translate(ast)
 		if err != nil {
 			return nil, err
 		}
 		p.plan = res.Plan
 		p.predSites = res.PredSites
 	case TLCOpt:
-		res, err := translate.TranslateOpts(ast, topts)
+		res, err := translate.Translate(ast)
 		if err != nil {
 			return nil, err
 		}
