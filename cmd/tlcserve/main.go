@@ -21,6 +21,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime/metrics"
 	"slices"
 	"strings"
 	"syscall"
@@ -174,6 +175,7 @@ func main() {
 		// Replay while the listener is already accepting: liveness and
 		// read-only endpoints answer during recovery, /readyz reports 503
 		// with live progress, and writes shed until EndRecovery.
+		gc0, alloc0 := gcSample()
 		stats, err := db.AttachWAL(tlc.WALOptions{
 			Dir:        *walDir,
 			Fsync:      *fsync,
@@ -183,8 +185,16 @@ func main() {
 			fatal(err)
 		}
 		srv.EndRecovery(stats.Applied, stats.Skipped, stats.Duration)
-		fmt.Fprintf(os.Stderr, "tlcserve: wal %s ready (fsync=%s): replayed %d updates, skipped %d, %d torn repairs, %v\n",
-			*walDir, *fsync, stats.Applied, stats.Skipped, stats.TornRepairs, stats.Duration.Round(time.Millisecond))
+		// What the replay cost the collector (the whole process over that
+		// interval, so queries answered during recovery are in it).
+		gc1, alloc1 := gcSample()
+		perRecord := 0.0
+		if stats.Applied > 0 {
+			perRecord = float64(stats.Duration.Microseconds()) / float64(stats.Applied)
+		}
+		fmt.Fprintf(os.Stderr, "tlcserve: wal %s ready (fsync=%s): replayed %d updates, skipped %d, %d torn repairs, %v, %d gc cycles, %.1f MB allocated, %.0f µs/record\n",
+			*walDir, *fsync, stats.Applied, stats.Skipped, stats.TornRepairs, stats.Duration.Round(time.Millisecond),
+			gc1-gc0, float64(alloc1-alloc0)/(1<<20), perRecord)
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -216,6 +226,14 @@ func main() {
 		}
 		fmt.Fprintln(os.Stderr, "tlcserve: drained, wal closed, exiting")
 	}
+}
+
+// gcSample reads the collector's cycle count and the bytes allocated so far
+// from runtime/metrics, which — unlike ReadMemStats — stops nothing.
+func gcSample() (cycles, allocated uint64) {
+	s := []metrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}, {Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64(), s[1].Value.Uint64()
 }
 
 func fatal(err error) {

@@ -3,6 +3,7 @@ package tlc
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
@@ -364,30 +365,64 @@ func TestWALMidLogCorruptionTyped(t *testing.T) {
 	}
 
 	db2 := openListDB(t)
+	before := versionsOf(db2)
 	_, err = db2.AttachWAL(WALOptions{Dir: walDir})
 	if !errors.Is(err, ErrWALCorrupt) {
 		t.Fatalf("AttachWAL on corrupt log = %v, want ErrWALCorrupt", err)
+	}
+	requireUntouched(t, db2, before)
+}
+
+// versionsOf records what a failed AttachWAL must leave alone: every
+// document's version and the update generation (under the key "").
+func versionsOf(db *Database) map[string]uint64 {
+	out := map[string]uint64{"": db.UpdateGeneration()}
+	for _, name := range db.Documents() {
+		out[name], _ = db.DocumentVersion(name)
+	}
+	return out
+}
+
+func requireUntouched(t *testing.T, db *Database, before map[string]uint64) {
+	t.Helper()
+	if after := versionsOf(db); !maps.Equal(after, before) {
+		t.Fatalf("failed AttachWAL installed something: versions and generation %v, before it %v", after, before)
+	}
+	if _, _, ok := db.WALStats(); ok {
+		t.Fatal("failed AttachWAL left a log attached")
 	}
 }
 
 func TestWALReplayFailureTyped(t *testing.T) {
 	walDir := t.TempDir()
 	db1 := openListDB(t)
+	if err := db1.LoadXMLString("other.xml", `<other><e>x</e></other>`); err != nil {
+		t.Fatal(err)
+	}
 	attach(t, db1, walDir)
 	applyInserts(t, db1, 0, 2)
+	if _, err := db1.Update(UpdateRequest{Doc: "other.xml", Op: UpdateInsert, Target: "/other", Fragment: "<e>y</e>"}); err != nil {
+		t.Fatal(err)
+	}
+	applyInserts(t, db1, 2, 1)
 	db1.Close()
 
-	// Replay against a store missing the base document: the record is
-	// intact but cannot re-apply — ErrWALReplay, not ErrWALCorrupt.
-	db2 := Open(WithShards(2))
-	t.Cleanup(func() { db2.Close() })
-	_, err := db2.AttachWAL(WALOptions{Dir: walDir})
+	// Replay against a store missing one base document: the third record is
+	// intact but cannot re-apply — ErrWALReplay, not ErrWALCorrupt — and the
+	// two records replayed before it are not installed either.
+	db2 := openListDB(t)
+	before := versionsOf(db2)
+	stats, err := db2.AttachWAL(WALOptions{Dir: walDir})
 	if !errors.Is(err, ErrWALReplay) {
 		t.Fatalf("AttachWAL without base document = %v, want ErrWALReplay", err)
 	}
 	if !errors.Is(err, ErrUnknownDocument) {
 		t.Fatalf("cause not preserved: %v", err)
 	}
+	if stats.Applied != 2 {
+		t.Fatalf("replay stopped after %d records, want 2", stats.Applied)
+	}
+	requireUntouched(t, db2, before)
 }
 
 func TestWALAppendFailureVetoesCommit(t *testing.T) {

@@ -11,7 +11,9 @@
 // version off to the side, and the commit swaps it in under the store's
 // copy-on-write directory. Readers that pinned the store before the
 // commit keep the old version to completion — an update never blocks a
-// query, and a query never observes a half-applied update.
+// query, and a query never observes a half-applied update. Recovery runs
+// the same steps on versions it keeps to itself and commits once per
+// document (Replay).
 //
 // Deleting an element that sits between two text siblings would leave
 // adjacent text nodes — a shape a fresh parse of the serialized document
@@ -211,28 +213,9 @@ func Counters() Totals {
 // wraps store.ErrVersionConflict.
 func Apply(ctx context.Context, st *store.Store, req Request) (Result, error) {
 	var res Result
-	if req.Op != Delete {
-		if strings.TrimSpace(req.Fragment) == "" {
-			return res, fmt.Errorf("%w: %s needs a fragment", ErrBadRequest, req.Op)
-		}
-	} else if req.Fragment != "" {
-		return res, fmt.Errorf("%w: delete takes no fragment", ErrBadRequest)
-	}
-	var frag *xmltree.Document
-	if req.Op != Delete {
-		f, err := store.ParseFragment(req.Fragment)
-		if err != nil {
-			return res, fmt.Errorf("%w: fragment: %v", ErrBadRequest, err)
-		}
-		if f.Nodes[0].Kind != xmltree.Element {
-			return res, fmt.Errorf("%w: fragment root must be an element", ErrBadRequest)
-		}
-		frag = f
-	}
-	switch req.Position {
-	case "", PosInto, "append", PosFirst, PosBefore, PosAfter:
-	default:
-		return res, fmt.Errorf("%w: unknown position %q (into|first|before|after)", ErrBadRequest, req.Position)
+	frag, err := parseRequest(req)
+	if err != nil {
+		return res, err
 	}
 
 	// Serialize the logical operation once, outside the retry loop: the
@@ -253,29 +236,14 @@ func Apply(ctx context.Context, st *store.Store, req Request) (Result, error) {
 
 	var lastErr error
 	for attempt := 0; attempt < maxRetries; attempt++ {
-		if err := governor.Poll(ctx); err != nil {
-			return res, err
-		}
 		id, ok := st.Lookup(req.Doc)
 		if !ok {
 			return res, fmt.Errorf("%w: %q", ErrUnknownDocument, req.Doc)
 		}
 		d := st.Doc(id)
-		op, err := buildOp(d, req, frag)
-		if err != nil {
-			return res, err
-		}
-		// Charge the write before doing it: new nodes plus an estimate of
-		// the column bytes they occupy (8 int32/uint32 columns) and the
-		// fragment text.
-		var newNodes int64
-		if op.Frag != nil {
-			newNodes = int64(len(op.Frag.Nodes))
-		}
-		if err := governor.FromContext(ctx).AddAlloc(newNodes, newNodes*32+int64(len(req.Fragment))); err != nil {
-			return res, err
-		}
-		nd, sr, err := st.BuildSplice(d, op)
+		// A live update's version is read by others the moment it commits,
+		// so it is always built in memory of its own (nil destination).
+		nd, sr, err := splice(ctx, st, d, req, frag, nil)
 		if err != nil {
 			return res, err
 		}
@@ -288,17 +256,174 @@ func Apply(ctx context.Context, st *store.Store, req Request) (Result, error) {
 			}
 			return res, err
 		}
-		updatesTotal.Add(1)
-		statsDeltasTotal.Add(int64(sr.StatsDeltas))
-		res.Doc = req.Doc
-		res.Version = nd.Version()
-		res.Nodes = nd.Len()
-		res.NodesAdded = sr.NodesAdded
-		res.NodesRemoved = sr.NodesRemoved
-		res.StatsDeltas = sr.StatsDeltas
+		res.applied(req, nd, sr)
 		return res, nil
 	}
 	return res, lastErr
+}
+
+// parseRequest checks everything about a request that does not depend on a
+// document version and parses its fragment (nil for a delete).
+func parseRequest(req Request) (*xmltree.Document, error) {
+	if req.Op != Delete {
+		if strings.TrimSpace(req.Fragment) == "" {
+			return nil, fmt.Errorf("%w: %s needs a fragment", ErrBadRequest, req.Op)
+		}
+	} else if req.Fragment != "" {
+		return nil, fmt.Errorf("%w: delete takes no fragment", ErrBadRequest)
+	}
+	var frag *xmltree.Document
+	if req.Op != Delete {
+		f, err := store.ParseFragment(req.Fragment)
+		if err != nil {
+			return nil, fmt.Errorf("%w: fragment: %v", ErrBadRequest, err)
+		}
+		if f.Nodes[0].Kind != xmltree.Element {
+			return nil, fmt.Errorf("%w: fragment root must be an element", ErrBadRequest)
+		}
+		frag = f
+	}
+	switch req.Position {
+	case "", PosInto, "append", PosFirst, PosBefore, PosAfter:
+	default:
+		return nil, fmt.Errorf("%w: unknown position %q (into|first|before|after)", ErrBadRequest, req.Position)
+	}
+	return frag, nil
+}
+
+// splice resolves req against version d, charges the write to the governor
+// carried by ctx and builds the next version — in memory of its own, or in
+// dst's (store.BuildSpliceInto). Live and replayed updates both go through
+// it; they differ only in who owns what it returns.
+func splice(ctx context.Context, st *store.Store, d *store.Doc, req Request, frag *xmltree.Document, dst *store.Doc) (*store.Doc, store.SpliceResult, error) {
+	if err := governor.Poll(ctx); err != nil {
+		return nil, store.SpliceResult{}, err
+	}
+	op, err := buildOp(d, req, frag)
+	if err != nil {
+		return nil, store.SpliceResult{}, err
+	}
+	// Charge the write before doing it: new nodes plus an estimate of
+	// the column bytes they occupy (8 int32/uint32 columns) and the
+	// fragment text.
+	var newNodes int64
+	if op.Frag != nil {
+		newNodes = int64(len(op.Frag.Nodes))
+	}
+	if err := governor.FromContext(ctx).AddAlloc(newNodes, newNodes*32+int64(len(req.Fragment))); err != nil {
+		return nil, store.SpliceResult{}, err
+	}
+	return st.BuildSpliceInto(d, op, dst)
+}
+
+// applied counts one update whose new version nd was accepted and fills in
+// its result.
+func (res *Result) applied(req Request, nd *store.Doc, sr store.SpliceResult) {
+	updatesTotal.Add(1)
+	statsDeltasTotal.Add(int64(sr.StatsDeltas))
+	res.Doc = req.Doc
+	res.Version = nd.Version()
+	res.Nodes = nd.Len()
+	res.NodesAdded = sr.NodesAdded
+	res.NodesRemoved = sr.NodesRemoved
+	res.StatsDeltas = sr.StatsDeltas
+}
+
+// Replay re-applies a logged sequence of updates on versions only it can
+// see, and publishes the outcome once. Per document the log touches it keeps
+// a private chain: the published version is the first source and is only
+// ever read, every record builds the next private version from the newest
+// one, and the private version before the newest — superseded, and never
+// seen by anyone else — is the memory the following record's version is
+// written into. Nothing reaches the store before Publish, so a reader
+// admitted during recovery sees a document as the checkpoint left it and
+// then as the whole log leaves it, never in between; a replay that fails, or
+// is abandoned, leaves the store as it found it.
+type Replay struct {
+	st      *store.Store
+	release func()
+	seq     uint64 // sequence number of the newest record applied
+	chains  map[store.DocID]*chain
+}
+
+// chain is one document's private history during a replay: base is what the
+// directory holds, cur the newest version and prev the one before it.
+type chain struct{ base, prev, cur *store.Doc }
+
+// NewReplay starts a replay at the store's update generation. The replay is
+// an in-flight mutation (LoadSnapshot is refused) until Publish or Close.
+func NewReplay(st *store.Store) *Replay {
+	return &Replay{st: st, release: st.BeginMutation(), seq: st.UpdateGeneration(), chains: make(map[store.DocID]*chain)}
+}
+
+// Apply re-applies the record logged at sequence number seq, which must be
+// past every record applied before it (a log may skip numbers — a snapshot
+// loaded at a later generation leaves such a gap — but never repeats or
+// reorders them). Validation, target resolution, the governor's charge and
+// the update counters are Apply's own.
+func (r *Replay) Apply(ctx context.Context, seq uint64, req Request) (Result, error) {
+	var res Result
+	if seq <= r.seq {
+		return res, fmt.Errorf("mutate: replayed record %d does not follow generation %d", seq, r.seq)
+	}
+	frag, err := parseRequest(req)
+	if err != nil {
+		return res, err
+	}
+	id, ok := r.st.Lookup(req.Doc)
+	if !ok {
+		return res, fmt.Errorf("%w: %q", ErrUnknownDocument, req.Doc)
+	}
+	c := r.chains[id]
+	if c == nil {
+		base := r.st.Doc(id)
+		c = &chain{base: base, cur: base}
+	}
+	// Ownership rule: c.prev is the destination only when this replay built
+	// it. Such a version was never committed, so no directory, pinned view,
+	// plan or mapping refers to it, and c.cur has superseded it here, so
+	// nothing reads it again. c.base — possibly a view of a snapshot mapping,
+	// possibly pinned by a running query — is read and nothing else: the
+	// first two records of a chain are given an empty destination, which
+	// makes their arrays fresh ones with room to grow.
+	dst := c.prev
+	if dst == nil || dst == c.base {
+		dst = new(store.Doc)
+	}
+	nd, sr, err := splice(ctx, r.st, c.cur, req, frag, dst)
+	if err != nil {
+		return res, err
+	}
+	c.prev, c.cur = c.cur, nd
+	r.chains[id] = c
+	r.seq = seq
+	res.applied(req, nd, sr)
+	return res, nil
+}
+
+// Publish commits every chain's newest version over the version it started
+// from — one directory swap per document, in DocID order — raises the
+// update generation to the newest sequence number applied, and ends the
+// replay. The published versions may carry the spare capacity of a recycled
+// array; the next update of the document builds an exact one.
+func (r *Replay) Publish() error {
+	defer r.Close()
+	for id := store.DocID(0); int(id) < r.st.NumDocs(); id++ {
+		if c := r.chains[id]; c != nil {
+			if err := r.st.Commit(c.base, c.cur); err != nil {
+				return err
+			}
+		}
+	}
+	r.st.AdvanceUpdateGen(r.seq)
+	return nil
+}
+
+// Close ends the replay and drops its private versions; without a Publish
+// before it, the store is as NewReplay found it.
+func (r *Replay) Close() {
+	r.chains = nil
+	r.release()
 }
 
 // buildOp resolves the request target against one document version and

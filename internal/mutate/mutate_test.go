@@ -285,3 +285,60 @@ func TestParseKind(t *testing.T) {
 		t.Errorf("ParseKind(upsert) err = %v", err)
 	}
 }
+
+// TestReplayPublishesOnce drives a Replay by hand: nothing it applies is
+// visible before Publish, its results and counters are Apply's, sequence
+// numbers may skip but not repeat, and an abandoned replay leaves the store
+// as it found it.
+func TestReplayPublishesOnce(t *testing.T) {
+	s, id := loadStore(t, "auction.xml", auctionXML)
+	base := s.Doc(id)
+	insert := func(name string) Request {
+		return Request{Doc: "auction.xml", Op: Insert, Target: "/site/people",
+			Fragment: `<person id="` + name + `"><name>` + name + `</name></person>`}
+	}
+	ctx := context.Background()
+
+	abandoned := NewReplay(s)
+	if _, err := abandoned.Apply(ctx, 1, insert("lost")); err != nil {
+		t.Fatal(err)
+	}
+	if s.InFlightWriters() != 1 {
+		t.Fatal("a replay in progress is not an in-flight mutation")
+	}
+	abandoned.Close()
+	if s.Doc(id) != base || s.UpdateGeneration() != 0 || s.InFlightWriters() != 0 {
+		t.Fatal("an abandoned replay left a trace in the store")
+	}
+
+	before := Counters().Updates
+	r := NewReplay(s)
+	for i, seq := range []uint64{1, 2, 5, 6} { // 3 and 4 are a legal gap
+		res, err := r.Apply(ctx, seq, insert("r"+itoa(int32(i))))
+		if err != nil {
+			t.Fatalf("record %d: %v", seq, err)
+		}
+		if want := base.Version() + uint64(i) + 1; res.Version != want || res.NodesAdded != 4 {
+			t.Fatalf("record %d: result %+v, want version %d and 4 nodes added", seq, res, want)
+		}
+		if s.Doc(id) != base || s.UpdateGeneration() != 0 {
+			t.Fatalf("record %d is visible before Publish", seq)
+		}
+	}
+	if _, err := r.Apply(ctx, 6, insert("again")); err == nil {
+		t.Fatal("a repeated sequence number was accepted")
+	}
+	if _, err := r.Apply(ctx, 7, Request{Doc: "missing.xml", Op: Delete, Target: "/site"}); !errors.Is(err, ErrUnknownDocument) {
+		t.Fatalf("unknown document = %v", err)
+	}
+	if got := Counters().Updates - before; got != 4 {
+		t.Fatalf("replayed updates counted %d times, want 4", got)
+	}
+	if err := r.Publish(); err != nil {
+		t.Fatal(err)
+	}
+	if d := s.Doc(id); d.Version() != base.Version()+4 || s.UpdateGeneration() != 6 || s.InFlightWriters() != 0 {
+		t.Fatalf("published version %d at generation %d, want %d at 6", d.Version(), s.UpdateGeneration(), base.Version()+4)
+	}
+	checkOracle(t, s, id)
+}

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"testing"
 	"time"
@@ -104,6 +105,81 @@ func TestReadyzTracksRecoveryAndDrain(t *testing.T) {
 		map[string]any{"doc": "site.xml", "op": "delete", "target": "/site/person[1]"})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("update while draining = %d %s", resp.StatusCode, errBody)
+	}
+}
+
+// TestReadsDuringRecoverySeeCheckpointThenFinal: replay builds on versions
+// of its own and publishes once, so a query answered while the server is
+// recovering reads the state the database was opened with — here after three
+// of five records were replayed — and the first query after recovery reads
+// the whole log. (The stall is the replay's own per-record progress hook,
+// called right where the recover.replay fault point fires, held open by the
+// test: an event to wait on, where the fault point offers only a delay.)
+func TestReadsDuringRecoverySeeCheckpointThenFinal(t *testing.T) {
+	const persons = `FOR $p IN document("site.xml")//person RETURN $p/name`
+	walDir := t.TempDir()
+	open := func() *tlc.Database {
+		db := tlc.Open()
+		if err := db.LoadXMLString("site.xml", siteXML); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		return db
+	}
+	crashed := open()
+	if _, err := crashed.AttachWAL(tlc.WALOptions{Dir: walDir}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := crashed.Update(tlc.UpdateRequest{Doc: "site.xml", Op: tlc.UpdateInsert, Target: "/site",
+			Fragment: fmt.Sprintf(`<person id="r%d"><name>R%d</name><age>9</age></person>`, i, i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	crashed.Close()
+
+	db := open()
+	srv, ts := newServer(t, Config{DB: db})
+	count := func() int {
+		t.Helper()
+		resp, body := postJSON(t, ts.URL+"/query", map[string]any{"query": persons})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("query = %d %s", resp.StatusCode, body)
+		}
+		return decode[queryResponse](t, body).Count
+	}
+	srv.BeginRecovery()
+	reached, release, done := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	go func() {
+		stats, err := db.AttachWAL(tlc.WALOptions{Dir: walDir, OnProgress: func(applied, skipped int) {
+			srv.RecoveryProgress(applied, skipped)
+			if applied == 3 {
+				close(reached)
+				<-release
+			}
+		}})
+		srv.EndRecovery(stats.Applied, stats.Skipped, stats.Duration)
+		done <- err
+	}()
+	<-reached
+	if status, _ := getJSON[map[string]any](t, ts.URL+"/readyz"); status != http.StatusServiceUnavailable {
+		t.Fatalf("readyz during replay = %d, want 503", status)
+	}
+	if got := count(); got != 3 {
+		t.Errorf("query during recovery counted %d persons, want the 3 the database was opened with", got)
+	}
+	if v, _ := db.DocumentVersion("site.xml"); v != 1 || db.UpdateGeneration() != 0 {
+		t.Errorf("during recovery: document version %d at generation %d, want 1 at 0", v, db.UpdateGeneration())
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatalf("AttachWAL: %v", err)
+	}
+	if got := count(); got != 8 {
+		t.Errorf("query after recovery counted %d persons, want 8", got)
+	}
+	if v, _ := db.DocumentVersion("site.xml"); v != 6 || db.UpdateGeneration() != 5 {
+		t.Errorf("after recovery: document version %d at generation %d, want 6 at 5", v, db.UpdateGeneration())
 	}
 }
 

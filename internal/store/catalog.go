@@ -81,6 +81,10 @@ type docStats struct {
 	// having at least one ancTag ancestor. Both are sorted by (Up, Down)
 	// and hold no zero counts.
 	child, desc []pairRec
+	// scratch is not part of the catalog: the emptied adjustment lists of
+	// the splice that built it, kept only by a version built into a
+	// destination (spliceStats).
+	scratch statsDelta
 }
 
 // tag returns the summary of one tag ID (zero value when absent). The

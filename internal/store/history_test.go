@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"tlc/internal/xmark"
 )
@@ -49,6 +50,19 @@ func (c *churn) fragment() string {
 func (c *churn) step(tb testing.TB) {
 	tb.Helper()
 	d := c.s.Doc(c.id)
+	nd, _, err := c.s.BuildSplice(d, c.nextOp(tb, d))
+	if err != nil {
+		tb.Fatalf("update %d: BuildSplice: %v", c.n, err)
+	}
+	if err := c.s.Commit(d, nd); err != nil {
+		tb.Fatalf("update %d: Commit: %v", c.n, err)
+	}
+}
+
+// nextOp returns the script's next update as a splice of d, the newest
+// version of the document.
+func (c *churn) nextOp(tb testing.TB, d *Doc) SpliceOp {
+	tb.Helper()
 	persons := d.tagRefsByName("person")
 	roll := c.rng.Intn(10)
 	switch most := min(64, len(persons)/2); {
@@ -87,14 +101,8 @@ func (c *churn) step(tb testing.TB) {
 		}
 		op.Frag = frag
 	}
-	nd, _, err := c.s.BuildSplice(d, op)
-	if err != nil {
-		tb.Fatalf("update %d: BuildSplice: %v", c.n, err)
-	}
-	if err := c.s.Commit(d, nd); err != nil {
-		tb.Fatalf("update %d: Commit: %v", c.n, err)
-	}
 	c.n++
+	return op
 }
 
 func (c *churn) holds(slot int) bool {
@@ -135,6 +143,102 @@ func TestUpdateCostIsHistoryIndependent(t *testing.T) {
 		t.Fatalf("updates 5001-5200 allocated %d bytes, updates 1-200 %d: more than 1.25x", late, early)
 	}
 	checkOracle(t, c.s.Doc(c.id))
+}
+
+// backing returns where each array of a version starts: columns, postings
+// indexes and catalog. Arrays without capacity have no memory to share.
+func backing(d *Doc) map[unsafe.Pointer]bool {
+	at := map[unsafe.Pointer]bool{}
+	add := func(p unsafe.Pointer, capacity int) {
+		if capacity > 0 {
+			at[p] = true
+		}
+	}
+	for _, a := range [][]int32{d.c.start, d.c.end, d.c.level, d.c.parent, d.c.firstChild, d.tagPost, d.valPost} {
+		add(unsafe.Pointer(unsafe.SliceData(a)), cap(a))
+	}
+	for _, a := range [][]uint32{d.c.tag, d.c.val} {
+		add(unsafe.Pointer(unsafe.SliceData(a)), cap(a))
+	}
+	for _, a := range [][]dirEntry{d.tagDir, d.valDir} {
+		add(unsafe.Pointer(unsafe.SliceData(a)), cap(a))
+	}
+	add(unsafe.Pointer(unsafe.SliceData(d.c.kind)), cap(d.c.kind))
+	if d.stats != nil {
+		add(unsafe.Pointer(unsafe.SliceData(d.stats.tags)), cap(d.stats.tags))
+		add(unsafe.Pointer(unsafe.SliceData(d.stats.child)), cap(d.stats.child))
+		add(unsafe.Pointer(unsafe.SliceData(d.stats.desc)), cap(d.stats.desc))
+	}
+	return at
+}
+
+func shared(a, b map[unsafe.Pointer]bool) int {
+	n := 0
+	for p := range a {
+		if b[p] {
+			n++
+		}
+	}
+	return n
+}
+
+// TestSpliceIntoWritesOnlyTheDestination drives the chain a replay keeps
+// (mutate.Replay) at store level, next to a twin that commits every update:
+// a version built into a destination is the version a fresh build gives; it
+// takes its memory from the destination or from the allocator, never from
+// the version it was spliced from; once the chain has two private versions
+// it stops allocating arrays; and when the last version is published, it
+// shares no array with the base or with the retired private version, and the
+// base still reads as it did.
+func TestSpliceIntoWritesOnlyTheDestination(t *testing.T) {
+	live, c := newChurn(t, 0.01), newChurn(t, 0.01)
+	base := c.s.Doc(c.id)
+	before := base.Fingerprint()
+	cur, prev := base, (*Doc)(nil)
+	recycled := 0
+	for i := 0; i < 400; i++ {
+		live.step(t)
+		dst := prev
+		if dst == nil || dst == base {
+			dst = new(Doc)
+		}
+		from := backing(dst)
+		nd, _, err := c.s.BuildSpliceInto(cur, c.nextOp(t, cur), dst)
+		if err != nil {
+			t.Fatalf("update %d: %v", i, err)
+		}
+		got := backing(nd)
+		if n := shared(got, backing(cur)) + shared(got, backing(base)); n != 0 {
+			t.Fatalf("update %d: the new version shares %d arrays with its source or the base", i, n)
+		}
+		if shared(got, from) == len(got) {
+			recycled++
+		}
+		if i%50 == 49 {
+			if want := live.s.Doc(live.id); nd.Fingerprint() != want.Fingerprint() || nd.Version() != want.Version() {
+				t.Fatalf("update %d: chain and per-update commits diverge", i)
+			}
+		}
+		prev, cur = cur, nd
+	}
+	// A stationary document outgrows the slack of its first two private
+	// versions a few times at most.
+	if recycled < 380 {
+		t.Errorf("%d of 400 versions were built entirely in recycled arrays, want at least 380", recycled)
+	}
+	if _, _, err := c.s.BuildSpliceInto(cur, c.nextOp(t, cur), cur); err == nil {
+		t.Error("a version was accepted as its own destination")
+	}
+	if err := c.s.Commit(base, cur); err != nil {
+		t.Fatal(err)
+	}
+	checkOracle(t, c.s.Doc(c.id))
+	if n := shared(backing(cur), backing(prev)); n != 0 {
+		t.Errorf("the published version shares %d arrays with the retired private one", n)
+	}
+	if base.Fingerprint() != before {
+		t.Error("the base version was modified")
+	}
 }
 
 // BenchmarkSpliceAfterHistory times one update on a fresh store and on one

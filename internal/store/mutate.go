@@ -111,7 +111,28 @@ type SpliceResult struct {
 // version d.Version()+1 that shares d's dictionaries. The heavy work runs
 // outside every lock — pass the result to Commit to publish it.
 func (s *Store) BuildSplice(d *Doc, op SpliceOp) (*Doc, SpliceResult, error) {
+	return s.BuildSpliceInto(d, op, nil)
+}
+
+// BuildSpliceInto is BuildSplice with a destination: the columns, the
+// postings indexes and the catalog of the new version are written into the
+// arrays of dst where those are large enough, so a caller that splices a
+// chain of versions nobody else can see (WAL replay, mutate.Replay)
+// allocates a version's worth of memory twice instead of once per record.
+// dst is consumed — its contents are unspecified afterwards, also when an
+// error is returned — so it must be a version the caller built and owns:
+// never one that was published, pinned or mapped, and never d. Every
+// element of every array is written (block copies around the gap, the
+// fragment into it), so nothing is cleared first. An array dst cannot hold —
+// an empty &Doc{} holds none — is allocated with an eighth of slack, which
+// is what stops a chain on a growing document from allocating again at
+// every record. A nil dst allocates every array at its exact size, as
+// BuildSplice always has.
+func (s *Store) BuildSpliceInto(d *Doc, op SpliceOp, dst *Doc) (*Doc, SpliceResult, error) {
 	var res SpliceResult
+	if dst == d {
+		return nil, res, fmt.Errorf("%w: destination is the source version", ErrBadSplice)
+	}
 	n := int32(d.Len())
 	P, d0, d1 := op.Parent, op.At, op.DelEnd
 	if P < 0 || P >= n || xmltree.Kind(d.c.kind[P]) != xmltree.Element {
@@ -148,19 +169,24 @@ func (s *Store) BuildSplice(d *Doc, op SpliceOp) (*Doc, SpliceResult, error) {
 	shift := m - delN
 	res.NodesRemoved, res.NodesAdded = int(delN), int(m)
 
+	var into Doc // the arrays to write into; all nil without a destination
+	slack := dst != nil
+	if slack {
+		into = *dst
+	}
 	nd := &Doc{
 		name:  d.name,
 		id:    d.id,
 		shard: d.shard,
 		c: cols{
-			start:      identity(int(n + shift)),
-			end:        gapped(d.c.end, d0, d1, m),
-			level:      gapped(d.c.level, d0, d1, m),
-			parent:     gapped(d.c.parent, d0, d1, m),
-			firstChild: gapped(d.c.firstChild, d0, d1, m),
-			kind:       gapped(d.c.kind, d0, d1, m),
-			tag:        gapped(d.c.tag, d0, d1, m),
-			val:        gapped(d.c.val, d0, d1, m),
+			start:      identity(into.c.start, int(n+shift), slack),
+			end:        gapped(into.c.end, d.c.end, d0, d1, m, slack),
+			level:      gapped(into.c.level, d.c.level, d0, d1, m, slack),
+			parent:     gapped(into.c.parent, d.c.parent, d0, d1, m, slack),
+			firstChild: gapped(into.c.firstChild, d.c.firstChild, d0, d1, m, slack),
+			kind:       gapped(into.c.kind, d.c.kind, d0, d1, m, slack),
+			tag:        gapped(into.c.tag, d.c.tag, d0, d1, m, slack),
+			val:        gapped(into.c.val, d.c.val, d0, d1, m, slack),
 		},
 		tags:    d.tags,
 		vals:    d.vals,
@@ -270,30 +296,48 @@ func (s *Store) BuildSplice(d *Doc, op SpliceOp) (*Doc, SpliceResult, error) {
 	}
 
 	// Incremental index maintenance: merge, never rebuild.
-	nd.tagDir, nd.tagPost = spliceIndex(d.tagDir, d.tagPost, d.c.tag, nd.c.tag, 0, d0, d1, m, shift)
-	nd.valDir, nd.valPost = spliceIndex(d.valDir, d.valPost, d.c.val, nd.c.val, 1, d0, d1, m, shift)
+	nd.tagDir, nd.tagPost = spliceIndex(into.tagDir, into.tagPost, d.tagDir, d.tagPost, d.c.tag, nd.c.tag, 0, d0, d1, m, shift, slack)
+	nd.valDir, nd.valPost = spliceIndex(into.valDir, into.valPost, d.valDir, d.valPost, d.c.val, nd.c.val, 1, d0, d1, m, shift, slack)
 
 	// Incremental statistics: delta counts against the old catalog.
 	if err := faultinject.Hit(faultinject.PointMutateStatsDelta); err != nil {
 		return nil, res, err
 	}
-	nd.stats, res.StatsDeltas = spliceStats(d, nd, d0, d1, m)
+	nd.stats, res.StatsDeltas = spliceStats(into.stats, slack, d, nd, d0, d1, m)
 	return nd, res, nil
 }
 
-// gapped returns old[:d0] ++ m unspecified elements ++ old[d1:] in a fresh
-// array: the block copy every column of a splice starts from.
-func gapped[T any](old []T, d0, d1, m int32) []T {
-	out := make([]T, int32(len(old))+m-(d1-d0))
+// sized returns n elements of unspecified content: dst's array when it can
+// hold them, otherwise a fresh one, exact or with an eighth of slack
+// (BuildSpliceInto).
+func sized[T any](dst []T, n int, slack bool) []T {
+	switch {
+	case cap(dst) >= n:
+		return dst[:n]
+	case slack:
+		return make([]T, n, n+n/8)
+	}
+	return make([]T, n)
+}
+
+// gapped returns old[:d0] ++ m unspecified elements ++ old[d1:], in dst's
+// array or a fresh one (sized): the block copy every column of a splice
+// starts from.
+func gapped[T any](dst, old []T, d0, d1, m int32, slack bool) []T {
+	out := sized(dst, len(old)+int(m-(d1-d0)), slack)
 	copy(out, old[:d0])
 	copy(out[d0+m:], old[d1:])
 	return out
 }
 
 // identity returns the start column of an n-node document: start == ordinal.
-func identity(n int) []int32 {
-	out := make([]int32, n)
-	for i := range out {
+// A destination's start column is one already, as far as it goes.
+func identity(dst []int32, n int, slack bool) []int32 {
+	out, from := sized(dst, n, slack), 0
+	if cap(dst) >= n {
+		from = min(len(dst), n)
+	}
+	for i := from; i < n; i++ {
 		out[i] = int32(i)
 	}
 	return out
@@ -332,8 +376,10 @@ type posting struct {
 // ++ suffix (old ordinals >= d1, shifted) — each part is already sorted and
 // the parts are disjoint ascending ranges, so the merge is pure
 // concatenation; entries that end up empty are dropped, exactly as a fresh
-// build would never create them.
-func spliceIndex(oldDir []dirEntry, oldPost []int32, oldCol, newCol []uint32, bias uint32, d0, d1, m, shift int32) ([]dirEntry, []int32) {
+// build would never create them. The directory and the postings array are
+// written into dstDir's and dstPost's arrays where those are large enough
+// (sized).
+func spliceIndex(dstDir []dirEntry, dstPost []int32, oldDir []dirEntry, oldPost []int32, oldCol, newCol []uint32, bias uint32, d0, d1, m, shift int32, slack bool) ([]dirEntry, []int32) {
 	touched := make([]posting, 0, d1-d0+m)
 	for _, v := range oldCol[d0:d1] {
 		if v >= bias { // val column: 0 means "no content"
@@ -350,8 +396,8 @@ func spliceIndex(oldDir []dirEntry, oldPost []int32, oldCol, newCol []uint32, bi
 	// Stable by ID keeps each ID's fragment ordinals ascending.
 	slices.SortStableFunc(touched, func(a, b posting) int { return cmp.Compare(a.id, b.id) })
 
-	dir := make([]dirEntry, 0, len(oldDir)+added)
-	post := make([]int32, len(oldPost)-removed+added)
+	dir := sized(dstDir, len(oldDir)+added, slack)[:0]
+	post := sized(dstPost, len(oldPost)-removed+added, slack)
 	w := 0 // postings written
 	// shifted writes old postings that all survive: at or past the deleted
 	// range they move with the block.
@@ -490,9 +536,19 @@ func (a *statsDelta) node(c *cols, i int32, sign int32) {
 // splice removed or added, and then by whether another holder exists
 // before and after (Doc.holds: the shorter of the two postings lists); a
 // level bound only widens on insert, and is rescanned only when a deleted
-// node sat on it. The second result counts the individual adjustments.
-func spliceStats(old, nd *Doc, d0, d1, m int32) (*docStats, int) {
-	a := statsDelta{vals: make(map[[2]uint32]uint8)}
+// node sat on it. The arrays are built in those of dst, a destination's
+// catalog, where they fit, and with keep the adjustment lists stay with the
+// new catalog, emptied, for the splice that recycles it in turn. The second
+// result counts the individual adjustments.
+func spliceStats(dst *docStats, keep bool, old, nd *Doc, d0, d1, m int32) (*docStats, int) {
+	if dst == nil {
+		dst = new(docStats)
+	}
+	a := &dst.scratch
+	a.tags, a.child, a.desc, a.n = a.tags[:0], a.child[:0], a.desc[:0], 0
+	if a.vals == nil {
+		a.vals = make(map[[2]uint32]uint8)
+	}
 	for i := d0; i < d1; i++ {
 		a.node(&old.c, i, -1)
 	}
@@ -518,12 +574,16 @@ func spliceStats(old, nd *Doc, d0, d1, m int32) (*docStats, int) {
 	st := &docStats{
 		rootTag: old.stats.rootTag,
 		nodes:   old.stats.nodes + int(m) - int(d1-d0),
-		tags:    mergeTagStats(old.stats.tags, a.tags, nd),
-		child:   mergePairs(old.stats.child, a.child),
-		desc:    mergePairs(old.stats.desc, a.desc),
+		tags:    mergeTagStats(dst.tags, old.stats.tags, a.tags, nd),
+		child:   mergePairs(dst.child, old.stats.child, a.child),
+		desc:    mergePairs(dst.desc, old.stats.desc, a.desc),
 	}
 	for _, ts := range st.tags {
 		st.depth = max(st.depth, ts.MaxLevel)
+	}
+	if keep {
+		clear(a.vals)
+		st.scratch = *a
 	}
 	return st, a.n
 }
@@ -552,11 +612,12 @@ func (d *Doc) holds(tag, val uint32) bool {
 }
 
 // mergeTagStats applies the adjustments to the old per-tag summaries
-// (sorted by tag ID) and returns the new array; nd is the spliced document,
-// already indexed, for the level rescans.
-func mergeTagStats(old []tagStatRec, deltas []tagDelta, nd *Doc) []tagStatRec {
+// (sorted by tag ID) and returns the new array, built in dst's when that is
+// large enough; nd is the spliced document, already indexed, for the level
+// rescans.
+func mergeTagStats(dst, old []tagStatRec, deltas []tagDelta, nd *Doc) []tagStatRec {
 	slices.SortFunc(deltas, func(a, b tagDelta) int { return cmp.Compare(a.Tag, b.Tag) })
-	out := make([]tagStatRec, 0, len(old)+len(deltas))
+	out := slices.Grow(dst[:0], len(old)+len(deltas))
 	i := 0
 	for k := 0; k < len(deltas); {
 		dl := deltas[k]
@@ -599,11 +660,12 @@ func mergeTagStats(old []tagStatRec, deltas []tagDelta, nd *Doc) []tagStatRec {
 }
 
 // mergePairs applies the adjustments to an old pair array (sorted by
-// (Up, Down)) and returns the new one; pairs whose count reaches zero are
-// dropped, exactly as a fresh build would never create them.
-func mergePairs(old, deltas []pairRec) []pairRec {
+// (Up, Down)) and returns the new one, built in dst's array when that is
+// large enough; pairs whose count reaches zero are dropped, exactly as a
+// fresh build would never create them.
+func mergePairs(dst, old, deltas []pairRec) []pairRec {
 	slices.SortFunc(deltas, cmpPair)
-	out := make([]pairRec, 0, len(old)+len(deltas))
+	out := slices.Grow(dst[:0], len(old)+len(deltas))
 	i := 0
 	for k := 0; k < len(deltas); {
 		r := deltas[k]

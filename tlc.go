@@ -488,12 +488,17 @@ type WALReplayStats struct {
 // for a snapshot-opened database, the SnapshotUpdateGen watermark — and
 // installs the log as the store's commit hook: from then on every update
 // is appended and (per the fsync policy) synced before its directory swap
-// publishes it. Replay goes through the same resolve/splice/commit path
-// as live traffic; each replayed record must land at exactly its logged
-// sequence number, so recovery reproduces the pre-crash store
-// byte-for-byte. A torn tail is repaired by truncation (counted in the
-// returned stats); mid-log corruption aborts with ErrWALCorrupt and
-// nothing is installed.
+// publishes it. Replay resolves, validates and splices each record exactly
+// as live traffic does, but on versions private to the replay
+// (mutate.Replay): every record must follow the sequence numbers before it,
+// every touched document is published once, when the log is exhausted, and
+// the update generation then equals the last record's sequence number — so
+// recovery reproduces the pre-crash store byte-for-byte, a query running
+// during it reads the state the database was opened with, and a replay that
+// fails installs nothing: no document version, no generation, no log. A
+// torn tail is repaired by truncation (counted in the returned stats);
+// mid-log corruption aborts with ErrWALCorrupt, a record that does not
+// re-apply with ErrWALReplay.
 func (db *Database) AttachWAL(o WALOptions) (WALReplayStats, error) {
 	var stats WALReplayStats
 	if db.wal != nil {
@@ -511,9 +516,10 @@ func (db *Database) AttachWAL(o WALOptions) (WALReplayStats, error) {
 		return stats, err
 	}
 	start := time.Now()
-	watermark := db.st.UpdateGeneration()
+	rp := mutate.NewReplay(db.st)
+	defer rp.Close()
 	nApplied, nSkipped := 0, 0
-	_, nSkipped, err = lg.Replay(watermark, func(rec wal.Record) error {
+	_, nSkipped, err = lg.Replay(db.st.UpdateGeneration(), func(rec wal.Record) error {
 		if err := faultinject.Hit(faultinject.PointRecoverReplay); err != nil {
 			return err
 		}
@@ -521,17 +527,8 @@ func (db *Database) AttachWAL(o WALOptions) (WALReplayStats, error) {
 		if err != nil {
 			return err
 		}
-		// A checkpoint loaded mid-log can leave a deliberate gap between
-		// the store's generation and the next record; re-align so the
-		// replayed commit lands at exactly its logged sequence number.
-		if g := db.st.UpdateGeneration(); g+1 < rec.Seq {
-			db.st.AdvanceUpdateGen(rec.Seq - 1)
-		}
-		if _, err := mutate.Apply(context.Background(), db.st, req); err != nil {
+		if _, err := rp.Apply(context.Background(), rec.Seq, req); err != nil {
 			return err
-		}
-		if got := db.st.UpdateGeneration(); got != rec.Seq {
-			return fmt.Errorf("replayed record %d committed at generation %d", rec.Seq, got)
 		}
 		nApplied++
 		if o.OnProgress != nil {
@@ -539,6 +536,9 @@ func (db *Database) AttachWAL(o WALOptions) (WALReplayStats, error) {
 		}
 		return nil
 	})
+	if err == nil {
+		err = rp.Publish()
+	}
 	stats.Applied, stats.Skipped = nApplied, nSkipped
 	if err != nil {
 		lg.Close()
