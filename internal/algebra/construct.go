@@ -41,7 +41,8 @@ func (c *Construct) eval(ctx *Context, in []seq.Seq) (seq.Seq, error) {
 		out := make(seq.Seq, 0, len(chunk))
 		for _, t := range chunk {
 			nt := ctx.arena.NewTree(nil)
-			roots, err := buildConstruct(ctx.arena, ctx.Store, t, nt, c.Pattern)
+			cn := construction{a: ctx.arena, st: ctx.Store, t: t, nt: nt}
+			roots, err := cn.build(c.Pattern)
 			if err != nil {
 				return nil, err
 			}
@@ -64,11 +65,23 @@ func (c *Construct) eval(ctx *Context, in []seq.Seq) (seq.Seq, error) {
 	})
 }
 
-// buildConstruct evaluates one construct node against input tree t,
-// returning the nodes it produces and registering classes in nt. Fresh
-// nodes come out of the arena a — construction is where TLC pays its
-// deferred materialization cost, so it is the allocation-heaviest spot.
-func buildConstruct(a *seq.Arena, st *store.Store, t *seq.Tree, nt *seq.Tree, c *pattern.ConstructNode) ([]*seq.Node, error) {
+// construction is the state of building one output tree nt from one input
+// tree t. Fresh nodes come out of the arena a — construction is where TLC
+// pays its deferred materialization cost, so it is the allocation-heaviest
+// spot.
+type construction struct {
+	a     *seq.Arena
+	st    *store.Store
+	t, nt *seq.Tree
+	// classOf is the reverse class table of t (node → labels, ascending),
+	// built the first time a copied subtree has labels to carry.
+	classOf map[*seq.Node][]int
+}
+
+// build evaluates one construct node against the input tree, returning the
+// nodes it produces and registering classes in the output tree.
+func (cn *construction) build(c *pattern.ConstructNode) ([]*seq.Node, error) {
+	a, st, t, nt := cn.a, cn.st, cn.t, cn.nt
 	switch c.Kind {
 	case pattern.ConstructElement:
 		el := a.TempElement(c.Tag)
@@ -84,7 +97,7 @@ func buildConstruct(a *seq.Arena, st *store.Store, t *seq.Tree, nt *seq.Tree, c 
 			seq.Attach(el, a.TempAttr(at.Name, val))
 		}
 		for _, ch := range c.Children {
-			kids, err := buildConstruct(a, st, t, nt, ch)
+			kids, err := cn.build(ch)
 			if err != nil {
 				return nil, err
 			}
@@ -101,7 +114,7 @@ func buildConstruct(a *seq.Arena, st *store.Store, t *seq.Tree, nt *seq.Tree, c 
 		members := t.Class(c.FromLCL)
 		outs := make([]*seq.Node, 0, len(members))
 		for _, m := range members {
-			cp := copyForOutput(a, st, t, nt, m)
+			cp := cn.copyForOutput(m)
 			if c.NewLCL > 0 {
 				nt.AddToClass(c.NewLCL, cp)
 			}
@@ -133,22 +146,26 @@ func buildConstruct(a *seq.Arena, st *store.Store, t *seq.Tree, nt *seq.Tree, c 
 // output tree: store references are materialized from the store, temporary
 // nodes (earlier construct results) are deep-copied, carrying their class
 // labels along so outer blocks can keep referencing them.
-func copyForOutput(a *seq.Arena, st *store.Store, t *seq.Tree, nt *seq.Tree, n *seq.Node) *seq.Node {
+func (cn *construction) copyForOutput(n *seq.Node) *seq.Node {
 	if n.IsStore() && !n.Full {
-		return seq.MaterializeIn(a, st, n.Doc, n.Ord)
+		return seq.MaterializeIn(cn.a, cn.st, n.Doc, n.Ord)
 	}
-	// Reverse class lookup for carried labels.
-	classOf := make(map[*seq.Node][]int)
-	for _, lcl := range t.Classes() {
-		for _, m := range t.ClassAll(lcl) {
-			classOf[m] = append(classOf[m], lcl)
+	cp, nm := seq.CopySubtree(cn.a, n)
+	if len(n.Kids) == 0 {
+		return cp // the reference root's own class is set by the caller
+	}
+	if cn.classOf == nil {
+		cn.classOf = make(map[*seq.Node][]int)
+		for _, lcl := range cn.t.Classes() {
+			for _, m := range cn.t.ClassAll(lcl) {
+				cn.classOf[m] = append(cn.classOf[m], lcl)
+			}
 		}
 	}
-	cp, nm := seq.CopySubtree(a, n)
 	n.Walk(func(x *seq.Node) bool {
-		if x != n { // the reference root's own class is set by the caller
-			for _, lcl := range classOf[x] {
-				nt.AddToClass(lcl, nm.Get(x))
+		if x != n {
+			for _, lcl := range cn.classOf[x] {
+				cn.nt.AddToClass(lcl, nm.Get(x))
 			}
 		}
 		return true

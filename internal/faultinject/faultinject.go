@@ -52,8 +52,8 @@ const (
 	PointStructJoin = "physical.structjoin"
 	// PointValueJoin fires on entry of every value/cartesian join.
 	PointValueJoin = "physical.valuejoin"
-	// PointMatcher fires when a matcher builds the partial-match set of a
-	// pattern node — the allocation-heaviest matching step.
+	// PointMatcher fires when a matcher computes the ordinal vector of a
+	// pattern node — once per (document, pattern node) and matcher.
 	PointMatcher = "physical.matcher"
 	// PointPlanCacheFill fires when the plan cache compiles on a miss.
 	PointPlanCacheFill = "plancache.fill"

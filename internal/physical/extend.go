@@ -32,31 +32,45 @@ func SetMaxAlternatives(n int) (restore func()) {
 type ExplosionError struct {
 	// Limit is the bound that was exceeded.
 	Limit int
-	// Anchor reports whether the per-anchor cross product (rather than the
-	// per-tree witness expansion) overflowed.
-	Anchor bool
 }
 
 func (e *ExplosionError) Error() string {
-	if e.Anchor {
-		return fmt.Sprintf("physical: anchor alternatives explode past %d", e.Limit)
-	}
 	return fmt.Sprintf("physical: extension match explodes past %d witness trees", e.Limit)
 }
 
-// attachment is one branch to add under an anchor node: either a fresh
-// partial matched in the store (branch) or an existing in-memory node of
-// the input tree that merely gets classified (existing).
-type attachment struct {
-	branch   *partial
-	existing *seq.Node
-	classes  []classEntry // classes for existing-node attachments
+// site is one anchor node of an input tree together with the alternatives
+// the extension pattern has there. A stored anchor's alternatives are the
+// states of an odometer over the anchor's vec; a temporary anchor's are
+// lists of labels for nodes the tree already holds.
+type site struct {
+	a   *seq.Node
+	n   int // number of alternatives, at least 1
+	v   *vec
+	od  odometer
+	mem [][]label
+	cur int // index into mem
 }
 
-// alternative is one way of satisfying all edges of the anchor pattern for
-// a single anchor node.
-type alternative struct {
-	attachments []attachment
+// label is one classification an in-memory match makes: nothing is
+// attached, a node of the input tree joins a class.
+type label struct {
+	lcl  int
+	node *seq.Node
+}
+
+// advance moves the site to its next alternative; false after the last.
+func (s *site) advance() bool {
+	if s.v != nil {
+		return s.od.next()
+	}
+	s.cur++
+	return s.cur < len(s.mem)
+}
+
+// rewind puts the site back on its first alternative.
+func (s *site) rewind() {
+	s.cur = 0
+	s.od.reset(0)
 }
 
 // MatchExtend evaluates an extension APT — a pattern anchored at an
@@ -66,11 +80,13 @@ type alternative struct {
 // into several witness trees, "?"/"*" edges let trees without matches
 // through, and a failed "-"/"+" edge at any anchor drops the tree.
 //
-// Anchors that reference stored nodes are extended by probing the store
-// indexes within the anchor's interval (new branches are attached to the
-// tree). Anchors that are temporary nodes — constructed intermediate
-// results — are matched against their in-memory children instead, and
-// matching nodes are classified in place.
+// An anchor that references a stored node is tested against the vectors of
+// the pattern's edges (one binary search each) and, if it passes, gets the
+// matching branches built and attached below it — nothing is built for an
+// anchor that fails, or for a stored node no input tree anchors at. Anchors
+// that are temporary nodes — constructed intermediate results — are matched
+// against their in-memory children instead, and matching nodes are
+// classified in place.
 func (m *Matcher) MatchExtend(ctx context.Context, input seq.Seq, apt *pattern.Tree) (seq.Seq, error) {
 	if err := apt.Validate(); err != nil {
 		return nil, err
@@ -79,454 +95,247 @@ func (m *Matcher) MatchExtend(ctx context.Context, input seq.Seq, apt *pattern.T
 	if anchor.Kind != pattern.TestLC {
 		return nil, fmt.Errorf("physical: MatchExtend needs a logical-class anchor, got kind %d", anchor.Kind)
 	}
+	x := extender{builder: builder{m: m, ctx: ctx, slab: m.arena.Hold()}, anchor: anchor}
+	defer m.arena.Release(x.slab)
 	out := make(seq.Seq, 0, len(input))
 	for i, t := range input {
 		if err := poll(ctx, i); err != nil {
 			return nil, err
 		}
-		trees, err := m.extendTree(ctx, t, anchor)
-		if err != nil {
+		var err error
+		if out, err = x.extend(out, t); err != nil {
 			return nil, err
 		}
-		out = append(out, trees...)
 	}
 	return out, nil
 }
 
-func (m *Matcher) extendTree(ctx context.Context, t *seq.Tree, anchor *pattern.Node) (seq.Seq, error) {
-	anchors := t.Class(anchor.InClass)
-	if len(anchors) == 0 {
-		// Nothing to anchor at: the pattern is vacuously satisfied and the
-		// tree passes through unchanged.
-		return seq.Seq{t}, nil
+// extender is the state of one MatchExtend call.
+type extender struct {
+	builder
+	anchor *pattern.Node
+	av     *vec   // the anchor's vec in the document of the last stored anchor
+	sites  []site // reused from tree to tree
+}
+
+// enter points the builder and x.av at the document of stored anchor a.
+func (x *extender) enter(a *seq.Node) error {
+	if x.d != nil && x.doc == a.Doc {
+		return nil
 	}
-	// Per anchor node, the set of alternatives; the tree's alternatives are
-	// the cross product (each anchor must be satisfied in every witness).
-	perAnchor := make([][]alternative, len(anchors))
+	av, err := x.m.vector(x.ctx, a.Doc, x.anchor)
+	if err != nil {
+		return err
+	}
+	x.av, x.doc, x.d = av, a.Doc, x.m.st.Doc(a.Doc)
+	return nil
+}
+
+// extend appends to out the witness trees t extends into: none when some
+// anchor fails a required edge, t itself when the anchored class is empty
+// (the pattern is vacuously satisfied) or when there is a single
+// combination and this operator owns t, otherwise one tree per combination
+// of the anchors' alternatives — every anchor is extended in every witness.
+func (x *extender) extend(out seq.Seq, t *seq.Tree) (seq.Seq, error) {
+	anchors := t.Class(x.anchor.InClass)
+	if len(anchors) == 0 {
+		return append(out, t), nil
+	}
+	x.sites, x.digits = x.sites[:0], x.digits[:0]
 	total := 1
-	for i, a := range anchors {
-		alts, err := m.anchorAlternatives(ctx, a, anchor)
-		if err != nil {
-			return nil, err
+	for _, a := range anchors {
+		s := site{a: a, n: 1}
+		if a.IsStore() {
+			if err := x.enter(a); err != nil {
+				return nil, err
+			}
+			if !x.av.holds(x.d, a.Ord) {
+				return out, nil
+			}
+			s.v, s.od = x.av, x.odometer(x.av, a.Ord)
+			s.od.reset(0) // holds: every required digit finds a relative
+			for total*s.n <= maxAlternatives && s.od.next() {
+				s.n++
+			}
+			s.od.reset(0)
+		} else {
+			var err error
+			if s.mem, err = x.m.memAlts(x.ctx, a, x.anchor); err != nil {
+				return nil, err
+			}
+			if s.n = len(s.mem); s.n == 0 {
+				return out, nil
+			}
 		}
-		if len(alts) == 0 {
-			return nil, nil // some anchor cannot satisfy a required edge
-		}
-		perAnchor[i] = alts
-		total *= len(alts)
-		if total > maxAlternatives {
+		if total *= s.n; total > maxAlternatives {
 			return nil, &ExplosionError{Limit: maxAlternatives}
 		}
+		x.sites = append(x.sites, s)
 	}
-	// Fast path: a single combination (all edges nested or unique) extends
-	// the tree in place when this operator owns it — extension selects over
-	// "*" edges are the common case (RETURN paths). A frozen tree is shared
-	// with another consumer, so MutableWithMapping copies it first and the
-	// anchors and existing-node targets are re-located through the mapping.
-	if total == 1 {
-		nt, nm := t.MutableWithMapping()
-		for i, a := range anchors {
-			alt := perAnchor[i][0]
-			target := nm.Get(a)
-			if anchor.LCL > 0 && anchor.LCL != anchor.InClass {
-				nt.AddToClass(anchor.LCL, target)
-			}
-			for _, att := range alt.attachments {
-				if att.existing != nil {
-					ex := nm.Get(att.existing)
-					for _, c := range att.classes {
-						nt.AddToClass(c.lcl, ex)
-					}
-					continue
-				}
-				b := m.take(att.branch)
-				seq.Attach(target, b.root)
-				for _, c := range b.classes {
-					nt.AddToClass(c.lcl, c.node)
-				}
-			}
-		}
-		return seq.Seq{nt}, nil
-	}
-	// Enumerate the cross product; each combination yields one witness built
-	// on its own copy of the tree — except the last combination, which
-	// consumes the original when this operator owns it (t itself is never
-	// mutated before that point).
-	combo := make([]int, len(anchors))
-	var out seq.Seq
-	for {
-		if err := poll(ctx, len(out)); err != nil {
+	// A frozen tree is shared with another consumer: it is copied before it
+	// is extended, and the anchors and labelled nodes are re-located through
+	// the mapping. An owned tree is extended in place by its last (usually
+	// its only) combination — extension selects over "*" edges, the RETURN
+	// paths, are the common case.
+	for combo := 1; ; combo++ {
+		if err := poll(x.ctx, combo-1); err != nil {
 			return nil, err
 		}
-		last := true
-		for i := range combo {
-			if combo[i] < len(perAnchor[i])-1 {
-				last = false
-				break
+		nm := seq.NodeMap{}
+		if x.t = t; combo < total || t.Frozen() {
+			x.t, nm = t.CloneWithMapping()
+		}
+		for i := range x.sites {
+			if err := x.apply(&x.sites[i], nm); err != nil {
+				return nil, err
 			}
 		}
-		nt, mapping := t, seq.NodeMap{}
-		if !last || t.Frozen() {
-			nt, mapping = t.CloneWithMapping()
-		}
-		for i, a := range anchors {
-			alt := perAnchor[i][combo[i]]
-			target := mapping.Get(a)
-			if anchor.LCL > 0 && anchor.LCL != anchor.InClass {
-				nt.AddToClass(anchor.LCL, target)
-			}
-			for _, att := range alt.attachments {
-				if att.existing != nil {
-					ex := mapping.Get(att.existing)
-					for _, c := range att.classes {
-						nt.AddToClass(c.lcl, ex)
-					}
-					continue
-				}
-				b := m.take(att.branch)
-				seq.Attach(target, b.root)
-				for _, c := range b.classes {
-					nt.AddToClass(c.lcl, c.node)
-				}
-			}
-		}
-		out = append(out, nt)
-		// Advance the combination odometer.
-		i := len(combo) - 1
-		for ; i >= 0; i-- {
-			combo[i]++
-			if combo[i] < len(perAnchor[i]) {
-				break
-			}
-			combo[i] = 0
+		out = append(out, x.t)
+		i := len(x.sites) - 1
+		for ; i >= 0 && !x.sites[i].advance(); i-- {
+			x.sites[i].rewind()
 		}
 		if i < 0 {
-			break
+			return out, nil
 		}
 	}
-	return out, nil
 }
 
-// anchorAlternatives computes the ways the anchor pattern's edges can be
-// satisfied at one concrete anchor node. An empty result means a required
-// edge has no match.
-func (m *Matcher) anchorAlternatives(ctx context.Context, a *seq.Node, anchor *pattern.Node) ([]alternative, error) {
-	var alts []alternative
-	first := true
-	var seenGroups map[int]bool
-	for _, e := range anchor.Edges {
-		// Logical (OR/NOT) edges are existence tests during extension: a
-		// NOT edge is an anti-join that kills the anchor when its subtree
-		// matches, an OR group passes when at least one member does.
-		// Neither contributes attachments or alternatives.
-		if e.Group > 0 {
-			if seenGroups[e.Group] {
-				continue
-			}
-			if seenGroups == nil {
-				seenGroups = make(map[int]bool)
-			}
-			seenGroups[e.Group] = true
-			pass := false
-			for _, ge := range memberEdges(anchor, e.Group) {
-				exists, err := m.edgeExists(ctx, a, ge)
-				if err != nil {
-					return nil, err
-				}
-				if exists != ge.Not {
-					pass = true
-					break
-				}
-			}
-			if !pass {
-				return nil, nil
+// apply extends the builder's tree at one anchor with the site's current
+// alternative.
+func (x *extender) apply(s *site, nm seq.NodeMap) error {
+	target := nm.Get(s.a)
+	if lcl := x.anchor.LCL; lcl != x.anchor.InClass {
+		x.t.AddToClass(lcl, target)
+	}
+	if s.v == nil {
+		for _, l := range s.mem[s.cur] {
+			x.t.AddToClass(l.lcl, nm.Get(l.node))
+		}
+		return nil
+	}
+	if err := x.enter(s.a); err != nil {
+		return err
+	}
+	x.kids(s.v, s.a.Ord, target, &s.od, 0)
+	return x.err
+}
+
+// memAlts matches the plain and logical edges of p below the in-memory node
+// n (already known to satisfy p's own test) and returns the alternatives,
+// each the list of labels it adds below n; nil when a required, NOT or OR
+// edge fails. Deeper pattern levels are resolved in memory as well.
+func (m *Matcher) memAlts(ctx context.Context, n *seq.Node, p *pattern.Node) ([][]label, error) {
+	alts := [][]label{nil}
+	for i, e := range p.Edges {
+		if e.Logical() {
+			if ok, err := m.memLogical(ctx, n, p.Edges, i); err != nil || !ok {
+				return nil, err
 			}
 			continue
 		}
-		if e.Not {
-			exists, err := m.edgeExists(ctx, a, e)
+		var ms [][]label // what each match of the edge adds, in document order
+		for _, k := range relatives(n, e.Axis) {
+			sub, err := m.memMatch(ctx, k, e.To)
 			if err != nil {
 				return nil, err
 			}
-			if exists {
-				return nil, nil
+			for _, s := range sub {
+				if e.To.LCL > 0 {
+					s = append([]label{{e.To.LCL, k}}, s...)
+				}
+				ms = append(ms, s)
 			}
-			continue
 		}
-		var edgeAlts []alternative
-		var err error
-		if a.IsStore() {
-			edgeAlts, err = m.storeEdgeAlternatives(ctx, a, e)
-		} else {
-			edgeAlts, err = m.memoryEdgeAlternatives(a, e)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if len(edgeAlts) == 0 {
+		switch {
+		case len(ms) == 0 && !e.Spec.Optional():
 			return nil, nil
-		}
-		// The first edge's alternatives are used as-is — the common anchor
-		// has exactly one edge, and copying its attachments per combination
-		// was a measurable share of the evaluator's allocations. Later
-		// edges take the cross product with what has accumulated.
-		if first {
-			alts = edgeAlts
-			first = false
-			continue
-		}
-		var next []alternative
-		for _, base := range alts {
-			for _, ea := range edgeAlts {
-				merged := alternative{attachments: append(append([]attachment(nil), base.attachments...), ea.attachments...)}
-				next = append(next, merged)
-				if len(next) > maxAlternatives {
-					return nil, &ExplosionError{Limit: maxAlternatives, Anchor: true}
+		case len(ms) == 0:
+		case e.Spec.Nested():
+			for j := range alts {
+				for _, s := range ms {
+					alts[j] = append(alts[j], s...)
 				}
 			}
+		default:
+			next := make([][]label, 0, len(alts)*len(ms))
+			for _, a := range alts {
+				for _, s := range ms {
+					next = append(next, append(a[:len(a):len(a)], s...))
+				}
+			}
+			if alts = next; len(alts) > maxAlternatives {
+				return nil, &ExplosionError{Limit: maxAlternatives}
+			}
 		}
-		alts = next
-	}
-	if first {
-		// No edges at all: the anchor is vacuously satisfied once.
-		return []alternative{{}}, nil
 	}
 	return alts, nil
 }
 
-// edgeExists reports whether one pattern edge (ignoring its logical
-// annotations and multiplicity) has at least one match below the anchor.
-// Store anchors probe the cached per-node matches with a binary search;
-// memory anchors scan their in-memory children.
-func (m *Matcher) edgeExists(ctx context.Context, a *seq.Node, e pattern.Edge) (bool, error) {
-	pe := e
-	pe.Not, pe.Group, pe.Spec = false, 0, pattern.One
-	if a.IsStore() {
-		children, err := m.matchNode(ctx, a.Doc, pe.To)
+// memMatch is memAlts for a node not yet tested against p itself; a node
+// that is shadowed or fails p's test or predicate has no alternatives.
+func (m *Matcher) memMatch(ctx context.Context, k *seq.Node, p *pattern.Node) ([][]label, error) {
+	if k.Shadowed || !matchesTest(k, p) || !m.predHolds(k, p.Pred) {
+		return nil, nil
+	}
+	return m.memAlts(ctx, k, p)
+}
+
+// memLogical decides the logical unit edge i of edges belongs to, below the
+// in-memory node n: a NOT edge holds when its subtree has no match, an OR
+// group — decided once, at its first member — when some member holds.
+func (m *Matcher) memLogical(ctx context.Context, n *seq.Node, edges []pattern.Edge, i int) (bool, error) {
+	if edges[i].Group == 0 {
+		found, err := m.memExists(ctx, n, edges[i])
+		return !found, err
+	}
+	if !opensGroup(edges, i) {
+		return true, nil
+	}
+	for _, e := range edges[i:] {
+		if e.Group != edges[i].Group {
+			continue
+		}
+		if found, err := m.memExists(ctx, n, e); err != nil || found != e.Not {
+			return err == nil, err
+		}
+	}
+	return false, nil
+}
+
+// memExists reports whether edge e, taken as a bare existence test, has a
+// match below n. A stored node inside a constructed tree is probed in the
+// store; a temporary one through its in-memory relatives.
+func (m *Matcher) memExists(ctx context.Context, n *seq.Node, e pattern.Edge) (bool, error) {
+	if n.IsStore() {
+		cv, err := m.vector(ctx, n.Doc, e.To)
 		if err != nil {
 			return false, err
 		}
-		d := m.st.Doc(a.Doc)
-		ms, _ := structuralMatches(d, a.Ord, children, pe.Axis, nil)
-		return len(ms) > 0, nil
+		return related(m.st.Doc(n.Doc), cv.ords, n.Ord, e.Axis), nil
 	}
-	alts, err := m.memoryEdgeAlternatives(a, pe)
-	if err != nil {
-		return false, err
+	for _, k := range relatives(n, e.Axis) {
+		if sub, err := m.memMatch(ctx, k, e.To); err != nil || len(sub) > 0 {
+			return err == nil, err
+		}
 	}
-	return len(alts) > 0, nil
+	return false, nil
 }
 
-// storeEdgeAlternatives matches one pattern edge below a stored anchor by
-// probing the store within the anchor's interval.
-func (m *Matcher) storeEdgeAlternatives(ctx context.Context, a *seq.Node, e pattern.Edge) ([]alternative, error) {
-	children, err := m.matchNode(ctx, a.Doc, e.To)
-	if err != nil {
-		return nil, err
+// relatives returns the in-memory children or descendants of n, shadowed
+// ones included, in document order.
+func relatives(n *seq.Node, axis pattern.Axis) []*seq.Node {
+	if axis == pattern.Child {
+		return n.Kids
 	}
-	d := m.st.Doc(a.Doc)
-	ms, _ := structuralMatches(d, a.Ord, children, e.Axis, nil)
-	return specAlternatives(ms, e.Spec), nil
-}
-
-// memoryEdgeAlternatives matches one pattern edge below a temporary anchor
-// by scanning the anchor's in-memory children, classifying matches in
-// place. Deeper pattern levels below the matched child are resolved in
-// memory as well.
-func (m *Matcher) memoryEdgeAlternatives(a *seq.Node, e pattern.Edge) ([]alternative, error) {
-	var nodes []*seq.Node
-	collect := func(n *seq.Node) {
-		if n.Shadowed {
-			return
-		}
-		if matchesTest(n, e.To) && m.predHolds(n, e.To.Pred) {
-			nodes = append(nodes, n)
-		}
+	var out []*seq.Node
+	for _, k := range n.Kids {
+		k.Walk(func(x *seq.Node) bool {
+			out = append(out, x)
+			return true
+		})
 	}
-	if e.Axis == pattern.Child {
-		for _, k := range a.Kids {
-			collect(k)
-		}
-	} else {
-		for _, k := range a.Kids {
-			k.Walk(func(n *seq.Node) bool {
-				collect(n)
-				return true
-			})
-		}
-	}
-	var ms []*partial
-	for _, n := range nodes {
-		sub, err := m.memorySubMatch(n, e.To)
-		if err != nil {
-			return nil, err
-		}
-		ms = append(ms, sub...)
-	}
-	// In-memory matches attach nothing: they classify existing nodes.
-	var alts []alternative
-	mkAtt := func(p *partial) attachment {
-		att := attachment{existing: p.root, classes: p.classes}
-		return att
-	}
-	switch {
-	case e.Spec.Nested():
-		if len(ms) == 0 && !e.Spec.Optional() {
-			return nil, nil
-		}
-		alt := alternative{}
-		for _, p := range ms {
-			alt.attachments = append(alt.attachments, mkAtt(p))
-		}
-		return []alternative{alt}, nil
-	default:
-		if len(ms) == 0 {
-			if e.Spec.Optional() {
-				return []alternative{{}}, nil
-			}
-			return nil, nil
-		}
-		for _, p := range ms {
-			alts = append(alts, alternative{attachments: []attachment{mkAtt(p)}})
-		}
-		return alts, nil
-	}
-}
-
-// memorySubMatch matches the pattern subtree rooted at p against the
-// in-memory node n (already known to satisfy p's own test/predicate) and
-// returns the classified combinations. Attachments are in-memory nodes, so
-// the partial's root is n itself and classes reference existing nodes.
-func (m *Matcher) memorySubMatch(n *seq.Node, p *pattern.Node) ([]*partial, error) {
-	base := &partial{root: n, used: true} // never cloned; existing node
-	if p.LCL > 0 {
-		base.classes = append(base.classes, classEntry{lcl: p.LCL, node: n})
-	}
-	parts := []*partial{base}
-	var seenGroups map[int]bool
-	for _, e := range p.Edges {
-		// Logical edges gate all combinations at once: every partial here
-		// shares the same root node n, so existence is decided once.
-		if e.Group > 0 {
-			if seenGroups[e.Group] {
-				continue
-			}
-			if seenGroups == nil {
-				seenGroups = make(map[int]bool)
-			}
-			seenGroups[e.Group] = true
-			pass := false
-			for _, ge := range memberEdges(p, e.Group) {
-				exists, err := m.edgeExists(context.Background(), n, ge)
-				if err != nil {
-					return nil, err
-				}
-				if exists != ge.Not {
-					pass = true
-					break
-				}
-			}
-			if !pass {
-				return nil, nil
-			}
-			continue
-		}
-		if e.Not {
-			exists, err := m.edgeExists(context.Background(), n, e)
-			if err != nil {
-				return nil, err
-			}
-			if exists {
-				return nil, nil
-			}
-			continue
-		}
-		var next []*partial
-		for _, P := range parts {
-			var kids []*seq.Node
-			if e.Axis == pattern.Child {
-				kids = n.Kids
-			} else {
-				for _, k := range n.Kids {
-					k.Walk(func(x *seq.Node) bool {
-						kids = append(kids, x)
-						return true
-					})
-				}
-			}
-			var ms []*partial
-			for _, k := range kids {
-				if k.Shadowed || !matchesTest(k, e.To) || !m.predHolds(k, e.To.Pred) {
-					continue
-				}
-				sub, err := m.memorySubMatch(k, e.To)
-				if err != nil {
-					return nil, err
-				}
-				ms = append(ms, sub...)
-			}
-			switch {
-			case e.Spec.Nested():
-				if len(ms) == 0 && !e.Spec.Optional() {
-					continue
-				}
-				for _, C := range ms {
-					P.classes = append(P.classes, C.classes...)
-				}
-				next = append(next, P)
-			default:
-				if len(ms) == 0 {
-					if e.Spec.Optional() {
-						next = append(next, P)
-					}
-					continue
-				}
-				for _, C := range ms {
-					cp := &partial{root: P.root, used: true, classes: append(append([]classEntry(nil), P.classes...), C.classes...)}
-					next = append(next, cp)
-				}
-			}
-		}
-		parts = next
-	}
-	return parts, nil
-}
-
-// specAlternatives converts the matched partials of a store edge into
-// alternatives according to the edge's matching specification.
-func specAlternatives(ms []*partial, spec pattern.MSpec) []alternative {
-	switch {
-	case spec.Nested():
-		if len(ms) == 0 {
-			if spec.Optional() {
-				return []alternative{{}}
-			}
-			return nil
-		}
-		alt := alternative{}
-		for _, p := range ms {
-			alt.attachments = append(alt.attachments, attachment{branch: p})
-		}
-		return []alternative{alt}
-	default:
-		if len(ms) == 0 {
-			if spec.Optional() {
-				return []alternative{{}}
-			}
-			return nil
-		}
-		// One attachment backing array for all alternatives; the full-slice
-		// caps keep an append on one alternative's attachments (the cross
-		// product in anchorAlternatives copies instead) from spilling into
-		// the next one's slot.
-		atts := make([]attachment, len(ms))
-		alts := make([]alternative, len(ms))
-		for i, p := range ms {
-			atts[i] = attachment{branch: p}
-			alts[i] = alternative{attachments: atts[i : i+1 : i+1]}
-		}
-		return alts
-	}
+	return out
 }
 
 // matchesTest reports whether the in-memory node satisfies the pattern

@@ -2,6 +2,7 @@ package physical
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -211,5 +212,90 @@ func TestExtendRequiresLCAnchor(t *testing.T) {
 	m := NewMatcher(s)
 	if _, err := m.MatchExtend(context.Background(), nil, aTree()); err == nil {
 		t.Error("doc-rooted pattern accepted by MatchExtend")
+	}
+}
+
+// TestExtendTemporaryAnchorDeepPattern checks that a pattern two levels deep
+// below a constructed anchor classifies each level's own node.
+func TestExtendTemporaryAnchorDeepPattern(t *testing.T) {
+	s, _ := loadFixture(t, fixtureXML)
+	m := NewMatcher(s)
+	root := seq.NewTempElement("res")
+	for _, v := range []string{"7", "8"} {
+		mid := seq.NewTempElement("m")
+		leaf := seq.NewTempElement("n")
+		seq.Attach(leaf, seq.NewTempText(v))
+		seq.Attach(mid, leaf)
+		seq.Attach(root, mid)
+	}
+	tr := seq.NewTree(root)
+	tr.AddToClass(1, root)
+	anchor := pattern.NewLCAnchor(0, 1)
+	mn := anchor.Add(pattern.NewTagNode(5, "m"), pattern.Child, pattern.ZeroOrMore)
+	mn.Add(pattern.NewTagNode(6, "n"), pattern.Child, pattern.One)
+	out, err := m.MatchExtend(context.Background(), seq.Seq{tr}, &pattern.Tree{Root: anchor})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 1 {
+		t.Fatalf("got %d trees, want 1", len(out))
+	}
+	if got := strings.Join(tags(out[0].Class(5)), ","); got != "m,m" {
+		t.Errorf("class 5 = %s, want m,m", got)
+	}
+	if got := strings.Join(tags(out[0].Class(6)), ","); got != "n,n" {
+		t.Errorf("class 6 = %s, want n,n", got)
+	}
+}
+
+// lateCancel is a context that reports cancellation from its n+1st Err call
+// on: it lets a test cancel "after" the polls that precede the one under
+// test.
+type lateCancel struct {
+	context.Context
+	left int
+}
+
+func (c *lateCancel) Err() error {
+	if c.left > 0 {
+		c.left--
+		return nil
+	}
+	return context.Canceled
+}
+
+// TestExtendLogicalEdgeUnderTemporaryAnchorHonoursContext: a NOT edge below
+// a stored node that sits inside a constructed tree is decided by a store
+// match, which must run under the request's context — cancellable, and
+// charged to the governor's poll — not under context.Background().
+func TestExtendLogicalEdgeUnderTemporaryAnchorHonoursContext(t *testing.T) {
+	s, id := loadFixture(t, fixtureXML)
+	build := func() seq.Seq {
+		root := seq.NewTempElement("res")
+		for _, o := range s.Tag(id, "a") {
+			seq.Attach(root, seq.NewStoreNode(id, o, s.Doc(id)))
+		}
+		tr := seq.NewTree(root)
+		tr.AddToClass(1, root)
+		return seq.Seq{tr}
+	}
+	// class(1) -> a{*}[5] with NOT /b: only the third a has no b.
+	anchor := pattern.NewLCAnchor(0, 1)
+	a := anchor.Add(pattern.NewTagNode(5, "a"), pattern.Child, pattern.ZeroOrMore)
+	a.Edges = append(a.Edges, pattern.Edge{Axis: pattern.Child, To: pattern.NewTagNode(0, "b"), Not: true})
+	apt := &pattern.Tree{Root: anchor}
+
+	out, err := NewMatcher(s).MatchExtend(context.Background(), build(), apt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(out[0].Class(5)); got != 1 {
+		t.Fatalf("class 5 = %d members, want 1 (the a without b)", got)
+	}
+	// The first poll is MatchExtend's own, before the first tree; the second
+	// is the store match of the NOT edge's subtree.
+	ctx := &lateCancel{Context: context.Background(), left: 1}
+	if _, err := NewMatcher(s).MatchExtend(ctx, build(), apt); !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled from the logical edge's store match", err)
 	}
 }

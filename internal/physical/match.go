@@ -4,18 +4,20 @@
 // that preserves document order (Section 5.1), and the grouping machinery
 // that the TAX and GTP baselines rely on instead of nest-joins.
 //
-// Pattern matching follows Section 5.2 exactly: each pattern edge is
-// matched bottom-up by a structural join chosen by the edge's matching
-// specification — "-" by a regular structural join, "?" by a left-outer
-// join, "+" by a nest-join and "*" by a left-outer-nest-join. Candidate
-// lists come from the store's tag index (merged with the value index for
-// equality content predicates), and containment is decided on interval
-// node identifiers, so each join is a range scan over sorted candidates.
+// Pattern matching follows Section 5.2: every pattern edge is a structural
+// join over interval identifiers, and the edge's matching specification
+// picks the variant — "-" a regular join, "?" a left-outer join, "+" a
+// nest-join and "*" a left-outer-nest-join. The joins run on integers: per
+// pattern node the matcher keeps one sorted vector of ordinals (the tag or
+// tag+value postings, semi-joined bottom-up against the vectors of the
+// required, NOT and OR edges below it), and witness trees are built from
+// those vectors on demand, once, for the nodes a witness tree contains.
 package physical
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"tlc/internal/faultinject"
@@ -24,80 +26,58 @@ import (
 	"tlc/internal/store"
 )
 
-type classEntry struct {
-	lcl  int
-	node *seq.Node
-}
-
-// partial is a matched instance of a pattern subtree: its root witness node
-// with all matched descendants already attached, plus the class labels
-// collected along the way. A partial is single-use; take returns the
-// partial itself on first use and a deep clone afterwards, so one matched
-// subtree can be stitched under several ancestors.
-type partial struct {
-	root    *seq.Node
-	classes []classEntry
-	used    bool
-}
-
-func (p *partial) take(a *seq.Arena) *partial {
-	if !p.used {
-		p.used = true
-		return p
-	}
-	return p.clone(a)
-}
-
-func (p *partial) clone(a *seq.Arena) *partial {
-	root, nm := seq.CopySubtree(a, p.root)
-	classes := make([]classEntry, len(p.classes))
-	for i, c := range p.classes {
-		classes[i] = classEntry{lcl: c.lcl, node: nm.Get(c.node)}
-	}
-	return &partial{root: root, classes: classes}
-}
-
-func (p *partial) attach(c *partial) {
-	seq.Attach(p.root, c.root)
-	p.classes = append(p.classes, c.classes...)
-}
-
-// Matcher executes annotated pattern trees against a store. It caches
-// candidate node lists per pattern node, so a pattern used over a whole
-// sequence probes each index once — the set-at-a-time behaviour of a
-// structural join — rather than once per input tree.
+// Matcher executes annotated pattern trees against a store. It caches one
+// vec per (document, pattern node), so a pattern used over a whole sequence
+// probes each index and runs each semi-join once — the set-at-a-time
+// behaviour of a structural join — rather than once per input tree.
 type Matcher struct {
-	st    *store.Store
-	cands map[candKey][]int32
-	// partials caches the matched subtree instances per pattern node, so
-	// an extension pattern evaluated for every tree of a sequence builds
-	// its candidate matches once; take() hands out the original on first
-	// use and clones afterwards, keeping cached instances reusable.
-	partials map[candKey][]*partial
-	// shared marks a matcher used from concurrent worker goroutines: cache
-	// access goes through mu, and cached partials are handed out as clones
-	// only (never the mutable original), so the cache stays immutable and
-	// race-free. Serial matchers keep the cheaper take-the-original path.
+	st   *store.Store
+	vecs map[vecKey]*vec
+	// shared marks a matcher used from concurrent worker goroutines: the
+	// map is guarded by mu. What it holds is immutable once stored, so
+	// workers read the same vectors without copying; two workers missing at
+	// once both compute the same vec and the last store wins.
 	shared bool
 	mu     sync.Mutex
-	// arena backs the witness nodes this matcher creates and clones; nil
-	// falls back to plain new (tests, standalone use). The arena itself is
-	// race-safe, so shared matchers use it from concurrent workers as-is.
+	// arena backs the witness nodes, child lists and vectors this matcher
+	// creates; nil falls back to the heap (tests, standalone use).
 	arena *seq.Arena
 }
 
-type candKey struct {
+type vecKey struct {
 	doc  store.DocID
 	node *pattern.Node
 }
 
+// vec is what the matcher knows about one pattern node in one document.
+type vec struct {
+	p *pattern.Node
+	// ords are the ordinals, in document order, at which the pattern
+	// subtree rooted at p has at least one match. Nil for an extension
+	// anchor, whose nodes come from the input trees.
+	ords []int32
+	// edges[i] is the vec of p.Edges[i].To.
+	edges []*vec
+	// flat lists, in pattern pre-order, the plain "-"/"?" edges reachable
+	// from p through such edges only: the digits of the odometer that
+	// enumerates the alternatives of one match of p. A "+"/"*" edge ends
+	// the closure — everything below it is clustered, not chosen.
+	flat []choice
+}
+
+// choice is one digit of a vec's odometer: a "-" or "?" edge.
+type choice struct {
+	v *vec
+	// from is the digit whose chosen node this edge hangs off, -1 for the
+	// enumerated node itself.
+	from int
+	axis pattern.Axis
+	opt  bool
+}
+
 // NewMatcher returns a matcher over st for single-goroutine use.
 func NewMatcher(st *store.Store) *Matcher {
-	return &Matcher{
-		st:       st,
-		cands:    make(map[candKey][]int32),
-		partials: make(map[candKey][]*partial),
-	}
+	return &Matcher{st: st, vecs: make(map[vecKey]*vec)}
 }
 
 // NewSharedMatcher returns a matcher safe for use from concurrent
@@ -108,22 +88,11 @@ func NewSharedMatcher(st *store.Store) *Matcher {
 	return m
 }
 
-// WithArena makes the matcher allocate witness nodes from a (nil keeps
-// plain new) and returns the matcher for chaining. Set once, before use.
+// WithArena makes the matcher allocate from a (nil keeps the heap) and
+// returns the matcher for chaining. Set once, before use.
 func (m *Matcher) WithArena(a *seq.Arena) *Matcher {
 	m.arena = a
 	return m
-}
-
-// take hands out a matched instance: serial matchers give the original on
-// first use (the cheap path — most instances are consumed exactly once),
-// shared matchers always clone so the cached instance is never mutated by
-// a worker while another worker reads or clones it.
-func (m *Matcher) take(p *partial) *partial {
-	if m.shared {
-		return p.clone(m.arena)
-	}
-	return p.take(m.arena)
 }
 
 // MatchDocument evaluates an APT rooted at a document-root test and returns
@@ -141,331 +110,206 @@ func (m *Matcher) MatchDocument(ctx context.Context, apt *pattern.Tree) (seq.Seq
 	if !ok {
 		return nil, fmt.Errorf("physical: document %q not loaded", apt.Root.Doc)
 	}
-	parts, err := m.matchNode(ctx, doc, apt.Root)
-	if err != nil {
+	v, err := m.vector(ctx, doc, apt.Root)
+	if err != nil || len(v.ords) == 0 {
 		return nil, err
 	}
-	out := make(seq.Seq, 0, len(parts))
-	for i, p := range parts {
-		if err := poll(ctx, i); err != nil {
-			return nil, err
-		}
-		p := m.take(p) // the witness trees own these instances
-		t := m.arena.NewTree(p.root)
-		for _, c := range p.classes {
-			t.AddToClass(c.lcl, c.node)
-		}
-		out = append(out, t)
+	b := builder{m: m, ctx: ctx, doc: doc, d: m.st.Doc(doc), slab: m.arena.Hold()}
+	defer m.arena.Release(b.slab)
+	var out seq.Seq
+	if len(v.flat) > 0 {
+		// As many trees as the first "-" edge has matches, when nothing
+		// else multiplies: the usual FOR $x IN //tag.
+		out = make(seq.Seq, 0, len(v.flat[0].v.ords))
 	}
-	return out, nil
+	od := b.odometer(v, v.ords[0])
+	for ok := od.reset(0); ok && b.err == nil; ok = od.next() {
+		b.t = m.arena.NewTree(nil)
+		b.t.Root = b.node(v, v.ords[0], &od, 0)
+		out = append(out, b.t)
+	}
+	return out, b.err
 }
 
-// matchNode matches the pattern subtree rooted at p bottom-up and returns
-// the resulting partials sorted by root ordinal. Results are cached per
-// pattern node: repeated evaluations (one per input tree in extension
-// matching) reuse the matched instances through take().
-func (m *Matcher) matchNode(ctx context.Context, doc store.DocID, p *pattern.Node) ([]*partial, error) {
-	key := candKey{doc: doc, node: p}
-	if parts, ok := m.loadPartials(key); ok {
-		return parts, nil
+// vector returns the vec of pattern node p in doc, computing it on a miss:
+// the candidates of p, reduced to those at which every edge of p that can
+// fail — required, NOT, OR group — holds against the vecs of the nodes
+// below. A tree pattern is acyclic, so this bottom-up pass leaves exactly
+// the ordinals with a match; nothing built from them is ever discarded.
+func (m *Matcher) vector(ctx context.Context, doc store.DocID, p *pattern.Node) (*vec, error) {
+	key := vecKey{doc: doc, node: p}
+	if v, ok := m.load(key); ok {
+		return v, nil
 	}
-	parts, err := m.buildPartials(ctx, doc, p)
-	if err != nil {
+	if err := poll(ctx, 0); err != nil {
 		return nil, err
 	}
-	m.storePartials(key, parts)
-	return parts, nil
-}
-
-// loadPartials and storePartials guard the partial cache in shared mode.
-// Two workers racing on a miss both build the same (immutable, always-
-// cloned) instance set and the last store wins — duplicated work on a cold
-// cache, never a correctness issue. A single mutex around the whole build
-// would deadlock: buildPartials recurses into matchNode for child patterns.
-func (m *Matcher) loadPartials(key candKey) ([]*partial, bool) {
-	if m.shared {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-	}
-	parts, ok := m.partials[key]
-	return parts, ok
-}
-
-func (m *Matcher) storePartials(key candKey, parts []*partial) {
-	if m.shared {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-	}
-	m.partials[key] = parts
-}
-
-func (m *Matcher) buildPartials(ctx context.Context, doc store.DocID, p *pattern.Node) ([]*partial, error) {
 	if err := faultinject.Hit(faultinject.PointMatcher); err != nil {
 		return nil, err
 	}
-	ords, err := m.candidates(doc, p)
-	if err != nil {
-		return nil, err
-	}
-	d := m.st.Doc(doc)
-	// One backing array for the partial structs and one for their seed
-	// class entries: a leaf pattern node allocates one partial per
-	// candidate, which made the per-candidate &partial{} and its one-entry
-	// classes slice the two hottest allocation sites of the evaluator.
-	ps := make([]partial, len(ords))
-	var entries []classEntry
-	if p.LCL > 0 {
-		entries = make([]classEntry, len(ords))
-	}
-	parts := make([]*partial, 0, len(ords))
-	for i, o := range ords {
-		if err := poll(ctx, i); err != nil {
-			return nil, err
-		}
-		n := m.arena.StoreNodeOf(doc, o, d)
-		pt := &ps[i]
-		pt.root = n
-		if p.LCL > 0 {
-			entries[i] = classEntry{lcl: p.LCL, node: n}
-			// Full-slice cap: an attach that appends to classes must
-			// reallocate rather than stomp the next candidate's entry.
-			pt.classes = entries[i : i+1 : i+1]
-		}
-		parts = append(parts, pt)
-	}
-	var seenGroups map[int]bool
-	for i := range p.Edges {
-		e := p.Edges[i]
-		switch {
-		case e.Group > 0:
-			// All member edges of an OR group are evaluated as one unit at
-			// the position of the first member.
-			if seenGroups[e.Group] {
-				continue
-			}
-			if seenGroups == nil {
-				seenGroups = make(map[int]bool)
-			}
-			seenGroups[e.Group] = true
-			parts, err = m.filterGroup(ctx, doc, parts, memberEdges(p, e.Group))
-		case e.Not:
-			parts, err = m.filterNot(ctx, doc, parts, e)
-		default:
-			parts, err = m.expandEdge(ctx, doc, parts, e)
-		}
+	v := &vec{p: p, edges: make([]*vec, len(p.Edges))}
+	for i, e := range p.Edges {
+		cv, err := m.vector(ctx, doc, e.To)
 		if err != nil {
 			return nil, err
 		}
-	}
-	return parts, nil
-}
-
-// memberEdges collects the edges of n belonging to OR group id.
-func memberEdges(n *pattern.Node, id int) []pattern.Edge {
-	var out []pattern.Edge
-	for _, e := range n.Edges {
-		if e.Group == id {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// filterNot implements a NOT-annotated edge as an anti-join: parents with
-// at least one structural match of the edge's subtree are dropped, nothing
-// is attached. The subtree matches come from the same per-node cache as
-// positive edges, so the probe cost is one index lookup per tag.
-func (m *Matcher) filterNot(ctx context.Context, doc store.DocID, parents []*partial, e pattern.Edge) ([]*partial, error) {
-	children, err := m.matchNode(ctx, doc, e.To)
-	if err != nil {
-		return nil, err
-	}
-	d := m.st.Doc(doc)
-	var out, scratch []*partial
-	for i, P := range parents {
-		if err := poll(ctx, i); err != nil {
-			return nil, err
-		}
-		var ms []*partial
-		ms, scratch = structuralMatches(d, P.root.Ord, children, e.Axis, scratch)
-		if len(ms) == 0 {
-			out = append(out, P)
-		}
-	}
-	return out, nil
-}
-
-// filterGroup implements an OR-annotated edge set natively: the parent
-// survives when at least one positive member has a structural match or one
-// NOT member has none. Positive members sharing an axis are merged into a
-// single document-ordered candidate list first, so the group costs one
-// range scan per parent and axis instead of one pass per disjunct — the
-// single-pass evaluation that replaces the old rewrite into a filter
-// union. Like NOT edges, group edges are pure existence tests: no witness
-// nodes are attached and no classes are bound.
-func (m *Matcher) filterGroup(ctx context.Context, doc store.DocID, parents []*partial, members []pattern.Edge) ([]*partial, error) {
-	merged := make(map[pattern.Axis][]*partial)
-	type notMember struct {
-		axis     pattern.Axis
-		children []*partial
-	}
-	var nots []notMember
-	for _, e := range members {
-		children, err := m.matchNode(ctx, doc, e.To)
-		if err != nil {
-			return nil, err
-		}
-		if e.Not {
-			nots = append(nots, notMember{axis: e.Axis, children: children})
+		v.edges[i] = cv
+		if e.Logical() || e.Spec.Nested() {
 			continue
 		}
-		merged[e.Axis] = mergeByOrd(merged[e.Axis], children)
+		at := len(v.flat)
+		v.flat = append(v.flat, choice{v: cv, from: -1, axis: e.Axis, opt: e.Spec.Optional()})
+		for _, c := range cv.flat {
+			if c.from++; c.from > 0 {
+				c.from += at // hangs off a digit of cv's own closure, now shifted
+			} else {
+				c.from = at // hangs off cv's node: the digit just added
+			}
+			v.flat = append(v.flat, c)
+		}
 	}
-	dd := m.st.Doc(doc)
-	var out, scratch []*partial
-	for i, P := range parents {
+	if p.Kind != pattern.TestLC {
+		ords, err := m.candidates(doc, p)
+		if err != nil {
+			return nil, err
+		}
+		if v.ords, err = m.reduce(ctx, m.st.Doc(doc), v, ords); err != nil {
+			return nil, err
+		}
+	}
+	m.store(key, v)
+	return v, nil
+}
+
+func (m *Matcher) load(key vecKey) (*vec, bool) {
+	if m.shared {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+	}
+	v, ok := m.vecs[key]
+	return v, ok
+}
+
+func (m *Matcher) store(key vecKey, v *vec) {
+	if m.shared {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+	}
+	m.vecs[key] = v
+}
+
+// climbRatio is how many times shorter than the candidate list the vector
+// below a required edge must be for the semi-join to start from it.
+// Climbing costs a Parent chain and a binary search per child; probing
+// costs a binary search per candidate.
+const climbRatio = 16
+
+// reduce filters the candidates of v.p down to the ordinals at which the
+// pattern subtree matches. The join direction follows the smaller side:
+// where the vector below a required edge is much shorter than the candidate
+// list (the one @id that equals "person77" against every person), its
+// ordinals climb Doc.Parent to the candidates they qualify; everything else
+// — NOT edges and OR groups, whose result is as long as the candidate list
+// whichever side drives — is probed from the candidate, by binary search
+// in the child vector. ords is the store's posting list and is never
+// written.
+func (m *Matcher) reduce(ctx context.Context, d *store.Doc, v *vec, ords []int32) ([]int32, error) {
+	canFail := false
+	for i, e := range v.p.Edges {
+		if e.Logical() {
+			canFail = true
+		} else if !e.Spec.Optional() {
+			canFail = true
+			if c := v.edges[i].ords; len(c)*climbRatio < len(ords) {
+				ords = climb(d, ords, c, e.Axis)
+			}
+		}
+	}
+	if !canFail || len(ords) == 0 {
+		return ords, nil
+	}
+	out := m.arena.Ordinals(len(ords))
+	for i, x := range ords {
 		if err := poll(ctx, i); err != nil {
 			return nil, err
 		}
-		pass := false
-		for axis, children := range merged {
-			var ms []*partial
-			ms, scratch = structuralMatches(dd, P.root.Ord, children, axis, scratch)
-			if len(ms) > 0 {
-				pass = true
-				break
-			}
-		}
-		for _, nm := range nots {
-			if pass {
-				break
-			}
-			var ms []*partial
-			ms, scratch = structuralMatches(dd, P.root.Ord, nm.children, nm.axis, scratch)
-			if len(ms) == 0 {
-				pass = true
-			}
-		}
-		if pass {
-			out = append(out, P)
+		if v.holds(d, x) {
+			out = append(out, x)
 		}
 	}
 	return out, nil
 }
 
-// mergeByOrd merges two partial lists sorted by root ordinal into one
-// document-ordered list (the "alternatives merged in document order" step
-// of native OR matching). Duplicate ordinals across disjuncts are kept;
-// existence tests only probe for a non-empty range.
-func mergeByOrd(a, b []*partial) []*partial {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]*partial, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i].root.Ord <= b[j].root.Ord {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
+// climb returns the members of ords that have a child (or descendant) in c,
+// walking up from c.
+func climb(d *store.Doc, ords, c []int32, axis pattern.Axis) []int32 {
+	var hits []int32
+	for _, o := range c {
+		for a := d.Parent(o); a >= 0; a = d.Parent(a) {
+			if _, ok := slices.BinarySearch(ords, a); ok {
+				hits = append(hits, a)
+			}
+			if axis == pattern.Child {
+				break
+			}
 		}
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	slices.Sort(hits)
+	return slices.Compact(hits)
 }
 
-// expandEdge joins the parent partials with the matches of one pattern
-// edge, implementing the mSpec → join-variant mapping of Section 5.2.
-func (m *Matcher) expandEdge(ctx context.Context, doc store.DocID, parents []*partial, e pattern.Edge) ([]*partial, error) {
-	children, err := m.matchNode(ctx, doc, e.To)
-	if err != nil {
-		return nil, err
-	}
-	d := m.st.Doc(doc)
-	var out []*partial
-	// scratch is reused across parents for the parent-child axis filter;
-	// each ms is fully consumed within its iteration, so overwriting it on
-	// the next parent is safe and saves one slice allocation per parent.
-	var scratch []*partial
-	for i, P := range parents {
-		if err := poll(ctx, i); err != nil {
-			return nil, err
-		}
-		var ms []*partial
-		ms, scratch = structuralMatches(d, P.root.Ord, children, e.Axis, scratch)
+// holds reports whether the node at x satisfies every edge of v.p that can
+// fail it: a required edge needs a relative in the child vec, a NOT edge
+// none, and an OR group — decided once, at its first member — one member
+// that is satisfied.
+func (v *vec) holds(d *store.Doc, x int32) bool {
+	edges := v.p.Edges
+	for i := range edges {
+		e := &edges[i]
 		switch {
-		case e.Spec.Nested():
-			if len(ms) == 0 && !e.Spec.Optional() {
-				continue // "+" requires at least one match
+		case e.Group > 0:
+			pass := !opensGroup(edges, i)
+			for j := i; j < len(edges) && !pass; j++ {
+				pass = edges[j].Group == e.Group && related(d, v.edges[j].ords, x, edges[j].Axis) != edges[j].Not
 			}
-			for _, C := range ms {
-				P.attach(m.take(C))
+			if !pass {
+				return false
 			}
-			out = append(out, P)
-		default: // "-" or "?"
-			if len(ms) == 0 {
-				if e.Spec.Optional() {
-					out = append(out, P) // "?" lets the parent through
-				}
-				continue
+		case e.Not:
+			if related(d, v.edges[i].ords, x, e.Axis) {
+				return false
 			}
-			for i, C := range ms {
-				target := P
-				if i < len(ms)-1 {
-					target = P.clone(m.arena)
-				}
-				target.attach(m.take(C))
-				out = append(out, target)
+		case !e.Spec.Optional():
+			if !related(d, v.edges[i].ords, x, e.Axis) {
+				return false
 			}
 		}
 	}
-	// Combination order: clones for the first k-1 children of a parent are
-	// appended before the parent itself, which already follows child
-	// document order per parent and parent order overall.
-	return out, nil
+	return true
 }
 
-// structuralMatches returns the child partials whose roots stand in the
-// required structural relationship to the parent ordinal. Children are
-// sorted by root ordinal, so containment is a binary-search range scan;
-// the parent-child axis additionally filters on level (within an ancestor's
-// interval, a node one level deeper is necessarily a child).
-//
-// The second result is the (possibly grown) scratch buffer: the child-axis
-// filter appends into scratch[:0] and returns it as ms, so a caller looping
-// over many parents reuses one buffer instead of allocating per parent. The
-// caller must be done with ms before the next call; the descendant axis
-// returns a subslice of children and leaves scratch untouched.
-func structuralMatches(d *store.Doc, parentOrd int32, children []*partial, axis pattern.Axis, scratch []*partial) (ms, spare []*partial) {
-	start, end := d.Start(parentOrd), d.End(parentOrd)
-	lo := searchPartials(children, start+1)
-	hi := searchPartials(children, end+1)
-	in := children[lo:hi]
-	if axis == pattern.Descendant {
-		return in, scratch
-	}
-	level := d.Level(parentOrd)
-	out := scratch[:0]
-	for _, c := range in {
-		if d.Level(c.root.Ord) == level+1 {
-			out = append(out, c)
+// opensGroup reports whether edge i is the first member of its OR group.
+func opensGroup(edges []pattern.Edge, i int) bool {
+	for _, e := range edges[:i] {
+		if e.Group == edges[i].Group {
+			return false
 		}
 	}
-	return out, out
+	return true
 }
 
-// searchPartials returns the first index whose root ordinal is >= ord.
-func searchPartials(parts []*partial, ord int32) int {
-	lo, hi := 0, len(parts)
+// related reports whether some member of ords is a child (or descendant) of
+// the node at x.
+func related(d *store.Doc, ords []int32, x int32, axis pattern.Axis) bool {
+	return relative(d, ords, after(ords, x), x, axis) >= 0
+}
+
+// after returns the index of the first member of ords greater than x — the
+// first that can lie inside x's interval, since start and ordinal coincide.
+func after(ords []int32, x int32) int {
+	lo, hi := 0, len(ords)
 	for lo < hi {
-		mid := (lo + hi) / 2
-		if parts[mid].root.Ord < ord {
+		if mid := int(uint(lo+hi) >> 1); ords[mid] <= x {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -474,14 +318,202 @@ func searchPartials(parts []*partial, ord int32) int {
 	return lo
 }
 
-// candidates returns the filtered, document-ordered candidate ordinals for
-// one pattern node, caching the result so a pattern probed for a whole
-// sequence hits each index once.
-func (m *Matcher) candidates(doc store.DocID, p *pattern.Node) ([]int32, error) {
-	key := candKey{doc: doc, node: p}
-	if c, ok := m.loadCands(key); ok {
-		return c, nil
+// relative returns the index of the first member of ords at or after index
+// i that is a child (or descendant) of the node at x, or -1. Within x's
+// interval a node one level deeper is necessarily a child.
+func relative(d *store.Doc, ords []int32, i int, x int32, axis pattern.Axis) int {
+	end := d.End(x)
+	if axis == pattern.Descendant {
+		if i < len(ords) && ords[i] <= end {
+			return i
+		}
+		return -1
 	}
+	for want := d.Level(x) + 1; i < len(ords) && ords[i] <= end; i++ {
+		if d.Level(ords[i]) == want {
+			return i
+		}
+	}
+	return -1
+}
+
+// odometer enumerates the alternatives of one match: the combinations of
+// one child per "-"/"?" edge in the flat closure of its pattern node, in
+// the order nested loops over the edges would produce them, first edge
+// outermost.
+type odometer struct {
+	d    *store.Doc
+	flat []choice
+	x    int32
+	// pos[i] indexes flat[i].v.ords; -1 where an optional edge has no
+	// match or hangs off a node that is itself absent.
+	pos []int32
+}
+
+// above returns the ordinal digit i's edge hangs off, -1 when absent.
+func (o *odometer) above(i int) int32 {
+	f := o.flat[i].from
+	if f < 0 {
+		return o.x
+	}
+	if o.pos[f] < 0 {
+		return -1
+	}
+	return o.flat[f].v.ords[o.pos[f]]
+}
+
+// reset puts digits i.. on their first child. It reports false when a
+// required edge has none, which only an extension anchor can cause: every
+// other node comes from a reduced vector.
+func (o *odometer) reset(i int) bool {
+	for ; i < len(o.flat); i++ {
+		c := &o.flat[i]
+		o.pos[i] = -1
+		if up := o.above(i); up >= 0 {
+			o.pos[i] = int32(relative(o.d, c.v.ords, after(c.v.ords, up), up, c.axis))
+			if o.pos[i] < 0 && !c.opt {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// next advances to the following alternative; false after the last.
+func (o *odometer) next() bool {
+	for i := len(o.flat) - 1; i >= 0; i-- {
+		if o.pos[i] < 0 {
+			continue
+		}
+		c := &o.flat[i]
+		if j := relative(o.d, c.v.ords, int(o.pos[i])+1, o.above(i), c.axis); j >= 0 {
+			o.pos[i] = int32(j)
+			return o.reset(i + 1)
+		}
+	}
+	return false
+}
+
+// builder writes witness subtrees for demanded (pattern node, ordinal)
+// pairs straight into the tree that consumes them: nodes and exactly sized
+// child lists from the arena, class members appended to the tree's table
+// in the pre-order the pattern's edges dictate.
+type builder struct {
+	m   *Matcher
+	ctx context.Context
+	doc store.DocID
+	d   *store.Doc
+	t   *seq.Tree
+	// slab is held for the length of the MatchDocument or MatchExtend call.
+	slab *seq.Slab
+	// digits is the stack odometers take their positions from; spans the
+	// one kids keeps, per "+"/"*" edge, where its relatives start in the
+	// child vector and how many nodes they contribute.
+	digits, spans []int32
+	built         int
+	err           error // first poll failure; the enumerating loops stop on it
+}
+
+// odometer returns an unset odometer for the match of v at x; release it
+// with b.release once done (stack order).
+func (b *builder) odometer(v *vec, x int32) odometer {
+	at := len(b.digits)
+	b.digits = append(b.digits, make([]int32, len(v.flat))...)
+	return odometer{d: b.d, flat: v.flat, x: x, pos: b.digits[at:len(b.digits):len(b.digits)]}
+}
+
+func (b *builder) release(od *odometer) { b.digits = b.digits[:len(b.digits)-len(od.pos)] }
+
+// node builds the witness subtree of the match of v at x that od currently
+// selects; base is the digit v's own flat closure starts at.
+func (b *builder) node(v *vec, x int32, od *odometer, base int) *seq.Node {
+	if b.built++; b.built%PollStride == 0 && b.err == nil {
+		b.err = poll(b.ctx, 0)
+	}
+	n := b.slab.StoreNodeOf(b.doc, x, b.d)
+	b.t.AddToClass(v.p.LCL, n)
+	b.kids(v, x, n, od, base)
+	return n
+}
+
+// kids attaches under n, the witness node of x, what the plain edges of v
+// contribute: the chosen child of each "-"/"?" edge and every alternative
+// of every relative of each "+"/"*" edge. A counting pass over the vectors
+// comes first, so the child list and the clustered classes grow once.
+func (b *builder) kids(v *vec, x int32, n *seq.Node, od *odometer, base int) {
+	add, digit, mark := 0, base, len(b.spans)
+	for i, e := range v.p.Edges {
+		cv := v.edges[i]
+		switch {
+		case e.Logical():
+		case e.Spec.Nested():
+			first := relative(b.d, cv.ords, after(cv.ords, x), x, e.Axis)
+			count := b.cluster(cv, x, e.Axis, first, nil)
+			b.spans = append(b.spans, int32(first), int32(count))
+			add += count
+		default:
+			if od.pos[digit] >= 0 {
+				add++
+			}
+			digit += 1 + len(cv.flat)
+		}
+	}
+	if add == 0 {
+		b.spans = b.spans[:mark]
+		return
+	}
+	n.Kids = append(b.slab.Kids(len(n.Kids)+add), n.Kids...)
+	digit, span := base, mark
+	for i, e := range v.p.Edges {
+		cv := v.edges[i]
+		switch {
+		case e.Logical():
+		case e.Spec.Nested():
+			first, count := int(b.spans[span]), int(b.spans[span+1])
+			span += 2
+			b.t.Grow(cv.p.LCL, count)
+			b.cluster(cv, x, e.Axis, first, n)
+		default:
+			if j := od.pos[digit]; j >= 0 {
+				seq.Attach(n, b.node(cv, cv.ords[j], od, digit+1))
+			}
+			digit += 1 + len(cv.flat)
+		}
+	}
+	b.spans = b.spans[:mark]
+}
+
+// cluster visits every alternative of every child (or descendant) of x in
+// cv — what a nest-join clusters under one parent — from index first of
+// cv.ords on, and returns how many there are; with a parent it also builds
+// and attaches them.
+func (b *builder) cluster(cv *vec, x int32, axis pattern.Axis, first int, parent *seq.Node) int {
+	ords, n := cv.ords, 0
+	if len(cv.flat) == 0 && parent == nil && axis == pattern.Descendant && first >= 0 {
+		return after(ords, b.d.End(x)) - first
+	}
+	for i := first; i >= 0 && b.err == nil; i = relative(b.d, ords, i+1, x, axis) {
+		if len(cv.flat) == 0 {
+			if n++; parent != nil {
+				seq.Attach(parent, b.node(cv, ords[i], nil, 0))
+			}
+			continue
+		}
+		od := b.odometer(cv, ords[i])
+		for ok := od.reset(0); ok; ok = od.next() {
+			if n++; parent != nil {
+				seq.Attach(parent, b.node(cv, ords[i], &od, 0))
+			}
+		}
+		b.release(&od)
+	}
+	return n
+}
+
+// candidates returns the document-ordered candidate ordinals for one
+// pattern node: its tag postings, merged with the value index for an
+// equality predicate and scanned for any other.
+func (m *Matcher) candidates(doc store.DocID, p *pattern.Node) ([]int32, error) {
 	var ords []int32
 	switch p.Kind {
 	case pattern.TestDocRoot:
@@ -506,28 +538,8 @@ func (m *Matcher) candidates(doc store.DocID, p *pattern.Node) ([]int32, error) 
 		}
 	case pattern.TestWildcard:
 		return nil, fmt.Errorf("physical: wildcard node tests are not supported in stored matches")
-	case pattern.TestLC:
-		return nil, fmt.Errorf("physical: logical-class anchor below the pattern root")
 	default:
 		return nil, fmt.Errorf("physical: unknown node test kind %d", p.Kind)
 	}
-	m.storeCands(key, ords)
 	return ords, nil
-}
-
-func (m *Matcher) loadCands(key candKey) ([]int32, bool) {
-	if m.shared {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-	}
-	c, ok := m.cands[key]
-	return c, ok
-}
-
-func (m *Matcher) storeCands(key candKey, ords []int32) {
-	if m.shared {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-	}
-	m.cands[key] = ords
 }

@@ -11,18 +11,37 @@ import (
 	"tlc/internal/xmltree"
 )
 
-// slabNodes is the number of Node structs per slab. A Node is ~100 bytes,
-// so one slab is ~50KB — large enough that a query allocating millions of
-// witness nodes pays thousands of allocations instead of millions, small
-// enough that a tiny query wastes at most one mostly-empty slab.
-const slabNodes = 512
+// slabNodes is the number of Node structs per slab. A Node is 96 bytes, so
+// one slab is 6 KB — an allocator size class, large enough that a query
+// allocating millions of witness nodes pays one allocation per 64 of them,
+// small enough that a point lookup, which builds a handful, does not pay
+// for (and zero, and make the collector account for) 50 KB it never uses.
+const slabNodes = 64
 
-// slab is one contiguous allocation of witness nodes. Nodes are handed out
-// by bumping len(buf); the backing array is never reallocated (cap is
-// fixed), so pointers into it stay valid for the life of the slab.
-type slab struct {
-	buf []Node
+// Slab is one contiguous allocation of witness nodes in the hands of one
+// goroutine. Nodes are handed out by bumping len(buf); the backing array is
+// never reallocated (cap is fixed), so pointers into it stay valid for the
+// life of the slab.
+//
+// kids is the slab's block of child pointers: Kids carves exactly sized,
+// full-slice-capped child lists out of it, so a builder that knows a node's
+// fan-out pays a pointer bump instead of an allocation that then grows
+// 1→2→4. Either block is replaced, not the slab, when it runs out.
+//
+// A nil *Slab is valid — what a nil arena hands out — and allocates from
+// the heap.
+type Slab struct {
+	a    *Arena
+	buf  []Node
+	kids []*Node
+	// taken counts the nodes handed out since Hold; Release adds it to the
+	// arena's counters.
+	taken int64
 }
+
+// kidsBlock is the number of child pointers per block (1 KB); a request for
+// more than a quarter of it gets its own allocation.
+const kidsBlock = 128
 
 // Arena is a per-evaluation slab allocator for witness nodes. One Arena is
 // created per query run (see algebra.NewContextFor); every operator
@@ -44,7 +63,7 @@ type slab struct {
 // the path used by package-level constructors, tests, and nodes that must
 // outlive any particular run.
 type Arena struct {
-	free  sync.Pool // *slab with spare capacity
+	free  sync.Pool // *Slab with spare capacity
 	nodes atomic.Int64
 	slabs atomic.Int64
 	// gov, when non-nil, budgets this arena's memory: every new slab is
@@ -107,30 +126,111 @@ func (a *Arena) Stats() ArenaStats {
 	return ArenaStats{Nodes: a.nodes.Load(), Slabs: a.slabs.Load()}
 }
 
-// node returns a zeroed witness node. Arena-backed when a is non-nil,
-// plain `new` otherwise.
-func (a *Arena) node() *Node {
+// Hold takes a slab out of the arena for the exclusive use of the calling
+// goroutine until Release. A loop that builds many nodes — the pattern
+// matcher's — allocates from it by pointer bump, without the pool round
+// trip and the counter updates a single Arena call pays per node. Whatever
+// else allocates from the arena meanwhile is served from another slab.
+func (a *Arena) Hold() *Slab {
 	if a == nil {
+		return nil
+	}
+	if s, _ := a.free.Get().(*Slab); s != nil {
+		return s
+	}
+	return &Slab{a: a}
+}
+
+// Release returns a held slab to the arena and adds the nodes it handed
+// out to the counters.
+func (a *Arena) Release(s *Slab) {
+	if s == nil {
+		return
+	}
+	a.nodes.Add(s.taken)
+	arenaNodesTotal.Add(s.taken)
+	s.taken = 0
+	a.free.Put(s)
+}
+
+// node returns a zeroed witness node.
+func (s *Slab) node() *Node {
+	if s == nil {
 		plainNodesTotal.Add(1)
 		return &Node{}
 	}
-	s, _ := a.free.Get().(*slab)
-	if s == nil || len(s.buf) == cap(s.buf) {
-		if err := a.gov.AddAlloc(slabNodes, slabBytes); err != nil {
+	if len(s.buf) == cap(s.buf) {
+		if err := s.a.gov.AddAlloc(slabNodes, slabBytes); err != nil {
 			// No error return exists on the node-allocation path; abort the
 			// query with a controlled panic the evaluator barriers convert
 			// back into the budget error.
 			governor.Abort(err)
 		}
-		s = &slab{buf: make([]Node, 0, slabNodes)}
-		a.slabs.Add(1)
+		s.a.slabs.Add(1)
 		arenaSlabsTotal.Add(1)
+		s.buf = make([]Node, 0, slabNodes)
 	}
-	s.buf = append(s.buf, Node{})
-	n := &s.buf[len(s.buf)-1]
-	a.free.Put(s)
-	a.nodes.Add(1)
-	arenaNodesTotal.Add(1)
+	s.buf = s.buf[:len(s.buf)+1] // a block is handed out once: still zero
+	s.taken++
+	return &s.buf[len(s.buf)-1]
+}
+
+// Kids returns an empty child list with room for exactly n nodes. Appending
+// an n+1st child reallocates, like any full slice, and leaves the
+// neighbouring lists untouched.
+func (s *Slab) Kids(n int) []*Node {
+	if s == nil {
+		return make([]*Node, 0, n)
+	}
+	if n > kidsBlock/4 {
+		s.a.charge(int64(n) * ptrBytes)
+		return make([]*Node, 0, n)
+	}
+	if len(s.kids)+n > cap(s.kids) {
+		s.a.charge(kidsBlock * ptrBytes)
+		s.kids = make([]*Node, 0, kidsBlock)
+	}
+	at := len(s.kids)
+	s.kids = s.kids[:at+n]
+	return s.kids[at : at : at+n]
+}
+
+// Ordinals returns a zero-length ordinal vector with capacity n whose bytes
+// are charged to the arena's governor: the match kernel's candidate
+// vectors are query memory like the witness nodes they stand for.
+func (a *Arena) Ordinals(n int) []int32 {
+	a.charge(int64(n) * 4)
+	return make([]int32, 0, n)
+}
+
+const ptrBytes = int64(unsafe.Sizeof((*Node)(nil)))
+
+// charge bills b bytes of non-node memory to the governor, aborting the
+// query like an over-budget node block does.
+func (a *Arena) charge(b int64) {
+	if a == nil {
+		return
+	}
+	if err := a.gov.AddAlloc(0, b); err != nil {
+		governor.Abort(err)
+	}
+}
+
+// node is Hold, one node, Release.
+func (a *Arena) node() *Node {
+	s := a.Hold()
+	n := s.node()
+	a.Release(s)
+	return n
+}
+
+// StoreNodeOf returns a witness node referencing the store node at
+// (doc, ord), its kind, tag and value cached from the columnar view d
+// (which must be the view of doc).
+func (s *Slab) StoreNodeOf(doc store.DocID, ord int32, d *store.Doc) *Node {
+	n := s.node()
+	n.Doc, n.Ord = doc, ord
+	n.Kind, n.Tag, n.Value = d.Kind(ord), d.Tag(ord), d.Value(ord)
 	return n
 }
 

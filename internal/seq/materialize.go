@@ -41,17 +41,9 @@ func Materialize(st *store.Store, doc store.DocID, ord int32) *Node {
 func MaterializeIn(a *Arena, st *store.Store, doc store.DocID, ord int32) *Node {
 	d := st.Doc(doc)
 	st.CountMaterializedDoc(doc, d.SubtreeSize(ord))
-	var build func(int32, *Node) *Node
-	build = func(o int32, parent *Node) *Node {
-		n := a.StoreNodeOf(doc, o, d)
-		n.Parent = parent
-		n.Full = true
-		for _, c := range d.Children(o) {
-			n.Kids = append(n.Kids, build(c, n))
-		}
-		return n
-	}
-	return build(ord, nil)
+	s := a.Hold()
+	defer a.Release(s)
+	return buildFull(s, d, doc, ord, nil)
 }
 
 // ExpandInPlace materializes the full stored subtree under the store
@@ -72,10 +64,12 @@ func ExpandInPlaceIn(a *Arena, st *store.Store, n *Node) {
 		return
 	}
 	st.CountMaterializedDoc(n.Doc, st.Doc(n.Doc).SubtreeSize(n.Ord)-1)
-	expandInPlace(a, st, n)
+	s := a.Hold()
+	defer a.Release(s)
+	expandInPlace(s, st, n)
 }
 
-func expandInPlace(a *Arena, st *store.Store, n *Node) {
+func expandInPlace(s *Slab, st *store.Store, n *Node) {
 	d := st.Doc(n.Doc)
 	existing := make(map[int32][]*Node)
 	var leftovers []*Node
@@ -92,12 +86,12 @@ func expandInPlace(a *Arena, st *store.Store, n *Node) {
 			k := reuse[0]
 			existing[c] = reuse[1:]
 			if !k.Full {
-				expandInPlace(a, st, k)
+				expandInPlace(s, st, k)
 			}
 			kids = append(kids, k)
 			continue
 		}
-		cp := buildFull(a, d, n.Doc, c, n)
+		cp := buildFull(s, d, n.Doc, c, n)
 		kids = append(kids, cp)
 	}
 	// Duplicate witness references to the same stored child (redundant
@@ -117,12 +111,22 @@ func expandInPlace(a *Arena, st *store.Store, n *Node) {
 	n.Full = true
 }
 
-func buildFull(a *Arena, d *store.Doc, doc store.DocID, ord int32, parent *Node) *Node {
-	n := a.StoreNodeOf(doc, ord, d)
+// buildFull copies the stored subtree at ord into nodes from s, every
+// child list sized by a first walk over the node's children.
+func buildFull(s *Slab, d *store.Doc, doc store.DocID, ord int32, parent *Node) *Node {
+	n := s.StoreNodeOf(doc, ord, d)
 	n.Parent = parent
 	n.Full = true
-	for _, c := range d.Children(ord) {
-		n.Kids = append(n.Kids, buildFull(a, d, doc, c, n))
+	first, end, kids := d.FirstChild(ord), d.End(ord), 0
+	if first < 0 {
+		return n
+	}
+	for c := first; c <= end; c = d.End(c) + 1 {
+		kids++
+	}
+	n.Kids = s.Kids(kids)
+	for c := first; c <= end; c = d.End(c) + 1 {
+		n.Kids = append(n.Kids, buildFull(s, d, doc, c, n))
 	}
 	return n
 }

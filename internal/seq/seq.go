@@ -25,6 +25,7 @@ package seq
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -305,6 +306,24 @@ func (t *Tree) AddToClass(lcl int, n *Node) {
 	t.lc = append(t.lc, classBucket{lcl: lcl, members: t.newMembers(n)})
 }
 
+// Grow makes room for n more members of class lcl, so that a builder that
+// knows how many nodes it is about to classify pays for one member list,
+// not for one that doubles. A single member is left to AddToClass, which
+// carves it from the spill block.
+func (t *Tree) Grow(lcl, n int) {
+	if lcl <= 0 || n < 2 {
+		return
+	}
+	if i := t.bucket(lcl); i >= 0 {
+		t.lc[i].members = slices.Grow(t.lc[i].members, n)
+		return
+	}
+	if t.lc == nil {
+		t.lc = t.lc0[:0]
+	}
+	t.lc = append(t.lc, classBucket{lcl: lcl, members: make([]*Node, 0, n)})
+}
+
 // newMembers carves a one-element member slice for n out of the spill
 // block, starting a fresh block when the current one is full. The slice is
 // full-slice-capped: appending a second member reallocates it onto the
@@ -449,10 +468,10 @@ func (nm *NodeMap) seal() {
 	}
 }
 
-// copySubtree deep-copies the subtree under n into nodes from a, recording
-// original/copy pairs in nm.
-func copySubtree(a *Arena, n, parent *Node, nm *NodeMap) *Node {
-	c := a.node()
+// copySubtree deep-copies the subtree under n into nodes and exactly sized
+// child lists from s, recording original/copy pairs in nm.
+func copySubtree(s *Slab, n, parent *Node, nm *NodeMap) *Node {
+	c := s.node()
 	*c = *n
 	c.Parent = parent
 	nm.add(n, c)
@@ -460,9 +479,9 @@ func copySubtree(a *Arena, n, parent *Node, nm *NodeMap) *Node {
 		c.Kids = nil
 		return c
 	}
-	c.Kids = make([]*Node, len(n.Kids))
+	c.Kids = s.Kids(len(n.Kids))[:len(n.Kids)]
 	for i, k := range n.Kids {
-		c.Kids[i] = copySubtree(a, k, c, nm)
+		c.Kids[i] = copySubtree(s, k, c, nm)
 	}
 	return c
 }
@@ -473,7 +492,9 @@ func copySubtree(a *Arena, n, parent *Node, nm *NodeMap) *Node {
 // their TempIDs (a copy denotes the same logical nodes).
 func CopySubtree(a *Arena, n *Node) (*Node, NodeMap) {
 	var nm NodeMap
-	root := copySubtree(a, n, nil, &nm)
+	s := a.Hold()
+	root := copySubtree(s, n, nil, &nm)
+	a.Release(s)
 	nm.seal()
 	return root, nm
 }
@@ -482,7 +503,9 @@ func CopySubtree(a *Arena, n *Node) (*Node, NodeMap) {
 // copies. The copy is unfrozen and draws from the same arena.
 func (t *Tree) cloneTree() (*Tree, NodeMap) {
 	var nm NodeMap
-	root := copySubtree(t.arena, t.Root, nil, &nm)
+	s := t.arena.Hold()
+	root := copySubtree(s, t.Root, nil, &nm)
+	t.arena.Release(s)
 	nm.seal()
 	nt := &Tree{Root: root, arena: t.arena}
 	if len(t.lc) > 0 {
