@@ -425,6 +425,58 @@ func TestWALReplayFailureTyped(t *testing.T) {
 	requireUntouched(t, db2, before)
 }
 
+// TestReplayPublishIsAllOrNothing: a replay that cannot publish one of its
+// documents publishes none of them. The log holds records for two
+// documents; while the replay is stalled after the second document's first
+// record, a live update commits to that document, so the version the replay
+// started it from is stale when the replay publishes.
+func TestReplayPublishIsAllOrNothing(t *testing.T) {
+	walDir := t.TempDir()
+	open := func() *Database {
+		db := openListDB(t) // list.xml gets the lower DocID
+		if err := db.LoadXMLString("other.xml", `<other><e>x</e></other>`); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	insertOther := func(db *Database, v string) error {
+		_, err := db.Update(UpdateRequest{Doc: "other.xml", Op: UpdateInsert, Target: "/other", Fragment: "<e>" + v + "</e>"})
+		return err
+	}
+	db1 := open()
+	attach(t, db1, walDir)
+	applyInserts(t, db1, 0, 1)
+	if err := insertOther(db1, "replayed"); err != nil {
+		t.Fatal(err)
+	}
+	applyInserts(t, db1, 1, 1)
+	db1.Close()
+
+	db2 := open()
+	var live error
+	_, err := db2.AttachWAL(WALOptions{Dir: walDir, OnProgress: func(applied, _ int) {
+		if applied == 2 {
+			live = insertOther(db2, "live")
+		}
+	}})
+	if live != nil {
+		t.Fatalf("live update during the replay: %v", live)
+	}
+	if !errors.Is(err, ErrWALReplay) || !errors.Is(err, ErrUpdateConflict) {
+		t.Fatalf("AttachWAL whose base went stale = %v, want ErrWALReplay and ErrUpdateConflict", err)
+	}
+	// Only the live update is visible: list.xml as it was opened, other.xml
+	// one version on, and the generation that one commit made.
+	requireUntouched(t, db2, map[string]uint64{"": 1, "list.xml": 1, "other.xml": 2})
+	res, err := db2.Query(`FOR $e IN document("other.xml")//e RETURN $e`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.XML(); got != "<e>x</e>\n<e>live</e>" {
+		t.Fatalf("other.xml reads %s, want the live update only", got)
+	}
+}
+
 func TestWALAppendFailureVetoesCommit(t *testing.T) {
 	walDir := t.TempDir()
 	db := openListDB(t)

@@ -11,9 +11,9 @@
 // version off to the side, and the commit swaps it in under the store's
 // copy-on-write directory. Readers that pinned the store before the
 // commit keep the old version to completion — an update never blocks a
-// query, and a query never observes a half-applied update. Recovery runs
-// the same steps on versions it keeps to itself and commits once per
-// document (Replay).
+// query, and a query never observes a half-applied update. Recovery
+// resolves the same way but splices one version per document that it keeps
+// to itself, in place, and publishes them all at once (Replay).
 //
 // Deleting an element that sits between two text siblings would leave
 // adjacent text nodes — a shape a fresh parse of the serialized document
@@ -166,7 +166,9 @@ type Result struct {
 	// NodesAdded and NodesRemoved count the spliced range.
 	NodesAdded, NodesRemoved int
 	// StatsDeltas counts the ±1 adjustments applied to the statistics
-	// catalog instead of a recomputation.
+	// catalog instead of a recomputation. A replayed record applies none —
+	// the replay derives each document's catalog once, when it publishes —
+	// so its StatsDeltas is 0.
 	StatsDeltas int
 	// Conflicts counts commit attempts lost to concurrent writers before
 	// this one won.
@@ -192,7 +194,8 @@ type Totals struct {
 	// (including ones whose update later succeeded on retry).
 	Conflicts int64
 	// StatsDeltas counts individual incremental statistics adjustments
-	// applied by committed updates.
+	// applied by committed updates: live ones only, a replayed record
+	// applies none (Result.StatsDeltas).
 	StatsDeltas int64
 }
 
@@ -241,9 +244,11 @@ func Apply(ctx context.Context, st *store.Store, req Request) (Result, error) {
 			return res, fmt.Errorf("%w: %q", ErrUnknownDocument, req.Doc)
 		}
 		d := st.Doc(id)
-		// A live update's version is read by others the moment it commits,
-		// so it is always built in memory of its own (nil destination).
-		nd, sr, err := splice(ctx, st, d, req, frag, nil)
+		op, err := resolve(ctx, d, req, frag)
+		if err != nil {
+			return res, err
+		}
+		nd, sr, err := st.BuildSplice(d, op)
 		if err != nil {
 			return res, err
 		}
@@ -291,17 +296,16 @@ func parseRequest(req Request) (*xmltree.Document, error) {
 	return frag, nil
 }
 
-// splice resolves req against version d, charges the write to the governor
-// carried by ctx and builds the next version — in memory of its own, or in
-// dst's (store.BuildSpliceInto). Live and replayed updates both go through
-// it; they differ only in who owns what it returns.
-func splice(ctx context.Context, st *store.Store, d *store.Doc, req Request, frag *xmltree.Document, dst *store.Doc) (*store.Doc, store.SpliceResult, error) {
+// resolve lowers req to a splice of version d and charges the write to the
+// governor carried by ctx. Live and replayed updates both go through it;
+// they differ in how the splice is applied.
+func resolve(ctx context.Context, d *store.Doc, req Request, frag *xmltree.Document) (store.SpliceOp, error) {
 	if err := governor.Poll(ctx); err != nil {
-		return nil, store.SpliceResult{}, err
+		return store.SpliceOp{}, err
 	}
 	op, err := buildOp(d, req, frag)
 	if err != nil {
-		return nil, store.SpliceResult{}, err
+		return op, err
 	}
 	// Charge the write before doing it: new nodes plus an estimate of
 	// the column bytes they occupy (8 int32/uint32 columns) and the
@@ -310,10 +314,7 @@ func splice(ctx context.Context, st *store.Store, d *store.Doc, req Request, fra
 	if op.Frag != nil {
 		newNodes = int64(len(op.Frag.Nodes))
 	}
-	if err := governor.FromContext(ctx).AddAlloc(newNodes, newNodes*32+int64(len(req.Fragment))); err != nil {
-		return nil, store.SpliceResult{}, err
-	}
-	return st.BuildSpliceInto(d, op, dst)
+	return op, governor.FromContext(ctx).AddAlloc(newNodes, newNodes*32+int64(len(req.Fragment)))
 }
 
 // applied counts one update whose new version nd was accepted and fills in
@@ -331,29 +332,27 @@ func (res *Result) applied(req Request, nd *store.Doc, sr store.SpliceResult) {
 
 // Replay re-applies a logged sequence of updates on versions only it can
 // see, and publishes the outcome once. Per document the log touches it keeps
-// a private chain: the published version is the first source and is only
-// ever read, every record builds the next private version from the newest
-// one, and the private version before the newest — superseded, and never
-// seen by anyone else — is the memory the following record's version is
-// written into. Nothing reaches the store before Publish, so a reader
-// admitted during recovery sees a document as the checkpoint left it and
-// then as the whole log leaves it, never in between; a replay that fails, or
-// is abandoned, leaves the store as it found it.
+// one private version: the first record copies the published one, which is
+// only ever read, and every record splices the private version's columns in
+// place. Nothing derived — postings, catalog — is maintained per record, as
+// nobody reads it before Publish, which derives it once per document. Nothing
+// reaches the store before Publish either, so a reader admitted during
+// recovery sees the documents as the checkpoint left them and then as the
+// whole log leaves them, never in between; a replay that fails, or is
+// abandoned, leaves the store as it found it.
 type Replay struct {
 	st      *store.Store
 	release func()
 	seq     uint64 // sequence number of the newest record applied
-	chains  map[store.DocID]*chain
+	// chains holds, per document touched, the version the directory holds
+	// and the private one the replay splices.
+	chains map[store.DocID][2]*store.Doc
 }
-
-// chain is one document's private history during a replay: base is what the
-// directory holds, cur the newest version and prev the one before it.
-type chain struct{ base, prev, cur *store.Doc }
 
 // NewReplay starts a replay at the store's update generation. The replay is
 // an in-flight mutation (LoadSnapshot is refused) until Publish or Close.
 func NewReplay(st *store.Store) *Replay {
-	return &Replay{st: st, release: st.BeginMutation(), seq: st.UpdateGeneration(), chains: make(map[store.DocID]*chain)}
+	return &Replay{st: st, release: st.BeginMutation(), seq: st.UpdateGeneration(), chains: make(map[store.DocID][2]*store.Doc)}
 }
 
 // Apply re-applies the record logged at sequence number seq, which must be
@@ -374,49 +373,39 @@ func (r *Replay) Apply(ctx context.Context, seq uint64, req Request) (Result, er
 	if !ok {
 		return res, fmt.Errorf("%w: %q", ErrUnknownDocument, req.Doc)
 	}
-	c := r.chains[id]
-	if c == nil {
-		base := r.st.Doc(id)
-		c = &chain{base: base, cur: base}
+	c, ok := r.chains[id]
+	if !ok {
+		c[0] = r.st.Doc(id)
+		c[1] = c[0]
 	}
-	// Ownership rule: c.prev is the destination only when this replay built
-	// it. Such a version was never committed, so no directory, pinned view,
-	// plan or mapping refers to it, and c.cur has superseded it here, so
-	// nothing reads it again. c.base — possibly a view of a snapshot mapping,
-	// possibly pinned by a running query — is read and nothing else: the
-	// first two records of a chain are given an empty destination, which
-	// makes their arrays fresh ones with room to grow.
-	dst := c.prev
-	if dst == nil || dst == c.base {
-		dst = new(store.Doc)
-	}
-	nd, sr, err := splice(ctx, r.st, c.cur, req, frag, dst)
+	op, err := resolve(ctx, c[1], req, frag)
 	if err != nil {
 		return res, err
 	}
-	c.prev, c.cur = c.cur, nd
+	var sr store.SpliceResult
+	if c[1], sr, err = r.st.SplicePrivate(c[1], op); err != nil {
+		return res, err
+	}
 	r.chains[id] = c
 	r.seq = seq
-	res.applied(req, nd, sr)
+	res.applied(req, c[1], sr)
 	return res, nil
 }
 
-// Publish commits every chain's newest version over the version it started
-// from — one directory swap per document, in DocID order — raises the
-// update generation to the newest sequence number applied, and ends the
-// replay. The published versions may carry the spare capacity of a recycled
-// array; the next update of the document builds an exact one.
+// Publish derives every private version's postings and catalog, publishes
+// them all over the versions they started from with one directory swap
+// (store.CommitPrivate), raises the update generation to the newest sequence
+// number applied, and ends the replay. If any document was committed to
+// since the replay started, nothing is published.
 func (r *Replay) Publish() error {
 	defer r.Close()
+	pairs := make([][2]*store.Doc, 0, len(r.chains))
 	for id := store.DocID(0); int(id) < r.st.NumDocs(); id++ {
-		if c := r.chains[id]; c != nil {
-			if err := r.st.Commit(c.base, c.cur); err != nil {
-				return err
-			}
+		if c, ok := r.chains[id]; ok {
+			pairs = append(pairs, c)
 		}
 	}
-	r.st.AdvanceUpdateGen(r.seq)
-	return nil
+	return r.st.CommitPrivate(r.seq, pairs)
 }
 
 // Close ends the replay and drops its private versions; without a Publish

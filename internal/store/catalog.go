@@ -1,8 +1,9 @@
 package store
 
 // This file implements the statistics catalog: per-document, per-tag
-// summaries computed at load time, carried forward across updates
-// (mutate.go) and served to the cost-based planner (internal/planner).
+// summaries derived from the columns at load time (and when a replay
+// publishes), carried forward across live updates (mutate.go) and served to
+// the cost-based planner (internal/planner).
 // Catalog probes are free — no access counters are touched — because a
 // real system keeps these numbers in its catalog, not in the data pages.
 //
@@ -67,9 +68,9 @@ func cmpPair(a, b pairRec) int {
 	return cmp.Compare(a.Down, b.Down)
 }
 
-// docStats holds the per-document catalog: built once at load (or viewed
-// from a snapshot) and carried forward by every splice. Like the columns
-// it is immutable once its document version is published.
+// docStats holds the per-document catalog: derived from the columns (or
+// viewed from a snapshot) and carried forward by every live splice. Like
+// the columns it is immutable once its document version is published.
 type docStats struct {
 	// rootTag is the tag dictionary ID of the document root.
 	rootTag uint32
@@ -81,10 +82,6 @@ type docStats struct {
 	// having at least one ancTag ancestor. Both are sorted by (Up, Down)
 	// and hold no zero counts.
 	child, desc []pairRec
-	// scratch is not part of the catalog: the emptied adjustment lists of
-	// the splice that built it, kept only by a version built into a
-	// destination (spliceStats).
-	scratch statsDelta
 }
 
 // tag returns the summary of one tag ID (zero value when absent). The
@@ -123,83 +120,72 @@ func pairCount(pairs []pairRec, up, down uint32) int {
 	return 0
 }
 
-// buildDocStats computes the catalog summary in one pass over the
-// document's columns (document order, so the ancestor chain is a stack).
+// buildDocStats computes the catalog of a version from its columns and the
+// postings derive has just built from them, tag by tag in ID order, so
+// every array comes out sorted and nothing is looked up in a map. A tag's
+// count is its postings length, its level bounds and children are read at
+// its postings, its child pairs come from its nodes' children and its
+// descendant pairs from the nodes its outermost intervals cover (a node
+// inside several of its intervals lies inside the outermost one, which is
+// what "at least one ancestor" counts). Distinct is read off the value
+// postings: each value counts once for every tag among its holders.
 func buildDocStats(d *Doc) *docStats {
-	n := d.Len()
-	st := &docStats{rootTag: d.c.tag[0], nodes: n}
-	tags := make(map[uint32]tagStatRec)
-	child := make(map[[2]uint32]uint32)
-	desc := make(map[[2]uint32]uint32)
-	type stackEntry struct {
-		ord int32
-		tag uint32
-	}
-	var stack []stackEntry
-	// Dictionary IDs are a bijection with strings, so distinct (tag, value
-	// ID) pairs are distinct (tag, value) pairs.
-	distinct := make(map[[2]uint32]struct{})
-	seen := make([]uint32, 0, 16)
-	for i := 0; i < n; i++ {
-		tag := d.c.tag[i]
-		level := d.c.level[i]
-		// Restore the ancestor stack: pop until the top is the parent
-		// (document order guarantees the parent is on it).
-		for len(stack) > 0 && stack[len(stack)-1].ord != d.c.parent[i] {
-			stack = stack[:len(stack)-1]
-		}
-
-		ts := tags[tag]
-		if ts.Count == 0 {
-			ts.Tag, ts.MinLevel = tag, level
-		}
-		ts.Count++
-		ts.MinLevel = min(ts.MinLevel, level)
-		ts.MaxLevel = max(ts.MaxLevel, level)
-		if v := d.c.val[i]; v != 0 {
-			if _, dup := distinct[[2]uint32{tag, v}]; !dup {
-				distinct[[2]uint32{tag, v}] = struct{}{}
-				ts.Distinct++
+	c := &d.c
+	st := &docStats{rootTag: c.tag[0], nodes: d.Len(), tags: make([]tagStatRec, 0, len(d.tagDir))}
+	tagIDs := d.tagDir[len(d.tagDir)-1].id + 1
+	distinct, last := make([]uint32, tagIDs), make([]uint32, tagIDs)
+	for _, e := range d.valDir {
+		for _, r := range d.valPost[e.off : e.off+e.n] {
+			if t := c.tag[r]; last[t] != e.id+1 {
+				last[t] = e.id + 1
+				distinct[t]++
 			}
 		}
-		tags[tag] = ts
-		st.depth = max(st.depth, level)
-
-		if len(stack) > 0 {
-			parentTag := stack[len(stack)-1].tag
-			child[[2]uint32{parentTag, tag}]++
-			pts := tags[parentTag]
-			pts.Children++
-			tags[parentTag] = pts
-			// Distinct ancestor tags: the stack is short (document
-			// depth), so a linear dedup beats a map.
-			seen = seen[:0]
-			for _, a := range stack {
-				if slices.Contains(seen, a.tag) {
-					continue
+	}
+	// The pair counts of one upper tag, by lower tag, and the lower tags
+	// counted so far.
+	counts, downs := make([]uint32, tagIDs), make([]uint32, 0, 64)
+	pairs := func(up uint32, out []pairRec) []pairRec {
+		slices.Sort(downs)
+		for _, t := range downs {
+			out = append(out, pairRec{up, t, counts[t]})
+			counts[t] = 0
+		}
+		downs = downs[:0]
+		return out
+	}
+	for _, e := range d.tagDir {
+		refs := d.tagPost[e.off : e.off+e.n]
+		ts := tagStatRec{Tag: e.id, Count: e.n, Distinct: distinct[e.id], MinLevel: c.level[refs[0]], MaxLevel: c.level[refs[0]]}
+		for _, o := range refs {
+			ts.MinLevel, ts.MaxLevel = min(ts.MinLevel, c.level[o]), max(ts.MaxLevel, c.level[o])
+			for ch := c.firstChild[o]; ch >= 0 && ch <= c.end[o]; ch = c.end[ch] + 1 {
+				t := c.tag[ch]
+				if counts[t] == 0 {
+					downs = append(downs, t)
 				}
-				seen = append(seen, a.tag)
-				desc[[2]uint32{a.tag, tag}]++
+				counts[t]++
+				ts.Children++
 			}
 		}
-		stack = append(stack, stackEntry{ord: int32(i), tag: tag})
-	}
-	st.tags = make([]tagStatRec, 0, len(tags))
-	for _, ts := range tags {
+		st.child = pairs(e.id, st.child)
+		for i := 0; i < len(refs); {
+			end := c.end[refs[i]]
+			for _, t := range c.tag[refs[i]+1 : end+1] {
+				if counts[t] == 0 {
+					downs = append(downs, t)
+				}
+				counts[t]++
+			}
+			for i < len(refs) && refs[i] <= end {
+				i++
+			}
+		}
+		st.desc = pairs(e.id, st.desc)
 		st.tags = append(st.tags, ts)
+		st.depth = max(st.depth, ts.MaxLevel)
 	}
-	slices.SortFunc(st.tags, cmpTagStat)
-	st.child, st.desc = sortedPairs(child), sortedPairs(desc)
 	return st
-}
-
-func sortedPairs(m map[[2]uint32]uint32) []pairRec {
-	out := make([]pairRec, 0, len(m))
-	for p, n := range m {
-		out = append(out, pairRec{Up: p[0], Down: p[1], Count: n})
-	}
-	slices.SortFunc(out, cmpPair)
-	return out
 }
 
 // tagStats resolves a tag name against one document's summary (zero value

@@ -76,15 +76,19 @@ type Doc struct {
 	tagPost, valPost []int32
 	// tags/vals resolve the dictionary IDs of this document's columns.
 	tags, vals *dict
-	// stats is the statistics summary served through Catalog: built at
-	// load, carried forward by every splice.
+	// stats is the statistics summary served through Catalog: derived from
+	// the columns (derive), carried forward by every live splice.
 	stats *docStats
 	// version is the document's MVCC version: 1 for a freshly loaded
-	// document, incremented by every committed splice (mutate.go). A Doc is
+	// document, incremented by every splice (mutate.go). A published Doc is
 	// immutable; a mutation builds a whole new Doc with version+1 and swaps
 	// the directory entry, so readers holding the old version keep a
 	// consistent view.
 	version uint64
+	// private marks a version SplicePrivate made and CommitPrivate has not
+	// published: nobody else sees it, SplicePrivate edits its columns in
+	// place, and it has neither postings nor catalog yet.
+	private bool
 }
 
 // Name returns the document name under which the document was loaded.
@@ -280,9 +284,9 @@ func (d *Doc) appendXML(sb *strings.Builder, ord int32) {
 }
 
 // buildDoc converts a parsed xmltree arena into the columnar layout,
-// interning its strings into the shard dictionaries and building the
-// postings indexes and the statistics summary. The xmltree.Document is
-// not retained: after conversion the columns are the only representation.
+// interning its strings into the shard dictionaries, and derives the rest.
+// The xmltree.Document is not retained: after conversion the columns are
+// the only representation.
 func buildDoc(doc *xmltree.Document, id DocID, shardIdx int, tags, vals *dict) *Doc {
 	n := len(doc.Nodes)
 	d := &Doc{
@@ -346,14 +350,8 @@ func buildDoc(doc *xmltree.Document, id DocID, shardIdx int, tags, vals *dict) *
 		}
 	}
 
-	// Postings, grouped by local ID while the column still holds local
-	// IDs (ordinals ascend within each group because the scan is in
-	// document order).
-	d.tagDir, d.tagPost = buildPostings(d.c.tag, 0, len(localTags))
-	d.valDir, d.valPost = buildPostings(d.c.val, 1, len(localVals))
-
 	// Pass 2: intern the local tables into the shard dictionaries and
-	// remap columns and directories from local to global IDs.
+	// remap the columns from local to global IDs.
 	gTag := tags.internAll(localTags)
 	gVal := vals.internAll(localVals)
 	for i := range d.c.tag {
@@ -362,52 +360,51 @@ func buildDoc(doc *xmltree.Document, id DocID, shardIdx int, tags, vals *dict) *
 			d.c.val[i] = gVal[v-1] + 1
 		}
 	}
-	remapDir(d.tagDir, gTag)
-	remapDir(d.valDir, gVal)
-
-	// Pass 3: the statistics catalog, over the remapped columns.
-	d.stats = buildDocStats(d)
+	derive(d)
 	return d
 }
 
-// buildPostings groups the ordinals of col by dictionary ID. bias is the
-// column's ID offset (1 for the value column, where 0 means "no entry").
-// The returned directory is in local-ID order; remapDir re-sorts it after
-// the local→global translation.
-func buildPostings(col []uint32, bias uint32, nids int) ([]dirEntry, []int32) {
-	counts := make([]uint32, nids)
-	total := 0
-	for _, v := range col {
-		if v < bias {
-			continue
-		}
-		counts[v-bias]++
-		total++
-	}
-	dir := make([]dirEntry, nids)
-	off := uint32(0)
-	for id, c := range counts {
-		dir[id] = dirEntry{id: uint32(id), off: off, n: c}
-		off += c
-	}
-	post := make([]int32, total)
-	cursor := make([]uint32, nids)
-	for i, v := range col {
-		if v < bias {
-			continue
-		}
-		id := v - bias
-		post[dir[id].off+cursor[id]] = int32(i)
-		cursor[id]++
-	}
-	return dir, post
+// derive builds what a version holds besides its columns — the tag and
+// value postings indexes and the statistics catalog — from the columns
+// alone: the interval identifiers make every structural fact a function of
+// (start, end, level), so all of it is derived data. Load runs it on a
+// parsed document and CommitPrivate on a version a replay spliced in place;
+// a live splice carries the same data forward incrementally instead, and
+// must agree with it.
+func derive(d *Doc) {
+	d.tagDir, d.tagPost = buildPostings(d.c.tag, 0)
+	d.valDir, d.valPost = buildPostings(d.c.val, 1)
+	d.stats = buildDocStats(d)
 }
 
-// remapDir translates a directory from local to global IDs and re-sorts
-// it by ID so lookups can binary-search.
-func remapDir(dir []dirEntry, remap []uint32) {
-	for i := range dir {
-		dir[i].id = remap[dir[i].id]
+// buildPostings groups the ordinals of col by dictionary ID with one
+// counting pass, so the directory comes out sorted by ID and each list
+// ascending. bias is the column's ID offset (1 for the value column, where
+// 0 means "no entry").
+func buildPostings(col []uint32, bias uint32) ([]dirEntry, []int32) {
+	var top uint32
+	for _, v := range col {
+		top = max(top, v)
 	}
-	sort.Slice(dir, func(i, j int) bool { return dir[i].id < dir[j].id })
+	at := make([]uint32, top+1) // per column value: its count, then its next slot
+	for _, v := range col {
+		at[v]++
+	}
+	var dir []dirEntry
+	off := uint32(0)
+	for v := bias; v <= top; v++ {
+		if n := at[v]; n > 0 {
+			dir = append(dir, dirEntry{id: v - bias, off: off, n: n})
+			at[v] = off
+			off += n
+		}
+	}
+	post := make([]int32, off)
+	for i, v := range col {
+		if v >= bias {
+			post[at[v]] = int32(i)
+			at[v]++
+		}
+	}
+	return dir, post
 }

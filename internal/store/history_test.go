@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -182,62 +183,92 @@ func shared(a, b map[unsafe.Pointer]bool) int {
 	return n
 }
 
-// TestSpliceIntoWritesOnlyTheDestination drives the chain a replay keeps
+// TestPrivateChainNeverWritesTheBase drives the chain a replay keeps
 // (mutate.Replay) at store level, next to a twin that commits every update:
-// a version built into a destination is the version a fresh build gives; it
-// takes its memory from the destination or from the allocator, never from
-// the version it was spliced from; once the chain has two private versions
-// it stops allocating arrays; and when the last version is published, it
-// shares no array with the base or with the retired private version, and the
-// base still reads as it did.
-func TestSpliceIntoWritesOnlyTheDestination(t *testing.T) {
-	live, c := newChurn(t, 0.01), newChurn(t, 0.01)
-	base := c.s.Doc(c.id)
+// the first splice copies the base — mapped from a snapshot and pinned —
+// and every later one edits that private version in place, which reads as
+// the twin's version after every record; the base still reads as it did;
+// the version published shares no array with it and is the twin's, columns,
+// postings and catalog; and once published, a version is copied again
+// rather than edited.
+func TestPrivateChainNeverWritesTheBase(t *testing.T) {
+	live := newChurn(t, 0.01)
+	dir := t.TempDir()
+	if _, err := live.s.WriteSnapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenSnapshot(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	base, pin := s.Doc(live.id), s.Pin()
 	before := base.Fingerprint()
-	cur, prev := base, (*Doc)(nil)
-	recycled := 0
+	p := base
 	for i := 0; i < 400; i++ {
-		live.step(t)
-		dst := prev
-		if dst == nil || dst == base {
-			dst = new(Doc)
-		}
-		from := backing(dst)
-		nd, _, err := c.s.BuildSpliceInto(cur, c.nextOp(t, cur), dst)
+		d := live.s.Doc(live.id)
+		op := live.nextOp(t, d)
+		nd, _, err := live.s.BuildSplice(d, op)
 		if err != nil {
 			t.Fatalf("update %d: %v", i, err)
 		}
-		got := backing(nd)
-		if n := shared(got, backing(cur)) + shared(got, backing(base)); n != 0 {
-			t.Fatalf("update %d: the new version shares %d arrays with its source or the base", i, n)
+		if err := live.s.Commit(d, nd); err != nil {
+			t.Fatal(err)
 		}
-		if shared(got, from) == len(got) {
-			recycled++
+		prev := p
+		if p, _, err = s.SplicePrivate(p, op); err != nil {
+			t.Fatalf("update %d in place: %v", i, err)
 		}
-		if i%50 == 49 {
-			if want := live.s.Doc(live.id); nd.Fingerprint() != want.Fingerprint() || nd.Version() != want.Version() {
-				t.Fatalf("update %d: chain and per-update commits diverge", i)
-			}
+		if (i == 0) == (p == prev) {
+			t.Fatalf("update %d: spliced into a new version %v, want only the first", i, p != prev)
 		}
-		prev, cur = cur, nd
+		if p.Version() != nd.Version() || (i%50 == 49 && p.XML(0) != nd.XML(0)) {
+			t.Fatalf("update %d: the private version and the twin diverge", i)
+		}
 	}
-	// A stationary document outgrows the slack of its first two private
-	// versions a few times at most.
-	if recycled < 380 {
-		t.Errorf("%d of 400 versions were built entirely in recycled arrays, want at least 380", recycled)
-	}
-	if _, _, err := c.s.BuildSpliceInto(cur, c.nextOp(t, cur), cur); err == nil {
-		t.Error("a version was accepted as its own destination")
-	}
-	if err := c.s.Commit(base, cur); err != nil {
+	if err := s.CommitPrivate(401, [][2]*Doc{{base, p}}); err != nil {
 		t.Fatal(err)
 	}
-	checkOracle(t, c.s.Doc(c.id))
-	if n := shared(backing(cur), backing(prev)); n != 0 {
-		t.Errorf("the published version shares %d arrays with the retired private one", n)
+	got := s.Doc(live.id)
+	if got != p || s.UpdateGeneration() != 401 {
+		t.Fatalf("published %p at generation %d, want the private version at 401", got, s.UpdateGeneration())
 	}
-	if base.Fingerprint() != before {
+	if got.Fingerprint() != live.s.Doc(live.id).Fingerprint() {
+		t.Error("the published version is not the twin's")
+	}
+	checkOracle(t, got)
+	if n := shared(backing(got), backing(base)); n != 0 {
+		t.Errorf("the published version shares %d arrays with the base", n)
+	}
+	if pin.Doc(live.id) != base || base.Fingerprint() != before {
 		t.Error("the base version was modified")
+	}
+	tail := SpliceOp{Parent: 0, At: got.End(0) + 1, DelEnd: got.End(0) + 1, Frag: mustFrag(t, `<x/>`)}
+	if next, _, err := s.SplicePrivate(got, tail); err != nil || next == got || shared(backing(next), backing(got)) != 0 {
+		t.Errorf("a published version was spliced in place (%v)", err)
+	}
+	if err := s.CommitPrivate(402, [][2]*Doc{{got, got}}); !errors.Is(err, ErrBadSplice) {
+		t.Errorf("publishing a published version again = %v, want ErrBadSplice", err)
+	}
+}
+
+// TestSpliceMaintainsWhatLoadDerives is the differential oracle between the
+// two ways a version gets its postings and catalog: a live splice carries
+// them forward incrementally, a replayed version derives them from its
+// columns when it is published. After every update of the churn they must
+// agree.
+func TestSpliceMaintainsWhatLoadDerives(t *testing.T) {
+	c := newChurn(t, 0.01)
+	for i := 0; i < 300; i++ {
+		d := c.s.Doc(c.id)
+		nd, _, err := c.s.BuildSplice(d, c.nextOp(t, d))
+		if err != nil {
+			t.Fatalf("update %d: %v", i, err)
+		}
+		checkDerived(t, nd)
+		if err := c.s.Commit(d, nd); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -11,30 +11,36 @@ package store
 // column arithmetic — survivors before the splice point keep their
 // ordinals, survivors after it shift by (inserted − deleted), ancestor
 // intervals stretch or shrink by the same amount, and levels never change
-// for survivors. Nothing is edited in place: BuildSplice produces a fresh
-// *Doc (a new version) and Commit swaps the copy-on-write directory entry,
-// so readers pinned on the old version keep a consistent view to
-// completion while writers never wait for them.
+// for survivors. Ordinals are kept dense (start == ordinal is what makes
+// every structural join a comparison of integers and every postings list a
+// sorted array), so the nodes past the splice point move — as a memmove plus
+// straight loops that shift interval ends, parents and first children.
 //
-// What an update costs depends on the document and the fragment, never on
-// the updates that came before. The columns are block copies with the
-// fragment written into a gap: ordinals are kept dense (start == ordinal is
-// what makes every structural join a comparison of integers and every
-// postings list a sorted array), so the nodes past the splice point move —
-// as a memmove plus straight loops that shift interval ends, parents and
-// first children. The tag/value postings indexes are maintained
-// incrementally: for a dictionary ID the splice touches, the new postings
-// list is the concatenation of the unshifted prefix (< At), the fragment's
-// ordinals ([At, At+m)), and the shifted suffix (>= DelEnd); all other
-// lists are carried over in runs, never searched (spliceIndex). The
+// A published version is never edited. A live update builds the next
+// version off to the side (BuildSplice: block copies with the fragment
+// written into a gap) and Commit swaps the copy-on-write directory entry,
+// so readers pinned on the old version keep a consistent view to
+// completion while writers never wait for them. Readers see the new version
+// the moment it commits, so its tag/value postings and its catalog are
+// carried forward incrementally: for a dictionary ID the splice touches, the
+// new postings list is the concatenation of the unshifted prefix (< At), the
+// fragment's ordinals ([At, At+m)), and the shifted suffix (>= DelEnd); all
+// other lists are carried over in runs, never searched (spliceIndex). The
 // statistics catalog is sorted arrays maintained by delta counts: each
 // deleted and inserted node adjusts its tag cardinality, its parent pair
 // and its distinct-ancestor pairs by ±1, and the folded adjustments are
 // merged into block copies of the old arrays; distinct-value counts and
 // level bounds, which are not sums, are adjusted from the postings of just
-// the (tag, value) pairs and tags the splice touched (spliceStats). Strings
-// are interned into the shard's shared append-only dictionaries, which
-// costs the strings that are new (dict.go).
+// the (tag, value) pairs and tags the splice touched (spliceStats). What an
+// update costs depends on the document and the fragment, never on the
+// updates that came before.
+//
+// A version nobody else can see — the one a WAL replay builds — is spliced
+// in place instead (SplicePrivate): columns only, the tail moved by one
+// overlapping copy, and nothing derived until CommitPrivate builds its
+// postings and catalog once, with the builder Load uses (derive), and
+// publishes it. Either way strings are interned into the shard's shared
+// append-only dictionaries, which costs the strings that are new (dict.go).
 //
 // One invariant keeps the arithmetic exact: a splice must not change the
 // concatenated text content of the parent P. Deleting an element between
@@ -102,138 +108,141 @@ type SpliceResult struct {
 	// fragment.
 	NodesRemoved, NodesAdded int
 	// StatsDeltas counts the individual ±1 adjustments applied to the
-	// statistics catalog (tag cardinalities, child pairs, ancestor pairs).
+	// statistics catalog (tag cardinalities, child pairs, ancestor pairs);
+	// 0 for SplicePrivate, which maintains no catalog.
 	StatsDeltas int
 }
 
-// BuildSplice computes the new version of document d produced by op. The
-// input document is not modified; the result is a fresh *Doc with
-// version d.Version()+1 that shares d's dictionaries. The heavy work runs
-// outside every lock — pass the result to Commit to publish it.
+// BuildSplice computes the new version of document d produced by op: a
+// fresh *Doc with version d.Version()+1 that shares d's dictionaries, every
+// array at its exact size, postings and catalog maintained incrementally.
+// The input document is not modified, and the heavy work runs outside
+// every lock — pass the result to Commit to publish it.
 func (s *Store) BuildSplice(d *Doc, op SpliceOp) (*Doc, SpliceResult, error) {
-	return s.BuildSpliceInto(d, op, nil)
+	e, err := d.prepare(op)
+	if err != nil {
+		return nil, SpliceResult{}, err
+	}
+	nd := d.successor()
+	e.apply(&nd.c, 0)
+	d0, d1, m := op.At, op.DelEnd, e.m
+
+	// Incremental index maintenance: merge, never rebuild.
+	nd.tagDir, nd.tagPost = spliceIndex(d.tagDir, d.tagPost, d.c.tag, nd.c.tag, 0, d0, d1, m, e.shift)
+	nd.valDir, nd.valPost = spliceIndex(d.valDir, d.valPost, d.c.val, nd.c.val, 1, d0, d1, m, e.shift)
+
+	// Incremental statistics: delta counts against the old catalog.
+	if err := faultinject.Hit(faultinject.PointMutateStatsDelta); err != nil {
+		return nil, SpliceResult{}, err
+	}
+	res := e.result()
+	nd.stats, res.StatsDeltas = spliceStats(d, nd, d0, d1, m)
+	return nd, res, nil
 }
 
-// BuildSpliceInto is BuildSplice with a destination: the columns, the
-// postings indexes and the catalog of the new version are written into the
-// arrays of dst where those are large enough, so a caller that splices a
-// chain of versions nobody else can see (WAL replay, mutate.Replay)
-// allocates a version's worth of memory twice instead of once per record.
-// dst is consumed — its contents are unspecified afterwards, also when an
-// error is returned — so it must be a version the caller built and owns:
-// never one that was published, pinned or mapped, and never d. Every
-// element of every array is written (block copies around the gap, the
-// fragment into it), so nothing is cleared first. An array dst cannot hold —
-// an empty &Doc{} holds none — is allocated with an eighth of slack, which
-// is what stops a chain on a growing document from allocating again at
-// every record. A nil dst allocates every array at its exact size, as
-// BuildSplice always has.
-func (s *Store) BuildSpliceInto(d *Doc, op SpliceOp, dst *Doc) (*Doc, SpliceResult, error) {
-	var res SpliceResult
-	if dst == d {
-		return nil, res, fmt.Errorf("%w: destination is the source version", ErrBadSplice)
+// SplicePrivate applies op to a version nobody else sees and returns it;
+// nothing derived is maintained, and no lock is taken. Given a published
+// version d — perhaps pinned by a running query, perhaps a view of a
+// snapshot mapping — it splices a private successor instead, its columns
+// copied with an eighth of slack, and d is only read; a private version is
+// spliced in place, in its own arrays, which grow only when the document
+// outgrows them: each column's tail moves with one overlapping copy and the
+// fragment is written into the gap. An invalid op changes nothing.
+// CommitPrivate publishes the result.
+func (s *Store) SplicePrivate(d *Doc, op SpliceOp) (*Doc, SpliceResult, error) {
+	e, err := d.prepare(op)
+	if err != nil {
+		return nil, SpliceResult{}, err
 	}
+	if d.private {
+		e.apply(&d.c, -1)
+		d.version++
+		return d, e.result(), nil
+	}
+	p := d.successor()
+	p.private = true
+	e.apply(&p.c, d.Len()/8)
+	return p, e.result(), nil
+}
+
+// successor returns the shell of d's next version: d's columns, which it
+// must not write, and dictionaries; nothing derived.
+func (d *Doc) successor() *Doc {
+	return &Doc{name: d.name, id: d.id, shard: d.shard, c: d.c, tags: d.tags, vals: d.vals, version: d.version + 1}
+}
+
+// edit is a splice validated against one version, its fragment interned:
+// what BuildSplice and SplicePrivate apply to that version's columns.
+type edit struct {
+	SpliceOp
+	m, shift int32
+	// tag and val are the fragment's column entries: tag dictionary IDs,
+	// value dictionary IDs + 1 (0 = no content).
+	tag, val []uint32
+}
+
+// prepare checks op against d — a range of whole sibling subtrees at a
+// child boundary of an element, a valid fragment, the parent's content
+// unchanged — and interns the fragment's strings. Nothing is written.
+func (d *Doc) prepare(op SpliceOp) (*edit, error) {
 	n := int32(d.Len())
 	P, d0, d1 := op.Parent, op.At, op.DelEnd
 	if P < 0 || P >= n || xmltree.Kind(d.c.kind[P]) != xmltree.Element {
-		return nil, res, fmt.Errorf("%w: parent %d is not an element", ErrBadSplice, P)
+		return nil, fmt.Errorf("%w: parent %d is not an element", ErrBadSplice, P)
 	}
 	limit := d.c.end[P] + 1
 	if d0 <= P || d0 > limit || d1 < d0 || d1 > limit {
-		return nil, res, fmt.Errorf("%w: range [%d, %d) outside parent %d", ErrBadSplice, d0, d1, P)
+		return nil, fmt.Errorf("%w: range [%d, %d) outside parent %d", ErrBadSplice, d0, d1, P)
 	}
 	if d0 <= d.c.end[P] && d.c.parent[d0] != P {
-		return nil, res, fmt.Errorf("%w: position %d is not a child boundary of %d", ErrBadSplice, d0, P)
+		return nil, fmt.Errorf("%w: position %d is not a child boundary of %d", ErrBadSplice, d0, P)
 	}
+	var deleted strings.Builder // the text children of P the splice deletes
 	for c := d0; c < d1; {
 		if d.c.parent[c] != P {
-			return nil, res, fmt.Errorf("%w: node %d is not a child of %d", ErrBadSplice, c, P)
+			return nil, fmt.Errorf("%w: node %d is not a child of %d", ErrBadSplice, c, P)
+		}
+		if xmltree.Kind(d.c.kind[c]) == xmltree.Text {
+			deleted.WriteString(d.vals.str(d.c.val[c] - 1))
 		}
 		c = d.c.end[c] + 1
 		if c > d1 {
-			return nil, res, fmt.Errorf("%w: range [%d, %d) splits a subtree", ErrBadSplice, d0, d1)
+			return nil, fmt.Errorf("%w: range [%d, %d) splits a subtree", ErrBadSplice, d0, d1)
 		}
 	}
-	var m int32
+	e := &edit{SpliceOp: op}
+	inserted := "" // the fragment root, if it is a text child of P
 	if op.Frag != nil {
 		if err := op.Frag.Validate(); err != nil {
-			return nil, res, fmt.Errorf("%w: fragment: %v", ErrBadSplice, err)
+			return nil, fmt.Errorf("%w: fragment: %v", ErrBadSplice, err)
 		}
-		m = int32(len(op.Frag.Nodes))
-	}
-	if m == 0 && d1 == d0 {
-		return nil, res, fmt.Errorf("%w: empty splice", ErrBadSplice)
-	}
-
-	delN := d1 - d0
-	shift := m - delN
-	res.NodesRemoved, res.NodesAdded = int(delN), int(m)
-
-	var into Doc // the arrays to write into; all nil without a destination
-	slack := dst != nil
-	if slack {
-		into = *dst
-	}
-	nd := &Doc{
-		name:  d.name,
-		id:    d.id,
-		shard: d.shard,
-		c: cols{
-			start:      identity(into.c.start, int(n+shift), slack),
-			end:        gapped(into.c.end, d.c.end, d0, d1, m, slack),
-			level:      gapped(into.c.level, d.c.level, d0, d1, m, slack),
-			parent:     gapped(into.c.parent, d.c.parent, d0, d1, m, slack),
-			firstChild: gapped(into.c.firstChild, d.c.firstChild, d0, d1, m, slack),
-			kind:       gapped(into.c.kind, d.c.kind, d0, d1, m, slack),
-			tag:        gapped(into.c.tag, d.c.tag, d0, d1, m, slack),
-			val:        gapped(into.c.val, d.c.val, d0, d1, m, slack),
-		},
-		tags:    d.tags,
-		vals:    d.vals,
-		version: d.version + 1,
-	}
-
-	// Survivors. Level, kind, tag and value never change, and ordinals
-	// below the splice point are stable, so the block copies above are
-	// already right except for three things. Before the splice point only
-	// the intervals containing it move: exactly P and its ancestors (any
-	// other node before At ends before At). At or past the deleted range
-	// everything shifts as a block: every interval end, every first child,
-	// and every parent that is itself in the block.
-	for a := P; a >= 0; a = d.c.parent[a] {
-		nd.c.end[a] += shift
-	}
-	if nd.c.end[P] > P {
-		nd.c.firstChild[P] = P + 1
-	} else {
-		nd.c.firstChild[P] = -1
-	}
-	if shift != 0 {
-		s0 := d0 + m
-		for j, e := range nd.c.end[s0:] {
-			nd.c.end[s0+int32(j)] = e + shift
-		}
-		for j, p := range nd.c.parent[s0:] {
-			if p >= d1 {
-				nd.c.parent[s0+int32(j)] = p + shift
-			}
-		}
-		for j, fc := range nd.c.firstChild[s0:] {
-			if fc >= 0 {
-				nd.c.firstChild[s0+int32(j)] = fc + shift
-			}
+		e.m = int32(len(op.Frag.Nodes))
+		if root := &op.Frag.Nodes[0]; root.Kind == xmltree.Text {
+			inserted = root.Value
 		}
 	}
+	if e.m == 0 && d1 == d0 {
+		return nil, fmt.Errorf("%w: empty splice", ErrBadSplice)
+	}
+	// The parent-content invariant: P's element content (the concatenation
+	// of its direct text children) must be unchanged, or the interned val
+	// column and the value index entries for P would be stale. P keeps its
+	// children before At and from DelEnd on, so the content is unchanged
+	// exactly when the text the splice deletes between them is the text it
+	// inserts.
+	if deleted.String() != inserted {
+		return nil, fmt.Errorf("%w: parent %d", ErrSpliceContent, P)
+	}
+	e.shift = e.m - (d1 - d0)
 
-	// Fragment: local preorder shifted to [At, At+m), levels rebased under
-	// P, strings interned into the document's dictionaries.
-	if m > 0 {
+	// The fragment's strings, interned into the document's dictionaries.
+	if e.m > 0 {
 		var localTags, localVals []string
 		localTagIdx := make(map[string]uint32)
 		localValIdx := make(map[string]uint32)
-		fragTag := make([]uint32, m)
-		fragVal := make([]uint32, m) // local ID + 1; 0 = no content
-		for k := int32(0); k < m; k++ {
+		e.tag = make([]uint32, e.m) // local IDs until interned
+		e.val = make([]uint32, e.m)
+		for k := range op.Frag.Nodes {
 			fn := &op.Frag.Nodes[k]
 			lt, ok := localTagIdx[fn.Tag]
 			if !ok {
@@ -241,13 +250,13 @@ func (s *Store) BuildSpliceInto(d *Doc, op SpliceOp, dst *Doc) (*Doc, SpliceResu
 				localTags = append(localTags, fn.Tag)
 				localTagIdx[fn.Tag] = lt
 			}
-			fragTag[k] = lt
+			e.tag[k] = lt
 			content, hasContent := "", false
 			switch fn.Kind {
 			case xmltree.Attribute, xmltree.Text:
 				content, hasContent = fn.Value, true
 			case xmltree.Element:
-				if c := op.Frag.Content(k); c != "" {
+				if c := op.Frag.Content(int32(k)); c != "" {
 					content, hasContent = c, true
 				}
 			}
@@ -258,104 +267,124 @@ func (s *Store) BuildSpliceInto(d *Doc, op SpliceOp, dst *Doc) (*Doc, SpliceResu
 					localVals = append(localVals, content)
 					localValIdx[content] = lv
 				}
-				fragVal[k] = lv + 1
+				e.val[k] = lv + 1
 			}
 		}
 		gTag := d.tags.internAll(localTags)
 		gVal := d.vals.internAll(localVals)
-		baseLevel := d.c.level[P] + 1
-		for k := int32(0); k < m; k++ {
-			fn := &op.Frag.Nodes[k]
-			j := d0 + k
-			nd.c.end[j] = fn.ID.End + d0
-			nd.c.level[j] = fn.ID.Level + baseLevel
-			if fn.Parent < 0 {
-				nd.c.parent[j] = P
-			} else {
-				nd.c.parent[j] = fn.Parent + d0
-			}
-			if fn.ID.End > k {
-				nd.c.firstChild[j] = j + 1
-			} else {
-				nd.c.firstChild[j] = -1
-			}
-			nd.c.kind[j] = uint8(fn.Kind)
-			nd.c.tag[j] = gTag[fragTag[k]]
-			nd.c.val[j] = 0
-			if v := fragVal[k]; v != 0 {
-				nd.c.val[j] = gVal[v-1] + 1
+		for k := range e.tag {
+			e.tag[k] = gTag[e.tag[k]]
+			if v := e.val[k]; v != 0 {
+				e.val[k] = gVal[v-1] + 1
 			}
 		}
 	}
-
-	// The parent-content invariant: P's element content (the concatenation
-	// of its direct text children) must be unchanged, or the interned val
-	// column and the value index entries for P would be stale.
-	if textConcat(&nd.c, nd.vals, P) != textConcat(&d.c, d.vals, P) {
-		return nil, res, fmt.Errorf("%w: parent %d", ErrSpliceContent, P)
-	}
-
-	// Incremental index maintenance: merge, never rebuild.
-	nd.tagDir, nd.tagPost = spliceIndex(into.tagDir, into.tagPost, d.tagDir, d.tagPost, d.c.tag, nd.c.tag, 0, d0, d1, m, shift, slack)
-	nd.valDir, nd.valPost = spliceIndex(into.valDir, into.valPost, d.valDir, d.valPost, d.c.val, nd.c.val, 1, d0, d1, m, shift, slack)
-
-	// Incremental statistics: delta counts against the old catalog.
-	if err := faultinject.Hit(faultinject.PointMutateStatsDelta); err != nil {
-		return nil, res, err
-	}
-	nd.stats, res.StatsDeltas = spliceStats(into.stats, slack, d, nd, d0, d1, m)
-	return nd, res, nil
+	return e, nil
 }
 
-// sized returns n elements of unspecified content: dst's array when it can
-// hold them, otherwise a fresh one, exact or with an eighth of slack
-// (BuildSpliceInto).
-func sized[T any](dst []T, n int, slack bool) []T {
+// apply turns c, the columns of the version e was prepared against, into
+// the columns of the version it produces: in place when room < 0, else in
+// fresh arrays with room entries to spare.
+func (e *edit) apply(c *cols, room int) {
+	P, d0, d1, m, shift := e.Parent, e.At, e.DelEnd, e.m, e.shift
+	n := len(c.start) + int(shift)
+	if room >= 0 {
+		c.start = make([]int32, 0, n+room)
+	}
+	c.start = identity(c.start, n)
+	c.end = gap(c.end, d0, d1, m, room)
+	c.level = gap(c.level, d0, d1, m, room)
+	c.parent = gap(c.parent, d0, d1, m, room)
+	c.firstChild = gap(c.firstChild, d0, d1, m, room)
+	c.kind = gap(c.kind, d0, d1, m, room)
+	c.tag = gap(c.tag, d0, d1, m, room)
+	c.val = gap(c.val, d0, d1, m, room)
+
+	// Survivors. Level, kind, tag and value never change, and ordinals
+	// below the splice point are stable, so the survivors are already right
+	// except for three things. Before the splice point only the intervals
+	// containing it move: exactly P and its ancestors (any other node before
+	// At ends before At). At or past the deleted range everything shifts as
+	// a block: every interval end, every first child, and every parent that
+	// is itself in the block.
+	for a := P; a >= 0; a = c.parent[a] {
+		c.end[a] += shift
+	}
+	if c.end[P] > P {
+		c.firstChild[P] = P + 1
+	} else {
+		c.firstChild[P] = -1
+	}
+	if shift != 0 {
+		// Branch-free: x>>31 is -1 for a negative x and 0 otherwise.
+		end, parent, first := c.end[d0+m:], c.parent[d0+m:], c.firstChild[d0+m:]
+		parent, first = parent[:len(end)], first[:len(end)]
+		for j := range end {
+			end[j] += shift
+			parent[j] += shift &^ ((parent[j] - d1) >> 31)
+			first[j] += shift &^ (first[j] >> 31)
+		}
+	}
+
+	// Fragment: local preorder shifted to [At, At+m), levels rebased under
+	// P.
+	baseLevel := c.level[P] + 1
+	for k := int32(0); k < m; k++ {
+		fn := &e.Frag.Nodes[k]
+		j := d0 + k
+		c.end[j] = fn.ID.End + d0
+		c.level[j] = fn.ID.Level + baseLevel
+		if fn.Parent < 0 {
+			c.parent[j] = P
+		} else {
+			c.parent[j] = fn.Parent + d0
+		}
+		if fn.ID.End > k {
+			c.firstChild[j] = j + 1
+		} else {
+			c.firstChild[j] = -1
+		}
+		c.kind[j] = uint8(fn.Kind)
+		c.tag[j] = e.tag[k]
+		c.val[j] = e.val[k]
+	}
+}
+
+func (e *edit) result() SpliceResult {
+	return SpliceResult{NodesRemoved: int(e.DelEnd - e.At), NodesAdded: int(e.m)}
+}
+
+// gap returns col[:d0] ++ m unspecified entries ++ col[d1:]: with room < 0
+// in col's own array, the tail moved by one overlapping copy and the array
+// grown — by append's geometric rule — only when the column outgrows it;
+// otherwise in a fresh array with room entries to spare.
+func gap[T any](col []T, d0, d1, m int32, room int) []T {
+	n := len(col) + int(m-(d1-d0))
+	out := col
 	switch {
-	case cap(dst) >= n:
-		return dst[:n]
-	case slack:
-		return make([]T, n, n+n/8)
+	case room >= 0:
+		out = make([]T, n, n+room)
+		copy(out, col[:d0])
+	case n > len(col):
+		out = slices.Grow(col, n-len(col))
 	}
-	return make([]T, n)
-}
-
-// gapped returns old[:d0] ++ m unspecified elements ++ old[d1:], in dst's
-// array or a fresh one (sized): the block copy every column of a splice
-// starts from.
-func gapped[T any](dst, old []T, d0, d1, m int32, slack bool) []T {
-	out := sized(dst, len(old)+int(m-(d1-d0)), slack)
-	copy(out, old[:d0])
-	copy(out[d0+m:], old[d1:])
+	out = out[:n]
+	copy(out[d0+m:], col[d1:])
 	return out
 }
 
-// identity returns the start column of an n-node document: start == ordinal.
-// A destination's start column is one already, as far as it goes.
-func identity(dst []int32, n int, slack bool) []int32 {
-	out, from := sized(dst, n, slack), 0
-	if cap(dst) >= n {
-		from = min(len(dst), n)
+// identity returns start, a start column (start == ordinal), cut or
+// extended to n nodes in its own array, grown if it must be.
+func identity(start []int32, n int) []int32 {
+	from := len(start)
+	if n > from {
+		start = slices.Grow(start, n-from)
 	}
+	start = start[:n]
 	for i := from; i < n; i++ {
-		out[i] = int32(i)
+		start[i] = int32(i)
 	}
-	return out
-}
-
-// textConcat returns the concatenated direct text children of p.
-func textConcat(c *cols, vals *dict, p int32) string {
-	fc := c.firstChild[p]
-	if fc < 0 {
-		return ""
-	}
-	var sb strings.Builder
-	for ch := fc; ch <= c.end[p]; ch = c.end[ch] + 1 {
-		if xmltree.Kind(c.kind[ch]) == xmltree.Text {
-			sb.WriteString(vals.str(c.val[ch] - 1))
-		}
-	}
-	return sb.String()
+	return start
 }
 
 // posting is one index entry the splice touches: the dictionary ID of a
@@ -376,10 +405,8 @@ type posting struct {
 // ++ suffix (old ordinals >= d1, shifted) — each part is already sorted and
 // the parts are disjoint ascending ranges, so the merge is pure
 // concatenation; entries that end up empty are dropped, exactly as a fresh
-// build would never create them. The directory and the postings array are
-// written into dstDir's and dstPost's arrays where those are large enough
-// (sized).
-func spliceIndex(dstDir []dirEntry, dstPost []int32, oldDir []dirEntry, oldPost []int32, oldCol, newCol []uint32, bias uint32, d0, d1, m, shift int32, slack bool) ([]dirEntry, []int32) {
+// build would never create them.
+func spliceIndex(oldDir []dirEntry, oldPost []int32, oldCol, newCol []uint32, bias uint32, d0, d1, m, shift int32) ([]dirEntry, []int32) {
 	touched := make([]posting, 0, d1-d0+m)
 	for _, v := range oldCol[d0:d1] {
 		if v >= bias { // val column: 0 means "no content"
@@ -396,8 +423,8 @@ func spliceIndex(dstDir []dirEntry, dstPost []int32, oldDir []dirEntry, oldPost 
 	// Stable by ID keeps each ID's fragment ordinals ascending.
 	slices.SortStableFunc(touched, func(a, b posting) int { return cmp.Compare(a.id, b.id) })
 
-	dir := sized(dstDir, len(oldDir)+added, slack)[:0]
-	post := sized(dstPost, len(oldPost)-removed+added, slack)
+	dir := make([]dirEntry, 0, len(oldDir)+added)
+	post := make([]int32, len(oldPost)-removed+added)
 	w := 0 // postings written
 	// shifted writes old postings that all survive: at or past the deleted
 	// range they move with the block.
@@ -536,19 +563,9 @@ func (a *statsDelta) node(c *cols, i int32, sign int32) {
 // splice removed or added, and then by whether another holder exists
 // before and after (Doc.holds: the shorter of the two postings lists); a
 // level bound only widens on insert, and is rescanned only when a deleted
-// node sat on it. The arrays are built in those of dst, a destination's
-// catalog, where they fit, and with keep the adjustment lists stay with the
-// new catalog, emptied, for the splice that recycles it in turn. The second
-// result counts the individual adjustments.
-func spliceStats(dst *docStats, keep bool, old, nd *Doc, d0, d1, m int32) (*docStats, int) {
-	if dst == nil {
-		dst = new(docStats)
-	}
-	a := &dst.scratch
-	a.tags, a.child, a.desc, a.n = a.tags[:0], a.child[:0], a.desc[:0], 0
-	if a.vals == nil {
-		a.vals = make(map[[2]uint32]uint8)
-	}
+// node sat on it. The second result counts the individual adjustments.
+func spliceStats(old, nd *Doc, d0, d1, m int32) (*docStats, int) {
+	a := &statsDelta{vals: make(map[[2]uint32]uint8)}
 	for i := d0; i < d1; i++ {
 		a.node(&old.c, i, -1)
 	}
@@ -574,16 +591,12 @@ func spliceStats(dst *docStats, keep bool, old, nd *Doc, d0, d1, m int32) (*docS
 	st := &docStats{
 		rootTag: old.stats.rootTag,
 		nodes:   old.stats.nodes + int(m) - int(d1-d0),
-		tags:    mergeTagStats(dst.tags, old.stats.tags, a.tags, nd),
-		child:   mergePairs(dst.child, old.stats.child, a.child),
-		desc:    mergePairs(dst.desc, old.stats.desc, a.desc),
+		tags:    mergeTagStats(old.stats.tags, a.tags, nd),
+		child:   mergePairs(old.stats.child, a.child),
+		desc:    mergePairs(old.stats.desc, a.desc),
 	}
 	for _, ts := range st.tags {
 		st.depth = max(st.depth, ts.MaxLevel)
-	}
-	if keep {
-		clear(a.vals)
-		st.scratch = *a
 	}
 	return st, a.n
 }
@@ -612,12 +625,11 @@ func (d *Doc) holds(tag, val uint32) bool {
 }
 
 // mergeTagStats applies the adjustments to the old per-tag summaries
-// (sorted by tag ID) and returns the new array, built in dst's when that is
-// large enough; nd is the spliced document, already indexed, for the level
-// rescans.
-func mergeTagStats(dst, old []tagStatRec, deltas []tagDelta, nd *Doc) []tagStatRec {
+// (sorted by tag ID) and returns the new array; nd is the spliced document,
+// already indexed, for the level rescans.
+func mergeTagStats(old []tagStatRec, deltas []tagDelta, nd *Doc) []tagStatRec {
 	slices.SortFunc(deltas, func(a, b tagDelta) int { return cmp.Compare(a.Tag, b.Tag) })
-	out := slices.Grow(dst[:0], len(old)+len(deltas))
+	out := make([]tagStatRec, 0, len(old)+len(deltas))
 	i := 0
 	for k := 0; k < len(deltas); {
 		dl := deltas[k]
@@ -660,12 +672,11 @@ func mergeTagStats(dst, old []tagStatRec, deltas []tagDelta, nd *Doc) []tagStatR
 }
 
 // mergePairs applies the adjustments to an old pair array (sorted by
-// (Up, Down)) and returns the new one, built in dst's array when that is
-// large enough; pairs whose count reaches zero are dropped, exactly as a
-// fresh build would never create them.
-func mergePairs(dst, old, deltas []pairRec) []pairRec {
+// (Up, Down)) and returns the new one; pairs whose count reaches zero are
+// dropped, exactly as a fresh build would never create them.
+func mergePairs(old, deltas []pairRec) []pairRec {
 	slices.SortFunc(deltas, cmpPair)
-	out := slices.Grow(dst[:0], len(old)+len(deltas))
+	out := make([]pairRec, 0, len(old)+len(deltas))
 	i := 0
 	for k := 0; k < len(deltas); {
 		r := deltas[k]
@@ -706,6 +717,41 @@ func (s *Store) Commit(old, nd *Doc) error {
 // ErrDurability and the store unchanged — an update is never visible to
 // readers unless its log record was accepted first.
 func (s *Store) CommitLogged(old, nd *Doc, payload []byte) error {
+	return s.commit([][2]*Doc{{old, nd}}, func(gen uint64) (uint64, error) {
+		if fn := s.commitLog.Load(); fn != nil && payload != nil {
+			if err := (*fn)(gen+1, payload); err != nil {
+				return gen, fmt.Errorf("%w: document %q: %w", ErrDurability, old.name, err)
+			}
+		}
+		return gen + 1, nil
+	})
+}
+
+// CommitPrivate publishes versions from SplicePrivate, each over the
+// published version it was copied from, and raises the update generation to gen: all of it or
+// nothing. Pairs are (base, private). Each private version's postings
+// indexes and catalog are derived from its columns first, outside every
+// lock, by the builder Load uses; then every base must still be current,
+// and all the documents change with one directory swap, so no reader sees
+// some of them published and others not. On ErrVersionConflict the store is
+// unchanged.
+func (s *Store) CommitPrivate(gen uint64, pairs [][2]*Doc) error {
+	for _, p := range pairs {
+		if !p[1].private {
+			return fmt.Errorf("%w: version %d of %q is not private", ErrBadSplice, p[1].version, p[1].name)
+		}
+		derive(p[1])
+		p[1].private = false
+	}
+	return s.commit(pairs, func(cur uint64) (uint64, error) { return max(cur, gen), nil })
+}
+
+// commit swaps each (old, new) pair's new version in with one directory
+// store, under the lock loads take, if every old version is still the
+// current one (pointer identity — the optimistic concurrency check). advance
+// maps the update generation to the one the commit publishes; its error
+// vetoes the commit.
+func (s *Store) commit(pairs [][2]*Doc, advance func(gen uint64) (uint64, error)) error {
 	if s.pinned {
 		return fmt.Errorf("store: commit into a pinned (read-only) view")
 	}
@@ -715,29 +761,31 @@ func (s *Store) CommitLogged(old, nd *Doc, payload []byte) error {
 	s.loadMu.Lock()
 	defer s.loadMu.Unlock()
 	cur := s.dir.Load()
-	if int(old.id) >= len(cur.docs) || cur.docs[old.id] != old {
-		return fmt.Errorf("store: document %q: %w", old.name, ErrVersionConflict)
-	}
-	if fn := s.commitLog.Load(); fn != nil && payload != nil {
-		if err := (*fn)(s.updateGen.Load()+1, payload); err != nil {
-			return fmt.Errorf("%w: document %q: %w", ErrDurability, old.name, err)
+	for _, p := range pairs {
+		if old := p[0]; int(old.id) >= len(cur.docs) || cur.docs[old.id] != old {
+			return fmt.Errorf("store: document %q: %w", old.name, ErrVersionConflict)
 		}
 	}
-	next := &directory{
-		docs:   make([]*Doc, len(cur.docs)),
-		byName: cur.byName, // names and IDs are untouched by a commit
+	gen, err := advance(s.updateGen.Load())
+	if err != nil {
+		return err
 	}
-	copy(next.docs, cur.docs)
-	next.docs[old.id] = nd
+	// Names and IDs are untouched by a commit.
+	next := &directory{docs: slices.Clone(cur.docs), byName: cur.byName}
+	for _, p := range pairs {
+		next.docs[p[0].id] = p[1]
+	}
 	s.dir.Store(next)
-	s.updateGen.Add(1)
-	s.superseded.Add(1)
+	s.updateGen.Store(gen)
+	s.superseded.Add(int64(len(pairs)))
 	// The finalizer watches the version's catalog, not the Doc: a finalizer
 	// keeps its object and everything it references alive for one more
 	// collection cycle, and the Doc references the columns. The catalog is
 	// a few kilobytes that belong to exactly this version and become
 	// unreachable with it. (With updates allocating little besides the next
 	// version, versions held back by their finalizers were most of the heap.)
-	runtime.SetFinalizer(old.stats, func(*docStats) { s.superseded.Add(-1) })
+	for _, p := range pairs {
+		runtime.SetFinalizer(p[0].stats, func(*docStats) { s.superseded.Add(-1) })
+	}
 	return nil
 }

@@ -30,6 +30,18 @@ func checkOracle(t *testing.T, d *Doc) {
 	}
 }
 
+// checkDerived fails unless what d carries besides its columns — the
+// postings and catalog the splice that built it maintained — is what derive
+// builds from those columns.
+func checkDerived(t testing.TB, d *Doc) {
+	t.Helper()
+	fresh := *d
+	derive(&fresh)
+	if got, want := d.Fingerprint(), fresh.Fingerprint(); got != want {
+		t.Fatalf("incremental maintenance diverges from derive:\n--- maintained ---\n%s\n--- derived ---\n%s", got, want)
+	}
+}
+
 func ordOf(t *testing.T, s *Store, id DocID, tag string, k int) int32 {
 	t.Helper()
 	refs := s.Tag(id, tag)
@@ -497,7 +509,9 @@ func TestSpliceDistinctCounts(t *testing.T) {
 // FuzzMutate drives random valid insert/delete/replace sequences against
 // the store and checks after every commit that the spliced document is
 // byte-for-byte semantically identical (columns, indexes, statistics) to
-// a fresh load of its own serialization — the rebuild-from-XML oracle.
+// a fresh load of its own serialization — the rebuild-from-XML oracle —
+// and that its incrementally maintained postings and catalog are what
+// derive builds from its columns.
 func FuzzMutate(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5})
 	f.Add([]byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 11, 23})
@@ -568,6 +582,7 @@ func FuzzMutate(f *testing.F) {
 			if err != nil {
 				t.Fatalf("op %d: BuildSplice(%+v): %v", ops, op, err)
 			}
+			checkDerived(t, nd)
 			if err := s.Commit(d, nd); err != nil {
 				t.Fatalf("op %d: Commit: %v", ops, err)
 			}

@@ -908,12 +908,7 @@ func (s *Store) LoadSnapshot(dir string) error {
 	s.dir.Store(next)
 	// Carry the snapshot's update generation forward so a later snapshot
 	// of this store never reports an older generation than its source.
-	for {
-		cur := s.updateGen.Load()
-		if snapGen <= cur || s.updateGen.CompareAndSwap(cur, snapGen) {
-			break
-		}
-	}
+	s.updateGen.Store(max(s.updateGen.Load(), snapGen))
 	for _, m := range maps {
 		s.mappedBytes.Add(int64(len(m.data)))
 	}

@@ -170,7 +170,7 @@ type Store struct {
 	writers atomic.Int64
 	// updateGen counts committed mutations store-wide. It is recorded in
 	// snapshot manifests so a snapshot written before later updates is
-	// detectably stale.
+	// detectably stale. It is written under loadMu only.
 	updateGen atomic.Uint64
 	// superseded counts document versions replaced by a commit and not yet
 	// reclaimed by the garbage collector (their finalizer decrements it);
@@ -201,20 +201,6 @@ func (s *Store) SetCommitLog(fn CommitLogFunc) {
 // LogsCommits reports whether a commit hook is installed — callers use it
 // to skip serializing the logical operation when nothing will log it.
 func (s *Store) LogsCommits() bool { return s.commitLog.Load() != nil }
-
-// AdvanceUpdateGen raises the update generation to at least gen (a no-op
-// when it is already there). Recovery uses it to re-align the store with
-// a log that records a deliberate sequence gap — e.g. a snapshot loaded
-// at a generation past the log's tail — so each replayed record commits
-// at exactly its logged sequence number.
-func (s *Store) AdvanceUpdateGen(gen uint64) {
-	for {
-		cur := s.updateGen.Load()
-		if cur >= gen || s.updateGen.CompareAndSwap(cur, gen) {
-			return
-		}
-	}
-}
 
 // DefaultShards is the shard count New uses: one per available CPU, the
 // configuration that lets loads and shard-local scans proceed on every

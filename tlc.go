@@ -488,14 +488,15 @@ type WALReplayStats struct {
 // for a snapshot-opened database, the SnapshotUpdateGen watermark — and
 // installs the log as the store's commit hook: from then on every update
 // is appended and (per the fsync policy) synced before its directory swap
-// publishes it. Replay resolves, validates and splices each record exactly
-// as live traffic does, but on versions private to the replay
+// publishes it. Replay resolves and validates each record exactly as live
+// traffic does, but splices it into a version private to the replay
 // (mutate.Replay): every record must follow the sequence numbers before it,
-// every touched document is published once, when the log is exhausted, and
-// the update generation then equals the last record's sequence number — so
-// recovery reproduces the pre-crash store byte-for-byte, a query running
-// during it reads the state the database was opened with, and a replay that
-// fails installs nothing: no document version, no generation, no log. A
+// the touched documents are published together, in one directory swap, when
+// the log is exhausted, and the update generation then equals the last
+// record's sequence number — so recovery reproduces the pre-crash store
+// byte-for-byte, a query running during it reads the state the database was
+// opened with, and a replay that fails — also because a document changed
+// under it — installs nothing: no document version, no generation, no log. A
 // torn tail is repaired by truncation (counted in the returned stats);
 // mid-log corruption aborts with ErrWALCorrupt, a record that does not
 // re-apply with ErrWALReplay.
