@@ -10,12 +10,17 @@
 //	BenchmarkAblationNestJoin  — nest-join vs flat match + group-by
 //	BenchmarkAblationValueJoin — sort–merge–sort vs nested-loop value join
 //	BenchmarkAblationReuse     — extension select vs fresh match + id join
+//	BenchmarkAblationJoinOrder — planner off (translated order) vs on
+//	BenchmarkParallelSpeedup   — serial vs GOMAXPROCS workers
+//	BenchmarkShardScaling      — shards 1 and 4, parallelism 1 and 4
 //	BenchmarkLoad              — XMark generation + indexing throughput
 //
 // The benchmark scale factor defaults to 0.05 and can be overridden with
-// the TLC_BENCH_FACTOR environment variable. Absolute numbers are not
-// comparable to the paper's (different store, different hardware); the
-// relative shape is what the reproduction tracks — see EXPERIMENTS.md.
+// the TLC_BENCH_FACTOR environment variable; one table row is a -bench
+// filter, e.g. -bench 'Fig15/^x1$/TLC$' -benchmem -count 5. Absolute numbers
+// are not comparable to the paper's (different store, different hardware);
+// the relative shape is what the reproduction tracks — see EXPERIMENTS.md.
+// TestFig15AllocationBudget (allocs_test.go) gates allocations per run.
 package tlc
 
 import (
@@ -101,8 +106,8 @@ func BenchmarkFig16(b *testing.B) {
 }
 
 // BenchmarkFig17 regenerates Figure 17: TLC execution time for the plotted
-// queries over increasing scale factors (a compressed sweep; cmd/tlcbench
-// -fig 17 runs the full 0.1–5 range).
+// queries at 1x, 2x and 4x the benchmark factor — a compressed form of the
+// paper's 0.1–5 sweep; TLC_BENCH_FACTOR moves the whole sweep.
 func BenchmarkFig17(b *testing.B) {
 	base := benchFactor()
 	for _, mult := range []float64{1, 2, 4} {

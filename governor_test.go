@@ -21,7 +21,7 @@ func TestBudgetErrorTyped(t *testing.T) {
 	      FOR $b IN document("site.xml")//person
 	      RETURN <pair>{$a/name}{$b/name}</pair>`
 	for _, eng := range []Engine{TLC, TLCOpt, GTP, TAX, Nav} {
-		p, err := db.Compile(q, WithEngine(eng), WithMaxResultCard(3))
+		p, err := db.Compile(q, WithEngine(eng), WithLimits(Limits{MaxResultCard: 3}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func TestWallBudgetIsPolicyNotDeadline(t *testing.T) {
 	q := `FOR $p IN document("auction.xml")//person
 	      FOR $i IN document("auction.xml")//item
 	      RETURN <pair>{$p/name}{$i/location}</pair>`
-	p, err := db.Compile(q, WithMaxWall(time.Microsecond))
+	p, err := db.Compile(q, WithLimits(Limits{MaxWall: time.Microsecond}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,18 +92,18 @@ func TestUngovernedAndGenerousBudgetAgree(t *testing.T) {
 	}
 }
 
-// TestPreparedLimitsAccessor checks options compose into the Prepared.
+// TestPreparedLimitsAccessor checks the WithLimits budget reaches the
+// Prepared.
 func TestPreparedLimitsAccessor(t *testing.T) {
 	db := Open()
 	if err := db.LoadXMLString("site.xml", reuseXML); err != nil {
 		t.Fatal(err)
 	}
-	p, err := db.Compile(`FOR $p IN document("site.xml")//person RETURN $p/name`,
-		WithMaxArenaNodes(10), WithMaxArenaBytes(20), WithMaxResultCard(30), WithMaxWall(40*time.Millisecond))
+	want := Limits{MaxArenaNodes: 10, MaxArenaBytes: 20, MaxResultCard: 30, MaxWall: 40 * time.Millisecond}
+	p, err := db.Compile(`FOR $p IN document("site.xml")//person RETURN $p/name`, WithLimits(want))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Limits{MaxArenaNodes: 10, MaxArenaBytes: 20, MaxResultCard: 30, MaxWall: 40 * time.Millisecond}
 	if p.Limits() != want {
 		t.Errorf("Limits() = %+v, want %+v", p.Limits(), want)
 	}
@@ -129,13 +129,13 @@ func TestBudgetAbortsRunawayJoinQuickly(t *testing.T) {
 	            RETURN <pair>{$p/name}{$i/location}</pair>`
 	// The node budget trips during the join's output stitching; the wall
 	// budget is the backstop in case a plan shape defers allocation.
-	p, err := db.Compile(runaway, WithMaxArenaNodes(100_000), WithMaxWall(500*time.Millisecond))
+	p, err := db.Compile(runaway, WithLimits(Limits{MaxArenaNodes: 100_000, MaxWall: 500 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	inBudget, err := db.Compile(
 		`FOR $p IN document("auction.xml")//person WHERE $p/age > 25 RETURN $p/name`,
-		WithMaxArenaNodes(1<<30))
+		WithLimits(Limits{MaxArenaNodes: 1 << 30}))
 	if err != nil {
 		t.Fatal(err)
 	}

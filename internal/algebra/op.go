@@ -51,10 +51,13 @@ type Context struct {
 	goCtx context.Context
 	// memo caches operator results so DAG-shaped plans evaluate shared
 	// subplans once (pattern tree reuse across operators). Used by the
-	// serial evaluator and Profile; the parallel evaluator memoizes
-	// through futures instead. Memoized sequences are frozen: consumers
-	// receive aliases and copy-on-write, never clones.
+	// serial evaluator; the parallel evaluator memoizes through futures
+	// instead. Memoized sequences are frozen: consumers receive aliases and
+	// copy-on-write, never clones.
 	memo map[Op]seq.Seq
+	// profile, set by Profile for the duration of one evaluation, receives
+	// one OpStats per evaluated operator; nil for a plain Eval.
+	profile *ProfileResult
 	// arena backs witness-node allocation for this evaluation: operators
 	// and the matcher bump-allocate nodes from run-scoped slabs instead of
 	// paying one GC allocation each. The arena is race-safe, so parallel
@@ -273,7 +276,7 @@ func Eval(ctx *Context, op Op) (out seq.Seq, err error) {
 			fanout[in]++
 		}
 	}
-	if ctx.parallel() {
+	if ctx.parallel() && ctx.profile == nil {
 		return evalNodeParallel(ctx, op, fanout)
 	}
 	return evalNode(ctx, op, fanout)
@@ -304,7 +307,13 @@ func evalNode(ctx *Context, op Op, fanout map[Op]int) (seq.Seq, error) {
 		}
 		res[i] = r
 	}
-	out, err := op.eval(ctx, res)
+	var out seq.Seq
+	var err error
+	if ctx.profile != nil {
+		out, err = ctx.profile.eval(ctx, op, res)
+	} else {
+		out, err = op.eval(ctx, res)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", op.Label(), err)
 	}

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"tlc/internal/failure"
 	"tlc/internal/seq"
 	"tlc/internal/store"
 )
@@ -35,21 +34,16 @@ type ProfileResult struct {
 	Arena seq.ArenaStats
 }
 
-// Profile evaluates the plan like Eval while recording, per operator, its
-// output cardinality, its own wall-clock time and its own store accesses —
-// the data behind an EXPLAIN ANALYZE. Shared subplans (fan-out > 1) are
-// profiled once, like Eval computes them once. Like Eval, Profile is a
-// containment barrier: panics in profiled evaluation come back as errors.
-func Profile(ctx *Context, root Op) (res *ProfileResult, err error) {
-	defer failure.Recover(&err, "algebra.Profile")
-	fanout := make(map[Op]int)
-	for _, o := range Ops(root) {
-		for _, in := range o.Inputs() {
-			fanout[in]++
-		}
-	}
+// Profile evaluates the plan with Eval's serial evaluator while recording,
+// per operator, its output cardinality, its own wall-clock time and its own
+// store accesses — the data behind an EXPLAIN ANALYZE. Shared subplans
+// (fan-out > 1) are profiled once, like Eval computes them once, and panics
+// come back as errors, as from Eval.
+func Profile(ctx *Context, root Op) (*ProfileResult, error) {
 	pr := &ProfileResult{}
-	out, err := profileNode(ctx, root, fanout, pr)
+	ctx.profile = pr
+	out, err := Eval(ctx, root)
+	ctx.profile = nil
 	if err != nil {
 		return nil, err
 	}
@@ -58,30 +52,14 @@ func Profile(ctx *Context, root Op) (res *ProfileResult, err error) {
 	return pr, nil
 }
 
-func profileNode(ctx *Context, op Op, fanout map[Op]int, pr *ProfileResult) (seq.Seq, error) {
-	if err := ctx.Cancelled(); err != nil {
-		return nil, err
-	}
-	if res, ok := ctx.memo[op]; ok {
-		return res.Alias(), nil
-	}
-	ins := op.Inputs()
-	res := make([]seq.Seq, len(ins))
-	for i, in := range ins {
-		r, err := profileNode(ctx, in, fanout, pr)
-		if err != nil {
-			return nil, err
-		}
-		res[i] = r
-	}
+// eval evaluates one operator over its evaluated inputs and appends its
+// record: the inputs' own time and store work are not part of it.
+func (pr *ProfileResult) eval(ctx *Context, op Op, in []seq.Seq) (seq.Seq, error) {
 	before := ctx.Store.Snapshot()
 	start := time.Now()
-	out, err := op.eval(ctx, res)
+	out, err := op.eval(ctx, in)
 	elapsed := time.Since(start)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", op.Label(), err)
-	}
-	if err := ctx.checkCard(op, len(out)); err != nil {
 		return nil, err
 	}
 	after := ctx.Store.Snapshot()
@@ -97,11 +75,6 @@ func profileNode(ctx *Context, op Op, fanout map[Op]int, pr *ProfileResult) (seq
 			NodesMaterialized: after.NodesMaterialized - before.NodesMaterialized,
 		},
 	})
-	if fanout[op] > 1 {
-		out.Freeze()
-		ctx.memo[op] = out
-		return out.Alias(), nil
-	}
 	return out, nil
 }
 

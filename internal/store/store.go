@@ -55,10 +55,10 @@ import (
 // global load order, independent of the shard the document lands on.
 type DocID int32
 
-// Stats counts the store accesses performed during query evaluation. The
-// benchmark harness resets it per query and reports it next to wall-clock
-// time, making visible *why* one plan beats another (redundant index scans,
-// early materialization, navigation steps).
+// Stats counts the store accesses performed during query evaluation. A
+// profile reports it per operator next to wall-clock time, the examples per
+// query, making visible *why* one plan beats another (redundant index
+// scans, early materialization, navigation steps).
 type Stats struct {
 	// TagLookups counts tag-index probes.
 	TagLookups int64

@@ -207,6 +207,35 @@ func TestSyncDrainsPending(t *testing.T) {
 	}
 }
 
+// TestSyncCountFollowsPolicy pins the fsyncs each policy issues for n
+// appends: one per append under SyncAlways (zero would mean "always"
+// silently degraded to "off"), none under SyncOff, and between one and n
+// under SyncBatch once the batch is flushed — however many the batch timer
+// got to first.
+func TestSyncCountFollowsPolicy(t *testing.T) {
+	const n = 10
+	for _, tc := range []struct {
+		policy   Policy
+		min, max int64
+	}{
+		{SyncAlways, n, n},
+		{SyncOff, 0, 0},
+		{SyncBatch, 1, n},
+	} {
+		l := mustOpen(t, t.TempDir(), Options{Policy: tc.policy, BatchRecords: 4})
+		appendN(t, l, 1, n)
+		if tc.policy == SyncBatch {
+			if err := l.Sync(); err != nil {
+				t.Fatalf("%s: Sync: %v", tc.policy, err)
+			}
+		}
+		st := l.Stats()
+		if st.Appended != n || st.Synced < tc.min || st.Synced > tc.max {
+			t.Errorf("%s: %d appends gave %d fsyncs, want %d..%d", tc.policy, st.Appended, st.Synced, tc.min, tc.max)
+		}
+	}
+}
+
 func TestClosedLogRefuses(t *testing.T) {
 	l := mustOpen(t, t.TempDir(), Options{})
 	appendN(t, l, 1, 1)

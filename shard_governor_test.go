@@ -83,7 +83,7 @@ func TestShardSharedBudget(t *testing.T) {
 
 	// The governor's charge for one slab, read off a budget no slab fits in.
 	var be *BudgetError
-	if _, err := db1.Query(query, WithMaxArenaNodes(1)); !errors.As(err, &be) {
+	if _, err := db1.Query(query, WithLimits(Limits{MaxArenaNodes: 1})); !errors.As(err, &be) {
 		t.Fatalf("one-node budget: err = %v, want *BudgetError", err)
 	}
 	slabNodes := be.Observed
@@ -93,14 +93,14 @@ func TestShardSharedBudget(t *testing.T) {
 		par int
 	}{{db1, 1}, {db1, 4}, {db4, 1}, {db4, 4}} {
 		_, before, _ := seq.ArenaTotals()
-		if _, err := cfg.db.Query(query, WithMaxArenaNodes(generous), WithParallelism(cfg.par)); err != nil {
+		if _, err := cfg.db.Query(query, WithLimits(Limits{MaxArenaNodes: generous}), WithParallelism(cfg.par)); err != nil {
 			// Governance is shared, not stricter, at higher shard counts.
 			t.Fatalf("shards=%d parallelism=%d: generous budget: %v", cfg.db.NumShards(), cfg.par, err)
 		}
 		_, after, _ := seq.ArenaTotals()
 		budget := (after - before) * slabNodes / 2
 
-		_, err := cfg.db.Query(query, WithMaxArenaNodes(budget), WithParallelism(cfg.par))
+		_, err := cfg.db.Query(query, WithLimits(Limits{MaxArenaNodes: budget}), WithParallelism(cfg.par))
 		if !errors.As(err, &be) {
 			t.Errorf("shards=%d parallelism=%d: err = %v under half the %d slabs the run allocates, want *BudgetError",
 				cfg.db.NumShards(), cfg.par, err, after-before)
@@ -122,7 +122,7 @@ func TestShardBudgetChaosAbortsSiblings(t *testing.T) {
 	t.Cleanup(faultinject.Disable)
 	_, db4, query := shardBudgetFixture(t)
 
-	inBudget, err := db4.Compile(query, WithMaxArenaNodes(1<<30), WithParallelism(4))
+	inBudget, err := db4.Compile(query, WithLimits(Limits{MaxArenaNodes: 1 << 30}), WithParallelism(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestShardBudgetChaosAbortsSiblings(t *testing.T) {
 		}()
 
 		start := time.Now()
-		_, err := db4.Query(query, WithMaxArenaNodes(64), WithParallelism(4))
+		_, err := db4.Query(query, WithLimits(Limits{MaxArenaNodes: 64}), WithParallelism(4))
 		elapsed := time.Since(start)
 		var be *BudgetError
 		if !errors.As(err, &be) {

@@ -124,7 +124,7 @@ func ParseEngine(s string) (Engine, bool) {
 // for a document not loaded — documents are never unloaded, so 0 -> 1 is
 // the only way an absent name changes). The store's statistics counters
 // are atomic, so concurrent Run calls interleave counter updates rather
-// than corrupt them. The benchmark harness still runs queries sequentially
+// than corrupt them. The figure benchmarks still run queries sequentially
 // with intra-query parallelism 1, as the paper did.
 type Database struct {
 	st *store.Store
@@ -279,8 +279,7 @@ func (db *Database) DocumentVersion(name string) (uint64, bool) { return db.st.D
 
 // UpdateGeneration returns the number of updates committed into the
 // database. A snapshot written earlier is stale relative to this database
-// exactly when its recorded update generation (SnapshotUpdateGen) is
-// smaller.
+// exactly when the update generation recorded in its manifest is smaller.
 func (db *Database) UpdateGeneration() uint64 { return db.st.UpdateGeneration() }
 
 // VersionsLive returns the number of document versions currently
@@ -383,13 +382,6 @@ func (db *Database) LoadSnapshot(dir string) error {
 // manifest is written last, so its presence is the completion marker.
 func SnapshotExists(dir string) bool { return store.SnapshotExists(dir) }
 
-// SnapshotUpdateGen reads the update generation recorded in a snapshot's
-// manifest without opening the payloads. Comparing it against a live
-// database's UpdateGeneration detects a stale snapshot: one written
-// before updates that have since committed. Snapshots written before the
-// update subsystem existed report 0.
-func SnapshotUpdateGen(dir string) (uint64, error) { return store.SnapshotUpdateGen(dir) }
-
 // OpenSnapshot opens the snapshot in dir as a new database, sized to the
 // snapshot's shard count. This is the cold-start fast path: instead of
 // re-parsing XML, the shard files are validated and mapped, and queries
@@ -485,7 +477,7 @@ type WALReplayStats struct {
 
 // AttachWAL opens (creating if needed) the write-ahead log in o.Dir,
 // replays every record newer than the database's update generation —
-// for a snapshot-opened database, the SnapshotUpdateGen watermark — and
+// for a snapshot-opened database, the generation its manifest records — and
 // installs the log as the store's commit hook: from then on every update
 // is appended and (per the fsync policy) synced before its directory swap
 // publishes it. Replay resolves and validates each record exactly as live
@@ -666,47 +658,24 @@ func WithPlanner(on bool) Option {
 // WithParallelism sets the intra-query worker budget, which defaults to
 // GOMAXPROCS (n < 1 selects the default explicitly). n = 1 evaluates the
 // plan exactly like the original serial executor — byte-identical results
-// and store counters, the paper-faithful configuration, which the benchmark
-// harness uses unless told otherwise. n > 1 evaluates independent plan
-// branches concurrently and scatters per-tree operators over chunks of
-// their input; results (including document order) are identical to serial
-// evaluation. The navigational engine ignores the option (it interprets
-// the AST, there is no plan to parallelize).
+// and store counters, the paper-faithful configuration, which the figure
+// benchmarks use. n > 1 evaluates independent plan branches concurrently
+// and scatters per-tree operators over chunks of their input; results
+// (including document order) are identical to serial evaluation. The
+// navigational engine ignores the option (it interprets the AST, there is
+// no plan to parallelize).
 func WithParallelism(n int) Option {
 	return func(c *queryConfig) { c.parallelism = n }
 }
 
-// WithLimits sets the query's whole resource budget at once.
+// WithLimits sets the query's resource budget (see Limits; zero fields
+// are unlimited).
 func WithLimits(l Limits) Option {
 	return func(c *queryConfig) { c.limits = l }
 }
 
-// WithMaxArenaNodes caps the query's witness-node allocation (n <= 0 is
-// unlimited). See Limits.MaxArenaNodes.
-func WithMaxArenaNodes(n int64) Option {
-	return func(c *queryConfig) { c.limits.MaxArenaNodes = n }
-}
-
-// WithMaxArenaBytes caps the query's arena memory in bytes (n <= 0 is
-// unlimited). See Limits.MaxArenaBytes.
-func WithMaxArenaBytes(n int64) Option {
-	return func(c *queryConfig) { c.limits.MaxArenaBytes = n }
-}
-
-// WithMaxResultCard caps every intermediate sequence's cardinality (n <= 0
-// is unlimited). See Limits.MaxResultCard.
-func WithMaxResultCard(n int64) Option {
-	return func(c *queryConfig) { c.limits.MaxResultCard = n }
-}
-
-// WithMaxWall caps evaluation wall-clock time as a budget (d <= 0 is
-// unlimited). See Limits.MaxWall.
-func WithMaxWall(d time.Duration) Option {
-	return func(c *queryConfig) { c.limits.MaxWall = d }
-}
-
-// Prepared is a compiled query, reusable across executions (the benchmark
-// harness compiles once and measures evaluation only, like the paper).
+// Prepared is a compiled query, reusable across executions (the figure
+// benchmarks compile once and measure evaluation only, like the paper).
 //
 // A single Prepared is safe for concurrent Run/RunContext calls: the plan
 // DAG is immutable after Compile (every rewrite and planner decision
