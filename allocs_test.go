@@ -5,7 +5,7 @@ import (
 )
 
 // fig15Allocs is what one run of each Figure 15 query allocates under TLC
-// at XMark factor 0.05, one shard, serial: the measurement (on a 2-core
+// at XMark factor 0.05: the measurement (on a 2-core
 // x86-64 Linux box, Go 1.24; one pass totals 56,103), and the ceiling
 // TestFig15AllocationBudget holds the query to, 1.25x the measurement.
 // Allocation counts hardly depend on the machine, so a query over its
@@ -38,19 +38,19 @@ var fig15Allocs = map[string]struct{ measured, ceiling float64 }{
 }
 
 // TestFig15AllocationBudget gates the heap allocations of every Figure 15
-// query: each must stay within its ceiling in fig15Allocs. One shard and
-// parallelism 1 keep the count independent of the machine's core count.
+// query: each must stay within its ceiling in fig15Allocs. Evaluation is
+// serial, so the count does not depend on the machine's core count.
 func TestFig15AllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop the arena's slabs, so counts differ")
 	}
-	db := Open(WithShards(1))
+	db := Open()
 	if err := db.LoadXMark("auction.xml", 0.05); err != nil {
 		t.Fatal(err)
 	}
 	var total float64
 	for _, q := range Workload() {
-		p, err := db.Compile(q.Text, WithEngine(TLC), WithParallelism(1))
+		p, err := db.Compile(q.Text, WithEngine(TLC))
 		if err != nil {
 			t.Fatalf("%s: %v", q.ID, err)
 		}

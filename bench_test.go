@@ -11,8 +11,6 @@
 //	BenchmarkAblationValueJoin — sort–merge–sort vs nested-loop value join
 //	BenchmarkAblationReuse     — extension select vs fresh match + id join
 //	BenchmarkAblationJoinOrder — planner off (translated order) vs on
-//	BenchmarkParallelSpeedup   — serial vs GOMAXPROCS workers
-//	BenchmarkShardScaling      — shards 1 and 4, parallelism 1 and 4
 //	BenchmarkLoad              — XMark generation + indexing throughput
 //
 // The benchmark scale factor defaults to 0.05 and can be overridden with
@@ -26,7 +24,6 @@ package tlc
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"testing"
 	"tlc/internal/algebra"
@@ -58,12 +55,7 @@ func benchDB(b *testing.B, factor float64) *Database {
 
 func runQuery(b *testing.B, db *Database, text string, e Engine) {
 	b.Helper()
-	runQueryParallel(b, db, text, e, 1)
-}
-
-func runQueryParallel(b *testing.B, db *Database, text string, e Engine, parallelism int) {
-	b.Helper()
-	p, err := db.Compile(text, WithEngine(e), WithParallelism(parallelism))
+	p, err := db.Compile(text, WithEngine(e))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -212,60 +204,6 @@ func BenchmarkLoad(b *testing.B) {
 		db := Open()
 		if err := db.LoadXMark("auction.xml", f); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkParallelSpeedup is the intra-query parallelism ablation: the
-// same workload query evaluated serially (parallelism 1, the paper's
-// methodology) and with a GOMAXPROCS worker budget. The chosen queries
-// stress the parallel paths differently: x5 and x13 are chunked per-tree
-// pipelines over many trees, x20 carries a multi-branch DisjFilter, Q1 adds
-// a value join whose independent sides fan out, and Q2 is nest-heavy. On a
-// single-core runner the two columns should be within noise of each other
-// (the parallel path degrades to chunk-at-a-time on one worker).
-func BenchmarkParallelSpeedup(b *testing.B) {
-	db := benchDB(b, benchFactor())
-	workers := runtime.GOMAXPROCS(0)
-	for _, id := range []string{"x5", "x13", "x20", "Q1", "Q2"} {
-		q, ok := workloadByID(id)
-		if !ok {
-			b.Fatalf("unknown query %s", id)
-		}
-		b.Run(id+"/serial", func(b *testing.B) {
-			runQueryParallel(b, db, q.Text, TLC, 1)
-		})
-		b.Run(fmt.Sprintf("%s/parallel-%d", id, workers), func(b *testing.B) {
-			runQueryParallel(b, db, q.Text, TLC, workers)
-		})
-	}
-}
-
-// BenchmarkShardScaling measures the sharded store end to end: the same
-// queries over the same XMark document at shards=1 (the unpartitioned
-// paper methodology) and shards=4, serially and with a matching worker
-// budget. Shard parity guarantees identical results in every cell; the
-// benchmark tracks what the partitioning itself costs (per-shard index
-// and arena indirection) and what scatter–gather buys once workers and
-// shards can actually overlap — on a single-core runner the columns
-// should be within noise.
-func BenchmarkShardScaling(b *testing.B) {
-	factor := benchFactor()
-	for _, shards := range []int{1, 4} {
-		db := Open(WithShards(shards))
-		if err := db.LoadXMark("auction.xml", factor); err != nil {
-			b.Fatal(err)
-		}
-		for _, id := range []string{"x5", "x13", "Q1", "Q2"} {
-			q, ok := workloadByID(id)
-			if !ok {
-				b.Fatalf("unknown query %s", id)
-			}
-			for _, par := range []int{1, 4} {
-				b.Run(fmt.Sprintf("%s/shards=%d/parallel=%d", id, shards, par), func(b *testing.B) {
-					runQueryParallel(b, db, q.Text, TLC, par)
-				})
-			}
 		}
 	}
 }

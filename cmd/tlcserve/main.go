@@ -41,9 +41,11 @@ func main() {
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-query evaluation deadline")
 	maxTimeout := flag.Duration("max-timeout", 5*time.Minute, "cap on request-supplied deadlines")
 	cacheSize := flag.Int("cache-size", 128, "plan cache capacity in plans")
-	parallel := flag.Int("parallel", 1, "default intra-query parallelism: 1 = serial, 0 = GOMAXPROCS")
-	shards := flag.Int("shards", 0, "store shard count (0 = GOMAXPROCS)")
-	snapshot := flag.String("snapshot", "", "snapshot directory: open it if it holds a snapshot (mmap fast start; overrides -shards), otherwise write one there after the startup loads")
+	// -parallel and -shards are ignored; they remain only because
+	// bench/server.go:28 passes them.
+	flag.Int("parallel", 1, "ignored")
+	flag.Int("shards", 0, "ignored")
+	snapshot := flag.String("snapshot", "", "snapshot directory: open it if it holds a snapshot (mmap fast start), otherwise write one there after the startup loads")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (heap, cpu, goroutine profiles)")
 	maxNodes := flag.Int64("max-nodes", 0, "per-query witness-node budget; exceeding aborts the query with 422 (0 = unlimited)")
 	maxBytes := flag.Int64("max-bytes", 0, "per-query arena memory budget in bytes (0 = unlimited)")
@@ -56,8 +58,10 @@ func main() {
 	faults := flag.String("faults", os.Getenv("TLC_FAULTS"),
 		"fault-injection spec, e.g. 'store.load=error;physical.valuejoin=panic,after=2' (default $TLC_FAULTS; testing only)")
 	flag.Parse()
-	if *parallel == 0 {
-		*parallel = -1 // explicit "use GOMAXPROCS"
+	ignored := false
+	flag.Visit(func(f *flag.Flag) { ignored = ignored || f.Name == "parallel" || f.Name == "shards" })
+	if ignored {
+		fmt.Fprintln(os.Stderr, "tlcserve: -parallel and -shards are ignored: one store, serial evaluation")
 	}
 	if *faults != "" {
 		if err := faultinject.Enable(*faults); err != nil {
@@ -73,10 +77,10 @@ func main() {
 		if db, err = tlc.OpenSnapshot(*snapshot); err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "tlcserve: opened snapshot %s (%d documents, %d shards)\n",
-			*snapshot, len(db.Documents()), db.NumShards())
+		fmt.Fprintf(os.Stderr, "tlcserve: opened snapshot %s (%d documents)\n",
+			*snapshot, len(db.Documents()))
 	} else {
-		db = tlc.Open(tlc.WithShards(*shards))
+		db = tlc.Open()
 		writeSnap = *snapshot != ""
 	}
 	defer db.Close()
@@ -128,7 +132,6 @@ func main() {
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
 		CacheSize:      *cacheSize,
-		Parallelism:    *parallel,
 		UpdateRetries:  *updateRetries,
 		Limits: tlc.Limits{
 			MaxArenaNodes: *maxNodes,

@@ -33,15 +33,10 @@ func main() {
 	engineName := flag.String("engine", "TLC", "engine: TLC, OPT, GTP, TAX, NAV")
 	query := flag.String("query", "", "evaluate one query and exit")
 	explain := flag.Bool("explain", false, "print the evaluation plan before results")
-	parallel := flag.Int("parallel", 1, "intra-query parallelism: 1 = serial, 0 = GOMAXPROCS")
-	shards := flag.Int("shards", 0, "store shard count (0 = GOMAXPROCS)")
-	snapshot := flag.String("snapshot", "", "snapshot directory: open it if it holds a snapshot (mmap fast start; overrides -shards), otherwise write one there after the startup loads")
+	snapshot := flag.String("snapshot", "", "snapshot directory: open it if it holds a snapshot (mmap fast start), otherwise write one there after the startup loads")
 	faults := flag.String("faults", os.Getenv("TLC_FAULTS"),
 		"fault-injection spec, e.g. 'physical.matcher=error,p=0.1' (default $TLC_FAULTS; testing only)")
 	flag.Parse()
-	if *parallel == 0 {
-		*parallel = -1 // explicit "use GOMAXPROCS"
-	}
 	if *faults != "" {
 		if err := faultinject.Enable(*faults); err != nil {
 			fatal(err)
@@ -57,10 +52,10 @@ func main() {
 			fatal(err)
 		}
 		defer db.Close()
-		fmt.Fprintf(os.Stderr, "opened snapshot %s (%d documents, %d shards)\n",
-			*snapshot, len(db.Documents()), db.NumShards())
+		fmt.Fprintf(os.Stderr, "opened snapshot %s (%d documents)\n",
+			*snapshot, len(db.Documents()))
 	} else {
-		db = tlc.Open(tlc.WithShards(*shards))
+		db = tlc.Open()
 		writeSnap = *snapshot != ""
 	}
 	if *xmarkFactor > 0 {
@@ -110,7 +105,7 @@ func main() {
 	cache := plancache.New(64)
 
 	if *query != "" {
-		if err := evalOne(db, cache, *query, engine, *explain, *parallel); err != nil {
+		if err := evalOne(db, cache, *query, engine, *explain); err != nil {
 			fatal(err)
 		}
 		return
@@ -151,10 +146,9 @@ func main() {
 				ut := tlc.UpdateCounters()
 				fmt.Printf("updates: total=%d conflicts=%d stats_deltas=%d versions_live=%d update_gen=%d\n",
 					ut.Updates, ut.Conflicts, ut.StatsDeltas, db.VersionsLive(), db.UpdateGeneration())
-				for i, d := range db.DictionaryStats() {
-					fmt.Printf("shard %d dictionaries: dict_tag_strings=%d dict_value_strings=%d dict_value_live=%d\n",
-						i, d.TagStrings, d.ValueStrings, d.ValueLive)
-				}
+				d := db.DictionaryStats()
+				fmt.Printf("dictionaries: dict_tag_strings=%d dict_value_strings=%d dict_value_live=%d\n",
+					d.TagStrings, d.ValueStrings, d.ValueLive)
 				kills := governor.KillTotals()
 				fmt.Printf("governor kills:")
 				for _, res := range governor.Resources() {
@@ -191,7 +185,7 @@ func main() {
 			continue
 		}
 		if strings.TrimSpace(line) == ";" {
-			if err := evalOne(db, cache, buf.String(), engine, *explain, *parallel); err != nil {
+			if err := evalOne(db, cache, buf.String(), engine, *explain); err != nil {
 				fmt.Fprintln(os.Stderr, "error:", err)
 			}
 			buf.Reset()
@@ -246,7 +240,7 @@ func runUpdate(db *tlc.Database, argstr string) error {
 	return nil
 }
 
-func evalOne(db *tlc.Database, cache *plancache.Cache, text string, engine tlc.Engine, explain bool, parallel int) error {
+func evalOne(db *tlc.Database, cache *plancache.Cache, text string, engine tlc.Engine, explain bool) error {
 	if explain {
 		plan, err := db.Explain(text, tlc.WithEngine(engine))
 		if err != nil {
@@ -258,9 +252,7 @@ func evalOne(db *tlc.Database, cache *plancache.Cache, text string, engine tlc.E
 	}
 	db.ResetStats()
 	start := time.Now()
-	prep, hit, err := cache.Load(context.Background(), db, plancache.Key{
-		Query: text, Engine: engine, Parallelism: parallel,
-	})
+	prep, hit, err := cache.Load(context.Background(), db, plancache.Key{Query: text, Engine: engine})
 	if err != nil {
 		return err
 	}

@@ -74,46 +74,6 @@ func TestPreparedConcurrentReuse(t *testing.T) {
 	}
 }
 
-// TestPreparedConcurrentReuseParallelEvaluator repeats the reuse test with
-// the parallel evaluator, whose per-run futures and chunk scatter add the
-// most concurrency-sensitive machinery.
-func TestPreparedConcurrentReuseParallelEvaluator(t *testing.T) {
-	db := Open()
-	if err := db.LoadXMLString("site.xml", reuseXML); err != nil {
-		t.Fatal(err)
-	}
-	q := `FOR $a IN document("site.xml")//person
-	      FOR $b IN document("site.xml")//person
-	      WHERE $a/age = $b/age RETURN $a/name`
-	p, err := db.Compile(q, WithParallelism(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := db.Run(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 6; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 4; i++ {
-				res, err := db.RunContext(context.Background(), p)
-				if err != nil {
-					t.Errorf("parallel run: %v", err)
-					return
-				}
-				if res.XML() != want.XML() {
-					t.Error("concurrent reuse changed the result")
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // TestRunContextCancelled checks an already-cancelled context stops
 // evaluation before any work happens, for both evaluator families.
 func TestRunContextCancelled(t *testing.T) {

@@ -10,37 +10,10 @@ import (
 )
 
 // TestPanicContainedSerial checks a panic deep inside operator evaluation
-// comes back as a typed *failure.PanicError instead of unwinding through
-// the caller — the barrier every engine run passes through.
+// — in the matcher or in the value join — comes back as a typed
+// *failure.PanicError instead of unwinding through the caller: the barrier
+// every engine run passes through.
 func TestPanicContainedSerial(t *testing.T) {
-	t.Cleanup(faultinject.Disable)
-	db := Open()
-	if err := db.LoadXMLString("site.xml", reuseXML); err != nil {
-		t.Fatal(err)
-	}
-	if err := faultinject.Enable(faultinject.PointValueJoin + "=panic"); err != nil {
-		t.Fatal(err)
-	}
-	_, err := db.Query(`FOR $a IN document("site.xml")//person
-	                    FOR $b IN document("site.xml")//person
-	                    WHERE $a/age = $b/age RETURN $a/name`)
-	var pe *failure.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *failure.PanicError", err)
-	}
-	if !strings.Contains(pe.Error(), "internal: panic") {
-		t.Errorf("message %q", pe.Error())
-	}
-	if len(pe.Stack) == 0 {
-		t.Error("no stack captured")
-	}
-}
-
-// TestPanicContainedParallel repeats the containment check under the
-// parallel evaluator, where the panic happens on a worker goroutine: the
-// future must still complete (no consumer may block forever on its done
-// channel) and the error must reach the caller.
-func TestPanicContainedParallel(t *testing.T) {
 	t.Cleanup(faultinject.Disable)
 	db := Open()
 	if err := db.LoadXMLString("site.xml", reuseXML); err != nil {
@@ -56,11 +29,16 @@ func TestPanicContainedParallel(t *testing.T) {
 		}
 		_, err := db.Query(`FOR $a IN document("site.xml")//person
 		                    FOR $b IN document("site.xml")//person
-		                    WHERE $a/age = $b/age RETURN $a/name`,
-			WithParallelism(4))
+		                    WHERE $a/age = $b/age RETURN $a/name`)
 		var pe *failure.PanicError
 		if !errors.As(err, &pe) {
-			t.Errorf("%s: err = %v, want *failure.PanicError", point, err)
+			t.Fatalf("%s: err = %v, want *failure.PanicError", point, err)
+		}
+		if !strings.Contains(pe.Error(), "internal: panic") {
+			t.Errorf("%s: message %q", point, pe.Error())
+		}
+		if len(pe.Stack) == 0 {
+			t.Errorf("%s: no stack captured", point)
 		}
 	}
 }

@@ -2,37 +2,29 @@ package tlc
 
 import (
 	"fmt"
-	"runtime"
+	"sync"
 	"testing"
 )
 
 // TestCOWEngineIsolation is the end-to-end guard for the copy-on-write
-// witness trees: for every engine and both worker budgets, a query whose
-// plan shares subplans (the rewritable workload queries produce fan-out
-// under TLCOpt, and every engine shares matcher state across runs) must
-// produce the same result when evaluated repeatedly against the same
-// database — a structural-sharing bug shows up as run-to-run drift,
-// because a consumer's mutation leaks into a memoized or cached sibling.
-// Run under -race: with parallelism > 1 the sharing is cross-goroutine,
-// so a missing copy is also a data race.
+// witness trees: for every engine, a query whose plan shares subplans (the
+// rewritable workload queries produce fan-out under TLCOpt) must produce
+// the same result when evaluated repeatedly against the same database — a
+// structural-sharing bug shows up as run-to-run drift, because a
+// consumer's mutation leaks into a memoized sibling. The par=N cases rerun
+// the Prepared on N goroutines at once; under -race a plan or store
+// structure that a run mutates instead of copying is also a data race.
 func TestCOWEngineIsolation(t *testing.T) {
 	db := openXMark(t)
 	engines := []Engine{TLC, TLCOpt, GTP, TAX, Nav}
-	// Serial vs GOMAXPROCS, with a floor of 4 so the parallel executor is
-	// exercised even on a single-CPU runner.
-	par := runtime.GOMAXPROCS(0)
-	if par < 4 {
-		par = 4
-	}
-	budgets := []int{1, par}
 	for _, q := range Workload() {
 		if !q.Rewritable {
 			continue
 		}
 		for _, e := range engines {
-			for _, par := range budgets {
+			for _, par := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s/%s/par=%d", q.ID, e, par), func(t *testing.T) {
-					prep, err := db.Compile(q.Text, WithEngine(e), WithParallelism(par))
+					prep, err := db.Compile(q.Text, WithEngine(e))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -41,15 +33,25 @@ func TestCOWEngineIsolation(t *testing.T) {
 						t.Fatal(err)
 					}
 					want := first.XML()
-					for i := 0; i < 2; i++ {
-						res, err := db.Run(prep)
-						if err != nil {
-							t.Fatalf("rerun %d: %v", i, err)
-						}
-						if got := res.XML(); got != want {
-							t.Fatalf("rerun %d drifted from the first run:\nfirst: %.200s\ngot:   %.200s", i, want, got)
-						}
+					var wg sync.WaitGroup
+					for g := 0; g < par; g++ {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							for i := 0; i < 2; i++ {
+								res, err := db.Run(prep)
+								if err != nil {
+									t.Errorf("rerun %d: %v", i, err)
+									return
+								}
+								if got := res.XML(); got != want {
+									t.Errorf("rerun %d drifted from the first run:\nfirst: %.200s\ngot:   %.200s", i, want, got)
+									return
+								}
+							}
+						}()
 					}
+					wg.Wait()
 				})
 			}
 		}

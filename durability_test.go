@@ -22,7 +22,7 @@ const listXML = `<list><person><name>ada</name></person><person><name>bob</name>
 // -load flags before replaying its WAL.
 func openListDB(t *testing.T) *Database {
 	t.Helper()
-	db := Open(WithShards(2))
+	db := Open()
 	if err := db.LoadXMLString("list.xml", listXML); err != nil {
 		t.Fatal(err)
 	}
@@ -121,12 +121,12 @@ func TestWALRecoveryRoundtrip(t *testing.T) {
 }
 
 // TestWALRecoveryParity runs the replay-determinism check at XMark scale
-// through the shard-parity machinery: an XML-loaded store plus WAL replay
+// through the parity machinery: an XML-loaded store plus WAL replay
 // must answer the whole workload identically to the uncrashed original,
 // on every engine.
 func TestWALRecoveryParity(t *testing.T) {
 	walDir := t.TempDir()
-	db1 := Open(WithShards(2))
+	db1 := Open()
 	if err := db1.LoadXMark("auction.xml", parityFactor); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestWALRecoveryParity(t *testing.T) {
 		}
 	}
 
-	db2 := Open(WithShards(2))
+	db2 := Open()
 	t.Cleanup(func() { db2.Close() })
 	if err := db2.LoadXMark("auction.xml", parityFactor); err != nil {
 		t.Fatal(err)
@@ -232,7 +232,7 @@ func TestSnapshotThenRotateIdempotent(t *testing.T) {
 // must bridge the gap.
 func TestLoadSnapshotAcrossWALGap(t *testing.T) {
 	// dbA: an unrelated store that commits 6 updates and snapshots them.
-	dbA := Open(WithShards(2))
+	dbA := Open()
 	t.Cleanup(func() { dbA.Close() })
 	if err := dbA.LoadXMLString("other.xml", `<other><e>x</e></other>`); err != nil {
 		t.Fatal(err)

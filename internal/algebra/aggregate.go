@@ -46,33 +46,29 @@ func (a *Aggregate) Label() string {
 
 func (a *Aggregate) eval(ctx *Context, in []seq.Seq) (seq.Seq, error) {
 	// Aggregate only adds one node per tree; it mutates trees it owns in
-	// place and copies frozen shared ones first. The result nodes are
-	// temporaries, so the chunked path renumbers after gathering (copies
-	// preserve TempIDs, so making a tree mutable never disturbs the
-	// watermark bookkeeping).
-	return chunkMap(ctx, in[0], true, func(chunk seq.Seq) (seq.Seq, error) {
-		for i, in := range chunk {
-			t, nm := in.MutableWithMapping()
-			chunk[i] = t
-			members := make([]*seq.Node, 0, len(in.Class(a.LCL)))
-			for _, m := range in.Class(a.LCL) {
-				members = append(members, nm.Get(m))
-			}
-			val, err := applyAgg(ctx.Store, a.Fn, members)
-			if err != nil {
-				return nil, err
-			}
-			res := ctx.arena.TempElement(string(a.Fn))
-			seq.Attach(res, ctx.arena.TempText(val))
-			parent := t.Root
-			if len(members) > 0 && members[0].Parent != nil {
-				parent = members[0].Parent
-			}
-			seq.Attach(parent, res)
-			t.AddToClass(a.NewLCL, res)
+	// place and copies frozen shared ones first.
+	trees := in[0]
+	for i, src := range trees {
+		t, nm := src.MutableWithMapping()
+		trees[i] = t
+		members := make([]*seq.Node, 0, len(src.Class(a.LCL)))
+		for _, m := range src.Class(a.LCL) {
+			members = append(members, nm.Get(m))
 		}
-		return chunk, nil
-	})
+		val, err := applyAgg(ctx.Store, a.Fn, members)
+		if err != nil {
+			return nil, err
+		}
+		res := ctx.arena.TempElement(string(a.Fn))
+		seq.Attach(res, ctx.arena.TempText(val))
+		parent := t.Root
+		if len(members) > 0 && members[0].Parent != nil {
+			parent = members[0].Parent
+		}
+		seq.Attach(parent, res)
+		t.AddToClass(a.NewLCL, res)
+	}
+	return trees, nil
 }
 
 // applyAgg computes the aggregate over the member contents.

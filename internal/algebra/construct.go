@@ -35,34 +35,30 @@ func (c *Construct) eval(ctx *Context, in []seq.Seq) (seq.Seq, error) {
 	if c.Pattern == nil {
 		return nil, fmt.Errorf("construct without a pattern")
 	}
-	// Construction creates temporary nodes, so the chunked path renumbers
-	// after the gather to restore creation order across chunks.
-	return chunkMap(ctx, in[0], true, func(chunk seq.Seq) (seq.Seq, error) {
-		out := make(seq.Seq, 0, len(chunk))
-		for _, t := range chunk {
-			nt := ctx.arena.NewTree(nil)
-			cn := construction{a: ctx.arena, st: ctx.Store, t: t, nt: nt}
-			roots, err := cn.build(c.Pattern)
-			if err != nil {
-				return nil, err
-			}
-			switch len(roots) {
-			case 1:
-				nt.Root = roots[0]
-			default:
-				// A pattern whose top level expands to zero or several nodes
-				// (e.g. a bare subtree reference) is wrapped in a result root,
-				// keeping the output a tree.
-				root := ctx.arena.TempElement("result")
-				for _, r := range roots {
-					seq.Attach(root, r)
-				}
-				nt.Root = root
-			}
-			out = append(out, nt)
+	out := make(seq.Seq, 0, len(in[0]))
+	for _, t := range in[0] {
+		nt := ctx.arena.NewTree(nil)
+		cn := construction{a: ctx.arena, st: ctx.Store, t: t, nt: nt}
+		roots, err := cn.build(c.Pattern)
+		if err != nil {
+			return nil, err
 		}
-		return out, nil
-	})
+		switch len(roots) {
+		case 1:
+			nt.Root = roots[0]
+		default:
+			// A pattern whose top level expands to zero or several nodes
+			// (e.g. a bare subtree reference) is wrapped in a result root,
+			// keeping the output a tree.
+			root := ctx.arena.TempElement("result")
+			for _, r := range roots {
+				seq.Attach(root, r)
+			}
+			nt.Root = root
+		}
+		out = append(out, nt)
+	}
+	return out, nil
 }
 
 // construction is the state of building one output tree nt from one input

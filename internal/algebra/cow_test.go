@@ -1,8 +1,8 @@
 package algebra
 
 import (
-	"context"
 	"fmt"
+	"sync"
 	"testing"
 
 	"tlc/internal/seq"
@@ -16,37 +16,50 @@ import (
 // class. The Aggregate runs after the Prune (evaluation is input order),
 // so a leak makes every count 0; isolation keeps the counts {3, 1, 0}.
 // The merge grafts all counts onto each tree (the select's trees share the
-// document root), which doesn't matter for what's being tested. The 4-way
-// budget runs the two branches concurrently, so under -race a missing copy
-// is also a data race, not just a wrong count.
+// document root), which doesn't matter for what's being tested. The
+// parallelism=N cases evaluate the one plan DAG N times at once, so under
+// -race a run that mutates shared plan or store state is also a data race.
 func TestDAGSplitIsolation(t *testing.T) {
 	s := loadAuction(t)
+	shared := auctionSelect()
+	pruned := NewPrune(shared, 5)
+	counted := NewAggregate(shared, Count, 5, 11)
+	merged := NewMerge(pruned, counted)
+	check := func(t *testing.T) {
+		out, err := Run(s, merged)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if len(out) != 3 {
+			t.Errorf("%d trees, want 3", len(out))
+			return
+		}
+		for ti, w := range out {
+			got := map[string]int{}
+			for _, cnt := range w.ClassAll(11) {
+				got[seq.Content(s, cnt)]++
+			}
+			want := map[string]int{"3": 1, "1": 1, "0": 1}
+			for k, n := range want {
+				if got[k] != n {
+					t.Errorf("tree %d: bidder counts %v, want one each of 3/1/0 — the Prune branch leaked into the Aggregate branch", ti, got)
+					return
+				}
+			}
+		}
+	}
 	for _, par := range []int{1, 4} {
 		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
-			shared := auctionSelect()
-			pruned := NewPrune(shared, 5)
-			counted := NewAggregate(shared, Count, 5, 11)
-			merged := NewMerge(pruned, counted)
-
-			out, err := RunContext(context.Background(), s, merged, par)
-			if err != nil {
-				t.Fatal(err)
+			var wg sync.WaitGroup
+			for g := 0; g < par; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					check(t)
+				}()
 			}
-			if len(out) != 3 {
-				t.Fatalf("%d trees, want 3", len(out))
-			}
-			for ti, w := range out {
-				got := map[string]int{}
-				for _, cnt := range w.ClassAll(11) {
-					got[seq.Content(s, cnt)]++
-				}
-				want := map[string]int{"3": 1, "1": 1, "0": 1}
-				for k, n := range want {
-					if got[k] != n {
-						t.Fatalf("tree %d: bidder counts %v, want one each of 3/1/0 — the Prune branch leaked into the Aggregate branch", ti, got)
-					}
-				}
-			}
+			wg.Wait()
 		})
 	}
 }

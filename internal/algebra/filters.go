@@ -34,30 +34,28 @@ func (f *FilterCompare) Label() string {
 }
 
 func (f *FilterCompare) eval(ctx *Context, in []seq.Seq) (seq.Seq, error) {
-	return chunkMap(ctx, in[0], false, func(chunk seq.Seq) (seq.Seq, error) {
-		var out seq.Seq
-		for _, t := range chunk {
-			l := t.Class(f.LLCL)
-			r := t.Class(f.RLCL)
-			pass := false
-			for _, ln := range l {
-				lc := seq.Content(ctx.Store, ln)
-				for _, rn := range r {
-					if pattern.Compare(f.Op, lc, seq.Content(ctx.Store, rn)) {
-						pass = true
-						break
-					}
-				}
-				if pass {
+	var out seq.Seq
+	for _, t := range in[0] {
+		l := t.Class(f.LLCL)
+		r := t.Class(f.RLCL)
+		pass := false
+		for _, ln := range l {
+			lc := seq.Content(ctx.Store, ln)
+			for _, rn := range r {
+				if pattern.Compare(f.Op, lc, seq.Content(ctx.Store, rn)) {
+					pass = true
 					break
 				}
 			}
 			if pass {
-				out = append(out, t)
+				break
 			}
 		}
-		return out, nil
-	})
+		if pass {
+			out = append(out, t)
+		}
+	}
+	return out, nil
 }
 
 // FilterBranch is one disjunct of a DisjFilter.
@@ -94,43 +92,41 @@ func (f *DisjFilter) Label() string {
 }
 
 func (f *DisjFilter) eval(ctx *Context, in []seq.Seq) (seq.Seq, error) {
-	return chunkMap(ctx, in[0], false, func(chunk seq.Seq) (seq.Seq, error) {
-		var out seq.Seq
-		for _, t := range chunk {
-			pass := false
-			for _, b := range f.Branches {
-				members := t.Class(b.LCL)
-				hold := 0
-				for _, n := range members {
-					if b.Pred.Eval(seq.Content(ctx.Store, n)) {
-						hold++
-					}
+	var out seq.Seq
+	for _, t := range in[0] {
+		pass := false
+		for _, b := range f.Branches {
+			members := t.Class(b.LCL)
+			hold := 0
+			for _, n := range members {
+				if b.Pred.Eval(seq.Content(ctx.Store, n)) {
+					hold++
 				}
-				switch b.Mode {
-				case Every:
-					// For a disjunct, an empty class is a non-match rather than
-					// vacuous truth: OR semantics require a witness.
-					pass = len(members) > 0 && hold == len(members)
-				case AtLeastOne:
-					pass = hold >= 1
-				case ExactlyOne:
-					pass = hold == 1
-				case NoneOf:
-					// A negated disjunct: the branch holds when no class member
-					// satisfies the predicate — including the empty class (the
-					// negated path simply being absent).
-					pass = hold == 0
-				}
-				if pass {
-					break
-				}
+			}
+			switch b.Mode {
+			case Every:
+				// For a disjunct, an empty class is a non-match rather than
+				// vacuous truth: OR semantics require a witness.
+				pass = len(members) > 0 && hold == len(members)
+			case AtLeastOne:
+				pass = hold >= 1
+			case ExactlyOne:
+				pass = hold == 1
+			case NoneOf:
+				// A negated disjunct: the branch holds when no class member
+				// satisfies the predicate — including the empty class (the
+				// negated path simply being absent).
+				pass = hold == 0
 			}
 			if pass {
-				out = append(out, t)
+				break
 			}
 		}
-		return out, nil
-	})
+		if pass {
+			out = append(out, t)
+		}
+	}
+	return out, nil
 }
 
 var _ Op = (*FilterCompare)(nil)

@@ -34,7 +34,7 @@ type ProfileResult struct {
 	Arena seq.ArenaStats
 }
 
-// Profile evaluates the plan with Eval's serial evaluator while recording,
+// Profile evaluates the plan with Eval while recording,
 // per operator, its output cardinality, its own wall-clock time and its own
 // store accesses — the data behind an EXPLAIN ANALYZE. Shared subplans
 // (fan-out > 1) are profiled once, like Eval computes them once, and panics
@@ -48,7 +48,7 @@ func Profile(ctx *Context, root Op) (*ProfileResult, error) {
 		return nil, err
 	}
 	pr.Out = out
-	pr.Arena = ctx.ArenaStats()
+	pr.Arena = ctx.arena.Stats()
 	return pr, nil
 }
 

@@ -35,13 +35,11 @@ func (p *Project) Label() string {
 }
 
 func (p *Project) eval(ctx *Context, in []seq.Seq) (seq.Seq, error) {
-	return chunkMap(ctx, in[0], false, func(chunk seq.Seq) (seq.Seq, error) {
-		out := make(seq.Seq, 0, len(chunk))
-		for _, t := range chunk {
-			out = append(out, projectTree(t, p.Keep))
-		}
-		return out, nil
-	})
+	out := make(seq.Seq, 0, len(in[0]))
+	for _, t := range in[0] {
+		out = append(out, projectTree(t, p.Keep))
+	}
+	return out, nil
 }
 
 // projectTree restructures the tree in place when the operator owns it

@@ -27,17 +27,15 @@ func NewFlatten(in Op, pLCL, cLCL int) *Flatten {
 func (f *Flatten) Label() string { return fmt.Sprintf("Flatten (%d, %d)", f.PLCL, f.CLCL) }
 
 func (f *Flatten) eval(ctx *Context, in []seq.Seq) (seq.Seq, error) {
-	return chunkMap(ctx, in[0], false, func(chunk seq.Seq) (seq.Seq, error) {
-		var out seq.Seq
-		for _, t := range chunk {
-			trees, err := breakApart(t, f.PLCL, f.CLCL, false)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, trees...)
+	var out seq.Seq
+	for _, t := range in[0] {
+		trees, err := breakApart(t, f.PLCL, f.CLCL, false)
+		if err != nil {
+			return nil, err
 		}
-		return out, nil
-	})
+		out = append(out, trees...)
+	}
+	return out, nil
 }
 
 // Shadow behaves like Flatten but retains the suppressed members as
@@ -59,17 +57,15 @@ func NewShadow(in Op, pLCL, cLCL int) *Shadow {
 func (s *Shadow) Label() string { return fmt.Sprintf("Shadow (%d, %d)", s.PLCL, s.CLCL) }
 
 func (s *Shadow) eval(ctx *Context, in []seq.Seq) (seq.Seq, error) {
-	return chunkMap(ctx, in[0], false, func(chunk seq.Seq) (seq.Seq, error) {
-		var out seq.Seq
-		for _, t := range chunk {
-			trees, err := breakApart(t, s.PLCL, s.CLCL, true)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, trees...)
+	var out seq.Seq
+	for _, t := range in[0] {
+		trees, err := breakApart(t, s.PLCL, s.CLCL, true)
+		if err != nil {
+			return nil, err
 		}
-		return out, nil
-	})
+		out = append(out, trees...)
+	}
+	return out, nil
 }
 
 // breakApart implements the common mechanics of Flatten and Shadow.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"tlc/internal/pattern"
-	"tlc/internal/physical"
 	"tlc/internal/seq"
 )
 
@@ -46,34 +45,12 @@ func (s *Select) eval(ctx *Context, in []seq.Seq) (seq.Seq, error) {
 		if len(in) != 1 {
 			return nil, fmt.Errorf("extension select needs exactly one input, has %d", len(in))
 		}
-		// Extension matching is per-tree; scatter over chunks (the shared
-		// matcher's caches make concurrent matching safe). Each chunk is
-		// served by the matcher of the shard its trees anchor in — routing
-		// partitions the matcher caches by shard, and mis-routed trees (a
-		// chunk mixing documents from two shards) still match correctly,
-		// just against a colder cache.
-		return chunkMap(ctx, in[0], false, func(chunk seq.Seq) (seq.Seq, error) {
-			return matcherForChunk(ctx, chunk).MatchExtend(ctx.GoContext(), chunk, s.APT)
-		})
+		return ctx.Matcher.MatchExtend(ctx.GoContext(), in[0], s.APT)
 	}
 	if len(in) != 0 {
 		return nil, fmt.Errorf("document select takes no input, has %d", len(in))
 	}
-	// A document-rooted select reads exactly one document; its pattern work
-	// belongs to the shard that owns it.
-	return ctx.MatcherFor(ctx.Store.ShardOfName(s.APT.Root.Doc)).MatchDocument(ctx.GoContext(), s.APT)
-}
-
-// matcherForChunk routes a chunk of witness trees to the matcher of the
-// shard owning the first tree's anchoring document (the context's default
-// matcher when the chunk is empty or anchored at temporary nodes).
-func matcherForChunk(ctx *Context, chunk seq.Seq) *physical.Matcher {
-	for _, t := range chunk {
-		if t.Root != nil && t.Root.IsStore() {
-			return ctx.MatcherFor(ctx.Store.ShardOf(t.Root.Doc))
-		}
-	}
-	return ctx.Matcher
+	return ctx.Matcher.MatchDocument(ctx.GoContext(), s.APT)
 }
 
 // Filter restricts a sequence to the trees whose logical class LCL
@@ -132,31 +109,29 @@ func (f *Filter) Label() string {
 }
 
 func (f *Filter) eval(ctx *Context, in []seq.Seq) (seq.Seq, error) {
-	return chunkMap(ctx, in[0], false, func(chunk seq.Seq) (seq.Seq, error) {
-		var out seq.Seq
-		for _, t := range chunk {
-			hold := 0
-			members := t.Class(f.LCL)
-			for _, n := range members {
-				if f.Pred.Eval(seq.Content(ctx.Store, n)) {
-					hold++
-				}
-			}
-			keep := false
-			switch f.Mode {
-			case Every:
-				keep = hold == len(members)
-			case AtLeastOne:
-				keep = hold >= 1
-			case ExactlyOne:
-				keep = hold == 1
-			case NoneOf:
-				keep = hold == 0
-			}
-			if keep {
-				out = append(out, t)
+	var out seq.Seq
+	for _, t := range in[0] {
+		hold := 0
+		members := t.Class(f.LCL)
+		for _, n := range members {
+			if f.Pred.Eval(seq.Content(ctx.Store, n)) {
+				hold++
 			}
 		}
-		return out, nil
-	})
+		keep := false
+		switch f.Mode {
+		case Every:
+			keep = hold == len(members)
+		case AtLeastOne:
+			keep = hold >= 1
+		case ExactlyOne:
+			keep = hold == 1
+		case NoneOf:
+			keep = hold == 0
+		}
+		if keep {
+			out = append(out, t)
+		}
+	}
+	return out, nil
 }

@@ -3,9 +3,9 @@
 // evaluation — an operator bug, a corrupt witness tree, an injected fault
 // — unwound straight through the HTTP handler and killed the whole
 // tlcserve process for every tenant. The recover barriers built from this
-// package sit at the evaluator top level, around every parallel future and
-// chunk worker, around the navigational interpreter, and around the
-// service handlers, so a panic takes down exactly one query.
+// package sit at the evaluator top level, around the navigational
+// interpreter, and around the service handlers, so a panic takes down
+// exactly one query.
 //
 // Two kinds of panic cross a barrier: governor budget aborts (a controlled
 // panic carrying an *ErrBudgetExceeded from an allocation site with no

@@ -81,17 +81,15 @@ func (e *ErrBudgetExceeded) Error() string {
 }
 
 // Governor tracks one query's resource consumption against its Limits.
-// All methods are safe for the parallel executor's worker goroutines and
-// are valid (no-ops) on a nil receiver, so ungoverned runs pay a single
-// nil check.
+// All methods are safe for concurrent use and are valid (no-ops) on a nil
+// receiver, so ungoverned runs pay a single nil check.
 type Governor struct {
 	limits Limits
 	start  time.Time
 	nodes  atomic.Int64
 	bytes  atomic.Int64
 	// killed latches the first budget error so every later check on the
-	// same run fails fast with the same verdict (workers racing past the
-	// first trip all abort identically).
+	// same run fails fast with the same verdict.
 	killed atomic.Pointer[ErrBudgetExceeded]
 }
 

@@ -18,7 +18,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 
 	"tlc/internal/faultinject"
 	"tlc/internal/pattern"
@@ -33,12 +32,6 @@ import (
 type Matcher struct {
 	st   *store.Store
 	vecs map[vecKey]*vec
-	// shared marks a matcher used from concurrent worker goroutines: the
-	// map is guarded by mu. What it holds is immutable once stored, so
-	// workers read the same vectors without copying; two workers missing at
-	// once both compute the same vec and the last store wins.
-	shared bool
-	mu     sync.Mutex
 	// arena backs the witness nodes, child lists and vectors this matcher
 	// creates; nil falls back to the heap (tests, standalone use).
 	arena *seq.Arena
@@ -78,14 +71,6 @@ type choice struct {
 // NewMatcher returns a matcher over st for single-goroutine use.
 func NewMatcher(st *store.Store) *Matcher {
 	return &Matcher{st: st, vecs: make(map[vecKey]*vec)}
-}
-
-// NewSharedMatcher returns a matcher safe for use from concurrent
-// goroutines (the parallel executor's DAG-branch and chunk workers).
-func NewSharedMatcher(st *store.Store) *Matcher {
-	m := NewMatcher(st)
-	m.shared = true
-	return m
 }
 
 // WithArena makes the matcher allocate from a (nil keeps the heap) and
@@ -138,7 +123,7 @@ func (m *Matcher) MatchDocument(ctx context.Context, apt *pattern.Tree) (seq.Seq
 // the ordinals with a match; nothing built from them is ever discarded.
 func (m *Matcher) vector(ctx context.Context, doc store.DocID, p *pattern.Node) (*vec, error) {
 	key := vecKey{doc: doc, node: p}
-	if v, ok := m.load(key); ok {
+	if v, ok := m.vecs[key]; ok {
 		return v, nil
 	}
 	if err := poll(ctx, 0); err != nil {
@@ -177,25 +162,8 @@ func (m *Matcher) vector(ctx context.Context, doc store.DocID, p *pattern.Node) 
 			return nil, err
 		}
 	}
-	m.store(key, v)
-	return v, nil
-}
-
-func (m *Matcher) load(key vecKey) (*vec, bool) {
-	if m.shared {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-	}
-	v, ok := m.vecs[key]
-	return v, ok
-}
-
-func (m *Matcher) store(key vecKey, v *vec) {
-	if m.shared {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-	}
 	m.vecs[key] = v
+	return v, nil
 }
 
 // climbRatio is how many times shorter than the candidate list the vector

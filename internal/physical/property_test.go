@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"tlc/internal/pattern"
@@ -349,8 +348,7 @@ func checkStructure(res seq.Seq) error {
 
 // checkCase runs one generated (document, pattern, extension) case: the
 // document match against the reference, then the extension of its output
-// through one serial matcher in two chunks and through one shared matcher
-// from two goroutines.
+// through one matcher in two chunks.
 func checkCase(t *testing.T, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -399,41 +397,26 @@ func checkCase(t *testing.T, seed int64) {
 		t.Fatalf("seed %d: generated an invalid extension: %v\n%s", seed, err, ext)
 	}
 	wantExt := render(ref.extend(want, ext.Root))
-	extend := func(name string, m *Matcher, concurrent bool) {
-		in := match(m) // MatchExtend consumes its input: a fresh one per run
-		cut := len(in) / 2
-		halves := [2]seq.Seq{}
-		var errs [2]error
-		var wg sync.WaitGroup
-		for i, chunk := range []seq.Seq{in[:cut:cut], in[cut:]} {
-			run := func() { halves[i], errs[i] = m.MatchExtend(ctx, chunk, ext) }
-			if !concurrent {
-				run()
-				continue
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				run()
-			}()
+	// One matcher, arena-backed as in evaluation, extends the match in two
+	// chunks: the second call reads the vectors the first one cached.
+	m := NewMatcher(st).WithArena(seq.NewArena())
+	in := match(m) // MatchExtend consumes its input
+	cut := len(in) / 2
+	var out seq.Seq
+	for _, chunk := range []seq.Seq{in[:cut:cut], in[cut:]} {
+		half, err := m.MatchExtend(ctx, chunk, ext)
+		if err != nil {
+			t.Fatalf("seed %d: extend: %v\nextension:\n%s", seed, err, ext)
 		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				t.Fatalf("seed %d: %s extend: %v\nextension:\n%s", seed, name, err, ext)
-			}
-		}
-		out := append(halves[0], halves[1]...)
-		if got := render(witnessesOf(out)); got != wantExt {
-			t.Fatalf("seed %d: %s extend differs\npattern:\n%sextension:\n%sdoc: %s\ngot:\n%s\nwant:\n%s",
-				seed, name, apt, ext, doc.XML(0), got, wantExt)
-		}
-		if err := checkStructure(out); err != nil {
-			t.Fatalf("seed %d: %s extend: %v\nextension:\n%s", seed, name, err, ext)
-		}
+		out = append(out, half...)
 	}
-	extend("serial", NewMatcher(st), false)
-	extend("shared", NewSharedMatcher(st).WithArena(seq.NewArena()), true)
+	if got := render(witnessesOf(out)); got != wantExt {
+		t.Fatalf("seed %d: extend differs\npattern:\n%sextension:\n%sdoc: %s\ngot:\n%s\nwant:\n%s",
+			seed, apt, ext, doc.XML(0), got, wantExt)
+	}
+	if err := checkStructure(out); err != nil {
+		t.Fatalf("seed %d: extend: %v\nextension:\n%s", seed, err, ext)
+	}
 }
 
 const propertyCases = 400

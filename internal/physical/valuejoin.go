@@ -223,10 +223,6 @@ func stitchTrees(rootTag string, rootLCL int, left *seq.Tree, rights []*seq.Tree
 type joinKey struct {
 	values  []string
 	missing bool
-	// shard is the store shard owning the key's first class member (0 for
-	// purely temporary members). The equality matcher builds its sorted key
-	// runs shard-locally and k-way merges them.
-	shard int
 }
 
 // joinKeys extracts the join values of every tree: the contents of the
@@ -248,53 +244,48 @@ func joinKeys(st *store.Store, s seq.Seq, lcl int) ([]joinKey, error) {
 		for j, m := range members {
 			vals[j] = seq.Content(st, m)
 		}
-		shard := 0
-		if members[0].IsStore() {
-			shard = st.ShardOf(members[0].Doc)
-		}
-		keys[i] = joinKey{values: vals, shard: shard}
+		keys[i] = joinKey{values: vals}
 	}
 	return keys, nil
 }
 
-// runEntry is one (join value, right index) pair of a shard-local run.
-type runEntry struct {
-	v string
-	j int
-}
-
-// mergeMatcher implements the equality phase of sort–merge–sort with
-// shard-local sorted runs: the right side's (value, index) pairs are
-// grouped by the shard owning each tree, each shard's run is sorted
-// independently — the per-shard "sort" pass, which a sharded store can do
-// shard-parallel without any cross-shard coordination — and the runs are
-// k-way merged into the value → right-index grouping the lookup probes.
-// Because the caller iterates the left side in its original order and we
-// only return indexes, the final "sort back to document order" is implicit.
-// Multi-valued keys match existentially: any shared value pairs the trees.
+// mergeMatcher implements the equality phase of sort–merge–sort: the right
+// side's (value, index) pairs are sorted into one run, and the run is
+// grouped into the value → right-index lists the lookup probes. The run is
+// sorted by (value, index), so each group comes out in ascending index
+// order, and adjacent duplicates (one tree carrying the same value twice)
+// are dropped while grouping. Because the caller iterates the left side in
+// its original order and we only return indexes, the final "sort back to
+// document order" is implicit. Multi-valued keys match existentially: any
+// shared value pairs the trees.
 func mergeMatcher(lk, rk []joinKey) func(int) []int {
-	runsByShard := make(map[int][]runEntry)
+	type entry struct {
+		v string
+		j int
+	}
+	var run []entry
 	for j, k := range rk {
 		for _, v := range k.values {
-			runsByShard[k.shard] = append(runsByShard[k.shard], runEntry{v: v, j: j})
+			run = append(run, entry{v: v, j: j})
 		}
 	}
-	runs := make([][]runEntry, 0, len(runsByShard))
-	for _, r := range runsByShard {
-		r := r
-		sort.Slice(r, func(a, b int) bool {
-			if r[a].v != r[b].v {
-				return r[a].v < r[b].v
-			}
-			return r[a].j < r[b].j
-		})
-		runs = append(runs, r)
+	sort.Slice(run, func(a, b int) bool {
+		if run[a].v != run[b].v {
+			return run[a].v < run[b].v
+		}
+		return run[a].j < run[b].j
+	})
+	groups := make(map[string][]int, len(run))
+	for _, e := range run {
+		g := groups[e.v]
+		if len(g) == 0 || g[len(g)-1] != e.j {
+			groups[e.v] = append(g, e.j)
+		}
 	}
-	groups := mergeRuns(runs)
 	return func(i int) []int {
 		k := lk[i]
 		if len(k.values) == 1 {
-			// Merged groups are already index-sorted and deduplicated.
+			// Groups are already index-sorted and deduplicated.
 			return groups[k.values[0]]
 		}
 		var out []int
@@ -302,45 +293,6 @@ func mergeMatcher(lk, rk []joinKey) func(int) []int {
 			out = append(out, groups[v]...)
 		}
 		return dedupSorted(out)
-	}
-}
-
-// mergeRuns k-way merges shard-local (value, index) runs into the global
-// value → right-index grouping. Each run is sorted by (value, index), so
-// popping the least head yields, per value, its right indexes in ascending
-// order — the group lists come out sorted and adjacent duplicates (one
-// tree carrying the same value twice) are dropped during the merge.
-func mergeRuns(runs [][]runEntry) map[string][]int {
-	heads := make([]int, len(runs))
-	n := 0
-	for _, r := range runs {
-		n += len(r)
-	}
-	groups := make(map[string][]int, n)
-	for {
-		best := -1
-		for r := range runs {
-			if heads[r] >= len(runs[r]) {
-				continue
-			}
-			if best < 0 {
-				best = r
-				continue
-			}
-			a, b := runs[r][heads[r]], runs[best][heads[best]]
-			if a.v < b.v || (a.v == b.v && a.j < b.j) {
-				best = r
-			}
-		}
-		if best < 0 {
-			return groups
-		}
-		e := runs[best][heads[best]]
-		heads[best]++
-		g := groups[e.v]
-		if len(g) == 0 || g[len(g)-1] != e.j {
-			groups[e.v] = append(g, e.j)
-		}
 	}
 }
 

@@ -45,7 +45,9 @@ func sortedResults(t *testing.T, db *tlc.Database, prep *tlc.Prepared) string {
 // TestContainmentParity seeds the cache with a weak-threshold query and
 // then loads stricter variants: each must be served by containment (no
 // compile) and produce results byte-identical to a fresh compilation of
-// the same text — per containment-capable engine, at one shard and four.
+// the same text — per containment-capable engine. The shards=4 cases pass
+// tlc.WithShards(4), which Open ignores: they keep checking that the
+// option changes nothing for as long as it exists.
 func TestContainmentParity(t *testing.T) {
 	const weak = `FOR $p IN document("a.xml")//person WHERE $p/age > 18 RETURN $p/name`
 	stricter := []string{

@@ -1,7 +1,6 @@
 // Package plancache caches compiled query plans (tlc.Prepared) behind an
 // LRU keyed on everything that determines compilation output: the
-// canonicalized query, the engine, and the planner and parallelism
-// options. Because a Prepared is safe for concurrent Run calls (the plan
+// canonicalized query, the engine, and the planner and budget options. Because a Prepared is safe for concurrent Run calls (the plan
 // DAG is immutable after compile; per-run state lives in the evaluation
 // context), one cached entry can serve many concurrent requests — the
 // cache is what turns the service's per-request compile cost into a
@@ -50,8 +49,8 @@ type Key struct {
 	Engine tlc.Engine
 	// PlannerOff mirrors tlc.WithPlanner(false).
 	PlannerOff bool
-	// Parallelism mirrors tlc.WithParallelism; it is baked into the
-	// Prepared at compile time, so it must be part of the key.
+	// Parallelism is ignored (evaluation is serial). It remains only because
+	// bench/layers.go:225 sets it; Load clears it before keying.
 	Parallelism int
 	// Limits mirrors tlc.WithLimits: the resource budget is baked into the
 	// Prepared too, so differently-budgeted requests must not share plans.
@@ -241,6 +240,7 @@ func impliesSite(strong, weak tlc.CanonicalSite) bool {
 // so either may be handed out).
 func (c *Cache) Load(ctx context.Context, db *tlc.Database, key Key) (*tlc.Prepared, bool, error) {
 	canon, canonErr := tlc.Canonicalize(key.Query)
+	key.Parallelism = 0
 	ekey := key
 	var skey Key
 	if canonErr == nil {
@@ -302,7 +302,6 @@ func (c *Cache) Load(ctx context.Context, db *tlc.Database, key Key) (*tlc.Prepa
 	opts := []tlc.Option{
 		tlc.WithEngine(key.Engine),
 		tlc.WithPlanner(!key.PlannerOff),
-		tlc.WithParallelism(key.Parallelism),
 		tlc.WithLimits(key.Limits),
 	}
 	prep, err := db.CompileContext(ctx, key.Query, opts...)

@@ -72,15 +72,14 @@ func TestKeyDistinguishesOptions(t *testing.T) {
 		{Query: testQuery},
 		{Query: testQuery, Engine: tlc.TLCOpt},
 		{Query: testQuery, PlannerOff: true},
-		{Query: testQuery, Parallelism: 2},
 	}
 	for _, k := range keys {
 		if _, hit, err := c.Load(ctx, db, k); err != nil || hit {
 			t.Fatalf("key %+v: hit=%v err=%v, want fresh compile", k, hit, err)
 		}
 	}
-	if st := c.Stats(); st.Misses != 4 || st.Size != 4 {
-		t.Errorf("stats = %+v, want 4 distinct entries", st)
+	if st := c.Stats(); st.Misses != 3 || st.Size != 3 {
+		t.Errorf("stats = %+v, want 3 distinct entries", st)
 	}
 }
 
@@ -202,7 +201,7 @@ func TestStaleness(t *testing.T) {
 			}
 		}, "absent"},
 		{"snapshot load of a document named while absent", func(t *testing.T, db *tlc.Database) {
-			src := tlc.Open(tlc.WithShards(1))
+			src := tlc.Open()
 			if err := src.LoadXMLString("c.xml", cXML); err != nil {
 				t.Fatal(err)
 			}
@@ -228,7 +227,7 @@ func TestStaleness(t *testing.T) {
 	wantLen := map[string]int{"a": 3, "absent": 3}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			db := tlc.Open(tlc.WithShards(1))
+			db := tlc.Open()
 			if err := db.LoadXMLString("a.xml", testXML); err != nil {
 				t.Fatal(err)
 			}

@@ -23,7 +23,6 @@ import (
 	"fmt"
 
 	"tlc/internal/algebra"
-	"tlc/internal/pattern"
 	"tlc/internal/store"
 )
 
@@ -46,13 +45,6 @@ type Info struct {
 	// NestedLoopJoins and MergeJoins count the costed algorithm choices.
 	NestedLoopJoins int
 	MergeJoins      int
-	// ShardScan is, per store shard, the summed estimated cardinality of
-	// the plan's document-rooted pattern selects resolving on that shard —
-	// the planner's view of how the scatter–gather leaf work spreads across
-	// shards. The per-shard figures come from the same catalog partials
-	// (Catalog.TagCountByShard) whose sum drives every TagCount-based
-	// estimate, so the costing total and the shard breakdown always agree.
-	ShardScan map[int]float64
 }
 
 // Estimate returns the estimated output cardinality of op, if planned.
@@ -117,14 +109,6 @@ func Plan(root algebra.Op, st *store.Store, _ Options) (algebra.Op, *Info) {
 
 	for _, op := range algebra.Ops(root) {
 		info.est[op] = est.estimate(op)
-		if sel, ok := op.(*algebra.Select); ok && sel.APT != nil && sel.APT.Root != nil && sel.APT.Root.Kind == pattern.TestDocRoot {
-			if id, loaded := st.Lookup(sel.APT.Root.Doc); loaded {
-				if info.ShardScan == nil {
-					info.ShardScan = make(map[int]float64)
-				}
-				info.ShardScan[st.ShardOf(id)] += info.est[op]
-			}
-		}
 	}
 	return root, info
 }

@@ -50,9 +50,9 @@ const kidsBlock = 128
 //
 // Concurrency: partially filled slabs live in a sync.Pool. A goroutine
 // Gets a slab (gaining exclusive access), bumps it, and Puts it back, so
-// the parallel executor's workers allocate without a shared lock. A slab
-// dropped by the pool only wastes its unused tail — nodes already handed
-// out are kept alive by the trees referencing them.
+// allocation takes no shared lock. A slab dropped by the pool only wastes
+// its unused tail — nodes already handed out are kept alive by the trees
+// referencing them.
 //
 // Lifetime: slabs are never recycled across queries. Result trees returned
 // to the caller keep their slabs reachable, and the GC frees everything

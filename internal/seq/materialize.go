@@ -40,7 +40,7 @@ func Materialize(st *store.Store, doc store.DocID, ord int32) *Node {
 // (nil = plain new).
 func MaterializeIn(a *Arena, st *store.Store, doc store.DocID, ord int32) *Node {
 	d := st.Doc(doc)
-	st.CountMaterializedDoc(doc, d.SubtreeSize(ord))
+	st.CountMaterialized(d.SubtreeSize(ord))
 	s := a.Hold()
 	defer a.Release(s)
 	return buildFull(s, d, doc, ord, nil)
@@ -63,7 +63,7 @@ func ExpandInPlaceIn(a *Arena, st *store.Store, n *Node) {
 	if !n.IsStore() || n.Full {
 		return
 	}
-	st.CountMaterializedDoc(n.Doc, st.Doc(n.Doc).SubtreeSize(n.Ord)-1)
+	st.CountMaterialized(st.Doc(n.Doc).SubtreeSize(n.Ord) - 1)
 	s := a.Hold()
 	defer a.Release(s)
 	expandInPlace(s, st, n)
@@ -141,7 +141,7 @@ func AppendXML(sb *strings.Builder, st *store.Store, n *Node) {
 		return
 	}
 	if n.IsStore() && !n.Full {
-		st.CountMaterializedDoc(n.Doc, st.Doc(n.Doc).SubtreeSize(n.Ord))
+		st.CountMaterialized(st.Doc(n.Doc).SubtreeSize(n.Ord))
 		sb.WriteString(st.Doc(n.Doc).XML(n.Ord))
 		return
 	}

@@ -34,60 +34,9 @@ import (
 )
 
 // tempCounter issues temporary node identifiers (properties 1 and 4 of
-// Figure 13). It is atomic so the parallel executor's worker goroutines,
-// concurrent queries and tests may build trees concurrently.
+// Figure 13). It is atomic so concurrent queries and tests may build trees
+// concurrently.
 var tempCounter atomic.Int64
-
-// TempWatermark returns the highest temporary identifier issued so far.
-// The parallel executor reads it before scattering a per-tree operator over
-// worker goroutines: every identifier issued by the workers is above the
-// watermark, which is what lets the gather step renumber exactly the nodes
-// this operator created (see RenumberTemps).
-func TempWatermark() int64 { return tempCounter.Load() }
-
-// NextTempID issues a fresh temporary identifier without building a node.
-// Used by RenumberTemps to re-issue identifiers in deterministic order.
-func NextTempID() int64 { return tempCounter.Add(1) }
-
-// RenumberTemps restores property 4 (order within a class follows sequence
-// order) after parallel chunk processing: temporary nodes created by
-// concurrent workers carry identifiers in whatever order the goroutines
-// interleaved, so a node of tree i may outnumber a node of tree j > i.
-// Walking the gathered sequence in order and re-issuing identifiers in
-// first-encounter order reproduces the assignment a serial left-to-right
-// evaluation would have made. Only identifiers above the watermark — nodes
-// created by the operator being gathered — are touched, and equal old
-// identifiers map to equal new ones, so clone identity (NodeIDDE, identity
-// joins) is preserved. Callers pass only unfrozen trees: the gathered
-// sequences are the operator's own fresh outputs, never shared aliases.
-func RenumberTemps(s Seq, watermark int64) {
-	remap := make(map[int64]int64)
-	renumber := func(n *Node) bool {
-		if n.TempID > watermark {
-			nid, ok := remap[n.TempID]
-			if !ok {
-				nid = NextTempID()
-				remap[n.TempID] = nid
-				// Fresh identifiers are above the watermark too; mapping
-				// them to themselves keeps revisits (a node reachable both
-				// through the tree walk and a class map) idempotent.
-				remap[nid] = nid
-			}
-			n.TempID = nid
-		}
-		return true
-	}
-	for _, t := range s {
-		t.Root.Walk(renumber)
-		// Class members detached from the tree structure (defensive: well-
-		// formed operators attach everything they classify).
-		for _, b := range t.lc {
-			for _, m := range b.members {
-				renumber(m)
-			}
-		}
-	}
-}
 
 // Node is a witness tree node. A node either references a stored node
 // (Ord >= 0) or is a temporary node (Ord < 0, TempID > 0).

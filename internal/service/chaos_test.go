@@ -307,29 +307,6 @@ func TestBreakerOpensShedsAndRecovers(t *testing.T) {
 	}
 }
 
-// TestSerialFallbackRecoversParallelFailure injects a one-shot panic into
-// the value join of a parallel run: the first (parallel) attempt dies on a
-// contained internal error, the server retries once on the serial
-// evaluator, and the client sees a plain 200.
-func TestSerialFallbackRecoversParallelFailure(t *testing.T) {
-	t.Cleanup(faultinject.Disable)
-	_, ts := newServer(t, Config{})
-	if err := faultinject.Enable(faultinject.PointValueJoin + "=panic,times=1"); err != nil {
-		t.Fatal(err)
-	}
-	resp, body := postJSON(t, ts.URL+"/query", map[string]any{"query": joinQuery, "parallelism": 4})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d (%s), want 200 via serial fallback", resp.StatusCode, body)
-	}
-	if out := decode[queryResponse](t, body); out.Count != 3 {
-		t.Errorf("count = %d, want 3", out.Count)
-	}
-	_, vbody := getBody(t, ts.URL+"/varz")
-	if v := decode[varz](t, vbody); v.SerialFallbacks != 1 {
-		t.Errorf("varz serial_fallbacks = %d, want 1", v.SerialFallbacks)
-	}
-}
-
 // TestVarzFaultsVisibleOnlyWhenArmed checks /varz advertises the armed
 // injection points (an operator must be able to tell a chaos run from an
 // outage) and hides the section entirely in normal operation.

@@ -80,7 +80,7 @@ func classify(err error) (int, string) {
 }
 
 // internalClass reports whether err belongs to the internal (500) class —
-// the trigger for the serial fallback and the circuit breaker.
+// the trigger for the circuit breaker.
 func internalClass(err error) bool {
 	status, _ := classify(err)
 	return status == http.StatusInternalServerError

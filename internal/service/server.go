@@ -43,7 +43,6 @@ import (
 	"tlc/internal/governor"
 	"tlc/internal/plancache"
 	"tlc/internal/seq"
-	"tlc/internal/store"
 )
 
 // Config configures a Server. The zero value of every field selects a
@@ -64,8 +63,9 @@ type Config struct {
 	MaxTimeout time.Duration
 	// CacheSize is the plan cache capacity in plans (default 128).
 	CacheSize int
-	// Parallelism is the default intra-query parallelism for requests
-	// that do not set one (default 1, the serial evaluator).
+	// Parallelism is ignored: every query is evaluated serially. It
+	// remains only because bench/layers.go:436 sets it; the next benchmark
+	// change deletes it.
 	Parallelism int
 	// Limits is the default per-query resource budget (zero = ungoverned).
 	// Requests may set their own limits, which override the corresponding
@@ -103,9 +103,6 @@ func (c *Config) fillDefaults() {
 	if c.CacheSize <= 0 {
 		c.CacheSize = 128
 	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = 1
-	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 5
 	}
@@ -138,10 +135,8 @@ type Server struct {
 	lastSnapshotBytes atomic.Int64
 	lastSnapshotWall  atomic.Int64 // nanoseconds
 	// shed counts requests refused by admission control (429 or queued
-	// past deadline) and serialFallbacks counts parallel runs retried
-	// serially after an internal error.
-	shed            atomic.Int64
-	serialFallbacks atomic.Int64
+	// past deadline).
+	shed atomic.Int64
 
 	// recovering marks the WAL-replay window between process start and
 	// EndRecovery: /readyz reports 503 and mutating endpoints shed, while
@@ -367,8 +362,6 @@ type queryRequest struct {
 	// Engine selects the evaluation engine by name (TLC, OPT, GTP, TAX,
 	// NAV); empty means TLC.
 	Engine string `json:"engine,omitempty"`
-	// Parallelism overrides the server's default intra-query parallelism.
-	Parallelism int `json:"parallelism,omitempty"`
 	// NoPlanner disables the cost-based planner (ablation runs).
 	NoPlanner bool `json:"no_planner,omitempty"`
 	// TimeoutMS overrides the server's default evaluation deadline,
@@ -483,25 +476,14 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, req *queryRequest
 	return ctx, cancel, s.limiter.Release, true
 }
 
-// parallelism resolves the request's effective intra-query parallelism.
-func (s *Server) parallelism(req *queryRequest) int {
-	if req.Parallelism > 0 {
-		return req.Parallelism
-	}
-	return s.cfg.Parallelism
-}
-
-// plan looks the request's plan up in the cache (compiling on a miss),
-// with an explicit parallelism so the serial-fallback retry can ask for
-// the same query at parallelism 1.
-func (s *Server) plan(ctx context.Context, req *queryRequest, par int) (*tlc.Prepared, bool, error) {
+// plan looks the request's plan up in the cache (compiling on a miss).
+func (s *Server) plan(ctx context.Context, req *queryRequest) (*tlc.Prepared, bool, error) {
 	engine, _ := tlc.ParseEngine(req.Engine)
 	return s.cache.Load(ctx, s.db, plancache.Key{
-		Query:       req.Query,
-		Engine:      engine,
-		PlannerOff:  req.NoPlanner,
-		Parallelism: par,
-		Limits:      s.limits(req),
+		Query:      req.Query,
+		Engine:     engine,
+		PlannerOff: req.NoPlanner,
+		Limits:     s.limits(req),
 	})
 }
 
@@ -523,8 +505,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	begin := time.Now()
-	par := s.parallelism(req)
-	prep, hit, err := s.plan(ctx, req, par)
+	prep, hit, err := s.plan(ctx, req)
 	if err != nil {
 		if internalClass(err) {
 			status, code := classify(err)
@@ -538,17 +519,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.preEval()
 	}
 	res, err := s.db.RunContext(ctx, prep)
-	if err != nil && internalClass(err) && par > 1 {
-		// A parallel run died on an internal error (contained panic or
-		// injected fault). Concurrency bugs are the most likely culprit, so
-		// retry the query once on the serial evaluator — it shares no
-		// goroutine machinery with the path that just failed.
-		s.serialFallbacks.Add(1)
-		if sprep, _, serr := s.plan(ctx, req, 1); serr == nil {
-			res, err = s.db.RunContext(ctx, sprep)
-			prep = sprep
-		}
-	}
 	if err != nil {
 		status, code := classify(err)
 		writeErrorCode(w, status, code, "evaluate: %v", err)
@@ -719,11 +689,10 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	s.lastSnapshotBytes.Store(info.Bytes)
 	s.lastSnapshotWall.Store(int64(wall))
 	writeJSON(w, http.StatusOK, map[string]any{
-		"dir":         info.Dir,
-		"bytes":       info.Bytes,
-		"documents":   info.Docs,
-		"shard_files": info.ShardFiles,
-		"wall_ms":     wall.Milliseconds(),
+		"dir":       info.Dir,
+		"bytes":     info.Bytes,
+		"documents": info.Docs,
+		"wall_ms":   wall.Milliseconds(),
 	})
 }
 
@@ -930,15 +899,11 @@ type varz struct {
 	// Mutate holds the MVCC update gauges: updates committed since process
 	// start, commit races lost (each one retried), document versions still
 	// reachable (live + pinned superseded), incremental statistics deltas
-	// applied in place of catalog rebuilds, and the dictionary gauges summed
-	// over the shards (each shard's own are under Shards): strings interned
-	// against values documents hold now — the difference is garbage that
-	// updates left behind and the next checkpoint drops.
+	// applied in place of catalog rebuilds, and the dictionary gauges:
+	// strings interned against values documents hold now — the difference
+	// is garbage that updates left behind and the next checkpoint drops.
 	Mutate    map[string]int64 `json:"mutate"`
 	Documents int              `json:"documents"`
-	// Shards reports the per-shard gauges: document count and dictionary
-	// sizes per store shard, in shard-index order.
-	Shards []shardVarz `json:"shards"`
 	// Governor counts queries aborted by each resource budget since start.
 	Governor map[string]int64 `json:"governor"`
 	// PanicsRecovered counts panics converted to errors at containment
@@ -946,11 +911,8 @@ type varz struct {
 	PanicsRecovered int64 `json:"panics_recovered"`
 	// Breakers maps endpoint name to its circuit breaker state.
 	Breakers map[string]string `json:"breakers"`
-	// Shed counts requests refused by admission control, and
-	// SerialFallbacks counts parallel runs retried serially after an
-	// internal error.
-	Shed            int64 `json:"shed_total"`
-	SerialFallbacks int64 `json:"serial_fallbacks"`
+	// Shed counts requests refused by admission control.
+	Shed int64 `json:"shed_total"`
 	// UpdateRetries counts /update commit-race retries absorbed by the
 	// handler's backoff loop.
 	UpdateRetries int64 `json:"update_retries"`
@@ -968,36 +930,24 @@ type varz struct {
 
 // mutateVarz builds the /varz MVCC update gauge map (also mirrored by the
 // tlcshell .stats command).
-func mutateVarz(db *tlc.Database, dicts []store.DictStats) map[string]int64 {
+func mutateVarz(db *tlc.Database) map[string]int64 {
 	ut := tlc.UpdateCounters()
-	m := map[string]int64{
+	d := db.DictionaryStats()
+	return map[string]int64{
 		"updates_total":        ut.Updates,
 		"update_conflicts":     ut.Conflicts,
 		"versions_live":        db.VersionsLive(),
 		"stats_deltas_applied": ut.StatsDeltas,
+		"dict_tag_strings":     int64(d.TagStrings),
+		"dict_value_strings":   int64(d.ValueStrings),
+		"dict_value_live":      int64(d.ValueLive),
 	}
-	for _, d := range dicts {
-		m["dict_tag_strings"] += int64(d.TagStrings)
-		m["dict_value_strings"] += int64(d.ValueStrings)
-		m["dict_value_live"] += int64(d.ValueLive)
-	}
-	return m
-}
-
-// shardVarz is one store shard's /varz entry.
-type shardVarz struct {
-	Shard            int `json:"shard"`
-	Documents        int `json:"documents"`
-	DictTagStrings   int `json:"dict_tag_strings"`
-	DictValueStrings int `json:"dict_value_strings"`
-	DictValueLive    int `json:"dict_value_live"`
 }
 
 func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
 	snap := s.metrics.Snapshot()
 	cs := s.cache.Stats()
 	st := s.db.Stats()
-	dicts := s.db.DictionaryStats()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	arenaNodes, arenaSlabs, plainNodes := seq.ArenaTotals()
@@ -1033,13 +983,12 @@ func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
 			"last_bytes":       s.lastSnapshotBytes.Load(),
 			"last_duration_ms": time.Duration(s.lastSnapshotWall.Load()).Milliseconds(),
 		},
-		Mutate:          mutateVarz(s.db, dicts),
+		Mutate:          mutateVarz(s.db),
 		Documents:       len(s.db.Documents()),
 		Governor:        make(map[string]int64, 4),
 		PanicsRecovered: failure.PanicsRecovered(),
 		Breakers:        make(map[string]string, len(s.breakers)),
 		Shed:            s.shed.Load(),
-		SerialFallbacks: s.serialFallbacks.Load(),
 		UpdateRetries:   s.updateRetries.Load(),
 	}
 	recState := "ok"
@@ -1068,13 +1017,6 @@ func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
 			"bytes":            ws.Bytes,
 			"replay_applied":   replay.Applied,
 			"replay_skipped":   replay.Skipped,
-		}
-	}
-	v.Shards = make([]shardVarz, len(dicts))
-	for i := range dicts {
-		v.Shards[i] = shardVarz{
-			Shard: i, Documents: len(s.db.ShardDocuments(i)),
-			DictTagStrings: dicts[i].TagStrings, DictValueStrings: dicts[i].ValueStrings, DictValueLive: dicts[i].ValueLive,
 		}
 	}
 	for res, n := range governor.KillTotals() {

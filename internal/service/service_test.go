@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"tlc"
+	"tlc/internal/faultinject"
 	"tlc/internal/physical"
 )
 
@@ -458,6 +459,69 @@ func TestConcurrentQueriesAndLoads(t *testing.T) {
 	wg.Wait()
 }
 
+// TestSlowLoadBlocksNoQuery is the isolation regression test: a load stalled
+// by an injected store.load fault — into the very store the query reads —
+// must not delay the query, which is answered from the document set it
+// pinned, without the loading document.
+func TestSlowLoadBlocksNoQuery(t *testing.T) {
+	t.Cleanup(faultinject.Disable)
+	db := tlc.Open()
+	if err := db.LoadXMLString("site.xml", siteXML); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newServer(t, Config{DB: db})
+	const loading = "probe.xml"
+
+	const slow = 600 * time.Millisecond
+	if err := faultinject.Enable(fmt.Sprintf("%s=slow,delay=%s,times=1", faultinject.PointStoreLoad, slow)); err != nil {
+		t.Fatal(err)
+	}
+	loadDone := make(chan error, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/load?name="+loading, "application/xml", strings.NewReader("<r><x>1</x></r>"))
+		if err != nil {
+			loadDone <- err
+			return
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			err = fmt.Errorf("load status = %d", resp.StatusCode)
+		}
+		loadDone <- err
+	}()
+	for faultinject.Stats()[faultinject.PointStoreLoad].Fired == 0 {
+		time.Sleep(time.Millisecond)
+	}
+
+	begin := time.Now()
+	resp, body := postJSON(t, ts.URL+"/query", map[string]any{"query": siteQuery})
+	elapsed := time.Since(begin)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("query during a load: status = %d (%s)", resp.StatusCode, body)
+	}
+	if elapsed >= 300*time.Millisecond {
+		t.Errorf("query took %v during a %v load; it waited for the load", elapsed, slow)
+	}
+	// The loading document does not exist for queries until it is whole.
+	probe := map[string]any{"query": fmt.Sprintf(`FOR $x IN document(%q)//x RETURN $x`, loading)}
+	if resp, body := postJSON(t, ts.URL+"/query", probe); resp.StatusCode == http.StatusOK {
+		t.Errorf("query over the loading document was answered before the load published it: %s", body)
+	}
+	if err := <-loadDone; err != nil {
+		t.Fatal(err)
+	}
+	// The plan the failed probe left in the cache named the document while
+	// it was absent; its load makes that plan, and only it, stale.
+	resp, body = postJSON(t, ts.URL+"/query", probe)
+	if out := decode[queryResponse](t, body); resp.StatusCode != http.StatusOK || out.Count != 1 || out.CacheHit {
+		t.Errorf("probe after the load: status %d, %+v; want 1 result from a recompiled plan", resp.StatusCode, out)
+	}
+	_, body = postJSON(t, ts.URL+"/query", map[string]any{"query": siteQuery})
+	if !decode[queryResponse](t, body).CacheHit {
+		t.Error("the load evicted the plan of a document it did not touch")
+	}
+}
+
 // TestSnapshotEndpoint: POST /snapshot writes a snapshot that reopens into
 // a database answering the same queries, and /varz reports the snapshot
 // gauges.
@@ -488,10 +552,9 @@ func TestSnapshotEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out struct {
-		Dir        string `json:"dir"`
-		Bytes      int64  `json:"bytes"`
-		Documents  int    `json:"documents"`
-		ShardFiles int    `json:"shard_files"`
+		Dir       string `json:"dir"`
+		Bytes     int64  `json:"bytes"`
+		Documents int    `json:"documents"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
@@ -500,7 +563,7 @@ func TestSnapshotEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /snapshot = %d, want 200", resp.StatusCode)
 	}
-	if out.Documents != 1 || out.Bytes <= 0 || out.ShardFiles != 1 {
+	if out.Documents != 1 || out.Bytes <= 0 {
 		t.Fatalf("snapshot response = %+v", out)
 	}
 

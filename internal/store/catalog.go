@@ -207,12 +207,11 @@ func (d *Doc) tagStats(tag string) TagStats {
 // documents", the conservative scope for patterns whose document is not
 // statically known (extension selects anchored at a logical class).
 //
-// The catalog is shard-structured like the store itself: each document's
-// summary lives with its owning shard, scoped figures are computed as
-// per-shard partial aggregates summed across the scope's shards (see
-// TagCountByShard), and a catalog probe resolves documents through the
-// same lock-free directory the data reads use — so planning never blocks
-// on a load, it just plans against the snapshot it started from.
+// Each document's summary lives with the document version, scoped figures
+// are summed across the scope's documents, and a catalog probe resolves
+// documents through the same lock-free directory the data reads use — so
+// planning never blocks on a load, it just plans against the snapshot it
+// started from.
 type Catalog struct {
 	s *Store
 }
@@ -238,18 +237,6 @@ func (c Catalog) scope(docs []DocID) []DocID {
 		return c.Docs()
 	}
 	return docs
-}
-
-// shardScope groups the scope by owning shard, preserving document order
-// within each group. The planner's aggregates are computed per shard and
-// summed, mirroring how the evaluator scatters the corresponding work.
-func (c Catalog) shardScope(docs []DocID) map[int][]DocID {
-	out := make(map[int][]DocID)
-	for _, id := range c.scope(docs) {
-		sh := c.s.entry(id).shard
-		out[sh] = append(out[sh], id)
-	}
-	return out
 }
 
 // RootTag returns the tag of the document's root element.
@@ -278,28 +265,11 @@ func (c Catalog) Depth(docs []DocID) int {
 	return int(d)
 }
 
-// TagCountByShard returns the number of nodes carrying tag in scope,
-// broken down by owning shard — the per-shard partial cardinalities whose
-// sum is TagCount. The planner costs scatter–gather plans from these
-// partials (the sum drives selectivity, the spread shows skew).
-func (c Catalog) TagCountByShard(docs []DocID, tag string) map[int]int {
-	out := make(map[int]int)
-	for sh, ids := range c.shardScope(docs) {
-		n := 0
-		for _, id := range ids {
-			n += c.s.entry(id).tagStats(tag).Count
-		}
-		out[sh] = n
-	}
-	return out
-}
-
-// TagCount returns the number of nodes carrying tag in scope: the sum of
-// the per-shard partial counts.
+// TagCount returns the number of nodes carrying tag in scope.
 func (c Catalog) TagCount(docs []DocID, tag string) int {
 	n := 0
-	for _, partial := range c.TagCountByShard(docs, tag) {
-		n += partial
+	for _, id := range c.scope(docs) {
+		n += c.s.entry(id).tagStats(tag).Count
 	}
 	return n
 }

@@ -22,7 +22,7 @@ import (
 //	val     [ 0  |  7  |  3  |  3  | ...]  uint32  value dictionary ID + 1
 //
 // Tags and values are dictionary-encoded: the columns hold dense integer
-// IDs, the strings live once in the owning shard's interned dictionaries
+// IDs, the strings live once in the store's interned dictionaries
 // (dict.go). The val column stores dictID+1 so that 0 means "no content";
 // attributes and text nodes always carry content (possibly the empty
 // string), elements only when the concatenation of their direct text
@@ -65,10 +65,9 @@ type dirEntry struct {
 // postings and dictionary strings are views into the mapped file — the
 // accessors are identical either way.
 type Doc struct {
-	name  string
-	id    DocID
-	shard int
-	c     cols
+	name string
+	id   DocID
+	c    cols
 	// tagDir/valDir index the postings arrays, sorted by dictionary ID.
 	tagDir, valDir []dirEntry
 	// tagPost/valPost hold node ordinals grouped by dictionary ID,
@@ -284,15 +283,14 @@ func (d *Doc) appendXML(sb *strings.Builder, ord int32) {
 }
 
 // buildDoc converts a parsed xmltree arena into the columnar layout,
-// interning its strings into the shard dictionaries, and derives the rest.
+// interning its strings into the store's dictionaries, and derives the rest.
 // The xmltree.Document is not retained: after conversion the columns are
 // the only representation.
-func buildDoc(doc *xmltree.Document, id DocID, shardIdx int, tags, vals *dict) *Doc {
+func buildDoc(doc *xmltree.Document, id DocID, tags, vals *dict) *Doc {
 	n := len(doc.Nodes)
 	d := &Doc{
-		name:  doc.Name,
-		id:    id,
-		shard: shardIdx,
+		name: doc.Name,
+		id:   id,
 		c: cols{
 			start:      make([]int32, n),
 			end:        make([]int32, n),
@@ -350,7 +348,7 @@ func buildDoc(doc *xmltree.Document, id DocID, shardIdx int, tags, vals *dict) *
 		}
 	}
 
-	// Pass 2: intern the local tables into the shard dictionaries and
+	// Pass 2: intern the local tables into the store's dictionaries and
 	// remap the columns from local to global IDs.
 	gTag := tags.internAll(localTags)
 	gVal := vals.internAll(localVals)

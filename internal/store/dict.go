@@ -8,13 +8,13 @@ import (
 )
 
 // dict is an interned string dictionary: a bijection between strings and
-// dense uint32 IDs. One dictionary instance serves one shard's tag (or
-// value) namespace — every tag/value column of the shard's documents holds
-// IDs of the shard dictionary, so equal strings are stored once and
+// dense uint32 IDs. One dictionary instance serves the store's tag (or
+// value) namespace — every tag/value column of its XML-loaded documents
+// holds IDs of that dictionary, so equal strings are stored once and
 // compared as integers.
 //
-// The dictionary is shared by every version of every document of the
-// shard and is append-only: an ID, once issued, names the same string
+// The dictionary is shared by every version of every such document and is
+// append-only: an ID, once issued, names the same string
 // forever, so a reader pinned on an old document version resolves its
 // columns correctly however many strings later updates bring. Nothing is
 // copied when it grows — interning costs the strings that are new, not the

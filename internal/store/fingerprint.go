@@ -75,7 +75,7 @@ func (d *Doc) Fingerprint() string {
 }
 
 // validateSplice is a structural self-check used by tests: it re-derives
-// the invariants decodeShard enforces (interval containment, levels,
+// the invariants decodeData enforces (interval containment, levels,
 // firstChild) plus index/column agreement, returning the first violation.
 func (d *Doc) validateSplice() error {
 	n := int32(d.Len())

@@ -29,7 +29,7 @@ type churn struct {
 
 func newChurn(tb testing.TB, factor float64) *churn {
 	tb.Helper()
-	s := NewSharded(1)
+	s := New()
 	id, err := s.Load(xmark.Generate("auction.xml", factor))
 	if err != nil {
 		tb.Fatalf("Load: %v", err)
@@ -292,7 +292,7 @@ func BenchmarkSpliceAfterHistory(b *testing.B) {
 
 // TestDictSharedByReadersAndWriter runs, under the race detector, what
 // the shared append-only dictionary must allow: while one writer splices
-// (interning new strings into the shard dictionary on every update),
+// (interning new strings into the store dictionary on every update),
 // readers resolve names and IDs through it, and queries pinned on an old
 // version keep reading that version's strings unchanged.
 func TestDictSharedByReadersAndWriter(t *testing.T) {

@@ -39,7 +39,7 @@ package store
 // in place instead (SplicePrivate): columns only, the tail moved by one
 // overlapping copy, and nothing derived until CommitPrivate builds its
 // postings and catalog once, with the builder Load uses (derive), and
-// publishes it. Either way strings are interned into the shard's shared
+// publishes it. Either way strings are interned into the store's shared
 // append-only dictionaries, which costs the strings that are new (dict.go).
 //
 // One invariant keeps the arithmetic exact: a splice must not change the
@@ -168,7 +168,7 @@ func (s *Store) SplicePrivate(d *Doc, op SpliceOp) (*Doc, SpliceResult, error) {
 // successor returns the shell of d's next version: d's columns, which it
 // must not write, and dictionaries; nothing derived.
 func (d *Doc) successor() *Doc {
-	return &Doc{name: d.name, id: d.id, shard: d.shard, c: d.c, tags: d.tags, vals: d.vals, version: d.version + 1}
+	return &Doc{name: d.name, id: d.id, c: d.c, tags: d.tags, vals: d.vals, version: d.version + 1}
 }
 
 // edit is a splice validated against one version, its fragment interned:

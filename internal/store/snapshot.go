@@ -13,40 +13,37 @@ import (
 )
 
 // This file implements the persistent snapshot format of the columnar
-// store. A snapshot is a directory of per-shard files plus a manifest:
+// store. A snapshot is a directory of one data file plus a manifest:
 //
 //	snapdir/
-//	  manifest.tlcm     document list in global DocID order, shard map
-//	  shard-0000.tlcs   shard 0: columns, indexes, dictionaries, stats
-//	  shard-0003.tlcs   (shards without documents write no file)
+//	  manifest.tlcm     document names in DocID order
+//	  data.tlcs         columns, indexes, dictionaries, stats
 //
-// Every file is a 48-byte header followed by a checksummed payload:
+// Every file is a 40-byte header followed by a checksummed payload:
 //
 //	[0:8)   magic ("TLCSNAP1" / "TLCMANI1")
-//	[8:12)  format version (1)
+//	[8:12)  format version (2)
 //	[12:16) byte-order marker 0x01020304, written in native order
-//	[16:20) shard index (0xFFFFFFFF in the manifest)
-//	[20:24) shard count
-//	[24:28) document count
-//	[28:32) update generation (manifest; reserved 0 in shard files)
-//	[32:40) payload length
-//	[40:48) CRC-64/ECMA of the payload
+//	[16:20) document count
+//	[20:24) update generation (manifest; 0 in the data file)
+//	[24:32) payload length
+//	[32:40) CRC-64/ECMA of the payload
 //
-// The update generation records how many mutations had been committed
-// into the store when the snapshot was written (word [28:32) was reserved
-// as zero before MVCC updates existed, so the format version is
-// unchanged). SnapshotUpdateGen reads it back without decoding the
-// payload; comparing it against Store.UpdateGeneration detects a snapshot
-// that has gone stale relative to a store that kept taking writes. Each
-// document record likewise carries its MVCC version in the previously
-// reserved Res0 word (0 in old snapshots, read back as version 1), so a
-// snapshot written after updates round-trips the version chain.
+// Version 1 partitioned the data across several files and carried the
+// partition index and count in its header; it is refused with
+// ErrSnapshotVersion. The update generation records how many mutations
+// had been committed into the store when the snapshot was written.
+// SnapshotUpdateGen reads it back without decoding the payload; comparing
+// it against Store.UpdateGeneration detects a snapshot that has gone stale
+// relative to a store that kept taking writes. Each document record
+// carries its MVCC version in its Version word, so a snapshot written
+// after updates round-trips the version chain.
 //
-// The shard payload opens with a fixed section table (21 entries of
+// The data payload opens with a fixed section table (21 entries of
 // {offset, length}, offsets 8-byte aligned) locating the columns, the
 // index directories and postings, the dictionary string blobs, and the
 // flattened statistics records; the document records tie per-document
-// spans into those shard-wide arrays. Because the in-memory layout is
+// spans into those file-wide arrays. Because the in-memory layout is
 // already flat integer columns plus string dictionaries, opening a
 // snapshot is a validation pass plus pointer casts into the mapped file —
 // no per-node decoding. Integer sections are written in native byte
@@ -75,23 +72,24 @@ var (
 	// magic, out-of-bounds sections or records.
 	ErrSnapshotCorrupt = errors.New("store: snapshot corrupt")
 	// ErrSnapshotMismatch reports a snapshot that is internally valid but
-	// incompatible with the target store (shard count, duplicate names).
+	// incompatible with the target store (a document name already loaded).
 	ErrSnapshotMismatch = errors.New("store: snapshot mismatch")
 )
 
 const (
 	snapMagic   = "TLCSNAP1"
 	maniMagic   = "TLCMANI1"
-	snapVersion = 1
+	snapVersion = 2
 	orderMarker = 0x01020304
 
-	headerSize  = 48
+	headerSize  = 40
 	numSections = 21
 
 	manifestName = "manifest.tlcm"
+	dataName     = "data.tlcs"
 )
 
-// Section indexes of the shard payload.
+// Section indexes of the data payload.
 const (
 	secDocs = iota
 	secNames
@@ -116,8 +114,8 @@ const (
 	secDescPairs
 )
 
-// docRec is the fixed-size per-document record of a shard file (18
-// uint32 words). Spans index the shard-wide section arrays.
+// docRec is the fixed-size per-document record of the data file (18
+// uint32 words). Spans index the file-wide section arrays.
 type docRec struct {
 	NameOff, NameLen   uint32
 	Base, Nodes        uint32
@@ -128,12 +126,10 @@ type docRec struct {
 	TSOff, TSN         uint32
 	CPOff, CPN         uint32
 	DPOff, DPN         uint32
-	Res0, Res1         uint32
+	Version, Res       uint32
 }
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
-
-func shardFileName(i int) string { return fmt.Sprintf("shard-%04d.tlcs", i) }
 
 // rawBytes reinterprets a typed slice as its backing bytes (native byte
 // order). The result aliases v.
@@ -199,34 +195,34 @@ func (a *assembler) finish() []byte {
 	return a.buf
 }
 
-// putHeader prepends the 48-byte header for a payload. extra fills the
-// word at [28:32): the update generation in the manifest, 0 elsewhere.
-func putHeader(magic string, shardIdx, shardCount, docCount, extra uint32, payload []byte) []byte {
+// putHeader prepends the 40-byte header for a payload. updateGen is 0 in
+// the data file.
+func putHeader(magic string, docCount, updateGen uint32, payload []byte) []byte {
 	out := make([]byte, headerSize, headerSize+len(payload))
 	copy(out[0:8], magic)
 	binary.NativeEndian.PutUint32(out[8:], snapVersion)
 	binary.NativeEndian.PutUint32(out[12:], orderMarker)
-	binary.NativeEndian.PutUint32(out[16:], shardIdx)
-	binary.NativeEndian.PutUint32(out[20:], shardCount)
-	binary.NativeEndian.PutUint32(out[24:], docCount)
-	binary.NativeEndian.PutUint32(out[28:], extra)
-	binary.NativeEndian.PutUint64(out[32:], uint64(len(payload)))
-	binary.NativeEndian.PutUint64(out[40:], crc64.Checksum(payload, crcTable))
+	binary.NativeEndian.PutUint32(out[16:], docCount)
+	binary.NativeEndian.PutUint32(out[20:], updateGen)
+	binary.NativeEndian.PutUint64(out[24:], uint64(len(payload)))
+	binary.NativeEndian.PutUint64(out[32:], crc64.Checksum(payload, crcTable))
 	return append(out, payload...)
 }
 
 // header is the decoded common file header.
 type header struct {
-	shardIdx, shardCount, docCount uint32
-	extra                          uint32
-	payload                        []byte
+	docCount, updateGen uint32
+	payload             []byte
 }
 
 // parseHeader validates a file's header and checksum and returns the
 // payload view.
 func parseHeader(data []byte, magic, what string) (header, error) {
 	var h header
-	if len(data) < headerSize {
+	// Magic and version come first: they fit in any header a version of
+	// this format ever wrote, so a snapshot of another version is named as
+	// such rather than misread as truncated.
+	if len(data) < 16 {
 		return h, fmt.Errorf("%w: %s truncated (%d bytes)", ErrSnapshotCorrupt, what, len(data))
 	}
 	if string(data[0:8]) != magic {
@@ -238,16 +234,17 @@ func parseHeader(data []byte, magic, what string) (header, error) {
 	if m := binary.NativeEndian.Uint32(data[12:]); m != orderMarker {
 		return h, fmt.Errorf("%w: %s was written with a different byte order", ErrSnapshotVersion, what)
 	}
-	h.shardIdx = binary.NativeEndian.Uint32(data[16:])
-	h.shardCount = binary.NativeEndian.Uint32(data[20:])
-	h.docCount = binary.NativeEndian.Uint32(data[24:])
-	h.extra = binary.NativeEndian.Uint32(data[28:])
-	plen := binary.NativeEndian.Uint64(data[32:])
+	if len(data) < headerSize {
+		return h, fmt.Errorf("%w: %s truncated (%d bytes)", ErrSnapshotCorrupt, what, len(data))
+	}
+	h.docCount = binary.NativeEndian.Uint32(data[16:])
+	h.updateGen = binary.NativeEndian.Uint32(data[20:])
+	plen := binary.NativeEndian.Uint64(data[24:])
 	if plen != uint64(len(data)-headerSize) {
 		return h, fmt.Errorf("%w: %s payload length %d, file has %d", ErrSnapshotCorrupt, what, plen, len(data)-headerSize)
 	}
 	h.payload = data[headerSize:]
-	if sum := crc64.Checksum(h.payload, crcTable); sum != binary.NativeEndian.Uint64(data[40:]) {
+	if sum := crc64.Checksum(h.payload, crcTable); sum != binary.NativeEndian.Uint64(data[32:]) {
 		return h, fmt.Errorf("%w: %s", ErrSnapshotChecksum, what)
 	}
 	return h, nil
@@ -274,55 +271,35 @@ type SnapshotInfo struct {
 	Bytes int64
 	// Docs is the number of documents captured.
 	Docs int
-	// ShardFiles is the number of shard files written (shards that held
-	// at least one document).
-	ShardFiles int
 	// UpdateGen is the update generation captured in the manifest — the
 	// watermark below which WAL records are covered by this snapshot.
 	UpdateGen uint64
 }
 
-// WriteSnapshot captures the current contents of the store into dir (one
-// file per non-empty shard plus a manifest, each written atomically; the
-// manifest last, so an interrupted snapshot is absent rather than
-// partial). It may run concurrently with queries and loads: it writes the
-// directory state current when it starts.
+// WriteSnapshot captures the current contents of the store into dir (the
+// data file, then the manifest, each written atomically; the manifest
+// last, so an interrupted snapshot is absent rather than partial). It may
+// run concurrently with queries and loads: it writes the directory state
+// current when it starts.
 func (s *Store) WriteSnapshot(dir string) (SnapshotInfo, error) {
 	info := SnapshotInfo{Dir: dir}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return info, fmt.Errorf("store: snapshot: %w", err)
 	}
-	// Capture a consistent (directory, shard membership, update
-	// generation) triple.
+	// Capture a consistent (directory, update generation) pair.
 	s.loadMu.Lock()
 	d := s.dir.Load()
 	updateGen := s.updateGen.Load()
-	info.UpdateGen = updateGen
-	shardDocs := make([][]DocID, len(s.shards))
-	for i, sh := range s.shards {
-		shardDocs[i] = append([]DocID(nil), sh.docs...)
-	}
 	s.loadMu.Unlock()
+	info.UpdateGen = updateGen
 
-	for i, ids := range shardDocs {
-		if len(ids) == 0 {
-			continue
-		}
-		docs := make([]*Doc, len(ids))
-		for j, id := range ids {
-			docs[j] = d.docs[id]
-		}
-		payload := encodeShard(docs)
-		file := putHeader(snapMagic, uint32(i), uint32(len(s.shards)), uint32(len(docs)), 0, payload)
-		if err := writeAtomic(filepath.Join(dir, shardFileName(i)), file); err != nil {
-			return info, fmt.Errorf("store: snapshot shard %d: %w", i, err)
-		}
-		info.Bytes += int64(len(file))
-		info.ShardFiles++
+	file := putHeader(snapMagic, uint32(len(d.docs)), 0, encodeData(d.docs))
+	if err := writeAtomic(filepath.Join(dir, dataName), file); err != nil {
+		return info, fmt.Errorf("store: snapshot data: %w", err)
 	}
+	info.Bytes += int64(len(file))
 
-	mani := encodeManifest(d)
-	file := putHeader(maniMagic, ^uint32(0), uint32(len(s.shards)), uint32(len(d.docs)), uint32(updateGen), mani)
+	file = putHeader(maniMagic, uint32(len(d.docs)), uint32(updateGen), encodeManifest(d))
 	if err := writeAtomic(filepath.Join(dir, manifestName), file); err != nil {
 		return info, fmt.Errorf("store: snapshot manifest: %w", err)
 	}
@@ -402,8 +379,8 @@ func (w *dictWriter) encode() ([]uint32, []byte) {
 	return offs, blob
 }
 
-// encodeShard flattens a shard's documents into one payload.
-func encodeShard(docs []*Doc) []byte {
+// encodeData flattens the documents into one payload.
+func encodeData(docs []*Doc) []byte {
 	var (
 		recs                             []docRec
 		names                            []byte
@@ -425,7 +402,7 @@ func encodeShard(docs []*Doc) []byte {
 			NameOff: uint32(len(names)), NameLen: uint32(len(doc.name)),
 			Base: uint32(len(start)), Nodes: uint32(doc.Len()),
 			RootTag: rt[doc.stats.rootTag], Depth: doc.stats.depth,
-			Res0: uint32(doc.version),
+			Version: uint32(doc.version),
 		}
 		names = append(names, doc.name...)
 		start = append(start, doc.c.start...)
@@ -448,7 +425,7 @@ func encodeShard(docs []*Doc) []byte {
 		// Indexes: postings are re-extracted per directory entry so the
 		// encoding is identical whether the source document was built on
 		// the heap (doc-local offsets) or opened from an earlier snapshot
-		// (shard-wide offsets).
+		// (file-wide offsets).
 		rec.TagDirOff, rec.TagDirN = uint32(len(tagDir)), uint32(len(doc.tagDir))
 		tagDir, tagPost = appendIndex(tagDir, tagPost, doc.tagDir, doc.tagPost, rt)
 		rec.ValDirOff, rec.ValDirN = uint32(len(valDir)), uint32(len(doc.valDir))
@@ -500,9 +477,9 @@ func encodeShard(docs []*Doc) []byte {
 	return a.finish()
 }
 
-// appendIndex copies one document's index into the shard-wide arrays,
+// appendIndex copies one document's index into the file-wide arrays,
 // remapping directory IDs to the file dictionary and offsets to the
-// shard-wide postings array, and re-sorting the directory by file ID.
+// file-wide postings array, and re-sorting the directory by file ID.
 func appendIndex(dir []dirEntry, post []int32, srcDir []dirEntry, srcPost []int32, remap []uint32) ([]dirEntry, []int32) {
 	ds := make([]dirEntry, len(srcDir))
 	for j, e := range srcDir {
@@ -513,7 +490,7 @@ func appendIndex(dir []dirEntry, post []int32, srcDir []dirEntry, srcPost []int3
 	return append(dir, ds...), post
 }
 
-// appendPairs copies one document's pair counts into the shard-wide
+// appendPairs copies one document's pair counts into the file-wide
 // array, translated to file IDs and sorted by them.
 func appendPairs(dst, src []pairRec, remap []uint32) []pairRec {
 	n := len(dst)
@@ -525,55 +502,38 @@ func appendPairs(dst, src []pairRec, remap []uint32) []pairRec {
 	return dst
 }
 
-// encodeManifest lists the documents in global DocID order.
+// encodeManifest lists the document names in DocID order.
 func encodeManifest(d *directory) []byte {
 	var buf []byte
-	var tmp [8]byte
 	for _, doc := range d.docs {
-		binary.NativeEndian.PutUint32(tmp[0:], uint32(doc.shard))
-		binary.NativeEndian.PutUint32(tmp[4:], uint32(len(doc.name)))
-		buf = append(buf, tmp[:]...)
+		buf = binary.NativeEndian.AppendUint32(buf, uint32(len(doc.name)))
 		buf = append(buf, doc.name...)
 	}
 	return buf
 }
 
-// maniEntry is one decoded manifest record.
-type maniEntry struct {
-	shard int
-	name  string
-}
-
-func decodeManifest(data []byte) (shardCount int, updateGen uint64, entries []maniEntry, err error) {
+func decodeManifest(data []byte) (updateGen uint64, names []string, err error) {
 	h, err := parseHeader(data, maniMagic, "manifest")
 	if err != nil {
-		return 0, 0, nil, err
-	}
-	if h.shardCount == 0 || h.shardCount > 1024 {
-		return 0, 0, nil, fmt.Errorf("%w: manifest shard count %d", ErrSnapshotCorrupt, h.shardCount)
+		return 0, nil, err
 	}
 	p := h.payload
-	entries = make([]maniEntry, 0, h.docCount)
 	for i := uint32(0); i < h.docCount; i++ {
-		if len(p) < 8 {
-			return 0, 0, nil, fmt.Errorf("%w: manifest truncated at entry %d", ErrSnapshotCorrupt, i)
+		if len(p) < 4 {
+			return 0, nil, fmt.Errorf("%w: manifest truncated at entry %d", ErrSnapshotCorrupt, i)
 		}
-		sh := binary.NativeEndian.Uint32(p[0:])
-		nameLen := binary.NativeEndian.Uint32(p[4:])
-		p = p[8:]
-		if sh >= h.shardCount {
-			return 0, 0, nil, fmt.Errorf("%w: manifest entry %d names shard %d of %d", ErrSnapshotCorrupt, i, sh, h.shardCount)
-		}
+		nameLen := binary.NativeEndian.Uint32(p)
+		p = p[4:]
 		if uint64(nameLen) > uint64(len(p)) {
-			return 0, 0, nil, fmt.Errorf("%w: manifest entry %d name overruns payload", ErrSnapshotCorrupt, i)
+			return 0, nil, fmt.Errorf("%w: manifest entry %d name overruns payload", ErrSnapshotCorrupt, i)
 		}
-		entries = append(entries, maniEntry{shard: int(sh), name: string(p[:nameLen])})
+		names = append(names, string(p[:nameLen]))
 		p = p[nameLen:]
 	}
 	if len(p) != 0 {
-		return 0, 0, nil, fmt.Errorf("%w: manifest has %d trailing bytes", ErrSnapshotCorrupt, len(p))
+		return 0, nil, fmt.Errorf("%w: manifest has %d trailing bytes", ErrSnapshotCorrupt, len(p))
 	}
-	return int(h.shardCount), uint64(h.extra), entries, nil
+	return uint64(h.updateGen), names, nil
 }
 
 // SnapshotUpdateGen reads the update generation recorded in a snapshot's
@@ -590,7 +550,7 @@ func SnapshotUpdateGen(dir string) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("store: open snapshot %s: %w", dir, err)
 	}
-	return uint64(h.extra), nil
+	return uint64(h.updateGen), nil
 }
 
 // sectionView locates one section of a payload.
@@ -602,18 +562,14 @@ func sectionView(payload []byte, secs []section, i int) ([]byte, error) {
 	return payload[s.off : s.off+s.n : s.off+s.n], nil
 }
 
-// decodeShard turns one mapped shard file into document views. The
-// returned Docs have no DocID assigned yet (the manifest order decides
+// decodeData turns the mapped data file into document views, in DocID
+// order. The returned Docs have no DocID assigned yet (the load decides
 // that); every slice and string aliases data.
-func decodeShard(data []byte, wantShard, wantCount int) ([]*Doc, error) {
-	what := shardFileName(wantShard)
+func decodeData(data []byte) ([]*Doc, error) {
+	const what = dataName
 	h, err := parseHeader(data, snapMagic, what)
 	if err != nil {
 		return nil, err
-	}
-	if int(h.shardIdx) != wantShard || int(h.shardCount) != wantCount {
-		return nil, fmt.Errorf("%w: %s claims shard %d of %d, manifest says %d of %d",
-			ErrSnapshotMismatch, what, h.shardIdx, h.shardCount, wantShard, wantCount)
 	}
 	if len(h.payload) < numSections*16 {
 		return nil, fmt.Errorf("%w: %s payload too short for section table", ErrSnapshotCorrupt, what)
@@ -675,7 +631,7 @@ func decodeShard(data []byte, wantShard, wantCount int) ([]*Doc, error) {
 	}
 	nTags, nVals := tags.size(), vals.size()
 
-	// Validate shard-wide invariants once: directory entries stay inside
+	// Validate file-wide invariants once: directory entries stay inside
 	// the postings and dictionaries, columns stay inside the dictionaries.
 	for _, e := range tagDir {
 		if int(e.id) >= nTags || uint64(e.off)+uint64(e.n) > uint64(len(tagPost)) {
@@ -722,14 +678,12 @@ func decodeShard(data []byte, wantShard, wantCount int) ([]*Doc, error) {
 		if int(rec.RootTag) >= nTags {
 			return nil, fmt.Errorf("%w: %s doc %d root tag out of bounds", ErrSnapshotCorrupt, what, di)
 		}
-		version := uint64(rec.Res0)
-		if version == 0 {
-			version = 1 // snapshot written before document versions existed
+		if rec.Version == 0 {
+			return nil, fmt.Errorf("%w: %s doc %d has version 0", ErrSnapshotCorrupt, what, di)
 		}
 		d := &Doc{
 			name:    string(names[rec.NameOff : rec.NameOff+rec.NameLen]),
-			shard:   wantShard,
-			version: version,
+			version: uint64(rec.Version),
 			c: cols{
 				start:      start[base : base+n],
 				end:        end[base : base+n],
@@ -803,8 +757,7 @@ func decodeDict(offsRaw, blob []byte, what string) (*dict, error) {
 }
 
 // LoadSnapshot opens the snapshot directory and adds every document it
-// contains to the store. The snapshot's shard count must equal the
-// store's (DocIDs and shard routing are shard-count dependent); loading a
+// contains to the store, after the documents already loaded; loading a
 // document name that is already present is an error. On any error the
 // store is unchanged.
 func (s *Store) LoadSnapshot(dir string) error {
@@ -821,121 +774,81 @@ func (s *Store) LoadSnapshot(dir string) error {
 	if err != nil {
 		return fmt.Errorf("store: open snapshot: %w", err)
 	}
-	shardCount, snapGen, entries, err := decodeManifest(maniData)
+	snapGen, names, err := decodeManifest(maniData)
 	if err != nil {
 		return fmt.Errorf("store: open snapshot %s: %w", dir, err)
 	}
-	if shardCount != len(s.shards) {
-		return fmt.Errorf("%w: snapshot has %d shards, store has %d", ErrSnapshotMismatch, shardCount, len(s.shards))
+	m, err := openMapping(filepath.Join(dir, dataName))
+	if err != nil {
+		return fmt.Errorf("store: open snapshot data: %w", err)
+	}
+	fail := func(err error) error {
+		m.close()
+		return err
+	}
+	docs, err := decodeData(m.data)
+	if err != nil {
+		return fail(fmt.Errorf("store: open snapshot %s: %w", dir, err))
+	}
+	if len(docs) != len(names) {
+		return fail(fmt.Errorf("%w: data file holds %d documents, manifest lists %d", ErrSnapshotCorrupt, len(docs), len(names)))
+	}
+	seen := make(map[string]bool, len(docs))
+	for i, d := range docs {
+		if d.name != names[i] {
+			return fail(fmt.Errorf("%w: doc %d is %q, manifest lists %q", ErrSnapshotCorrupt, i, d.name, names[i]))
+		}
+		if seen[d.name] {
+			return fail(fmt.Errorf("%w: document %q listed twice", ErrSnapshotCorrupt, d.name))
+		}
+		seen[d.name] = true
 	}
 
-	// Which shards hold documents, and in what per-shard order.
-	perShard := make([][]string, shardCount)
-	for _, e := range entries {
-		perShard[e.shard] = append(perShard[e.shard], e.name)
-	}
-
-	var maps []*mapping
-	cleanup := func() {
-		for _, m := range maps {
-			m.close()
-		}
-	}
-	byName := make(map[string]*Doc, len(entries))
-	for i, names := range perShard {
-		if len(names) == 0 {
-			continue
-		}
-		m, err := openMapping(filepath.Join(dir, shardFileName(i)))
-		if err != nil {
-			cleanup()
-			return fmt.Errorf("store: open snapshot shard %d: %w", i, err)
-		}
-		maps = append(maps, m)
-		docs, err := decodeShard(m.data, i, shardCount)
-		if err != nil {
-			cleanup()
-			return fmt.Errorf("store: open snapshot %s: %w", dir, err)
-		}
-		if len(docs) != len(names) {
-			cleanup()
-			return fmt.Errorf("%w: shard %d holds %d documents, manifest lists %d", ErrSnapshotCorrupt, i, len(docs), len(names))
-		}
-		for j, d := range docs {
-			if d.name != names[j] {
-				cleanup()
-				return fmt.Errorf("%w: shard %d doc %d is %q, manifest lists %q", ErrSnapshotCorrupt, i, j, d.name, names[j])
-			}
-			byName[d.name] = d
-		}
-	}
-	if len(byName) != len(entries) {
-		cleanup()
-		return fmt.Errorf("%w: snapshot lists %d documents, shards hold %d (duplicate names?)", ErrSnapshotCorrupt, len(entries), len(byName))
-	}
-
-	// Publish all documents in manifest (global load) order under one
-	// directory swap.
+	// Publish all documents in manifest order under one directory swap.
 	s.loadMu.Lock()
 	defer s.loadMu.Unlock()
 	if s.writers.Load() != 0 {
-		cleanup()
-		return fmt.Errorf("store: load snapshot %s: %w", dir, ErrConcurrentMutation)
+		return fail(fmt.Errorf("store: load snapshot %s: %w", dir, ErrConcurrentMutation))
 	}
 	old := s.dir.Load()
-	for _, e := range entries {
-		if _, dup := old.byName[e.name]; dup {
-			cleanup()
-			return fmt.Errorf("%w: document %q already loaded", ErrSnapshotMismatch, e.name)
+	for _, d := range docs {
+		if _, dup := old.byName[d.name]; dup {
+			return fail(fmt.Errorf("%w: document %q already loaded", ErrSnapshotMismatch, d.name))
 		}
 	}
 	next := &directory{
-		docs:   make([]*Doc, len(old.docs), len(old.docs)+len(entries)),
-		byName: make(map[string]DocID, len(old.byName)+len(entries)),
+		docs:   make([]*Doc, len(old.docs), len(old.docs)+len(docs)),
+		byName: make(map[string]DocID, len(old.byName)+len(docs)),
 	}
 	copy(next.docs, old.docs)
 	for k, v := range old.byName {
 		next.byName[k] = v
 	}
-	for _, e := range entries {
-		d := byName[e.name]
-		id := DocID(len(next.docs))
-		d.id = id
+	for _, d := range docs {
+		d.id = DocID(len(next.docs))
 		next.docs = append(next.docs, d)
-		next.byName[d.name] = id
-		s.shards[d.shard].docs = append(s.shards[d.shard].docs, id)
+		next.byName[d.name] = d.id
 	}
 	s.dir.Store(next)
 	// Carry the snapshot's update generation forward so a later snapshot
 	// of this store never reports an older generation than its source.
 	s.updateGen.Store(max(s.updateGen.Load(), snapGen))
-	for _, m := range maps {
-		s.mappedBytes.Add(int64(len(m.data)))
-	}
-	s.maps = append(s.maps, maps...)
+	s.mappedBytes.Add(int64(len(m.data)))
+	s.maps = append(s.maps, m)
 	return nil
 }
 
 // SnapshotExists reports whether dir holds a complete snapshot: the
-// manifest is written last, so its presence implies the shard files it
-// references were fully written.
+// manifest is written last, so its presence implies the data file was
+// fully written.
 func SnapshotExists(dir string) bool {
 	_, err := os.Stat(filepath.Join(dir, manifestName))
 	return err == nil
 }
 
-// OpenSnapshot creates a store with the snapshot's shard count and loads
-// the snapshot into it.
+// OpenSnapshot creates a store and loads the snapshot into it.
 func OpenSnapshot(dir string) (*Store, error) {
-	maniData, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
-		return nil, fmt.Errorf("store: open snapshot: %w", err)
-	}
-	shardCount, _, _, err := decodeManifest(maniData)
-	if err != nil {
-		return nil, fmt.Errorf("store: open snapshot %s: %w", dir, err)
-	}
-	s := NewSharded(shardCount)
+	s := New()
 	if err := s.LoadSnapshot(dir); err != nil {
 		return nil, err
 	}

@@ -1,8 +1,10 @@
 package store
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc64"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,9 +21,8 @@ var snapDocs = map[string]string{
 	"notes.xml": `<notes lang="en"><note>first</note><note>second</note><note>first</note></notes>`,
 }
 
-func loadSnapDocs(t *testing.T, shards int) *Store {
+func loadSnapDocs(t *testing.T, s *Store) *Store {
 	t.Helper()
-	s := NewSharded(shards)
 	for _, name := range []string{"auction.xml", "catalog.xml", "notes.xml"} {
 		if _, err := s.LoadXML(name, strings.NewReader(snapDocs[name])); err != nil {
 			t.Fatalf("LoadXML(%s): %v", name, err)
@@ -78,13 +79,14 @@ func requireSameDoc(t *testing.T, want, got *Doc) {
 	}
 }
 
-// TestSnapshotRoundTrip: write a snapshot of a populated sharded store,
-// open it into a fresh store, and require byte-identical documents,
-// indexes and statistics.
+// TestSnapshotRoundTrip: write a snapshot of a populated store, open it
+// into a fresh store, and require byte-identical documents, indexes and
+// statistics. The shards=4 case builds its store with NewSharded(4), which
+// ignores its argument: it keeps checking that for as long as it exists.
 func TestSnapshotRoundTrip(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			src := loadSnapDocs(t, shards)
+			src := loadSnapDocs(t, NewSharded(shards))
 			dir := t.TempDir()
 			info, err := src.WriteSnapshot(dir)
 			if err != nil {
@@ -93,7 +95,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if info.Docs != 3 {
 				t.Fatalf("info.Docs = %d, want 3", info.Docs)
 			}
-			if info.Bytes <= 0 || info.ShardFiles < 1 {
+			if info.Bytes <= 0 {
 				t.Fatalf("implausible snapshot info: %+v", info)
 			}
 
@@ -102,9 +104,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				t.Fatalf("OpenSnapshot: %v", err)
 			}
 			defer snap.Close()
-			if snap.NumShards() != shards {
-				t.Fatalf("NumShards = %d, want %d", snap.NumShards(), shards)
-			}
 
 			for _, name := range []string{"auction.xml", "catalog.xml", "notes.xml"} {
 				wid, ok := src.Lookup(name)
@@ -163,7 +162,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // byte-identical files — the format has no nondeterminism (map iteration
 // is sorted out before encoding).
 func TestSnapshotWriteIdempotent(t *testing.T) {
-	s := loadSnapDocs(t, 2)
+	s := loadSnapDocs(t, New())
 	d1, d2 := t.TempDir(), t.TempDir()
 	if _, err := s.WriteSnapshot(d1); err != nil {
 		t.Fatal(err)
@@ -190,25 +189,18 @@ func TestSnapshotWriteIdempotent(t *testing.T) {
 	}
 }
 
-// snapshotShardFile returns the path of the first shard file in dir.
-func snapshotShardFile(t *testing.T, dir string) string {
-	t.Helper()
-	files, err := filepath.Glob(filepath.Join(dir, "shard-*.tlcs"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no shard files in %s: %v", dir, err)
-	}
-	return files[0]
-}
+// snapshotDataFile returns the path of the data file in dir.
+func snapshotDataFile(dir string) string { return filepath.Join(dir, dataName) }
 
-// TestSnapshotTruncated: a truncated shard file is a typed corruption
+// TestSnapshotTruncated: a truncated data file is a typed corruption
 // error, not a panic.
 func TestSnapshotTruncated(t *testing.T) {
-	s := loadSnapDocs(t, 1)
+	s := loadSnapDocs(t, New())
 	dir := t.TempDir()
 	if _, err := s.WriteSnapshot(dir); err != nil {
 		t.Fatal(err)
 	}
-	path := snapshotShardFile(t, dir)
+	path := snapshotDataFile(dir)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -230,12 +222,12 @@ func TestSnapshotTruncated(t *testing.T) {
 // TestSnapshotBadChecksum: a flipped payload byte fails the CRC with the
 // typed checksum error.
 func TestSnapshotBadChecksum(t *testing.T) {
-	s := loadSnapDocs(t, 1)
+	s := loadSnapDocs(t, New())
 	dir := t.TempDir()
 	if _, err := s.WriteSnapshot(dir); err != nil {
 		t.Fatal(err)
 	}
-	path := snapshotShardFile(t, dir)
+	path := snapshotDataFile(dir)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -253,12 +245,12 @@ func TestSnapshotBadChecksum(t *testing.T) {
 // TestSnapshotVersionSkew: a future format version is rejected with the
 // typed version error before any payload is touched.
 func TestSnapshotVersionSkew(t *testing.T) {
-	s := loadSnapDocs(t, 1)
+	s := loadSnapDocs(t, New())
 	dir := t.TempDir()
 	if _, err := s.WriteSnapshot(dir); err != nil {
 		t.Fatal(err)
 	}
-	path := snapshotShardFile(t, dir)
+	path := snapshotDataFile(dir)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -274,17 +266,17 @@ func TestSnapshotVersionSkew(t *testing.T) {
 }
 
 // TestSnapshotByteFlipsNeverPanic sweeps single-byte corruptions across
-// the whole shard file: every flip must produce either a typed error or
+// the whole data file: every flip must produce either a typed error or
 // (for bytes the format ignores) a clean open — never a panic. Payload
 // flips are always caught by the checksum; header flips by the field
 // validation.
 func TestSnapshotByteFlipsNeverPanic(t *testing.T) {
-	s := loadSnapDocs(t, 1)
+	s := loadSnapDocs(t, New())
 	dir := t.TempDir()
 	if _, err := s.WriteSnapshot(dir); err != nil {
 		t.Fatal(err)
 	}
-	path := snapshotShardFile(t, dir)
+	path := snapshotDataFile(dir)
 	orig, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -309,17 +301,45 @@ func TestSnapshotByteFlipsNeverPanic(t *testing.T) {
 	}
 }
 
-// TestSnapshotShardMismatch: a snapshot can only be loaded into a store
-// with the same shard count; OpenSnapshot sizes the store itself.
-func TestSnapshotShardMismatch(t *testing.T) {
-	s := loadSnapDocs(t, 2)
-	dir := t.TempDir()
-	if _, err := s.WriteSnapshot(dir); err != nil {
-		t.Fatal(err)
-	}
-	err := NewSharded(3).LoadSnapshot(dir)
-	if !errors.Is(err, ErrSnapshotMismatch) {
-		t.Fatalf("err = %v, want ErrSnapshotMismatch", err)
+// parentHeader frames a payload the way format version 1 did: a 48-byte
+// header whose words [16:24) held a partition index and count, ahead of
+// the document count, update generation, payload length and checksum.
+func parentHeader(magic string, payload []byte) []byte {
+	h := make([]byte, 48, 48+len(payload))
+	copy(h, magic)
+	binary.NativeEndian.PutUint32(h[8:], 1)
+	binary.NativeEndian.PutUint32(h[12:], orderMarker)
+	binary.NativeEndian.PutUint32(h[20:], 1)
+	binary.NativeEndian.PutUint64(h[32:], uint64(len(payload)))
+	binary.NativeEndian.PutUint64(h[40:], crc64.Checksum(payload, crcTable))
+	return append(h, payload...)
+}
+
+// TestSnapshotParentVersion: a snapshot written in the previous format
+// version is refused with the version error — not read as corrupt, and
+// never a panic — whether its manifest or its data file carries the old
+// header.
+func TestSnapshotParentVersion(t *testing.T) {
+	for _, name := range []string{manifestName, dataName} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if _, err := loadSnapDocs(t, New()).WriteSnapshot(dir); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, name)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			magic := string(data[:8])
+			if err := os.WriteFile(path, parentHeader(magic, data[headerSize:]), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err = OpenSnapshot(dir)
+			if !errors.Is(err, ErrSnapshotVersion) || errors.Is(err, ErrSnapshotCorrupt) {
+				t.Fatalf("err = %v, want ErrSnapshotVersion only", err)
+			}
+		})
 	}
 }
 
@@ -327,12 +347,12 @@ func TestSnapshotShardMismatch(t *testing.T) {
 // holds one of its document names is rejected atomically — nothing is
 // published.
 func TestSnapshotDuplicateName(t *testing.T) {
-	s := loadSnapDocs(t, 2)
+	s := loadSnapDocs(t, New())
 	dir := t.TempDir()
 	if _, err := s.WriteSnapshot(dir); err != nil {
 		t.Fatal(err)
 	}
-	dst := NewSharded(2)
+	dst := New()
 	if _, err := dst.LoadXML("notes.xml", strings.NewReader(`<n/>`)); err != nil {
 		t.Fatal(err)
 	}
@@ -345,16 +365,16 @@ func TestSnapshotDuplicateName(t *testing.T) {
 	}
 }
 
-// TestSnapshotEmptyStore: an empty store snapshots to a manifest-only
-// directory that opens back into an empty store.
+// TestSnapshotEmptyStore: an empty store snapshots to a data file without
+// documents that opens back into an empty store.
 func TestSnapshotEmptyStore(t *testing.T) {
 	dir := t.TempDir()
-	info, err := NewSharded(2).WriteSnapshot(dir)
+	info, err := New().WriteSnapshot(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Docs != 0 || info.ShardFiles != 0 {
-		t.Fatalf("info = %+v, want no docs, no shard files", info)
+	if info.Docs != 0 {
+		t.Fatalf("info = %+v, want no docs", info)
 	}
 	s, err := OpenSnapshot(dir)
 	if err != nil {
@@ -363,9 +383,6 @@ func TestSnapshotEmptyStore(t *testing.T) {
 	defer s.Close()
 	if n := len(s.Names()); n != 0 {
 		t.Fatalf("opened empty snapshot has %d documents", n)
-	}
-	if s.NumShards() != 2 {
-		t.Fatalf("NumShards = %d, want 2", s.NumShards())
 	}
 }
 
@@ -380,7 +397,7 @@ func TestSnapshotMissingManifest(t *testing.T) {
 // TestSnapshotCloseUnmaps: Close releases the mappings and zeroes the
 // mapped-bytes gauge.
 func TestSnapshotCloseUnmaps(t *testing.T) {
-	s := loadSnapDocs(t, 2)
+	s := loadSnapDocs(t, New())
 	dir := t.TempDir()
 	if _, err := s.WriteSnapshot(dir); err != nil {
 		t.Fatal(err)

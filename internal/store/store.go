@@ -7,42 +7,24 @@
 // element tag-name index (tag → node ordinals in document order) and a
 // value index (content → node ordinals). Access counters make the
 // relative cost of the competing plans observable. The columnar layout
-// serializes to checksummed per-shard snapshot files opened via mmap
-// (snapshot.go), so a restart maps the node table instead of re-parsing
-// XML.
+// serializes to a checksummed snapshot file opened via mmap (snapshot.go),
+// so a restart maps the node table instead of re-parsing XML.
 //
-// # Sharding
-//
-// The store is horizontally partitioned: documents are routed by a hash of
-// their name to one of N shards, and each shard owns its node tables, its
-// string dictionaries, its tag/value indexes, its statistics summaries and
-// its access counters. Because the paper's interval node identifiers
-// (Section 5.1) make every structural decision purely position-based
-// *within* a document, nothing an engine does ever crosses a shard
-// boundary mid-join — cross-document work composes from shard-local runs
-// merged in document order.
-//
-// Document identity stays global and shard-count independent: DocIDs are
-// issued in load order from a single counter and resolved through a
-// copy-on-write directory (an atomic pointer swap per load), so the same
-// load sequence yields the same DocIDs whether the store has 1 shard or
-// 64 — which is what makes results byte-identical across shard counts.
+// DocIDs are issued in load order from a single counter and resolved
+// through a copy-on-write directory (an atomic pointer swap per load).
 //
 // Reads never lock. Document versions are immutable, the directory is
 // replaced (never mutated) on load and commit, the dictionaries are
-// append-only behind atomic pointers (dict.go), and the per-shard
-// statistics counters are maintained with sync/atomic, so the parallel
-// executor's worker goroutines probe indexes and fetch nodes without
-// coordination. Serial evaluation
-// (parallelism 1) produces exactly the counter values the paper's
+// append-only behind atomic pointers (dict.go), and the statistics
+// counters are maintained with sync/atomic, so concurrent queries probe
+// indexes and fetch nodes without coordination. A query running alone
+// produces exactly the counter values the paper's
 // single-query-at-a-time measurements would.
 package store
 
 import (
 	"fmt"
-	"hash/fnv"
 	"io"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -52,7 +34,7 @@ import (
 )
 
 // DocID identifies a loaded document within a store. IDs are issued in
-// global load order, independent of the shard the document lands on.
+// load order.
 type DocID int32
 
 // Stats counts the store accesses performed during query evaluation. A
@@ -118,22 +100,6 @@ func (c *counters) reset() {
 	c.nodesMaterialized.Store(0)
 }
 
-// shard is one partition of the store: the documents routed to it, their
-// string dictionaries and their access counters. The document data itself
-// is reached through the store's directory; the shard records ownership
-// for counter attribution and per-shard introspection (/varz, tests).
-type shard struct {
-	// docs lists the DocIDs owned by the shard, in load order.
-	docs []DocID
-	// tags and vals are the shard's interned string dictionaries for
-	// XML-loaded documents. Snapshot-opened documents carry their own
-	// frozen dictionaries (views into the mapped file) and do not share
-	// these.
-	tags, vals *dict
-	// stats holds the shard's access counters.
-	stats counters
-}
-
 // directory is the immutable global view of the loaded documents. Loads
 // build a new directory (copying the slice header and map) and swap the
 // store's pointer, so concurrent readers always observe a consistent
@@ -145,13 +111,18 @@ type directory struct {
 
 var emptyDirectory = &directory{byName: map[string]DocID{}}
 
-// Store is a sharded collection of indexed XML documents.
+// Store is a collection of indexed XML documents.
 type Store struct {
-	shards []*shard
-	dir    atomic.Pointer[directory]
+	// tags and vals are the interned string dictionaries of XML-loaded
+	// documents. Snapshot-opened documents carry their own frozen
+	// dictionaries (views into the mapped file) and do not share these.
+	tags, vals *dict
+	// stats holds the access counters.
+	stats *counters
+	dir   atomic.Pointer[directory]
 	// loadMu serializes directory swaps between concurrent loads. The
 	// expensive part of a load (parsing, indexing, statistics) runs before
-	// taking it, so loads into different shards overlap almost entirely.
+	// taking it, so concurrent loads overlap almost entirely.
 	loadMu  sync.Mutex
 	noStats bool
 	// maps holds the snapshot file mappings backing snapshot-opened
@@ -161,7 +132,7 @@ type Store struct {
 	// /varz).
 	mappedBytes atomic.Int64
 	// pinned marks a read-only directory view returned by Pin: it shares
-	// the shards (dictionaries, counters) with its parent but its
+	// the dictionaries and counters with its parent but its
 	// dir pointer is frozen, giving a query snapshot isolation for its
 	// whole lifetime. Pinned views reject loads and commits.
 	pinned bool
@@ -202,75 +173,25 @@ func (s *Store) SetCommitLog(fn CommitLogFunc) {
 // to skip serializing the logical operation when nothing will log it.
 func (s *Store) LogsCommits() bool { return s.commitLog.Load() != nil }
 
-// DefaultShards is the shard count New uses: one per available CPU, the
-// configuration that lets loads and shard-local scans proceed on every
-// core.
-func DefaultShards() int { return runtime.GOMAXPROCS(0) }
-
-// New returns an empty store with DefaultShards shards.
-func New() *Store { return NewSharded(0) }
-
-// NewSharded returns an empty store with n shards (n < 1 selects
-// DefaultShards; n is capped at 1024).
-func NewSharded(n int) *Store {
-	if n < 1 {
-		n = DefaultShards()
-	}
-	if n > 1024 {
-		n = 1024
-	}
-	s := &Store{shards: make([]*shard, n)}
-	for i := range s.shards {
-		s.shards[i] = &shard{tags: newDict(), vals: newDict()}
-	}
+// New returns an empty store.
+func New() *Store {
+	s := &Store{tags: newDict(), vals: newDict(), stats: &counters{}}
 	s.dir.Store(emptyDirectory)
 	return s
 }
 
-// NumShards returns the store's shard count (fixed at creation).
-func (s *Store) NumShards() int { return len(s.shards) }
-
-// ShardOfName returns the shard index the document with the given name is
-// (or would be) routed to. The routing is a pure hash of the name, so it
-// can be computed before the document is loaded.
-func (s *Store) ShardOfName(name string) int {
-	h := fnv.New32a()
-	io.WriteString(h, name)
-	return int(h.Sum32() % uint32(len(s.shards)))
-}
-
-// ShardOf returns the shard index owning the loaded document id.
-func (s *Store) ShardOf(id DocID) int { return s.dir.Load().docs[id].shard }
-
-// ShardDocs returns the names of the documents owned by shard i, in load
-// order.
-func (s *Store) ShardDocs(i int) []string {
-	dir := s.dir.Load()
-	s.loadMu.Lock()
-	ids := append([]DocID(nil), s.shards[i].docs...)
-	s.loadMu.Unlock()
-	names := make([]string, 0, len(ids))
-	for _, id := range ids {
-		if int(id) < len(dir.docs) {
-			names = append(names, dir.docs[id].name)
-		}
-	}
-	return names
-}
+// NewSharded returns New(); n is ignored. It remains only because
+// bench/layers.go:478 calls it; the next benchmark change deletes it.
+func NewSharded(n int) *Store { return New() }
 
 // entry resolves a DocID through the current directory snapshot.
 func (s *Store) entry(id DocID) *Doc { return s.dir.Load().docs[id] }
 
-// stats returns the counter set accesses to document d are attributed to:
-// the owning shard's counters.
-func (s *Store) stats(d *Doc) *counters { return &s.shards[d.shard].stats }
-
 // Load converts doc to the columnar layout, indexes it and adds it to the
-// store, routed to the shard hashed from its name. Loading a document
-// whose name is already present is an error. Loads may run concurrently
-// with queries and with loads into other shards: all the heavy work
-// happens before the directory swap, and readers observe the new document
-// only after its indexes are complete.
+// store. Loading a document whose name is already present is an error.
+// Loads may run concurrently with queries and with other loads: all the
+// heavy work happens before the directory swap, and readers observe the
+// new document only after its indexes are complete.
 func (s *Store) Load(doc *xmltree.Document) (DocID, error) {
 	if err := faultinject.Hit(faultinject.PointStoreLoad); err != nil {
 		return 0, err
@@ -281,12 +202,10 @@ func (s *Store) Load(doc *xmltree.Document) (DocID, error) {
 	if _, dup := s.Lookup(doc.Name); dup {
 		return 0, fmt.Errorf("store: document %q already loaded", doc.Name)
 	}
-	shardIdx := s.ShardOfName(doc.Name)
-	sh := s.shards[shardIdx]
 	// The DocID is not final until the publish below; buildDoc only
 	// records it for accessors, so build against the expected next ID and
 	// fix it up under the lock.
-	d := buildDoc(doc, DocID(s.NumDocs()), shardIdx, sh.tags, sh.vals)
+	d := buildDoc(doc, DocID(s.NumDocs()), s.tags, s.vals)
 	return s.publish(d)
 }
 
@@ -313,7 +232,6 @@ func (s *Store) publish(d *Doc) (DocID, error) {
 		next.byName[k] = v
 	}
 	next.byName[d.name] = id
-	s.shards[d.shard].docs = append(s.shards[d.shard].docs, id)
 	s.dir.Store(next)
 	return id, nil
 }
@@ -352,14 +270,14 @@ func (s *Store) Doc(id DocID) *Doc { return s.entry(id) }
 func (s *Store) NumDocs() int { return len(s.dir.Load().docs) }
 
 // Pin returns a read-only view of the store frozen at the current
-// directory state. The view shares the shards (dictionaries, access
-// counters) with its parent, so counted accesses are still
-// attributed correctly, but its directory pointer never moves: a query
+// directory state. The view shares the dictionaries and access counters
+// with its parent, so counted accesses are still attributed correctly,
+// but its directory pointer never moves: a query
 // evaluated against the view is snapshot-isolated — it sees no document
 // version committed, and no document loaded, after the Pin. Pinning is
 // one small allocation; readers never block writers and vice versa.
 func (s *Store) Pin() *Store {
-	p := &Store{shards: s.shards, noStats: s.noStats, pinned: true}
+	p := &Store{tags: s.tags, vals: s.vals, stats: s.stats, noStats: s.noStats, pinned: true}
 	p.dir.Store(s.dir.Load())
 	return p
 }
@@ -421,24 +339,23 @@ func (s *Store) Close() error {
 	return firstErr
 }
 
-// DictStats is one shard's dictionary gauges. The dictionaries are
+// DictStats is the store's dictionary gauges. The dictionaries are
 // append-only, so between checkpoints they accumulate strings that updates
 // brought and later removed: ValueStrings - ValueLive is roughly that
 // garbage (a snapshot drops it, see dictWriter.remap).
 type DictStats struct {
 	// TagStrings and ValueStrings count the strings interned in the
-	// dictionaries the shard's current document versions resolve through.
+	// dictionaries the current document versions resolve through.
 	TagStrings, ValueStrings int
 	// ValueLive counts value-index directory entries across those
-	// versions: the values some document of the shard actually holds.
+	// versions: the values some document actually holds.
 	ValueLive int
 }
 
-// DictStats returns the dictionary gauges of every shard, in shard order.
-// It reads the current directory and the dictionaries' published lengths —
-// atomic loads only, so it never waits for a writer or a load.
-func (s *Store) DictStats() []DictStats {
-	out := make([]DictStats, len(s.shards))
+// DictStats returns the dictionary gauges. It reads the current directory
+// and the dictionaries' published lengths — atomic loads only, so it never
+// waits for a writer or a load.
+func (s *Store) DictStats() DictStats {
 	counted := make(map[*dict]bool)
 	count := func(d *dict) int {
 		if counted[d] {
@@ -447,39 +364,22 @@ func (s *Store) DictStats() []DictStats {
 		counted[d] = true
 		return d.size()
 	}
-	for i, sh := range s.shards {
-		out[i].TagStrings, out[i].ValueStrings = count(sh.tags), count(sh.vals)
-	}
+	out := DictStats{TagStrings: count(s.tags), ValueStrings: count(s.vals)}
 	// Snapshot-opened documents resolve through their file's dictionaries,
-	// not the shard's.
+	// not the store's.
 	for _, d := range s.dir.Load().docs {
-		g := &out[d.shard]
-		g.TagStrings += count(d.tags)
-		g.ValueStrings += count(d.vals)
-		g.ValueLive += len(d.valDir)
+		out.TagStrings += count(d.tags)
+		out.ValueStrings += count(d.vals)
+		out.ValueLive += len(d.valDir)
 	}
 	return out
 }
 
-// ResetStats zeroes the access counters of every shard.
-func (s *Store) ResetStats() {
-	for _, sh := range s.shards {
-		sh.stats.reset()
-	}
-}
+// ResetStats zeroes the access counters.
+func (s *Store) ResetStats() { s.stats.reset() }
 
-// Snapshot returns a copy of the current access counters, summed across
-// shards.
-func (s *Store) Snapshot() Stats {
-	var out Stats
-	for _, sh := range s.shards {
-		out.Add(sh.stats.snapshot())
-	}
-	return out
-}
-
-// ShardSnapshot returns a copy of shard i's access counters.
-func (s *Store) ShardSnapshot(i int) Stats { return s.shards[i].stats.snapshot() }
+// Snapshot returns a copy of the current access counters.
+func (s *Store) Snapshot() Stats { return s.stats.snapshot() }
 
 // DisableStats turns off counter maintenance; used by throughput-focused
 // benchmarks where even the counter writes are unwanted.
@@ -499,7 +399,7 @@ func (s *Store) Tag(id DocID, tag string) []int32 {
 	d := s.entry(id)
 	refs := d.tagRefsByName(tag)
 	if !s.noStats {
-		st := s.stats(d)
+		st := s.stats
 		st.tagLookups.Add(1)
 		st.tagRefs.Add(int64(len(refs)))
 	}
@@ -516,7 +416,7 @@ func (s *Store) TagWithin(id DocID, tag string, ancestor int32) []int32 {
 	lo := sort.Search(len(refs), func(i int) bool { return refs[i] > start })
 	hi := sort.Search(len(refs), func(i int) bool { return refs[i] > end })
 	if !s.noStats {
-		st := s.stats(d)
+		st := s.stats
 		st.tagLookups.Add(1)
 		st.tagRefs.Add(int64(hi - lo))
 	}
@@ -529,7 +429,7 @@ func (s *Store) Value(id DocID, v string) []int32 {
 	d := s.entry(id)
 	refs := d.valueRefsByName(v)
 	if !s.noStats {
-		st := s.stats(d)
+		st := s.stats
 		st.valueLookups.Add(1)
 		st.tagRefs.Add(int64(len(refs)))
 	}
@@ -543,7 +443,7 @@ func (s *Store) TagValue(id DocID, tag, v string) []int32 {
 	d := s.entry(id)
 	tagRefs := d.tagRefsByName(tag)
 	valRefs := d.valueRefsByName(v)
-	st := s.stats(d)
+	st := s.stats
 	if !s.noStats {
 		st.tagLookups.Add(1)
 		st.valueLookups.Add(1)
@@ -583,7 +483,7 @@ type NodeData struct {
 func (s *Store) Node(id DocID, ord int32) NodeData {
 	d := s.entry(id)
 	if !s.noStats {
-		s.stats(d).nodesRead.Add(1)
+		s.stats.nodesRead.Add(1)
 	}
 	return NodeData{
 		ID:         d.ID(ord),
@@ -600,7 +500,7 @@ func (s *Store) Node(id DocID, ord int32) NodeData {
 func (s *Store) Content(id DocID, ord int32) string {
 	d := s.entry(id)
 	if !s.noStats {
-		s.stats(d).nodesRead.Add(1)
+		s.stats.nodesRead.Add(1)
 	}
 	return d.Content(ord)
 }
@@ -611,25 +511,15 @@ func (s *Store) Children(id DocID, ord int32) []int32 {
 	d := s.entry(id)
 	kids := d.Children(ord)
 	if !s.noStats {
-		s.stats(d).nodesRead.Add(int64(len(kids)) + 1)
+		s.stats.nodesRead.Add(int64(len(kids)) + 1)
 	}
 	return kids
 }
 
 // CountMaterialized records that n nodes were copied out of the store into
-// an intermediate result. Attribution is to shard 0 when the caller has no
-// document in hand; materialization sites that know their document should
-// prefer CountMaterializedDoc.
+// an intermediate result.
 func (s *Store) CountMaterialized(n int) {
 	if !s.noStats {
-		s.shards[0].stats.nodesMaterialized.Add(int64(n))
-	}
-}
-
-// CountMaterializedDoc records that n nodes of document id were copied out
-// of the store into an intermediate result, attributed to the owning shard.
-func (s *Store) CountMaterializedDoc(id DocID, n int) {
-	if !s.noStats {
-		s.stats(s.entry(id)).nodesMaterialized.Add(int64(n))
+		s.stats.nodesMaterialized.Add(int64(n))
 	}
 }

@@ -213,9 +213,8 @@ func (f *FLWOR) Vars() []string {
 
 // Documents returns the names of every document("...") reference anywhere
 // in the query (bindings, WHERE, ORDER BY, RETURN, nested FLWORs), sorted
-// and deduplicated. The sharded store routes locks and plan-cache validity
-// by document, so the set of referenced documents is the query's shard
-// footprint.
+// and deduplicated. Plan-cache validity is tracked per document, so the
+// set of referenced documents is what can make a compiled plan stale.
 func (f *FLWOR) Documents() []string {
 	set := make(map[string]struct{})
 	f.collectDocuments(set)

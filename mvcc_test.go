@@ -63,49 +63,39 @@ func documentXML(t *testing.T, db *Database, name string) string {
 	return st.Doc(id).XML(0)
 }
 
-// TestShardParityPostUpdate extends the shard-parity contract to mutated
-// stores: after the same scripted update sequence, every workload query on
-// every algebra engine must produce byte-identical results at shards=1 and
-// shards=4 (serial and parallel), from a snapshot written after the
-// updates — and all of them must agree with a database freshly XML-loaded
-// from the mutated document's serialization. That last comparison is the
-// strongest oracle: the incrementally maintained columns, indexes and
-// statistics must be query-indistinguishable from a from-scratch rebuild.
+// TestShardParityPostUpdate is the parity contract on a mutated store:
+// after the scripted update sequence, every workload query on every
+// algebra engine must produce byte-identical results from the updated
+// database and from a snapshot written after the updates — and both must
+// agree with a database freshly XML-loaded from the mutated document's
+// serialization. That last comparison is the strongest oracle: the
+// incrementally maintained columns, indexes and statistics must be
+// query-indistinguishable from a from-scratch rebuild.
 func TestShardParityPostUpdate(t *testing.T) {
-	db1 := openXMarkSharded(t, 1)
-	db4 := openXMarkSharded(t, 4)
-	v1 := applyScript(t, db1)
-	v4 := applyScript(t, db4)
-	if v1 != v4 || v1 != uint64(len(mutationScript()))+1 {
-		t.Fatalf("post-script versions: shards=1 %d, shards=4 %d, want both %d", v1, v4, len(mutationScript())+1)
-	}
-
-	// The mutated documents serialize identically regardless of sharding.
-	mutated := documentXML(t, db1, "auction.xml")
-	if got := documentXML(t, db4, "auction.xml"); got != mutated {
-		t.Fatalf("mutated document serialization differs between shard counts")
+	db := openXMark(t)
+	if v := applyScript(t, db); v != uint64(len(mutationScript()))+1 {
+		t.Fatalf("post-script version = %d, want %d", v, len(mutationScript())+1)
 	}
 
 	// The rebuild oracle: a fresh database loaded from the mutated XML.
-	oracle := Open(WithShards(1))
-	if err := oracle.LoadXMLString("auction.xml", mutated); err != nil {
+	oracle := Open()
+	if err := oracle.LoadXMLString("auction.xml", documentXML(t, db, "auction.xml")); err != nil {
 		t.Fatalf("oracle load: %v", err)
 	}
 
-	// Snapshot-after-update round-trip (PR 7 composition): the snapshot
-	// carries the update generation and per-document versions.
-	snap4 := snapshotReopen(t, db4)
-	if gen := snap4.UpdateGeneration(); gen != uint64(len(mutationScript())) {
+	// The snapshot carries the update generation and per-document versions.
+	snap := snapshotReopen(t, db)
+	if gen := snap.UpdateGeneration(); gen != uint64(len(mutationScript())) {
 		t.Fatalf("snapshot update generation = %d, want %d", gen, len(mutationScript()))
 	}
-	if v, ok := snap4.DocumentVersion("auction.xml"); !ok || v != v1 {
-		t.Fatalf("snapshot document version = %d/%v, want %d", v, ok, v1)
+	if v, ok := snap.DocumentVersion("auction.xml"); !ok || v != uint64(len(mutationScript()))+1 {
+		t.Fatalf("snapshot document version = %d/%v, want %d", v, ok, len(mutationScript())+1)
 	}
 
 	for _, q := range Workload() {
 		for _, e := range []Engine{TLC, TLCOpt, GTP, TAX} {
 			t.Run(fmt.Sprintf("%s/%s", q.ID, e), func(t *testing.T) {
-				base, err := oracle.Query(q.Text, WithEngine(e), WithParallelism(1))
+				base, err := oracle.Query(q.Text, WithEngine(e))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -113,21 +103,17 @@ func TestShardParityPostUpdate(t *testing.T) {
 				for _, cfg := range []struct {
 					label string
 					db    *Database
-					par   int
 				}{
-					{"updated shards=1", db1, 1},
-					{"updated shards=1", db1, 4},
-					{"updated shards=4", db4, 1},
-					{"updated shards=4", db4, 4},
-					{"post-update snapshot", snap4, 1},
+					{"updated", db},
+					{"post-update snapshot", snap},
 				} {
-					res, err := cfg.db.Query(q.Text, WithEngine(e), WithParallelism(cfg.par))
+					res, err := cfg.db.Query(q.Text, WithEngine(e))
 					if err != nil {
-						t.Fatalf("%s parallelism=%d: %v", cfg.label, cfg.par, err)
+						t.Fatalf("%s: %v", cfg.label, err)
 					}
 					if got := res.XML(); got != want {
-						t.Errorf("%s parallelism=%d differs from fresh XML load of mutated document\nwant: %.200s\ngot:  %.200s",
-							cfg.label, cfg.par, want, got)
+						t.Errorf("%s differs from fresh XML load of mutated document\nwant: %.200s\ngot:  %.200s",
+							cfg.label, want, got)
 					}
 				}
 			})
@@ -136,10 +122,11 @@ func TestShardParityPostUpdate(t *testing.T) {
 }
 
 // TestUpdateSnapshotIsolation pins the MVCC reader contract at the API
-// surface, at shards 1 and 4: a Result obtained before a commit keeps
-// serializing pre-commit bytes after the commit (its store view is pinned
-// to the version chain it started on), while queries started after the
-// commit see the new version.
+// surface: a Result obtained before a commit keeps serializing pre-commit
+// bytes after the commit (its store view is pinned to the version chain it
+// started on), while queries started after the commit see the new version.
+// WithShards is an ignored option; the shards=4 case checks that passing
+// it changes nothing for as long as it exists.
 func TestUpdateSnapshotIsolation(t *testing.T) {
 	const doc = `<site><person id="p0"><name>Alice</name><age>30</age></person><person id="p1"><name>Bob</name><age>40</age></person></site>`
 	const q = `FOR $p IN document("site.xml")//person WHERE $p/age > 25 RETURN $p/name`
@@ -197,7 +184,9 @@ func TestUpdateSnapshotIsolation(t *testing.T) {
 // a stream of updates. Every read must observe a committed version — the
 // inserted persons all fail the query predicate, so any read that sees a
 // half-applied splice reports a wrong count — and a held Result must
-// serialize identically on every call while commits land around it.
+// serialize identically on every call while commits land around it. The
+// shards=4 case passes the ignored WithShards option, as
+// TestUpdateSnapshotIsolation does.
 func TestUpdateConcurrentReaders(t *testing.T) {
 	const doc = `<site><person id="p0"><name>Alice</name><age>30</age></person><person id="p1"><name>Bob</name><age>40</age></person></site>`
 	const q = `FOR $p IN document("site.xml")//person WHERE $p/age > 25 RETURN $p/name`

@@ -8,7 +8,7 @@ import (
 
 // parityFactor keeps the XMark document small enough that the full
 // workload × engines sweep stays fast under -race, while still producing
-// multi-tree sequences that exercise the chunked operator paths.
+// multi-tree sequences.
 const parityFactor = 0.02
 
 func openXMark(t *testing.T) *Database {
@@ -20,47 +20,57 @@ func openXMark(t *testing.T) *Database {
 	return db
 }
 
-// TestParallelismParity asserts the two halves of the parallel executor's
-// contract: WithParallelism(1) is byte-identical to the serial executor in
-// both results and store counters, and WithParallelism(n>1) produces
-// byte-identical results — including document order — for every engine and
-// every workload query.
+// TestParallelismParity asserts that evaluation is deterministic and that
+// requests running in parallel do not disturb one another: for every
+// workload query on every algebra engine, a second run reproduces the
+// first one's bytes and store counters exactly, and two runs of one
+// Prepared on two goroutines at once each return those bytes, including
+// document order.
 func TestParallelismParity(t *testing.T) {
 	db := openXMark(t)
 	for _, q := range Workload() {
 		for _, e := range []Engine{TLC, TLCOpt, GTP, TAX} {
 			t.Run(fmt.Sprintf("%s/%s", q.ID, e), func(t *testing.T) {
-				db.ResetStats()
-				serial, err := db.Query(q.Text, WithEngine(e), WithParallelism(1))
+				p, err := db.Compile(q.Text, WithEngine(e))
 				if err != nil {
 					t.Fatal(err)
 				}
-				serialStats := db.Stats()
-
-				// A second serial run must reproduce the counters exactly:
-				// parallelism 1 is the deterministic, paper-faithful path.
 				db.ResetStats()
-				again, err := db.Query(q.Text, WithEngine(e), WithParallelism(1))
+				first, err := db.Run(p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := db.Stats(); got != serialStats {
-					t.Errorf("serial stats not reproducible:\n  first:  %v\n  second: %v", serialStats, got)
+				firstStats := db.Stats()
+				want := first.XML()
+
+				db.ResetStats()
+				again, err := db.Run(p)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if again.XML() != serial.XML() {
-					t.Error("serial run not deterministic")
+				if got := db.Stats(); got != firstStats {
+					t.Errorf("store counters not reproducible:\n  first:  %v\n  second: %v", firstStats, got)
+				}
+				if again.XML() != want {
+					t.Error("second run differs from the first")
 				}
 
-				for _, n := range []int{2, 8} {
-					par, err := db.Query(q.Text, WithEngine(e), WithParallelism(n))
-					if err != nil {
-						t.Fatalf("parallelism %d: %v", n, err)
-					}
-					if par.XML() != serial.XML() {
-						t.Errorf("parallelism %d result differs from serial\nserial:   %.200s\nparallel: %.200s",
-							n, serial.XML(), par.XML())
-					}
+				var wg sync.WaitGroup
+				for g := 0; g < 2; g++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						res, err := db.Run(p)
+						if err != nil {
+							t.Errorf("concurrent run: %v", err)
+							return
+						}
+						if got := res.XML(); got != want {
+							t.Errorf("concurrent run differs from a lone run\nwant: %.200s\ngot:  %.200s", want, got)
+						}
+					}()
 				}
+				wg.Wait()
 			})
 		}
 	}
@@ -70,18 +80,17 @@ func TestParallelismParity(t *testing.T) {
 // workload query and every algebra engine, the planned plan produces
 // exactly the tree multiset of the unplanned one (compared as SortedXML —
 // the planner's filter and edge reordering may permute sequence order but
-// never the result set), and the planned plan stays parallelism-safe
-// (worker budget 1 vs an oversubscribed budget, identical results).
+// never the result set).
 func TestPlannerParity(t *testing.T) {
 	db := openXMark(t)
 	for _, q := range Workload() {
 		for _, e := range []Engine{TLC, TLCOpt, GTP, TAX} {
 			t.Run(fmt.Sprintf("%s/%s", q.ID, e), func(t *testing.T) {
-				off, err := db.Query(q.Text, WithEngine(e), WithPlanner(false), WithParallelism(1))
+				off, err := db.Query(q.Text, WithEngine(e), WithPlanner(false))
 				if err != nil {
 					t.Fatal(err)
 				}
-				on, err := db.Query(q.Text, WithEngine(e), WithParallelism(1))
+				on, err := db.Query(q.Text, WithEngine(e))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -96,26 +105,15 @@ func TestPlannerParity(t *testing.T) {
 							i, wantSorted[i], gotSorted[i])
 					}
 				}
-
-				// The planned plan must keep the parallel executor's
-				// byte-identical guarantee.
-				par, err := db.Query(q.Text, WithEngine(e), WithParallelism(8))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if par.XML() != on.XML() {
-					t.Errorf("planned plan: parallel result differs from serial")
-				}
 			})
 		}
 	}
 }
 
-// TestConcurrentRuns is the regression test for the atomic store counters
-// and the shared matcher caches: many goroutines issue Run calls against
-// one Database — mixed engines, statistics enabled, both serial and
-// parallel per-query budgets — and every result must match the serial
-// baseline. Run it under -race to check the synchronization, not just the
+// TestConcurrentRuns is the regression test for the atomic store counters:
+// many goroutines issue Run calls against one Database — mixed engines,
+// statistics enabled — and every result must match the result of a lone
+// run. Run it under -race to check the synchronization, not just the
 // outcomes.
 func TestConcurrentRuns(t *testing.T) {
 	db := openXMark(t)
@@ -133,17 +131,15 @@ func TestConcurrentRuns(t *testing.T) {
 	var jobs []job
 	for qi, q := range queries {
 		for _, e := range engines {
-			for _, par := range []int{1, 4} {
-				prep, err := db.Compile(q, WithEngine(e), WithParallelism(par))
-				if err != nil {
-					t.Fatalf("query %d engine %v: %v", qi, e, err)
-				}
-				res, err := db.Run(prep)
-				if err != nil {
-					t.Fatalf("query %d engine %v: %v", qi, e, err)
-				}
-				jobs = append(jobs, job{prep: prep, want: res.XML()})
+			prep, err := db.Compile(q, WithEngine(e))
+			if err != nil {
+				t.Fatalf("query %d engine %v: %v", qi, e, err)
 			}
+			res, err := db.Run(prep)
+			if err != nil {
+				t.Fatalf("query %d engine %v: %v", qi, e, err)
+			}
+			jobs = append(jobs, job{prep: prep, want: res.XML()})
 		}
 	}
 
@@ -164,7 +160,7 @@ func TestConcurrentRuns(t *testing.T) {
 					return
 				}
 				if got := res.XML(); got != j.want {
-					errc <- fmt.Errorf("goroutine %d rep %d: result differs from serial baseline", g, r)
+					errc <- fmt.Errorf("goroutine %d rep %d: result differs from a lone run", g, r)
 					return
 				}
 			}
@@ -180,17 +176,17 @@ func TestConcurrentRuns(t *testing.T) {
 	}
 }
 
-// TestWithParallelismDefaults pins the option's conventions: unset and
-// n < 1 mean GOMAXPROCS, and every budget agrees on the result.
+// TestWithParallelismDefaults pins the option's contract: it is ignored,
+// so every value agrees with leaving it unset.
 func TestWithParallelismDefaults(t *testing.T) {
 	db := openSample(t)
 	q := `FOR $p IN document("auction.xml")//person RETURN $p/name`
 	want := ""
 	for i, opts := range [][]Option{
-		{},                    // default: GOMAXPROCS
-		{WithParallelism(-1)}, // explicit GOMAXPROCS
-		{WithParallelism(1)},  // exactly serial
-		{WithParallelism(3)},  // fixed budget
+		{},
+		{WithParallelism(-1)},
+		{WithParallelism(1)},
+		{WithParallelism(3)},
 	} {
 		res, err := db.Query(q, opts...)
 		if err != nil {

@@ -133,20 +133,6 @@ func requireRecovered(t *testing.T, got *Database, want map[string]docState, wan
 	}
 }
 
-// namesOnDistinctShards returns two document names that a two-shard
-// database routes to different shards.
-func namesOnDistinctShards(t *testing.T, db *Database) (string, string) {
-	t.Helper()
-	first := "auction-0.xml"
-	for i := 1; i < 64; i++ {
-		if name := fmt.Sprintf("auction-%d.xml", i); db.ShardOfDocument(name) != db.ShardOfDocument(first) {
-			return first, name
-		}
-	}
-	t.Fatal("no two names on distinct shards")
-	return "", ""
-}
-
 // TestReplayEquivalence runs a script live — one commit per record — on one
 // database while logging it, replays the log onto a second database opened
 // from the same base, and requires the two to agree on every document's
@@ -162,16 +148,16 @@ func TestReplayEquivalence(t *testing.T) {
 		live func(t *testing.T, db *Database, s *noteScript)
 	}{
 		{
-			name: "two documents on two shards",
+			name: "two documents",
 			base: func(t *testing.T, _ string) (*Database, []string) {
-				db := Open(WithShards(2))
-				a, b := namesOnDistinctShards(t, db)
-				for _, name := range []string{a, b} {
+				db := Open()
+				names := []string{"auction-0.xml", "auction-1.xml"}
+				for _, name := range names {
 					if err := db.LoadXMark(name, factor); err != nil {
 						t.Fatal(err)
 					}
 				}
-				return db, []string{a, b}
+				return db, names
 			},
 			live: func(t *testing.T, db *Database, s *noteScript) { s.run(t, db, 300) },
 		},
@@ -211,7 +197,7 @@ func TestReplayEquivalence(t *testing.T) {
 				s.run(t, db, 20)
 				// A snapshot of an unrelated store, 50 generations ahead,
 				// loaded mid-log: the records after it start at 51.
-				other := Open(WithShards(2))
+				other := Open()
 				if err := other.LoadXMLString("other.xml", `<other><e>x</e></other>`); err != nil {
 					t.Fatal(err)
 				}
@@ -266,7 +252,7 @@ func TestReplayEquivalence(t *testing.T) {
 
 func xmarkBase(factor float64) func(*testing.T, string) (*Database, []string) {
 	return func(t *testing.T, _ string) (*Database, []string) {
-		db := Open(WithShards(2))
+		db := Open()
 		if err := db.LoadXMark("auction.xml", factor); err != nil {
 			t.Fatal(err)
 		}
@@ -296,14 +282,14 @@ func FuzzReplay(f *testing.F) {
 	positions := []string{UpdateInto, UpdateFirst, UpdateBefore, UpdateAfter}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		open := func() (*Database, [2]string) {
-			db := Open(WithShards(2))
-			a, b := namesOnDistinctShards(t, db)
-			for _, name := range []string{a, b} {
+			db := Open()
+			docs := [2]string{"auction-0.xml", "auction-1.xml"}
+			for _, name := range docs {
 				if err := db.LoadXMLString(name, sampleXML); err != nil {
 					t.Fatal(err)
 				}
 			}
-			return db, [2]string{a, b}
+			return db, docs
 		}
 		walDir := t.TempDir()
 		orig, docs := open()
@@ -342,7 +328,7 @@ func FuzzReplay(f *testing.F) {
 func replayLog(tb testing.TB, factor float64, n int) (snapDir, walDir string) {
 	tb.Helper()
 	snapDir, walDir = tb.TempDir(), tb.TempDir()
-	db := Open(WithShards(2))
+	db := Open()
 	if err := db.LoadXMark("auction.xml", factor); err != nil {
 		tb.Fatal(err)
 	}

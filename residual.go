@@ -81,12 +81,11 @@ func (p *Prepared) WithResidual(sites []ResidualSite) (*Prepared, bool) {
 		plan = next
 	}
 	return &Prepared{
-		engine:      p.engine,
-		plan:        plan,
-		ast:         p.ast,
-		parallelism: p.parallelism,
-		limits:      p.limits,
-		PlanInfo:    p.PlanInfo,
+		engine:   p.engine,
+		plan:     plan,
+		ast:      p.ast,
+		limits:   p.limits,
+		PlanInfo: p.PlanInfo,
 	}, true
 }
 

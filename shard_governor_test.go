@@ -13,39 +13,25 @@ import (
 	"tlc/internal/seq"
 )
 
-// shardBudgetFixture loads the same four person documents — one on each
-// shard of the 4-shard database — into a 1-shard and a 4-shard database,
-// and returns a cross-document join query over them whose matching
-// allocates about the same number of witness nodes on every shard but
-// returns no rows (the ages are disjoint), so arena usage comes from
-// matching, not result construction.
-func shardBudgetFixture(t *testing.T) (db1, db4 *Database, query string) {
+// budgetFixture loads four person documents into one database and
+// returns a cross-document join query over them whose matching allocates
+// about the same number of witness nodes in every document but returns no
+// rows (the ages are disjoint), so arena usage comes from matching, not
+// result construction.
+func budgetFixture(t *testing.T) (db *Database, query string) {
 	t.Helper()
-	db1 = Open(WithShards(1))
-	db4 = Open(WithShards(4))
-
-	names := make([]string, 4) // names[i] routes to shard i of db4
-	for i, found := 0, 0; found < len(names); i++ {
-		if i > 1<<16 {
-			t.Fatal("no name found for every shard")
-		}
-		name := fmt.Sprintf("budget%d.xml", i)
-		if sh := db4.ShardOfDocument(name); names[sh] == "" {
-			names[sh] = name
-			found++
-		}
-	}
-	for i, name := range names {
+	db = Open()
+	names := make([]string, 4)
+	for i := range names {
+		names[i] = fmt.Sprintf("budget%d.xml", i)
 		var b strings.Builder
 		b.WriteString("<site>")
 		for j := 0; j < 40; j++ {
 			fmt.Fprintf(&b, "<person id=\"p%d\"><name>n%d</name><age>%d</age></person>", j, j, 1000*i+j)
 		}
 		b.WriteString("</site>")
-		for _, db := range []*Database{db1, db4} {
-			if err := db.LoadXMLString(name, b.String()); err != nil {
-				t.Fatal(err)
-			}
+		if err := db.LoadXMLString(names[i], b.String()); err != nil {
+			t.Fatal(err)
 		}
 	}
 	query = fmt.Sprintf(`FOR $a IN document(%q)//person
@@ -54,75 +40,60 @@ func shardBudgetFixture(t *testing.T) (db1, db4 *Database, query string) {
 	                     FOR $d IN document(%q)//person
 	                     WHERE $a/age = $b/age AND $b/age = $c/age AND $c/age = $d/age
 	                     RETURN $a/name`, names[0], names[1], names[2], names[3])
-	return db1, db4, query
+	return db, query
 }
 
-// TestShardSharedBudget checks the governor budget is query-wide, not
-// per-shard: every per-shard arena charges the same governor, so a node
-// budget of half what a run allocates must trip at every shard count,
-// serial and parallel. An implementation that gave each shard worker its
-// own budget would let the 4-shard parallel run — a quarter of the
-// allocation on each shard — finish inside it.
+// TestShardSharedBudget checks the governor budget is query-wide: the
+// matching of all four documents charges one governor, so a node budget of
+// half what the join allocates must trip, with the node resource at
+// exactly that limit. A budget kept per document would let the run finish
+// inside it, since each document takes a quarter.
 func TestShardSharedBudget(t *testing.T) {
-	// What a run allocates is not repeatable and differs by configuration:
-	// the governor charges per slab, partially filled slabs live in a
-	// sync.Pool, and a pool miss charges a whole fresh slab. Misses come
-	// from workers allocating at once (a parallel run takes several times a
-	// serial run's slabs), from GC clearing the pool — pinned off below —
-	// and, under the race detector, from sync.Pool dropping a random
-	// quarter of Puts, which multiplies the slab count by some fifty and
-	// lets it wander by about a tenth from run to run. So each
-	// configuration is measured as itself, by the slabs it allocates
-	// (which a budgeting bug cannot distort), and the budget is half of
-	// that: five or more standard deviations below any shared-budget run,
-	// twice what one shard of four allocates.
+	// What a run allocates is not repeatable: the governor charges per
+	// slab, partially filled slabs live in a sync.Pool, and a pool miss
+	// charges a whole fresh slab. Misses come from GC clearing the pool —
+	// pinned off below — and, under the race detector, from sync.Pool
+	// dropping a random quarter of Puts, which multiplies the slab count
+	// and lets it wander by about a tenth from run to run. So the run is
+	// measured by the slabs it allocates (which a budgeting bug cannot
+	// distort), and the budget is half of that.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
-	db1, db4, query := shardBudgetFixture(t)
-	const generous = 1 << 30
+	db, query := budgetFixture(t)
 
 	// The governor's charge for one slab, read off a budget no slab fits in.
 	var be *BudgetError
-	if _, err := db1.Query(query, WithLimits(Limits{MaxArenaNodes: 1})); !errors.As(err, &be) {
+	if _, err := db.Query(query, WithLimits(Limits{MaxArenaNodes: 1})); !errors.As(err, &be) {
 		t.Fatalf("one-node budget: err = %v, want *BudgetError", err)
 	}
 	slabNodes := be.Observed
 
-	for _, cfg := range []struct {
-		db  *Database
-		par int
-	}{{db1, 1}, {db1, 4}, {db4, 1}, {db4, 4}} {
-		_, before, _ := seq.ArenaTotals()
-		if _, err := cfg.db.Query(query, WithLimits(Limits{MaxArenaNodes: generous}), WithParallelism(cfg.par)); err != nil {
-			// Governance is shared, not stricter, at higher shard counts.
-			t.Fatalf("shards=%d parallelism=%d: generous budget: %v", cfg.db.NumShards(), cfg.par, err)
-		}
-		_, after, _ := seq.ArenaTotals()
-		budget := (after - before) * slabNodes / 2
+	_, before, _ := seq.ArenaTotals()
+	if _, err := db.Query(query, WithLimits(Limits{MaxArenaNodes: 1 << 30})); err != nil {
+		t.Fatalf("generous budget: %v", err)
+	}
+	_, after, _ := seq.ArenaTotals()
+	budget := (after - before) * slabNodes / 2
 
-		_, err := cfg.db.Query(query, WithLimits(Limits{MaxArenaNodes: budget}), WithParallelism(cfg.par))
-		if !errors.As(err, &be) {
-			t.Errorf("shards=%d parallelism=%d: err = %v under half the %d slabs the run allocates, want *BudgetError",
-				cfg.db.NumShards(), cfg.par, err, after-before)
-			continue
-		}
-		if be.Resource != governor.ResourceNodes || be.Limit != budget {
-			t.Errorf("shards=%d parallelism=%d: tripped %s at limit %d, want %s at %d",
-				cfg.db.NumShards(), cfg.par, be.Resource, be.Limit, governor.ResourceNodes, budget)
-		}
+	_, err := db.Query(query, WithLimits(Limits{MaxArenaNodes: budget}))
+	if !errors.As(err, &be) {
+		t.Fatalf("err = %v under half the %d slabs the run allocates, want *BudgetError", err, after-before)
+	}
+	if be.Resource != governor.ResourceNodes || be.Limit != budget {
+		t.Errorf("tripped %s at limit %d, want %s at %d", be.Resource, be.Limit, governor.ResourceNodes, budget)
 	}
 }
 
 // TestShardBudgetChaosAbortsSiblings is the chaos half: with a slow-matcher
-// fault keeping all shard workers in flight when the budget trips, the
-// over-budget shard must abort its siblings — the query returns one typed
-// *BudgetError, promptly and identically on every run, and a concurrent
-// in-budget query on the same sharded store is untouched.
+// fault keeping queries in flight when the budget trips, the over-budget
+// query must abort promptly with one typed *BudgetError, identically on
+// every run, and its sibling — a concurrent in-budget query on the same
+// store — is untouched.
 func TestShardBudgetChaosAbortsSiblings(t *testing.T) {
 	t.Cleanup(faultinject.Disable)
-	_, db4, query := shardBudgetFixture(t)
+	db, query := budgetFixture(t)
 
-	inBudget, err := db4.Compile(query, WithLimits(Limits{MaxArenaNodes: 1 << 30}), WithParallelism(4))
+	inBudget, err := db.Compile(query, WithLimits(Limits{MaxArenaNodes: 1 << 30}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +105,7 @@ func TestShardBudgetChaosAbortsSiblings(t *testing.T) {
 	for run := 0; run < 4; run++ {
 		done := make(chan error, 1)
 		go func() {
-			res, err := db4.Run(inBudget)
+			res, err := db.Run(inBudget)
 			if err == nil && res.Len() != 0 {
 				err = fmt.Errorf("disjoint-age join returned %d rows", res.Len())
 			}
@@ -142,7 +113,7 @@ func TestShardBudgetChaosAbortsSiblings(t *testing.T) {
 		}()
 
 		start := time.Now()
-		_, err := db4.Query(query, WithLimits(Limits{MaxArenaNodes: 64}), WithParallelism(4))
+		_, err := db.Query(query, WithLimits(Limits{MaxArenaNodes: 64}))
 		elapsed := time.Since(start)
 		var be *BudgetError
 		if !errors.As(err, &be) {
@@ -154,7 +125,7 @@ func TestShardBudgetChaosAbortsSiblings(t *testing.T) {
 		if first == nil {
 			first = be
 		} else if be.Resource != first.Resource || be.Limit != first.Limit {
-			t.Errorf("run %d: tripped %s at %d, run 0 tripped %s at %d — siblings must fail identically",
+			t.Errorf("run %d: tripped %s at %d, run 0 tripped %s at %d — every run must fail identically",
 				run, be.Resource, be.Limit, first.Resource, first.Limit)
 		}
 		if err := <-done; err != nil {

@@ -124,8 +124,8 @@ func ParseEngine(s string) (Engine, bool) {
 // for a document not loaded — documents are never unloaded, so 0 -> 1 is
 // the only way an absent name changes). The store's statistics counters
 // are atomic, so concurrent Run calls interleave counter updates rather
-// than corrupt them. The figure benchmarks still run queries sequentially
-// with intra-query parallelism 1, as the paper did.
+// than corrupt them. Each query is evaluated serially, by one goroutine,
+// as the paper's engine did.
 type Database struct {
 	st *store.Store
 	// wal, when AttachWAL has run, is the durable write-ahead log every
@@ -135,33 +135,17 @@ type Database struct {
 	walReplay WALReplayStats
 }
 
-// OpenOption configures a database at Open time.
-type OpenOption func(*openConfig)
+// OpenOption configures a database at Open time. There is nothing left to
+// configure: Open ignores every OpenOption.
+type OpenOption struct{}
 
-type openConfig struct {
-	shards int
-}
-
-// WithShards sets the number of store shards documents are partitioned
-// across (n < 1 selects the default, GOMAXPROCS). Each shard owns its node
-// tables, tag/value indexes, statistics and access counters. Query results
-// are identical for every shard count: shard routing partitions storage,
-// not semantics.
-func WithShards(n int) OpenOption {
-	return func(c *openConfig) { c.shards = n }
-}
+// WithShards is ignored: the store is one partition. It remains only
+// because bench/layers.go:429 and bench/oracle.go:20 pass it; the next
+// benchmark change deletes it.
+func WithShards(n int) OpenOption { return OpenOption{} }
 
 // Open returns an empty database.
-func Open(opts ...OpenOption) *Database {
-	var cfg openConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.shards == 0 {
-		return &Database{st: store.New()}
-	}
-	return &Database{st: store.NewSharded(cfg.shards)}
-}
+func Open(...OpenOption) *Database { return &Database{st: store.New()} }
 
 // LoadXML parses and indexes an XML document under the given name (the
 // name used in document("...") references). Loads may run concurrently
@@ -252,7 +236,7 @@ func (db *Database) Update(req UpdateRequest, opts ...Option) (UpdateResult, err
 // commit (and Results they returned) keep observing the old version,
 // queries started after it observe the new one. Resource budget options
 // (WithLimits and friends) govern the write cost with the same taxonomy
-// as queries; engine and parallelism options are ignored. On a conflict
+// as queries; engine options are ignored. On a conflict
 // with a concurrent update the target is re-resolved and retried a
 // bounded number of times before ErrUpdateConflict is returned.
 func (db *Database) UpdateContext(ctx context.Context, req UpdateRequest, opts ...Option) (UpdateResult, error) {
@@ -288,26 +272,14 @@ func (db *Database) UpdateGeneration() uint64 { return db.st.UpdateGeneration() 
 // garbage collector once the last reference drops).
 func (db *Database) VersionsLive() int64 { return db.st.VersionsLive() }
 
-// DictionaryStats returns each shard's dictionary gauges, in shard order:
-// strings interned (dictionaries are append-only, so this includes what
-// updates brought and later removed) against values the shard's documents
-// hold now. It never waits for a writer.
-func (db *Database) DictionaryStats() []store.DictStats { return db.st.DictStats() }
-
-// NumShards returns the number of store shards.
-func (db *Database) NumShards() int { return db.st.NumShards() }
-
-// ShardOfDocument returns the shard a document name routes to. The routing
-// is a pure hash of the name, so it is answerable before the document is
-// loaded.
-func (db *Database) ShardOfDocument(name string) int { return db.st.ShardOfName(name) }
-
-// ShardDocuments returns the names of the documents loaded into shard i,
-// in load order.
-func (db *Database) ShardDocuments(i int) []string { return db.st.ShardDocs(i) }
+// DictionaryStats returns the dictionary gauges: strings interned
+// (dictionaries are append-only, so this includes what updates brought and
+// later removed) against values the documents hold now. It never waits for
+// a writer.
+func (db *Database) DictionaryStats() store.DictStats { return db.st.DictStats() }
 
 // SnapshotInfo reports what a Snapshot call wrote: directory, total
-// bytes, documents captured and shard files emitted.
+// bytes, documents captured and the update generation.
 type SnapshotInfo = store.SnapshotInfo
 
 // Typed snapshot errors, matchable with errors.Is. Every way a snapshot
@@ -322,14 +294,14 @@ var (
 	// ErrSnapshotCorrupt reports structural damage: truncation, bad magic,
 	// out-of-bounds sections or invalid node relations.
 	ErrSnapshotCorrupt = store.ErrSnapshotCorrupt
-	// ErrSnapshotMismatch reports a snapshot whose shard layout does not
-	// match the database it is being loaded into.
+	// ErrSnapshotMismatch reports a snapshot that names a document the
+	// database it is being loaded into already holds.
 	ErrSnapshotMismatch = store.ErrSnapshotMismatch
 )
 
 // Snapshot writes the database's current contents to dir as a versioned,
-// checksummed columnar snapshot: one file per non-empty shard plus a
-// manifest, each written atomically (temp file + rename, manifest last,
+// checksummed columnar snapshot: one data file plus a manifest, each
+// written atomically (temp file + rename, manifest last,
 // so an interrupted snapshot leaves no readable-but-partial state).
 // Snapshot may run concurrently with queries; it captures the document
 // set current when it starts.
@@ -358,11 +330,10 @@ func (db *Database) Snapshot(dir string) (SnapshotInfo, error) {
 }
 
 // LoadSnapshot loads every document of the snapshot in dir into the
-// database, mapping the shard files read-only (mmap where the platform
+// database, mapping the data file read-only (mmap where the platform
 // supports it) — column data, dictionary strings and document names are
-// served from the mapped region without copying. The snapshot must have
-// been written with the same shard count. Document names must not collide
-// with already-loaded documents, and the load is refused with
+// served from the mapped region without copying. Document names must not
+// collide with already-loaded documents, and the load is refused with
 // ErrConcurrentMutation while an update is in flight.
 func (db *Database) LoadSnapshot(dir string) error {
 	err := db.st.LoadSnapshot(dir)
@@ -382,9 +353,9 @@ func (db *Database) LoadSnapshot(dir string) error {
 // manifest is written last, so its presence is the completion marker.
 func SnapshotExists(dir string) bool { return store.SnapshotExists(dir) }
 
-// OpenSnapshot opens the snapshot in dir as a new database, sized to the
-// snapshot's shard count. This is the cold-start fast path: instead of
-// re-parsing XML, the shard files are validated and mapped, and queries
+// OpenSnapshot opens the snapshot in dir as a new database. This is the
+// cold-start fast path: instead of re-parsing XML, the data file is
+// validated and mapped, and queries
 // read columns and interned strings straight from the mapping. Call Close
 // when done to unmap.
 func OpenSnapshot(dir string) (*Database, error) {
@@ -636,10 +607,9 @@ type BudgetError = governor.ErrBudgetExceeded
 type Option func(*queryConfig)
 
 type queryConfig struct {
-	engine      Engine
-	parallelism int
-	plannerOff  bool
-	limits      Limits
+	engine     Engine
+	plannerOff bool
+	limits     Limits
 }
 
 // WithEngine selects the evaluation engine for a query.
@@ -655,18 +625,10 @@ func WithPlanner(on bool) Option {
 	return func(c *queryConfig) { c.plannerOff = !on }
 }
 
-// WithParallelism sets the intra-query worker budget, which defaults to
-// GOMAXPROCS (n < 1 selects the default explicitly). n = 1 evaluates the
-// plan exactly like the original serial executor — byte-identical results
-// and store counters, the paper-faithful configuration, which the figure
-// benchmarks use. n > 1 evaluates independent plan branches concurrently
-// and scatters per-tree operators over chunks of their input; results
-// (including document order) are identical to serial evaluation. The
-// navigational engine ignores the option (it interprets the AST, there is
-// no plan to parallelize).
-func WithParallelism(n int) Option {
-	return func(c *queryConfig) { c.parallelism = n }
-}
+// WithParallelism is ignored: every query is evaluated serially. It remains
+// only because bench/layers.go:775 and bench/oracle.go:28 pass it; the
+// next benchmark change deletes it.
+func WithParallelism(n int) Option { return func(*queryConfig) {} }
 
 // WithLimits sets the query's resource budget (see Limits; zero fields
 // are unlimited).
@@ -681,15 +643,14 @@ func WithLimits(l Limits) Option {
 // DAG is immutable after Compile (every rewrite and planner decision
 // mutates operators at compile time only; eval methods read operator
 // fields and own their per-run input sequences), and all per-run state —
-// matcher caches, memoization, partial results — lives in the evaluation
+// matcher caches, memoization, the node arena — lives in the evaluation
 // context created per call. This is what lets a prepared-plan cache hand
 // one Prepared to many concurrent requests.
 type Prepared struct {
-	engine      Engine
-	plan        algebra.Op // nil for Nav
-	ast         *xquery.FLWOR
-	parallelism int
-	limits      Limits
+	engine Engine
+	plan   algebra.Op // nil for Nav
+	ast    *xquery.FLWOR
+	limits Limits
 	// predSites are the translator's conjunctive predicate sites (nil for
 	// Nav); the plan cache aligns them with canonical literal sites to
 	// place residual filters on containment reuse.
@@ -768,7 +729,7 @@ func (db *Database) CompileContext(ctx context.Context, text string, opts ...Opt
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	p := &Prepared{engine: cfg.engine, ast: ast, parallelism: cfg.parallelism, limits: cfg.limits}
+	p := &Prepared{engine: cfg.engine, ast: ast, limits: cfg.limits}
 	switch cfg.engine {
 	case Nav:
 		return p, nil
@@ -823,7 +784,7 @@ func (db *Database) Run(p *Prepared) (*Result, error) {
 
 // RunContext evaluates the prepared query under ctx. Cancelling ctx (or
 // exceeding its deadline) stops the evaluation cooperatively — the
-// evaluator checks between operators and chunks, and the physical
+// evaluator checks between operators, and the physical
 // operators poll inside their per-tree and join loops — and returns an
 // error satisfying errors.Is(err, ctx.Err()). A Prepared may be shared by
 // concurrent RunContext calls (see Prepared).
@@ -837,7 +798,7 @@ func (db *Database) RunContext(ctx context.Context, p *Prepared) (*Result, error
 	if p.engine == Nav {
 		out, err = nav.RunContext(ctx, st, p.ast)
 	} else {
-		out, err = algebra.RunContext(ctx, st, p.plan, p.parallelism)
+		out, err = algebra.RunContext(ctx, st, p.plan)
 	}
 	if err != nil {
 		return nil, err
@@ -902,7 +863,7 @@ func (db *Database) ProfileContext(ctx context.Context, text string, opts ...Opt
 		return "", fmt.Errorf("tlc: the navigational engine has no plan to profile")
 	}
 	ctx = p.limits.govern(ctx)
-	pr, err := algebra.Profile(algebra.NewContextFor(ctx, db.st.Pin(), 1), p.plan)
+	pr, err := algebra.Profile(algebra.NewContextFor(ctx, db.st.Pin()), p.plan)
 	if err != nil {
 		return "", err
 	}
