@@ -1,15 +1,14 @@
 package store
 
 // This file implements the statistics catalog: per-document, per-tag
-// summaries derived from the columns at load time (and when a replay
-// publishes), carried forward across live updates (mutate.go) and served to
-// the cost-based planner (internal/planner).
+// summaries derived from the columns at load time (and when a snapshot
+// opens or a replay publishes), carried forward across live updates
+// (mutate.go) and served to the cost-based planner (internal/planner).
 // Catalog probes are free — no access counters are touched — because a
 // real system keeps these numbers in its catalog, not in the data pages.
 //
 // The summaries are keyed by dictionary IDs (the same IDs the node
-// columns hold), so they serialize into snapshots as flat integer
-// records; the string-keyed Catalog API resolves names through the
+// columns hold); the string-keyed Catalog API resolves names through the
 // owning document's dictionaries.
 //
 // The collected statistics are:
@@ -46,12 +45,10 @@ type TagStats struct {
 }
 
 // tagStatRec is one tag's summary keyed by tag dictionary ID, and pairRec
-// one (parent, child) or (ancestor, descendant) count. They are at once
-// the in-memory catalog and the snapshot's on-disk records: flat integer
-// structs in arrays sorted by ID, so a snapshot-opened catalog is a view
-// into the mapped file, writing one is an append, and carrying one across
-// an update is a block copy with the touched entries merged in
-// (spliceStats) — never a map copied entry by entry.
+// one (parent, child) or (ancestor, descendant) count: flat integer
+// structs in arrays sorted by ID, so carrying the catalog across an update
+// is a block copy with the touched entries merged in (spliceStats) — never
+// a map copied entry by entry.
 type tagStatRec struct {
 	Tag, Count, Distinct, Children uint32
 	MinLevel, MaxLevel             int32
@@ -68,8 +65,8 @@ func cmpPair(a, b pairRec) int {
 	return cmp.Compare(a.Down, b.Down)
 }
 
-// docStats holds the per-document catalog: derived from the columns (or
-// viewed from a snapshot) and carried forward by every live splice. Like
+// docStats holds the per-document catalog: derived from the columns and
+// carried forward by every live splice. Like
 // the columns it is immutable once its document version is published.
 type docStats struct {
 	// rootTag is the tag dictionary ID of the document root.
@@ -159,7 +156,7 @@ func buildDocStats(d *Doc) *docStats {
 		ts := tagStatRec{Tag: e.id, Count: e.n, Distinct: distinct[e.id], MinLevel: c.level[refs[0]], MaxLevel: c.level[refs[0]]}
 		for _, o := range refs {
 			ts.MinLevel, ts.MaxLevel = min(ts.MinLevel, c.level[o]), max(ts.MaxLevel, c.level[o])
-			for ch := c.firstChild[o]; ch >= 0 && ch <= c.end[o]; ch = c.end[ch] + 1 {
+			for ch := o + 1; ch <= c.end[o]; ch = c.end[ch] + 1 {
 				t := c.tag[ch]
 				if counts[t] == 0 {
 					downs = append(downs, t)

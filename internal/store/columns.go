@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 
@@ -12,14 +13,19 @@ import (
 // (pre-order) order, instead of an arena of pointer-rich node structs:
 //
 //	ordinal   0     1     2     3    ...
-//	start   [ 0  |  1  |  2  |  3  | ...]  int32   interval start (== ordinal)
 //	end     [ 9  |  4  |  2  |  3  | ...]  int32   interval end
 //	level   [ 0  |  1  |  2  |  2  | ...]  int32   depth from the root
 //	parent  [-1  |  0  |  1  |  1  | ...]  int32   parent ordinal (-1 at root)
-//	first   [ 1  |  2  | -1  | -1  | ...]  int32   first-child ordinal
 //	kind    [ E  |  E  |  A  |  T  | ...]  uint8   Element / Attribute / Text
 //	tag     [ 5  |  9  |  2  |  0  | ...]  uint32  tag dictionary ID
 //	val     [ 0  |  7  |  3  |  3  | ...]  uint32  value dictionary ID + 1
+//
+// The interval start is the ordinal itself and the first child, in
+// preorder, is the next ordinal when the interval holds more than its node
+// (end > ordinal), so neither is stored: Start and FirstChild compute them.
+// Parent and level are functions of end as well — one pass over it rebuilds
+// them (nest) — and are kept because the engines and the splice read them
+// on every step; a snapshot stores neither (snapshot.go).
 //
 // Tags and values are dictionary-encoded: the columns hold dense integer
 // IDs, the strings live once in the store's interned dictionaries
@@ -35,19 +41,17 @@ import (
 // paper's interval IDs make every structural decision position-based, the
 // evaluation engines run straight over these arrays; and because every
 // array is flat integers (strings reduced to dictionary offsets), the
-// whole table serializes to — and maps back from — a snapshot file
+// stored columns serialize to — and map back from — a snapshot file
 // without any decoding (snapshot.go).
 
 // cols is the struct-of-arrays node table of one document.
 type cols struct {
-	start      []int32
-	end        []int32
-	level      []int32
-	parent     []int32
-	firstChild []int32
-	kind       []uint8
-	tag        []uint32
-	val        []uint32
+	end    []int32
+	level  []int32
+	parent []int32
+	kind   []uint8
+	tag    []uint32
+	val    []uint32
 }
 
 // dirEntry is one tag- or value-index directory entry: the postings for
@@ -61,9 +65,9 @@ type dirEntry struct {
 // Doc is the columnar view of one loaded document. All accessors are
 // read-only, lock-free and safe for concurrent use; none of them touch
 // the store's access counters (counted access goes through the Store
-// methods). For snapshot-opened documents the columns, directories,
-// postings and dictionary strings are views into the mapped file — the
-// accessors are identical either way.
+// methods). For snapshot-opened documents the stored columns and the
+// dictionary strings are views into the mapped file, and everything else
+// is derived when it opens — the accessors are identical either way.
 type Doc struct {
 	name string
 	id   DocID
@@ -101,13 +105,13 @@ func (d *Doc) DocID() DocID { return d.id }
 func (d *Doc) Version() uint64 { return d.version }
 
 // Len returns the number of nodes in the document.
-func (d *Doc) Len() int { return len(d.c.start) }
+func (d *Doc) Len() int { return len(d.c.end) }
 
 // Root returns the ordinal of the document root element (always 0).
 func (d *Doc) Root() int32 { return 0 }
 
 // Start returns the interval start of the node (== its ordinal).
-func (d *Doc) Start(ord int32) int32 { return d.c.start[ord] }
+func (d *Doc) Start(ord int32) int32 { return ord }
 
 // End returns the interval end of the node: the ordinal of the last node
 // in its subtree.
@@ -119,15 +123,21 @@ func (d *Doc) Level(ord int32) int32 { return d.c.level[ord] }
 // Parent returns the parent ordinal, -1 at the root.
 func (d *Doc) Parent(ord int32) int32 { return d.c.parent[ord] }
 
-// FirstChild returns the ordinal of the node's first child, -1 for leaves.
-func (d *Doc) FirstChild(ord int32) int32 { return d.c.firstChild[ord] }
+// FirstChild returns the ordinal of the node's first child, -1 for leaves:
+// in preorder the first child is the next node, if the interval holds one.
+func (d *Doc) FirstChild(ord int32) int32 {
+	if d.c.end[ord] > ord {
+		return ord + 1
+	}
+	return -1
+}
 
 // Kind returns the node kind (Element, Attribute or Text).
 func (d *Doc) Kind(ord int32) xmltree.Kind { return xmltree.Kind(d.c.kind[ord]) }
 
 // ID returns the node's interval identifier.
 func (d *Doc) ID(ord int32) xmltree.NodeID {
-	return xmltree.NodeID{Start: d.c.start[ord], End: d.c.end[ord], Level: d.c.level[ord]}
+	return xmltree.NodeID{Start: ord, End: d.c.end[ord], Level: d.c.level[ord]}
 }
 
 // TagID returns the tag dictionary ID of the node.
@@ -163,12 +173,8 @@ func (d *Doc) Content(ord int32) string {
 // Children returns the ordinals of the direct children of the node, in
 // document order.
 func (d *Doc) Children(ord int32) []int32 {
-	c := d.c.firstChild[ord]
-	if c < 0 {
-		return nil
-	}
 	var kids []int32
-	for end := d.c.end[ord]; c <= end; c = d.c.end[c] + 1 {
+	for c, end := ord+1, d.c.end[ord]; c <= end; c = d.c.end[c] + 1 {
 		kids = append(kids, c)
 	}
 	return kids
@@ -177,7 +183,7 @@ func (d *Doc) Children(ord int32) []int32 {
 // SubtreeSize returns the number of nodes in the subtree rooted at ord,
 // including the root itself.
 func (d *Doc) SubtreeSize(ord int32) int {
-	return int(d.c.end[ord] - d.c.start[ord] + 1)
+	return int(d.c.end[ord] - ord + 1)
 }
 
 // findDir binary-searches a directory for a dictionary ID.
@@ -252,19 +258,16 @@ func (d *Doc) appendXML(sb *strings.Builder, ord int32) {
 	sb.WriteString(tag)
 	// First pass over the children: attributes inline on the start tag.
 	end := d.c.end[ord]
-	first := d.c.firstChild[ord]
 	hasBody := false
-	if first >= 0 {
-		for c := first; c <= end; c = d.c.end[c] + 1 {
-			if xmltree.Kind(d.c.kind[c]) == xmltree.Attribute {
-				sb.WriteByte(' ')
-				sb.WriteString(d.Tag(c)[1:])
-				sb.WriteString(`="`)
-				xmltree.EscapeXML(sb, d.Value(c))
-				sb.WriteString(`"`)
-			} else {
-				hasBody = true
-			}
+	for c := ord + 1; c <= end; c = d.c.end[c] + 1 {
+		if xmltree.Kind(d.c.kind[c]) == xmltree.Attribute {
+			sb.WriteByte(' ')
+			sb.WriteString(d.Tag(c)[1:])
+			sb.WriteString(`="`)
+			xmltree.EscapeXML(sb, d.Value(c))
+			sb.WriteString(`"`)
+		} else {
+			hasBody = true
 		}
 	}
 	if !hasBody {
@@ -272,7 +275,7 @@ func (d *Doc) appendXML(sb *strings.Builder, ord int32) {
 		return
 	}
 	sb.WriteByte('>')
-	for c := first; c <= end; c = d.c.end[c] + 1 {
+	for c := ord + 1; c <= end; c = d.c.end[c] + 1 {
 		if xmltree.Kind(d.c.kind[c]) != xmltree.Attribute {
 			d.appendXML(sb, c)
 		}
@@ -292,14 +295,12 @@ func buildDoc(doc *xmltree.Document, id DocID, tags, vals *dict) *Doc {
 		name: doc.Name,
 		id:   id,
 		c: cols{
-			start:      make([]int32, n),
-			end:        make([]int32, n),
-			level:      make([]int32, n),
-			parent:     make([]int32, n),
-			firstChild: make([]int32, n),
-			kind:       make([]uint8, n),
-			tag:        make([]uint32, n),
-			val:        make([]uint32, n),
+			end:    make([]int32, n),
+			level:  make([]int32, n),
+			parent: make([]int32, n),
+			kind:   make([]uint8, n),
+			tag:    make([]uint32, n),
+			val:    make([]uint32, n),
 		},
 		tags:    tags,
 		vals:    vals,
@@ -313,11 +314,9 @@ func buildDoc(doc *xmltree.Document, id DocID, tags, vals *dict) *Doc {
 	localValIdx := make(map[string]uint32)
 	for i := range doc.Nodes {
 		nd := &doc.Nodes[i]
-		d.c.start[i] = nd.ID.Start
 		d.c.end[i] = nd.ID.End
 		d.c.level[i] = nd.ID.Level
 		d.c.parent[i] = nd.Parent
-		d.c.firstChild[i] = nd.FirstChild
 		d.c.kind[i] = uint8(nd.Kind)
 
 		lt, ok := localTagIdx[nd.Tag]
@@ -366,13 +365,45 @@ func buildDoc(doc *xmltree.Document, id DocID, tags, vals *dict) *Doc {
 // value postings indexes and the statistics catalog — from the columns
 // alone: the interval identifiers make every structural fact a function of
 // (start, end, level), so all of it is derived data. Load runs it on a
-// parsed document and CommitPrivate on a version a replay spliced in place;
-// a live splice carries the same data forward incrementally instead, and
-// must agree with it.
+// parsed document, snapshot open on the columns it maps, and CommitPrivate
+// on a version a replay spliced in place; a live splice carries the same
+// data forward incrementally instead, and must agree with it.
 func derive(d *Doc) {
 	d.tagDir, d.tagPost = buildPostings(d.c.tag, 0)
 	d.valDir, d.valPost = buildPostings(d.c.val, 1)
 	d.stats = buildDocStats(d)
+}
+
+// nest fills the parent and level columns from end, and fails unless end
+// describes one tree in preorder: every interval ends inside the document
+// and no earlier than its node, and lies inside its parent's. The parent of
+// node i is the innermost interval holding it, found by walking up from
+// node i-1 — whose ancestors, with i-1 itself, include all of i's — so one
+// pass covers the document. Snapshot open rebuilds the two columns with
+// it; validateSplice checks them against it.
+func nest(end, parent, level []int32) error {
+	n := int32(len(end))
+	for i := int32(0); i < n; i++ {
+		e := end[i]
+		if e < i || e >= n {
+			return fmt.Errorf("node %d: end %d outside [%d, %d)", i, e, i, n)
+		}
+		p := i - 1
+		for p >= 0 && end[p] < i {
+			p = parent[p]
+		}
+		switch {
+		case p >= 0 && e > end[p]:
+			return fmt.Errorf("node %d: interval [%d, %d] overruns parent %d ending at %d", i, i, e, p, end[p])
+		case p >= 0:
+			parent[i], level[i] = p, level[p]+1
+		case i > 0:
+			return fmt.Errorf("node %d lies outside the root interval", i)
+		default:
+			parent[i], level[i] = -1, 0
+		}
+	}
+	return nil
 }
 
 // buildPostings groups the ordinals of col by dictionary ID with one

@@ -23,8 +23,8 @@ func (d *Doc) Fingerprint() string {
 	fmt.Fprintf(&sb, "doc %s nodes=%d\n", d.name, n)
 	for i := int32(0); i < n; i++ {
 		fmt.Fprintf(&sb, "n%d k=%d s=%d e=%d l=%d p=%d fc=%d tag=%s val=%q\n",
-			i, d.c.kind[i], d.c.start[i], d.c.end[i], d.c.level[i],
-			d.c.parent[i], d.c.firstChild[i], d.Tag(i), d.Content(i))
+			i, d.c.kind[i], d.Start(i), d.c.end[i], d.c.level[i],
+			d.c.parent[i], d.FirstChild(i), d.Tag(i), d.Content(i))
 	}
 
 	writeIndex := func(label string, dir []dirEntry, dict *dict, refs func(uint32) []int32) {
@@ -74,41 +74,23 @@ func (d *Doc) Fingerprint() string {
 	return sb.String()
 }
 
-// validateSplice is a structural self-check used by tests: it re-derives
-// the invariants decodeData enforces (interval containment, levels,
-// firstChild) plus index/column agreement, returning the first violation.
+// validateSplice is a structural self-check used by tests: the intervals
+// nest into one tree (the check snapshot open makes), the parent and level
+// columns are the ones they imply, and the indexes agree with the columns;
+// it returns the first violation.
 func (d *Doc) validateSplice() error {
 	n := int32(d.Len())
 	if n == 0 {
 		return fmt.Errorf("empty document")
 	}
-	if d.c.parent[0] != -1 || d.c.end[0] != n-1 || d.c.level[0] != 0 {
-		return fmt.Errorf("bad root record")
+	parent, level := make([]int32, n), make([]int32, n)
+	if err := nest(d.c.end, parent, level); err != nil {
+		return err
 	}
 	for i := int32(0); i < n; i++ {
-		if d.c.start[i] != i {
-			return fmt.Errorf("node %d: start %d", i, d.c.start[i])
-		}
-		if d.c.end[i] < i || d.c.end[i] >= n {
-			return fmt.Errorf("node %d: end %d", i, d.c.end[i])
-		}
-		if p := d.c.parent[i]; i > 0 {
-			if p < 0 || p >= i {
-				return fmt.Errorf("node %d: parent %d", i, p)
-			}
-			if i > d.c.end[p] {
-				return fmt.Errorf("node %d outside parent %d interval", i, p)
-			}
-			if d.c.level[i] != d.c.level[p]+1 {
-				return fmt.Errorf("node %d: level %d under parent level %d", i, d.c.level[i], d.c.level[p])
-			}
-		}
-		want := int32(-1)
-		if d.c.end[i] > i {
-			want = i + 1
-		}
-		if d.c.firstChild[i] != want {
-			return fmt.Errorf("node %d: firstChild %d, want %d", i, d.c.firstChild[i], want)
+		if d.c.parent[i] != parent[i] || d.c.level[i] != level[i] {
+			return fmt.Errorf("node %d: parent %d at level %d, its interval says %d at %d",
+				i, d.c.parent[i], d.c.level[i], parent[i], level[i])
 		}
 	}
 	// Index agreement: every node appears exactly once under its tag, and

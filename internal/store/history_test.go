@@ -155,7 +155,7 @@ func backing(d *Doc) map[unsafe.Pointer]bool {
 			at[p] = true
 		}
 	}
-	for _, a := range [][]int32{d.c.start, d.c.end, d.c.level, d.c.parent, d.c.firstChild, d.tagPost, d.valPost} {
+	for _, a := range [][]int32{d.c.end, d.c.level, d.c.parent, d.tagPost, d.valPost} {
 		add(unsafe.Pointer(unsafe.SliceData(a)), cap(a))
 	}
 	for _, a := range [][]uint32{d.c.tag, d.c.val} {

@@ -14,7 +14,7 @@ package store
 // for survivors. Ordinals are kept dense (start == ordinal is what makes
 // every structural join a comparison of integers and every postings list a
 // sorted array), so the nodes past the splice point move — as a memmove plus
-// straight loops that shift interval ends, parents and first children.
+// one straight loop that shifts interval ends and parents.
 //
 // A published version is never edited. A live update builds the next
 // version off to the side (BuildSplice: block copies with the fragment
@@ -287,42 +287,30 @@ func (d *Doc) prepare(op SpliceOp) (*edit, error) {
 // fresh arrays with room entries to spare.
 func (e *edit) apply(c *cols, room int) {
 	P, d0, d1, m, shift := e.Parent, e.At, e.DelEnd, e.m, e.shift
-	n := len(c.start) + int(shift)
-	if room >= 0 {
-		c.start = make([]int32, 0, n+room)
-	}
-	c.start = identity(c.start, n)
 	c.end = gap(c.end, d0, d1, m, room)
 	c.level = gap(c.level, d0, d1, m, room)
 	c.parent = gap(c.parent, d0, d1, m, room)
-	c.firstChild = gap(c.firstChild, d0, d1, m, room)
 	c.kind = gap(c.kind, d0, d1, m, room)
 	c.tag = gap(c.tag, d0, d1, m, room)
 	c.val = gap(c.val, d0, d1, m, room)
 
 	// Survivors. Level, kind, tag and value never change, and ordinals
 	// below the splice point are stable, so the survivors are already right
-	// except for three things. Before the splice point only the intervals
+	// except for two things. Before the splice point only the intervals
 	// containing it move: exactly P and its ancestors (any other node before
 	// At ends before At). At or past the deleted range everything shifts as
-	// a block: every interval end, every first child, and every parent that
-	// is itself in the block.
+	// a block: every interval end, and every parent that is itself in the
+	// block.
 	for a := P; a >= 0; a = c.parent[a] {
 		c.end[a] += shift
 	}
-	if c.end[P] > P {
-		c.firstChild[P] = P + 1
-	} else {
-		c.firstChild[P] = -1
-	}
 	if shift != 0 {
 		// Branch-free: x>>31 is -1 for a negative x and 0 otherwise.
-		end, parent, first := c.end[d0+m:], c.parent[d0+m:], c.firstChild[d0+m:]
-		parent, first = parent[:len(end)], first[:len(end)]
+		end, parent := c.end[d0+m:], c.parent[d0+m:]
+		parent = parent[:len(end)]
 		for j := range end {
 			end[j] += shift
 			parent[j] += shift &^ ((parent[j] - d1) >> 31)
-			first[j] += shift &^ (first[j] >> 31)
 		}
 	}
 
@@ -338,11 +326,6 @@ func (e *edit) apply(c *cols, room int) {
 			c.parent[j] = P
 		} else {
 			c.parent[j] = fn.Parent + d0
-		}
-		if fn.ID.End > k {
-			c.firstChild[j] = j + 1
-		} else {
-			c.firstChild[j] = -1
 		}
 		c.kind[j] = uint8(fn.Kind)
 		c.tag[j] = e.tag[k]
@@ -371,20 +354,6 @@ func gap[T any](col []T, d0, d1, m int32, room int) []T {
 	out = out[:n]
 	copy(out[d0+m:], col[d1:])
 	return out
-}
-
-// identity returns start, a start column (start == ordinal), cut or
-// extended to n nodes in its own array, grown if it must be.
-func identity(start []int32, n int) []int32 {
-	from := len(start)
-	if n > from {
-		start = slices.Grow(start, n-from)
-	}
-	start = start[:n]
-	for i := from; i < n; i++ {
-		start[i] = int32(i)
-	}
-	return start
 }
 
 // posting is one index entry the splice touches: the dictionary ID of a

@@ -7,9 +7,9 @@ import (
 	"hash/crc64"
 	"os"
 	"path/filepath"
-	"slices"
-	"sort"
 	"unsafe"
+
+	"tlc/internal/xmltree"
 )
 
 // This file implements the persistent snapshot format of the columnar
@@ -17,12 +17,12 @@ import (
 //
 //	snapdir/
 //	  manifest.tlcm     document names in DocID order
-//	  data.tlcs         columns, indexes, dictionaries, stats
+//	  data.tlcs         stored columns and dictionaries
 //
 // Every file is a 40-byte header followed by a checksummed payload:
 //
 //	[0:8)   magic ("TLCSNAP1" / "TLCMANI1")
-//	[8:12)  format version (2)
+//	[8:12)  format version (3)
 //	[12:16) byte-order marker 0x01020304, written in native order
 //	[16:20) document count
 //	[20:24) update generation (manifest; 0 in the data file)
@@ -30,35 +30,44 @@ import (
 //	[32:40) CRC-64/ECMA of the payload
 //
 // Version 1 partitioned the data across several files and carried the
-// partition index and count in its header; it is refused with
-// ErrSnapshotVersion. The update generation records how many mutations
-// had been committed into the store when the snapshot was written.
-// SnapshotUpdateGen reads it back without decoding the payload; comparing
-// it against Store.UpdateGeneration detects a snapshot that has gone stale
-// relative to a store that kept taking writes. Each document record
-// carries its MVCC version in its Version word, so a snapshot written
+// partition index and count in its header; version 2 also stored the start,
+// first-child, parent and level columns, the postings indexes and the
+// catalog. Both are refused with ErrSnapshotVersion. The update generation
+// records how many mutations had been committed into the store when the
+// snapshot was written. SnapshotUpdateGen reads it back without decoding
+// the payload; comparing it against Store.UpdateGeneration detects a
+// snapshot that has gone stale relative to a store that kept taking writes.
+// Each document record carries its MVCC version, so a snapshot written
 // after updates round-trips the version chain.
 //
-// The data payload opens with a fixed section table (21 entries of
-// {offset, length}, offsets 8-byte aligned) locating the columns, the
-// index directories and postings, the dictionary string blobs, and the
-// flattened statistics records; the document records tie per-document
-// spans into those file-wide arrays. Because the in-memory layout is
-// already flat integer columns plus string dictionaries, opening a
-// snapshot is a validation pass plus pointer casts into the mapped file —
-// no per-node decoding. Integer sections are written in native byte
-// order; the order marker rejects a snapshot from a platform with the
-// opposite endianness instead of misreading it.
+// A snapshot persists only what cannot be derived. The data payload opens
+// with a fixed section table (10 entries of {offset, length}, offsets
+// 8-byte aligned) locating the document records, the document names, four
+// node columns — end, kind, tag and val — and the two dictionaries, each an
+// offsets array plus a string blob. Documents lie end to end in DocID
+// order: a record holds a document's node count, name length and version,
+// and its rows and name follow the previous document's. Integer sections
+// are written in native byte order; the order marker rejects a snapshot
+// from a platform with the opposite endianness instead of misreading it.
+//
+// Opening a snapshot maps the file and views the four columns and the
+// dictionaries in place — no per-node decoding — then derives the rest of
+// each document: parent and level in one pass over end (nest), which
+// is also the check that the intervals nest into one tree, and then the
+// postings indexes and the catalog with the builder load uses (derive).
+// Every value an accessor indexes with is range-checked before anything
+// reads it, so a file that passes its checksum but was not written by this
+// code fails with ErrSnapshotCorrupt, never a panic.
 //
 // Writes are atomic: each file is assembled in memory, written to a .tmp
 // name and renamed into place; the manifest is written last, so a crash
 // mid-snapshot leaves no manifest and the snapshot is simply absent.
 //
 // Opened snapshots are backed by mmap where available (mmap_unix.go) with
-// a plain read-into-memory fallback elsewhere (mmap_other.go). Column
-// slices, dictionary strings and document names are zero-copy views into
-// the mapping; they remain valid until Store.Close, which is the only
-// point the mapping is unmapped.
+// a plain read-into-memory fallback elsewhere (mmap_other.go). The four
+// stored columns and the dictionary strings are zero-copy views into the
+// mapping; they remain valid until Store.Close, which is the only point the
+// mapping is unmapped.
 
 // Typed snapshot errors. Every failure mode of open/load wraps one of
 // these (use errors.Is); corrupted input must never panic.
@@ -79,11 +88,11 @@ var (
 const (
 	snapMagic   = "TLCSNAP1"
 	maniMagic   = "TLCMANI1"
-	snapVersion = 2
+	snapVersion = 3
 	orderMarker = 0x01020304
 
 	headerSize  = 40
-	numSections = 21
+	numSections = 10
 
 	manifestName = "manifest.tlcm"
 	dataName     = "data.tlcs"
@@ -93,40 +102,20 @@ const (
 const (
 	secDocs = iota
 	secNames
-	secStart
 	secEnd
-	secLevel
-	secParent
-	secFirstChild
 	secKind
 	secTag
 	secVal
-	secTagDir
-	secValDir
-	secTagPost
-	secValPost
 	secTagDictOffs
 	secTagDictBytes
 	secValDictOffs
 	secValDictBytes
-	secTagStats
-	secChildPairs
-	secDescPairs
 )
 
-// docRec is the fixed-size per-document record of the data file (18
-// uint32 words). Spans index the file-wide section arrays.
+// docRec is the per-document record of the data file. A document's rows
+// and name follow the previous document's in their sections.
 type docRec struct {
-	NameOff, NameLen   uint32
-	Base, Nodes        uint32
-	TagDirOff, TagDirN uint32
-	ValDirOff, ValDirN uint32
-	RootTag            uint32
-	Depth              int32
-	TSOff, TSN         uint32
-	CPOff, CPN         uint32
-	DPOff, DPN         uint32
-	Version, Res       uint32
+	Nodes, NameLen, Version uint32
 }
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
@@ -382,15 +371,11 @@ func (w *dictWriter) encode() ([]uint32, []byte) {
 // encodeData flattens the documents into one payload.
 func encodeData(docs []*Doc) []byte {
 	var (
-		recs                             []docRec
-		names                            []byte
-		start, end, level, parent, first []int32
-		kind                             []uint8
-		tagCol, valCol                   []uint32
-		tagDir, valDir                   []dirEntry
-		tagPost, valPost                 []int32
-		statRecs                         []tagStatRec
-		childPairs, descPairs            []pairRec
+		recs           []docRec
+		names          []byte
+		end            []int32
+		kind           []uint8
+		tagCol, valCol []uint32
 	)
 	tagW, valW := newDictWriter(), newDictWriter()
 	tagMaps := tagW.remapAll(docs, func(d *Doc) (*dict, []dirEntry) { return d.tags, d.tagDir })
@@ -398,18 +383,9 @@ func encodeData(docs []*Doc) []byte {
 
 	for _, doc := range docs {
 		rt, rv := tagMaps[doc.tags], valMaps[doc.vals]
-		rec := docRec{
-			NameOff: uint32(len(names)), NameLen: uint32(len(doc.name)),
-			Base: uint32(len(start)), Nodes: uint32(doc.Len()),
-			RootTag: rt[doc.stats.rootTag], Depth: doc.stats.depth,
-			Version: uint32(doc.version),
-		}
+		recs = append(recs, docRec{Nodes: uint32(doc.Len()), NameLen: uint32(len(doc.name)), Version: uint32(doc.version)})
 		names = append(names, doc.name...)
-		start = append(start, doc.c.start...)
 		end = append(end, doc.c.end...)
-		level = append(level, doc.c.level...)
-		parent = append(parent, doc.c.parent...)
-		first = append(first, doc.c.firstChild...)
 		kind = append(kind, doc.c.kind...)
 		for _, t := range doc.c.tag {
 			tagCol = append(tagCol, rt[t])
@@ -421,85 +397,23 @@ func encodeData(docs []*Doc) []byte {
 				valCol = append(valCol, rv[v-1]+1)
 			}
 		}
-
-		// Indexes: postings are re-extracted per directory entry so the
-		// encoding is identical whether the source document was built on
-		// the heap (doc-local offsets) or opened from an earlier snapshot
-		// (file-wide offsets).
-		rec.TagDirOff, rec.TagDirN = uint32(len(tagDir)), uint32(len(doc.tagDir))
-		tagDir, tagPost = appendIndex(tagDir, tagPost, doc.tagDir, doc.tagPost, rt)
-		rec.ValDirOff, rec.ValDirN = uint32(len(valDir)), uint32(len(doc.valDir))
-		valDir, valPost = appendIndex(valDir, valPost, doc.valDir, doc.valPost, rv)
-
-		// Statistics: the in-memory arrays are the file's records, sorted by
-		// live ID; re-sorted because the translation to file IDs need not
-		// be monotonic when two live dictionaries share strings.
-		rec.TSOff, rec.TSN = uint32(len(statRecs)), uint32(len(doc.stats.tags))
-		statRecs = append(statRecs, doc.stats.tags...)
-		ts := statRecs[rec.TSOff:]
-		for i := range ts {
-			ts[i].Tag = rt[ts[i].Tag]
-		}
-		slices.SortFunc(ts, cmpTagStat)
-		rec.CPOff, rec.CPN = uint32(len(childPairs)), uint32(len(doc.stats.child))
-		childPairs = appendPairs(childPairs, doc.stats.child, rt)
-		rec.DPOff, rec.DPN = uint32(len(descPairs)), uint32(len(doc.stats.desc))
-		descPairs = appendPairs(descPairs, doc.stats.desc, rt)
-
-		recs = append(recs, rec)
 	}
 
 	tagOffs, tagBytes := tagW.encode()
 	valOffs, valBytes := valW.encode()
 
 	a := newAssembler()
-	a.add(rawBytes(recs))       // secDocs
-	a.add(names)                // secNames
-	a.add(rawBytes(start))      // secStart
-	a.add(rawBytes(end))        // secEnd
-	a.add(rawBytes(level))      // secLevel
-	a.add(rawBytes(parent))     // secParent
-	a.add(rawBytes(first))      // secFirstChild
-	a.add(kind)                 // secKind
-	a.add(rawBytes(tagCol))     // secTag
-	a.add(rawBytes(valCol))     // secVal
-	a.add(rawBytes(tagDir))     // secTagDir
-	a.add(rawBytes(valDir))     // secValDir
-	a.add(rawBytes(tagPost))    // secTagPost
-	a.add(rawBytes(valPost))    // secValPost
-	a.add(rawBytes(tagOffs))    // secTagDictOffs
-	a.add(tagBytes)             // secTagDictBytes
-	a.add(rawBytes(valOffs))    // secValDictOffs
-	a.add(valBytes)             // secValDictBytes
-	a.add(rawBytes(statRecs))   // secTagStats
-	a.add(rawBytes(childPairs)) // secChildPairs
-	a.add(rawBytes(descPairs))  // secDescPairs
+	a.add(rawBytes(recs))    // secDocs
+	a.add(names)             // secNames
+	a.add(rawBytes(end))     // secEnd
+	a.add(kind)              // secKind
+	a.add(rawBytes(tagCol))  // secTag
+	a.add(rawBytes(valCol))  // secVal
+	a.add(rawBytes(tagOffs)) // secTagDictOffs
+	a.add(tagBytes)          // secTagDictBytes
+	a.add(rawBytes(valOffs)) // secValDictOffs
+	a.add(valBytes)          // secValDictBytes
 	return a.finish()
-}
-
-// appendIndex copies one document's index into the file-wide arrays,
-// remapping directory IDs to the file dictionary and offsets to the
-// file-wide postings array, and re-sorting the directory by file ID.
-func appendIndex(dir []dirEntry, post []int32, srcDir []dirEntry, srcPost []int32, remap []uint32) ([]dirEntry, []int32) {
-	ds := make([]dirEntry, len(srcDir))
-	for j, e := range srcDir {
-		ds[j] = dirEntry{id: remap[e.id], off: uint32(len(post)), n: e.n}
-		post = append(post, srcPost[e.off:e.off+e.n]...)
-	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i].id < ds[j].id })
-	return append(dir, ds...), post
-}
-
-// appendPairs copies one document's pair counts into the file-wide
-// array, translated to file IDs and sorted by them.
-func appendPairs(dst, src []pairRec, remap []uint32) []pairRec {
-	n := len(dst)
-	dst = append(dst, src...)
-	for i := n; i < len(dst); i++ {
-		dst[i].Up, dst[i].Down = remap[dst[i].Up], remap[dst[i].Down]
-	}
-	slices.SortFunc(dst[n:], cmpPair)
-	return dst
 }
 
 // encodeManifest lists the document names in DocID order.
@@ -562,9 +476,10 @@ func sectionView(payload []byte, secs []section, i int) ([]byte, error) {
 	return payload[s.off : s.off+s.n : s.off+s.n], nil
 }
 
-// decodeData turns the mapped data file into document views, in DocID
-// order. The returned Docs have no DocID assigned yet (the load decides
-// that); every slice and string aliases data.
+// decodeData turns the mapped data file into documents, in DocID order:
+// the stored columns and the dictionaries are views into data, the parent
+// and level columns, postings and catalog are derived. The returned Docs
+// have no DocID assigned yet (the load decides that).
 func decodeData(data []byte) ([]*Doc, error) {
 	const what = dataName
 	h, err := parseHeader(data, snapMagic, what)
@@ -595,32 +510,17 @@ func decodeData(data []byte) ([]*Doc, error) {
 	if uint32(len(recs)) != h.docCount {
 		return nil, fmt.Errorf("%w: %s has %d doc records, header says %d", ErrSnapshotCorrupt, what, len(recs), h.docCount)
 	}
-	start, err1 := rawView[int32](raw[secStart])
-	end, err2 := rawView[int32](raw[secEnd])
-	level, err3 := rawView[int32](raw[secLevel])
-	parent, err4 := rawView[int32](raw[secParent])
-	first, err5 := rawView[int32](raw[secFirstChild])
-	tagCol, err6 := rawView[uint32](raw[secTag])
-	valCol, err7 := rawView[uint32](raw[secVal])
-	tagDir, err8 := rawView[dirEntry](raw[secTagDir])
-	valDir, err9 := rawView[dirEntry](raw[secValDir])
-	tagPost, err10 := rawView[int32](raw[secTagPost])
-	valPost, err11 := rawView[int32](raw[secValPost])
-	statRecs, err12 := rawView[tagStatRec](raw[secTagStats])
-	childPairs, err13 := rawView[pairRec](raw[secChildPairs])
-	descPairs, err14 := rawView[pairRec](raw[secDescPairs])
-	for _, e := range []error{err1, err2, err3, err4, err5, err6, err7, err8, err9, err10, err11, err12, err13, err14} {
-		if e != nil {
-			return nil, e
-		}
+	end, err1 := rawView[int32](raw[secEnd])
+	tagCol, err2 := rawView[uint32](raw[secTag])
+	valCol, err3 := rawView[uint32](raw[secVal])
+	if err := errors.Join(err1, err2, err3); err != nil {
+		return nil, err
 	}
 	kind := raw[secKind]
-	rows := len(start)
-	if len(end) != rows || len(level) != rows || len(parent) != rows ||
-		len(first) != rows || len(kind) != rows || len(tagCol) != rows || len(valCol) != rows {
+	rows := uint64(len(end))
+	if uint64(len(kind)) != rows || uint64(len(tagCol)) != rows || uint64(len(valCol)) != rows {
 		return nil, fmt.Errorf("%w: %s column lengths disagree", ErrSnapshotCorrupt, what)
 	}
-
 	tags, err := decodeDict(raw[secTagDictOffs], raw[secTagDictBytes], what)
 	if err != nil {
 		return nil, err
@@ -629,109 +529,66 @@ func decodeData(data []byte) ([]*Doc, error) {
 	if err != nil {
 		return nil, err
 	}
-	nTags, nVals := tags.size(), vals.size()
-
-	// Validate file-wide invariants once: directory entries stay inside
-	// the postings and dictionaries, columns stay inside the dictionaries.
-	for _, e := range tagDir {
-		if int(e.id) >= nTags || uint64(e.off)+uint64(e.n) > uint64(len(tagPost)) {
-			return nil, fmt.Errorf("%w: %s tag directory entry out of bounds", ErrSnapshotCorrupt, what)
-		}
-	}
-	for _, e := range valDir {
-		if int(e.id) >= nVals || uint64(e.off)+uint64(e.n) > uint64(len(valPost)) {
-			return nil, fmt.Errorf("%w: %s value directory entry out of bounds", ErrSnapshotCorrupt, what)
-		}
-	}
-	for _, r := range statRecs {
-		if int(r.Tag) >= nTags {
-			return nil, fmt.Errorf("%w: %s statistics name tag %d of %d", ErrSnapshotCorrupt, what, r.Tag, nTags)
-		}
-	}
-	for _, pairs := range [][]pairRec{childPairs, descPairs} {
-		for _, p := range pairs {
-			if int(p.Up) >= nTags || int(p.Down) >= nTags {
-				return nil, fmt.Errorf("%w: %s statistics pair names tag (%d, %d) of %d", ErrSnapshotCorrupt, what, p.Up, p.Down, nTags)
-			}
-		}
-	}
 
 	names := raw[secNames]
 	docs := make([]*Doc, 0, len(recs))
+	var base, nameOff uint64
 	for di, rec := range recs {
-		base, n := uint64(rec.Base), uint64(rec.Nodes)
-		if n == 0 || base+n > uint64(rows) {
+		n, nameEnd := uint64(rec.Nodes), nameOff+uint64(rec.NameLen)
+		if n == 0 || base+n > rows {
 			return nil, fmt.Errorf("%w: %s doc %d rows [%d, %d) of %d", ErrSnapshotCorrupt, what, di, base, base+n, rows)
 		}
-		if uint64(rec.NameOff)+uint64(rec.NameLen) > uint64(len(names)) {
+		if nameEnd > uint64(len(names)) {
 			return nil, fmt.Errorf("%w: %s doc %d name out of bounds", ErrSnapshotCorrupt, what, di)
-		}
-		if uint64(rec.TagDirOff)+uint64(rec.TagDirN) > uint64(len(tagDir)) ||
-			uint64(rec.ValDirOff)+uint64(rec.ValDirN) > uint64(len(valDir)) {
-			return nil, fmt.Errorf("%w: %s doc %d directory span out of bounds", ErrSnapshotCorrupt, what, di)
-		}
-		if uint64(rec.TSOff)+uint64(rec.TSN) > uint64(len(statRecs)) ||
-			uint64(rec.CPOff)+uint64(rec.CPN) > uint64(len(childPairs)) ||
-			uint64(rec.DPOff)+uint64(rec.DPN) > uint64(len(descPairs)) {
-			return nil, fmt.Errorf("%w: %s doc %d statistics span out of bounds", ErrSnapshotCorrupt, what, di)
-		}
-		if int(rec.RootTag) >= nTags {
-			return nil, fmt.Errorf("%w: %s doc %d root tag out of bounds", ErrSnapshotCorrupt, what, di)
 		}
 		if rec.Version == 0 {
 			return nil, fmt.Errorf("%w: %s doc %d has version 0", ErrSnapshotCorrupt, what, di)
 		}
 		d := &Doc{
-			name:    string(names[rec.NameOff : rec.NameOff+rec.NameLen]),
+			name:    string(names[nameOff:nameEnd]),
 			version: uint64(rec.Version),
 			c: cols{
-				start:      start[base : base+n],
-				end:        end[base : base+n],
-				level:      level[base : base+n],
-				parent:     parent[base : base+n],
-				firstChild: first[base : base+n],
-				kind:       kind[base : base+n],
-				tag:        tagCol[base : base+n],
-				val:        valCol[base : base+n],
+				end:    end[base : base+n : base+n],
+				level:  make([]int32, n),
+				parent: make([]int32, n),
+				kind:   kind[base : base+n : base+n],
+				tag:    tagCol[base : base+n : base+n],
+				val:    valCol[base : base+n : base+n],
 			},
-			tagDir:  tagDir[rec.TagDirOff : rec.TagDirOff+rec.TagDirN],
-			valDir:  valDir[rec.ValDirOff : rec.ValDirOff+rec.ValDirN],
-			tagPost: tagPost,
-			valPost: valPost,
-			tags:    tags,
-			vals:    vals,
+			tags: tags,
+			vals: vals,
 		}
-		// Per-node structural bounds: nothing an accessor indexes with may
-		// escape the document, whatever the file claims.
-		nn := int32(n)
-		for i := int32(0); i < nn; i++ {
-			if d.c.start[i] != i ||
-				d.c.end[i] < i || d.c.end[i] >= nn ||
-				d.c.parent[i] < -1 || d.c.parent[i] >= nn ||
-				d.c.firstChild[i] < -1 || d.c.firstChild[i] >= nn ||
-				d.c.level[i] < 0 ||
-				int(d.c.tag[i]) >= nTags ||
-				int(d.c.val[i]) > nVals {
-				return nil, fmt.Errorf("%w: %s doc %d node %d fails bounds checks", ErrSnapshotCorrupt, what, di, i)
-			}
+		if err := nest(d.c.end, d.c.parent, d.c.level); err != nil {
+			return nil, fmt.Errorf("%w: %s doc %d: %v", ErrSnapshotCorrupt, what, di, err)
 		}
-		// The statistics are views of the flat records, which lookups
-		// binary-search and splices merge into: they must be sorted.
-		d.stats = &docStats{
-			rootTag: rec.RootTag,
-			nodes:   int(n),
-			depth:   rec.Depth,
-			tags:    statRecs[rec.TSOff : rec.TSOff+rec.TSN : rec.TSOff+rec.TSN],
-			child:   childPairs[rec.CPOff : rec.CPOff+rec.CPN : rec.CPOff+rec.CPN],
-			desc:    descPairs[rec.DPOff : rec.DPOff+rec.DPN : rec.DPOff+rec.DPN],
+		if i := d.badNode(); i >= 0 {
+			return nil, fmt.Errorf("%w: %s doc %d node %d fails bounds checks", ErrSnapshotCorrupt, what, di, i)
 		}
-		if !slices.IsSortedFunc(d.stats.tags, cmpTagStat) ||
-			!slices.IsSortedFunc(d.stats.child, cmpPair) || !slices.IsSortedFunc(d.stats.desc, cmpPair) {
-			return nil, fmt.Errorf("%w: %s doc %d statistics out of order", ErrSnapshotCorrupt, what, di)
-		}
+		derive(d)
 		docs = append(docs, d)
+		base, nameOff = base+n, nameEnd
+	}
+	if base != rows || nameOff != uint64(len(names)) {
+		return nil, fmt.Errorf("%w: %s records cover %d of %d rows and %d of %d name bytes", ErrSnapshotCorrupt, what, base, rows, nameOff, len(names))
 	}
 	return docs, nil
+}
+
+// badNode returns the first node whose stored fields an accessor could not
+// read — a kind outside the three, a dictionary ID outside its dictionary,
+// an attribute or text node with children or without a value, an attribute
+// tag too short to carry its "@", a root that is not an element — or -1.
+func (d *Doc) badNode() int32 {
+	nTags, nVals := uint32(d.tags.size()), uint32(d.vals.size())
+	for i := range int32(d.Len()) {
+		k, t, v := xmltree.Kind(d.c.kind[i]), d.c.tag[i], d.c.val[i]
+		if k > xmltree.Text || t >= nTags || v > nVals ||
+			k != xmltree.Element && (d.c.end[i] != i || v == 0 || i == 0) ||
+			k == xmltree.Attribute && d.tags.str(t) == "" {
+			return i
+		}
+	}
+	return -1
 }
 
 // decodeDict rebuilds a frozen dictionary whose offsets and strings are

@@ -9,6 +9,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"tlc/internal/xmark"
+	"tlc/internal/xmltree"
 )
 
 // snapDocs is a small multi-document corpus with enough variety to cover
@@ -21,7 +24,7 @@ var snapDocs = map[string]string{
 	"notes.xml": `<notes lang="en"><note>first</note><note>second</note><note>first</note></notes>`,
 }
 
-func loadSnapDocs(t *testing.T, s *Store) *Store {
+func loadSnapDocs(t testing.TB, s *Store) *Store {
 	t.Helper()
 	for _, name := range []string{"auction.xml", "catalog.xml", "notes.xml"} {
 		if _, err := s.LoadXML(name, strings.NewReader(snapDocs[name])); err != nil {
@@ -115,9 +118,14 @@ func TestSnapshotRoundTrip(t *testing.T) {
 					t.Fatalf("snapshot store has no %s", name)
 				}
 				requireSameDoc(t, src.Doc(wid), snap.Doc(gid))
+				// Everything open derives: parent and level, postings and
+				// catalog.
+				wd, gd := src.Doc(wid), snap.Doc(gid)
+				if got, want := gd.Fingerprint(), wd.Fingerprint(); got != want {
+					t.Fatalf("%s: reopened fingerprint differs\n--- opened ---\n%s\n--- live ---\n%s", name, got, want)
+				}
 
 				// Statistics catalog parity for every tag in the document.
-				wd, gd := src.Doc(wid), snap.Doc(gid)
 				wc, gc := src.Catalog(), snap.Catalog()
 				if wc.RootTag(wid) != gc.RootTag(gid) {
 					t.Fatalf("%s: root tag differs", name)
@@ -152,7 +160,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 						}
 					}
 				}
-				_ = gd
 			}
 		})
 	}
@@ -315,31 +322,224 @@ func parentHeader(magic string, payload []byte) []byte {
 	return append(h, payload...)
 }
 
-// TestSnapshotParentVersion: a snapshot written in the previous format
+// TestSnapshotParentVersion: a snapshot written in an earlier format
 // version is refused with the version error — not read as corrupt, and
 // never a panic — whether its manifest or its data file carries the old
-// header.
+// header. Version 1 had a 48-byte header; version 2 had this 40-byte one,
+// with 2 in its version word.
 func TestSnapshotParentVersion(t *testing.T) {
+	versions := []struct {
+		name  string
+		frame func(file []byte) []byte
+	}{
+		{"v1", func(file []byte) []byte { return parentHeader(string(file[:8]), file[headerSize:]) }},
+		{"v2", func(file []byte) []byte {
+			binary.NativeEndian.PutUint32(file[8:], 2)
+			return reseal(file)
+		}},
+	}
 	for _, name := range []string{manifestName, dataName} {
 		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			if _, err := loadSnapDocs(t, New()).WriteSnapshot(dir); err != nil {
-				t.Fatal(err)
-			}
-			path := filepath.Join(dir, name)
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			magic := string(data[:8])
-			if err := os.WriteFile(path, parentHeader(magic, data[headerSize:]), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			_, err = OpenSnapshot(dir)
-			if !errors.Is(err, ErrSnapshotVersion) || errors.Is(err, ErrSnapshotCorrupt) {
-				t.Fatalf("err = %v, want ErrSnapshotVersion only", err)
+			for _, version := range versions {
+				dir := t.TempDir()
+				if _, err := loadSnapDocs(t, New()).WriteSnapshot(dir); err != nil {
+					t.Fatal(err)
+				}
+				path := filepath.Join(dir, name)
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, version.frame(data), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				_, err = OpenSnapshot(dir)
+				if !errors.Is(err, ErrSnapshotVersion) || errors.Is(err, ErrSnapshotCorrupt) {
+					t.Fatalf("%s: err = %v, want ErrSnapshotVersion only", version.name, err)
+				}
 			}
 		})
+	}
+}
+
+// reseal recomputes the checksum of a snapshot file after an edit, so the
+// edit reaches the decoder instead of the CRC check.
+func reseal(file []byte) []byte {
+	binary.NativeEndian.PutUint64(file[32:], crc64.Checksum(file[headerSize:], crcTable))
+	return file
+}
+
+// fileSection returns section i of a snapshot data file: a view that edits
+// write through.
+func fileSection(file []byte, i int) []byte {
+	p := file[headerSize:]
+	off := binary.NativeEndian.Uint64(p[i*16:])
+	n := binary.NativeEndian.Uint64(p[i*16+8:])
+	return p[off : off+n]
+}
+
+// TestSnapshotResealedCorruption: a data file that passes its checksum but
+// holds values this code never writes is refused with ErrSnapshotCorrupt,
+// never a panic and never an open that a later read trips over. Each edit
+// is made to the first document (sampleXML) and resealed with a fresh CRC.
+func TestSnapshotResealedCorruption(t *testing.T) {
+	src := loadSnapDocs(t, New())
+	dir := t.TempDir()
+	if _, err := src.WriteSnapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	path := snapshotDataFile(dir)
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, err := OpenSnapshot(dir); err != nil {
+		t.Fatalf("unedited: %v", err)
+	} else {
+		s.Close()
+	}
+	d := src.Doc(0)
+	n := int32(d.Len())
+	// A node whose parent ends before the document does, and a text node.
+	inner, text := int32(-1), int32(-1)
+	for i := int32(1); i < n; i++ {
+		if p := d.Parent(i); inner < 0 && p > 0 && d.End(p) < n-1 {
+			inner = i
+		}
+		if text < 0 && d.Kind(i) == xmltree.Text {
+			text = i
+		}
+	}
+	if inner < 0 || text < 0 {
+		t.Fatal("sampleXML has no nested node or no text node")
+	}
+	put := func(file []byte, sec int, i int32, v uint32) {
+		binary.NativeEndian.PutUint32(fileSection(file, sec)[4*i:], v)
+	}
+	word := func(file []byte, sec int, i int32) uint32 {
+		return binary.NativeEndian.Uint32(fileSection(file, sec)[4*i:])
+	}
+	dictSize := func(file []byte, sec int) uint32 { return uint32(len(fileSection(file, sec))/4 - 1) }
+	edits := []struct {
+		name string
+		edit func(file []byte)
+	}{
+		{"end before its node", func(f []byte) { put(f, secEnd, 3, 2) }},
+		{"end outside the parent's interval", func(f []byte) { put(f, secEnd, inner, uint32(d.End(d.Parent(inner))+1)) }},
+		{"end at the document's length", func(f []byte) { put(f, secEnd, 0, uint32(n)) }},
+		{"end far past the document", func(f []byte) { put(f, secEnd, 5, 1<<30) }},
+		{"root interval short of the document", func(f []byte) { put(f, secEnd, 0, uint32(n-2)) }},
+		{"tag outside the dictionary", func(f []byte) { put(f, secTag, 2, dictSize(f, secTagDictOffs)) }},
+		{"val outside the dictionary", func(f []byte) { put(f, secVal, 2, dictSize(f, secValDictOffs)+1) }},
+		{"text node without a value", func(f []byte) { put(f, secVal, text, 0) }},
+		{"kind outside the three", func(f []byte) { fileSection(f, secKind)[1] = 7 }},
+		{"root not an element", func(f []byte) { fileSection(f, secKind)[0] = uint8(xmltree.Text) }},
+		{"doc record rows past the columns", func(f []byte) { put(f, secDocs, 0, 1<<30) }},
+		{"doc record rows short of the columns", func(f []byte) { put(f, secDocs, 0, uint32(n-1)) }},
+		{"doc record name past the names", func(f []byte) { put(f, secDocs, 1, 1<<20) }},
+		{"doc record version 0", func(f []byte) { put(f, secDocs, 2, 0) }},
+		{"tag dictionary offsets not monotonic", func(f []byte) { put(f, secTagDictOffs, 1, word(f, secTagDictOffs, 2)+1) }},
+		{"value dictionary offsets not monotonic", func(f []byte) { put(f, secValDictOffs, 1, word(f, secValDictOffs, 2)+1) }},
+		{"section past the payload", func(f []byte) {
+			binary.NativeEndian.PutUint64(f[headerSize+secEnd*16+8:], uint64(len(f)))
+		}},
+	}
+	for _, e := range edits {
+		t.Run(e.name, func(t *testing.T) {
+			file := append([]byte(nil), orig...)
+			e.edit(file)
+			if err := os.WriteFile(path, reseal(file), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panic: %v", r)
+				}
+			}()
+			s, err := OpenSnapshot(dir)
+			if err == nil {
+				s.Close()
+				t.Fatal("opened without error")
+			}
+			if !errors.Is(err, ErrSnapshotCorrupt) {
+				t.Fatalf("err = %v, want ErrSnapshotCorrupt", err)
+			}
+			t.Log(err)
+		})
+	}
+}
+
+// FuzzSnapshotOpen feeds data-file payloads past the checksum — each input
+// is framed with a fresh header and CRC — to the decoder. It must never
+// panic and may only fail with ErrSnapshotCorrupt; every document it does
+// open must be a well-formed tree (validateSplice) whose postings and
+// catalog are what derive builds from its columns, and must serialize.
+func FuzzSnapshotOpen(f *testing.F) {
+	s := loadSnapDocs(f, New())
+	docs := s.dir.Load().docs
+	f.Add(encodeData(docs), uint8(len(docs)))
+	for _, d := range docs {
+		f.Add(encodeData([]*Doc{d}), uint8(1))
+	}
+	f.Add(encodeData(nil), uint8(0))
+	f.Fuzz(func(t *testing.T, payload []byte, count uint8) {
+		docs, err := decodeData(putHeader(snapMagic, uint32(count), 0, payload))
+		if err != nil {
+			if !errors.Is(err, ErrSnapshotCorrupt) {
+				t.Fatalf("err = %v, want ErrSnapshotCorrupt", err)
+			}
+			return
+		}
+		for _, d := range docs {
+			if err := d.validateSplice(); err != nil {
+				t.Fatalf("%s: validateSplice: %v", d.Name(), err)
+			}
+			checkDerived(t, d)
+			d.XML(d.Root())
+		}
+	})
+}
+
+// snapshotFootprint is the size of the data file per document node for the
+// XMark documents of TestSnapshotFootprint (seed 42; factor 0.1 is the
+// document the repository benchmark serves), as measured when the format
+// last changed. The file holds only what cannot be derived; a change that
+// persists derived data again grows it past the 1.05x the test allows.
+// Sizes do not depend on the machine; when a change means to move them,
+// measure again (the test logs every section with -v) and update the table.
+var snapshotFootprint = []struct{ factor, bytesPerNode float64 }{
+	{0.02, 18.17},
+	{0.1, 17.44},
+}
+
+// TestSnapshotFootprint gates the size of the snapshot data file.
+func TestSnapshotFootprint(t *testing.T) {
+	names := []string{"docs", "names", "end", "kind", "tag", "val", "tag dict offsets", "tag dict bytes", "val dict offsets", "val dict bytes"}
+	for _, tc := range snapshotFootprint {
+		s := New()
+		id, err := s.Load(xmark.Generate("auction.xml", tc.factor))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		if _, err := s.WriteSnapshot(dir); err != nil {
+			t.Fatal(err)
+		}
+		file, err := os.ReadFile(snapshotDataFile(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes, xmlBytes := float64(s.Doc(id).Len()), float64(len(s.Doc(id).XML(0)))
+		for i, name := range names {
+			b := float64(len(fileSection(file, i)))
+			t.Logf("factor %g: %-16s %9.0f bytes  %5.2f B/node", tc.factor, name, b, b/nodes)
+		}
+		got := float64(len(file)) / nodes
+		t.Logf("factor %g: data file %d bytes for %.0f nodes and %.0f XML bytes: %.2f B/node, %.3f per XML byte",
+			tc.factor, len(file), nodes, xmlBytes, got, float64(len(file))/xmlBytes)
+		if got > 1.05*tc.bytesPerNode {
+			t.Errorf("factor %g: %.2f bytes per node, more than 1.05x the %.2f recorded", tc.factor, got, tc.bytesPerNode)
+		}
 	}
 }
 

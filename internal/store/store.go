@@ -1,14 +1,15 @@
 // Package store implements the native XML store that all four evaluation
 // engines (TLC, GTP, TAX, navigational) run against. It stands in for the
 // disk-based TIMBER storage manager used in the paper: documents are held
-// as columnar node tables (flat start/end/level/parent/tag/value arrays
+// as columnar node tables (flat end/level/parent/kind/tag/value arrays
 // with dictionary-encoded strings — see columns.go), and the store
 // maintains the two index structures the paper's experiments rely on — an
 // element tag-name index (tag → node ordinals in document order) and a
 // value index (content → node ordinals). Access counters make the
-// relative cost of the competing plans observable. The columnar layout
-// serializes to a checksummed snapshot file opened via mmap (snapshot.go),
-// so a restart maps the node table instead of re-parsing XML.
+// relative cost of the competing plans observable. The columns that cannot
+// be derived serialize to a checksummed snapshot file opened via mmap
+// (snapshot.go), so a restart maps them and derives the rest instead of
+// re-parsing XML.
 //
 // DocIDs are issued in load order from a single counter and resolved
 // through a copy-on-write directory (an atomic pointer swap per load).
@@ -412,8 +413,8 @@ func (s *Store) Tag(id DocID, tag string) []int32 {
 func (s *Store) TagWithin(id DocID, tag string, ancestor int32) []int32 {
 	d := s.entry(id)
 	refs := d.tagRefsByName(tag)
-	start, end := d.c.start[ancestor], d.c.end[ancestor]
-	lo := sort.Search(len(refs), func(i int) bool { return refs[i] > start })
+	end := d.c.end[ancestor]
+	lo := sort.Search(len(refs), func(i int) bool { return refs[i] > ancestor })
 	hi := sort.Search(len(refs), func(i int) bool { return refs[i] > end })
 	if !s.noStats {
 		st := s.stats
@@ -491,7 +492,7 @@ func (s *Store) Node(id DocID, ord int32) NodeData {
 		Tag:        d.Tag(ord),
 		Value:      d.Value(ord),
 		Parent:     d.c.parent[ord],
-		FirstChild: d.c.firstChild[ord],
+		FirstChild: d.FirstChild(ord),
 	}
 }
 
