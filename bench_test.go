@@ -10,7 +10,6 @@
 //	BenchmarkAblationNestJoin  — nest-join vs flat match + group-by
 //	BenchmarkAblationValueJoin — sort–merge–sort vs nested-loop value join
 //	BenchmarkAblationReuse     — extension select vs fresh match + id join
-//	BenchmarkAblationJoinOrder — planner off (translated order) vs on
 //	BenchmarkLoad              — XMark generation + indexing throughput
 //
 // The benchmark scale factor defaults to 0.05 and can be overridden with
@@ -147,26 +146,12 @@ WHERE $p/@id = $o/bidder//@person
 RETURN <hit>{$p/name/text()}</hit>`
 
 // BenchmarkAblationValueJoin compares the sort–merge–sort equality join of
-// Section 5.1 against a nested-loop join, via the physical layer knob. Both
-// arms compile with the planner off so the comparison pins the algorithm
-// rather than measuring the planner's own (costed) choice.
+// Section 5.1 against a nested-loop join, via the physical layer knob.
 func BenchmarkAblationValueJoin(b *testing.B) {
 	db := benchDB(b, benchFactor())
-	b.Run("sort-merge-sort", func(b *testing.B) {
-		p, err := db.Compile(qJoin, WithEngine(TLC), WithPlanner(false))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := db.Run(p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	b.Run("sort-merge-sort", func(b *testing.B) { runQuery(b, db, qJoin, TLC) })
 	b.Run("nested-loop", func(b *testing.B) {
-		p, err := db.Compile(qJoin, WithEngine(TLC), WithPlanner(false))
+		p, err := db.Compile(qJoin, WithEngine(TLC))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -216,27 +201,4 @@ func forceNestedLoopJoins(p *Prepared) {
 			j.ForceNestedLoop = true
 		}
 	}
-}
-
-// BenchmarkAblationJoinOrder measures the selectivity-based edge ordering
-// of the pattern matcher (the optimizer Section 5.2 defers to): the Q1
-// auction pattern as translated (planner off, query-order edges) vs as
-// planned (the nested bidder cluster matched after the pruning branches).
-func BenchmarkAblationJoinOrder(b *testing.B) {
-	db := benchDB(b, benchFactor())
-	q, _ := workloadByID("Q1")
-	b.Run("translated-order", func(b *testing.B) {
-		p, err := db.Compile(q.Text, WithEngine(TLC), WithPlanner(false))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := db.Run(p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("selectivity-order", func(b *testing.B) { runQuery(b, db, q.Text, TLC) })
 }

@@ -120,7 +120,7 @@ func main() {
 		if buf.Len() == 0 && strings.HasPrefix(line, ".") {
 			switch {
 			case line == ".help":
-				fmt.Println(".engine TLC|OPT|GTP|TAX|NAV   switch engine\n.explain on|off               toggle plan printing\n.plan <query>                 print the planned operator tree (est= cardinalities)\n.profile <query>              EXPLAIN ANALYZE a one-line query (est vs actual, Q-error)\n.update <doc> <op> <target> [position] [fragment]\n                              apply a subtree update (op: insert|delete|replace;\n                              position: into|first|before|after, insert only)\n.stats                        show store access counters\n.quit                         exit")
+				fmt.Println(".engine TLC|OPT|GTP|TAX|NAV   switch engine\n.explain on|off               toggle plan printing\n.plan <query>                 print the operator tree of a one-line query\n.profile <query>              EXPLAIN ANALYZE a one-line query (trees, time, store reads)\n.update <doc> <op> <target> [position] [fragment]\n                              apply a subtree update (op: insert|delete|replace;\n                              position: into|first|before|after, insert only)\n.stats                        show store, plan cache and update counters\n.quit                         exit")
 			case strings.HasPrefix(line, ".engine "):
 				if e, ok := tlc.ParseEngine(strings.TrimSpace(line[8:])); ok {
 					engine = e
@@ -141,11 +141,11 @@ func main() {
 			case line == ".stats":
 				fmt.Println(db.Stats())
 				cs := cache.Stats()
-				fmt.Printf("plan cache: %d/%d entries, %d hits (%d exact, %d containment), %d misses, %d evictions, %d invalidations, %d containment probes\n",
-					cs.Size, cs.Capacity, cs.Hits, cs.HitsExact, cs.HitsContainment, cs.Misses, cs.Evictions, cs.Invalidations, cs.ContainmentProbes)
+				fmt.Printf("plan cache: %d/%d entries, %d hits (%d exact, %d containment), %d misses, %d evictions, %d containment probes\n",
+					cs.Size, cs.Capacity, cs.Hits, cs.HitsExact, cs.HitsContainment, cs.Misses, cs.Evictions, cs.ContainmentProbes)
 				ut := tlc.UpdateCounters()
-				fmt.Printf("updates: total=%d conflicts=%d stats_deltas=%d versions_live=%d update_gen=%d\n",
-					ut.Updates, ut.Conflicts, ut.StatsDeltas, db.VersionsLive(), db.UpdateGeneration())
+				fmt.Printf("updates: total=%d conflicts=%d versions_live=%d update_gen=%d\n",
+					ut.Updates, ut.Conflicts, db.VersionsLive(), db.UpdateGeneration())
 				d := db.DictionaryStats()
 				fmt.Printf("dictionaries: dict_tag_strings=%d dict_value_strings=%d dict_value_live=%d\n",
 					d.TagStrings, d.ValueStrings, d.ValueLive)
@@ -161,8 +161,7 @@ func main() {
 					}
 				}
 			case strings.HasPrefix(line, ".plan "):
-				// .plan <query...> on one line: the planned operator tree
-				// with the planner's cardinality estimates (est=N).
+				// .plan <query...> on one line: the operator tree.
 				out, err := db.Explain(strings.TrimSpace(line[6:]), tlc.WithEngine(engine))
 				if err != nil {
 					fmt.Fprintln(os.Stderr, "error:", err)
@@ -234,8 +233,8 @@ func runUpdate(db *tlc.Database, argstr string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "%s v%d: +%d/-%d nodes (%d total), %d stats deltas, %d conflicts in %.3fs\n",
-		res.Doc, res.Version, res.NodesAdded, res.NodesRemoved, res.Nodes, res.StatsDeltas, res.Conflicts,
+	fmt.Fprintf(os.Stderr, "%s v%d: +%d/-%d nodes (%d total), %d conflicts in %.3fs\n",
+		res.Doc, res.Version, res.NodesAdded, res.NodesRemoved, res.Nodes, res.Conflicts,
 		time.Since(start).Seconds())
 	return nil
 }

@@ -191,27 +191,16 @@ func RunContext(goCtx context.Context, st *store.Store, op Op) (seq.Seq, error) 
 
 // Explain renders the plan as an indented operator tree, children below
 // their consumer, mirroring the bottom-up figures of the paper.
-func Explain(op Op) string { return ExplainFunc(op, nil) }
-
-// ExplainFunc renders the plan like Explain, appending " [annotate(op)]"
-// to each operator's first label line when annotate returns non-empty —
-// the hook the planner uses to show per-operator cardinality estimates.
-func ExplainFunc(op Op, annotate func(Op) string) string {
+func Explain(op Op) string {
 	var sb strings.Builder
 	var walk func(o Op, depth int)
 	walk = func(o Op, depth int) {
 		indent := strings.Repeat("  ", depth)
-		label := o.Label()
 		// Multi-line labels (operators embedding a pattern tree) are
 		// indented as a block.
-		lines := strings.Split(strings.TrimRight(label, "\n"), "\n")
+		lines := strings.Split(strings.TrimRight(o.Label(), "\n"), "\n")
 		for i, l := range lines {
 			if i == 0 {
-				if annotate != nil {
-					if a := annotate(o); a != "" {
-						l += " [" + a + "]"
-					}
-				}
 				sb.WriteString(indent + l + "\n")
 			} else {
 				sb.WriteString(indent + "    " + l + "\n")

@@ -80,15 +80,7 @@ func (pr *ProfileResult) eval(ctx *Context, op Op, in []seq.Seq) (seq.Seq, error
 
 // String renders the profile as the plan tree annotated with cardinality
 // and time per operator.
-func (pr *ProfileResult) String() string { return pr.StringWithEstimates(nil) }
-
-// StringWithEstimates renders the profile like String and, for operators
-// est knows, adds the planner's estimated cardinality next to the actual
-// one together with the Q-error — max(est/actual, actual/est), both sides
-// clamped to at least one tree, so 1.0 is a perfect estimate and the
-// factor is symmetric in direction. Mis-estimates are then visible on the
-// same screen as the timings they caused.
-func (pr *ProfileResult) StringWithEstimates(est func(Op) (float64, bool)) string {
+func (pr *ProfileResult) String() string {
 	byOp := make(map[Op]OpStats, len(pr.Stats))
 	var root Op
 	for _, s := range pr.Stats {
@@ -107,13 +99,8 @@ func (pr *ProfileResult) StringWithEstimates(est func(Op) (float64, bool)) strin
 		indent := strings.Repeat("  ", depth)
 		label := strings.Split(op.Label(), "\n")[0]
 		s := byOp[op]
-		fmt.Fprintf(&sb, "%s%-*s -> %d trees", indent, 40-len(indent), label, s.OutTrees)
-		if est != nil {
-			if e, ok := est(op); ok {
-				fmt.Fprintf(&sb, " (est=%.0f q=%.1f)", e, qerror(e, float64(s.OutTrees)))
-			}
-		}
-		fmt.Fprintf(&sb, ", %.3fms", float64(s.Elapsed.Microseconds())/1000)
+		fmt.Fprintf(&sb, "%s%-*s -> %d trees, %.3fms", indent, 40-len(indent), label, s.OutTrees,
+			float64(s.Elapsed.Microseconds())/1000)
 		if s.Store != (store.Stats{}) {
 			fmt.Fprintf(&sb, " [%s]", s.Store)
 		}
@@ -127,20 +114,4 @@ func (pr *ProfileResult) StringWithEstimates(est func(Op) (float64, bool)) strin
 		fmt.Fprintf(&sb, "%s\n", pr.Arena)
 	}
 	return sb.String()
-}
-
-// qerror is the Q-error of an estimate: the multiplicative factor by which
-// it misses the actual cardinality, with both sides clamped to >= 1 so
-// empty results keep the factor finite.
-func qerror(est, actual float64) float64 {
-	if est < 1 {
-		est = 1
-	}
-	if actual < 1 {
-		actual = 1
-	}
-	if est > actual {
-		return est / actual
-	}
-	return actual / est
 }

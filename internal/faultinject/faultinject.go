@@ -69,10 +69,6 @@ const (
 	// that publishes a new document version — a failing write path. An
 	// injected failure must leave the store on the old version.
 	PointMutateCommit = "mutate.commit"
-	// PointMutateStatsDelta fires when a splice applies its incremental
-	// statistics delta to the catalog; an injected failure must abort the
-	// whole mutation with no partial state.
-	PointMutateStatsDelta = "mutate.statsdelta"
 	// PointWALAppend fires at the top of wal.Log.Append, before the record
 	// is written — a commit that dies here must leave no trace in the log.
 	PointWALAppend = "wal.append"
@@ -102,7 +98,6 @@ func Catalog() []string {
 		PointServiceLoad,
 		PointServiceUpdate,
 		PointMutateCommit,
-		PointMutateStatsDelta,
 		PointWALAppend,
 		PointWALFsync,
 		PointWALRotate,

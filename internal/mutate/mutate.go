@@ -165,10 +165,9 @@ type Result struct {
 	Nodes int
 	// NodesAdded and NodesRemoved count the spliced range.
 	NodesAdded, NodesRemoved int
-	// StatsDeltas counts the ±1 adjustments applied to the statistics
-	// catalog instead of a recomputation. A replayed record applies none —
-	// the replay derives each document's catalog once, when it publishes —
-	// so its StatsDeltas is 0.
+	// StatsDeltas is always 0: there are no statistics to adjust. It
+	// remains only because bench/layers.go:365 reads it; the next benchmark
+	// change deletes it.
 	StatsDeltas int
 	// Conflicts counts commit attempts lost to concurrent writers before
 	// this one won.
@@ -181,9 +180,8 @@ const maxRetries = 3
 
 // Process-wide update counters (mirrored at /varz and in the shell).
 var (
-	updatesTotal     atomic.Int64
-	updateConflicts  atomic.Int64
-	statsDeltasTotal atomic.Int64
+	updatesTotal    atomic.Int64
+	updateConflicts atomic.Int64
 )
 
 // Totals is a snapshot of the process-wide update counters.
@@ -193,19 +191,11 @@ type Totals struct {
 	// Conflicts counts commit attempts lost to a concurrent writer
 	// (including ones whose update later succeeded on retry).
 	Conflicts int64
-	// StatsDeltas counts individual incremental statistics adjustments
-	// applied by committed updates: live ones only, a replayed record
-	// applies none (Result.StatsDeltas).
-	StatsDeltas int64
 }
 
 // Counters returns the process-wide update counters.
 func Counters() Totals {
-	return Totals{
-		Updates:     updatesTotal.Load(),
-		Conflicts:   updateConflicts.Load(),
-		StatsDeltas: statsDeltasTotal.Load(),
-	}
+	return Totals{Updates: updatesTotal.Load(), Conflicts: updateConflicts.Load()}
 }
 
 // Apply runs one update against the store. The write cost is charged to
@@ -321,20 +311,18 @@ func resolve(ctx context.Context, d *store.Doc, req Request, frag *xmltree.Docum
 // its result.
 func (res *Result) applied(req Request, nd *store.Doc, sr store.SpliceResult) {
 	updatesTotal.Add(1)
-	statsDeltasTotal.Add(int64(sr.StatsDeltas))
 	res.Doc = req.Doc
 	res.Version = nd.Version()
 	res.Nodes = nd.Len()
 	res.NodesAdded = sr.NodesAdded
 	res.NodesRemoved = sr.NodesRemoved
-	res.StatsDeltas = sr.StatsDeltas
 }
 
 // Replay re-applies a logged sequence of updates on versions only it can
 // see, and publishes the outcome once. Per document the log touches it keeps
 // one private version: the first record copies the published one, which is
 // only ever read, and every record splices the private version's columns in
-// place. Nothing derived — postings, catalog — is maintained per record, as
+// place. Nothing derived — the postings — is maintained per record, as
 // nobody reads it before Publish, which derives it once per document. Nothing
 // reaches the store before Publish either, so a reader admitted during
 // recovery sees the documents as the checkpoint left them and then as the
@@ -392,7 +380,7 @@ func (r *Replay) Apply(ctx context.Context, seq uint64, req Request) (Result, er
 	return res, nil
 }
 
-// Publish derives every private version's postings and catalog, publishes
+// Publish derives every private version's postings, publishes
 // them all over the versions they started from with one directory swap
 // (store.CommitPrivate), raises the update generation to the newest sequence
 // number applied, and ends the replay. If any document was committed to

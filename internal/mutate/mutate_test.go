@@ -235,28 +235,26 @@ func TestApplyGovernorBudget(t *testing.T) {
 	}
 }
 
-// TestApplyFaultInjected arms the mutate fault points and checks an
+// TestApplyFaultInjected arms the commit fault point and checks an
 // injected failure aborts the update with the store unchanged.
 func TestApplyFaultInjected(t *testing.T) {
 	s, id := loadStore(t, "a.xml", auctionXML)
 	before := Counters()
 
-	for _, point := range []string{faultinject.PointMutateCommit, faultinject.PointMutateStatsDelta} {
-		if err := faultinject.Enable(point + "=error"); err != nil {
-			t.Fatalf("Enable(%s): %v", point, err)
-		}
-		_, err := Apply(context.Background(), s, Request{Doc: "a.xml", Op: Insert,
-			Target: "/site/people", Fragment: `<person id="pF"><name>F</name></person>`})
-		faultinject.Disable()
-		if !errors.Is(err, faultinject.ErrInjected) {
-			t.Fatalf("%s: err = %v, want ErrInjected", point, err)
-		}
-		if v, _ := s.DocVersion("a.xml"); v != 1 {
-			t.Fatalf("%s: injected failure committed (version %d)", point, v)
-		}
-		if s.InFlightWriters() != 0 {
-			t.Fatalf("%s: writer epoch leaked", point)
-		}
+	if err := faultinject.Enable(faultinject.PointMutateCommit + "=error"); err != nil {
+		t.Fatalf("Enable: %v", err)
+	}
+	_, err := Apply(context.Background(), s, Request{Doc: "a.xml", Op: Insert,
+		Target: "/site/people", Fragment: `<person id="pF"><name>F</name></person>`})
+	faultinject.Disable()
+	if !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("err = %v, want ErrInjected", err)
+	}
+	if v, _ := s.DocVersion("a.xml"); v != 1 {
+		t.Fatalf("injected failure committed (version %d)", v)
+	}
+	if s.InFlightWriters() != 0 {
+		t.Fatalf("writer epoch leaked")
 	}
 	if after := Counters(); after.Updates != before.Updates {
 		t.Fatalf("failed updates counted as committed")
@@ -318,8 +316,8 @@ func TestReplayPublishesOnce(t *testing.T) {
 		if err != nil {
 			t.Fatalf("record %d: %v", seq, err)
 		}
-		if want := base.Version() + uint64(i) + 1; res.Version != want || res.NodesAdded != 4 || res.StatsDeltas != 0 {
-			t.Fatalf("record %d: result %+v, want version %d, 4 nodes added and no statistics deltas", seq, res, want)
+		if want := base.Version() + uint64(i) + 1; res.Version != want || res.NodesAdded != 4 {
+			t.Fatalf("record %d: result %+v, want version %d and 4 nodes added", seq, res, want)
 		}
 		if s.Doc(id) != base || s.UpdateGeneration() != 0 {
 			t.Fatalf("record %d is visible before Publish", seq)
@@ -331,9 +329,8 @@ func TestReplayPublishesOnce(t *testing.T) {
 	if _, err := r.Apply(ctx, 7, Request{Doc: "missing.xml", Op: Delete, Target: "/site"}); !errors.Is(err, ErrUnknownDocument) {
 		t.Fatalf("unknown document = %v", err)
 	}
-	if after := Counters(); after.Updates-before.Updates != 4 || after.StatsDeltas != before.StatsDeltas {
-		t.Fatalf("replayed updates counted %d times with %d statistics deltas, want 4 with none",
-			after.Updates-before.Updates, after.StatsDeltas-before.StatsDeltas)
+	if after := Counters(); after.Updates-before.Updates != 4 {
+		t.Fatalf("replayed updates counted %d times, want 4", after.Updates-before.Updates)
 	}
 	if err := r.Publish(); err != nil {
 		t.Fatal(err)

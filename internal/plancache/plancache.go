@@ -1,10 +1,10 @@
 // Package plancache caches compiled query plans (tlc.Prepared) behind an
 // LRU keyed on everything that determines compilation output: the
-// canonicalized query, the engine, and the planner and budget options. Because a Prepared is safe for concurrent Run calls (the plan
-// DAG is immutable after compile; per-run state lives in the evaluation
-// context), one cached entry can serve many concurrent requests — the
-// cache is what turns the service's per-request compile cost into a
-// one-time cost per distinct query.
+// canonicalized query, the engine and the budget. Because a Prepared is
+// safe for concurrent Run calls (the plan DAG is immutable after compile;
+// per-run state lives in the evaluation context), one cached entry can
+// serve many concurrent requests — the cache is what turns the service's
+// per-request compile cost into a one-time cost per distinct query.
 //
 // Keying is by canonical form, not raw text: tlc.Canonicalize α-renames
 // variables and renders deterministically, so two spellings of the same
@@ -14,19 +14,13 @@
 // cached plan whose predicates are implied by the new query's serves the
 // request through tlc.Prepared.WithResidual — the plan is reused with
 // residual filters grafted above the owning Selects, skipping parse,
-// translate, rewrite and planning entirely. Exact and containment hits
-// are counted separately.
+// translate and rewrite entirely. Exact and containment hits are counted
+// separately.
 //
-// Staleness has one rule: a cached plan is current while every document
-// it names (tlc.Prepared.Documents) still reports the version it had when
-// the plan was compiled, where a name that is not loaded reports version 0.
-// A committed update moves only the mutated document's version, and a load
-// moves only the loaded name from 0 to 1 (documents are never unloaded or
-// reloaded), so an update drops exactly the plans naming that document, a
-// load drops exactly the plans that named the document while it was
-// absent, and a plan naming no document has nothing to go stale. A stale
-// plan would still compute the right answer — every plan for a query
-// does — the rule only keeps cached plans costed from current statistics.
+// A cached plan never goes stale. Compilation is a function of the key
+// alone and reads no document, so a load or an update leaves every entry
+// what a fresh compile would produce; the cache records no document
+// versions and drops entries only to capacity pressure.
 package plancache
 
 import (
@@ -47,8 +41,6 @@ type Key struct {
 	Query string
 	// Engine is the evaluation engine.
 	Engine tlc.Engine
-	// PlannerOff mirrors tlc.WithPlanner(false).
-	PlannerOff bool
 	// Parallelism is ignored (evaluation is serial). It remains only because
 	// bench/layers.go:225 sets it; Load clears it before keying.
 	Parallelism int
@@ -74,10 +66,6 @@ type Stats struct {
 	Misses uint64 `json:"misses"`
 	// Evictions counts entries dropped to capacity pressure.
 	Evictions uint64 `json:"evictions"`
-	// Invalidations counts entries dropped because a document their plan
-	// names moved past its compile-time version: it was updated, or it was
-	// not loaded then (version 0) and has been loaded since.
-	Invalidations uint64 `json:"invalidations"`
 	// Size and Capacity describe the current occupancy.
 	Size     int `json:"size"`
 	Capacity int `json:"capacity"`
@@ -98,15 +86,6 @@ type entry struct {
 	// eligible engine whose canonicalizer and translator agree on every
 	// predicate site.
 	containable bool
-	// docs is the validity record: each document the plan names with the
-	// version it reported before the plan was compiled.
-	docs []docVersion
-}
-
-// docVersion is a document name and a version of it; 0 is "not loaded".
-type docVersion struct {
-	name    string
-	version uint64
 }
 
 // Cache is a fixed-capacity LRU of compiled plans. The zero value is not
@@ -121,8 +100,7 @@ type Cache struct {
 	byStruct map[Key][]*list.Element
 	order    *list.List // front = most recently used
 
-	hits, hitsExact, hitsContainment, containmentProbes uint64
-	misses, evictions, invalidations                    uint64
+	hits, hitsExact, hitsContainment, containmentProbes, misses, evictions uint64
 }
 
 // New returns an empty cache holding at most capacity plans (minimum 1).
@@ -146,17 +124,6 @@ func containmentEngine(e tlc.Engine) bool {
 	return e == tlc.TLC || e == tlc.GTP || e == tlc.TAX
 }
 
-// valid reports whether every document the entry's plan names still
-// reports its recorded version.
-func valid(db *tlc.Database, e *entry) bool {
-	for _, d := range e.docs {
-		if cur, _ := db.DocumentVersion(d.name); cur != d.version {
-			return false
-		}
-	}
-	return true
-}
-
 // remove drops one entry from the LRU and both indexes. Caller holds mu.
 func (c *Cache) remove(el *list.Element) {
 	e := el.Value.(*entry)
@@ -178,13 +145,13 @@ func (c *Cache) remove(el *list.Element) {
 	}
 }
 
-// probeContainment scans the structural-signature peers of skey for a
-// valid entry whose predicates the new query's imply, and derives a
+// probeContainment scans the structural-signature peers of skey for an
+// entry whose predicates the new query's imply, and derives a
 // residual-filtered Prepared from it. Caller holds mu.
-func (c *Cache) probeContainment(db *tlc.Database, skey Key, sites []tlc.CanonicalSite) (*tlc.Prepared, bool) {
+func (c *Cache) probeContainment(skey Key, sites []tlc.CanonicalSite) (*tlc.Prepared, bool) {
 	for _, el := range c.byStruct[skey] {
 		e := el.Value.(*entry)
-		if !valid(db, e) || len(e.canonSites) != len(sites) {
+		if len(e.canonSites) != len(sites) {
 			continue
 		}
 		var residuals []tlc.ResidualSite
@@ -236,8 +203,8 @@ func impliesSite(strong, weak tlc.CanonicalSite) bool {
 // bool reports whether the lookup was a hit (exact or containment).
 // Compilation runs outside the cache lock, so a slow compile never blocks
 // hits for other keys; concurrent misses for the same key may compile
-// twice, and the last finisher's plan stays cached (both plans are valid,
-// so either may be handed out).
+// twice, and the first finisher's plan stays cached (both plans are the
+// same, so either may be handed out).
 func (c *Cache) Load(ctx context.Context, db *tlc.Database, key Key) (*tlc.Prepared, bool, error) {
 	canon, canonErr := tlc.Canonicalize(key.Query)
 	key.Parallelism = 0
@@ -254,22 +221,16 @@ func (c *Cache) Load(ctx context.Context, db *tlc.Database, key Key) (*tlc.Prepa
 	if canonErr == nil {
 		c.mu.Lock()
 		if el, ok := c.byKey[ekey]; ok {
-			e := el.Value.(*entry)
-			if valid(db, e) {
-				c.hits++
-				c.hitsExact++
-				c.order.MoveToFront(el)
-				prep := e.prep
-				c.mu.Unlock()
-				return prep, true, nil
-			}
-			// Stale: a document the plan names moved. Drop just this entry.
-			c.remove(el)
-			c.invalidations++
+			c.hits++
+			c.hitsExact++
+			c.order.MoveToFront(el)
+			prep := el.Value.(*entry).prep
+			c.mu.Unlock()
+			return prep, true, nil
 		}
 		if containmentEngine(key.Engine) {
 			c.containmentProbes++
-			if prep, ok := c.probeContainment(db, skey, canon.Sites); ok {
+			if prep, ok := c.probeContainment(skey, canon.Sites); ok {
 				c.hits++
 				c.hitsContainment++
 				c.mu.Unlock()
@@ -284,27 +245,10 @@ func (c *Cache) Load(ctx context.Context, db *tlc.Database, key Key) (*tlc.Prepa
 		c.mu.Unlock()
 	}
 
-	// The record is taken before compiling and re-checked after: a load or
-	// commit landing in between must leave the fresh plan uncached, because
-	// the planner may have costed it from either version. Which documents
-	// the plan names is known only once it is compiled, so every loaded
-	// document's version is read here; a name missing from before reads
-	// back as 0, not loaded.
-	names := db.Documents()
-	before := make(map[string]uint64, len(names))
-	for _, name := range names {
-		before[name], _ = db.DocumentVersion(name)
-	}
-
 	if err := faultinject.Hit(faultinject.PointPlanCacheFill); err != nil {
 		return nil, false, err
 	}
-	opts := []tlc.Option{
-		tlc.WithEngine(key.Engine),
-		tlc.WithPlanner(!key.PlannerOff),
-		tlc.WithLimits(key.Limits),
-	}
-	prep, err := db.CompileContext(ctx, key.Query, opts...)
+	prep, err := db.CompileContext(ctx, key.Query, tlc.WithEngine(key.Engine), tlc.WithLimits(key.Limits))
 	if err != nil {
 		return nil, false, err
 	}
@@ -314,27 +258,15 @@ func (c *Cache) Load(ctx context.Context, db *tlc.Database, key Key) (*tlc.Prepa
 		return prep, false, nil
 	}
 	e := &entry{key: ekey, prep: prep}
-	for _, name := range prep.Documents() {
-		e.docs = append(e.docs, docVersion{name, before[name]})
-	}
 	e.fillContainment(key, skey, canon)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// A plan whose documents moved while it compiled does not enter the
-	// cache; it is still returned (its answer is right whichever version
-	// costed it).
-	if !valid(db, e) {
-		return prep, false, nil
-	}
-	if el, ok := c.byKey[ekey]; ok && valid(db, el.Value.(*entry)) {
+	if el, ok := c.byKey[ekey]; ok {
 		// A concurrent miss beat us here; keep the incumbent entry hot and
 		// hand out our own compile.
 		c.order.MoveToFront(el)
 		return prep, false, nil
-	} else if ok {
-		c.remove(el)
-		c.invalidations++
 	}
 	el := c.order.PushFront(e)
 	c.byKey[ekey] = el
@@ -394,7 +326,6 @@ func (c *Cache) Stats() Stats {
 		ContainmentProbes: c.containmentProbes,
 		Misses:            c.misses,
 		Evictions:         c.evictions,
-		Invalidations:     c.invalidations,
 		Size:              c.order.Len(),
 		Capacity:          c.capacity,
 	}

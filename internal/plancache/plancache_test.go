@@ -71,7 +71,7 @@ func TestKeyDistinguishesOptions(t *testing.T) {
 	keys := []Key{
 		{Query: testQuery},
 		{Query: testQuery, Engine: tlc.TLCOpt},
-		{Query: testQuery, PlannerOff: true},
+		{Query: testQuery, Limits: tlc.Limits{MaxResultCard: 10}},
 	}
 	for _, k := range keys {
 		if _, hit, err := c.Load(ctx, db, k); err != nil || hit {
@@ -174,11 +174,11 @@ func TestConcurrentLoad(t *testing.T) {
 	}
 }
 
-// TestStaleness is the cache's one staleness rule, event by event: a plan
-// is recompiled exactly when a document it names moved past the version it
-// had at compile time, 0 being "not loaded". Everything lives on one shard,
-// so nothing here can be told apart by shard.
-func TestStaleness(t *testing.T) {
+// TestPlansNeverGoStale is the cache's contract across every event that
+// changes the documents: a compiled plan depends on its key alone, so after
+// each event every cached key still hits, and what the cached plan answers
+// is what a fresh compile of the same text answers now.
+func TestPlansNeverGoStale(t *testing.T) {
 	keys := map[string]Key{
 		"a":      {Query: testQuery},
 		"b":      {Query: `FOR $x IN document("b.xml")//x RETURN $x`},
@@ -188,18 +188,17 @@ func TestStaleness(t *testing.T) {
 	cases := []struct {
 		name  string
 		event func(t *testing.T, db *tlc.Database)
-		stale string // the one key that must recompile; "" for none
 	}{
-		{"load of an unrelated document on the same shard", func(t *testing.T, db *tlc.Database) {
+		{"load of an unrelated document", func(t *testing.T, db *tlc.Database) {
 			if err := db.LoadXMLString("d.xml", cXML); err != nil {
 				t.Fatal(err)
 			}
-		}, ""},
+		}},
 		{"XML load of a document named while absent", func(t *testing.T, db *tlc.Database) {
 			if err := db.LoadXMLString("c.xml", cXML); err != nil {
 				t.Fatal(err)
 			}
-		}, "absent"},
+		}},
 		{"snapshot load of a document named while absent", func(t *testing.T, db *tlc.Database) {
 			src := tlc.Open()
 			if err := src.LoadXMLString("c.xml", cXML); err != nil {
@@ -213,7 +212,7 @@ func TestStaleness(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { db.Close() })
-		}, "absent"},
+		}},
 		{"update", func(t *testing.T, db *tlc.Database) {
 			if _, err := db.Update(tlc.UpdateRequest{
 				Doc: "a.xml", Op: tlc.UpdateInsert, Target: "/site",
@@ -221,10 +220,13 @@ func TestStaleness(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-		}, "a"},
+		}},
+		{"re-load of the same name", func(t *testing.T, db *tlc.Database) {
+			if err := db.LoadXMLString("a.xml", `<site/>`); err == nil {
+				t.Fatal("a second load of a.xml was accepted")
+			}
+		}},
 	}
-	// What each query answers once its document is in its final state.
-	wantLen := map[string]int{"a": 3, "absent": 3}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			db := tlc.Open()
@@ -249,40 +251,33 @@ func TestStaleness(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if hit == (name == tc.stale) {
-					t.Errorf("plan %q: hit=%v, want %v", name, hit, name != tc.stale)
+				if !hit {
+					t.Errorf("plan %q missed", name)
 				}
-				if name != tc.stale {
-					continue
-				}
-				// The recompiled plan sees the moved document and is cached
-				// at its new version.
-				res, err := db.Run(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Len() != wantLen[name] {
-					t.Errorf("recompiled plan %q returned %d trees, want %d", name, res.Len(), wantLen[name])
-				}
-				if _, hit, _ := c.Load(ctx, db, k); !hit {
-					t.Errorf("recompiled plan %q was not cached", name)
+				if got, want := answer(db.Run(p)), answer(db.Query(k.Query)); got != want {
+					t.Errorf("plan %q answers %q, a fresh compile %q", name, got, want)
 				}
 			}
-			want := uint64(0)
-			if tc.stale != "" {
-				want = 1
-			}
-			if st := c.Stats(); st.Invalidations != want {
-				t.Errorf("invalidations = %d, want %d", st.Invalidations, want)
+			if st := c.Stats(); st.Misses != uint64(len(keys)) || st.Size != len(keys) {
+				t.Errorf("stats = %+v, want only the %d warm-up compiles", st, len(keys))
 			}
 		})
 	}
 }
 
-// TestCommitRacingCompile: a commit that lands between the version record
-// and the end of the compile leaves the plan uncached — it is returned, its
-// answer is right either way, but the cache cannot say which version costed
-// it. The injected stall sits after the record is taken.
+// answer renders what a run returned, its error included: a plan naming a
+// document that is not loaded fails to run, cached or not.
+func answer(res *tlc.Result, err error) string {
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	return res.XML()
+}
+
+// TestCommitRacingCompile: a commit that lands while a plan compiles does
+// not keep the plan out of the cache — compiling reads no document — and
+// the cached plan answers from the committed version. The injected stall
+// sits just before the compile.
 func TestCommitRacingCompile(t *testing.T) {
 	t.Cleanup(faultinject.Disable)
 	db := newDB(t)
@@ -304,21 +299,22 @@ func TestCommitRacingCompile(t *testing.T) {
 	for faultinject.Stats()[faultinject.PointPlanCacheFill].Fired == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := db.Update(tlc.UpdateRequest{Doc: "a.xml", Op: tlc.UpdateDelete, Target: "/site/person[2]"}); err != nil {
+	if _, err := db.Update(tlc.UpdateRequest{Doc: "a.xml", Op: tlc.UpdateDelete, Target: "/site/person[3]"}); err != nil {
 		t.Fatal(err)
 	}
 	got := <-done
 	if got.err != nil || got.hit || got.prep == nil {
-		t.Fatalf("raced load: prep=%v hit=%v err=%v, want an uncached plan", got.prep, got.hit, got.err)
+		t.Fatalf("raced load: prep=%v hit=%v err=%v, want a compile", got.prep, got.hit, got.err)
 	}
-	if st := c.Stats(); st.Size != 0 {
-		t.Fatalf("raced plan entered the cache: %+v", st)
+	p, hit, err := c.Load(context.Background(), db, key)
+	if err != nil || !hit || p != got.prep {
+		t.Fatalf("after the race: hit=%v err=%v, want the raced plan cached", hit, err)
 	}
-	// Undisturbed, the next lookup compiles again and is cached.
-	if _, hit, err := c.Load(context.Background(), db, key); err != nil || hit {
-		t.Fatalf("after the race: hit=%v err=%v, want a compile", hit, err)
+	res, err := db.Run(p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, hit, _ := c.Load(context.Background(), db, key); !hit {
-		t.Error("plan compiled after the race was not cached")
+	if res.Len() != 1 {
+		t.Errorf("cached plan returned %d trees after Carol was deleted, want 1", res.Len())
 	}
 }

@@ -334,7 +334,7 @@ func TestVarzFaultsVisibleOnlyWhenArmed(t *testing.T) {
 }
 
 // TestChaosBarrage hammers the server with concurrent queries and
-// cache-invalidating loads while probabilistic faults fire throughout.
+// document loads while probabilistic faults fire throughout.
 // Every response must be a well-formed member of the taxonomy, the
 // process must survive, goroutines must not leak, and after disarming the
 // results must be byte-identical to a pre-chaos baseline.
@@ -389,8 +389,9 @@ func TestChaosBarrage(t *testing.T) {
 			}
 		}(g)
 	}
-	// Concurrent loads invalidate the plan cache mid-barrage: under -race
-	// this doubles as the invalidation-vs-evaluation race check.
+	// Concurrent loads publish new directories mid-barrage while cached
+	// plans run: under -race this doubles as the load-vs-evaluation race
+	// check.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

@@ -362,8 +362,6 @@ type queryRequest struct {
 	// Engine selects the evaluation engine by name (TLC, OPT, GTP, TAX,
 	// NAV); empty means TLC.
 	Engine string `json:"engine,omitempty"`
-	// NoPlanner disables the cost-based planner (ablation runs).
-	NoPlanner bool `json:"no_planner,omitempty"`
 	// TimeoutMS overrides the server's default evaluation deadline,
 	// capped at Config.MaxTimeout.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
@@ -479,12 +477,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, req *queryRequest
 // plan looks the request's plan up in the cache (compiling on a miss).
 func (s *Server) plan(ctx context.Context, req *queryRequest) (*tlc.Prepared, bool, error) {
 	engine, _ := tlc.ParseEngine(req.Engine)
-	return s.cache.Load(ctx, s.db, plancache.Key{
-		Query:      req.Query,
-		Engine:     engine,
-		PlannerOff: req.NoPlanner,
-		Limits:     s.limits(req),
-	})
+	return s.cache.Load(ctx, s.db, plancache.Key{Query: req.Query, Engine: engine, Limits: s.limits(req)})
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -555,8 +548,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	engine, _ := tlc.ParseEngine(req.Engine)
-	opts := []tlc.Option{tlc.WithEngine(engine), tlc.WithPlanner(!req.NoPlanner)}
-	plan, err := s.db.ExplainContext(ctx, req.Query, opts...)
+	plan, err := s.db.ExplainContext(ctx, req.Query, tlc.WithEngine(engine))
 	if err != nil {
 		if internalClass(err) {
 			status, code := classify(err)
@@ -587,15 +579,10 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	engine, _ := tlc.ParseEngine(req.Engine)
-	opts := []tlc.Option{
-		tlc.WithEngine(engine),
-		tlc.WithPlanner(!req.NoPlanner),
-		tlc.WithLimits(s.limits(req)),
-	}
 	if s.preEval != nil {
 		s.preEval()
 	}
-	prof, err := s.db.ProfileContext(ctx, req.Query, opts...)
+	prof, err := s.db.ProfileContext(ctx, req.Query, tlc.WithEngine(engine), tlc.WithLimits(s.limits(req)))
 	if err != nil {
 		status, code := classify(err)
 		if code == codeQueryError {
@@ -817,7 +804,6 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		"nodes":         res.Nodes,
 		"nodes_added":   res.NodesAdded,
 		"nodes_removed": res.NodesRemoved,
-		"stats_deltas":  res.StatsDeltas,
 		"conflicts":     res.Conflicts,
 		"elapsed_ms":    float64(time.Since(begin)) / float64(time.Millisecond),
 	})
@@ -898,8 +884,7 @@ type varz struct {
 	Snapshot map[string]int64 `json:"snapshot"`
 	// Mutate holds the MVCC update gauges: updates committed since process
 	// start, commit races lost (each one retried), document versions still
-	// reachable (live + pinned superseded), incremental statistics deltas
-	// applied in place of catalog rebuilds, and the dictionary gauges:
+	// reachable (live + pinned superseded), and the dictionary gauges:
 	// strings interned against values documents hold now — the difference
 	// is garbage that updates left behind and the next checkpoint drops.
 	Mutate    map[string]int64 `json:"mutate"`
@@ -934,13 +919,12 @@ func mutateVarz(db *tlc.Database) map[string]int64 {
 	ut := tlc.UpdateCounters()
 	d := db.DictionaryStats()
 	return map[string]int64{
-		"updates_total":        ut.Updates,
-		"update_conflicts":     ut.Conflicts,
-		"versions_live":        db.VersionsLive(),
-		"stats_deltas_applied": ut.StatsDeltas,
-		"dict_tag_strings":     int64(d.TagStrings),
-		"dict_value_strings":   int64(d.ValueStrings),
-		"dict_value_live":      int64(d.ValueLive),
+		"updates_total":      ut.Updates,
+		"update_conflicts":   ut.Conflicts,
+		"versions_live":      db.VersionsLive(),
+		"dict_tag_strings":   int64(d.TagStrings),
+		"dict_value_strings": int64(d.ValueStrings),
+		"dict_value_live":    int64(d.ValueLive),
 	}
 }
 

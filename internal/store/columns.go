@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"tlc/internal/xmltree"
 )
@@ -79,9 +80,8 @@ type Doc struct {
 	tagPost, valPost []int32
 	// tags/vals resolve the dictionary IDs of this document's columns.
 	tags, vals *dict
-	// stats is the statistics summary served through Catalog: derived from
-	// the columns (derive), carried forward by every live splice.
-	stats *docStats
+	// life is this version's finalizer anchor (see lifetime).
+	life *lifetime
 	// version is the document's MVCC version: 1 for a freshly loaded
 	// document, incremented by every splice (mutate.go). A published Doc is
 	// immutable; a mutation builds a whole new Doc with version+1 and swaps
@@ -90,9 +90,17 @@ type Doc struct {
 	version uint64
 	// private marks a version SplicePrivate made and CommitPrivate has not
 	// published: nobody else sees it, SplicePrivate edits its columns in
-	// place, and it has neither postings nor catalog yet.
+	// place, and it has no postings yet.
 	private bool
 }
+
+// lifetime is allocated once per version and referenced by that version
+// only. It becomes unreachable with the version and references no
+// columns, so the extra collection cycle a finalizer keeps its object
+// alive for holds nothing else back: commit hangs the finalizer that
+// counts a superseded version released on it. The pointer field also keeps
+// it out of the tiny allocator, whose shared blocks can delay a finalizer.
+type lifetime struct{ superseded *atomic.Int64 }
 
 // Name returns the document name under which the document was loaded.
 func (d *Doc) Name() string { return d.name }
@@ -305,6 +313,7 @@ func buildDoc(doc *xmltree.Document, id DocID, tags, vals *dict) *Doc {
 		tags:    tags,
 		vals:    vals,
 		version: 1,
+		life:    new(lifetime),
 	}
 
 	// Pass 1: fill the columns with document-local dictionary IDs and
@@ -362,16 +371,15 @@ func buildDoc(doc *xmltree.Document, id DocID, tags, vals *dict) *Doc {
 }
 
 // derive builds what a version holds besides its columns — the tag and
-// value postings indexes and the statistics catalog — from the columns
-// alone: the interval identifiers make every structural fact a function of
-// (start, end, level), so all of it is derived data. Load runs it on a
-// parsed document, snapshot open on the columns it maps, and CommitPrivate
-// on a version a replay spliced in place; a live splice carries the same
-// data forward incrementally instead, and must agree with it.
+// value postings indexes — from the columns alone: the interval
+// identifiers make every structural fact a function of (start, end,
+// level), so all of it is derived data. Load runs it on a parsed document,
+// snapshot open on the columns it maps, and CommitPrivate on a version a
+// replay spliced in place; a live splice carries the same data forward
+// incrementally instead, and must agree with it.
 func derive(d *Doc) {
 	d.tagDir, d.tagPost = buildPostings(d.c.tag, 0)
 	d.valDir, d.valPost = buildPostings(d.c.val, 1)
-	d.stats = buildDocStats(d)
 }
 
 // nest fills the parent and level columns from end, and fails unless end

@@ -9,10 +9,9 @@ import (
 )
 
 // Fingerprint renders a canonical, dictionary-independent dump of the
-// document: columns with strings resolved, index postings grouped by
-// resolved name in sorted order, and the statistics catalog with tags and
-// pairs resolved and sorted. Two documents with equal fingerprints are
-// semantically identical — same tree, same indexes, same catalog — even
+// document: columns with strings resolved, and index postings grouped by
+// resolved name in sorted order. Two documents with equal fingerprints are
+// semantically identical — same tree, same indexes — even
 // when their dictionary IDs or postings-array packing differ (a mutated
 // document interns fragment strings in commit order; a fresh load interns
 // in first-occurrence order). The mutation oracle tests compare a spliced
@@ -47,30 +46,6 @@ func (d *Doc) Fingerprint() string {
 	writeIndex("tagidx", d.tagDir, d.tags, d.tagRefs)
 	writeIndex("validx", d.valDir, d.vals, d.valueRefs)
 
-	st := d.stats
-	fmt.Fprintf(&sb, "stats root=%s nodes=%d depth=%d\n", d.tags.str(st.rootTag), st.nodes, st.depth)
-	lines := make([]string, 0, len(st.tags))
-	for _, ts := range st.tags {
-		lines = append(lines, fmt.Sprintf("tag %q count=%d distinct=%d children=%d lvl=[%d,%d]",
-			d.tags.str(ts.Tag), ts.Count, ts.Distinct, ts.Children, ts.MinLevel, ts.MaxLevel))
-	}
-	writeSorted := func(lines []string) {
-		sort.Strings(lines)
-		for _, l := range lines {
-			sb.WriteString(l)
-			sb.WriteByte('\n')
-		}
-	}
-	writeSorted(lines)
-	writePairs := func(label string, pairs []pairRec) {
-		lines := make([]string, 0, len(pairs))
-		for _, p := range pairs {
-			lines = append(lines, fmt.Sprintf("%s %q %q = %d", label, d.tags.str(p.Up), d.tags.str(p.Down), p.Count))
-		}
-		writeSorted(lines)
-	}
-	writePairs("child", st.child)
-	writePairs("desc", st.desc)
 	return sb.String()
 }
 

@@ -146,8 +146,8 @@ func TestUpdateCostIsHistoryIndependent(t *testing.T) {
 	checkOracle(t, c.s.Doc(c.id))
 }
 
-// backing returns where each array of a version starts: columns, postings
-// indexes and catalog. Arrays without capacity have no memory to share.
+// backing returns where each array of a version starts: columns and
+// postings indexes. Arrays without capacity have no memory to share.
 func backing(d *Doc) map[unsafe.Pointer]bool {
 	at := map[unsafe.Pointer]bool{}
 	add := func(p unsafe.Pointer, capacity int) {
@@ -165,11 +165,6 @@ func backing(d *Doc) map[unsafe.Pointer]bool {
 		add(unsafe.Pointer(unsafe.SliceData(a)), cap(a))
 	}
 	add(unsafe.Pointer(unsafe.SliceData(d.c.kind)), cap(d.c.kind))
-	if d.stats != nil {
-		add(unsafe.Pointer(unsafe.SliceData(d.stats.tags)), cap(d.stats.tags))
-		add(unsafe.Pointer(unsafe.SliceData(d.stats.child)), cap(d.stats.child))
-		add(unsafe.Pointer(unsafe.SliceData(d.stats.desc)), cap(d.stats.desc))
-	}
 	return at
 }
 
@@ -188,8 +183,8 @@ func shared(a, b map[unsafe.Pointer]bool) int {
 // the first splice copies the base — mapped from a snapshot and pinned —
 // and every later one edits that private version in place, which reads as
 // the twin's version after every record; the base still reads as it did;
-// the version published shares no array with it and is the twin's, columns,
-// postings and catalog; and once published, a version is copied again
+// the version published shares no array with it and is the twin's, columns
+// and postings; and once published, a version is copied again
 // rather than edited.
 func TestPrivateChainNeverWritesTheBase(t *testing.T) {
 	live := newChurn(t, 0.01)
@@ -253,7 +248,7 @@ func TestPrivateChainNeverWritesTheBase(t *testing.T) {
 }
 
 // TestSpliceMaintainsWhatLoadDerives is the differential oracle between the
-// two ways a version gets its postings and catalog: a live splice carries
+// two ways a version gets its postings: a live splice carries
 // them forward incrementally, a replayed version derives them from its
 // columns when it is published. After every update of the churn they must
 // agree.
@@ -383,7 +378,7 @@ func TestSnapshotDropsDeadStrings(t *testing.T) {
 	if got, want := rd.Fingerprint(), d.Fingerprint(); got != want {
 		t.Fatalf("snapshot without dead strings does not round-trip:\n--- reopened ---\n%s\n--- live ---\n%s", got, want)
 	}
-	// The reopened catalog and dictionaries are views of the mapped file;
+	// The reopened columns and dictionaries are views of the mapped file;
 	// updates carry them forward all the same.
 	c.s = re
 	for i := 0; i < 50; i++ {

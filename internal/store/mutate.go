@@ -21,26 +21,20 @@ package store
 // written into a gap) and Commit swaps the copy-on-write directory entry,
 // so readers pinned on the old version keep a consistent view to
 // completion while writers never wait for them. Readers see the new version
-// the moment it commits, so its tag/value postings and its catalog are
-// carried forward incrementally: for a dictionary ID the splice touches, the
-// new postings list is the concatenation of the unshifted prefix (< At), the
-// fragment's ordinals ([At, At+m)), and the shifted suffix (>= DelEnd); all
-// other lists are carried over in runs, never searched (spliceIndex). The
-// statistics catalog is sorted arrays maintained by delta counts: each
-// deleted and inserted node adjusts its tag cardinality, its parent pair
-// and its distinct-ancestor pairs by ±1, and the folded adjustments are
-// merged into block copies of the old arrays; distinct-value counts and
-// level bounds, which are not sums, are adjusted from the postings of just
-// the (tag, value) pairs and tags the splice touched (spliceStats). What an
-// update costs depends on the document and the fragment, never on the
-// updates that came before.
+// the moment it commits, so its tag/value postings are carried forward
+// incrementally: for a dictionary ID the splice touches, the new postings
+// list is the concatenation of the unshifted prefix (< At), the fragment's
+// ordinals ([At, At+m)), and the shifted suffix (>= DelEnd); all other lists
+// are carried over in runs, never searched (spliceIndex). What an update
+// costs depends on the document and the fragment, never on the updates that
+// came before.
 //
 // A version nobody else can see — the one a WAL replay builds — is spliced
 // in place instead (SplicePrivate): columns only, the tail moved by one
 // overlapping copy, and nothing derived until CommitPrivate builds its
-// postings and catalog once, with the builder Load uses (derive), and
-// publishes it. Either way strings are interned into the store's shared
-// append-only dictionaries, which costs the strings that are new (dict.go).
+// postings once, with the builder Load uses (derive), and publishes it.
+// Either way strings are interned into the store's shared append-only
+// dictionaries, which costs the strings that are new (dict.go).
 //
 // One invariant keeps the arithmetic exact: a splice must not change the
 // concatenated text content of the parent P. Deleting an element between
@@ -52,7 +46,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
 	"strings"
@@ -75,8 +68,8 @@ var (
 	// ErrBadSplice reports a structurally invalid splice specification.
 	ErrBadSplice = errors.New("store: invalid splice")
 	// ErrSpliceContent reports a splice that would change the concatenated
-	// text content of the parent element, which the incremental index and
-	// statistics maintenance rely on being invariant.
+	// text content of the parent element, which the incremental index
+	// maintenance relies on being invariant.
 	ErrSpliceContent = errors.New("store: splice changes parent text content")
 )
 
@@ -107,15 +100,11 @@ type SpliceResult struct {
 	// NodesRemoved and NodesAdded count the deleted range and the
 	// fragment.
 	NodesRemoved, NodesAdded int
-	// StatsDeltas counts the individual ±1 adjustments applied to the
-	// statistics catalog (tag cardinalities, child pairs, ancestor pairs);
-	// 0 for SplicePrivate, which maintains no catalog.
-	StatsDeltas int
 }
 
 // BuildSplice computes the new version of document d produced by op: a
 // fresh *Doc with version d.Version()+1 that shares d's dictionaries, every
-// array at its exact size, postings and catalog maintained incrementally.
+// array at its exact size, postings maintained incrementally.
 // The input document is not modified, and the heavy work runs outside
 // every lock — pass the result to Commit to publish it.
 func (s *Store) BuildSplice(d *Doc, op SpliceOp) (*Doc, SpliceResult, error) {
@@ -130,14 +119,7 @@ func (s *Store) BuildSplice(d *Doc, op SpliceOp) (*Doc, SpliceResult, error) {
 	// Incremental index maintenance: merge, never rebuild.
 	nd.tagDir, nd.tagPost = spliceIndex(d.tagDir, d.tagPost, d.c.tag, nd.c.tag, 0, d0, d1, m, e.shift)
 	nd.valDir, nd.valPost = spliceIndex(d.valDir, d.valPost, d.c.val, nd.c.val, 1, d0, d1, m, e.shift)
-
-	// Incremental statistics: delta counts against the old catalog.
-	if err := faultinject.Hit(faultinject.PointMutateStatsDelta); err != nil {
-		return nil, SpliceResult{}, err
-	}
-	res := e.result()
-	nd.stats, res.StatsDeltas = spliceStats(d, nd, d0, d1, m)
-	return nd, res, nil
+	return nd, e.result(), nil
 }
 
 // SplicePrivate applies op to a version nobody else sees and returns it;
@@ -168,7 +150,7 @@ func (s *Store) SplicePrivate(d *Doc, op SpliceOp) (*Doc, SpliceResult, error) {
 // successor returns the shell of d's next version: d's columns, which it
 // must not write, and dictionaries; nothing derived.
 func (d *Doc) successor() *Doc {
-	return &Doc{name: d.name, id: d.id, c: d.c, tags: d.tags, vals: d.vals, version: d.version + 1}
+	return &Doc{name: d.name, id: d.id, c: d.c, tags: d.tags, vals: d.vals, version: d.version + 1, life: new(lifetime)}
 }
 
 // edit is a splice validated against one version, its fragment interned:
@@ -455,217 +437,6 @@ func spliceIndex(oldDir []dirEntry, oldPost []int32, oldCol, newCol []uint32, bi
 	return dir, post
 }
 
-// statsDelta accumulates what the deleted and inserted nodes of one splice
-// change in the catalog, as unsorted lists of single adjustments that
-// spliceStats folds per key and merges into the old arrays. An adjustment
-// is a record of the catalog whose counts are signed (two's complement:
-// adding uint32(-1) subtracts one).
-type statsDelta struct {
-	tags        []tagDelta
-	child, desc []pairRec
-	// vals notes every (tag, value ID) the splice removed a holder of
-	// (bit 0), added a holder of (bit 1), or both.
-	vals map[[2]uint32]uint8
-	// n counts the individual adjustments (SpliceResult.StatsDeltas).
-	n    int
-	seen []uint32
-}
-
-// tagDelta adjusts one tag's summary: signed counts, the level bounds of
-// the inserted nodes carrying the tag in MinLevel/MaxLevel and those of the
-// deleted ones in delMin/delMax. Bounds start out empty (min > max).
-type tagDelta struct {
-	tagStatRec
-	delMin, delMax int32
-}
-
-func newTagDelta(tag uint32) tagDelta {
-	return tagDelta{tagStatRec{Tag: tag, MinLevel: math.MaxInt32, MaxLevel: -1}, math.MaxInt32, -1}
-}
-
-// node records node i of c leaving (sign -1) or joining (sign +1) the
-// document: its tag cardinality, its (parentTag, tag) child pair, its
-// parent tag's child total, and one (ancestorTag, tag) pair per distinct
-// ancestor tag.
-func (a *statsDelta) node(c *cols, i int32, sign int32) {
-	tag, level := c.tag[i], c.level[i]
-	td := newTagDelta(tag)
-	td.Count = uint32(sign)
-	if sign < 0 {
-		td.delMin, td.delMax = level, level
-	} else {
-		td.MinLevel, td.MaxLevel = level, level
-	}
-	p := c.parent[i] // never -1: the root cannot be spliced out
-	ptag := c.tag[p]
-	pd := newTagDelta(ptag)
-	pd.Children = uint32(sign)
-	a.tags = append(a.tags, td, pd)
-	a.child = append(a.child, pairRec{ptag, tag, uint32(sign)})
-	a.n += 3
-	a.seen = a.seen[:0]
-	for ; p >= 0; p = c.parent[p] {
-		atag := c.tag[p]
-		if slices.Contains(a.seen, atag) {
-			continue
-		}
-		a.seen = append(a.seen, atag)
-		a.desc = append(a.desc, pairRec{atag, tag, uint32(sign)})
-		a.n++
-	}
-	if v := c.val[i]; v != 0 {
-		bit := uint8(1)
-		if sign > 0 {
-			bit = 2
-		}
-		a.vals[[2]uint32{tag, v - 1}] |= bit
-	}
-}
-
-// spliceStats produces the spliced document's catalog from the old one.
-// Counts are sums, so every deleted node subtracts and every inserted node
-// adds its adjustments (statsDelta.node); the adjustments are folded per
-// key and merged into the old sorted arrays, whose untouched stretches are
-// block copies. Distinct-value counts and level bounds are not sums, yet
-// neither is recounted over a tag's postings when the splice cannot have
-// changed it: a tag's distinct count moves only for a (tag, value) the
-// splice removed or added, and then by whether another holder exists
-// before and after (Doc.holds: the shorter of the two postings lists); a
-// level bound only widens on insert, and is rescanned only when a deleted
-// node sat on it. The second result counts the individual adjustments.
-func spliceStats(old, nd *Doc, d0, d1, m int32) (*docStats, int) {
-	a := &statsDelta{vals: make(map[[2]uint32]uint8)}
-	for i := d0; i < d1; i++ {
-		a.node(&old.c, i, -1)
-	}
-	for j := d0; j < d0+m; j++ {
-		a.node(&nd.c, j, +1)
-	}
-	// A (tag, value) the splice both removed and added had a holder before
-	// and has one after; one it only added counts if the old version had
-	// no holder, one it only removed if the new version has none left.
-	for tv, bits := range a.vals {
-		td := newTagDelta(tv[0])
-		switch {
-		case bits == 2 && !old.holds(tv[0], tv[1]):
-			td.Distinct = 1
-		case bits == 1 && !nd.holds(tv[0], tv[1]):
-			td.Distinct--
-		default:
-			continue
-		}
-		a.tags = append(a.tags, td)
-	}
-
-	st := &docStats{
-		rootTag: old.stats.rootTag,
-		nodes:   old.stats.nodes + int(m) - int(d1-d0),
-		tags:    mergeTagStats(old.stats.tags, a.tags, nd),
-		child:   mergePairs(old.stats.child, a.child),
-		desc:    mergePairs(old.stats.desc, a.desc),
-	}
-	for _, ts := range st.tags {
-		st.depth = max(st.depth, ts.MaxLevel)
-	}
-	return st, a.n
-}
-
-// holds reports whether some node of d carries both the tag and the value
-// (dictionary IDs), walking the shorter of the two postings lists.
-func (d *Doc) holds(tag, val uint32) bool {
-	vr := d.valueRefs(val)
-	if len(vr) == 0 {
-		return false
-	}
-	if tr := d.tagRefs(tag); len(tr) < len(vr) {
-		for _, r := range tr {
-			if d.c.val[r] == val+1 {
-				return true
-			}
-		}
-		return false
-	}
-	for _, r := range vr {
-		if d.c.tag[r] == tag {
-			return true
-		}
-	}
-	return false
-}
-
-// mergeTagStats applies the adjustments to the old per-tag summaries
-// (sorted by tag ID) and returns the new array; nd is the spliced document,
-// already indexed, for the level rescans.
-func mergeTagStats(old []tagStatRec, deltas []tagDelta, nd *Doc) []tagStatRec {
-	slices.SortFunc(deltas, func(a, b tagDelta) int { return cmp.Compare(a.Tag, b.Tag) })
-	out := make([]tagStatRec, 0, len(old)+len(deltas))
-	i := 0
-	for k := 0; k < len(deltas); {
-		dl := deltas[k]
-		fold := func(o tagStatRec) {
-			dl.Count += o.Count
-			dl.Distinct += o.Distinct
-			dl.Children += o.Children
-			dl.MinLevel, dl.MaxLevel = min(dl.MinLevel, o.MinLevel), max(dl.MaxLevel, o.MaxLevel)
-		}
-		for k++; k < len(deltas) && deltas[k].Tag == dl.Tag; k++ {
-			fold(deltas[k].tagStatRec)
-			dl.delMin, dl.delMax = min(dl.delMin, deltas[k].delMin), max(dl.delMax, deltas[k].delMax)
-		}
-		j, known := slices.BinarySearchFunc(old[i:], dl.tagStatRec, cmpTagStat)
-		out = append(out, old[i:i+j]...)
-		i += j
-		rescan := false
-		if known {
-			// A level bound widens with the inserted nodes, unless a
-			// deleted node sat on it: then it has to be found again.
-			rescan = dl.delMin == old[i].MinLevel || dl.delMax == old[i].MaxLevel
-			fold(old[i])
-			i++
-		}
-		r := dl.tagStatRec
-		if r.Count == 0 {
-			continue // the tag left the document
-		}
-		if rescan {
-			refs := nd.tagRefs(r.Tag)
-			r.MinLevel, r.MaxLevel = nd.c.level[refs[0]], nd.c.level[refs[0]]
-			for _, ref := range refs[1:] {
-				r.MinLevel = min(r.MinLevel, nd.c.level[ref])
-				r.MaxLevel = max(r.MaxLevel, nd.c.level[ref])
-			}
-		}
-		out = append(out, r)
-	}
-	return append(out, old[i:]...)
-}
-
-// mergePairs applies the adjustments to an old pair array (sorted by
-// (Up, Down)) and returns the new one; pairs whose count reaches zero are
-// dropped, exactly as a fresh build would never create them.
-func mergePairs(old, deltas []pairRec) []pairRec {
-	slices.SortFunc(deltas, cmpPair)
-	out := make([]pairRec, 0, len(old)+len(deltas))
-	i := 0
-	for k := 0; k < len(deltas); {
-		r := deltas[k]
-		for k++; k < len(deltas) && cmpPair(deltas[k], r) == 0; k++ {
-			r.Count += deltas[k].Count
-		}
-		j, known := slices.BinarySearchFunc(old[i:], r, cmpPair)
-		out = append(out, old[i:i+j]...)
-		i += j
-		if known {
-			r.Count += old[i].Count
-			i++
-		}
-		if r.Count != 0 {
-			out = append(out, r)
-		}
-	}
-	return append(out, old[i:]...)
-}
-
 // Commit publishes nd as the new version of old: the directory entry is
 // swapped copy-on-write under the same lock document loads use, after
 // verifying old is still the current version (pointer identity — the
@@ -699,7 +470,7 @@ func (s *Store) CommitLogged(old, nd *Doc, payload []byte) error {
 // CommitPrivate publishes versions from SplicePrivate, each over the
 // published version it was copied from, and raises the update generation to gen: all of it or
 // nothing. Pairs are (base, private). Each private version's postings
-// indexes and catalog are derived from its columns first, outside every
+// indexes are derived from its columns first, outside every
 // lock, by the builder Load uses; then every base must still be current,
 // and all the documents change with one directory swap, so no reader sees
 // some of them published and others not. On ErrVersionConflict the store is
@@ -747,14 +518,15 @@ func (s *Store) commit(pairs [][2]*Doc, advance func(gen uint64) (uint64, error)
 	s.dir.Store(next)
 	s.updateGen.Store(gen)
 	s.superseded.Add(int64(len(pairs)))
-	// The finalizer watches the version's catalog, not the Doc: a finalizer
-	// keeps its object and everything it references alive for one more
-	// collection cycle, and the Doc references the columns. The catalog is
-	// a few kilobytes that belong to exactly this version and become
+	// The finalizer watches the version's lifetime token, not the Doc: a
+	// finalizer keeps its object and everything it references alive for one
+	// more collection cycle, and the Doc references the columns. The token
+	// references none of them, belongs to exactly this version and becomes
 	// unreachable with it. (With updates allocating little besides the next
 	// version, versions held back by their finalizers were most of the heap.)
 	for _, p := range pairs {
-		runtime.SetFinalizer(p[0].stats, func(*docStats) { s.superseded.Add(-1) })
+		p[0].life.superseded = &s.superseded
+		runtime.SetFinalizer(p[0].life, func(l *lifetime) { l.superseded.Add(-1) })
 	}
 	return nil
 }

@@ -2,8 +2,10 @@ package store
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"tlc/internal/faultinject"
 	"tlc/internal/xmltree"
@@ -11,8 +13,8 @@ import (
 
 // checkOracle verifies a spliced document against a rebuild from its own
 // serialized XML: a fresh load must produce a semantically identical
-// document — same tree, same tag/value indexes, same statistics catalog —
-// which the canonical fingerprint captures. The structural self-check
+// document — same tree, same tag/value indexes — which the canonical
+// fingerprint captures. The structural self-check
 // runs first so a broken column shows up as itself, not as a diff.
 func checkOracle(t *testing.T, d *Doc) {
 	t.Helper()
@@ -31,7 +33,7 @@ func checkOracle(t *testing.T, d *Doc) {
 }
 
 // checkDerived fails unless what d carries besides its columns — the
-// postings and catalog the splice that built it maintained — is what derive
+// postings the splice that built it maintained — is what derive
 // builds from those columns.
 func checkDerived(t testing.TB, d *Doc) {
 	t.Helper()
@@ -74,9 +76,6 @@ func TestSpliceInsertAppend(t *testing.T) {
 	// person, @id, name, #text, age, #text.
 	if res.NodesAdded != 6 || res.NodesRemoved != 0 {
 		t.Fatalf("res = %+v, want 6 added, 0 removed", res)
-	}
-	if res.StatsDeltas == 0 {
-		t.Fatalf("no stats deltas recorded")
 	}
 	if err := s.Commit(d, nd); err != nil {
 		t.Fatalf("Commit: %v", err)
@@ -414,18 +413,6 @@ func TestMutateFaultInjection(t *testing.T) {
 	at := d.End(people) + 1
 	op := SpliceOp{Parent: people, At: at, DelEnd: at, Frag: mustFrag(t, `<person id="f"><name>F</name></person>`)}
 
-	if err := faultinject.Enable(faultinject.PointMutateStatsDelta + "=error"); err != nil {
-		t.Fatalf("Enable: %v", err)
-	}
-	_, _, err := s.BuildSplice(d, op)
-	faultinject.Disable()
-	if !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("stats-delta fault: err = %v, want ErrInjected", err)
-	}
-	if s.Doc(id) != d || s.UpdateGeneration() != 0 {
-		t.Fatalf("failed splice left partial state behind")
-	}
-
 	nd, _, err := s.BuildSplice(d, op)
 	if err != nil {
 		t.Fatalf("BuildSplice: %v", err)
@@ -449,14 +436,51 @@ func TestMutateFaultInjection(t *testing.T) {
 	checkOracle(t, s.Doc(id))
 }
 
-// TestSpliceDistinctCounts walks the three cases the incremental
-// distinct-value count distinguishes, by hand: inserting a value another
-// node of the tag already holds (no change), deleting one of several
-// holders (no change), deleting the last holder (one less) — each checked
-// against the catalog and the rebuild-from-XML oracle.
+// TestSupersededVersionIsReleased: a version a commit supersedes stays
+// counted in VersionsLive while a pinned view still reaches it, and is
+// released by the collector once the last reference drops.
+func TestSupersededVersionIsReleased(t *testing.T) {
+	s, id := load(t)
+	pin := s.Pin()
+	const updates = 20
+	for i := 0; i < updates; i++ {
+		d := s.Doc(id)
+		at := d.End(0) + 1
+		nd, _, err := s.BuildSplice(d, SpliceOp{Parent: 0, At: at, DelEnd: at, Frag: mustFrag(t, `<x/>`)})
+		if err != nil {
+			t.Fatalf("update %d: %v", i, err)
+		}
+		if err := s.Commit(d, nd); err != nil {
+			t.Fatalf("update %d: %v", i, err)
+		}
+	}
+	runtime.GC()
+	runtime.GC()
+	if got := s.VersionsLive(); got < 2 || got > updates+1 {
+		t.Fatalf("%d versions live while the first one is pinned, want 2..%d", got, updates+1)
+	}
+	if pin.Doc(id).Version() != 1 {
+		t.Fatal("the pinned view moved")
+	}
+	runtime.KeepAlive(pin)
+
+	for deadline := time.Now().Add(10 * time.Second); s.VersionsLive() != 1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d versions live after every reference dropped, want 1", s.VersionsLive())
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestSpliceDistinctCounts walks the three cases a value's postings list
+// distinguishes, by hand: inserting a value other nodes already hold (the
+// list grows), deleting one of several holders (it shrinks), deleting the
+// last holder (the value leaves the index) — each checked against the
+// rebuild-from-XML oracle.
 func TestSpliceDistinctCounts(t *testing.T) {
 	s, id := load(t)
-	distinct := func(tag string) int { return s.Catalog().Tag(id, tag).Distinct }
+	holders := func(v string) int { return len(s.Doc(id).valueRefsByName(v)) }
 	splice := func(op SpliceOp) {
 		t.Helper()
 		d := s.Doc(id)
@@ -469,17 +493,22 @@ func TestSpliceDistinctCounts(t *testing.T) {
 		}
 		checkOracle(t, nd)
 	}
-	if got := distinct("age"); got != 1 { // both persons are 30
-		t.Fatalf("distinct(age) = %d at load, want 1", got)
+	thirties := holders("30") // both persons are 30
+	if thirties == 0 || holders("41") != 0 {
+		t.Fatalf("at load: %d holders of 30, %d of 41; want some and none", thirties, holders("41"))
 	}
 
-	// A third 30 and, twice in one fragment, a first 41.
+	// A third 30 and, twice in one fragment, a first 41: each <age> and its
+	// text node hold the value.
 	people := ordOf(t, s, id, "people", 0)
 	at := s.Doc(id).End(people) + 1
 	splice(SpliceOp{Parent: people, At: at, DelEnd: at,
 		Frag: mustFrag(t, `<person id="p2"><age>30</age><age>41</age><age>41</age></person>`)})
-	if got := distinct("age"); got != 2 {
-		t.Fatalf("distinct(age) = %d after inserting 30, 41, 41, want 2", got)
+	if got, want := holders("30"), thirties+2; got != want {
+		t.Fatalf("%d holders of 30 after inserting one more, want %d", got, want)
+	}
+	if got := holders("41"); got != 4 {
+		t.Fatalf("%d holders of 41 after inserting two, want 4", got)
 	}
 
 	// One of the two 41s goes: 41 is still held.
@@ -487,30 +516,28 @@ func TestSpliceDistinctCounts(t *testing.T) {
 	ages := s.Tag(id, "age")
 	last := ages[len(ages)-1]
 	splice(SpliceOp{Parent: d.Parent(last), At: last, DelEnd: d.End(last) + 1})
-	if got := distinct("age"); got != 2 {
-		t.Fatalf("distinct(age) = %d after deleting one of two 41s, want 2", got)
+	if got := holders("41"); got != 2 {
+		t.Fatalf("%d holders of 41 after deleting one of two, want 2", got)
 	}
 
-	// The other 41 goes: nobody holds it any more. #text loses "41" too,
-	// while "30" stays with the three other text nodes.
-	texts := distinct("#text")
+	// The other 41 goes: nobody holds it any more.
 	d = s.Doc(id)
 	ages = s.Tag(id, "age")
 	last = ages[len(ages)-1]
 	splice(SpliceOp{Parent: d.Parent(last), At: last, DelEnd: d.End(last) + 1})
-	if got := distinct("age"); got != 1 {
-		t.Fatalf("distinct(age) = %d after deleting the last 41, want 1", got)
+	if got := holders("41"); got != 0 {
+		t.Fatalf("%d holders of 41 after deleting the last, want 0", got)
 	}
-	if got := distinct("#text"); got != texts-1 {
-		t.Fatalf("distinct(#text) = %d after deleting the last 41, want %d", got, texts-1)
+	if got, want := holders("30"), thirties+2; got != want {
+		t.Fatalf("%d holders of 30 after deleting the 41s, want %d", got, want)
 	}
 }
 
 // FuzzMutate drives random valid insert/delete/replace sequences against
 // the store and checks after every commit that the spliced document is
-// byte-for-byte semantically identical (columns, indexes, statistics) to
+// byte-for-byte semantically identical (columns, indexes) to
 // a fresh load of its own serialization — the rebuild-from-XML oracle —
-// and that its incrementally maintained postings and catalog are what
+// and that its incrementally maintained postings are what
 // derive builds from its columns.
 func FuzzMutate(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5})
@@ -522,7 +549,7 @@ func FuzzMutate(f *testing.F) {
 		1, 1, 0, 0, 1, 1, 1, 0, 12, 1, 0, 0, 12, 2, 1, 6, 2, 1, 0, 0, 2, 1, 0, 0, 1, 2, 0, 4, 1, 1, 0, 0})
 	// The last three repeat a value inside the fragment and carry values
 	// that nodes of sampleXML (and earlier copies of themselves) also hold,
-	// so the incremental distinct-value counts see every case: a value
+	// so the value postings see every case: a value
 	// inserted that is already present, one of several holders deleted,
 	// the last holder deleted.
 	fragments := []string{

@@ -54,7 +54,7 @@ import (
 // dictionaries in place — no per-node decoding — then derives the rest of
 // each document: parent and level in one pass over end (nest), which
 // is also the check that the intervals nest into one tree, and then the
-// postings indexes and the catalog with the builder load uses (derive).
+// postings indexes with the builder load uses (derive).
 // Every value an accessor indexes with is range-checked before anything
 // reads it, so a file that passes its checksum but was not written by this
 // code fails with ErrSnapshotCorrupt, never a panic.
@@ -478,7 +478,7 @@ func sectionView(payload []byte, secs []section, i int) ([]byte, error) {
 
 // decodeData turns the mapped data file into documents, in DocID order:
 // the stored columns and the dictionaries are views into data, the parent
-// and level columns, postings and catalog are derived. The returned Docs
+// and level columns and postings are derived. The returned Docs
 // have no DocID assigned yet (the load decides that).
 func decodeData(data []byte) ([]*Doc, error) {
 	const what = dataName
@@ -557,6 +557,7 @@ func decodeData(data []byte) ([]*Doc, error) {
 			},
 			tags: tags,
 			vals: vals,
+			life: new(lifetime),
 		}
 		if err := nest(d.c.end, d.c.parent, d.c.level); err != nil {
 			return nil, fmt.Errorf("%w: %s doc %d: %v", ErrSnapshotCorrupt, what, di, err)

@@ -83,8 +83,8 @@ func requireSameDoc(t *testing.T, want, got *Doc) {
 }
 
 // TestSnapshotRoundTrip: write a snapshot of a populated store, open it
-// into a fresh store, and require byte-identical documents, indexes and
-// statistics. The shards=4 case builds its store with NewSharded(4), which
+// into a fresh store, and require byte-identical documents and indexes.
+// The shards=4 case builds its store with NewSharded(4), which
 // ignores its argument: it keeps checking that for as long as it exists.
 func TestSnapshotRoundTrip(t *testing.T) {
 	for _, shards := range []int{1, 4} {
@@ -118,47 +118,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 					t.Fatalf("snapshot store has no %s", name)
 				}
 				requireSameDoc(t, src.Doc(wid), snap.Doc(gid))
-				// Everything open derives: parent and level, postings and
-				// catalog.
+				// Everything open derives: parent and level, and postings.
 				wd, gd := src.Doc(wid), snap.Doc(gid)
 				if got, want := gd.Fingerprint(), wd.Fingerprint(); got != want {
 					t.Fatalf("%s: reopened fingerprint differs\n--- opened ---\n%s\n--- live ---\n%s", name, got, want)
-				}
-
-				// Statistics catalog parity for every tag in the document.
-				wc, gc := src.Catalog(), snap.Catalog()
-				if wc.RootTag(wid) != gc.RootTag(gid) {
-					t.Fatalf("%s: root tag differs", name)
-				}
-				if wc.NodeCount([]DocID{wid}) != gc.NodeCount([]DocID{gid}) {
-					t.Fatalf("%s: node count differs", name)
-				}
-				if wc.Depth([]DocID{wid}) != gc.Depth([]DocID{gid}) {
-					t.Fatalf("%s: depth differs", name)
-				}
-				for i := int32(0); i < int32(wd.Len()); i++ {
-					tag := wd.Tag(i)
-					if tag == "" {
-						continue
-					}
-					if w, g := wc.Tag(wid, tag), gc.Tag(gid, tag); w != g {
-						t.Fatalf("%s: TagStats(%q) = %+v, want %+v", name, tag, g, w)
-					}
-					if w, g := wc.DistinctValues([]DocID{wid}, tag), gc.DistinctValues([]DocID{gid}, tag); w != g {
-						t.Fatalf("%s: DistinctValues(%q) = %d, want %d", name, tag, g, w)
-					}
-					for j := int32(0); j < int32(wd.Len()); j++ {
-						dtag := wd.Tag(j)
-						if dtag == "" {
-							continue
-						}
-						if w, g := wc.ChildPerParent([]DocID{wid}, tag, dtag), gc.ChildPerParent([]DocID{gid}, tag, dtag); w != g {
-							t.Fatalf("%s: ChildPerParent(%q,%q) = %v, want %v", name, tag, dtag, g, w)
-						}
-						if w, g := wc.DescPerAncestor([]DocID{wid}, tag, dtag), gc.DescPerAncestor([]DocID{gid}, tag, dtag); w != g {
-							t.Fatalf("%s: DescPerAncestor(%q,%q) = %v, want %v", name, tag, dtag, g, w)
-						}
-					}
 				}
 			}
 		})
@@ -472,8 +435,8 @@ func TestSnapshotResealedCorruption(t *testing.T) {
 // FuzzSnapshotOpen feeds data-file payloads past the checksum — each input
 // is framed with a fresh header and CRC — to the decoder. It must never
 // panic and may only fail with ErrSnapshotCorrupt; every document it does
-// open must be a well-formed tree (validateSplice) whose postings and
-// catalog are what derive builds from its columns, and must serialize.
+// open must be a well-formed tree (validateSplice) whose postings are what
+// derive builds from its columns, and must serialize.
 func FuzzSnapshotOpen(f *testing.F) {
 	s := loadSnapDocs(f, New())
 	docs := s.dir.Load().docs

@@ -16,7 +16,7 @@
 //
 // Reads never lock. Document versions are immutable, the directory is
 // replaced (never mutated) on load and commit, the dictionaries are
-// append-only behind atomic pointers (dict.go), and the statistics
+// append-only behind atomic pointers (dict.go), and the access
 // counters are maintained with sync/atomic, so concurrent queries probe
 // indexes and fetch nodes without coordination. A query running alone
 // produces exactly the counter values the paper's
@@ -122,7 +122,7 @@ type Store struct {
 	stats *counters
 	dir   atomic.Pointer[directory]
 	// loadMu serializes directory swaps between concurrent loads. The
-	// expensive part of a load (parsing, indexing, statistics) runs before
+	// expensive part of a load (parsing, indexing) runs before
 	// taking it, so concurrent loads overlap almost entirely.
 	loadMu  sync.Mutex
 	noStats bool
@@ -386,10 +386,8 @@ func (s *Store) Snapshot() Stats { return s.stats.snapshot() }
 // benchmarks where even the counter writes are unwanted.
 func (s *Store) DisableStats() { s.noStats = true }
 
-// TagCount returns the number of nodes with the given tag — catalog
-// metadata used by the plan optimizer for selectivity estimates. Catalog
-// probes are free (no access counting): a real system keeps these counts
-// in its catalog.
+// TagCount returns the number of nodes with the given tag, read off the
+// postings length without touching the access counters.
 func (s *Store) TagCount(id DocID, tag string) int {
 	return len(s.entry(id).tagRefsByName(tag))
 }

@@ -2,7 +2,6 @@ package xquery
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"tlc/internal/pattern"
@@ -209,80 +208,4 @@ func (f *FLWOR) Vars() []string {
 		out[i] = b.Var
 	}
 	return out
-}
-
-// Documents returns the names of every document("...") reference anywhere
-// in the query (bindings, WHERE, ORDER BY, RETURN, nested FLWORs), sorted
-// and deduplicated. Plan-cache validity is tracked per document, so the
-// set of referenced documents is what can make a compiled plan stale.
-func (f *FLWOR) Documents() []string {
-	set := make(map[string]struct{})
-	f.collectDocuments(set)
-	out := make([]string, 0, len(set))
-	for name := range set {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func (f *FLWOR) collectDocuments(set map[string]struct{}) {
-	if f == nil {
-		return
-	}
-	addPath := func(p *Path) {
-		if p != nil && p.Root == RootDocument {
-			set[p.Doc] = struct{}{}
-		}
-	}
-	var addExpr func(e Expr)
-	addExpr = func(e Expr) {
-		switch x := e.(type) {
-		case *And:
-			addExpr(x.L)
-			addExpr(x.R)
-		case *Or:
-			addExpr(x.L)
-			addExpr(x.R)
-		case *Comparison:
-			addPath(x.Left)
-			addPath(x.RightPath)
-		case *AggrPred:
-			addPath(x.Path)
-		case *Quantified:
-			addPath(x.Path)
-			if x.Cond != nil {
-				addExpr(x.Cond)
-			}
-		case *Not:
-			addExpr(x.X)
-		case *Exists:
-			addPath(x.Path)
-		}
-	}
-	var addRet func(r *RetNode)
-	addRet = func(r *RetNode) {
-		if r == nil {
-			return
-		}
-		addPath(r.Path)
-		for _, a := range r.Attrs {
-			addPath(a.Path)
-		}
-		for _, c := range r.Children {
-			addRet(c)
-		}
-		r.Sub.collectDocuments(set)
-	}
-	for _, b := range f.Bindings {
-		addPath(b.Path)
-		b.Sub.collectDocuments(set)
-	}
-	if f.Where != nil {
-		addExpr(f.Where)
-	}
-	for _, k := range f.OrderBy {
-		addPath(k.Path)
-	}
-	addRet(f.Return)
 }

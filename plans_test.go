@@ -14,13 +14,11 @@ import (
 //	go test -run TestGoldenPlans -update
 var updatePlans = flag.Bool("update", false, "rewrite the golden plan files in testdata/plans")
 
-// TestGoldenPlans snapshots the planned, estimate-annotated Explain output
-// of every workload query under every algebra engine against
-// testdata/plans/<ENGINE>/<id>.txt. Translator or planner changes then
-// surface as readable plan diffs instead of silent regressions. The
-// snapshots are taken at the parity scale factor, where the XMark
-// generator (and therefore every catalog statistic and estimate) is
-// deterministic.
+// TestGoldenPlans snapshots the Explain output of every workload query
+// under every algebra engine against testdata/plans/<ENGINE>/<id>.txt.
+// Translator or rewrite changes then surface as readable plan diffs instead
+// of silent regressions. A plan is a function of the query text and the
+// engine alone, so the document loaded here does not shape it.
 func TestGoldenPlans(t *testing.T) {
 	db := openXMark(t)
 	for _, q := range Workload() {

@@ -98,7 +98,7 @@ func (s *noteScript) run(tb testing.TB, db *Database, n int) {
 // docState is what recovery must reproduce of one document.
 type docState struct {
 	version     uint64
-	fingerprint string // columns, postings indexes and catalog (store.Doc.Fingerprint)
+	fingerprint string // columns and postings indexes (store.Doc.Fingerprint)
 }
 
 func docStates(db *Database) map[string]docState {
@@ -125,7 +125,7 @@ func requireRecovered(t *testing.T, got *Database, want map[string]docState, wan
 			t.Errorf("%s: recovered at version %d, original at %d", name, g.version, w.version)
 		}
 		if g.fingerprint != w.fingerprint {
-			t.Errorf("%s: recovered columns, indexes or catalog differ from the original", name)
+			t.Errorf("%s: recovered columns or indexes differ from the original", name)
 		}
 	}
 	if g := got.UpdateGeneration(); g != wantGen {

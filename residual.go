@@ -81,11 +81,10 @@ func (p *Prepared) WithResidual(sites []ResidualSite) (*Prepared, bool) {
 		plan = next
 	}
 	return &Prepared{
-		engine:   p.engine,
-		plan:     plan,
-		ast:      p.ast,
-		limits:   p.limits,
-		PlanInfo: p.PlanInfo,
+		engine: p.engine,
+		plan:   plan,
+		ast:    p.ast,
+		limits: p.limits,
 	}, true
 }
 

@@ -110,23 +110,3 @@ func TestShardMergeProperty(t *testing.T) {
 		}
 	}
 }
-
-// TestPreparedDocuments pins Prepared.Documents: it reports the documents
-// a query names, for both plan-walking and AST-walking engines.
-func TestPreparedDocuments(t *testing.T) {
-	db := Open()
-	if err := db.LoadXMLString("a.xml", `<site><person><name>X</name><age>30</age></person></site>`); err != nil {
-		t.Fatal(err)
-	}
-	q := `FOR $p IN document("a.xml")//person RETURN $p/name`
-	for _, e := range []Engine{TLC, TLCOpt, GTP, TAX, Nav} {
-		prep, err := db.Compile(q, WithEngine(e))
-		if err != nil {
-			t.Fatalf("%v: %v", e, err)
-		}
-		docs := prep.Documents()
-		if len(docs) != 1 || docs[0] != "a.xml" {
-			t.Errorf("%v: Documents() = %v, want [a.xml]", e, docs)
-		}
-	}
-}

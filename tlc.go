@@ -36,8 +36,6 @@ import (
 	"tlc/internal/faultinject"
 	"tlc/internal/governor"
 	"tlc/internal/mutate"
-	"tlc/internal/pattern"
-	"tlc/internal/planner"
 	"tlc/internal/rewrite"
 	"tlc/internal/seq"
 	"tlc/internal/store"
@@ -118,14 +116,12 @@ func ParseEngine(s string) (Engine, bool) {
 // pins the version set current when it starts and runs snapshot-isolated
 // to completion, so queries never block on loads or writers and neither
 // waits for readers; a query that overlaps a load or an update sees the
-// set it pinned. That is the only isolation mechanism, and DocumentVersion
-// is the only staleness signal: a compiled plan is current while every
-// document it names still reports the version it had at compile time (0
-// for a document not loaded — documents are never unloaded, so 0 -> 1 is
-// the only way an absent name changes). The store's statistics counters
-// are atomic, so concurrent Run calls interleave counter updates rather
-// than corrupt them. Each query is evaluated serially, by one goroutine,
-// as the paper's engine did.
+// set it pinned. That is the only isolation mechanism. A compiled plan
+// depends on the query text, the engine and the limits alone, never on the
+// documents, so no load or update can make it stale. The store's access
+// counters are atomic, so concurrent Run calls interleave counter updates
+// rather than corrupt them. Each query is evaluated serially, by one
+// goroutine, as the paper's engine did.
 type Database struct {
 	st *store.Store
 	// wal, when AttachWAL has run, is the durable write-ahead log every
@@ -179,8 +175,7 @@ func (db *Database) Documents() []string { return db.st.Names() }
 type UpdateRequest = mutate.Request
 
 // UpdateResult reports what an update committed: the new document
-// version, node deltas, and how many incremental statistics adjustments
-// replaced a catalog recomputation.
+// version and node deltas.
 type UpdateResult = mutate.Result
 
 // UpdateKind is the update operation: UpdateInsert, UpdateDelete or
@@ -230,15 +225,15 @@ func (db *Database) Update(req UpdateRequest, opts ...Option) (UpdateResult, err
 
 // UpdateContext applies one subtree update under ctx. The writer builds
 // the mutated document as a complete new version off to the side —
-// incrementally carrying the tag/value indexes and the statistics catalog
-// forward by deltas — and commits it with one copy-on-write directory
-// swap, so concurrent queries never block: queries started before the
-// commit (and Results they returned) keep observing the old version,
-// queries started after it observe the new one. Resource budget options
-// (WithLimits and friends) govern the write cost with the same taxonomy
-// as queries; engine options are ignored. On a conflict
-// with a concurrent update the target is re-resolved and retried a
-// bounded number of times before ErrUpdateConflict is returned.
+// incrementally carrying the tag/value indexes forward — and commits it
+// with one copy-on-write directory swap, so concurrent queries never
+// block: queries started before the commit (and Results they returned)
+// keep observing the old version, queries started after it observe the
+// new one. Resource budget options (WithLimits and friends) govern the
+// write cost with the same taxonomy as queries; engine options are
+// ignored. On a conflict with a concurrent update the target is
+// re-resolved and retried a bounded number of times before
+// ErrUpdateConflict is returned.
 func (db *Database) UpdateContext(ctx context.Context, req UpdateRequest, opts ...Option) (UpdateResult, error) {
 	var cfg queryConfig
 	for _, o := range opts {
@@ -252,13 +247,12 @@ func (db *Database) UpdateContext(ctx context.Context, req UpdateRequest, opts .
 type UpdateTotals = mutate.Totals
 
 // UpdateCounters returns the process-wide update counters (updates
-// committed, conflicts hit, statistics deltas applied).
+// committed, conflicts hit).
 func UpdateCounters() UpdateTotals { return mutate.Counters() }
 
 // DocumentVersion returns the MVCC version of a document (fresh loads are
 // version 1; every committed update increments it) and whether it is
-// loaded; a name that is not loaded reports version 0. It is what a plan
-// cache records per named document at compile time and compares on lookup.
+// loaded; a name that is not loaded reports version 0.
 func (db *Database) DocumentVersion(name string) (uint64, bool) { return db.st.DocVersion(name) }
 
 // UpdateGeneration returns the number of updates committed into the
@@ -607,9 +601,8 @@ type BudgetError = governor.ErrBudgetExceeded
 type Option func(*queryConfig)
 
 type queryConfig struct {
-	engine     Engine
-	plannerOff bool
-	limits     Limits
+	engine Engine
+	limits Limits
 }
 
 // WithEngine selects the evaluation engine for a query.
@@ -617,13 +610,10 @@ func WithEngine(e Engine) Option {
 	return func(c *queryConfig) { c.engine = e }
 }
 
-// WithPlanner enables or disables the cost-based planner (default on).
-// With the planner off, plans are executed exactly as translated: query
-// order for pattern edges and predicates, sort–merge–sort for every
-// equality value join — the ablation baseline.
-func WithPlanner(on bool) Option {
-	return func(c *queryConfig) { c.plannerOff = !on }
-}
+// WithPlanner is ignored: every plan runs as translated. It remains only
+// because bench/oracle.go:28 passes it; the next benchmark change deletes
+// it.
+func WithPlanner(on bool) Option { return func(*queryConfig) {} }
 
 // WithParallelism is ignored: every query is evaluated serially. It remains
 // only because bench/layers.go:775 and bench/oracle.go:28 pass it; the
@@ -640,12 +630,13 @@ func WithLimits(l Limits) Option {
 // benchmarks compile once and measure evaluation only, like the paper).
 //
 // A single Prepared is safe for concurrent Run/RunContext calls: the plan
-// DAG is immutable after Compile (every rewrite and planner decision
-// mutates operators at compile time only; eval methods read operator
-// fields and own their per-run input sequences), and all per-run state —
-// matcher caches, memoization, the node arena — lives in the evaluation
-// context created per call. This is what lets a prepared-plan cache hand
-// one Prepared to many concurrent requests.
+// DAG is immutable after Compile (every rewrite mutates operators at
+// compile time only; eval methods read operator fields and own their
+// per-run input sequences), and all per-run state — matcher caches,
+// memoization, the node arena — lives in the evaluation context created
+// per call. Compiling reads no document, so a Prepared stays right across
+// loads and updates. This is what lets a prepared-plan cache hand one
+// Prepared to many concurrent requests, for as long as it keeps it.
 type Prepared struct {
 	engine Engine
 	plan   algebra.Op // nil for Nav
@@ -655,9 +646,6 @@ type Prepared struct {
 	// Nav); the plan cache aligns them with canonical literal sites to
 	// place residual filters on containment reuse.
 	predSites []translate.PredSite
-	// PlanInfo records what the cost-based planner did and estimated; nil
-	// when the planner was disabled or the engine has no plan (Nav).
-	PlanInfo *planner.Info
 }
 
 // PredSite re-exports the translator's predicate-site record.
@@ -670,50 +658,17 @@ func (p *Prepared) Engine() Engine { return p.engine }
 // governed by (the zero Limits means ungoverned).
 func (p *Prepared) Limits() Limits { return p.limits }
 
-// Documents returns the names of the documents the query references,
-// sorted and deduplicated. For the algebra engines the set is read off the
-// compiled plan (document-rooted pattern selects); for the navigational
-// engine it is read off the AST. These are the names whose DocumentVersion
-// a plan cache records: nothing else in the database can make the plan
-// stale.
-func (p *Prepared) Documents() []string {
-	if p.engine == Nav {
-		return p.ast.Documents()
-	}
-	set := make(map[string]struct{})
-	var walk func(op algebra.Op)
-	walk = func(op algebra.Op) {
-		if op == nil {
-			return
-		}
-		if s, ok := op.(*algebra.Select); ok {
-			if root := s.APT.Root; root != nil && root.Kind == pattern.TestDocRoot {
-				set[root.Doc] = struct{}{}
-			}
-		}
-		for _, in := range op.Inputs() {
-			walk(in)
-		}
-	}
-	walk(p.plan)
-	out := make([]string, 0, len(set))
-	for name := range set {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Compile parses and translates a query for the selected engine.
 func (db *Database) Compile(text string, opts ...Option) (*Prepared, error) {
 	return db.CompileContext(context.Background(), text, opts...)
 }
 
 // CompileContext is Compile under a context.Context: compilation phases
-// (parse, translate, rewrite, plan) are separated by cancellation checks,
-// so a disconnecting client does not pay for planning a query nobody will
-// run. Compilation itself is CPU-bounded per phase; the fine-grained
-// cooperative checks live in evaluation.
+// (parse, translate, rewrite) are separated by cancellation checks, so a
+// disconnecting client does not pay for compiling a query nobody will run.
+// Compilation itself is CPU-bounded per phase; the fine-grained cooperative
+// checks live in evaluation. The plan is a function of the text, the
+// engine and the limits: compiling reads no document.
 func (db *Database) CompileContext(ctx context.Context, text string, opts ...Option) (*Prepared, error) {
 	cfg := queryConfig{engine: TLC}
 	for _, o := range opts {
@@ -764,16 +719,6 @@ func (db *Database) CompileContext(ctx context.Context, text string, opts ...Opt
 	default:
 		return nil, fmt.Errorf("tlc: unknown engine %v", cfg.engine)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if !cfg.plannerOff {
-		// The cost-based planner makes every physical decision — pattern
-		// edge order, filter/disjunct predicate order, value-join algorithm
-		// — for all algebra engines, and records per-operator cardinality
-		// estimates for EXPLAIN/PROFILE.
-		p.plan, p.PlanInfo = planner.Plan(p.plan, db.st, planner.Options{})
-	}
 	return p, nil
 }
 
@@ -823,8 +768,6 @@ func (db *Database) QueryContext(ctx context.Context, text string, opts ...Optio
 
 // Explain returns the evaluation plan of a query as an indented operator
 // tree (empty for the navigational engine, which interprets the AST).
-// When the planner is on, each operator carries its estimated output
-// cardinality as an est=N annotation.
 func (db *Database) Explain(text string, opts ...Option) (string, error) {
 	return db.ExplainContext(context.Background(), text, opts...)
 }
@@ -838,10 +781,7 @@ func (db *Database) ExplainContext(ctx context.Context, text string, opts ...Opt
 	if p.plan == nil {
 		return "(navigational interpretation of the query AST)\n", nil
 	}
-	if p.PlanInfo == nil {
-		return algebra.Explain(p.plan), nil
-	}
-	return algebra.ExplainFunc(p.plan, p.PlanInfo.Annotate), nil
+	return algebra.Explain(p.plan), nil
 }
 
 // Profile evaluates a query while recording per-operator output
@@ -867,10 +807,7 @@ func (db *Database) ProfileContext(ctx context.Context, text string, opts ...Opt
 	if err != nil {
 		return "", err
 	}
-	if p.PlanInfo == nil {
-		return pr.String(), nil
-	}
-	return pr.StringWithEstimates(p.PlanInfo.Estimate), nil
+	return pr.String(), nil
 }
 
 // Result is an evaluated query result: a sequence of XML trees. It holds
