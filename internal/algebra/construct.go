@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"fmt"
+	"slices"
 
 	"tlc/internal/pattern"
 	"tlc/internal/seq"
@@ -9,10 +10,13 @@ import (
 )
 
 // Construct assembles one output tree per input tree according to an
-// annotated construct-pattern tree (Section 2.3). Class references copy
-// whole subtrees — store-backed nodes are materialized from the store at
-// this point and only at this point, which is the deferred-materialization
-// property TLC has over TAX — and copies labelled with NewLCL remain
+// annotated construct-pattern tree (Section 2.3). A class reference to a
+// stored node emits one store reference, which stands for the whole stored
+// subtree: its value is read from the columns only when the answer is
+// written out, or when an enclosing block's extension descends into it —
+// the deferred-materialization property TLC has over TAX, carried to the
+// socket. References to temporary nodes (earlier construct results) copy
+// or move their subtrees, and copies labelled with NewLCL remain
 // addressable by enclosing query blocks (Figure 8).
 type Construct struct {
 	unary
@@ -36,9 +40,10 @@ func (c *Construct) eval(ctx *Context, in []seq.Seq) (seq.Seq, error) {
 		return nil, fmt.Errorf("construct without a pattern")
 	}
 	out := make(seq.Seq, 0, len(in[0]))
+	single := subtreeRefs(c.Pattern) == 1
 	for _, t := range in[0] {
 		nt := ctx.arena.NewTree(nil)
-		cn := construction{a: ctx.arena, st: ctx.Store, t: t, nt: nt}
+		cn := construction{a: ctx.arena, st: ctx.Store, t: t, nt: nt, move: single && !t.Frozen()}
 		roots, err := cn.build(c.Pattern)
 		if err != nil {
 			return nil, err
@@ -72,6 +77,22 @@ type construction struct {
 	// classOf is the reverse class table of t (node → labels, ascending),
 	// built the first time a copied subtree has labels to carry.
 	classOf map[*seq.Node][]int
+	// move lets temporary subtrees move from t into nt instead of being
+	// copied: t is this construction's own (unfrozen) and the pattern has
+	// a single subtree reference, so no other reference can place them.
+	move bool
+}
+
+// subtreeRefs counts the subtree references of a construct pattern.
+func subtreeRefs(c *pattern.ConstructNode) int {
+	n := 0
+	if c.Kind == pattern.ConstructSubtree {
+		n++
+	}
+	for _, ch := range c.Children {
+		n += subtreeRefs(ch)
+	}
+	return n
 }
 
 // build evaluates one construct node against the input tree, returning the
@@ -110,7 +131,7 @@ func (cn *construction) build(c *pattern.ConstructNode) ([]*seq.Node, error) {
 		members := t.Class(c.FromLCL)
 		outs := make([]*seq.Node, 0, len(members))
 		for _, m := range members {
-			cp := cn.copyForOutput(m)
+			cp := cn.copyForOutput(m, c.FromLCL)
 			if c.NewLCL > 0 {
 				nt.AddToClass(c.NewLCL, cp)
 			}
@@ -138,35 +159,56 @@ func (cn *construction) build(c *pattern.ConstructNode) ([]*seq.Node, error) {
 	}
 }
 
-// copyForOutput copies the full subtree of a referenced node into the
-// output tree: store references are materialized from the store, temporary
-// nodes (earlier construct results) are deep-copied, carrying their class
-// labels along so outer blocks can keep referencing them.
-func (cn *construction) copyForOutput(n *seq.Node) *seq.Node {
+// copyForOutput returns the output tree's node for the member n of class
+// lcl. A store reference stands for its stored subtree, so it is copied as
+// one node, which the serializer writes from the columns. A temporary node
+// (an earlier construct result) brings its subtree along, moved when the
+// construction may move and n is movable, deep-copied otherwise, with the
+// class labels of the nodes below it, so outer blocks can keep referencing
+// them.
+func (cn *construction) copyForOutput(n *seq.Node, lcl int) *seq.Node {
 	if n.IsStore() && !n.Full {
-		return seq.MaterializeIn(cn.a, cn.st, n.Doc, n.Ord)
+		return cn.a.StoreNode(n.Doc, n.Ord, n.Kind, n.Tag, n.Value)
 	}
-	cp, nm := seq.CopySubtree(cn.a, n)
 	if len(n.Kids) == 0 {
+		cp, _ := seq.CopySubtree(cn.a, n)
 		return cp // the reference root's own class is set by the caller
 	}
 	if cn.classOf == nil {
 		cn.classOf = make(map[*seq.Node][]int)
-		for _, lcl := range cn.t.Classes() {
-			for _, m := range cn.t.ClassAll(lcl) {
-				cn.classOf[m] = append(cn.classOf[m], lcl)
+		for _, l := range cn.t.Classes() {
+			for _, m := range cn.t.ClassAll(l) {
+				cn.classOf[m] = append(cn.classOf[m], l)
 			}
 		}
 	}
+	cp, nm := n, seq.NodeMap{}
+	if !cn.move || !cn.movable(n, lcl) {
+		cp, nm = seq.CopySubtree(cn.a, n)
+	}
+	cp.Parent = nil
 	n.Walk(func(x *seq.Node) bool {
 		if x != n {
-			for _, lcl := range cn.classOf[x] {
-				cn.nt.AddToClass(lcl, nm.Get(x))
+			for _, l := range cn.classOf[x] {
+				cn.nt.AddToClass(l, nm.Get(x))
 			}
 		}
 		return true
 	})
 	return cp
+}
+
+// movable reports whether n may move out of the input tree: it is still
+// there — its ancestors lead to t's root — and none of them is a member of
+// class lcl, whose own move would already carry n.
+func (cn *construction) movable(n *seq.Node, lcl int) bool {
+	a := n
+	for ; a.Parent != nil; a = a.Parent {
+		if slices.Contains(cn.classOf[a.Parent], lcl) {
+			return false
+		}
+	}
+	return a == cn.t.Root
 }
 
 var _ Op = (*Construct)(nil)

@@ -51,11 +51,14 @@ type site struct {
 	cur int // index into mem
 }
 
-// label is one classification an in-memory match makes: nothing is
-// attached, a node of the input tree joins a class.
+// label is one classification an in-memory match makes: a node joins a
+// class. A node found below a stored node, which stands for its stored
+// subtree, is read from the columns and is not in the input tree: under is
+// the node it is attached below, in each witness tree that uses it.
 type label struct {
-	lcl  int
-	node *seq.Node
+	lcl   int
+	node  *seq.Node
+	under *seq.Node
 }
 
 // advance moves the site to its next alternative; false after the last.
@@ -86,7 +89,9 @@ func (s *site) rewind() {
 // anchor that fails, or for a stored node no input tree anchors at. Anchors
 // that are temporary nodes — constructed intermediate results — are matched
 // against their in-memory children instead, and matching nodes are
-// classified in place.
+// classified in place. Below a stored node of such a tree, which stands
+// for its stored subtree, the match reads the columns and attaches the
+// nodes it classifies to the stored node in each witness tree.
 func (m *Matcher) MatchExtend(ctx context.Context, input seq.Seq, apt *pattern.Tree) (seq.Seq, error) {
 	if err := apt.Validate(); err != nil {
 		return nil, err
@@ -116,6 +121,9 @@ type extender struct {
 	anchor *pattern.Node
 	av     *vec   // the anchor's vec in the document of the last stored anchor
 	sites  []site // reused from tree to tree
+	// placed pairs each node a label read from the columns with its copy
+	// in the witness tree being built.
+	placed [][2]*seq.Node
 }
 
 // enter points the builder and x.av at the document of stored anchor a.
@@ -209,8 +217,9 @@ func (x *extender) apply(s *site, nm seq.NodeMap) error {
 		x.t.AddToClass(lcl, target)
 	}
 	if s.v == nil {
+		x.placed = x.placed[:0]
 		for _, l := range s.mem[s.cur] {
-			x.t.AddToClass(l.lcl, nm.Get(l.node))
+			x.t.AddToClass(l.lcl, x.place(l, nm))
 		}
 		return nil
 	}
@@ -219,6 +228,29 @@ func (x *extender) apply(s *site, nm seq.NodeMap) error {
 	}
 	x.kids(s.v, s.a.Ord, target, &s.od, 0)
 	return x.err
+}
+
+// place returns the node of the witness tree being built that l labels:
+// the tree's own, or a copy of a node read from the columns, attached below
+// its stored ancestor the first time the tree needs it. Labels list a node
+// before the nodes found below it.
+func (x *extender) place(l label, nm seq.NodeMap) *seq.Node {
+	if l.under == nil {
+		return nm.Get(l.node)
+	}
+	under := nm.Get(l.under)
+	for _, p := range x.placed {
+		switch p[0] {
+		case l.node:
+			return p[1]
+		case l.under:
+			under = p[1]
+		}
+	}
+	cp := x.slab.StoreNodeOf(l.node.Doc, l.node.Ord, x.m.st.Doc(l.node.Doc))
+	seq.Attach(under, cp)
+	x.placed = append(x.placed, [2]*seq.Node{l.node, cp})
+	return cp
 }
 
 // memAlts matches the plain and logical edges of p below the in-memory node
@@ -235,14 +267,14 @@ func (m *Matcher) memAlts(ctx context.Context, n *seq.Node, p *pattern.Node) ([]
 			continue
 		}
 		var ms [][]label // what each match of the edge adds, in document order
-		for _, k := range relatives(n, e.Axis) {
-			sub, err := m.memMatch(ctx, k, e.To)
+		for _, r := range m.relatives(n, e.Axis) {
+			sub, err := m.memMatch(ctx, r.node, e.To)
 			if err != nil {
 				return nil, err
 			}
 			for _, s := range sub {
-				if e.To.LCL > 0 {
-					s = append([]label{{e.To.LCL, k}}, s...)
+				if e.To.LCL > 0 || r.under != nil {
+					s = append([]label{{e.To.LCL, r.node, r.under}}, s...)
 				}
 				ms = append(ms, s)
 			}
@@ -314,26 +346,52 @@ func (m *Matcher) memExists(ctx context.Context, n *seq.Node, e pattern.Edge) (b
 		}
 		return related(m.st.Doc(n.Doc), cv.ords, n.Ord, e.Axis), nil
 	}
-	for _, k := range relatives(n, e.Axis) {
-		if sub, err := m.memMatch(ctx, k, e.To); err != nil || len(sub) > 0 {
+	for _, r := range m.relatives(n, e.Axis) {
+		if sub, err := m.memMatch(ctx, r.node, e.To); err != nil || len(sub) > 0 {
 			return err == nil, err
 		}
 	}
 	return false, nil
 }
 
-// relatives returns the in-memory children or descendants of n, shadowed
-// ones included, in document order.
-func relatives(n *seq.Node, axis pattern.Axis) []*seq.Node {
-	if axis == pattern.Child {
-		return n.Kids
+// relatives returns the children or descendants of n, shadowed ones
+// included, in document order, as labels without a class. A stored node
+// that is not materialized stands for its stored subtree: the relatives
+// below it are read from the columns, as fresh nodes to be placed under it,
+// and the nodes a match attached to it are not consulted.
+func (m *Matcher) relatives(n *seq.Node, axis pattern.Axis) []label {
+	if n.IsStore() && !n.Full {
+		return m.storedRelatives(nil, n, axis)
 	}
-	var out []*seq.Node
+	var out []label
+	var visit func(k *seq.Node)
+	visit = func(k *seq.Node) {
+		out = append(out, label{node: k})
+		switch {
+		case axis == pattern.Child:
+		case k.IsStore() && !k.Full:
+			out = m.storedRelatives(out, k, axis)
+		default:
+			for _, c := range k.Kids {
+				visit(c)
+			}
+		}
+	}
 	for _, k := range n.Kids {
-		k.Walk(func(x *seq.Node) bool {
-			out = append(out, x)
-			return true
-		})
+		visit(k)
+	}
+	return out
+}
+
+// storedRelatives appends to out the stored children or descendants of
+// the stored node n, each to be placed under n.
+func (m *Matcher) storedRelatives(out []label, n *seq.Node, axis pattern.Axis) []label {
+	d := m.st.Doc(n.Doc)
+	for c := n.Ord + 1; c <= d.End(n.Ord); c++ {
+		out = append(out, label{node: seq.NewStoreNode(n.Doc, c, d), under: n})
+		if axis == pattern.Child {
+			c = d.End(c)
+		}
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package physical
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -298,4 +299,115 @@ func TestExtendLogicalEdgeUnderTemporaryAnchorHonoursContext(t *testing.T) {
 	if _, err := NewMatcher(s).MatchExtend(ctx, build(), apt); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled from the logical edge's store match", err)
 	}
+}
+
+// TestExtendBelowStoreReference extends a constructed tree whose kids are
+// store references, which stand for their stored subtrees, with child and
+// descendant edges, NOT and OR edges and a "-" edge that multiplies the
+// tree. The labels and answers must be those of the same tree with the
+// subtrees materialised, every labelled node must hang in its own witness
+// tree, and a frozen input shared by two consumers must come out of both
+// extensions as it went in.
+func TestExtendBelowStoreReference(t *testing.T) {
+	s, id := loadFixture(t, fixtureXML)
+	build := func(materialise bool) *seq.Tree {
+		root := seq.NewTempElement("res")
+		seq.Attach(root, seq.NewTempText("t"))
+		for _, o := range s.Tag(id, "a") {
+			n := seq.NewStoreNode(id, o, s.Doc(id))
+			if materialise {
+				n = seq.Materialize(s, id, o)
+			}
+			seq.Attach(root, n)
+		}
+		tr := seq.NewTree(root)
+		tr.AddToClass(1, root)
+		return tr
+	}
+	anchored := func(edges ...pattern.Edge) *pattern.Tree {
+		anchor := pattern.NewLCAnchor(0, 1)
+		anchor.Edges = edges
+		return &pattern.Tree{Root: anchor}
+	}
+	aWith := func(spec pattern.MSpec, edges ...pattern.Edge) pattern.Edge {
+		e := edge("a", 5, pattern.Child, spec)
+		e.To.Edges = edges
+		return e
+	}
+	not := func(e pattern.Edge) pattern.Edge { e.Not = true; return e }
+	or := func(es ...pattern.Edge) []pattern.Edge {
+		for i := range es {
+			es[i].Group = 1
+		}
+		return es
+	}
+	cases := map[string]*pattern.Tree{
+		"child":      anchored(aWith(pattern.ZeroOrMore, edge("b", 6, pattern.Child, pattern.One))),
+		"descendant": anchored(edge("b", 6, pattern.Descendant, pattern.ZeroOrMore)),
+		"deep":       anchored(aWith(pattern.ZeroOrMore, edge("c", 6, pattern.Descendant, pattern.ZeroOrOne))),
+		"not":        anchored(aWith(pattern.ZeroOrMore, not(edge("b", 0, pattern.Child, pattern.One)))),
+		"or":         anchored(aWith(pattern.ZeroOrMore, or(edge("c", 0, pattern.Child, pattern.One), not(edge("b", 0, pattern.Descendant, pattern.One)))...)),
+		"multiplies": anchored(aWith(pattern.One, edge("b", 6, pattern.Child, pattern.One))),
+	}
+	// describe renders each witness tree as its answer and its labels, and
+	// checks that every labelled node hangs in the tree.
+	describe := func(out seq.Seq) []string {
+		var lines []string
+		for i, w := range out {
+			lines = append(lines, string(seq.AppendXML(nil, s, w.Root)))
+			for _, lcl := range w.Classes() {
+				var ids []string
+				for _, m := range w.ClassAll(lcl) {
+					top := m
+					for top.Parent != nil {
+						top = top.Parent
+					}
+					if top != w.Root {
+						t.Errorf("tree %d: class %d member %s is not in the tree", i, lcl, m.Identity())
+					}
+					if m.IsStore() {
+						ids = append(ids, m.Identity())
+					} else {
+						ids = append(ids, m.Tag) // temporary IDs differ from build to build
+					}
+				}
+				lines = append(lines, fmt.Sprintf("  %d: %s", lcl, strings.Join(ids, " ")))
+			}
+		}
+		return lines
+	}
+	extend := func(in seq.Seq, apt *pattern.Tree) []string {
+		t.Helper()
+		out, err := NewMatcher(s).MatchExtend(context.Background(), in, apt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return describe(out)
+	}
+	for name, apt := range cases {
+		t.Run(name, func(t *testing.T) {
+			want := strings.Join(extend(seq.Seq{build(true)}, apt), "\n")
+			if got := strings.Join(extend(seq.Seq{build(false)}, apt), "\n"); got != want {
+				t.Errorf("store references:\n%s\nmaterialised:\n%s", got, want)
+			}
+			shared := build(false)
+			shared.Freeze()
+			before := strings.Join(describe(seq.Seq{shared}), "\n")
+			for consumer := 0; consumer < 2; consumer++ {
+				if got := strings.Join(extend(seq.Seq{shared}.Alias(), apt), "\n"); got != want {
+					t.Errorf("consumer %d of a frozen tree:\n%s\nwant:\n%s", consumer, got, want)
+				}
+			}
+			if after := strings.Join(describe(seq.Seq{shared}), "\n"); after != before || countKids(shared.Root) != 1+3 {
+				t.Errorf("frozen input changed:\n%s\nwas:\n%s", after, before)
+			}
+		})
+	}
+}
+
+// countKids counts the witness nodes below n.
+func countKids(n *seq.Node) int {
+	c := 0
+	n.Walk(func(*seq.Node) bool { c++; return true })
+	return c - 1
 }

@@ -30,8 +30,9 @@ func Content(st *store.Store, n *Node) string {
 
 // Materialize copies the complete stored subtree under the store reference
 // at (doc, ord) into witness nodes and returns its root. Every copied node
-// is counted as materialized — this is the cost that TAX's early
-// materialization pays up front and TLC defers to Construct.
+// is counted as materialized. This is the cost the TAX and navigational
+// baselines pay; TLC never does: Construct emits store references, and the
+// serializer writes their subtrees from the columns.
 func Materialize(st *store.Store, doc store.DocID, ord int32) *Node {
 	return MaterializeIn(nil, st, doc, ord)
 }
@@ -131,94 +132,61 @@ func buildFull(s *Slab, d *store.Doc, doc store.DocID, ord int32, parent *Node) 
 	return n
 }
 
-// AppendXML serializes the witness subtree under n to sb. Store references
-// that have not been materialized (Full unset) are serialized directly from
-// the store — the store subtree is authoritative for them; partial matched
-// kids are scaffolding, not content. Temporary nodes serialize their kids.
-// Shadowed nodes are invisible to output.
-func AppendXML(sb *strings.Builder, st *store.Store, n *Node) {
+// AppendXML appends the XML text of the witness subtree under n to dst. A
+// store reference that has not been materialized (Full unset) stands for
+// its whole stored subtree and is written straight from the columns; kids
+// a match attached to it are scaffolding, not content. Temporary nodes
+// serialize their kids. Shadowed nodes are invisible to output.
+func AppendXML(dst []byte, st *store.Store, n *Node) []byte {
 	if n.Shadowed {
-		return
+		return dst
 	}
 	if n.IsStore() && !n.Full {
-		st.CountMaterialized(st.Doc(n.Doc).SubtreeSize(n.Ord))
-		sb.WriteString(st.Doc(n.Doc).XML(n.Ord))
-		return
+		return st.Doc(n.Doc).AppendXML(dst, n.Ord)
 	}
 	switch n.Kind {
 	case xmltree.Text:
-		xmlEscape(sb, n.Value)
-		return
+		return xmltree.AppendEscaped(dst, n.Value)
 	case xmltree.Attribute:
-		sb.WriteString(n.Tag[1:])
-		sb.WriteString(`="`)
-		xmlEscape(sb, n.Value)
-		sb.WriteString(`"`)
-		return
+		return xmltree.AppendAttr(dst, n.Tag, n.Value)
 	}
-	sb.WriteByte('<')
-	sb.WriteString(n.Tag)
-	var body []*Node
+	dst = append(append(dst, '<'), n.Tag...)
+	body := false
 	for _, k := range n.Kids {
-		if k.Shadowed {
-			continue
-		}
-		if k.Kind == xmltree.Attribute {
-			sb.WriteByte(' ')
-			sb.WriteString(k.Tag[1:])
-			sb.WriteString(`="`)
-			xmlEscape(sb, k.Value)
-			sb.WriteString(`"`)
-		} else {
-			body = append(body, k)
+		switch {
+		case k.Shadowed:
+		case k.Kind == xmltree.Attribute:
+			dst = xmltree.AppendAttr(append(dst, ' '), k.Tag, k.Value)
+		default:
+			body = true
 		}
 	}
-	if len(body) == 0 {
-		sb.WriteString("/>")
-		return
+	if !body {
+		return append(dst, "/>"...)
 	}
-	sb.WriteByte('>')
-	for _, k := range body {
-		AppendXML(sb, st, k)
+	dst = append(dst, '>')
+	for _, k := range n.Kids {
+		if k.Kind != xmltree.Attribute {
+			dst = AppendXML(dst, st, k)
+		}
 	}
-	sb.WriteString("</")
-	sb.WriteString(n.Tag)
-	sb.WriteByte('>')
+	return append(append(append(dst, "</"...), n.Tag...), '>')
 }
 
 // XML returns the XML serialization of the whole tree.
 func (t *Tree) XML(st *store.Store) string {
-	var sb strings.Builder
-	AppendXML(&sb, st, t.Root)
-	return sb.String()
+	return string(AppendXML(nil, st, t.Root))
 }
 
 // XML returns the serialization of every tree in the sequence, newline
 // separated — the shape the example binaries print.
 func (s Seq) XML(st *store.Store) string {
-	var sb strings.Builder
+	var b []byte
 	for i, t := range s {
 		if i > 0 {
-			sb.WriteByte('\n')
+			b = append(b, '\n')
 		}
-		AppendXML(&sb, st, t.Root)
+		b = AppendXML(b, st, t.Root)
 	}
-	return sb.String()
-}
-
-func xmlEscape(sb *strings.Builder, s string) {
-	for _, r := range s {
-		switch r {
-		case '<':
-			sb.WriteString("&lt;")
-		case '>':
-			sb.WriteString("&gt;")
-		case '&':
-			sb.WriteString("&amp;")
-		case '"':
-			sb.WriteString("&quot;")
-		default:
-			sb.WriteRune(r)
-		}
-	}
+	return string(b)
 }

@@ -56,13 +56,16 @@ type Node struct {
 	Value string
 	// Parent is the node's parent within this witness tree, nil at the root.
 	Parent *Node
-	// Kids are the node's children within this witness tree. For store
-	// references this is in general a *subset* of the stored children:
-	// only nodes attached by pattern matching. If Full is set, Kids is the
-	// complete materialized child list.
+	// Kids are the node's children within this witness tree. A store
+	// reference that is not Full stands for its whole stored subtree: its
+	// Kids are only the nodes pattern matching attached below it (stored
+	// children or descendants, each in the classes it was matched into),
+	// scaffolding rather than content, and serializing or matching below
+	// it reads the columns. If Full is set, Kids is the complete
+	// materialized child list.
 	Kids []*Node
 	// Full marks a store reference whose Kids are a complete copy of the
-	// stored subtree (set by materialization).
+	// stored subtree, made by the baselines' early materialization.
 	Full bool
 	// Shadowed marks the node invisible to every operator except
 	// Illuminate (Definition 6).

@@ -395,6 +395,8 @@ func (s *Server) limits(req *queryRequest) tlc.Limits {
 	return l
 }
 
+// queryResponse is the shape of the /query body, which writeAnswer writes
+// by hand.
 type queryResponse struct {
 	Engine    string   `json:"engine"`
 	Count     int      `json:"count"`
@@ -517,17 +519,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeErrorCode(w, status, code, "evaluate: %v", err)
 		return
 	}
-	out := queryResponse{
-		Engine:    prep.Engine().String(),
-		Count:     res.Len(),
-		Results:   make([]string, res.Len()),
-		CacheHit:  hit,
-		ElapsedMS: float64(time.Since(begin)) / float64(time.Millisecond),
-	}
-	for i := range out.Results {
-		out.Results[i] = res.TreeXML(i)
-	}
-	writeJSON(w, http.StatusOK, out)
+	elapsed := float64(time.Since(begin)) / float64(time.Millisecond)
+	writeAnswer(w, prep.Engine().String(), res, hit, elapsed)
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {

@@ -3,7 +3,6 @@ package store
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync/atomic"
 
 	"tlc/internal/xmltree"
@@ -243,54 +242,39 @@ func (d *Doc) valueRefsByName(v string) []int32 {
 
 // XML returns the subtree rooted at ord as XML text, byte-identical to
 // the xmltree serializer the store used before the columnar layout.
-func (d *Doc) XML(ord int32) string {
-	var sb strings.Builder
-	d.appendXML(&sb, ord)
-	return sb.String()
-}
+func (d *Doc) XML(ord int32) string { return string(d.AppendXML(nil, ord)) }
 
-func (d *Doc) appendXML(sb *strings.Builder, ord int32) {
+// AppendXML appends the XML text of the subtree rooted at ord to dst,
+// reading it straight from the columns.
+func (d *Doc) AppendXML(dst []byte, ord int32) []byte {
 	switch xmltree.Kind(d.c.kind[ord]) {
 	case xmltree.Text:
-		xmltree.EscapeXML(sb, d.Value(ord))
-		return
+		return xmltree.AppendEscaped(dst, d.Value(ord))
 	case xmltree.Attribute:
-		sb.WriteString(d.Tag(ord)[1:])
-		sb.WriteString(`="`)
-		xmltree.EscapeXML(sb, d.Value(ord))
-		sb.WriteString(`"`)
-		return
+		return xmltree.AppendAttr(dst, d.Tag(ord), d.Value(ord))
 	}
-	sb.WriteByte('<')
 	tag := d.Tag(ord)
-	sb.WriteString(tag)
+	dst = append(append(dst, '<'), tag...)
 	// First pass over the children: attributes inline on the start tag.
 	end := d.c.end[ord]
 	hasBody := false
 	for c := ord + 1; c <= end; c = d.c.end[c] + 1 {
 		if xmltree.Kind(d.c.kind[c]) == xmltree.Attribute {
-			sb.WriteByte(' ')
-			sb.WriteString(d.Tag(c)[1:])
-			sb.WriteString(`="`)
-			xmltree.EscapeXML(sb, d.Value(c))
-			sb.WriteString(`"`)
+			dst = xmltree.AppendAttr(append(dst, ' '), d.Tag(c), d.Value(c))
 		} else {
 			hasBody = true
 		}
 	}
 	if !hasBody {
-		sb.WriteString("/>")
-		return
+		return append(dst, "/>"...)
 	}
-	sb.WriteByte('>')
+	dst = append(dst, '>')
 	for c := ord + 1; c <= end; c = d.c.end[c] + 1 {
 		if xmltree.Kind(d.c.kind[c]) != xmltree.Attribute {
-			d.appendXML(sb, c)
+			dst = d.AppendXML(dst, c)
 		}
 	}
-	sb.WriteString("</")
-	sb.WriteString(tag)
-	sb.WriteByte('>')
+	return append(append(append(dst, "</"...), tag...), '>')
 }
 
 // buildDoc converts a parsed xmltree arena into the columnar layout,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 )
 
 // Parse reads an XML document from r and returns it as a Document named
@@ -68,80 +69,80 @@ func ParseString(name, s string) (*Document, error) {
 // WriteXML serializes the subtree rooted at ordinal to w as XML text.
 // Attributes are emitted on the start tag; text content is escaped.
 func (d *Document) WriteXML(w io.Writer, ordinal int32) error {
-	var sb strings.Builder
-	d.appendXML(&sb, ordinal)
-	_, err := io.WriteString(w, sb.String())
+	_, err := w.Write(d.appendXML(nil, ordinal))
 	return err
 }
 
 // XML returns the subtree rooted at ordinal as XML text.
 func (d *Document) XML(ordinal int32) string {
-	var sb strings.Builder
-	d.appendXML(&sb, ordinal)
-	return sb.String()
+	return string(d.appendXML(nil, ordinal))
 }
 
-func (d *Document) appendXML(sb *strings.Builder, ordinal int32) {
+func (d *Document) appendXML(dst []byte, ordinal int32) []byte {
 	n := &d.Nodes[ordinal]
 	switch n.Kind {
 	case Text:
-		xmlEscape(sb, n.Value)
-		return
+		return AppendEscaped(dst, n.Value)
 	case Attribute:
 		// A bare attribute serializes as name="value"; this only happens
 		// when an attribute node is itself the requested root.
-		sb.WriteString(n.Tag[1:])
-		sb.WriteString(`="`)
-		xmlEscape(sb, n.Value)
-		sb.WriteString(`"`)
-		return
+		return AppendAttr(dst, n.Tag, n.Value)
 	}
-	sb.WriteByte('<')
-	sb.WriteString(n.Tag)
+	dst = append(append(dst, '<'), n.Tag...)
 	kids := d.Children(ordinal)
 	body := kids[:0:0]
 	for _, c := range kids {
 		if d.Nodes[c].Kind == Attribute {
-			sb.WriteByte(' ')
-			sb.WriteString(d.Nodes[c].Tag[1:])
-			sb.WriteString(`="`)
-			xmlEscape(sb, d.Nodes[c].Value)
-			sb.WriteString(`"`)
+			dst = AppendAttr(append(dst, ' '), d.Nodes[c].Tag, d.Nodes[c].Value)
 		} else {
 			body = append(body, c)
 		}
 	}
 	if len(body) == 0 {
-		sb.WriteString("/>")
-		return
+		return append(dst, "/>"...)
 	}
-	sb.WriteByte('>')
+	dst = append(dst, '>')
 	for _, c := range body {
-		d.appendXML(sb, c)
+		dst = d.appendXML(dst, c)
 	}
-	sb.WriteString("</")
-	sb.WriteString(n.Tag)
-	sb.WriteByte('>')
+	return append(append(append(dst, "</"...), n.Tag...), '>')
 }
 
-// EscapeXML appends s to sb with the XML special characters escaped,
-// using exactly the replacement rules of the document serializer. The
-// store's columnar serializer shares it so both emit identical bytes.
-func EscapeXML(sb *strings.Builder, s string) { xmlEscape(sb, s) }
+// AppendAttr appends the attribute named tag ("@name") with its escaped
+// value as name="value".
+func AppendAttr(dst []byte, tag, value string) []byte {
+	dst = append(append(dst, tag[1:]...), `="`...)
+	return append(AppendEscaped(dst, value), '"')
+}
 
-func xmlEscape(sb *strings.Builder, s string) {
-	for _, r := range s {
-		switch r {
-		case '<':
-			sb.WriteString("&lt;")
-		case '>':
-			sb.WriteString("&gt;")
-		case '&':
-			sb.WriteString("&amp;")
-		case '"':
-			sb.WriteString("&quot;")
-		default:
-			sb.WriteRune(r)
+// AppendEscaped appends s to dst with the XML special characters escaped
+// and each byte that is not valid UTF-8 replaced by U+FFFD. It is the one
+// escaper of every serializer — the document's, the store's columnar one
+// and the witness trees' — so all of them emit identical bytes.
+func AppendEscaped(dst []byte, s string) []byte {
+	last := 0
+	for i := 0; i < len(s); {
+		esc, size := "", 1
+		switch c := s[i]; {
+		case c == '<':
+			esc = "&lt;"
+		case c == '>':
+			esc = "&gt;"
+		case c == '&':
+			esc = "&amp;"
+		case c == '"':
+			esc = "&quot;"
+		case c >= utf8.RuneSelf:
+			var r rune
+			if r, size = utf8.DecodeRuneInString(s[i:]); r == utf8.RuneError && size == 1 {
+				esc = "\uFFFD"
+			}
 		}
+		if esc != "" {
+			dst = append(append(dst, s[last:i]...), esc...)
+			last = i + size
+		}
+		i += size
 	}
+	return append(dst, s[last:]...)
 }

@@ -9,6 +9,7 @@ import (
 	"tlc/internal/pattern"
 	"tlc/internal/physical"
 	"tlc/internal/seq"
+	"tlc/internal/store"
 )
 
 const pointQuery = `
@@ -27,10 +28,28 @@ func pointPattern() *pattern.Tree {
 	return &pattern.Tree{Root: root}
 }
 
+// countNodes counts the witness nodes of trees.
 func countNodes(trees seq.Seq) int {
 	n := 0
 	for _, t := range trees {
 		t.Root.Walk(func(*seq.Node) bool { n++; return true })
+	}
+	return n
+}
+
+// answerNodes counts the nodes a client receives for the answer trees: a
+// store reference stands for its whole stored subtree.
+func answerNodes(st *store.Store, trees seq.Seq) int {
+	n := 0
+	for _, t := range trees {
+		t.Root.Walk(func(x *seq.Node) bool {
+			if x.IsStore() && !x.Full {
+				n += st.Doc(x.Doc).SubtreeSize(x.Ord)
+				return false
+			}
+			n++
+			return true
+		})
 	}
 	return n
 }
@@ -44,8 +63,8 @@ func countNodes(trees seq.Seq) int {
 func TestMatchCostFollowsAnswer(t *testing.T) {
 	const runs = 50
 	type cost struct{ nodes, answer, bytes int64 }
-	measure := func(run func() seq.Seq) cost {
-		answer := int64(countNodes(run())) // also warms whatever is lazy
+	measure := func(run func() seq.Seq, size func(seq.Seq) int) cost {
+		answer := int64(size(run())) // also warms whatever is lazy
 		var m0, m1 runtime.MemStats
 		n0, _, _ := seq.ArenaTotals()
 		runtime.ReadMemStats(&m0)
@@ -69,7 +88,7 @@ func TestMatchCostFollowsAnswer(t *testing.T) {
 				t.Fatal(err)
 			}
 			return res
-		}))
+		}, countNodes))
 		p, err := db.Compile(pointQuery)
 		if err != nil {
 			t.Fatal(err)
@@ -80,7 +99,7 @@ func TestMatchCostFollowsAnswer(t *testing.T) {
 				t.Fatal(err)
 			}
 			return res.trees
-		}))
+		}, func(trees seq.Seq) int { return answerNodes(db.st, trees) }))
 	}
 	for form, c := range costs {
 		small, large := c[0], c[1]

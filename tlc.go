@@ -826,10 +826,13 @@ func (r *Result) Len() int { return len(r.trees) }
 func (r *Result) XML() string { return r.trees.XML(r.st) }
 
 // TreeXML serializes the i-th result tree.
-func (r *Result) TreeXML(i int) string {
-	var sb strings.Builder
-	seq.AppendXML(&sb, r.st, r.trees[i].Root)
-	return sb.String()
+func (r *Result) TreeXML(i int) string { return string(r.AppendTreeXML(nil, i)) }
+
+// AppendTreeXML appends the serialization of the i-th result tree to dst
+// and returns the extended slice; stored subtrees are written straight
+// from the columns.
+func (r *Result) AppendTreeXML(dst []byte, i int) []byte {
+	return seq.AppendXML(dst, r.st, r.trees[i].Root)
 }
 
 // SortedXML returns the serialized trees sorted lexicographically — an
