@@ -8,21 +8,21 @@ import (
 	"tlc/internal/xquery"
 )
 
-// Canonical is the parse-only canonical form of a query, the basis of
-// plan-cache keying and containment probing. Exact is a deterministic
-// render with variables α-renamed in first-binding order — two queries
-// with equal Exact strings compile to identical plans. Struct is Exact
-// with every liftable comparison's operator and literal replaced by "?" —
-// two queries with equal Struct strings differ at most in the predicates
-// of their liftable sites, which is what makes a containment-based plan
-// reuse decidable by comparing Sites elementwise.
+// Canonical is the parse-only canonical form of a query. Nothing in this
+// module reads it: its sole caller is bench/gen.go:286, which dedupes the
+// frozen read_coldplan request stream by Struct, so the rendering must stay
+// byte-for-byte until the benchmark stops calling it (ROADMAP item 2).
+// Exact is a deterministic render with variables α-renamed in
+// first-binding order — two queries with equal Exact strings compile to
+// identical plans. Struct is Exact with every liftable comparison's
+// operator and literal replaced by "?" — two queries with equal Struct
+// strings differ at most in the predicates of their liftable sites.
 type Canonical struct {
 	Exact  string
 	Struct string
-	// Sites are the liftable-candidate literal sites in translation order
-	// (the same order translate.Result.PredSites uses: outer bindings'
-	// nested blocks first, then WHERE conjuncts left to right, then RETURN
-	// sub-blocks).
+	// Sites are the conjunctive simple-comparison literal sites in
+	// rendering order: outer bindings' nested blocks first, then WHERE
+	// conjuncts left to right, then RETURN sub-blocks.
 	Sites []CanonicalSite
 }
 
@@ -32,8 +32,7 @@ type CanonicalSite struct {
 	Value string
 	// Liftable marks sites whose literal is elided from Struct: the site's
 	// path hangs off a chain of FOR bindings rooted at a document, judged
-	// from the parse tree alone. The plan cache confirms the judgment
-	// against the translator's own PredSites before trusting it.
+	// from the parse tree alone.
 	Liftable bool
 }
 
@@ -85,8 +84,7 @@ func (c *canonicalizer) define(name string, b *canonBinding) {
 }
 
 // liftable reports whether a WHERE conjunct rooted at variable name walks a
-// chain of plain FOR bindings down from a document root — the parse-level
-// mirror of the translator's all-"-"-edges test.
+// chain of plain FOR bindings down from a document root.
 func (c *canonicalizer) liftable(name string) bool {
 	for {
 		b := c.lookup(name)
@@ -192,9 +190,8 @@ func (c *canonicalizer) conjuncts(e xquery.Expr) {
 // site renders one simple-comparison conjunct and records it: the operator
 // and literal go into Exact always, and into Struct only when the site is
 // not liftable. A liftable site renders as a bare "?" in Struct — the
-// operator is elided along with the literal, so plans differing in the
-// comparison op (age > 30 vs age >= 40) still share a structural key and
-// cross-op entailment is left to SiteImplies at probe time.
+// operator is elided along with the literal, so queries differing in the
+// comparison op (age > 30 vs age >= 40) still share a structural key.
 func (c *canonicalizer) site(cmp *xquery.Comparison) {
 	lift := len(cmp.Left.Steps) > 0 && cmp.Left.Root == xquery.RootVariable && c.liftable(cmp.Left.Var)
 	c.sites = append(c.sites, CanonicalSite{Op: cmp.Op, Value: cmp.RightVal, Liftable: lift})

@@ -141,8 +141,8 @@ func main() {
 			case line == ".stats":
 				fmt.Println(db.Stats())
 				cs := cache.Stats()
-				fmt.Printf("plan cache: %d/%d entries, %d hits (%d exact, %d containment), %d misses, %d evictions, %d containment probes\n",
-					cs.Size, cs.Capacity, cs.Hits, cs.HitsExact, cs.HitsContainment, cs.Misses, cs.Evictions, cs.ContainmentProbes)
+				fmt.Printf("plan cache: hits=%d misses=%d evictions=%d size=%d capacity=%d\n",
+					cs.Hits, cs.Misses, cs.Evictions, cs.Size, cs.Capacity)
 				ut := tlc.UpdateCounters()
 				fmt.Printf("updates: total=%d conflicts=%d versions_live=%d update_gen=%d\n",
 					ut.Updates, ut.Conflicts, db.VersionsLive(), db.UpdateGeneration())

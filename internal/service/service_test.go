@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -178,6 +179,21 @@ func TestCacheHitAcrossRequests(t *testing.T) {
 	}
 	if v.PlanCache.Misses == 0 {
 		t.Error("varz plan_cache.misses = 0")
+	}
+	// plan_cache carries exactly the five counters an operator reads.
+	var raw struct {
+		PlanCache map[string]json.RawMessage `json:"plan_cache"`
+	}
+	if err := json.Unmarshal(vbody, &raw); err != nil {
+		t.Fatal(err)
+	}
+	var fields []string
+	for k := range raw.PlanCache {
+		fields = append(fields, k)
+	}
+	sort.Strings(fields)
+	if got, want := strings.Join(fields, " "), "capacity evictions hits misses size"; got != want {
+		t.Errorf("varz plan_cache fields = %q, want %q", got, want)
 	}
 	if v.Requests < 2 {
 		t.Errorf("varz requests_total = %d, want >= 2", v.Requests)

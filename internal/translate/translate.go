@@ -39,29 +39,6 @@ type Result struct {
 	VarLCLs []int
 	// DocNames are the documents the query reads, in first-use order.
 	DocNames []string
-	// PredSites are the conjunctive simple-comparison predicates of the
-	// query in translation order (outer bindings' nested blocks first,
-	// then this block's WHERE conjuncts left to right, then RETURN
-	// sub-blocks). The plan cache's containment probe aligns these with
-	// the canonicalizer's literal sites to place residual filters.
-	PredSites []PredSite
-}
-
-// PredSite is one conjunctive simple-comparison predicate and the logical
-// class its pattern leaf binds.
-type PredSite struct {
-	// LCL is the class whose (single, for liftable sites) member per
-	// witness tree carries the compared content.
-	LCL   int
-	Op    pattern.Cmp
-	Value string
-	// Liftable marks sites where a weaker predicate plus a residual
-	// Filter directly above the owning Select reproduces the original
-	// results exactly: the site's path is a chain of required "-" edges
-	// from a document root through FOR-bound variables, so every emitted
-	// witness tree has exactly one class member and the per-tree Filter
-	// is equivalent to the match-time predicate.
-	Liftable bool
 }
 
 // Options tune the translation. There is nothing left to tune: the type
@@ -83,12 +60,11 @@ func Translate(f *xquery.FLWOR) (*Result, error) {
 		return nil, err
 	}
 	return &Result{
-		Plan:      res.plan,
-		RootLCL:   res.rootLCL,
-		TagOf:     tagOf,
-		VarLCLs:   shared.varLCLs,
-		DocNames:  shared.docNames,
-		PredSites: shared.predSites,
+		Plan:     res.plan,
+		RootLCL:  res.rootLCL,
+		TagOf:    tagOf,
+		VarLCLs:  shared.varLCLs,
+		DocNames: shared.docNames,
 	}, nil
 }
 
@@ -135,9 +111,6 @@ type blockResult struct {
 type sharedState struct {
 	varLCLs  []int
 	docNames []string
-	// predSites accumulates conjunctive simple predicates in translation
-	// order (see Result.PredSites).
-	predSites []PredSite
 	// groupCounter hands out OR-group identifiers, unique per query.
 	groupCounter int
 }

@@ -132,7 +132,6 @@ func (t *translator) whereSimple(c *xquery.Comparison) error {
 		return err
 	}
 	if len(c.Left.Steps) == 0 {
-		t.recordSite(PredSite{LCL: b.node.LCL, Op: c.Op, Value: c.RightVal})
 		// Predicate on the bound node itself.
 		if b.node.Pred == nil {
 			b.node.Pred = pred
@@ -146,38 +145,7 @@ func (t *translator) whereSimple(c *xquery.Comparison) error {
 		return err
 	}
 	leaf.Pred = pred
-	t.recordSite(PredSite{LCL: leaf.LCL, Op: c.Op, Value: c.RightVal, Liftable: t.liftableSite(b)})
 	return nil
-}
-
-// recordSite appends one conjunctive simple-comparison site in translation
-// order (see Result.PredSites).
-func (t *translator) recordSite(s PredSite) {
-	t.shared.predSites = append(t.shared.predSites, s)
-}
-
-// liftableSite reports whether a predicate accreted below b's node can be
-// weakened and re-applied by a per-tree residual filter without changing
-// results: the binding must be a FOR over a required "-" chain from a
-// document root (so every emitted witness tree carries exactly one member
-// of the site's class). The chain whereSimple adds is itself all "-"
-// edges.
-func (t *translator) liftableSite(b *binding) bool {
-	if !b.isFor || b.kind != bindPattern || b.sel == nil || b.sel.APT == nil {
-		return false
-	}
-	root := b.sel.APT.Root
-	if root == nil || root.Kind != pattern.TestDocRoot {
-		return false
-	}
-	for n := b.node; n != root; {
-		parent, edge := b.sel.APT.ParentOf(n)
-		if parent == nil || edge == nil || edge.Spec != pattern.One || edge.Logical() {
-			return false
-		}
-		n = parent
-	}
-	return true
 }
 
 // whereAggr handles AggrPredExpr: the aggregated path joins the APT with

@@ -642,14 +642,7 @@ type Prepared struct {
 	plan   algebra.Op // nil for Nav
 	ast    *xquery.FLWOR
 	limits Limits
-	// predSites are the translator's conjunctive predicate sites (nil for
-	// Nav); the plan cache aligns them with canonical literal sites to
-	// place residual filters on containment reuse.
-	predSites []translate.PredSite
 }
-
-// PredSite re-exports the translator's predicate-site record.
-type PredSite = translate.PredSite
 
 // Engine returns the engine the query was compiled for.
 func (p *Prepared) Engine() Engine { return p.engine }
@@ -694,28 +687,24 @@ func (db *Database) CompileContext(ctx context.Context, text string, opts ...Opt
 			return nil, err
 		}
 		p.plan = res.Plan
-		p.predSites = res.PredSites
 	case TLCOpt:
 		res, err := translate.Translate(ast)
 		if err != nil {
 			return nil, err
 		}
 		p.plan, _ = rewrite.Optimize(res.Plan)
-		p.predSites = res.PredSites
 	case GTP:
 		res, err := gtp.Translate(ast)
 		if err != nil {
 			return nil, err
 		}
 		p.plan = res.Plan
-		p.predSites = res.PredSites
 	case TAX:
 		res, err := tax.Translate(ast)
 		if err != nil {
 			return nil, err
 		}
 		p.plan = res.Plan
-		p.predSites = res.PredSites
 	default:
 		return nil, fmt.Errorf("tlc: unknown engine %v", cfg.engine)
 	}
