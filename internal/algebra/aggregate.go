@@ -47,25 +47,24 @@ func (a *Aggregate) Label() string {
 func (a *Aggregate) eval(ctx *Context, in []seq.Seq) (seq.Seq, error) {
 	// Aggregate only adds one node per tree; it mutates trees it owns in
 	// place and copies frozen shared ones first.
+	s := ctx.arena.Hold()
+	defer ctx.arena.Release(s)
 	trees := in[0]
 	for i, src := range trees {
-		t, nm := src.MutableWithMapping()
+		t := src.Mutable()
 		trees[i] = t
-		members := make([]*seq.Node, 0, len(src.Class(a.LCL)))
-		for _, m := range src.Class(a.LCL) {
-			members = append(members, nm.Get(m))
-		}
+		members := t.Class(a.LCL)
 		val, err := applyAgg(ctx.Store, a.Fn, members)
 		if err != nil {
 			return nil, err
 		}
-		res := ctx.arena.TempElement(string(a.Fn))
-		seq.Attach(res, ctx.arena.TempText(val))
+		res := s.TempElement(string(a.Fn))
+		s.Attach(res, s.TempText(val))
 		parent := t.Root
 		if len(members) > 0 && members[0].Parent != nil {
 			parent = members[0].Parent
 		}
-		seq.Attach(parent, res)
+		s.Attach(parent, res)
 		t.AddToClass(a.NewLCL, res)
 	}
 	return trees, nil

@@ -200,7 +200,8 @@ func TestValueJoinPlan(t *testing.T) {
 
 func TestProjectKeepsSubtreesAndClasses(t *testing.T) {
 	s := loadAuction(t)
-	res, err := Run(s, NewProject(personSelect(), 1, 2))
+	// Rewrites may list a kept label twice; it is still kept once.
+	res, err := Run(s, NewProject(personSelect(), 1, 2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,13 +246,25 @@ func TestDupElim(t *testing.T) {
 	if len(res) != 2 {
 		t.Fatalf("DE left %d trees, want 2 (p0, p2)", len(res))
 	}
-	// Content-based DE over age: all three persons distinct.
-	res2, err := Run(s, NewDupElimContent(personSelect(), 3))
+	// More classes than one seen-set entry holds: the keys fold, and a
+	// class past the fold still tells trees apart.
+	folded, err := Run(s, NewDupElim(join, 1, 1, 1, 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res2) != 3 {
-		t.Errorf("content DE left %d, want 3", len(res2))
+	if len(folded) != 2 {
+		t.Errorf("DE on (1) five times left %d trees, want 2", len(folded))
+	}
+	joined, err := Run(s, join)
+	if err != nil {
+		t.Fatal(err)
+	}
+	apart, err := Run(s, NewDupElim(join, 1, 1, 1, 1, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(apart) != len(joined) {
+		t.Errorf("DE on (1) four times and the join root left %d trees, want all %d", len(apart), len(joined))
 	}
 }
 
@@ -306,6 +319,45 @@ func TestConstructSubtreeAndText(t *testing.T) {
 	xml2 := res[2].XML(s)
 	if strings.Contains(xml2, "<bidder>") || !strings.Contains(xml2, "<myquan>1</myquan>") {
 		t.Errorf("xml2 = %s", xml2)
+	}
+}
+
+// TestConstructCarriesInnerLabelsOnEveryTree nests one Construct in
+// another: the inner one builds <p><n>age</n></p> per person with <n> in
+// class 21, and the outer one references the <p> subtrees. Every output
+// tree, not only the first, must carry class 21 onto its own copy of <n>,
+// whether the subtree is moved (one reference) or copied (two).
+func TestConstructCarriesInnerLabelsOnEveryTree(t *testing.T) {
+	s := loadAuction(t)
+	for _, refs := range []int{1, 2} {
+		n := pattern.NewElement("n", pattern.NewTextRef(3))
+		n.NewLCL = 21
+		p := pattern.NewElement("p", n)
+		p.NewLCL = 20
+		inner := NewConstruct(personSelect(), p)
+		out := pattern.NewElement("out")
+		for range refs {
+			out.Children = append(out.Children, pattern.NewSubtreeRef(20))
+		}
+		res, err := Run(s, NewConstruct(inner, out))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) != 3 {
+			t.Fatalf("refs %d: %d trees, want 3", refs, len(res))
+		}
+		for i, w := range res {
+			got := w.Class(21)
+			if len(got) != refs {
+				t.Errorf("refs %d, tree %d: class 21 has %d members, want %d (%s)", refs, i, len(got), refs, w.XML(s))
+				continue
+			}
+			for _, m := range got {
+				if m.Tag != "n" || m.Parent == nil || m.Parent.Parent != w.Root {
+					t.Errorf("refs %d, tree %d: class 21 member %q is not an <n> of this tree", refs, i, m.Tag)
+				}
+			}
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package algebra
 
 import (
 	"fmt"
-	"slices"
 
 	"tlc/internal/pattern"
 	"tlc/internal/seq"
@@ -41,47 +40,60 @@ func (c *Construct) eval(ctx *Context, in []seq.Seq) (seq.Seq, error) {
 	}
 	out := make(seq.Seq, 0, len(in[0]))
 	single := subtreeRefs(c.Pattern) == 1
+	s := ctx.arena.Hold()
+	defer ctx.arena.Release(s)
+	cn := construction{s: s, st: ctx.Store}
 	for _, t := range in[0] {
-		nt := ctx.arena.NewTree(nil)
-		cn := construction{a: ctx.arena, st: ctx.Store, t: t, nt: nt, move: single && !t.Frozen()}
-		roots, err := cn.build(c.Pattern)
-		if err != nil {
+		nt := s.NewTree(nil)
+		cn.t, cn.nt, cn.move = t, nt, single && !t.Frozen()
+		cn.indexed = false
+		if err := cn.build(c.Pattern); err != nil {
 			return nil, err
 		}
-		switch len(roots) {
+		switch len(cn.stack) {
 		case 1:
-			nt.Root = roots[0]
+			nt.Root = cn.stack[0]
 		default:
 			// A pattern whose top level expands to zero or several nodes
 			// (e.g. a bare subtree reference) is wrapped in a result root,
 			// keeping the output a tree.
-			root := ctx.arena.TempElement("result")
-			for _, r := range roots {
-				seq.Attach(root, r)
-			}
-			nt.Root = root
+			nt.Root = cn.adopt(s.TempElement("result"), 0)
 		}
+		cn.stack = cn.stack[:0]
 		out = append(out, nt)
 	}
 	return out, nil
 }
 
 // construction is the state of building one output tree nt from one input
-// tree t. Fresh nodes come out of the arena a — construction is where TLC
-// pays its deferred materialization cost, so it is the allocation-heaviest
-// spot.
+// tree t; one construction serves a whole Construct call. Fresh nodes come
+// out of the held slab s — construction is where TLC pays its deferred
+// materialization cost, so it is the allocation-heaviest spot.
 type construction struct {
-	a     *seq.Arena
+	s     *seq.Slab
 	st    *store.Store
 	t, nt *seq.Tree
-	// classOf is the reverse class table of t (node → labels, ascending),
-	// built the first time a copied subtree has labels to carry.
-	classOf map[*seq.Node][]int
+	// stack holds the nodes built so far whose parent is not built yet:
+	// build pushes what a pattern node produces, and an element pops its
+	// children off into one exactly sized child list.
+	stack []*seq.Node
+	// classOf is the reverse class table of t: a node's labels are a chain
+	// in links, ascending, starting at classOf[node]-1. It is built the
+	// first time a copied subtree of t has labels to carry; indexed reports
+	// whether it has been built for the current t. Map and links are kept
+	// across trees and refilled once per tree that needs them.
+	classOf map[*seq.Node]int
+	links   []classLink
+	indexed bool
 	// move lets temporary subtrees move from t into nt instead of being
 	// copied: t is this construction's own (unfrozen) and the pattern has
 	// a single subtree reference, so no other reference can place them.
 	move bool
 }
+
+// classLink is one label in a node's chain of the reverse class table;
+// next is the index of the following link plus one, 0 at the end.
+type classLink struct{ lcl, next int }
 
 // subtreeRefs counts the subtree references of a construct pattern.
 func subtreeRefs(c *pattern.ConstructNode) int {
@@ -95,13 +107,27 @@ func subtreeRefs(c *pattern.ConstructNode) int {
 	return n
 }
 
-// build evaluates one construct node against the input tree, returning the
-// nodes it produces and registering classes in the output tree.
-func (cn *construction) build(c *pattern.ConstructNode) ([]*seq.Node, error) {
-	a, st, t, nt := cn.a, cn.st, cn.t, cn.nt
+// adopt makes the nodes on the stack from mark up the children of el,
+// pops them, and returns el.
+func (cn *construction) adopt(el *seq.Node, mark int) *seq.Node {
+	if kids := cn.stack[mark:]; len(kids) > 0 {
+		el.Kids = append(cn.s.Kids(len(kids)), kids...)
+		for _, k := range kids {
+			k.Parent = el
+		}
+	}
+	cn.stack = cn.stack[:mark]
+	return el
+}
+
+// build evaluates one construct node against the input tree, pushing the
+// nodes it produces onto the stack and registering classes in the output
+// tree.
+func (cn *construction) build(c *pattern.ConstructNode) error {
+	s, st, t, nt := cn.s, cn.st, cn.t, cn.nt
 	switch c.Kind {
 	case pattern.ConstructElement:
-		el := a.TempElement(c.Tag)
+		el, mark := s.TempElement(c.Tag), len(cn.stack)
 		for _, at := range c.Attrs {
 			val := at.Literal
 			if at.FromLCL > 0 {
@@ -111,52 +137,44 @@ func (cn *construction) build(c *pattern.ConstructNode) ([]*seq.Node, error) {
 				}
 				val = seq.Content(st, members[0])
 			}
-			seq.Attach(el, a.TempAttr(at.Name, val))
+			cn.stack = append(cn.stack, s.TempAttr(at.Name, val))
 		}
 		for _, ch := range c.Children {
-			kids, err := cn.build(ch)
-			if err != nil {
-				return nil, err
-			}
-			for _, k := range kids {
-				seq.Attach(el, k)
+			if err := cn.build(ch); err != nil {
+				return err
 			}
 		}
+		cn.adopt(el, mark)
 		if c.NewLCL > 0 {
 			nt.AddToClass(c.NewLCL, el)
 		}
-		return []*seq.Node{el}, nil
+		cn.stack = append(cn.stack, el)
 
 	case pattern.ConstructSubtree:
-		members := t.Class(c.FromLCL)
-		outs := make([]*seq.Node, 0, len(members))
-		for _, m := range members {
+		for _, m := range t.Class(c.FromLCL) {
 			cp := cn.copyForOutput(m, c.FromLCL)
 			if c.NewLCL > 0 {
 				nt.AddToClass(c.NewLCL, cp)
 			}
-			outs = append(outs, cp)
+			cn.stack = append(cn.stack, cp)
 		}
-		return outs, nil
 
 	case pattern.ConstructText:
-		members := t.Class(c.FromLCL)
-		outs := make([]*seq.Node, 0, len(members))
-		for _, m := range members {
-			txt := a.TempText(seq.Content(st, m))
+		for _, m := range t.Class(c.FromLCL) {
+			txt := s.TempText(seq.Content(st, m))
 			if c.NewLCL > 0 {
 				nt.AddToClass(c.NewLCL, txt)
 			}
-			outs = append(outs, txt)
+			cn.stack = append(cn.stack, txt)
 		}
-		return outs, nil
 
 	case pattern.ConstructLiteral:
-		return []*seq.Node{a.TempText(c.Literal)}, nil
+		cn.stack = append(cn.stack, s.TempText(c.Literal))
 
 	default:
-		return nil, fmt.Errorf("unknown construct kind %d", c.Kind)
+		return fmt.Errorf("unknown construct kind %d", c.Kind)
 	}
+	return nil
 }
 
 // copyForOutput returns the output tree's node for the member n of class
@@ -168,34 +186,59 @@ func (cn *construction) build(c *pattern.ConstructNode) ([]*seq.Node, error) {
 // them.
 func (cn *construction) copyForOutput(n *seq.Node, lcl int) *seq.Node {
 	if n.IsStore() && !n.Full {
-		return cn.a.StoreNode(n.Doc, n.Ord, n.Kind, n.Tag, n.Value)
+		return cn.s.StoreNode(n.Doc, n.Ord, n.Kind, n.Tag, n.Value)
 	}
 	if len(n.Kids) == 0 {
-		cp, _ := seq.CopySubtree(cn.a, n)
+		cp, _ := cn.s.CopySubtree(n)
 		return cp // the reference root's own class is set by the caller
 	}
-	if cn.classOf == nil {
-		cn.classOf = make(map[*seq.Node][]int)
-		for _, l := range cn.t.Classes() {
-			for _, m := range cn.t.ClassAll(l) {
-				cn.classOf[m] = append(cn.classOf[m], l)
-			}
-		}
+	if !cn.indexed {
+		cn.index()
 	}
 	cp, nm := n, seq.NodeMap{}
 	if !cn.move || !cn.movable(n, lcl) {
-		cp, nm = seq.CopySubtree(cn.a, n)
+		cp, nm = cn.s.CopySubtree(n)
 	}
 	cp.Parent = nil
 	n.Walk(func(x *seq.Node) bool {
 		if x != n {
-			for _, l := range cn.classOf[x] {
-				cn.nt.AddToClass(l, nm.Get(x))
+			for i := cn.classOf[x]; i > 0; i = cn.links[i-1].next {
+				cn.nt.AddToClass(cn.links[i-1].lcl, nm.Get(x))
 			}
 		}
 		return true
 	})
 	return cp
+}
+
+// index fills the reverse class table of the current input tree. Classes
+// are chained in descending order, each at the head, so every chain reads
+// ascending.
+func (cn *construction) index() {
+	if cn.classOf == nil {
+		cn.classOf = make(map[*seq.Node]int)
+	}
+	clear(cn.classOf)
+	cn.links = cn.links[:0]
+	ls := cn.t.Classes()
+	for i := len(ls) - 1; i >= 0; i-- {
+		for _, m := range cn.t.ClassAll(ls[i]) {
+			cn.links = append(cn.links, classLink{lcl: ls[i], next: cn.classOf[m]})
+			cn.classOf[m] = len(cn.links)
+		}
+	}
+	cn.indexed = true
+}
+
+// inClass reports whether n is a member of class lcl of the input tree,
+// by the reverse class table.
+func (cn *construction) inClass(n *seq.Node, lcl int) bool {
+	for i := cn.classOf[n]; i > 0; i = cn.links[i-1].next {
+		if cn.links[i-1].lcl == lcl {
+			return true
+		}
+	}
+	return false
 }
 
 // movable reports whether n may move out of the input tree: it is still
@@ -204,7 +247,7 @@ func (cn *construction) copyForOutput(n *seq.Node, lcl int) *seq.Node {
 func (cn *construction) movable(n *seq.Node, lcl int) bool {
 	a := n
 	for ; a.Parent != nil; a = a.Parent {
-		if slices.Contains(cn.classOf[a.Parent], lcl) {
+		if cn.inClass(a.Parent, lcl) {
 			return false
 		}
 	}

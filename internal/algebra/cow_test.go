@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -98,4 +99,46 @@ func TestDAGSplitFrozenInputPreserved(t *testing.T) {
 			t.Errorf("tree %d: shared input mutated: %d bidders bound, want %d", i, got, wantBidders[i])
 		}
 	}
+
+	// Project restructures the trees it owns in place: over a frozen
+	// sequence with two consumers it must copy first, and leave the
+	// shared trees — structure and class table — as they were.
+	wantShape := make([]string, len(base))
+	for i, w := range base {
+		wantShape[i] = treeShape(w)
+	}
+	ctx = NewContext(s)
+	both := NewMerge(NewProject(shared, 5), NewProject(shared, 4))
+	if _, err := Eval(ctx, both); err != nil {
+		t.Fatal(err)
+	}
+	memo, ok = ctx.memo[shared]
+	if !ok || len(memo) != len(base) {
+		t.Fatal("shared subplan was not memoized despite fan-out 2")
+	}
+	for i, w := range memo {
+		if got := treeShape(w); got != wantShape[i] {
+			t.Errorf("tree %d: Project mutated the shared input:\n got %s\nwant %s", i, got, wantShape[i])
+		}
+	}
+}
+
+// treeShape renders a tree's structure and class table by node keys.
+func treeShape(w *seq.Tree) string {
+	var sb strings.Builder
+	w.Root.Walk(func(n *seq.Node) bool {
+		var parent seq.Key
+		if n.Parent != nil {
+			parent = n.Parent.Key()
+		}
+		fmt.Fprintf(&sb, "%v<%v:%d ", n.Key(), parent, len(n.Kids))
+		return true
+	})
+	for _, lcl := range w.Classes() {
+		fmt.Fprintf(&sb, "(%d)", lcl)
+		for _, m := range w.ClassAll(lcl) {
+			fmt.Fprintf(&sb, " %v", m.Key())
+		}
+	}
+	return sb.String()
 }

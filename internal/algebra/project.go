@@ -35,77 +35,32 @@ func (p *Project) Label() string {
 }
 
 func (p *Project) eval(ctx *Context, in []seq.Seq) (seq.Seq, error) {
-	out := make(seq.Seq, 0, len(in[0]))
-	for _, t := range in[0] {
-		out = append(out, projectTree(t, p.Keep))
+	s := ctx.arena.Hold()
+	defer ctx.arena.Release(s)
+	trees := in[0]
+	var buf []*seq.Node
+	for i, t := range trees {
+		// The tree is restructured in place when the operator owns it
+		// (unfrozen single-consumer input); a frozen shared tree is copied
+		// first. Dropping the class bindings that are not listed matters
+		// even for nodes that survive inside a kept subtree: only (12)
+		// survives inside (14) in Figure 8 because it is listed in
+		// Project 11.
+		t = t.Mutable()
+		buf = t.Project(s, p.Keep, buf)
+		trees[i] = t
 	}
-	return out, nil
+	return trees, nil
 }
 
-// projectTree restructures the tree in place when the operator owns it
-// (unfrozen single-consumer input; frozen shared trees are copied first):
-// kept nodes move — with their witness subtrees — under their nearest kept
-// ancestor (the original root when none), and a fresh class map restricted
-// to the kept labels replaces the old one. Dropping the class bindings
-// that are not listed matters even for nodes that survive inside a kept
-// subtree: only (12) survives inside (14) in Figure 8 because it is listed
-// in Project 11.
-func projectTree(t *seq.Tree, rawKeep []int) *seq.Tree {
-	t = t.Mutable()
-	// Deduplicate the keep list: rewrites may append labels that are
-	// already kept, and double registration would corrupt class counts.
-	seen := make(map[int]bool, len(rawKeep))
-	keep := rawKeep[:0:0]
-	for _, lcl := range rawKeep {
-		if !seen[lcl] {
-			seen[lcl] = true
-			keep = append(keep, lcl)
-		}
-	}
-	kept := make(map[*seq.Node]bool)
-	for _, lcl := range keep {
-		for _, n := range t.ClassAll(lcl) {
-			kept[n] = true
-		}
-	}
-	// Collect the top-level kept nodes: walking stops at a kept node, so
-	// kept nodes inside kept subtrees simply stay where they are.
-	var tops []*seq.Node
-	var walk func(n *seq.Node)
-	walk = func(n *seq.Node) {
-		for _, k := range n.Kids {
-			if kept[k] {
-				tops = append(tops, k)
-				continue
-			}
-			walk(k)
-		}
-	}
-	root := t.Root
-	walk(root)
-	root.Kids = nil
-	nt := t.Arena().NewTree(root)
-	for _, n := range tops {
-		seq.Attach(root, n)
-	}
-	for _, lcl := range keep {
-		for _, n := range t.ClassAll(lcl) {
-			nt.AddToClass(lcl, n)
-		}
-	}
-	return nt
-}
-
-// DupElim eliminates duplicate trees based on the nodes bound to the listed
-// classes (Section 2.3). With ByContent unset it compares node identifiers
-// — the cheap NodeIDDE the translation inserts after projection ("all
-// identifiers are already in memory") — otherwise it compares content.
-// Each listed class must bind to at most one node; an empty class
-// contributes a distinguished empty key.
+// DupElim eliminates duplicate trees based on the identifiers of the nodes
+// bound to the listed classes (Section 2.3) — the cheap NodeIDDE the
+// translation inserts after projection ("all identifiers are already in
+// memory"). Each listed class must bind to at most one node; an empty
+// class contributes a distinguished empty key.
 type DupElim struct {
 	unary
-	On        []int
-	ByContent bool
+	On []int
 }
 
 // NewDupElim returns an identifier-based duplicate elimination.
@@ -115,53 +70,73 @@ func NewDupElim(in Op, on ...int) *DupElim {
 	return d
 }
 
-// NewDupElimContent returns a content-based duplicate elimination.
-func NewDupElimContent(in Op, on ...int) *DupElim {
-	d := NewDupElim(in, on...)
-	d.ByContent = true
-	return d
-}
-
 // Label implements Op.
 func (d *DupElim) Label() string {
-	kind := "NodeIDDE"
-	if d.ByContent {
-		kind = "ContentDE"
-	}
 	parts := make([]string, len(d.On))
 	for i, k := range d.On {
 		parts[i] = fmt.Sprintf("(%d)", k)
 	}
-	return kind + " on " + strings.Join(parts, ", ")
+	return "NodeIDDE on " + strings.Join(parts, ", ")
 }
 
+// dedupWidth is the number of node keys in one seen-set entry. A longer
+// class list is folded: each full entry is numbered, and the number heads
+// the next entry.
+const dedupWidth = 4
+
+// dedupEntry is one seen-set entry: the node keys of up to dedupWidth
+// listed classes.
+type dedupEntry [dedupWidth]seq.Key
+
+var (
+	// emptyKey stands for a class binding no node; no node has Ord -1 and
+	// Temp 0.
+	emptyKey = seq.Key{Ord: -1}
+	// foldKey heads an entry that continues a folded one; its Temp is the
+	// folded entry's number.
+	foldKey = seq.Key{Ord: -2}
+)
+
 func (d *DupElim) eval(ctx *Context, in []seq.Seq) (seq.Seq, error) {
-	seen := make(map[string]bool)
-	var out seq.Seq
+	seen := make(map[dedupEntry]struct{})
+	var folded map[dedupEntry]int64
+	out := in[0][:0]
 	for _, t := range in[0] {
-		var key strings.Builder
+		var e dedupEntry
+		w := 0
 		for _, lcl := range d.On {
+			if w == dedupWidth {
+				if folded == nil {
+					folded = make(map[dedupEntry]int64)
+				}
+				id, ok := folded[e]
+				if !ok {
+					id = int64(len(folded)) + 1
+					folded[e] = id
+				}
+				e, w = dedupEntry{foldKey}, 1
+				e[0].Temp = id
+			}
 			members := t.Class(lcl)
 			switch len(members) {
 			case 0:
-				key.WriteString("|∅")
+				e[w] = emptyKey
 			case 1:
-				if d.ByContent {
-					key.WriteString("|" + seq.Content(ctx.Store, members[0]))
-				} else {
-					key.WriteString("|" + members[0].Identity())
-				}
+				e[w] = members[0].Key()
 			default:
 				return nil, fmt.Errorf("class %d binds to %d nodes, need at most 1", lcl, len(members))
 			}
+			w++
 		}
-		k := key.String()
-		if seen[k] {
+		if _, dup := seen[e]; dup {
 			continue
 		}
-		seen[k] = true
+		seen[e] = struct{}{}
 		out = append(out, t)
 	}
+	// out filters in place; the dropped trees must not stay reachable
+	// through the tail of the shared backing array.
+	clear(in[0][len(out):])
 	return out, nil
 }
 

@@ -44,7 +44,9 @@ func RunContext(goCtx context.Context, st *store.Store, f *xquery.FLWOR) (out se
 	}
 	defer failure.Recover(&err, "nav.Run")
 	gov := governor.FromContext(goCtx)
-	ev := &evaluator{st: st, goCtx: goCtx, gov: gov, arena: seq.NewArena().WithGovernor(gov)}
+	a := seq.NewArena().WithGovernor(gov)
+	ev := &evaluator{st: st, goCtx: goCtx, gov: gov, arena: a, slab: a.Hold()}
+	defer a.Release(ev.slab)
 	return ev.flwor(f, env{})
 }
 
@@ -55,8 +57,10 @@ type evaluator struct {
 	gov *governor.Governor
 	// arena slab-allocates the visited-node wrappers: navigation wraps
 	// every fetched child in a fresh seq.Node, which made it by far the
-	// allocation-heaviest engine.
+	// allocation-heaviest engine. The evaluation runs on one goroutine, so
+	// it holds one slab of the arena, slab, throughout.
 	arena *seq.Arena
+	slab  *seq.Slab
 	// steps counts poll sites passed; every physical.PollStride-th one
 	// reads the context. cancelErr latches the first cancellation so walks
 	// that cannot return an error themselves (descendantsNamed) abort
@@ -226,7 +230,7 @@ func (ev *evaluator) path(p *xquery.Path, e env) ([]*seq.Node, error) {
 			return nil, fmt.Errorf("nav: document %q not loaded", p.Doc)
 		}
 		nd := ev.st.Node(id, 0)
-		cur = []*seq.Node{ev.arena.StoreNode(id, 0, nd.Kind, nd.Tag, nd.Value)}
+		cur = []*seq.Node{ev.slab.StoreNode(id, 0, nd.Kind, nd.Tag, nd.Value)}
 	default:
 		bound, ok := e[p.Var]
 		if !ok {
@@ -298,7 +302,7 @@ func (ev *evaluator) children(n *seq.Node) []*seq.Node {
 	out := make([]*seq.Node, 0, len(ords))
 	d := ev.st.Doc(n.Doc)
 	for _, o := range ords {
-		out = append(out, ev.arena.StoreNodeOf(n.Doc, o, d))
+		out = append(out, ev.slab.StoreNodeOf(n.Doc, o, d))
 	}
 	return out
 }

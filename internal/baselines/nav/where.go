@@ -165,22 +165,22 @@ func (ev *evaluator) buildReturn(r *xquery.RetNode, e env) (*seq.Tree, error) {
 		return nil, err
 	}
 	if len(nodes) == 1 {
-		return ev.arena.NewTree(nodes[0]), nil
+		return ev.slab.NewTree(nodes[0]), nil
 	}
-	root := ev.arena.TempElement("result")
+	root := ev.slab.TempElement("result")
 	for _, n := range nodes {
-		seq.Attach(root, n)
+		ev.slab.Attach(root, n)
 	}
-	return ev.arena.NewTree(root), nil
+	return ev.slab.NewTree(root), nil
 }
 
 func (ev *evaluator) retNodes(r *xquery.RetNode, e env) ([]*seq.Node, error) {
 	switch r.Kind {
 	case xquery.RetElement:
-		el := ev.arena.TempElement(r.Tag)
+		el := ev.slab.TempElement(r.Tag)
 		for _, a := range r.Attrs {
 			if a.Path == nil {
-				seq.Attach(el, ev.arena.TempAttr(a.Name, a.Literal))
+				ev.slab.Attach(el, ev.slab.TempAttr(a.Name, a.Literal))
 				continue
 			}
 			vs, err := ev.values(a.Path, e)
@@ -188,7 +188,7 @@ func (ev *evaluator) retNodes(r *xquery.RetNode, e env) ([]*seq.Node, error) {
 				return nil, err
 			}
 			if len(vs) > 0 {
-				seq.Attach(el, ev.arena.TempAttr(a.Name, vs[0]))
+				ev.slab.Attach(el, ev.slab.TempAttr(a.Name, vs[0]))
 			}
 		}
 		for _, ch := range r.Children {
@@ -197,7 +197,7 @@ func (ev *evaluator) retNodes(r *xquery.RetNode, e env) ([]*seq.Node, error) {
 				return nil, err
 			}
 			for _, k := range kids {
-				seq.Attach(el, k)
+				ev.slab.Attach(el, k)
 			}
 		}
 		return []*seq.Node{el}, nil
@@ -209,7 +209,7 @@ func (ev *evaluator) retNodes(r *xquery.RetNode, e env) ([]*seq.Node, error) {
 		var out []*seq.Node
 		for _, n := range nodes {
 			if r.Path.Text {
-				out = append(out, ev.arena.TempText(seq.Content(ev.st, n)))
+				out = append(out, ev.slab.TempText(seq.Content(ev.st, n)))
 				continue
 			}
 			out = append(out, ev.copyOut(n))
@@ -224,9 +224,9 @@ func (ev *evaluator) retNodes(r *xquery.RetNode, e env) ([]*seq.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []*seq.Node{ev.arena.TempText(v)}, nil
+		return []*seq.Node{ev.slab.TempText(v)}, nil
 	case xquery.RetLiteral:
-		return []*seq.Node{ev.arena.TempText(r.Literal)}, nil
+		return []*seq.Node{ev.slab.TempText(r.Literal)}, nil
 	case xquery.RetSub:
 		sub, err := ev.flwor(r.Sub, e)
 		if err != nil {

@@ -247,41 +247,6 @@ func (t *Tree) FindLCL(lcl int) *Node {
 	return nil
 }
 
-// ParentOf returns the pattern parent of child and the connecting edge, or
-// nil if child is the root or not part of the tree.
-func (t *Tree) ParentOf(child *Node) (*Node, *Edge) {
-	for _, n := range t.Nodes() {
-		for i := range n.Edges {
-			if n.Edges[i].To == child {
-				return n, &n.Edges[i]
-			}
-		}
-	}
-	return nil, nil
-}
-
-// Clone returns a deep copy of the pattern tree.
-func (t *Tree) Clone() *Tree {
-	var cp func(*Node) *Node
-	cp = func(n *Node) *Node {
-		m := *n
-		m.Edges = make([]Edge, len(n.Edges))
-		for i, e := range n.Edges {
-			e.To = cp(e.To)
-			m.Edges[i] = e
-		}
-		if n.Pred != nil {
-			p := *n.Pred
-			m.Pred = &p
-		}
-		return &m
-	}
-	if t.Root == nil {
-		return &Tree{}
-	}
-	return &Tree{Root: cp(t.Root)}
-}
-
 // Validate checks structural sanity: non-nil root, unique positive LCLs,
 // LC anchors only at the root, tag tests with non-empty tags, and
 // well-formed logical annotations (OR groups need at least two member

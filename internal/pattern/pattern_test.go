@@ -55,34 +55,6 @@ func TestNodesAndFind(t *testing.T) {
 	}
 }
 
-func TestParentOf(t *testing.T) {
-	tr := q1SelectTree()
-	age := tr.FindLCL(10)
-	parent, edge := tr.ParentOf(age)
-	if parent == nil || parent.LCL != 3 {
-		t.Fatalf("ParentOf(age) = %+v", parent)
-	}
-	if edge.Axis != Child || edge.Spec != One {
-		t.Errorf("edge = %+v", edge)
-	}
-	if p, _ := tr.ParentOf(tr.Root); p != nil {
-		t.Error("root has a parent")
-	}
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	tr := q1SelectTree()
-	cp := tr.Clone()
-	cp.FindLCL(10).Pred.Value = "99"
-	cp.FindLCL(3).Tag = "changed"
-	if tr.FindLCL(10).Pred.Value != "25" || tr.FindLCL(3).Tag != "person" {
-		t.Error("Clone shares state with original")
-	}
-	if err := cp.Validate(); err != nil {
-		t.Errorf("clone Validate: %v", err)
-	}
-}
-
 func TestString(t *testing.T) {
 	s := q1SelectTree().String()
 	for _, want := range []string{"doc_root(auction.xml)", "//person [3]", "/age>25 [10]", "/@id [7]"} {

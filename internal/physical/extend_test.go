@@ -363,10 +363,10 @@ func TestExtendBelowStoreReference(t *testing.T) {
 						top = top.Parent
 					}
 					if top != w.Root {
-						t.Errorf("tree %d: class %d member %s is not in the tree", i, lcl, m.Identity())
+						t.Errorf("tree %d: class %d member %v is not in the tree", i, lcl, m.Key())
 					}
 					if m.IsStore() {
-						ids = append(ids, m.Identity())
+						ids = append(ids, fmt.Sprint(m.Key()))
 					} else {
 						ids = append(ids, m.Tag) // temporary IDs differ from build to build
 					}

@@ -2,8 +2,8 @@ package physical
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
-	"strings"
 
 	"tlc/internal/seq"
 	"tlc/internal/store"
@@ -34,8 +34,8 @@ func GroupBy(ctx context.Context, st *store.Store, input seq.Seq, basisLCL, memb
 		basis *seq.Node
 	}
 	groups := make(map[string]*group)
-	var order []string
-	passKey := 0
+	var order []*group
+	var key []byte
 	for i, t := range input {
 		if err := poll(ctx, i); err != nil {
 			return nil, err
@@ -43,23 +43,21 @@ func GroupBy(ctx context.Context, st *store.Store, input seq.Seq, basisLCL, memb
 		members := t.Class(basisLCL)
 		if len(members) == 0 {
 			// No basis to group on: the tree forms its own group.
-			passKey++
-			key := fmt.Sprintf("pass|%d", passKey)
-			groups[key] = &group{tree: t}
-			order = append(order, key)
+			order = append(order, &group{tree: t})
 			continue
 		}
 		if len(members) > 1 {
 			return nil, fmt.Errorf("physical: group basis class %d binds to %d nodes", basisLCL, len(members))
 		}
 		b := members[0]
-		key := groupKey(t, b, excluded)
-		g, ok := groups[key]
+		key = groupKey(key[:0], t, b, excluded)
+		g, ok := groups[string(key)]
 		if !ok {
 			// The first tree of a group becomes the representative; it is
 			// adopted as-is and made mutable lazily, on the first merge.
-			groups[key] = &group{tree: t, basis: b}
-			order = append(order, key)
+			g = &group{tree: t, basis: b}
+			groups[string(key)] = g
+			order = append(order, g)
 			continue
 		}
 		// Merge this tree's member nodes into the group representative. A
@@ -85,7 +83,9 @@ func GroupBy(ctx context.Context, st *store.Store, input seq.Seq, basisLCL, memb
 		for _, m := range t.Class(memberLCL) {
 			mv, nm := m, seq.NodeMap{}
 			if frozenSrc {
-				mv, nm = seq.CopySubtree(t.Arena(), m)
+				s := t.Arena().Hold()
+				mv, nm = s.CopySubtree(m)
+				t.Arena().Release(s)
 			} else {
 				seq.Detach(m)
 			}
@@ -101,43 +101,52 @@ func GroupBy(ctx context.Context, st *store.Store, input seq.Seq, basisLCL, memb
 		}
 	}
 	out := make(seq.Seq, 0, len(order))
-	for _, k := range order {
-		out = append(out, groups[k].tree)
+	for _, g := range order {
+		out = append(out, g.tree)
 	}
 	return out, nil
 }
 
-// groupKey builds the grouping key: root identity, basis identity, and
-// the identities of every class binding not excluded. Flat-multiplication
-// clones agree on all of these (clones preserve temporary IDs and store
-// coordinates, differing only in the grouped branch), while genuinely
-// distinct witnesses differ in at least one other binding.
-func groupKey(t *seq.Tree, basis *seq.Node, excluded map[int]bool) string {
-	var sb strings.Builder
-	sb.WriteString(t.Root.Identity())
-	sb.WriteByte('|')
-	sb.WriteString(basis.Identity())
+// groupKey appends to key the grouping key — root identity, basis
+// identity, and the identities of every class binding not excluded, in
+// label order.
+// Flat-multiplication clones agree on all of these (clones preserve node
+// keys, differing only in the grouped branch), while genuinely distinct
+// witnesses differ in at least one other binding.
+func groupKey(key []byte, t *seq.Tree, basis *seq.Node, excluded map[int]bool) []byte {
+	key = appendKey(key, t.Root.Key())
+	key = appendKey(key, basis.Key())
 	for _, lcl := range t.Classes() {
 		if excluded[lcl] {
 			continue
 		}
 		members := t.Class(lcl)
-		switch {
-		case len(members) == 0:
-		case len(members) <= 2:
-			for _, n := range members {
-				fmt.Fprintf(&sb, "|%d:%s", lcl, n.Identity())
-			}
-		default:
-			// Already-clustered classes (an earlier grouping round) are
-			// summarized by size and endpoints: a real grouping
-			// implementation operates per split path and never hashes a
-			// sibling cluster member-by-member.
-			fmt.Fprintf(&sb, "|%d:#%d:%s:%s", lcl, len(members),
-				members[0].Identity(), members[len(members)-1].Identity())
+		if len(members) == 0 {
+			continue
 		}
+		key = binary.LittleEndian.AppendUint64(key, uint64(lcl))
+		key = binary.LittleEndian.AppendUint32(key, uint32(len(members)))
+		if len(members) <= 2 {
+			for _, n := range members {
+				key = appendKey(key, n.Key())
+			}
+			continue
+		}
+		// Already-clustered classes (an earlier grouping round) are
+		// summarized by size and endpoints: a real grouping implementation
+		// operates per split path and never hashes a sibling cluster
+		// member-by-member.
+		key = appendKey(key, members[0].Key())
+		key = appendKey(key, members[len(members)-1].Key())
 	}
-	return sb.String()
+	return key
+}
+
+// appendKey appends the fixed-size encoding of a node key.
+func appendKey(b []byte, k seq.Key) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(k.Doc))
+	b = binary.LittleEndian.AppendUint32(b, uint32(k.Ord))
+	return binary.LittleEndian.AppendUint64(b, uint64(k.Temp))
 }
 
 // MergeOnRoot merges two sequences whose trees are rooted at stored nodes,
@@ -146,9 +155,9 @@ func groupKey(t *seq.Tree, basis *seq.Node, excluded map[int]bool) string {
 // partner on the other side are dropped (inner merge). This is the "merge"
 // step of the split/group/merge DAG procedure used by the GTP baseline.
 func MergeOnRoot(ctx context.Context, st *store.Store, left, right seq.Seq) (seq.Seq, error) {
-	byRoot := make(map[string][]*seq.Tree, len(right))
+	byRoot := make(map[seq.Key][]*seq.Tree, len(right))
 	for _, r := range right {
-		byRoot[r.Root.Identity()] = append(byRoot[r.Root.Identity()], r)
+		byRoot[r.Root.Key()] = append(byRoot[r.Root.Key()], r)
 	}
 	// takeRight consumes a right tree on first use when unfrozen (grafting
 	// re-parents its branches); later uses and frozen trees are copied.
@@ -167,7 +176,7 @@ func MergeOnRoot(ctx context.Context, st *store.Store, left, right seq.Seq) (seq
 		if err := poll(ctx, i); err != nil {
 			return nil, err
 		}
-		partners := byRoot[l.Root.Identity()]
+		partners := byRoot[l.Root.Key()]
 		if len(partners) == 0 {
 			continue
 		}

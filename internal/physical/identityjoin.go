@@ -22,13 +22,13 @@ import (
 // in memory, so the join itself is cheap — the cost TAX pays is the fresh
 // pattern match producing the right side.
 func IdentityMergeJoin(ctx context.Context, st *store.Store, left, right seq.Seq, leftLCL, rightLCL int) (seq.Seq, error) {
-	byID := make(map[string][]*seq.Tree, len(right))
+	byID := make(map[seq.Key][]*seq.Tree, len(right))
 	for _, r := range right {
 		a, err := r.Singleton(rightLCL)
 		if err != nil {
 			return nil, fmt.Errorf("physical: identity join right side: %w", err)
 		}
-		byID[a.Identity()] = append(byID[a.Identity()], r)
+		byID[a.Key()] = append(byID[a.Key()], r)
 	}
 	// takeRight consumes a right tree on first use when unfrozen (grafting
 	// re-parents its anchor's branches); later uses and frozen trees are
@@ -54,7 +54,7 @@ func IdentityMergeJoin(ctx context.Context, st *store.Store, left, right seq.Seq
 			out = append(out, l)
 			continue
 		}
-		partners := byID[members[0].Identity()]
+		partners := byID[members[0].Key()]
 		if len(partners) == 0 {
 			out = append(out, l)
 			continue

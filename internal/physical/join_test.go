@@ -399,3 +399,77 @@ func TestMergeOnRoot(t *testing.T) {
 		t.Errorf("merged classes: B=%d C=%d", len(merged[0].Class(2)), len(merged[0].Class(3)))
 	}
 }
+
+// TestValueJoinOwnedLeftManyRights pins the rule in-place stitching rests
+// on: an owned left tree that pairs with several right trees is copied for
+// every pair but its last, which gets the original. Handing the original
+// to the first pair would make every later copy a copy of an already
+// stitched tree, binding the first pair's classes twice.
+func TestValueJoinOwnedLeftManyRights(t *testing.T) {
+	s, _ := loadFixture(t, `<site>
+  <person id="p0"/><person id="p1"/>
+  <open_auction><ref person="p0"/></open_auction>
+  <open_auction><ref person="p0"/></open_auction>
+  <open_auction><ref person="p0"/></open_auction>
+  <open_auction><ref person="p1"/></open_auction>
+</site>`)
+	m := NewMatcher(s).WithArena(seq.NewArena())
+	left, right := joinInputs(t, s, m)
+	leftKeys := make([]seq.Key, len(left))
+	for i, l := range left {
+		leftKeys[i] = l.ClassAll(1)[0].Key()
+	}
+	rightKeys := make([]seq.Key, len(right))
+	for j, r := range right {
+		rightKeys[j] = r.ClassAll(3)[0].Key()
+	}
+	p0 := left[0]
+	out, err := ValueJoin(context.Background(), s, left, right, JoinSpec{
+		LeftLCL: 2, RightLCL: 4, Op: pattern.EQ, RightSpec: pattern.One, RootLCL: 9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// p0 pairs with auctions 0, 1 and 2, p1 with auction 3.
+	pairs := [][2]int{{0, 0}, {0, 1}, {0, 2}, {1, 3}}
+	if len(out) != len(pairs) {
+		t.Fatalf("got %d joined trees, want %d", len(out), len(pairs))
+	}
+	if out[2] != p0 {
+		t.Error("the last pair of p0 must get the original left tree")
+	}
+	for k, w := range out {
+		for _, lcl := range []int{1, 2, 3, 4, 9} {
+			ms := w.ClassAll(lcl)
+			if len(ms) != 1 {
+				t.Fatalf("output %d: class %d binds to %d nodes, want 1", k, lcl, len(ms))
+			}
+			top := ms[0]
+			for top.Parent != nil {
+				top = top.Parent
+			}
+			if top != w.Root {
+				t.Errorf("output %d: class %d member is not in the tree", k, lcl)
+			}
+		}
+		if w.ClassAll(9)[0] != w.Root {
+			t.Errorf("output %d: class 9 is not the join root", k)
+		}
+		if got, want := w.ClassAll(1)[0].Key(), leftKeys[pairs[k][0]]; got != want {
+			t.Errorf("output %d: left class bound to %v, want %v", k, got, want)
+		}
+		if got, want := w.ClassAll(3)[0].Key(), rightKeys[pairs[k][1]]; got != want {
+			t.Errorf("output %d: right class bound to %v, want %v — another pair's right tree", k, got, want)
+		}
+		for o := range out[:k] {
+			for _, lcl := range []int{1, 2, 3, 4, 9} {
+				if &out[o].ClassAll(lcl)[0] == &w.ClassAll(lcl)[0] {
+					t.Errorf("outputs %d and %d share the member list of class %d", o, k, lcl)
+				}
+				if out[o].ClassAll(lcl)[0] == w.ClassAll(lcl)[0] {
+					t.Errorf("outputs %d and %d share the class %d node", o, k, lcl)
+				}
+			}
+		}
+	}
+}

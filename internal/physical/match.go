@@ -109,7 +109,7 @@ func (m *Matcher) MatchDocument(ctx context.Context, apt *pattern.Tree) (seq.Seq
 	}
 	od := b.odometer(v, v.ords[0])
 	for ok := od.reset(0); ok && b.err == nil; ok = od.next() {
-		b.t = m.arena.NewTree(nil)
+		b.t = b.slab.NewTree(nil)
 		b.t.Root = b.node(v, v.ords[0], &od, 0)
 		out = append(out, b.t)
 	}

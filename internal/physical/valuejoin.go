@@ -64,11 +64,14 @@ func ValueJoin(ctx context.Context, st *store.Store, left, right seq.Seq, spec J
 	} else {
 		matches = loopMatcher(lk, rk, spec.Op)
 	}
-	// The operator owns its unfrozen single-consumer inputs: each left tree
-	// is consumed by its first emitted pair (copied only for additional
-	// pairs), and each right tree by its first participating output. Frozen
-	// trees are shared with other plan consumers and always copied —
-	// stitching re-parents their nodes.
+	// The operator owns its unfrozen single-consumer inputs. Stitching
+	// turns a left tree into the output in place, so a left tree that
+	// pairs with several right trees is copied for every pair but its last,
+	// which gets the original: a copy taken after the original was
+	// stitched would copy the stitched tree. A right tree is taken over by
+	// its first participating output and copied for later ones — stitching
+	// leaves it readable. Frozen trees are shared with other plan consumers
+	// and always copied.
 	rightUsed := make([]bool, len(right))
 	takeRight := func(j int) *seq.Tree {
 		if !rightUsed[j] {
@@ -79,7 +82,14 @@ func ValueJoin(ctx context.Context, st *store.Store, left, right seq.Seq, spec J
 		}
 		return right[j].Clone()
 	}
+	takeLeft := func(i int, last bool) *seq.Tree {
+		if last && !left[i].Frozen() {
+			return left[i]
+		}
+		return left[i].Clone()
+	}
 	var out seq.Seq
+	var rights []*seq.Tree
 	for i := range left {
 		if err := poll(ctx, i); err != nil {
 			return nil, err
@@ -88,38 +98,25 @@ func ValueJoin(ctx context.Context, st *store.Store, left, right seq.Seq, spec J
 			continue
 		}
 		ms := matches(i)
-		leftUsed := false
-		takeLeft := func() *seq.Tree {
-			if !leftUsed {
-				leftUsed = true
-				if !left[i].Frozen() {
-					return left[i]
-				}
-			}
-			return left[i].Clone()
-		}
 		switch {
 		case spec.RightSpec.Nested():
 			if len(ms) == 0 && !spec.RightSpec.Optional() {
 				continue
 			}
-			rights := make([]*seq.Tree, 0, len(ms))
+			rights = rights[:0]
 			for _, j := range ms {
 				rights = append(rights, takeRight(j))
 			}
-			out = append(out, stitchTrees(spec.RootTag, spec.RootLCL, takeLeft(), rights))
+			out = append(out, stitchTrees(spec.RootTag, spec.RootLCL, takeLeft(i, true), rights...))
 		default:
 			if len(ms) == 0 {
 				if spec.RightSpec.Optional() {
-					out = append(out, stitchTrees(spec.RootTag, spec.RootLCL, takeLeft(), nil))
+					out = append(out, stitchTrees(spec.RootTag, spec.RootLCL, takeLeft(i, true)))
 				}
 				continue
 			}
-			// Stitching re-parents the left tree's nodes, so every pair needs
-			// its own copy; takeLeft hands the original to the first pair
-			// (when unfrozen) and copies for the rest.
-			for _, j := range ms {
-				out = append(out, stitchTrees(spec.RootTag, spec.RootLCL, takeLeft(), []*seq.Tree{takeRight(j)}))
+			for k, j := range ms {
+				out = append(out, stitchTrees(spec.RootTag, spec.RootLCL, takeLeft(i, k == len(ms)-1), takeRight(j)))
 			}
 		}
 	}
@@ -151,7 +148,7 @@ func CartesianJoin(ctx context.Context, rootTag string, rootLCL int, left, right
 			if li < len(left)-1 || r.Frozen() {
 				rt = r.Clone()
 			}
-			out = append(out, stitchTrees(rootTag, rootLCL, lt, []*seq.Tree{rt}))
+			out = append(out, stitchTrees(rootTag, rootLCL, lt, rt))
 		}
 	}
 	return out, nil
@@ -167,9 +164,10 @@ func NestAllJoin(ctx context.Context, rootTag string, rootLCL int, left, right s
 	}
 	stitched := 0
 	out := make(seq.Seq, 0, len(left))
+	rights := make([]*seq.Tree, 0, len(right))
 	for li, l := range left {
 		lastL := li == len(left)-1
-		rights := make([]*seq.Tree, 0, len(right))
+		rights = rights[:0]
 		for _, r := range right {
 			if err := poll(ctx, stitched); err != nil {
 				return nil, err
@@ -186,42 +184,29 @@ func NestAllJoin(ctx context.Context, rootTag string, rootLCL int, left, right s
 		if l.Frozen() {
 			lt = l.Clone()
 		}
-		out = append(out, stitchTrees(rootTag, rootLCL, lt, rights))
+		out = append(out, stitchTrees(rootTag, rootLCL, lt, rights...))
 	}
 	return out, nil
 }
 
-// stitchTrees builds one output tree: a fresh root with the left tree's
-// root as first child and the right roots following, class maps merged.
-// The left tree is consumed (its nodes are re-parented, not copied), so
-// callers pass only trees they own (unfrozen or freshly copied). The new
-// root draws from the left tree's arena.
-func stitchTrees(rootTag string, rootLCL int, left *seq.Tree, rights []*seq.Tree) *seq.Tree {
+// stitchTrees builds one output tree from left in place (seq.Tree.Stitch):
+// a fresh root with the left tree's root as first child and the right
+// roots following, class tables merged. Callers pass only trees they own
+// (unfrozen or freshly copied). The new root draws from the left tree's
+// arena.
+func stitchTrees(rootTag string, rootLCL int, left *seq.Tree, rights ...*seq.Tree) *seq.Tree {
 	a := left.Arena()
-	root := a.TempElement(rootTag)
-	t := a.NewTree(root)
-	if rootLCL > 0 {
-		t.AddToClass(rootLCL, root)
-	}
-	seq.Attach(root, left.Root)
-	for _, lcl := range left.Classes() {
-		for _, n := range left.ClassAll(lcl) {
-			t.AddToClass(lcl, n)
-		}
-	}
-	for _, r := range rights {
-		seq.Attach(root, r.Root)
-		for _, lcl := range r.Classes() {
-			for _, n := range r.ClassAll(lcl) {
-				t.AddToClass(lcl, n)
-			}
-		}
-	}
-	return t
+	s := a.Hold()
+	left.Stitch(s, rootTag, rootLCL, rights)
+	a.Release(s)
+	return left
 }
 
+// joinKey is one tree's join values. A singleton class's one value lives
+// in one, and values is a slice of it, so the common case copies nothing.
 type joinKey struct {
 	values  []string
+	one     [1]string
 	missing bool
 }
 
@@ -240,11 +225,16 @@ func joinKeys(st *store.Store, s seq.Seq, lcl int) ([]joinKey, error) {
 			keys[i] = joinKey{missing: true}
 			continue
 		}
-		vals := make([]string, len(members))
-		for j, m := range members {
-			vals[j] = seq.Content(st, m)
+		k := &keys[i]
+		if len(members) == 1 {
+			k.one[0] = seq.Content(st, members[0])
+			k.values = k.one[:]
+			continue
 		}
-		keys[i] = joinKey{values: vals}
+		k.values = make([]string, len(members))
+		for j, m := range members {
+			k.values[j] = seq.Content(st, m)
+		}
 	}
 	return keys, nil
 }

@@ -26,7 +26,8 @@ const slabNodes = 64
 // kids is the slab's block of child pointers: Kids carves exactly sized,
 // full-slice-capped child lists out of it, so a builder that knows a node's
 // fan-out pays a pointer bump instead of an allocation that then grows
-// 1→2→4. Either block is replaced, not the slab, when it runs out.
+// 1→2→4. trees is a block of Tree structs handed out the same way. Each
+// block is replaced, not the slab, when it runs out.
 //
 // A nil *Slab is valid — what a nil arena hands out — and allocates from
 // the heap.
@@ -34,6 +35,9 @@ type Slab struct {
 	a    *Arena
 	buf  []Node
 	kids []*Node
+	// trees is the slab's block of witness trees; NewTree hands them out
+	// like node does nodes.
+	trees []Tree
 	// taken counts the nodes handed out since Hold; Release adds it to the
 	// arena's counters.
 	taken int64
@@ -216,68 +220,85 @@ func (a *Arena) charge(b int64) {
 	}
 }
 
-// node is Hold, one node, Release.
-func (a *Arena) node() *Node {
-	s := a.Hold()
-	n := s.node()
-	a.Release(s)
-	return n
+// Attach links child under parent, keeping Parent pointers consistent. A
+// parent whose child list is full gets its grown list carved from the
+// slab's pointer block; a nil slab grows it on the heap, like append.
+func (s *Slab) Attach(parent, child *Node) {
+	child.Parent = parent
+	if n := len(parent.Kids); s != nil && n == cap(parent.Kids) {
+		c := n + 1
+		if n >= 4 {
+			c = 2 * n
+		}
+		parent.Kids = append(s.Kids(c), parent.Kids...)
+	}
+	parent.Kids = append(parent.Kids, child)
+}
+
+// treeBlock is the largest number of Tree structs per block (5 KB). A
+// slab's first block holds four and each next one twice as many, so a
+// query that builds a handful of trees does not pay for sixteen.
+const treeBlock = 16
+
+const treeBytes = int64(unsafe.Sizeof(Tree{}))
+
+// NewTree returns a tree rooted at root with an empty class table, carved
+// from the slab's tree block; its future node copies (Mutable, Clone) draw
+// from the slab's arena. A nil slab allocates the tree from the heap.
+func (s *Slab) NewTree(root *Node) *Tree {
+	if s == nil {
+		return &Tree{Root: root}
+	}
+	if n := cap(s.trees); len(s.trees) == n {
+		n = min(max(2*n, 4), treeBlock)
+		s.a.charge(int64(n) * treeBytes)
+		s.trees = make([]Tree, 0, n)
+	}
+	s.trees = s.trees[:len(s.trees)+1] // a block is handed out once: still zero
+	t := &s.trees[len(s.trees)-1]
+	t.Root, t.arena = root, s.a
+	return t
 }
 
 // StoreNodeOf returns a witness node referencing the store node at
 // (doc, ord), its kind, tag and value cached from the columnar view d
 // (which must be the view of doc).
 func (s *Slab) StoreNodeOf(doc store.DocID, ord int32, d *store.Doc) *Node {
-	n := s.node()
-	n.Doc, n.Ord = doc, ord
-	n.Kind, n.Tag, n.Value = d.Kind(ord), d.Tag(ord), d.Value(ord)
-	return n
+	return s.StoreNode(doc, ord, d.Kind(ord), d.Tag(ord), d.Value(ord))
 }
 
 // StoreNode returns a witness node referencing the store node at
-// (doc, ord), allocated from the arena. Kind, tag and value are cached
-// from the store's columns (tag and value are dictionary-interned
-// strings, so caching them copies two string headers, not bytes).
-func (a *Arena) StoreNode(doc store.DocID, ord int32, kind xmltree.Kind, tag, value string) *Node {
-	n := a.node()
+// (doc, ord). Kind, tag and value are cached from the store's columns (tag
+// and value are dictionary-interned strings, so caching them copies two
+// string headers, not bytes).
+func (s *Slab) StoreNode(doc store.DocID, ord int32, kind xmltree.Kind, tag, value string) *Node {
+	n := s.node()
 	n.Doc, n.Ord = doc, ord
 	n.Kind, n.Tag, n.Value = kind, tag, value
 	return n
 }
 
-// StoreNodeOf is StoreNode reading the cached fields from the columnar
-// document view d (which must be the view of doc).
-func (a *Arena) StoreNodeOf(doc store.DocID, ord int32, d *store.Doc) *Node {
-	return a.StoreNode(doc, ord, d.Kind(ord), d.Tag(ord), d.Value(ord))
-}
-
-// TempElement returns a fresh temporary element node from the arena.
-func (a *Arena) TempElement(tag string) *Node {
-	n := a.node()
+// TempElement returns a fresh temporary element node.
+func (s *Slab) TempElement(tag string) *Node {
+	n := s.node()
 	n.Ord, n.TempID = -1, tempCounter.Add(1)
 	n.Kind, n.Tag = xmltree.Element, tag
 	return n
 }
 
-// TempText returns a fresh temporary text node from the arena.
-func (a *Arena) TempText(value string) *Node {
-	n := a.node()
+// TempText returns a fresh temporary text node.
+func (s *Slab) TempText(value string) *Node {
+	n := s.node()
 	n.Ord, n.TempID = -1, tempCounter.Add(1)
 	n.Kind, n.Tag, n.Value = xmltree.Text, xmltree.TextTag, value
 	return n
 }
 
-// TempAttr returns a fresh temporary attribute node from the arena; name
-// is stored with the "@" prefix like stored attributes.
-func (a *Arena) TempAttr(name, value string) *Node {
-	n := a.node()
+// TempAttr returns a fresh temporary attribute node; name is stored with
+// the "@" prefix like stored attributes.
+func (s *Slab) TempAttr(name, value string) *Node {
+	n := s.node()
 	n.Ord, n.TempID = -1, tempCounter.Add(1)
 	n.Kind, n.Tag, n.Value = xmltree.Attribute, "@"+name, value
 	return n
-}
-
-// NewTree returns a tree rooted at root whose future node copies (Mutable,
-// Clone) draw from this arena.
-func (a *Arena) NewTree(root *Node) *Tree {
-	return &Tree{Root: root, arena: a}
 }

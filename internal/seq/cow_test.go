@@ -63,9 +63,9 @@ func TestMutableFrozenCopies(t *testing.T) {
 	if len(tr.ClassAll(3)) != 0 {
 		t.Error("class added to the copy leaked into the original")
 	}
-	// TempIDs carry over, so Identity stays stable across the copy.
-	if a.Identity() != ca.Identity() {
-		t.Errorf("copy changed node identity: %s vs %s", a.Identity(), ca.Identity())
+	// TempIDs carry over, so the node key stays stable across the copy.
+	if a.Key() != ca.Key() {
+		t.Errorf("copy changed node key: %v vs %v", a.Key(), ca.Key())
 	}
 }
 
@@ -128,14 +128,16 @@ func TestNodeMapFallsBackToMap(t *testing.T) {
 
 func TestArenaAllocatesAndCounts(t *testing.T) {
 	a := NewArena()
-	n := a.TempElement("x")
+	s := a.Hold()
+	n := s.TempElement("x")
 	if n.Tag != "x" {
 		t.Fatal("arena node not initialized")
 	}
 	// Cross the slab boundary to count slab growth.
 	for i := 0; i < slabNodes+5; i++ {
-		a.StoreNode(0, int32(i), xmltree.Element, "e", "")
+		s.StoreNode(0, int32(i), xmltree.Element, "e", "")
 	}
+	a.Release(s)
 	st := a.Stats()
 	if st.Nodes != int64(slabNodes+6) {
 		t.Errorf("arena counted %d nodes, want %d", st.Nodes, slabNodes+6)
@@ -147,11 +149,13 @@ func TestArenaAllocatesAndCounts(t *testing.T) {
 
 func TestNilArenaFallsBack(t *testing.T) {
 	var a *Arena
-	n := a.TempText("v")
+	s := a.Hold()
+	n := s.TempText("v")
 	if n.Value != "v" || n.IsStore() {
 		t.Error("nil arena must still hand out working nodes")
 	}
-	tr := a.NewTree(n)
+	tr := s.NewTree(n)
+	a.Release(s)
 	if tr.Arena() != nil {
 		t.Error("nil arena tree must report a nil arena")
 	}

@@ -70,41 +70,53 @@ type Node struct {
 	// Shadowed marks the node invisible to every operator except
 	// Illuminate (Definition 6).
 	Shadowed bool
+	// kept is Tree.Project's scratch mark, set and cleared within one call
+	// on nodes of a tree the caller owns.
+	kept bool
 }
 
 // NewStoreNode returns a witness node referencing the store node at
 // (doc, ord). Kind, tag and value are cached from the columnar view d.
 func NewStoreNode(doc store.DocID, ord int32, d *store.Doc) *Node {
-	return (*Arena)(nil).StoreNodeOf(doc, ord, d)
+	return (*Slab)(nil).StoreNodeOf(doc, ord, d)
 }
 
 // NewTempElement returns a fresh temporary element node.
 func NewTempElement(tag string) *Node {
-	return (*Arena)(nil).TempElement(tag)
+	return (*Slab)(nil).TempElement(tag)
 }
 
 // NewTempText returns a fresh temporary text node.
 func NewTempText(value string) *Node {
-	return (*Arena)(nil).TempText(value)
+	return (*Slab)(nil).TempText(value)
 }
 
 // NewTempAttr returns a fresh temporary attribute node; name is stored with
 // the "@" prefix like stored attributes.
 func NewTempAttr(name, value string) *Node {
-	return (*Arena)(nil).TempAttr(name, value)
+	return (*Slab)(nil).TempAttr(name, value)
 }
 
 // IsStore reports whether the node references a stored node.
 func (n *Node) IsStore() bool { return n.Ord >= 0 }
 
-// Identity returns a string key unique to the underlying node: the store
-// coordinates for store references, the temporary ID otherwise. It is the
-// key used by identifier-based duplicate elimination.
-func (n *Node) Identity() string {
+// Key is the identity of the node a witness node stands for, as a
+// comparable value: the document and ordinal of a store reference, or the
+// temporary ID. Copies of a node (Mutable, Clone) share its key, and map
+// keys built from it cost no allocation — it is what identifier-based
+// duplicate elimination, the identity join and grouping hash on.
+type Key struct {
+	Doc  store.DocID
+	Ord  int32
+	Temp int64
+}
+
+// Key returns the identity of the node n stands for.
+func (n *Node) Key() Key {
 	if n.IsStore() {
-		return fmt.Sprintf("s%d:%d", n.Doc, n.Ord)
+		return Key{Doc: n.Doc, Ord: n.Ord}
 	}
-	return fmt.Sprintf("t%d", n.TempID)
+	return Key{Ord: -1, Temp: n.TempID}
 }
 
 // Less orders nodes for document-order sorts: store references order by
@@ -128,10 +140,10 @@ func Less(a, b *Node) bool {
 	}
 }
 
-// Attach links child under parent, keeping Parent pointers consistent.
+// Attach is Slab.Attach for a caller holding no slab: the grown child
+// list comes from the heap.
 func Attach(parent, child *Node) {
-	child.Parent = parent
-	parent.Kids = append(parent.Kids, child)
+	(*Slab)(nil).Attach(parent, child)
 }
 
 // Walk visits the subtree rooted at n in pre-order, including shadowed
@@ -159,9 +171,11 @@ type classBucket struct {
 
 // lcInline is the number of class buckets a tree stores inline before the
 // class table spills to the heap. Witness trees bind a handful of classes
-// (one per classified pattern node), so four buckets cover the common case
-// without any table allocation.
-const lcInline = 4
+// (one per classified pattern node, plus a join root and the right side's
+// classes once stitched), so six buckets cover the common case without any
+// table allocation: on the Fig. 15 workload, four left one tree in four
+// spilling.
+const lcInline = 6
 
 // Tree is one witness tree together with its logical class reduction.
 // Trees are always handled by pointer; copying a Tree value would alias
@@ -172,11 +186,14 @@ type Tree struct {
 	// Backed by lc0 until it outgrows it.
 	lc  []classBucket
 	lc0 [lcInline]classBucket
-	// mspill is a bump block member slices are carved from: a fresh class's
-	// single-member slice comes from here (full-slice-capped, so growing a
-	// class reallocates instead of stomping the neighbour). Most classes
-	// stay singletons, so this turns one allocation per class into one per
-	// memberSpill classes.
+	// m0 holds the first singleton classes' members inline: a fresh
+	// class's one-member slice is carved from m0[:m0used] (full-slice-
+	// capped, so growing a class reallocates instead of stomping the
+	// neighbour), and only once m0 is used up from the bump block mspill.
+	// Most classes stay singletons, so most trees never allocate a member
+	// list at all.
+	m0     [memberInline]*Node
+	m0used int
 	mspill []*Node
 	// arena is the allocator node copies of this tree draw from (nil =
 	// plain new). It rides along with the tree so physical operators
@@ -189,13 +206,17 @@ type Tree struct {
 	frozen bool
 }
 
-// memberSpill is the size of the member bump block; see Tree.mspill.
-const memberSpill = 16
+// memberInline is the number of singleton members a tree holds inline,
+// and memberSpill the size of the bump block it spills to; see Tree.m0.
+const (
+	memberInline = 6
+	memberSpill  = 16
+)
 
 // NewTree returns a tree rooted at root with an empty class table and no
 // arena (copies use plain new).
 func NewTree(root *Node) *Tree {
-	return &Tree{Root: root}
+	return (*Slab)(nil).NewTree(root)
 }
 
 // Arena returns the arena this tree's copies allocate from; nil means
@@ -276,11 +297,16 @@ func (t *Tree) Grow(lcl, n int) {
 	t.lc = append(t.lc, classBucket{lcl: lcl, members: make([]*Node, 0, n)})
 }
 
-// newMembers carves a one-element member slice for n out of the spill
-// block, starting a fresh block when the current one is full. The slice is
-// full-slice-capped: appending a second member reallocates it onto the
-// heap, leaving the spill block untouched.
+// newMembers carves a one-element member slice for n out of the inline
+// members, then out of the spill block, starting a fresh block when the
+// current one is full. The slice is full-slice-capped: appending a second
+// member reallocates it onto the heap, leaving its neighbours untouched.
 func (t *Tree) newMembers(n *Node) []*Node {
+	if i := t.m0used; i < memberInline {
+		t.m0used++
+		t.m0[i] = n
+		return t.m0[i : i+1 : i+1]
+	}
 	if len(t.mspill) == cap(t.mspill) {
 		t.mspill = make([]*Node, 0, memberSpill)
 	}
@@ -372,6 +398,112 @@ func (t *Tree) RemoveFromClasses(n *Node) {
 	}
 }
 
+// Project restructures the tree, which the caller must own, for the
+// Project operator: the members of the classes listed in keep (a label
+// listed twice is kept once) move, with their witness subtrees, under the
+// root, in pre-order — a kept node inside a kept subtree stays where it
+// is — and every class not listed leaves the class table, as does every
+// empty one. The root itself is always kept. New child lists come from s; buf
+// is scratch the call returns for reuse by the next tree (nil at first),
+// so projecting a sequence allocates per call, not per tree.
+func (t *Tree) Project(s *Slab, keep []int, buf []*Node) []*Node {
+	t.markKept(keep, true)
+	tops := collectTops(t.Root, buf[:0])
+	t.markKept(keep, false)
+	root := t.Root
+	if len(tops) > cap(root.Kids) {
+		root.Kids = s.Kids(len(tops))
+	}
+	root.Kids = append(root.Kids[:0], tops...)
+	for _, n := range tops {
+		n.Parent = root
+	}
+	w := 0
+	for _, b := range t.lc {
+		if len(b.members) > 0 && slices.Contains(keep, b.lcl) {
+			t.lc[w] = b
+			w++
+		}
+	}
+	clear(t.lc[w:])
+	t.lc = t.lc[:w]
+	return tops
+}
+
+// markKept sets the kept mark of every member of the classes in keep to v.
+func (t *Tree) markKept(keep []int, v bool) {
+	for _, b := range t.lc {
+		if slices.Contains(keep, b.lcl) {
+			for _, m := range b.members {
+				m.kept = v
+			}
+		}
+	}
+}
+
+// collectTops appends the kept nodes below n that have no kept ancestor
+// below n, in pre-order.
+func collectTops(n *Node, tops []*Node) []*Node {
+	for _, k := range n.Kids {
+		if k.kept {
+			tops = append(tops, k)
+		} else {
+			tops = collectTops(k, tops)
+		}
+	}
+	return tops
+}
+
+// Stitch turns the tree, which the caller must own, into a join output: a
+// fresh root (tag rootTag, class rootLCL when positive) from s gets the
+// old root as its first child and the roots of rights after it, and the
+// class tables of rights are absorbed — their member lists are taken
+// over, not copied, so a right tree must be owned and must not change
+// afterwards; it stays readable (only its root's Parent moves), so copies
+// may still be taken from it. Per class, members come in the order root,
+// this tree's, then each right tree's; empty classes are dropped. Nothing
+// but the root and its child list is allocated, and those come from s.
+func (t *Tree) Stitch(s *Slab, rootTag string, rootLCL int, rights []*Tree) {
+	root := s.TempElement(rootTag)
+	root.Kids = append(s.Kids(1+len(rights)), t.Root)
+	t.Root.Parent = root
+	for _, r := range rights {
+		r.Root.Parent = root
+		root.Kids = append(root.Kids, r.Root)
+	}
+	t.Root = root
+	w := 0
+	for _, b := range t.lc {
+		if len(b.members) > 0 {
+			t.lc[w] = b
+			w++
+		}
+	}
+	clear(t.lc[w:])
+	t.lc = t.lc[:w]
+	if rootLCL > 0 {
+		if i := t.bucket(rootLCL); i >= 0 {
+			t.lc[i].members = append([]*Node{root}, t.lc[i].members...)
+		} else {
+			t.AddToClass(rootLCL, root)
+		}
+	}
+	for _, r := range rights {
+		for _, b := range r.lc {
+			switch i := t.bucket(b.lcl); {
+			case len(b.members) == 0:
+			case i >= 0:
+				t.lc[i].members = append(t.lc[i].members, b.members...)
+			default:
+				if t.lc == nil {
+					t.lc = t.lc0[:0]
+				}
+				t.lc = append(t.lc, b)
+			}
+		}
+	}
+}
+
 // nodeMapLinearMax is the subtree size above which NodeMap switches from a
 // linear pointer scan to a hash map. Witness trees are typically a handful
 // of nodes, where scanning a pair of slices beats allocating a map.
@@ -438,15 +570,14 @@ func copySubtree(s *Slab, n, parent *Node, nm *NodeMap) *Node {
 	return c
 }
 
-// CopySubtree deep-copies the subtree rooted at n, allocating from a (nil
-// = plain new), and returns the copied root plus the original→copy
-// mapping. Store references keep their coordinates; temporary nodes keep
-// their TempIDs (a copy denotes the same logical nodes).
-func CopySubtree(a *Arena, n *Node) (*Node, NodeMap) {
+// CopySubtree deep-copies the subtree rooted at n, allocating from the
+// slab (nil = plain new), and returns the copied root plus the
+// original→copy mapping. Store references keep their coordinates;
+// temporary nodes keep their TempIDs (a copy denotes the same logical
+// nodes).
+func (s *Slab) CopySubtree(n *Node) (*Node, NodeMap) {
 	var nm NodeMap
-	s := a.Hold()
 	root := copySubtree(s, n, nil, &nm)
-	a.Release(s)
 	nm.seal()
 	return root, nm
 }
@@ -457,23 +588,28 @@ func (t *Tree) cloneTree() (*Tree, NodeMap) {
 	var nm NodeMap
 	s := t.arena.Hold()
 	root := copySubtree(s, t.Root, nil, &nm)
+	nt := s.NewTree(root)
 	t.arena.Release(s)
 	nm.seal()
-	nt := &Tree{Root: root, arena: t.arena}
 	if len(t.lc) > 0 {
 		if len(t.lc) <= lcInline {
 			nt.lc = nt.lc0[:len(t.lc)]
 		} else {
 			nt.lc = make([]classBucket, len(t.lc))
 		}
-		// One backing array for all member slices of the copy; full-slice
-		// caps keep a later AddToClass on one class from overwriting the
-		// next class's members.
+		// One backing array for all member slices of the copy — the inline
+		// members when they fit; full-slice caps keep a later AddToClass on
+		// one class from overwriting the next class's members.
 		total := 0
 		for i := range t.lc {
 			total += len(t.lc[i].members)
 		}
-		backing := make([]*Node, 0, total)
+		var backing []*Node
+		if total <= memberInline {
+			backing, nt.m0used = nt.m0[:0:total], total
+		} else {
+			backing = make([]*Node, 0, total)
+		}
 		for i, b := range t.lc {
 			start := len(backing)
 			for _, m := range b.members {

@@ -47,15 +47,18 @@ func TestIdentity(t *testing.T) {
 	n1 := storeNode(s, id, 1)
 	n1b := storeNode(s, id, 1)
 	n2 := storeNode(s, id, 2)
-	if n1.Identity() != n1b.Identity() {
-		t.Error("same store node, different identity")
+	if n1.Key() != n1b.Key() {
+		t.Error("same store node, different key")
 	}
-	if n1.Identity() == n2.Identity() {
-		t.Error("different store nodes, same identity")
+	if n1.Key() == n2.Key() {
+		t.Error("different store nodes, same key")
 	}
 	t1, t2 := NewTempElement("x"), NewTempElement("x")
-	if t1.Identity() == t2.Identity() {
-		t.Error("different temp nodes, same identity")
+	if t1.Key() == t2.Key() {
+		t.Error("different temp nodes, same key")
+	}
+	if t1.Key().Ord >= 0 || n1.Key().Temp != 0 {
+		t.Error("temporary and store keys must live in disjoint ranges")
 	}
 }
 
