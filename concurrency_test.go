@@ -20,7 +20,7 @@ const reuseXML = `<site>
 // goroutines at once — the access pattern of a service plan cache — and
 // checks every run returns the same result. Run with -race: the test's
 // value is that the detector sees the concurrent accesses to the shared
-// plan DAG.
+// plan.
 func TestPreparedConcurrentReuse(t *testing.T) {
 	queries := []string{
 		`FOR $p IN document("site.xml")//person WHERE $p/age > 25 RETURN $p/name`,

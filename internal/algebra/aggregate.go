@@ -45,14 +45,11 @@ func (a *Aggregate) Label() string {
 }
 
 func (a *Aggregate) eval(ctx *Context, in []seq.Seq) (seq.Seq, error) {
-	// Aggregate only adds one node per tree; it mutates trees it owns in
-	// place and copies frozen shared ones first.
+	// Aggregate only adds one node per tree, in place.
 	s := ctx.arena.Hold()
 	defer ctx.arena.Release(s)
 	trees := in[0]
-	for i, src := range trees {
-		t := src.Mutable()
-		trees[i] = t
+	for _, t := range trees {
 		members := t.Class(a.LCL)
 		val, err := applyAgg(ctx.Store, a.Fn, members)
 		if err != nil {

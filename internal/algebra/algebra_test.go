@@ -277,7 +277,7 @@ func TestConstruct(t *testing.T) {
 	anchor.Add(pattern.NewTagNode(12, "name"), pattern.Child, pattern.One)
 	withName := NewExtendSelect(sel, &pattern.Tree{Root: anchor})
 	pat := pattern.NewElement("person")
-	pat.Attrs = []pattern.ConstructAttr{{Name: "name", FromLCL: 12}}
+	pat.Attrs = []pattern.ConstructAttr{{Tag: "@name", FromLCL: 12}}
 	pat.NewLCL = 15
 	res, err := Run(s, NewConstruct(withName, pat))
 	if err != nil {
@@ -521,26 +521,6 @@ func TestMaterializeOp(t *testing.T) {
 	p, _ := res[0].Singleton(1)
 	if !p.Full || len(p.Kids) != 3 {
 		t.Errorf("person not fully materialized: full=%v kids=%d", p.Full, len(p.Kids))
-	}
-}
-
-func TestEvalDAGSharedSubplan(t *testing.T) {
-	s := loadAuction(t)
-	sel := personSelect() // shared by two consumers
-	u := NewUnion(NewFilter(sel, 3, pattern.Predicate{Op: pattern.GT, Value: "25"}, AtLeastOne),
-		NewFilter(sel, 3, pattern.Predicate{Op: pattern.LE, Value: "25"}, AtLeastOne))
-	s.ResetStats()
-	res, err := Run(s, u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 3 {
-		t.Errorf("split union = %d trees, want 3", len(res))
-	}
-	// The shared select probed the person index once, not twice.
-	st := s.Snapshot()
-	if st.TagLookups > 3 {
-		t.Errorf("shared subplan re-evaluated: %d tag lookups", st.TagLookups)
 	}
 }
 

@@ -38,24 +38,10 @@ func (m *Materialize) Label() string {
 func (m *Materialize) eval(ctx *Context, in []seq.Seq) (seq.Seq, error) {
 	// In-place expansion keeps the already-matched witness kids (and their
 	// class memberships) while pulling in the rest of the stored subtree.
-	// Trees this operator owns expand in place; frozen shared trees are
-	// copied first, and only when they bind one of the listed classes.
 	out := in[0]
-	for i, t := range out {
-		needs := false
+	for _, t := range out {
 		for _, lcl := range m.Classes {
-			if len(t.Class(lcl)) > 0 {
-				needs = true
-				break
-			}
-		}
-		if !needs {
-			continue
-		}
-		mt := t.Mutable()
-		out[i] = mt
-		for _, lcl := range m.Classes {
-			for _, n := range mt.Class(lcl) {
+			for _, n := range t.Class(lcl) {
 				seq.ExpandInPlaceIn(ctx.arena, ctx.Store, n)
 			}
 		}
@@ -90,7 +76,7 @@ func (g *GroupByOp) eval(ctx *Context, in []seq.Seq) (seq.Seq, error) {
 }
 
 // MergeOp merges two sequences of trees rooted at the same stored nodes —
-// the merge step of the split/group/merge DAG in GTP plans; see
+// the merge step of the split/group/merge procedure in GTP plans; see
 // physical.MergeOnRoot.
 type MergeOp struct {
 	binary

@@ -45,7 +45,7 @@ func (c *Construct) eval(ctx *Context, in []seq.Seq) (seq.Seq, error) {
 	cn := construction{s: s, st: ctx.Store}
 	for _, t := range in[0] {
 		nt := s.NewTree(nil)
-		cn.t, cn.nt, cn.move = t, nt, single && !t.Frozen()
+		cn.t, cn.nt, cn.move = t, nt, single
 		cn.indexed = false
 		if err := cn.build(c.Pattern); err != nil {
 			return nil, err
@@ -86,8 +86,8 @@ type construction struct {
 	links   []classLink
 	indexed bool
 	// move lets temporary subtrees move from t into nt instead of being
-	// copied: t is this construction's own (unfrozen) and the pattern has
-	// a single subtree reference, so no other reference can place them.
+	// copied: t is this construction's own and the pattern has a single
+	// subtree reference, so no other reference can place them.
 	move bool
 }
 
@@ -137,7 +137,7 @@ func (cn *construction) build(c *pattern.ConstructNode) error {
 				}
 				val = seq.Content(st, members[0])
 			}
-			cn.stack = append(cn.stack, s.TempAttr(at.Name, val))
+			cn.stack = append(cn.stack, s.TempAttr(at.Tag, val))
 		}
 		for _, ch := range c.Children {
 			if err := cn.build(ch); err != nil {

@@ -224,16 +224,15 @@ func TestUnionRemap(t *testing.T) {
 func TestOpsAndRefsCoverage(t *testing.T) {
 	s := loadAuction(t)
 	// Build a plan touching most operators and exercise RefsOf/RemapOf on
-	// every node.
-	sel := auctionSelect()
-	agg := NewAggregate(sel, Count, 5, 11)
-	fil := NewFilter(agg, 11, pattern.Predicate{Op: pattern.GT, Value: "0"}, AtLeastOne)
-	prj := NewProject(fil, 4, 5)
-	de := NewDupElim(prj, 4)
-	srt := NewSort(de, SortKey{LCL: 4})
-	fl := NewFlatten(srt, 4, 5)
-	sh := NewShadow(srt, 4, 5)
-	il := NewIlluminate(sh, 5)
+	// every node. A plan is a tree, so Flatten and Shadow each read their
+	// own Sort chain.
+	sorted := func() Op {
+		agg := NewAggregate(auctionSelect(), Count, 5, 11)
+		fil := NewFilter(agg, 11, pattern.Predicate{Op: pattern.GT, Value: "0"}, AtLeastOne)
+		return NewSort(NewDupElim(NewProject(fil, 4, 5), 4), SortKey{LCL: 4})
+	}
+	fl := NewFlatten(sorted(), 4, 5)
+	il := NewIlluminate(NewShadow(sorted(), 4, 5), 5)
 	un := NewUnion(fl, il)
 	for _, op := range Ops(un) {
 		refs := RefsOf(op)

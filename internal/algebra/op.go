@@ -9,9 +9,11 @@
 //
 // Every operator maps one or more sequences of trees to one sequence of
 // trees (possibly heterogeneous); operators address nodes through logical
-// class labels only. Plans are DAGs of operators evaluated bottom-up with
-// per-node memoization, so a shared subplan (pattern tree reuse) is
-// computed once.
+// class labels only. Plans are trees of operators evaluated bottom-up: every
+// operator has at most one consumer and owns its input sequences, so it may
+// restructure the trees it reads in place. Pattern tree reuse (Section 4.1)
+// needs no shared subplan — the translator expresses it as an extension
+// Select over classes of the same witness tree.
 package algebra
 
 import (
@@ -46,11 +48,6 @@ type Context struct {
 	// disconnect stops work mid-plan instead of after the current operator
 	// finishes.
 	goCtx context.Context
-	// memo caches operator results so DAG-shaped plans evaluate shared
-	// subplans once (pattern tree reuse across operators). Memoized
-	// sequences are frozen: consumers receive aliases and copy-on-write,
-	// never clones.
-	memo map[Op]seq.Seq
 	// profile, set by Profile for the duration of one evaluation, receives
 	// one OpStats per evaluated operator; nil for a plain Eval.
 	profile *ProfileResult
@@ -81,7 +78,7 @@ func NewContextFor(goCtx context.Context, st *store.Store) *Context {
 	}
 	gov := governor.FromContext(goCtx)
 	arena := seq.NewArena().WithGovernor(gov)
-	return &Context{Store: st, Matcher: physical.NewMatcher(st).WithArena(arena), goCtx: goCtx, memo: make(map[Op]seq.Seq), arena: arena, gov: gov}
+	return &Context{Store: st, Matcher: physical.NewMatcher(st).WithArena(arena), goCtx: goCtx, arena: arena, gov: gov}
 }
 
 // Arena returns the evaluation's witness-node arena (never nil for
@@ -109,11 +106,9 @@ func (ctx *Context) Cancelled() error {
 }
 
 // Eval evaluates the plan rooted at op and returns its result sequence.
-// Plans may be DAGs: operators feeding several consumers are evaluated
-// once, their results frozen, and each consumer handed an alias — shared
-// trees are copied lazily, only by the operators that actually mutate
-// them (copy-on-write), so downstream restructuring cannot corrupt a
-// shared subplan's output.
+// The plan must be a tree: each operator's output is handed to its one
+// consumer, which owns it. An operator reached along two paths would be
+// evaluated once per path.
 //
 // Eval is a containment barrier: a panic anywhere in plan evaluation is
 // recovered here and returned as an error — a governor budget abort as its
@@ -121,13 +116,7 @@ func (ctx *Context) Cancelled() error {
 // one broken or over-budget query can never take down the process.
 func Eval(ctx *Context, op Op) (out seq.Seq, err error) {
 	defer failure.Recover(&err, "algebra.Eval")
-	fanout := make(map[Op]int)
-	for _, o := range Ops(op) {
-		for _, in := range o.Inputs() {
-			fanout[in]++
-		}
-	}
-	return evalNode(ctx, op, fanout)
+	return evalNode(ctx, op)
 }
 
 // checkCard enforces the intermediate-cardinality budget on one operator's
@@ -139,17 +128,14 @@ func (ctx *Context) checkCard(op Op, n int) error {
 	return nil
 }
 
-func evalNode(ctx *Context, op Op, fanout map[Op]int) (seq.Seq, error) {
+func evalNode(ctx *Context, op Op) (seq.Seq, error) {
 	if err := ctx.Cancelled(); err != nil {
 		return nil, err
-	}
-	if res, ok := ctx.memo[op]; ok {
-		return res.Alias(), nil
 	}
 	ins := op.Inputs()
 	res := make([]seq.Seq, len(ins))
 	for i, in := range ins {
-		r, err := evalNode(ctx, in, fanout)
+		r, err := evalNode(ctx, in)
 		if err != nil {
 			return nil, err
 		}
@@ -167,13 +153,6 @@ func evalNode(ctx *Context, op Op, fanout map[Op]int) (seq.Seq, error) {
 	}
 	if err := ctx.checkCard(op, len(out)); err != nil {
 		return nil, err
-	}
-	if fanout[op] > 1 {
-		// Freeze once, alias per consumer: mutating consumers copy on
-		// write, reading consumers share the trees outright.
-		out.Freeze()
-		ctx.memo[op] = out
-		return out.Alias(), nil
 	}
 	return out, nil
 }
@@ -214,17 +193,12 @@ func Explain(op Op) string {
 	return sb.String()
 }
 
-// Ops returns all operators of the plan in pre-order, each once (DAG
-// aware). Used by rewrite rules and plan statistics.
+// Ops returns all operators of the plan in pre-order. Used by rewrite rules
+// and plan statistics.
 func Ops(root Op) []Op {
-	seen := make(map[Op]bool)
 	var out []Op
 	var walk func(Op)
 	walk = func(o Op) {
-		if seen[o] {
-			return
-		}
-		seen[o] = true
 		out = append(out, o)
 		for _, in := range o.Inputs() {
 			walk(in)

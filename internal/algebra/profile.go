@@ -36,8 +36,8 @@ type ProfileResult struct {
 
 // Profile evaluates the plan with Eval while recording,
 // per operator, its output cardinality, its own wall-clock time and its own
-// store accesses — the data behind an EXPLAIN ANALYZE. Shared subplans
-// (fan-out > 1) are profiled once, like Eval computes them once, and panics
+// store accesses — the data behind an EXPLAIN ANALYZE. Every operator of
+// the plan tree is profiled once, as Eval evaluates it once, and panics
 // come back as errors, as from Eval.
 func Profile(ctx *Context, root Op) (*ProfileResult, error) {
 	pr := &ProfileResult{}

@@ -39,16 +39,13 @@ func (p *Project) eval(ctx *Context, in []seq.Seq) (seq.Seq, error) {
 	defer ctx.arena.Release(s)
 	trees := in[0]
 	var buf []*seq.Node
-	for i, t := range trees {
-		// The tree is restructured in place when the operator owns it
-		// (unfrozen single-consumer input); a frozen shared tree is copied
-		// first. Dropping the class bindings that are not listed matters
+	for _, t := range trees {
+		// The operator owns its input, so each tree is restructured in
+		// place. Dropping the class bindings that are not listed matters
 		// even for nodes that survive inside a kept subtree: only (12)
 		// survives inside (14) in Figure 8 because it is listed in
 		// Project 11.
-		t = t.Mutable()
 		buf = t.Project(s, p.Keep, buf)
-		trees[i] = t
 	}
 	return trees, nil
 }

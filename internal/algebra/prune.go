@@ -35,27 +35,15 @@ func (p *Prune) Label() string {
 }
 
 func (p *Prune) eval(_ *Context, in []seq.Seq) (seq.Seq, error) {
-	// Prune mutates trees it owns in place; frozen shared trees are copied
-	// first — and only when they actually bind one of the pruned classes.
+	// Prune detaches the pruned classes' members, with their subtrees,
+	// from the trees it owns, in place.
 	out := in[0]
-	for i, t := range out {
-		needs := false
+	for _, t := range out {
 		for _, lcl := range p.Classes {
-			if len(t.ClassAll(lcl)) > 0 {
-				needs = true
-				break
-			}
-		}
-		if !needs {
-			continue
-		}
-		mt := t.Mutable()
-		out[i] = mt
-		for _, lcl := range p.Classes {
-			for _, n := range append([]*seq.Node(nil), mt.ClassAll(lcl)...) {
+			for _, n := range append([]*seq.Node(nil), t.ClassAll(lcl)...) {
 				seq.Detach(n)
 				n.Walk(func(m *seq.Node) bool {
-					mt.RemoveFromClasses(m)
+					t.RemoveFromClasses(m)
 					return true
 				})
 			}

@@ -89,10 +89,9 @@ func breakApart(t *seq.Tree, pLCL, cLCL int, shadow bool) (seq.Seq, error) {
 	var out seq.Seq
 	for i := range members {
 		// Each retained member gets its own copy of the tree; the last one
-		// consumes the original when this operator owns it (t is pristine
-		// until then).
+		// consumes the original (t is pristine until then).
 		nt, mapping := t, seq.NodeMap{}
-		if i < len(members)-1 || t.Frozen() {
+		if i < len(members)-1 {
 			nt, mapping = t.CloneWithMapping()
 		}
 		for j, c := range members {
@@ -140,24 +139,10 @@ func (i *Illuminate) Label() string { return fmt.Sprintf("Illuminate (%d)", i.LC
 func (i *Illuminate) eval(_ *Context, in []seq.Seq) (seq.Seq, error) {
 	// Illuminate flips flags in place on trees this operator owns — which
 	// is precisely why replacing a re-matching Select with an Illuminate
-	// pays off (Section 4.3). A frozen tree (shared with another consumer)
-	// is copied first, and only when it actually has shadowed members to
-	// flip; the copied tree replaces the original in the output slice.
+	// pays off (Section 4.3).
 	out := in[0]
-	for ti, t := range out {
-		needs := false
+	for _, t := range out {
 		for _, n := range t.ClassAll(i.LCL) {
-			if n.Shadowed {
-				needs = true
-				break
-			}
-		}
-		if !needs {
-			continue
-		}
-		mt := t.Mutable()
-		out[ti] = mt
-		for _, n := range mt.ClassAll(i.LCL) {
 			if !n.Shadowed {
 				continue
 			}

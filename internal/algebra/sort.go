@@ -3,9 +3,9 @@ package algebra
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
+	"tlc/internal/pattern"
 	"tlc/internal/seq"
 )
 
@@ -133,7 +133,7 @@ type sortVal struct {
 }
 
 func newSortVal(s string) sortVal {
-	if f, err := strconv.ParseFloat(s, 64); err == nil {
+	if f, ok := pattern.ParseNumber(s); ok {
 		return sortVal{raw: s, num: f, isNum: true}
 	}
 	return sortVal{raw: s}

@@ -180,7 +180,7 @@ func (ev *evaluator) retNodes(r *xquery.RetNode, e env) ([]*seq.Node, error) {
 		el := ev.slab.TempElement(r.Tag)
 		for _, a := range r.Attrs {
 			if a.Path == nil {
-				ev.slab.Attach(el, ev.slab.TempAttr(a.Name, a.Literal))
+				ev.slab.Attach(el, ev.slab.TempAttr("@"+a.Name, a.Literal))
 				continue
 			}
 			vs, err := ev.values(a.Path, e)
@@ -188,7 +188,7 @@ func (ev *evaluator) retNodes(r *xquery.RetNode, e env) ([]*seq.Node, error) {
 				return nil, err
 			}
 			if len(vs) > 0 {
-				ev.slab.Attach(el, ev.slab.TempAttr(a.Name, vs[0]))
+				ev.slab.Attach(el, ev.slab.TempAttr("@"+a.Name, vs[0]))
 			}
 		}
 		for _, ch := range r.Children {

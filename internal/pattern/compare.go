@@ -10,12 +10,12 @@ import "strconv"
 // as the paper's Aggregate-Function semantics require. This is the
 // comparison used by content predicates, value joins and order-by keys.
 func Compare(op Cmp, left, right string) bool {
-	lf, lerr := strconv.ParseFloat(left, 64)
-	rf, rerr := strconv.ParseFloat(right, 64)
+	lf, lnum := ParseNumber(left)
+	rf, rnum := ParseNumber(right)
 	switch {
-	case lerr == nil && rerr == nil:
+	case lnum && rnum:
 		return compareOrd(op, cmpFloat(lf, rf))
-	case lerr == nil || rerr == nil: // mixed types
+	case lnum || rnum: // mixed types
 		switch op {
 		case EQ:
 			return false
@@ -33,6 +33,24 @@ func Compare(op Cmp, left, right string) bool {
 	default:
 		return compareOrd(op, 1)
 	}
+}
+
+// ParseNumber reports whether s is a number, and its value, by
+// strconv.ParseFloat. A string whose first byte cannot start a float — not
+// a digit, sign, point, or the first letter of "inf" or "NaN" — is rejected
+// without calling ParseFloat, which would allocate an error for it: content
+// values are mostly words, and every comparison and sort key parses them.
+func ParseNumber(s string) (float64, bool) {
+	if s == "" {
+		return 0, false
+	}
+	switch c := s[0]; {
+	case '0' <= c && c <= '9', c == '+', c == '-', c == '.', c == 'i', c == 'I', c == 'n', c == 'N':
+	default:
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(s, 64)
+	return f, err == nil
 }
 
 // Flip returns the comparison with its operand sides exchanged, so that

@@ -49,7 +49,10 @@ type ConstructNode struct {
 // ConstructAttr is an attribute on a constructed element. Exactly one of
 // FromLCL (text of the class member) or Literal supplies the value.
 type ConstructAttr struct {
-	Name    string
+	// Tag is the attribute's name as stored, with the "@" prefix stored
+	// attributes carry, so that Construct tags its nodes without building
+	// a string per output tree.
+	Tag     string
 	FromLCL int
 	Literal string
 }
@@ -85,10 +88,11 @@ func (c *ConstructNode) render(sb *strings.Builder, depth int) {
 	case ConstructElement:
 		sb.WriteString("<" + c.Tag)
 		for _, a := range c.Attrs {
+			name := strings.TrimPrefix(a.Tag, "@")
 			if a.FromLCL > 0 {
-				fmt.Fprintf(sb, " %s=(%d).text()", a.Name, a.FromLCL)
+				fmt.Fprintf(sb, " %s=(%d).text()", name, a.FromLCL)
 			} else {
-				fmt.Fprintf(sb, " %s=%q", a.Name, a.Literal)
+				fmt.Fprintf(sb, " %s=%q", name, a.Literal)
 			}
 		}
 		sb.WriteString(">")

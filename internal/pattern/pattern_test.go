@@ -1,6 +1,8 @@
 package pattern
 
 import (
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -134,6 +136,31 @@ func TestCompareString(t *testing.T) {
 	}
 }
 
+// TestParseNumberMatchesParseFloat holds ParseNumber to strconv.ParseFloat:
+// skipping the parse on the first byte must reject only strings that
+// ParseFloat rejects too.
+func TestParseNumberMatchesParseFloat(t *testing.T) {
+	for _, s := range []string{
+		"", " 1", "1 ", "inf", "+Inf", "-infinity", "Infinity", "NaN", "nan",
+		"0x1p-2", "0X1P+2", "1_0", "0b101", "-.5", ".5", "5.", "+7", "1e3",
+		"1e400", "-1e400", "person0", "empty", "x1", "€5", "-", ".", "i", "n",
+		"25", "0", "-0", "3.14159",
+	} {
+		want, err := strconv.ParseFloat(s, 64)
+		got, ok := ParseNumber(s)
+		if ok != (err == nil) {
+			t.Errorf("ParseNumber(%q) ok = %v, ParseFloat err = %v", s, ok, err)
+			continue
+		}
+		if ok && got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Errorf("ParseNumber(%q) = %v, ParseFloat = %v", s, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { ParseNumber("person0") }); n != 0 {
+		t.Errorf("ParseNumber of a word allocates %v times, want 0", n)
+	}
+}
+
 func TestPredicateEval(t *testing.T) {
 	p := Predicate{Op: GT, Value: "25"}
 	if !p.Eval("30") || p.Eval("20") || p.Eval("25") {
@@ -185,7 +212,7 @@ func TestConstructString(t *testing.T) {
 		NewTextRef(12),
 		&ConstructNode{Kind: ConstructLiteral, Literal: "hi"},
 	)
-	c.Attrs = append(c.Attrs, ConstructAttr{Name: "name", FromLCL: 12})
+	c.Attrs = append(c.Attrs, ConstructAttr{Tag: "@name", FromLCL: 12})
 	c.NewLCL = 15
 	s := c.String()
 	for _, want := range []string{"<person name=(12).text()>", "(13)", "(12).text()", `"hi"`, "[15]"} {

@@ -180,17 +180,16 @@ func (x *extender) extend(out seq.Seq, t *seq.Tree) (seq.Seq, error) {
 		}
 		x.sites = append(x.sites, s)
 	}
-	// A frozen tree is shared with another consumer: it is copied before it
-	// is extended, and the anchors and labelled nodes are re-located through
-	// the mapping. An owned tree is extended in place by its last (usually
-	// its only) combination — extension selects over "*" edges, the RETURN
-	// paths, are the common case.
+	// Every combination but the last extends a copy, its anchors and
+	// labelled nodes re-located through the mapping; the last (usually the
+	// only one — extension selects over "*" edges, the RETURN paths, are
+	// the common case) extends the tree in place.
 	for combo := 1; ; combo++ {
 		if err := poll(x.ctx, combo-1); err != nil {
 			return nil, err
 		}
 		nm := seq.NodeMap{}
-		if x.t = t; combo < total || t.Frozen() {
+		if x.t = t; combo < total {
 			x.t, nm = t.CloneWithMapping()
 		}
 		for i := range x.sites {

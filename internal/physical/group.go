@@ -53,21 +53,15 @@ func GroupBy(ctx context.Context, st *store.Store, input seq.Seq, basisLCL, memb
 		key = groupKey(key[:0], t, b, excluded)
 		g, ok := groups[string(key)]
 		if !ok {
-			// The first tree of a group becomes the representative; it is
-			// adopted as-is and made mutable lazily, on the first merge.
+			// The first tree of a group becomes the representative and
+			// takes in the members of the later ones.
 			g = &group{tree: t, basis: b}
 			groups[string(key)] = g
 			order = append(order, g)
 			continue
 		}
-		// Merge this tree's member nodes into the group representative. A
-		// frozen representative (shared with another consumer) is replaced
-		// by a private copy before its first mutation.
-		if g.tree.Frozen() {
-			var nm seq.NodeMap
-			g.tree, nm = g.tree.MutableWithMapping()
-			g.basis = nm.Get(g.basis)
-		}
+		// Merge this tree's member nodes into the group representative: the
+		// tree is consumed, its member subtrees move over.
 		rev := make(map[*seq.Node][]int)
 		for _, lcl := range t.Classes() {
 			if lcl == memberLCL {
@@ -77,24 +71,14 @@ func GroupBy(ctx context.Context, st *store.Store, input seq.Seq, basisLCL, memb
 				rev[n] = append(rev[n], lcl)
 			}
 		}
-		// An unfrozen source is consumed: its member subtrees move over. A
-		// frozen source must stay intact, so its member subtrees are copied.
-		frozenSrc := t.Frozen()
 		for _, m := range t.Class(memberLCL) {
-			mv, nm := m, seq.NodeMap{}
-			if frozenSrc {
-				s := t.Arena().Hold()
-				mv, nm = s.CopySubtree(m)
-				t.Arena().Release(s)
-			} else {
-				seq.Detach(m)
-			}
-			seq.Attach(g.basis, mv)
-			g.tree.AddToClass(memberLCL, mv)
+			seq.Detach(m)
+			seq.Attach(g.basis, m)
+			g.tree.AddToClass(memberLCL, m)
 			// Nested classes inside the member subtree follow along.
 			m.Walk(func(n *seq.Node) bool {
 				for _, lcl := range rev[n] {
-					g.tree.AddToClass(lcl, nm.Get(n))
+					g.tree.AddToClass(lcl, n)
 				}
 				return true
 			})
@@ -153,21 +137,19 @@ func appendKey(b []byte, k seq.Key) []byte {
 // joining trees whose roots are the *same* stored node: the right tree's
 // branches and classes are grafted onto the left tree. Trees without a
 // partner on the other side are dropped (inner merge). This is the "merge"
-// step of the split/group/merge DAG procedure used by the GTP baseline.
+// step of the split/group/merge procedure used by the GTP baseline.
 func MergeOnRoot(ctx context.Context, st *store.Store, left, right seq.Seq) (seq.Seq, error) {
 	byRoot := make(map[seq.Key][]*seq.Tree, len(right))
 	for _, r := range right {
 		byRoot[r.Root.Key()] = append(byRoot[r.Root.Key()], r)
 	}
-	// takeRight consumes a right tree on first use when unfrozen (grafting
-	// re-parents its branches); later uses and frozen trees are copied.
+	// takeRight consumes a right tree on first use (grafting re-parents its
+	// branches); later uses are copied.
 	usedRight := make(map[*seq.Tree]bool, len(right))
 	takeRight := func(r *seq.Tree) (*seq.Tree, seq.NodeMap) {
 		if !usedRight[r] {
 			usedRight[r] = true
-			if !r.Frozen() {
-				return r, seq.NodeMap{}
-			}
+			return r, seq.NodeMap{}
 		}
 		return r.CloneWithMapping()
 	}
@@ -180,25 +162,23 @@ func MergeOnRoot(ctx context.Context, st *store.Store, left, right seq.Seq) (seq
 		if len(partners) == 0 {
 			continue
 		}
-		// Grafting mutates the left tree; an unfrozen left is consumed, a
-		// frozen one copied.
-		nt := l.Mutable()
+		// Grafting consumes the left tree.
 		for _, r := range partners {
 			rc, mapping := takeRight(r)
 			for _, k := range rc.Root.Kids {
-				seq.Attach(nt.Root, k)
+				seq.Attach(l.Root, k)
 			}
 			for _, lcl := range r.Classes() {
 				for _, n := range r.ClassAll(lcl) {
 					cp := mapping.Get(n)
 					if cp == rc.Root {
-						cp = nt.Root
+						cp = l.Root
 					}
-					nt.AddToClass(lcl, cp)
+					l.AddToClass(lcl, cp)
 				}
 			}
 		}
-		out = append(out, nt)
+		out = append(out, l)
 	}
 	return out, nil
 }

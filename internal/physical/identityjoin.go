@@ -30,16 +30,14 @@ func IdentityMergeJoin(ctx context.Context, st *store.Store, left, right seq.Seq
 		}
 		byID[a.Key()] = append(byID[a.Key()], r)
 	}
-	// takeRight consumes a right tree on first use when unfrozen (grafting
-	// re-parents its anchor's branches); later uses and frozen trees are
-	// copied. A right tree may partner several left trees (same identity).
+	// takeRight consumes a right tree on first use (grafting re-parents its
+	// anchor's branches); later uses are copied. A right tree may partner
+	// several left trees (same identity).
 	usedRight := make(map[*seq.Tree]bool, len(right))
 	takeRight := func(r *seq.Tree) (*seq.Tree, seq.NodeMap) {
 		if !usedRight[r] {
 			usedRight[r] = true
-			if !r.Frozen() {
-				return r, seq.NodeMap{}
-			}
+			return r, seq.NodeMap{}
 		}
 		return r.CloneWithMapping()
 	}
@@ -60,9 +58,9 @@ func IdentityMergeJoin(ctx context.Context, st *store.Store, left, right seq.Seq
 			continue
 		}
 		for pi, r := range partners {
-			// Copy the left per pair; its last pair consumes it if unfrozen.
+			// Copy the left per pair; its last pair consumes it.
 			nt, mapping := l, seq.NodeMap{}
-			if pi < len(partners)-1 || l.Frozen() {
+			if pi < len(partners)-1 {
 				nt, mapping = l.CloneWithMapping()
 			}
 			anchor := mapping.Get(members[0])

@@ -191,10 +191,15 @@ func TestValueJoinMissingKeySkipsTree(t *testing.T) {
 func TestValueJoinExistentialOverClusters(t *testing.T) {
 	s, _ := loadFixture(t, fixtureXML)
 	m := NewMatcher(s)
-	// Clustered b values per a: {1,2} and {3} (third a has no b).
-	res, err := m.MatchDocument(context.Background(), aTree(edge("b", 2, pattern.Child, pattern.OneOrMore)))
-	if err != nil {
-		t.Fatal(err)
+	// Clustered b values per a: {1,2} and {3} (third a has no b). A join
+	// owns its inputs, so every input is a fresh match.
+	clusters := func() seq.Seq {
+		t.Helper()
+		res, err := m.MatchDocument(context.Background(), aTree(edge("b", 2, pattern.Child, pattern.OneOrMore)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
 	// Left side: single b per witness (flat): values 1, 2, 3.
 	flat, err := m.MatchDocument(context.Background(), aTree(edge("b", 2, pattern.Child, pattern.One)))
@@ -203,7 +208,7 @@ func TestValueJoinExistentialOverClusters(t *testing.T) {
 	}
 	// Existential equality: flat values 1 and 2 match the {1,2} cluster,
 	// 3 matches {3}: one pair per (left tree, matching right tree).
-	out, err := ValueJoin(context.Background(), s, flat, res, JoinSpec{LeftLCL: 2, RightLCL: 2, Op: pattern.EQ, RightSpec: pattern.One})
+	out, err := ValueJoin(context.Background(), s, flat, clusters(), JoinSpec{LeftLCL: 2, RightLCL: 2, Op: pattern.EQ, RightSpec: pattern.One})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +216,7 @@ func TestValueJoinExistentialOverClusters(t *testing.T) {
 		t.Errorf("existential cluster join: %d pairs, want 3", len(out))
 	}
 	// A cluster matching via two values still pairs once.
-	out, err = ValueJoin(context.Background(), s, res, res, JoinSpec{LeftLCL: 2, RightLCL: 2, Op: pattern.EQ, RightSpec: pattern.One})
+	out, err = ValueJoin(context.Background(), s, clusters(), clusters(), JoinSpec{LeftLCL: 2, RightLCL: 2, Op: pattern.EQ, RightSpec: pattern.One})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,20 +229,12 @@ func TestCartesianJoin(t *testing.T) {
 	s, _ := loadFixture(t, joinXML)
 	m := NewMatcher(s)
 	left, right := joinInputs(t, s, m)
-	// Frozen (shared) inputs must be copied, never consumed; unfrozen ones
-	// may be re-parented by their last participating pair.
-	left.Freeze()
-	right.Freeze()
 	out, err := CartesianJoin(context.Background(), "join_root", 1, left, right)
 	if err != nil {
 		t.Fatalf("CartesianJoin: %v", err)
 	}
 	if len(out) != len(left)*len(right) {
 		t.Fatalf("got %d, want %d", len(out), len(left)*len(right))
-	}
-	// Inputs unchanged (everything copied).
-	if left[0].Root.Parent != nil {
-		t.Error("cartesian join re-parented its frozen input")
 	}
 }
 

@@ -52,15 +52,12 @@ func StructuralJoin(ctx context.Context, st *store.Store, left, right seq.Seq, l
 	if !sorted {
 		return nil, fmt.Errorf("physical: structural join right input not in document order")
 	}
-	// takeRight consumes a right tree: the original on first use when this
-	// operator owns it, a private copy when it is already used or frozen
-	// (shared with another consumer) — stitching re-parents its root.
+	// takeRight consumes a right tree: the original on first use, a private
+	// copy once it is used — stitching re-parents its root.
 	takeRight := func(e *rentry) *seq.Tree {
 		if !e.used {
 			e.used = true
-			if !e.tree.Frozen() {
-				return e.tree
-			}
+			return e.tree
 		}
 		return e.tree.Clone()
 	}
@@ -110,15 +107,7 @@ func StructuralJoin(ctx context.Context, st *store.Store, left, right seq.Seq, l
 			for _, e := range ms {
 				rights = append(rights, takeRight(e))
 			}
-			lt, a := l, anchor
-			if len(rights) > 0 && l.Frozen() {
-				// Emitting mutates the left tree (attach + class merge);
-				// a frozen left is shared, so work on a private copy.
-				var nm seq.NodeMap
-				lt, nm = l.MutableWithMapping()
-				a = nm.Get(anchor)
-			}
-			emit(lt, a, rights)
+			emit(l, anchor, rights)
 		default:
 			if len(ms) == 0 {
 				if spec.Optional() {
@@ -128,9 +117,8 @@ func StructuralJoin(ctx context.Context, st *store.Store, left, right seq.Seq, l
 			}
 			for i, e := range ms {
 				lt, a := l, anchor
-				if i < len(ms)-1 || l.Frozen() {
-					// Copy the left for all but the last pair — and for the
-					// last one too when it is frozen (shared).
+				if i < len(ms)-1 {
+					// Copy the left for all but the last pair.
 					var nm seq.NodeMap
 					lt, nm = l.CloneWithMapping()
 					a = nm.Get(anchor)

@@ -64,26 +64,22 @@ func ValueJoin(ctx context.Context, st *store.Store, left, right seq.Seq, spec J
 	} else {
 		matches = loopMatcher(lk, rk, spec.Op)
 	}
-	// The operator owns its unfrozen single-consumer inputs. Stitching
-	// turns a left tree into the output in place, so a left tree that
-	// pairs with several right trees is copied for every pair but its last,
-	// which gets the original: a copy taken after the original was
-	// stitched would copy the stitched tree. A right tree is taken over by
-	// its first participating output and copied for later ones — stitching
-	// leaves it readable. Frozen trees are shared with other plan consumers
-	// and always copied.
+	// The operator owns its inputs. Stitching turns a left tree into the
+	// output in place, so a left tree that pairs with several right trees
+	// is copied for every pair but its last, which gets the original: a
+	// copy taken after the original was stitched would copy the stitched
+	// tree. A right tree is taken over by its first participating output
+	// and copied for later ones — stitching leaves it readable.
 	rightUsed := make([]bool, len(right))
 	takeRight := func(j int) *seq.Tree {
 		if !rightUsed[j] {
 			rightUsed[j] = true
-			if !right[j].Frozen() {
-				return right[j]
-			}
+			return right[j]
 		}
 		return right[j].Clone()
 	}
 	takeLeft := func(i int, last bool) *seq.Tree {
-		if last && !left[i].Frozen() {
+		if last {
 			return left[i]
 		}
 		return left[i].Clone()
@@ -138,14 +134,14 @@ func CartesianJoin(ctx context.Context, rootTag string, rootLCL int, left, right
 			if err := poll(ctx, len(out)); err != nil {
 				return nil, err
 			}
-			// Each pair stitches private copies, except that an unfrozen
-			// tree is consumed (not copied) by its last participating pair.
+			// Each pair stitches private copies, except that a tree is
+			// consumed (not copied) by its last participating pair.
 			lt := l
-			if ri < len(right)-1 || l.Frozen() {
+			if ri < len(right)-1 {
 				lt = l.Clone()
 			}
 			rt := r
-			if li < len(left)-1 || r.Frozen() {
+			if li < len(left)-1 {
 				rt = r.Clone()
 			}
 			out = append(out, stitchTrees(rootTag, rootLCL, lt, rt))
@@ -173,18 +169,14 @@ func NestAllJoin(ctx context.Context, rootTag string, rootLCL int, left, right s
 				return nil, err
 			}
 			stitched++
-			// The last left tree consumes unfrozen rights; earlier ones copy.
+			// The last left tree consumes the rights; earlier ones copy.
 			rt := r
-			if !lastL || r.Frozen() {
+			if !lastL {
 				rt = r.Clone()
 			}
 			rights = append(rights, rt)
 		}
-		lt := l
-		if l.Frozen() {
-			lt = l.Clone()
-		}
-		out = append(out, stitchTrees(rootTag, rootLCL, lt, rights...))
+		out = append(out, stitchTrees(rootTag, rootLCL, l, rights...))
 	}
 	return out, nil
 }
@@ -192,7 +184,7 @@ func NestAllJoin(ctx context.Context, rootTag string, rootLCL int, left, right s
 // stitchTrees builds one output tree from left in place (seq.Tree.Stitch):
 // a fresh root with the left tree's root as first child and the right
 // roots following, class tables merged. Callers pass only trees they own
-// (unfrozen or freshly copied). The new root draws from the left tree's
+// (their own inputs or fresh copies). The new root draws from the left tree's
 // arena.
 func stitchTrees(rootTag string, rootLCL int, left *seq.Tree, rights ...*seq.Tree) *seq.Tree {
 	a := left.Arena()

@@ -1,7 +1,7 @@
 // Package plancache caches compiled query plans (tlc.Prepared) behind an
 // LRU keyed on everything that determines compilation output: the query
 // text, the engine and the budget. Because a Prepared is safe for
-// concurrent Run calls (the plan DAG is immutable after compile; per-run
+// concurrent Run calls (the plan tree is immutable after compile; per-run
 // state lives in the evaluation context), one cached entry can serve many
 // concurrent requests — the cache is what turns the service's per-request
 // compile cost into a one-time cost per distinct query.

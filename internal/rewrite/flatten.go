@@ -39,10 +39,7 @@ func flattenRewrite(root algebra.Op) (algebra.Op, int) {
 
 func flattenOnce(p *plan) (algebra.Op, bool) {
 	for _, sel := range p.docSelects() {
-		chain, linear := p.chainAbove(sel)
-		if !linear {
-			continue
-		}
+		chain := p.chainAbove(sel)
 		for _, a := range sel.APT.Nodes() {
 			if a.LCL <= 0 {
 				continue
@@ -134,19 +131,16 @@ func applyFlatten(p *plan, sel *algebra.Select, chain []algebra.Op, a *pattern.N
 	if lastB >= 0 {
 		below = chain[lastB]
 	}
-	breaker := func(in algebra.Op) algebra.Op {
-		if illumSel != nil {
-			return algebra.NewShadow(in, a.LCL, eb.To.LCL)
-		}
-		return algebra.NewFlatten(in, a.LCL, eb.To.LCL)
+	var breaker algebra.Op
+	if illumSel != nil {
+		breaker = algebra.NewShadow(below, a.LCL, eb.To.LCL)
+	} else {
+		breaker = algebra.NewFlatten(below, a.LCL, eb.To.LCL)
 	}
-	p.root = p.spliceAbove(below, func(in algebra.Op) algebra.Op {
-		out := breaker(in)
-		if len(extras) > 0 {
-			out = algebra.NewExtendSelect(out, extrasAPT(extras))
-		}
-		return out
-	})
+	if len(extras) > 0 {
+		breaker = algebra.NewExtendSelect(breaker, extrasAPT(extras))
+	}
+	p.root = p.replace(below, breaker)
 
 	// Redirect the consumers of C's labels to B's, stopping at operators
 	// that redefine a label (construct copies).
@@ -175,21 +169,18 @@ func finishIlluminate(p *plan, origin, es *algebra.Select, bLCL int, bSet map[in
 	// shadowed class rides through invisibly but must not be projected
 	// away.
 	np := analyze(p.root)
-	chain, ok := np.chainAbove(origin)
-	if ok {
-		for _, op := range chain {
-			if op == es {
-				break
+	for _, op := range np.chainAbove(origin) {
+		if op == es {
+			break
+		}
+		if pr, isP := op.(*algebra.Project); isP {
+			// Sorted for a deterministic plan rendering (bSet is a map).
+			lcls := make([]int, 0, len(bSet))
+			for lcl := range bSet {
+				lcls = append(lcls, lcl)
 			}
-			if pr, isP := op.(*algebra.Project); isP {
-				// Sorted for a deterministic plan rendering (bSet is a map).
-				lcls := make([]int, 0, len(bSet))
-				for lcl := range bSet {
-					lcls = append(lcls, lcl)
-				}
-				sort.Ints(lcls)
-				pr.Keep = append(pr.Keep, lcls...)
-			}
+			sort.Ints(lcls)
+			pr.Keep = append(pr.Keep, lcls...)
 		}
 	}
 	// Replace the extension select with Illuminate (+ extras re-match).
@@ -198,13 +189,7 @@ func finishIlluminate(p *plan, origin, es *algebra.Select, bLCL int, bSet map[in
 	if len(extras) > 0 {
 		repl = algebra.NewExtendSelect(repl, extrasAPT(extras))
 	}
-	if es == np.root {
-		p.root = repl
-	} else {
-		for _, par := range np.parents[es] {
-			algebra.ReplaceInput(par, es, repl)
-		}
-	}
+	p.root = np.replace(es, repl)
 	// Redirect the extension select's labels (anchor relabel plus branch
 	// labels) to the shadowed branch, definition-scoped.
 	remap := make(map[int]int, len(m)+1)

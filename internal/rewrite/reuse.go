@@ -104,10 +104,7 @@ func findCoveringBranch(ops []algebra.Op, anchorClass int, ee pattern.Edge) (*al
 // select and the extension select touches the reused classes (either
 // would make the existing class diverge from a fresh re-match).
 func pathSafe(p *plan, ds *algebra.Select, es *algebra.Select, eb *pattern.Edge) bool {
-	chain, ok := p.chainAbove(ds)
-	if !ok {
-		return false
-	}
+	chain := p.chainAbove(ds)
 	classes := toSet(subtreeLCLs(eb.To))
 	reachedES := false
 	for _, op := range chain {
@@ -143,20 +140,18 @@ func applyReuse(p *plan, ds *algebra.Select, es *algebra.Select, ei int, eb *pat
 	}
 	es.APT.Root.Edges = append(es.APT.Root.Edges[:ei:ei], es.APT.Root.Edges[ei+1:]...)
 	if len(es.APT.Root.Edges) == 0 && es.APT.Root.LCL == 0 {
-		p.root = p.spliceOut(es)
+		p.root = p.replace(es, es.Inputs()[0])
 	}
 	// Patch projections between origin and extension select so the reused
 	// class survives projection.
 	np := analyze(p.root)
-	if chain, ok := np.chainAbove(ds); ok {
-		for _, op := range chain {
-			if op == es {
-				break
-			}
-			if pr, isP := op.(*algebra.Project); isP {
-				for _, lcl := range subtreeLCLs(eb.To) {
-					pr.Keep = append(pr.Keep, lcl)
-				}
+	for _, op := range np.chainAbove(ds) {
+		if op == es {
+			break
+		}
+		if pr, isP := op.(*algebra.Project); isP {
+			for _, lcl := range subtreeLCLs(eb.To) {
+				pr.Keep = append(pr.Keep, lcl)
 			}
 		}
 	}

@@ -73,21 +73,11 @@ func definesClasses(op algebra.Op) []int {
 // `from` along its consumer chain, dropping a label from the remap once an
 // operator redefines it.
 func remapAbove(root algebra.Op, from algebra.Op, m map[int]int) {
-	p := analyze(root)
-	chain, ok := p.chainAbove(from)
-	if !ok {
-		// Fall back to a conservative global remap (rewrites only fire on
-		// linear chains, so this is unreachable in practice).
-		for _, op := range p.ops {
-			algebra.RemapOf(op, m)
-		}
-		return
-	}
 	active := make(map[int]int, len(m))
 	for k, v := range m {
 		active[k] = v
 	}
-	for _, op := range chain {
+	for _, op := range analyze(root).chainAbove(from) {
 		if len(active) == 0 {
 			return
 		}
@@ -98,64 +88,43 @@ func remapAbove(root algebra.Op, from algebra.Op, m map[int]int) {
 	}
 }
 
-// plan is a lightweight view of the operator DAG with parent links,
-// rebuilt before each rewrite because rewrites splice operators.
+// plan is a lightweight view of the operator tree with parent links,
+// rebuilt before each rewrite because rewrites splice operators. A plan is
+// a tree, so every operator but the root has exactly one consumer.
 type plan struct {
-	root    algebra.Op
-	ops     []algebra.Op
-	parents map[algebra.Op][]algebra.Op
+	root   algebra.Op
+	ops    []algebra.Op
+	parent map[algebra.Op]algebra.Op
 }
 
 func analyze(root algebra.Op) *plan {
-	p := &plan{root: root, parents: make(map[algebra.Op][]algebra.Op)}
+	p := &plan{root: root, parent: make(map[algebra.Op]algebra.Op)}
 	p.ops = algebra.Ops(root)
 	for _, op := range p.ops {
 		for _, in := range op.Inputs() {
-			p.parents[in] = append(p.parents[in], op)
+			p.parent[in] = op
 		}
 	}
 	return p
 }
 
-// chainAbove returns the consumers of op from just above it to the root,
-// provided the path is linear (every node has exactly one consumer). A
-// non-linear region returns ok=false and the rewrite is skipped.
-func (p *plan) chainAbove(op algebra.Op) ([]algebra.Op, bool) {
+// chainAbove returns the consumers of op from just above it to the root.
+func (p *plan) chainAbove(op algebra.Op) []algebra.Op {
 	var chain []algebra.Op
-	cur := op
-	for cur != p.root {
-		ps := p.parents[cur]
-		if len(ps) != 1 {
-			return nil, false
-		}
-		cur = ps[0]
+	for cur := p.parent[op]; cur != nil; cur = p.parent[cur] {
 		chain = append(chain, cur)
 	}
-	return chain, true
+	return chain
 }
 
-// spliceAbove inserts build(below) between below and its single consumer
-// (or re-roots the plan). Returns the new root.
-func (p *plan) spliceAbove(below algebra.Op, build func(algebra.Op) algebra.Op) algebra.Op {
-	nw := build(below)
-	if below == p.root {
+// replace puts nw in old's place under old's consumer (or makes it the
+// root) and returns the plan's root. Splicing an operator above old is
+// replacing old with it; splicing old out is replacing it with its input.
+func (p *plan) replace(old, nw algebra.Op) algebra.Op {
+	if old == p.root {
 		return nw
 	}
-	for _, par := range p.parents[below] {
-		algebra.ReplaceInput(par, below, nw)
-	}
-	return p.root
-}
-
-// spliceOut removes op (single-input, single-consumer) from the plan.
-func (p *plan) spliceOut(op algebra.Op) algebra.Op {
-	in := op.Inputs()[0]
-	if op == p.root {
-		return in
-	}
-	for _, par := range p.parents[op] {
-		algebra.ReplaceInput(par, op, in)
-	}
+	algebra.ReplaceInput(p.parent[old], old, nw)
 	return p.root
 }
 

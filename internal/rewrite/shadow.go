@@ -31,10 +31,7 @@ func shadowNativeRewrite(root algebra.Op) (algebra.Op, int) {
 
 func shadowOnce(p *plan) (algebra.Op, bool) {
 	for _, sel := range p.docSelects() {
-		chain, linear := p.chainAbove(sel)
-		if !linear {
-			continue
-		}
+		chain := p.chainAbove(sel)
 		for _, a := range sel.APT.Nodes() {
 			if a.LCL <= 0 {
 				continue
@@ -157,15 +154,13 @@ func applyShadowNative(p *plan, sel *algebra.Select, a *pattern.Node,
 		moved = eb.To.Edges
 		eb.To.Edges = nil
 	}
-	p.root = p.spliceAbove(sel, func(in algebra.Op) algebra.Op {
-		out := algebra.Op(algebra.NewShadow(in, a.LCL, bLCL))
-		if len(moved) > 0 {
-			anchor := pattern.NewLCAnchor(0, bLCL)
-			anchor.Edges = moved
-			out = algebra.NewExtendSelect(out, &pattern.Tree{Root: anchor})
-		}
-		return out
-	})
+	var out algebra.Op = algebra.NewShadow(sel, a.LCL, bLCL)
+	if len(moved) > 0 {
+		anchor := pattern.NewLCAnchor(0, bLCL)
+		anchor.Edges = moved
+		out = algebra.NewExtendSelect(out, &pattern.Tree{Root: anchor})
+	}
+	p.root = p.replace(sel, out)
 	finishIlluminate(p, sel, rm.es, bLCL, bSet, rm.m, rm.postIlluminate)
 	return p.root
 }

@@ -61,7 +61,7 @@ const kidsBlock = 128
 // Lifetime: slabs are never recycled across queries. Result trees returned
 // to the caller keep their slabs reachable, and the GC frees everything
 // when the result is dropped — there is no explicit release, which is what
-// makes handing aliased trees to the plan-cache/service layer safe.
+// makes handing result trees to the plan-cache/service layer safe.
 //
 // A nil *Arena is valid and falls back to plain `new` for every node —
 // the path used by package-level constructors, tests, and nodes that must
@@ -243,7 +243,7 @@ const treeBlock = 16
 const treeBytes = int64(unsafe.Sizeof(Tree{}))
 
 // NewTree returns a tree rooted at root with an empty class table, carved
-// from the slab's tree block; its future node copies (Mutable, Clone) draw
+// from the slab's tree block; its future node copies (Clone) draw
 // from the slab's arena. A nil slab allocates the tree from the heap.
 func (s *Slab) NewTree(root *Node) *Tree {
 	if s == nil {
@@ -294,11 +294,11 @@ func (s *Slab) TempText(value string) *Node {
 	return n
 }
 
-// TempAttr returns a fresh temporary attribute node; name is stored with
-// the "@" prefix like stored attributes.
-func (s *Slab) TempAttr(name, value string) *Node {
+// TempAttr returns a fresh temporary attribute node; tag is its name as
+// stored, with the "@" prefix like stored attributes.
+func (s *Slab) TempAttr(tag, value string) *Node {
 	n := s.node()
 	n.Ord, n.TempID = -1, tempCounter.Add(1)
-	n.Kind, n.Tag, n.Value = xmltree.Attribute, "@"+name, value
+	n.Kind, n.Tag, n.Value = xmltree.Attribute, tag, value
 	return n
 }

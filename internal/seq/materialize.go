@@ -59,7 +59,7 @@ func ExpandInPlace(st *store.Store, n *Node) {
 }
 
 // ExpandInPlaceIn is ExpandInPlace with the copied-in nodes drawn from
-// arena a (nil = plain new). The caller must own n's tree (unfrozen).
+// arena a (nil = plain new). The caller must own n's tree.
 func ExpandInPlaceIn(a *Arena, st *store.Store, n *Node) {
 	if !n.IsStore() || n.Full {
 		return

@@ -8,12 +8,10 @@
 // Operators address nodes exclusively through that table, which is what
 // lets them treat heterogeneous sets of trees homogeneously.
 //
-// Trees support copy-on-write sharing: a tree handed to more than one
-// consumer is frozen (Freeze) and aliased (Seq.Alias); consumers that only
-// read pass the frozen tree through untouched, and consumers that mutate
-// first obtain a private copy via Mutable/MutableWithMapping. Unfrozen
-// trees are owned by their single consumer and are mutated in place, so
-// the linear parts of a plan pay zero copies.
+// A tree is owned by the one operator it is handed to, which may
+// restructure it in place. An operator that needs a tree more than once —
+// a join pairing it with several partners — uses a copy (Clone,
+// CloneWithMapping) for every use but the last.
 //
 // Temporary node identifiers follow Section 5.1 of the paper: they satisfy
 // node-ID properties 1 (uniqueness) and 4 (order within a class) but not
@@ -91,10 +89,10 @@ func NewTempText(value string) *Node {
 	return (*Slab)(nil).TempText(value)
 }
 
-// NewTempAttr returns a fresh temporary attribute node; name is stored with
-// the "@" prefix like stored attributes.
-func NewTempAttr(name, value string) *Node {
-	return (*Slab)(nil).TempAttr(name, value)
+// NewTempAttr returns a fresh temporary attribute node; tag is its name as
+// stored, with the "@" prefix like stored attributes.
+func NewTempAttr(tag, value string) *Node {
+	return (*Slab)(nil).TempAttr(tag, value)
 }
 
 // IsStore reports whether the node references a stored node.
@@ -102,7 +100,7 @@ func (n *Node) IsStore() bool { return n.Ord >= 0 }
 
 // Key is the identity of the node a witness node stands for, as a
 // comparable value: the document and ordinal of a store reference, or the
-// temporary ID. Copies of a node (Mutable, Clone) share its key, and map
+// temporary ID. Copies of a node (Clone) share its key, and map
 // keys built from it cost no allocation — it is what identifier-based
 // duplicate elimination, the identity join and grouping hash on.
 type Key struct {
@@ -200,10 +198,6 @@ type Tree struct {
 	// deep in the call graph allocate from the owning run's arena without
 	// signature plumbing.
 	arena *Arena
-	// frozen marks the tree as shared between consumers: it must not be
-	// mutated, only read or copied (Mutable). Set by Freeze at DAG
-	// fan-out points; never cleared.
-	frozen bool
 }
 
 // memberInline is the number of singleton members a tree holds inline,
@@ -223,36 +217,6 @@ func NewTree(root *Node) *Tree {
 // plain new. Operators use it to allocate sibling nodes (join roots,
 // constructed elements) into the same run-scoped slabs.
 func (t *Tree) Arena() *Arena { return t.arena }
-
-// Freeze marks the tree shared: from now on it must not be mutated.
-// Operators needing to restructure it obtain a private copy via Mutable.
-// Freezing is idempotent and never reversed — a frozen tree may be read
-// (and copied) concurrently, provided the freeze happened-before the reads
-// (the evaluator freezes before publishing a result to other consumers).
-func (t *Tree) Freeze() { t.frozen = true }
-
-// Frozen reports whether the tree is shared (copy before mutating).
-func (t *Tree) Frozen() bool { return t.frozen }
-
-// Mutable returns a tree the caller may mutate: t itself when unfrozen
-// (single consumer owns it), a private deep copy otherwise.
-func (t *Tree) Mutable() *Tree {
-	if !t.frozen {
-		return t
-	}
-	nt, _ := t.cloneTree()
-	return nt
-}
-
-// MutableWithMapping is Mutable for callers holding pointers at t's nodes:
-// the returned NodeMap translates original nodes to their counterparts in
-// the returned tree (the identity when no copy was needed).
-func (t *Tree) MutableWithMapping() (*Tree, NodeMap) {
-	if !t.frozen {
-		return t, NodeMap{}
-	}
-	return t.cloneTree()
-}
 
 // bucket returns the members slice index for lcl, or -1.
 func (t *Tree) bucket(lcl int) int {
@@ -510,7 +474,7 @@ func (t *Tree) Stitch(s *Slab, rootTag string, rootLCL int, rights []*Tree) {
 const nodeMapLinearMax = 64
 
 // NodeMap translates original nodes to their copies after a deep copy
-// (CopySubtree, CloneWithMapping, MutableWithMapping). The zero NodeMap is
+// (CopySubtree, CloneWithMapping). The zero NodeMap is
 // the identity. Nodes not covered by the copy map to themselves — the
 // caller's pointer is already the right one.
 type NodeMap struct {
@@ -583,7 +547,7 @@ func (s *Slab) CopySubtree(n *Node) (*Node, NodeMap) {
 }
 
 // cloneTree deep-copies the tree and rebuilds its class table against the
-// copies. The copy is unfrozen and draws from the same arena.
+// copies. The copy draws from the same arena.
 func (t *Tree) cloneTree() (*Tree, NodeMap) {
 	var nm NodeMap
 	s := t.arena.Hold()
@@ -667,25 +631,5 @@ func (s Seq) Clone() Seq {
 	for i, t := range s {
 		out[i] = t.Clone()
 	}
-	return out
-}
-
-// Freeze marks every tree in the sequence shared. The evaluator calls it
-// once before handing the sequence to multiple consumers; it must
-// happen-before any consumer reads the trees (the evaluator publishes
-// under its memo lock / future close).
-func (s Seq) Freeze() {
-	for _, t := range s {
-		t.frozen = true
-	}
-}
-
-// Alias returns a fresh slice sharing the frozen trees — the per-consumer
-// handout at DAG fan-out points. Each consumer owns its slice (it may
-// filter, reorder, or replace elements) while the trees themselves stay
-// shared until a consumer needs a Mutable copy.
-func (s Seq) Alias() Seq {
-	out := make(Seq, len(s))
-	copy(out, s)
 	return out
 }

@@ -30,7 +30,7 @@ func storeNode(s *store.Store, id store.DocID, ord int32) *Node {
 func TestTempIDsMonotone(t *testing.T) {
 	a := NewTempElement("a")
 	b := NewTempText("x")
-	c := NewTempAttr("k", "v")
+	c := NewTempAttr("@k", "v")
 	if !(a.TempID < b.TempID && b.TempID < c.TempID) {
 		t.Errorf("temp ids not monotone: %d %d %d", a.TempID, b.TempID, c.TempID)
 	}
@@ -194,7 +194,7 @@ func TestContent(t *testing.T) {
 	if got := Content(s, el); got != "7" {
 		t.Errorf("Content(temp) = %q", got)
 	}
-	if got := Content(s, NewTempAttr("id", "p9")); got != "p9" {
+	if got := Content(s, NewTempAttr("@id", "p9")); got != "p9" {
 		t.Errorf("Content(attr) = %q", got)
 	}
 }
@@ -233,7 +233,7 @@ func TestXMLSerialization(t *testing.T) {
 	}
 	// Constructed tree serializes its kids; shadowed nodes are invisible.
 	el := NewTempElement("person")
-	Attach(el, NewTempAttr("name", "Alice"))
+	Attach(el, NewTempAttr("@name", "Alice"))
 	hidden := NewTempElement("secret")
 	hidden.Shadowed = true
 	Attach(el, hidden)

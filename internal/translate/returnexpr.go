@@ -118,14 +118,14 @@ func (rb *returnBuilder) build(r *xquery.RetNode) (*pattern.ConstructNode, error
 		el := pattern.NewElement(r.Tag)
 		for _, a := range r.Attrs {
 			if a.Path == nil {
-				el.Attrs = append(el.Attrs, pattern.ConstructAttr{Name: a.Name, Literal: a.Literal})
+				el.Attrs = append(el.Attrs, pattern.ConstructAttr{Tag: "@" + a.Name, Literal: a.Literal})
 				continue
 			}
 			lcl, err := rb.ref(a.Path)
 			if err != nil {
 				return nil, err
 			}
-			el.Attrs = append(el.Attrs, pattern.ConstructAttr{Name: a.Name, FromLCL: lcl})
+			el.Attrs = append(el.Attrs, pattern.ConstructAttr{Tag: "@" + a.Name, FromLCL: lcl})
 		}
 		for _, ch := range r.Children {
 			c, err := rb.build(ch)

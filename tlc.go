@@ -630,11 +630,10 @@ func WithLimits(l Limits) Option {
 // benchmarks compile once and measure evaluation only, like the paper).
 //
 // A single Prepared is safe for concurrent Run/RunContext calls: the plan
-// DAG is immutable after Compile (every rewrite mutates operators at
+// tree is immutable after Compile (every rewrite mutates operators at
 // compile time only; eval methods read operator fields and own their
-// per-run input sequences), and all per-run state — matcher caches,
-// memoization, the node arena — lives in the evaluation context created
-// per call. Compiling reads no document, so a Prepared stays right across
+// per-run input sequences), and all per-run state — matcher caches and the
+// node arena — lives in the evaluation context created per call. Compiling reads no document, so a Prepared stays right across
 // loads and updates. This is what lets a prepared-plan cache hand one
 // Prepared to many concurrent requests, for as long as it keeps it.
 type Prepared struct {
