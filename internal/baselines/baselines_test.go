@@ -248,3 +248,61 @@ func TestBaselinesAreSlowerOnQ1(t *testing.T) {
 			taxStats.NodesMaterialized, tlcStats.NodesMaterialized)
 	}
 }
+
+// TestValueJoinEqualityIsNumeric holds the sort–merge–sort join, the
+// nested-loop join and the navigational engine to one equality: values
+// that parse as numbers compare as numbers ("5", "5.0" and "05" are
+// equal), a number never equals a word, and NaN equals nothing.
+func TestValueJoinEqualityIsNumeric(t *testing.T) {
+	s := store.New()
+	if _, err := s.LoadXML("j.xml", strings.NewReader(`<j>
+	  <l id="l5" v="5"/><l id="l05" v="05"/><l id="lw" v="five"/><l id="ln" v="NaN"/>
+	  <r id="r50" v="5.0"/><r id="rw" v="five"/><r id="r6" v="6"/><r id="rn" v="NaN"/>
+	</j>`)); err != nil {
+		t.Fatal(err)
+	}
+	ast, err := xquery.Parse(`FOR $l IN document("j.xml")//l
+		FOR $r IN document("j.xml")//r
+		WHERE $l/@v = $r/@v
+		RETURN <pair l={$l/@id/text()} r={$r/@id/text()}></pair>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `<pair l="l05" r="r50"/>
+<pair l="l5" r="r50"/>
+<pair l="lw" r="rw"/>`
+	run := func(nested bool) string {
+		res, err := translate.Translate(ast)
+		if err != nil {
+			t.Fatal(err)
+		}
+		joins := 0
+		for _, op := range algebra.Ops(res.Plan) {
+			if j, ok := op.(*algebra.Join); ok && j.Pred != nil {
+				j.ForceNestedLoop = nested
+				joins++
+			}
+		}
+		if joins != 1 {
+			t.Fatalf("plan has %d value joins, want 1:\n%s", joins, algebra.Explain(res.Plan))
+		}
+		out, err := algebra.Run(s, res.Plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return canonical(s, out)
+	}
+	if got := run(false); got != want {
+		t.Errorf("sort–merge–sort join:\n%s\nwant:\n%s", got, want)
+	}
+	if got := run(true); got != want {
+		t.Errorf("nested-loop join:\n%s\nwant:\n%s", got, want)
+	}
+	navOut, err := nav.Run(s, ast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := canonical(s, navOut); got != want {
+		t.Errorf("navigation:\n%s\nwant:\n%s", got, want)
+	}
+}

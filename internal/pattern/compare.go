@@ -13,6 +13,8 @@ func Compare(op Cmp, left, right string) bool {
 	lf, lnum := ParseNumber(left)
 	rf, rnum := ParseNumber(right)
 	switch {
+	case lnum && rnum && (lf != lf || rf != rf):
+		return op == NE // NaN is unordered: unequal to everything
 	case lnum && rnum:
 		return compareOrd(op, cmpFloat(lf, rf))
 	case lnum || rnum: // mixed types
