@@ -12,7 +12,6 @@ import (
 
 	"tlc/internal/algebra"
 	"tlc/internal/pattern"
-	"tlc/internal/seq"
 	"tlc/internal/store"
 	"tlc/internal/xmark"
 )
@@ -98,11 +97,11 @@ func main() {
 	}
 	var quantities []string
 	for _, t := range pres {
-		n, err := t.Singleton(4)
+		n, err := t.SingletonID(4)
 		if err != nil {
 			log.Fatal(err)
 		}
-		quantities = append(quantities, seq.Content(st, n))
+		quantities = append(quantities, t.Content(st, n))
 	}
 	fmt.Printf("quantities of busy auctions via class (4): %v\n", quantities)
 }

@@ -48,18 +48,19 @@ func (a *Aggregate) eval(ctx *Context, in []seq.Seq) (seq.Seq, error) {
 	// Aggregate only adds one node per tree, in place.
 	s := ctx.arena.Hold()
 	defer ctx.arena.Release(s)
+	tag := seq.Intern(string(a.Fn))
 	trees := in[0]
 	for _, t := range trees {
 		members := t.Class(a.LCL)
-		val, err := applyAgg(ctx.Store, a.Fn, members)
+		val, err := applyAgg(ctx.Store, t, a.Fn, members)
 		if err != nil {
 			return nil, err
 		}
-		res := s.TempElement(string(a.Fn))
+		res := s.TempElement(tag)
 		s.Attach(res, s.TempText(val))
 		parent := t.Root
-		if len(members) > 0 && members[0].Parent != nil {
-			parent = members[0].Parent
+		if len(members) > 0 && t.Node(members[0]).Parent != seq.NoNode {
+			parent = t.Node(members[0]).Parent
 		}
 		s.Attach(parent, res)
 		t.AddToClass(a.NewLCL, res)
@@ -67,8 +68,8 @@ func (a *Aggregate) eval(ctx *Context, in []seq.Seq) (seq.Seq, error) {
 	return trees, nil
 }
 
-// applyAgg computes the aggregate over the member contents.
-func applyAgg(st *store.Store, fn AggFunc, members []*seq.Node) (string, error) {
+// applyAgg computes the aggregate over the contents of t's members.
+func applyAgg(st *store.Store, t *seq.Tree, fn AggFunc, members []seq.NodeID) (string, error) {
 	if fn == Count {
 		return strconv.Itoa(len(members)), nil
 	}
@@ -77,7 +78,7 @@ func applyAgg(st *store.Store, fn AggFunc, members []*seq.Node) (string, error) 
 	}
 	vals := make([]float64, 0, len(members))
 	for _, m := range members {
-		c := seq.Content(st, m)
+		c := t.Content(st, m)
 		f, err := strconv.ParseFloat(c, 64)
 		if err != nil {
 			return "", fmt.Errorf("aggregate %s over non-numeric content %q", fn, c)

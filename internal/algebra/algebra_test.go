@@ -127,14 +127,14 @@ func TestAggregateCountAndFilter(t *testing.T) {
 	}
 	var counts []string
 	for _, w := range res {
-		n, err := w.Singleton(11)
+		n, err := w.SingletonID(11)
 		if err != nil {
 			t.Fatal(err)
 		}
-		counts = append(counts, seq.Content(s, n))
+		counts = append(counts, w.Content(s, n))
 		// The result node is a sibling of the bidders (child of auction)
 		// or under the root for the empty cluster.
-		if n.Parent == nil {
+		if w.Node(n).Parent == seq.NoNode {
 			t.Error("aggregate node not attached")
 		}
 	}
@@ -169,8 +169,8 @@ func TestAggregateNumericFunctions(t *testing.T) {
 		}
 		var got []string
 		for _, w := range res {
-			n, _ := w.Singleton(12)
-			got = append(got, seq.Content(s, n))
+			n, _ := w.SingletonID(12)
+			got = append(got, w.Content(s, n))
 		}
 		if strings.Join(got, ",") != strings.Join(wants, ",") {
 			t.Errorf("%s = %v, want %v", fn, got, wants)
@@ -210,8 +210,8 @@ func TestProjectKeepsSubtreesAndClasses(t *testing.T) {
 	}
 	w := res[0]
 	// Root retained, person under it, @id under person (witness subtree).
-	if w.Root.Tag != "site" {
-		t.Errorf("projected root = %q", w.Root.Tag)
+	if w.Tag(s, w.Root) != "site" {
+		t.Errorf("projected root = %q", w.Tag(s, w.Root))
 	}
 	p, err := w.Singleton(1)
 	if err != nil {
@@ -353,8 +353,8 @@ func TestConstructCarriesInnerLabelsOnEveryTree(t *testing.T) {
 				continue
 			}
 			for _, m := range got {
-				if m.Tag != "n" || m.Parent == nil || m.Parent.Parent != w.Root {
-					t.Errorf("refs %d, tree %d: class 21 member %q is not an <n> of this tree", refs, i, m.Tag)
+				if p := w.Node(m).Parent; w.Tag(s, m) != "n" || p == seq.NoNode || w.Node(p).Parent != w.Root {
+					t.Errorf("refs %d, tree %d: class 21 member %q is not an <n> of this tree", refs, i, w.Tag(s, m))
 				}
 			}
 		}
@@ -369,8 +369,8 @@ func TestSortByContentAndDocOrder(t *testing.T) {
 	}
 	var ages []string
 	for _, w := range res {
-		n, _ := w.Singleton(3)
-		ages = append(ages, seq.Content(s, n))
+		n, _ := w.SingletonID(3)
+		ages = append(ages, w.Content(s, n))
 	}
 	if strings.Join(ages, ",") != "20,30,40" {
 		t.Errorf("ascending ages = %v", ages)
@@ -381,8 +381,8 @@ func TestSortByContentAndDocOrder(t *testing.T) {
 	}
 	ages = nil
 	for _, w := range res {
-		n, _ := w.Singleton(3)
-		ages = append(ages, seq.Content(s, n))
+		n, _ := w.SingletonID(3)
+		ages = append(ages, w.Content(s, n))
 	}
 	if strings.Join(ages, ",") != "40,30,20" {
 		t.Errorf("descending ages = %v", ages)
@@ -394,8 +394,8 @@ func TestSortByContentAndDocOrder(t *testing.T) {
 	}
 	var ids []string
 	for _, w := range back {
-		n, _ := w.Singleton(2)
-		ids = append(ids, seq.Content(s, n))
+		n, _ := w.SingletonID(2)
+		ids = append(ids, w.Content(s, n))
 	}
 	if strings.Join(ids, ",") != "p0,p1,p2" {
 		t.Errorf("doc order ids = %v", ids)
@@ -518,9 +518,9 @@ func TestMaterializeOp(t *testing.T) {
 	if s.Snapshot().NodesMaterialized == 0 {
 		t.Error("materialize copied nothing")
 	}
-	p, _ := res[0].Singleton(1)
-	if !p.Full || len(p.Kids) != 3 {
-		t.Errorf("person not fully materialized: full=%v kids=%d", p.Full, len(p.Kids))
+	p, _ := res[0].SingletonID(1)
+	if kids := res[0].Kids(p); !res[0].Node(p).Full || len(kids) != 3 {
+		t.Errorf("person not fully materialized: full=%v kids=%d", res[0].Node(p).Full, len(kids))
 	}
 }
 

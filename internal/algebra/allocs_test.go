@@ -58,7 +58,7 @@ func projectInput(a *seq.Arena, n int) seq.Seq {
 	defer a.Release(s)
 	out := make(seq.Seq, n)
 	for i := range out {
-		root, mid, el, txt := s.TempElement("r"), s.TempElement("mid"), s.TempElement("a"), s.TempText("v")
+		root, mid, el, txt := s.TempElement(seq.Intern("r")), s.TempElement(seq.Intern("mid")), s.TempElement(seq.Intern("a")), s.TempText("v")
 		s.Attach(root, mid)
 		s.Attach(mid, el)
 		s.Attach(el, txt)

@@ -42,7 +42,7 @@ func (m *Materialize) eval(ctx *Context, in []seq.Seq) (seq.Seq, error) {
 	for _, t := range out {
 		for _, lcl := range m.Classes {
 			for _, n := range t.Class(lcl) {
-				seq.ExpandInPlaceIn(ctx.arena, ctx.Store, n)
+				seq.ExpandInPlaceIn(t.Arena(), ctx.Store, n)
 			}
 		}
 	}
@@ -75,27 +75,5 @@ func (g *GroupByOp) eval(ctx *Context, in []seq.Seq) (seq.Seq, error) {
 	return physical.GroupBy(ctx.GoContext(), ctx.Store, in[0], g.BasisLCL, g.MemberLCL, g.Exclude)
 }
 
-// MergeOp merges two sequences of trees rooted at the same stored nodes —
-// the merge step of the split/group/merge procedure in GTP plans; see
-// physical.MergeOnRoot.
-type MergeOp struct {
-	binary
-}
-
-// NewMerge returns a MergeOp of left and right.
-func NewMerge(left, right Op) *MergeOp {
-	m := &MergeOp{}
-	m.Left, m.Right = left, right
-	return m
-}
-
-// Label implements Op.
-func (m *MergeOp) Label() string { return "Merge on root" }
-
-func (m *MergeOp) eval(ctx *Context, in []seq.Seq) (seq.Seq, error) {
-	return physical.MergeOnRoot(ctx.GoContext(), ctx.Store, in[0], in[1])
-}
-
 var _ Op = (*Materialize)(nil)
 var _ Op = (*GroupByOp)(nil)
-var _ Op = (*MergeOp)(nil)

@@ -42,9 +42,9 @@ func (c *Construct) eval(ctx *Context, in []seq.Seq) (seq.Seq, error) {
 	single := subtreeRefs(c.Pattern) == 1
 	s := ctx.arena.Hold()
 	defer ctx.arena.Release(s)
-	cn := construction{s: s, st: ctx.Store}
+	cn := construction{s: s, a: ctx.arena, st: ctx.Store}
 	for _, t := range in[0] {
-		nt := s.NewTree(nil)
+		nt := s.NewTree(seq.NoNode)
 		cn.t, cn.nt, cn.move = t, nt, single
 		cn.indexed = false
 		if err := cn.build(c.Pattern); err != nil {
@@ -57,7 +57,7 @@ func (c *Construct) eval(ctx *Context, in []seq.Seq) (seq.Seq, error) {
 			// A pattern whose top level expands to zero or several nodes
 			// (e.g. a bare subtree reference) is wrapped in a result root,
 			// keeping the output a tree.
-			nt.Root = cn.adopt(s.TempElement("result"), 0)
+			nt.Root = cn.adopt(s.TempElement(resultTag), 0)
 		}
 		cn.stack = cn.stack[:0]
 		out = append(out, nt)
@@ -65,24 +65,29 @@ func (c *Construct) eval(ctx *Context, in []seq.Seq) (seq.Seq, error) {
 	return out, nil
 }
 
+// resultTag is the tag of the root that wraps a multi-node construct
+// result.
+var resultTag = seq.Intern("result")
+
 // construction is the state of building one output tree nt from one input
 // tree t; one construction serves a whole Construct call. Fresh nodes come
 // out of the held slab s — construction is where TLC pays its deferred
 // materialization cost, so it is the allocation-heaviest spot.
 type construction struct {
 	s     *seq.Slab
+	a     *seq.Arena
 	st    *store.Store
 	t, nt *seq.Tree
 	// stack holds the nodes built so far whose parent is not built yet:
 	// build pushes what a pattern node produces, and an element pops its
 	// children off into one exactly sized child list.
-	stack []*seq.Node
+	stack []seq.NodeID
 	// classOf is the reverse class table of t: a node's labels are a chain
 	// in links, ascending, starting at classOf[node]-1. It is built the
 	// first time a copied subtree of t has labels to carry; indexed reports
 	// whether it has been built for the current t. Map and links are kept
 	// across trees and refilled once per tree that needs them.
-	classOf map[*seq.Node]int
+	classOf map[seq.NodeID]int
 	links   []classLink
 	indexed bool
 	// move lets temporary subtrees move from t into nt instead of being
@@ -109,12 +114,9 @@ func subtreeRefs(c *pattern.ConstructNode) int {
 
 // adopt makes the nodes on the stack from mark up the children of el,
 // pops them, and returns el.
-func (cn *construction) adopt(el *seq.Node, mark int) *seq.Node {
+func (cn *construction) adopt(el seq.NodeID, mark int) seq.NodeID {
 	if kids := cn.stack[mark:]; len(kids) > 0 {
-		el.Kids = append(cn.s.Kids(len(kids)), kids...)
-		for _, k := range kids {
-			k.Parent = el
-		}
+		cn.a.SetKids(el, kids)
 	}
 	cn.stack = cn.stack[:mark]
 	return el
@@ -127,7 +129,7 @@ func (cn *construction) build(c *pattern.ConstructNode) error {
 	s, st, t, nt := cn.s, cn.st, cn.t, cn.nt
 	switch c.Kind {
 	case pattern.ConstructElement:
-		el, mark := s.TempElement(c.Tag), len(cn.stack)
+		el, mark := s.TempElement(seq.Intern(c.Tag)), len(cn.stack)
 		for _, at := range c.Attrs {
 			val := at.Literal
 			if at.FromLCL > 0 {
@@ -135,9 +137,9 @@ func (cn *construction) build(c *pattern.ConstructNode) error {
 				if len(members) == 0 {
 					continue // no value: attribute omitted
 				}
-				val = seq.Content(st, members[0])
+				val = t.Content(st, members[0])
 			}
-			cn.stack = append(cn.stack, s.TempAttr(at.Tag, val))
+			cn.stack = append(cn.stack, s.TempAttr(seq.Intern(at.Tag), val))
 		}
 		for _, ch := range c.Children {
 			if err := cn.build(ch); err != nil {
@@ -161,7 +163,7 @@ func (cn *construction) build(c *pattern.ConstructNode) error {
 
 	case pattern.ConstructText:
 		for _, m := range t.Class(c.FromLCL) {
-			txt := s.TempText(seq.Content(st, m))
+			txt := s.TempText(t.Content(st, m))
 			if c.NewLCL > 0 {
 				nt.AddToClass(c.NewLCL, txt)
 			}
@@ -184,12 +186,15 @@ func (cn *construction) build(c *pattern.ConstructNode) error {
 // construction may move and n is movable, deep-copied otherwise, with the
 // class labels of the nodes below it, so outer blocks can keep referencing
 // them.
-func (cn *construction) copyForOutput(n *seq.Node, lcl int) *seq.Node {
-	if n.IsStore() && !n.Full {
-		return cn.s.StoreNode(n.Doc, n.Ord, n.Kind, n.Tag, n.Value)
+func (cn *construction) copyForOutput(n seq.NodeID, lcl int) seq.NodeID {
+	a := cn.a
+	x := a.Node(n)
+	if x.IsStore() && !x.Full {
+		return cn.s.StoreNode(x.Doc, x.Ord, x.Kind)
 	}
-	if len(n.Kids) == 0 {
-		cp, _ := cn.s.CopySubtree(n)
+	if len(a.Kids(n)) == 0 {
+		cp, nm := cn.s.CopySubtree(n)
+		nm.Release()
 		return cp // the reference root's own class is set by the caller
 	}
 	if !cn.indexed {
@@ -199,15 +204,16 @@ func (cn *construction) copyForOutput(n *seq.Node, lcl int) *seq.Node {
 	if !cn.move || !cn.movable(n, lcl) {
 		cp, nm = cn.s.CopySubtree(n)
 	}
-	cp.Parent = nil
-	n.Walk(func(x *seq.Node) bool {
-		if x != n {
-			for i := cn.classOf[x]; i > 0; i = cn.links[i-1].next {
-				cn.nt.AddToClass(cn.links[i-1].lcl, nm.Get(x))
+	a.Node(cp).Parent = seq.NoNode
+	a.Walk(n, func(y seq.NodeID) bool {
+		if y != n {
+			for i := cn.classOf[y]; i > 0; i = cn.links[i-1].next {
+				cn.nt.AddToClass(cn.links[i-1].lcl, nm.Get(y))
 			}
 		}
 		return true
 	})
+	nm.Release()
 	return cp
 }
 
@@ -216,7 +222,7 @@ func (cn *construction) copyForOutput(n *seq.Node, lcl int) *seq.Node {
 // ascending.
 func (cn *construction) index() {
 	if cn.classOf == nil {
-		cn.classOf = make(map[*seq.Node]int)
+		cn.classOf = make(map[seq.NodeID]int)
 	}
 	clear(cn.classOf)
 	cn.links = cn.links[:0]
@@ -232,7 +238,7 @@ func (cn *construction) index() {
 
 // inClass reports whether n is a member of class lcl of the input tree,
 // by the reverse class table.
-func (cn *construction) inClass(n *seq.Node, lcl int) bool {
+func (cn *construction) inClass(n seq.NodeID, lcl int) bool {
 	for i := cn.classOf[n]; i > 0; i = cn.links[i-1].next {
 		if cn.links[i-1].lcl == lcl {
 			return true
@@ -244,12 +250,13 @@ func (cn *construction) inClass(n *seq.Node, lcl int) bool {
 // movable reports whether n may move out of the input tree: it is still
 // there — its ancestors lead to t's root — and none of them is a member of
 // class lcl, whose own move would already carry n.
-func (cn *construction) movable(n *seq.Node, lcl int) bool {
+func (cn *construction) movable(n seq.NodeID, lcl int) bool {
 	a := n
-	for ; a.Parent != nil; a = a.Parent {
-		if cn.inClass(a.Parent, lcl) {
+	for p := cn.a.Node(a).Parent; p != seq.NoNode; p = cn.a.Node(a).Parent {
+		if cn.inClass(p, lcl) {
 			return false
 		}
+		a = p
 	}
 	return a == cn.t.Root
 }

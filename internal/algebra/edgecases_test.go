@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"tlc/internal/pattern"
-	"tlc/internal/seq"
 	"tlc/internal/store"
 )
 
@@ -116,9 +115,9 @@ func TestPruneRemovesClassAndNodes(t *testing.T) {
 		if len(w.Class(3)) != 0 {
 			t.Error("pruned class still populated")
 		}
-		p, _ := w.Singleton(1)
-		for _, k := range p.Kids {
-			if k.Tag == "age" {
+		p, _ := w.SingletonID(1)
+		for _, k := range w.Kids(p) {
+			if w.Tag(s, k) == "age" {
 				t.Error("pruned node still attached")
 			}
 		}
@@ -146,8 +145,8 @@ func TestIdentityJoinOp(t *testing.T) {
 			t.Errorf("merged name class = %d", len(w.Class(42)))
 		}
 		n := w.Class(42)[0]
-		p, _ := w.Singleton(1)
-		if n.Parent != p {
+		p, _ := w.SingletonID(1)
+		if w.Node(n).Parent != p {
 			t.Error("name not grafted under the bound person")
 		}
 	}
@@ -197,7 +196,7 @@ func TestSortMissingKeysLast(t *testing.T) {
 	var got []string
 	for _, w := range res {
 		if m := w.Class(2); len(m) == 1 {
-			got = append(got, seq.Content(s, m[0]))
+			got = append(got, w.Content(s, m[0]))
 		} else {
 			got = append(got, "-")
 		}

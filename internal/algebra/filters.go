@@ -40,9 +40,9 @@ func (f *FilterCompare) eval(ctx *Context, in []seq.Seq) (seq.Seq, error) {
 		r := t.Class(f.RLCL)
 		pass := false
 		for _, ln := range l {
-			lc := seq.Content(ctx.Store, ln)
+			lc := t.Content(ctx.Store, ln)
 			for _, rn := range r {
-				if pattern.Compare(f.Op, lc, seq.Content(ctx.Store, rn)) {
+				if pattern.Compare(f.Op, lc, t.Content(ctx.Store, rn)) {
 					pass = true
 					break
 				}
@@ -99,7 +99,7 @@ func (f *DisjFilter) eval(ctx *Context, in []seq.Seq) (seq.Seq, error) {
 			members := t.Class(b.LCL)
 			hold := 0
 			for _, n := range members {
-				if b.Pred.Eval(seq.Content(ctx.Store, n)) {
+				if b.Pred.Eval(t.Content(ctx.Store, n)) {
 					hold++
 				}
 			}

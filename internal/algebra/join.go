@@ -115,32 +115,3 @@ var _ Op = (*Join)(nil)
 var _ Op = (*Union)(nil)
 var _ Op = (*Select)(nil)
 var _ Op = (*Filter)(nil)
-
-// StructuralJoinOp exposes the (nest-)structural join of Definition 8 as a
-// plan operator. The TLC translation itself embeds structural matching
-// inside Select, but baseline plans and the ablation benchmarks compose the
-// primitive directly.
-type StructuralJoinOp struct {
-	binary
-	LeftLCL int
-	Axis    pattern.Axis
-	Spec    pattern.MSpec
-}
-
-// NewStructuralJoin returns a structural join of left and right.
-func NewStructuralJoin(left, right Op, leftLCL int, axis pattern.Axis, spec pattern.MSpec) *StructuralJoinOp {
-	s := &StructuralJoinOp{LeftLCL: leftLCL, Axis: axis, Spec: spec}
-	s.Left, s.Right = left, right
-	return s
-}
-
-// Label implements Op.
-func (s *StructuralJoinOp) Label() string {
-	return fmt.Sprintf("StructuralJoin: (%d) %s child {%s}", s.LeftLCL, s.Axis, s.Spec)
-}
-
-func (s *StructuralJoinOp) eval(ctx *Context, in []seq.Seq) (seq.Seq, error) {
-	return physical.StructuralJoin(ctx.GoContext(), ctx.Store, in[0], in[1], s.LeftLCL, s.Axis, s.Spec)
-}
-
-var _ Op = (*StructuralJoinOp)(nil)

@@ -2,7 +2,7 @@
 // paper — Select, Filter, Join, Project, Duplicate-Elimination,
 // Aggregate-Function, Construct, Sort, Union — together with the
 // redundancy-eliminating operators of Section 4: Flatten, Shadow and
-// Illuminate. It also provides the Materialize, GroupBy and Merge operators
+// Illuminate. It also provides the Materialize and GroupBy operators
 // that the TAX and GTP baseline plan generators use; sharing one executor
 // keeps the engine comparison honest (identical data structures, identical
 // store, different plan shapes).

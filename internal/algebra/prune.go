@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"tlc/internal/seq"
@@ -40,9 +41,9 @@ func (p *Prune) eval(_ *Context, in []seq.Seq) (seq.Seq, error) {
 	out := in[0]
 	for _, t := range out {
 		for _, lcl := range p.Classes {
-			for _, n := range append([]*seq.Node(nil), t.ClassAll(lcl)...) {
-				seq.Detach(n)
-				n.Walk(func(m *seq.Node) bool {
+			for _, n := range slices.Clone(t.ClassAll(lcl)) {
+				t.Arena().Detach(n)
+				t.Walk(n, func(m seq.NodeID) bool {
 					t.RemoveFromClasses(m)
 					return true
 				})

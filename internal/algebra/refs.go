@@ -226,12 +226,6 @@ func (c *Construct) RemapClasses(m map[int]int) {
 	}
 }
 
-// ClassRefs implements ClassUser.
-func (s *StructuralJoinOp) ClassRefs() []int { return []int{s.LeftLCL} }
-
-// RemapClasses implements ClassRemapper.
-func (s *StructuralJoinOp) RemapClasses(m map[int]int) { s.LeftLCL = remap(m, s.LeftLCL) }
-
 // RefsOf returns the class references of op, or nil when it has none.
 func RefsOf(op Op) []int {
 	if u, ok := op.(ClassUser); ok {

@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"fmt"
+	"slices"
 
 	"tlc/internal/seq"
 )
@@ -70,13 +71,13 @@ func (s *Shadow) eval(ctx *Context, in []seq.Seq) (seq.Seq, error) {
 
 // breakApart implements the common mechanics of Flatten and Shadow.
 func breakApart(t *seq.Tree, pLCL, cLCL int, shadow bool) (seq.Seq, error) {
-	p, err := t.Singleton(pLCL)
+	p, err := t.SingletonID(pLCL)
 	if err != nil {
 		return nil, fmt.Errorf("flatten/shadow parent: %w", err)
 	}
 	members := t.Class(cLCL)
 	for _, c := range members {
-		if c.Parent != p {
+		if t.Node(c).Parent != p {
 			return nil, fmt.Errorf("class %d member is not a child of the class %d node", cLCL, pLCL)
 		}
 	}
@@ -89,27 +90,29 @@ func breakApart(t *seq.Tree, pLCL, cLCL int, shadow bool) (seq.Seq, error) {
 	var out seq.Seq
 	for i := range members {
 		// Each retained member gets its own copy of the tree; the last one
-		// consumes the original (t is pristine until then).
-		nt, mapping := t, seq.NodeMap{}
+		// consumes the original (t is pristine until then). A copy's class
+		// lists the copies of t's members in t's order.
+		nt := t
 		if i < len(members)-1 {
-			nt, mapping = t.CloneWithMapping()
+			nt = t.Clone()
 		}
-		for j, c := range members {
+		victims := slices.Clone(nt.Class(cLCL))
+		a := nt.Arena()
+		for j, victim := range victims {
 			if j == i {
 				continue
 			}
-			victim := mapping.Get(c)
 			if shadow {
-				victim.Walk(func(n *seq.Node) bool {
-					n.Shadowed = true
+				a.Walk(victim, func(n seq.NodeID) bool {
+					a.Node(n).Shadowed = true
 					return true
 				})
 				continue
 			}
 			// Flatten removes the node, its subtree and their class
 			// memberships entirely.
-			seq.Detach(victim)
-			victim.Walk(func(n *seq.Node) bool {
+			a.Detach(victim)
+			a.Walk(victim, func(n seq.NodeID) bool {
 				nt.RemoveFromClasses(n)
 				return true
 			})
@@ -142,12 +145,13 @@ func (i *Illuminate) eval(_ *Context, in []seq.Seq) (seq.Seq, error) {
 	// pays off (Section 4.3).
 	out := in[0]
 	for _, t := range out {
+		a := t.Arena()
 		for _, n := range t.ClassAll(i.LCL) {
-			if !n.Shadowed {
+			if !a.Node(n).Shadowed {
 				continue
 			}
-			n.Walk(func(m *seq.Node) bool {
-				m.Shadowed = false
+			a.Walk(n, func(m seq.NodeID) bool {
+				a.Node(m).Shadowed = false
 				return true
 			})
 		}

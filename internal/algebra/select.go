@@ -114,7 +114,7 @@ func (f *Filter) eval(ctx *Context, in []seq.Seq) (seq.Seq, error) {
 		hold := 0
 		members := t.Class(f.LCL)
 		for _, n := range members {
-			if f.Pred.Eval(seq.Content(ctx.Store, n)) {
+			if f.Pred.Eval(t.Content(ctx.Store, n)) {
 				hold++
 			}
 		}

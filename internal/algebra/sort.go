@@ -58,7 +58,7 @@ func (s *Sort) eval(ctx *Context, in []seq.Seq) (seq.Seq, error) {
 				ks[j] = sortVal{missing: true}
 				continue
 			}
-			ks[j] = newSortVal(seq.Content(ctx.Store, members[0]))
+			ks[j] = newSortVal(t.Content(ctx.Store, members[0]))
 		}
 		rows[i] = keyed{tree: t, keys: ks}
 	}
@@ -109,14 +109,10 @@ func (s *SortDocOrder) Label() string {
 func (s *SortDocOrder) eval(_ *Context, in []seq.Seq) (seq.Seq, error) {
 	out := append(seq.Seq(nil), in[0]...)
 	anchor := func(t *seq.Tree) *seq.Node {
-		if s.LCL == 0 {
-			return t.Root
+		if m := t.Class(s.LCL); s.LCL != 0 && len(m) > 0 {
+			return t.Node(m[0])
 		}
-		m := t.Class(s.LCL)
-		if len(m) == 0 {
-			return t.Root
-		}
-		return m[0]
+		return t.Node(t.Root)
 	}
 	sort.SliceStable(out, func(a, b int) bool {
 		return seq.Less(anchor(out[a]), anchor(out[b]))

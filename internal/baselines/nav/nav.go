@@ -55,8 +55,8 @@ type evaluator struct {
 	goCtx context.Context
 	// gov budgets the walk; nil when the query is ungoverned.
 	gov *governor.Governor
-	// arena slab-allocates the visited-node wrappers: navigation wraps
-	// every fetched child in a fresh seq.Node, which made it by far the
+	// arena holds the visited-node wrappers: navigation wraps every
+	// fetched child in a fresh witness node, which made it by far the
 	// allocation-heaviest engine. The evaluation runs on one goroutine, so
 	// it holds one slab of the arena, slab, throughout.
 	arena *seq.Arena
@@ -87,9 +87,9 @@ func (ev *evaluator) poll() error {
 
 // env is the variable environment: each variable binds to one node (FOR)
 // or a node sequence (LET).
-type env map[string][]*seq.Node
+type env map[string][]seq.NodeID
 
-func (e env) extend(name string, nodes []*seq.Node) env {
+func (e env) extend(name string, nodes []seq.NodeID) env {
 	ne := make(env, len(e)+1)
 	for k, v := range e {
 		ne[k] = v
@@ -145,7 +145,7 @@ func (ev *evaluator) flwor(f *xquery.FLWOR, e env) (seq.Seq, error) {
 			return err
 		}
 		b := f.Bindings[i]
-		var nodes []*seq.Node
+		var nodes []seq.NodeID
 		if b.Sub != nil {
 			sub, err := ev.flwor(b.Sub, e)
 			if err != nil {
@@ -165,7 +165,7 @@ func (ev *evaluator) flwor(f *xquery.FLWOR, e env) (seq.Seq, error) {
 			return loop(i+1, e.extend(b.Var, nodes))
 		}
 		for _, n := range nodes {
-			if err := loop(i+1, e.extend(b.Var, []*seq.Node{n})); err != nil {
+			if err := loop(i+1, e.extend(b.Var, []seq.NodeID{n})); err != nil {
 				return err
 			}
 		}
@@ -221,8 +221,8 @@ func compareValues(a, b string) int {
 
 // path evaluates a simple path by navigation, returning matching nodes in
 // document order.
-func (ev *evaluator) path(p *xquery.Path, e env) ([]*seq.Node, error) {
-	var cur []*seq.Node
+func (ev *evaluator) path(p *xquery.Path, e env) ([]seq.NodeID, error) {
+	var cur []seq.NodeID
 	switch p.Root {
 	case xquery.RootDocument:
 		id, ok := ev.st.Lookup(p.Doc)
@@ -230,7 +230,7 @@ func (ev *evaluator) path(p *xquery.Path, e env) ([]*seq.Node, error) {
 			return nil, fmt.Errorf("nav: document %q not loaded", p.Doc)
 		}
 		nd := ev.st.Node(id, 0)
-		cur = []*seq.Node{ev.slab.StoreNode(id, 0, nd.Kind, nd.Tag, nd.Value)}
+		cur = []seq.NodeID{ev.slab.StoreNode(id, 0, nd.Kind)}
 	default:
 		bound, ok := e[p.Var]
 		if !ok {
@@ -239,7 +239,7 @@ func (ev *evaluator) path(p *xquery.Path, e env) ([]*seq.Node, error) {
 		cur = bound
 	}
 	for _, s := range p.Steps {
-		var next []*seq.Node
+		var next []seq.NodeID
 		for _, n := range cur {
 			if err := ev.poll(); err != nil {
 				return nil, err
@@ -260,20 +260,20 @@ func (ev *evaluator) path(p *xquery.Path, e env) ([]*seq.Node, error) {
 
 // childrenNamed returns the children of n with the given tag, reading the
 // store for store references and the in-memory kids for temporaries.
-func (ev *evaluator) childrenNamed(n *seq.Node, tag string) []*seq.Node {
-	var out []*seq.Node
+func (ev *evaluator) childrenNamed(n seq.NodeID, tag string) []seq.NodeID {
+	var out []seq.NodeID
 	for _, k := range ev.children(n) {
-		if k.Tag == tag {
+		if ev.arena.Tag(ev.st, k) == tag {
 			out = append(out, k)
 		}
 	}
 	return out
 }
 
-func (ev *evaluator) descendantsNamed(n *seq.Node, tag string) []*seq.Node {
-	var out []*seq.Node
-	var walk func(x *seq.Node)
-	walk = func(x *seq.Node) {
+func (ev *evaluator) descendantsNamed(n seq.NodeID, tag string) []seq.NodeID {
+	var out []seq.NodeID
+	var walk func(x seq.NodeID)
+	walk = func(x seq.NodeID) {
 		// A deep '//' walk is the navigational engine's dominant cost;
 		// abort it as soon as a poll observes cancellation (the caller
 		// reports the latched error).
@@ -281,7 +281,7 @@ func (ev *evaluator) descendantsNamed(n *seq.Node, tag string) []*seq.Node {
 			return
 		}
 		for _, k := range ev.children(x) {
-			if k.Tag == tag {
+			if ev.arena.Tag(ev.st, k) == tag {
 				out = append(out, k)
 			}
 			walk(k)
@@ -294,12 +294,13 @@ func (ev *evaluator) descendantsNamed(n *seq.Node, tag string) []*seq.Node {
 // children enumerates a node's children, paying store reads for stored
 // nodes (this is the navigational cost model: every visited child is a
 // node fetch).
-func (ev *evaluator) children(n *seq.Node) []*seq.Node {
+func (ev *evaluator) children(id seq.NodeID) []seq.NodeID {
+	n := ev.arena.Node(id)
 	if !n.IsStore() || n.Full {
-		return n.Kids
+		return ev.arena.Kids(id)
 	}
 	ords := ev.st.Children(n.Doc, n.Ord)
-	out := make([]*seq.Node, 0, len(ords))
+	out := make([]seq.NodeID, 0, len(ords))
 	d := ev.st.Doc(n.Doc)
 	for _, o := range ords {
 		out = append(out, ev.slab.StoreNodeOf(n.Doc, o, d))

@@ -70,7 +70,7 @@ func (ev *evaluator) whereHolds(x xquery.Expr, e env) (bool, error) {
 			return false, err
 		}
 		for _, n := range nodes {
-			ok, err := ev.whereHolds(w.Cond, e.extend(w.Var, []*seq.Node{n}))
+			ok, err := ev.whereHolds(w.Cond, e.extend(w.Var, []seq.NodeID{n}))
 			if err != nil {
 				return false, err
 			}
@@ -108,13 +108,13 @@ func (ev *evaluator) values(p *xquery.Path, e env) ([]string, error) {
 	}
 	out := make([]string, len(nodes))
 	for i, n := range nodes {
-		out[i] = seq.Content(ev.st, n)
+		out[i] = ev.arena.Content(ev.st, n)
 	}
 	return out, nil
 }
 
 // aggregate applies an aggregate function over node contents.
-func (ev *evaluator) aggregate(fn string, nodes []*seq.Node) (string, error) {
+func (ev *evaluator) aggregate(fn string, nodes []seq.NodeID) (string, error) {
 	if fn == "count" {
 		return strconv.Itoa(len(nodes)), nil
 	}
@@ -124,7 +124,7 @@ func (ev *evaluator) aggregate(fn string, nodes []*seq.Node) (string, error) {
 	var acc float64
 	var vals []float64
 	for _, n := range nodes {
-		f, err := strconv.ParseFloat(seq.Content(ev.st, n), 64)
+		f, err := strconv.ParseFloat(ev.arena.Content(ev.st, n), 64)
 		if err != nil {
 			return "", fmt.Errorf("nav: aggregate %s over non-numeric content", fn)
 		}
@@ -167,20 +167,20 @@ func (ev *evaluator) buildReturn(r *xquery.RetNode, e env) (*seq.Tree, error) {
 	if len(nodes) == 1 {
 		return ev.slab.NewTree(nodes[0]), nil
 	}
-	root := ev.slab.TempElement("result")
+	root := ev.slab.TempElement(seq.Intern("result"))
 	for _, n := range nodes {
 		ev.slab.Attach(root, n)
 	}
 	return ev.slab.NewTree(root), nil
 }
 
-func (ev *evaluator) retNodes(r *xquery.RetNode, e env) ([]*seq.Node, error) {
+func (ev *evaluator) retNodes(r *xquery.RetNode, e env) ([]seq.NodeID, error) {
 	switch r.Kind {
 	case xquery.RetElement:
-		el := ev.slab.TempElement(r.Tag)
+		el := ev.slab.TempElement(seq.Intern(r.Tag))
 		for _, a := range r.Attrs {
 			if a.Path == nil {
-				ev.slab.Attach(el, ev.slab.TempAttr("@"+a.Name, a.Literal))
+				ev.slab.Attach(el, ev.slab.TempAttr(seq.Intern("@"+a.Name), a.Literal))
 				continue
 			}
 			vs, err := ev.values(a.Path, e)
@@ -188,7 +188,7 @@ func (ev *evaluator) retNodes(r *xquery.RetNode, e env) ([]*seq.Node, error) {
 				return nil, err
 			}
 			if len(vs) > 0 {
-				ev.slab.Attach(el, ev.slab.TempAttr("@"+a.Name, vs[0]))
+				ev.slab.Attach(el, ev.slab.TempAttr(seq.Intern("@"+a.Name), vs[0]))
 			}
 		}
 		for _, ch := range r.Children {
@@ -200,16 +200,16 @@ func (ev *evaluator) retNodes(r *xquery.RetNode, e env) ([]*seq.Node, error) {
 				ev.slab.Attach(el, k)
 			}
 		}
-		return []*seq.Node{el}, nil
+		return []seq.NodeID{el}, nil
 	case xquery.RetPath:
 		nodes, err := ev.path(r.Path, e)
 		if err != nil {
 			return nil, err
 		}
-		var out []*seq.Node
+		var out []seq.NodeID
 		for _, n := range nodes {
 			if r.Path.Text {
-				out = append(out, ev.slab.TempText(seq.Content(ev.st, n)))
+				out = append(out, ev.slab.TempText(ev.arena.Content(ev.st, n)))
 				continue
 			}
 			out = append(out, ev.copyOut(n))
@@ -224,15 +224,15 @@ func (ev *evaluator) retNodes(r *xquery.RetNode, e env) ([]*seq.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []*seq.Node{ev.slab.TempText(v)}, nil
+		return []seq.NodeID{ev.slab.TempText(v)}, nil
 	case xquery.RetLiteral:
-		return []*seq.Node{ev.slab.TempText(r.Literal)}, nil
+		return []seq.NodeID{ev.slab.TempText(r.Literal)}, nil
 	case xquery.RetSub:
 		sub, err := ev.flwor(r.Sub, e)
 		if err != nil {
 			return nil, err
 		}
-		var out []*seq.Node
+		var out []seq.NodeID
 		for _, t := range sub {
 			out = append(out, t.Root)
 		}
@@ -244,9 +244,9 @@ func (ev *evaluator) retNodes(r *xquery.RetNode, e env) ([]*seq.Node, error) {
 
 // copyOut materializes a node into the output: stored nodes are copied
 // from the store, temporary nodes (inner FLWOR results) are reused.
-func (ev *evaluator) copyOut(n *seq.Node) *seq.Node {
-	if n.IsStore() && !n.Full {
-		return seq.MaterializeIn(ev.arena, ev.st, n.Doc, n.Ord)
+func (ev *evaluator) copyOut(n seq.NodeID) seq.NodeID {
+	if x := ev.arena.Node(n); x.IsStore() && !x.Full {
+		return seq.MaterializeIn(ev.arena, ev.st, x.Doc, x.Ord)
 	}
 	return n
 }

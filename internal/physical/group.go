@@ -31,7 +31,7 @@ func GroupBy(ctx context.Context, st *store.Store, input seq.Seq, basisLCL, memb
 	excluded[memberLCL] = true
 	type group struct {
 		tree  *seq.Tree
-		basis *seq.Node
+		basis seq.NodeID
 	}
 	groups := make(map[string]*group)
 	var order []*group
@@ -62,7 +62,8 @@ func GroupBy(ctx context.Context, st *store.Store, input seq.Seq, basisLCL, memb
 		}
 		// Merge this tree's member nodes into the group representative: the
 		// tree is consumed, its member subtrees move over.
-		rev := make(map[*seq.Node][]int)
+		a := g.tree.Arena()
+		rev := make(map[seq.NodeID][]int)
 		for _, lcl := range t.Classes() {
 			if lcl == memberLCL {
 				continue
@@ -72,11 +73,11 @@ func GroupBy(ctx context.Context, st *store.Store, input seq.Seq, basisLCL, memb
 			}
 		}
 		for _, m := range t.Class(memberLCL) {
-			seq.Detach(m)
-			seq.Attach(g.basis, m)
+			a.Detach(m)
+			a.Attach(g.basis, m)
 			g.tree.AddToClass(memberLCL, m)
 			// Nested classes inside the member subtree follow along.
-			m.Walk(func(n *seq.Node) bool {
+			a.Walk(m, func(n seq.NodeID) bool {
 				for _, lcl := range rev[n] {
 					g.tree.AddToClass(lcl, n)
 				}
@@ -97,9 +98,9 @@ func GroupBy(ctx context.Context, st *store.Store, input seq.Seq, basisLCL, memb
 // Flat-multiplication clones agree on all of these (clones preserve node
 // keys, differing only in the grouped branch), while genuinely distinct
 // witnesses differ in at least one other binding.
-func groupKey(key []byte, t *seq.Tree, basis *seq.Node, excluded map[int]bool) []byte {
-	key = appendKey(key, t.Root.Key())
-	key = appendKey(key, basis.Key())
+func groupKey(key []byte, t *seq.Tree, basis seq.NodeID, excluded map[int]bool) []byte {
+	key = appendKey(key, t.Node(t.Root).Key())
+	key = appendKey(key, t.Node(basis).Key())
 	for _, lcl := range t.Classes() {
 		if excluded[lcl] {
 			continue
@@ -112,7 +113,7 @@ func groupKey(key []byte, t *seq.Tree, basis *seq.Node, excluded map[int]bool) [
 		key = binary.LittleEndian.AppendUint32(key, uint32(len(members)))
 		if len(members) <= 2 {
 			for _, n := range members {
-				key = appendKey(key, n.Key())
+				key = appendKey(key, t.Node(n).Key())
 			}
 			continue
 		}
@@ -120,8 +121,8 @@ func groupKey(key []byte, t *seq.Tree, basis *seq.Node, excluded map[int]bool) [
 		// summarized by size and endpoints: a real grouping implementation
 		// operates per split path and never hashes a sibling cluster
 		// member-by-member.
-		key = appendKey(key, members[0].Key())
-		key = appendKey(key, members[len(members)-1].Key())
+		key = appendKey(key, t.Node(members[0]).Key())
+		key = appendKey(key, t.Node(members[len(members)-1]).Key())
 	}
 	return key
 }
@@ -131,54 +132,4 @@ func appendKey(b []byte, k seq.Key) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(k.Doc))
 	b = binary.LittleEndian.AppendUint32(b, uint32(k.Ord))
 	return binary.LittleEndian.AppendUint64(b, uint64(k.Temp))
-}
-
-// MergeOnRoot merges two sequences whose trees are rooted at stored nodes,
-// joining trees whose roots are the *same* stored node: the right tree's
-// branches and classes are grafted onto the left tree. Trees without a
-// partner on the other side are dropped (inner merge). This is the "merge"
-// step of the split/group/merge procedure used by the GTP baseline.
-func MergeOnRoot(ctx context.Context, st *store.Store, left, right seq.Seq) (seq.Seq, error) {
-	byRoot := make(map[seq.Key][]*seq.Tree, len(right))
-	for _, r := range right {
-		byRoot[r.Root.Key()] = append(byRoot[r.Root.Key()], r)
-	}
-	// takeRight consumes a right tree on first use (grafting re-parents its
-	// branches); later uses are copied.
-	usedRight := make(map[*seq.Tree]bool, len(right))
-	takeRight := func(r *seq.Tree) (*seq.Tree, seq.NodeMap) {
-		if !usedRight[r] {
-			usedRight[r] = true
-			return r, seq.NodeMap{}
-		}
-		return r.CloneWithMapping()
-	}
-	var out seq.Seq
-	for i, l := range left {
-		if err := poll(ctx, i); err != nil {
-			return nil, err
-		}
-		partners := byRoot[l.Root.Key()]
-		if len(partners) == 0 {
-			continue
-		}
-		// Grafting consumes the left tree.
-		for _, r := range partners {
-			rc, mapping := takeRight(r)
-			for _, k := range rc.Root.Kids {
-				seq.Attach(l.Root, k)
-			}
-			for _, lcl := range r.Classes() {
-				for _, n := range r.ClassAll(lcl) {
-					cp := mapping.Get(n)
-					if cp == rc.Root {
-						cp = l.Root
-					}
-					l.AddToClass(lcl, cp)
-				}
-			}
-		}
-		out = append(out, l)
-	}
-	return out, nil
 }

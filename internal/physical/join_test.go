@@ -57,32 +57,32 @@ func TestValueJoinPairs(t *testing.T) {
 		t.Fatalf("got %d joined trees, want 3", len(out))
 	}
 	for _, w := range out {
-		if w.Root.Tag != "join_root" {
-			t.Errorf("root tag = %q", w.Root.Tag)
+		if w.Tag(s, w.Root) != "join_root" {
+			t.Errorf("root tag = %q", w.Tag(s, w.Root))
 		}
-		if len(w.Root.Kids) != 2 {
-			t.Errorf("pair join root has %d kids, want 2", len(w.Root.Kids))
+		if len(w.Kids(w.Root)) != 2 {
+			t.Errorf("pair join root has %d kids, want 2", len(w.Kids(w.Root)))
 		}
 		if len(w.Class(9)) != 1 {
 			t.Error("join root not classified")
 		}
-		p, err := w.Singleton(2)
+		p, err := w.SingletonID(2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := w.Singleton(4)
+		a, err := w.SingletonID(4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if seq.Content(s, p) != seq.Content(s, a) {
-			t.Errorf("join mismatch: %q vs %q", seq.Content(s, p), seq.Content(s, a))
+		if w.Content(s, p) != w.Content(s, a) {
+			t.Errorf("join mismatch: %q vs %q", w.Content(s, p), w.Content(s, a))
 		}
 	}
 	// Output in left (document) order: p0, p0, p2.
 	var ids []string
 	for _, w := range out {
-		n, _ := w.Singleton(2)
-		ids = append(ids, seq.Content(s, n))
+		n, _ := w.SingletonID(2)
+		ids = append(ids, w.Content(s, n))
 	}
 	if strings.Join(ids, ",") != "p0,p0,p2" {
 		t.Errorf("left order = %v", ids)
@@ -106,7 +106,7 @@ func TestValueJoinNest(t *testing.T) {
 	if got := len(out[0].Class(3)); got != 2 {
 		t.Errorf("nested auctions = %d, want 2", got)
 	}
-	if got := len(out[0].Root.Kids); got != 3 {
+	if got := len(out[0].Kids(out[0].Root)); got != 3 {
 		t.Errorf("nest join root kids = %d, want 1 left + 2 right", got)
 	}
 }
@@ -267,7 +267,7 @@ func TestStructuralJoinFigure14(t *testing.T) {
 	}
 
 	// Regular structural join: one output tree per (A, D) pair.
-	pairs, err := StructuralJoin(context.Background(), s, left.Clone(), right.Clone(), 1, pattern.Descendant, pattern.One)
+	pairs, err := StructuralJoin(context.Background(), s, cloneSeq(left), cloneSeq(right), 1, pattern.Descendant, pattern.One)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestStructuralJoinFigure14(t *testing.T) {
 	}
 
 	// Nest structural join: a single output with both Ds clustered.
-	nested, err := StructuralJoin(context.Background(), s, left.Clone(), right.Clone(), 1, pattern.Descendant, pattern.OneOrMore)
+	nested, err := StructuralJoin(context.Background(), s, cloneSeq(left), cloneSeq(right), 1, pattern.Descendant, pattern.OneOrMore)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,6 +291,15 @@ func TestStructuralJoinFigure14(t *testing.T) {
 	if got := len(nested[0].Class(2)); got != 2 {
 		t.Errorf("nest tree has %d D nodes, want 2", got)
 	}
+}
+
+// cloneSeq deep-copies every tree of s.
+func cloneSeq(s seq.Seq) seq.Seq {
+	out := make(seq.Seq, len(s))
+	for i, t := range s {
+		out[i] = t.Clone()
+	}
+	return out
 }
 
 func TestStructuralJoinOuterAndChildAxis(t *testing.T) {
@@ -316,7 +325,7 @@ func TestStructuralJoinOuterAndChildAxis(t *testing.T) {
 		right = append(right, nt)
 	}
 	// Child axis: only the first A has a D child.
-	out, err := StructuralJoin(context.Background(), s, left.Clone(), right.Clone(), 1, pattern.Child, pattern.ZeroOrMore)
+	out, err := StructuralJoin(context.Background(), s, cloneSeq(left), cloneSeq(right), 1, pattern.Child, pattern.ZeroOrMore)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,46 +366,6 @@ func TestGroupByCollapsesPairs(t *testing.T) {
 	}
 }
 
-func TestMergeOnRoot(t *testing.T) {
-	s, _ := loadFixture(t, `<r><A id="1"><B/><C/></A><A id="2"><B/></A></r>`)
-	m := NewMatcher(s)
-	mk := func(childTag string, lcl int) seq.Seq {
-		root := pattern.NewDocRoot(0, "fixture.xml")
-		a := root.Add(pattern.NewTagNode(1, "A"), pattern.Child, pattern.One)
-		a.Add(pattern.NewTagNode(lcl, childTag), pattern.Child, pattern.One)
-		res, err := m.MatchDocument(context.Background(), &pattern.Tree{Root: root})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Re-root each tree at the A node.
-		var out seq.Seq
-		for _, w := range res {
-			aNode, _ := w.Singleton(1)
-			seq.Detach(aNode)
-			nt := seq.NewTree(aNode)
-			nt.AddToClass(1, aNode)
-			for _, c := range w.Class(lcl) {
-				nt.AddToClass(lcl, c)
-			}
-			out = append(out, nt)
-		}
-		return out
-	}
-	withB := mk("B", 2)
-	withC := mk("C", 3)
-	merged, err := MergeOnRoot(context.Background(), s, withB, withC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Only the first A has both B and C.
-	if len(merged) != 1 {
-		t.Fatalf("merged: %d trees, want 1", len(merged))
-	}
-	if len(merged[0].Class(2)) != 1 || len(merged[0].Class(3)) != 1 {
-		t.Errorf("merged classes: B=%d C=%d", len(merged[0].Class(2)), len(merged[0].Class(3)))
-	}
-}
-
 // TestValueJoinOwnedLeftManyRights pins the rule in-place stitching rests
 // on: an owned left tree that pairs with several right trees is copied for
 // every pair but its last, which gets the original. Handing the original
@@ -414,11 +383,11 @@ func TestValueJoinOwnedLeftManyRights(t *testing.T) {
 	left, right := joinInputs(t, s, m)
 	leftKeys := make([]seq.Key, len(left))
 	for i, l := range left {
-		leftKeys[i] = l.ClassAll(1)[0].Key()
+		leftKeys[i] = l.Node(l.ClassAll(1)[0]).Key()
 	}
 	rightKeys := make([]seq.Key, len(right))
 	for j, r := range right {
-		rightKeys[j] = r.ClassAll(3)[0].Key()
+		rightKeys[j] = r.Node(r.ClassAll(3)[0]).Key()
 	}
 	p0 := left[0]
 	out, err := ValueJoin(context.Background(), s, left, right, JoinSpec{
@@ -442,8 +411,8 @@ func TestValueJoinOwnedLeftManyRights(t *testing.T) {
 				t.Fatalf("output %d: class %d binds to %d nodes, want 1", k, lcl, len(ms))
 			}
 			top := ms[0]
-			for top.Parent != nil {
-				top = top.Parent
+			for w.Node(top).Parent != seq.NoNode {
+				top = w.Node(top).Parent
 			}
 			if top != w.Root {
 				t.Errorf("output %d: class %d member is not in the tree", k, lcl)
@@ -452,10 +421,10 @@ func TestValueJoinOwnedLeftManyRights(t *testing.T) {
 		if w.ClassAll(9)[0] != w.Root {
 			t.Errorf("output %d: class 9 is not the join root", k)
 		}
-		if got, want := w.ClassAll(1)[0].Key(), leftKeys[pairs[k][0]]; got != want {
+		if got, want := w.Node(w.ClassAll(1)[0]).Key(), leftKeys[pairs[k][0]]; got != want {
 			t.Errorf("output %d: left class bound to %v, want %v", k, got, want)
 		}
-		if got, want := w.ClassAll(3)[0].Key(), rightKeys[pairs[k][1]]; got != want {
+		if got, want := w.Node(w.ClassAll(3)[0]).Key(), rightKeys[pairs[k][1]]; got != want {
 			t.Errorf("output %d: right class bound to %v, want %v — another pair's right tree", k, got, want)
 		}
 		for o := range out[:k] {

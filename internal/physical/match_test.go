@@ -42,10 +42,10 @@ func edge(tag string, lcl int, axis pattern.Axis, spec pattern.MSpec) pattern.Ed
 	return pattern.Edge{Axis: axis, Spec: spec, To: pattern.NewTagNode(lcl, tag)}
 }
 
-func tags(nodes []*seq.Node) []string {
+func tags(st *store.Store, t *seq.Tree, nodes []seq.NodeID) []string {
 	out := make([]string, len(nodes))
 	for i, n := range nodes {
-		out[i] = n.Tag
+		out[i] = t.Tag(st, n)
 	}
 	return out
 }
@@ -79,8 +79,8 @@ func TestMatchClusteredPlusOptional(t *testing.T) {
 		t.Errorf("witness 1 class 3 size = %d, want 0", got)
 	}
 	// Structure: matched children attached under the a node.
-	a := res[0].Class(1)[0]
-	if got := tags(a.Kids); len(got) != 3 {
+	w := res[0]
+	if got := tags(s, w, w.Kids(w.Class(1)[0])); len(got) != 3 {
 		t.Errorf("witness 0 a kids = %v", got)
 	}
 }
@@ -98,11 +98,11 @@ func TestMatchDashMultiplies(t *testing.T) {
 	}
 	var bVals []string
 	for _, w := range res {
-		b, err := w.Singleton(2)
+		b, err := w.SingletonID(2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bVals = append(bVals, seq.Content(s, b))
+		bVals = append(bVals, w.Content(s, b))
 	}
 	if strings.Join(bVals, ",") != "1,2,3" {
 		t.Errorf("b contents in document order = %v", bVals)

@@ -1,6 +1,7 @@
 package seq
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -23,37 +24,44 @@ func loadSample(t *testing.T) (*store.Store, store.DocID) {
 	return s, id
 }
 
-func storeNode(s *store.Store, id store.DocID, ord int32) *Node {
-	return NewStoreNode(id, ord, s.Doc(id))
+// builder is a slab of a fresh arena with shorthands for hand-built trees.
+type builder struct{ *Slab }
+
+func newBuilder() builder { return builder{NewArena().Hold()} }
+
+func (b builder) el(tag string) NodeID { return b.TempElement(Intern(tag)) }
+
+func (b builder) node(id NodeID) *Node { return b.a.Node(id) }
+
+func (b builder) storeNode(s *store.Store, id store.DocID, ord int32) NodeID {
+	return b.StoreNodeOf(id, ord, s.Doc(id))
 }
 
 func TestTempIDsMonotone(t *testing.T) {
-	a := NewTempElement("a")
-	b := NewTempText("x")
-	c := NewTempAttr("@k", "v")
-	if !(a.TempID < b.TempID && b.TempID < c.TempID) {
-		t.Errorf("temp ids not monotone: %d %d %d", a.TempID, b.TempID, c.TempID)
+	b := newBuilder()
+	a, x, c := b.el("a"), b.TempText("x"), b.TempAttr(Intern("@k"), "v")
+	if !(b.node(a).TempID < b.node(x).TempID && b.node(x).TempID < b.node(c).TempID) {
+		t.Errorf("temp ids not monotone: %d %d %d", b.node(a).TempID, b.node(x).TempID, b.node(c).TempID)
 	}
-	if a.IsStore() {
+	if b.node(a).IsStore() {
 		t.Error("temp node claims to be store node")
 	}
-	if c.Tag != "@k" {
-		t.Errorf("attr tag = %q", c.Tag)
+	if got := b.a.Tag(nil, c); got != "@k" {
+		t.Errorf("attr tag = %q", got)
 	}
 }
 
 func TestIdentity(t *testing.T) {
 	s, id := loadSample(t)
-	n1 := storeNode(s, id, 1)
-	n1b := storeNode(s, id, 1)
-	n2 := storeNode(s, id, 2)
+	b := newBuilder()
+	n1, n1b, n2 := b.node(b.storeNode(s, id, 1)), b.node(b.storeNode(s, id, 1)), b.node(b.storeNode(s, id, 2))
 	if n1.Key() != n1b.Key() {
 		t.Error("same store node, different key")
 	}
 	if n1.Key() == n2.Key() {
 		t.Error("different store nodes, same key")
 	}
-	t1, t2 := NewTempElement("x"), NewTempElement("x")
+	t1, t2 := b.node(b.el("x")), b.node(b.el("x"))
 	if t1.Key() == t2.Key() {
 		t.Error("different temp nodes, same key")
 	}
@@ -64,25 +72,27 @@ func TestIdentity(t *testing.T) {
 
 func TestLessOrdering(t *testing.T) {
 	s, id := loadSample(t)
-	a, b := storeNode(s, id, 1), storeNode(s, id, 5)
-	ta, tb := NewTempElement("x"), NewTempElement("y")
-	if !Less(a, b) || Less(b, a) {
+	b := newBuilder()
+	x, y := b.node(b.storeNode(s, id, 1)), b.node(b.storeNode(s, id, 5))
+	tx, ty := b.node(b.el("x")), b.node(b.el("y"))
+	if !Less(x, y) || Less(y, x) {
 		t.Error("store order wrong")
 	}
-	if !Less(ta, tb) || Less(tb, ta) {
+	if !Less(tx, ty) || Less(ty, tx) {
 		t.Error("temp order wrong")
 	}
-	if !Less(a, ta) || Less(ta, a) {
+	if !Less(x, tx) || Less(tx, x) {
 		t.Error("store/temp order wrong")
 	}
 }
 
 func TestClassMembership(t *testing.T) {
 	s, id := loadSample(t)
-	root := NewTempElement("join_root")
-	p := storeNode(s, id, 1)
-	Attach(root, p)
-	tr := NewTree(root)
+	b := newBuilder()
+	root := b.el("join_root")
+	p := b.storeNode(s, id, 1)
+	b.Attach(root, p)
+	tr := b.NewTree(root)
 	tr.AddToClass(1, root)
 	tr.AddToClass(3, p)
 	if got := tr.Class(3); len(got) != 1 || got[0] != p {
@@ -92,13 +102,13 @@ func TestClassMembership(t *testing.T) {
 		t.Errorf("Class(99) = %v", got)
 	}
 	n, err := tr.Singleton(3)
-	if err != nil || n != p {
+	if err != nil || n != b.node(p) {
 		t.Errorf("Singleton(3) = %v, %v", n, err)
 	}
 	if _, err := tr.Singleton(99); err == nil {
 		t.Error("Singleton(99) succeeded")
 	}
-	tr.AddToClass(3, storeNode(s, id, 8))
+	tr.AddToClass(3, b.storeNode(s, id, 8))
 	if _, err := tr.Singleton(3); err == nil {
 		t.Error("Singleton on 2-member class succeeded")
 	}
@@ -108,14 +118,15 @@ func TestClassMembership(t *testing.T) {
 }
 
 func TestShadowedInvisible(t *testing.T) {
-	tr := NewTree(NewTempElement("r"))
-	a, b := NewTempElement("a"), NewTempElement("b")
-	Attach(tr.Root, a)
-	Attach(tr.Root, b)
-	tr.AddToClass(2, a)
-	tr.AddToClass(2, b)
-	a.Shadowed = true
-	if got := tr.Class(2); len(got) != 1 || got[0] != b {
+	b := newBuilder()
+	tr := b.NewTree(b.el("r"))
+	x, y := b.el("a"), b.el("b")
+	b.Attach(tr.Root, x)
+	b.Attach(tr.Root, y)
+	tr.AddToClass(2, x)
+	tr.AddToClass(2, y)
+	b.node(x).Shadowed = true
+	if got := tr.Class(2); len(got) != 1 || got[0] != y {
 		t.Fatalf("Class(2) = %v, want only b", got)
 	}
 	if got := tr.ClassAll(2); len(got) != 2 {
@@ -124,55 +135,57 @@ func TestShadowedInvisible(t *testing.T) {
 }
 
 func TestClassOfAndRemove(t *testing.T) {
-	tr := NewTree(NewTempElement("r"))
-	a := NewTempElement("a")
-	Attach(tr.Root, a)
-	tr.AddToClass(1, a)
-	tr.AddToClass(5, a)
-	if got := tr.ClassOf(a); len(got) != 2 || got[0] != 1 || got[1] != 5 {
-		t.Errorf("ClassOf = %v", got)
+	b := newBuilder()
+	tr := b.NewTree(b.el("r"))
+	x := b.el("a")
+	b.Attach(tr.Root, x)
+	tr.AddToClass(1, x)
+	tr.AddToClass(5, x)
+	if !slices.Contains(tr.ClassAll(1), x) || !slices.Contains(tr.ClassAll(5), x) {
+		t.Errorf("classes 1 and 5 = %v, %v", tr.ClassAll(1), tr.ClassAll(5))
 	}
-	tr.RemoveFromClasses(a)
+	tr.RemoveFromClasses(x)
 	if len(tr.Class(1)) != 0 || len(tr.Class(5)) != 0 {
 		t.Error("RemoveFromClasses left members")
 	}
 }
 
 func TestDetach(t *testing.T) {
-	r := NewTempElement("r")
-	a, b := NewTempElement("a"), NewTempElement("b")
-	Attach(r, a)
-	Attach(r, b)
-	Detach(a)
-	if len(r.Kids) != 1 || r.Kids[0] != b || a.Parent != nil {
-		t.Errorf("Detach wrong: kids=%v", r.Kids)
+	b := newBuilder()
+	r, x, y := b.el("r"), b.el("a"), b.el("b")
+	b.Attach(r, x)
+	b.Attach(r, y)
+	b.a.Detach(x)
+	if kids := b.a.Kids(r); len(kids) != 1 || kids[0] != y || b.node(x).Parent != NoNode {
+		t.Errorf("Detach wrong: kids=%v", kids)
 	}
-	Detach(a) // detaching an orphan is a no-op
+	b.a.Detach(x) // detaching an orphan is a no-op
 }
 
 func TestCloneIndependence(t *testing.T) {
 	s, id := loadSample(t)
-	root := NewTempElement("r")
-	p := storeNode(s, id, 1)
-	Attach(root, p)
-	tr := NewTree(root)
+	b := newBuilder()
+	root := b.el("r")
+	p := b.storeNode(s, id, 1)
+	b.Attach(root, p)
+	tr := b.NewTree(root)
 	tr.AddToClass(3, p)
 	cp := tr.Clone()
 	// Structure copied.
-	if cp.Root == tr.Root || cp.Root.Kids[0] == p {
+	if cp.Root == tr.Root || cp.Kids(cp.Root)[0] == p {
 		t.Fatal("Clone shares nodes")
 	}
-	// Class map points into the copy.
-	if cp.Class(3)[0] != cp.Root.Kids[0] {
-		t.Fatal("clone class map points at original nodes")
+	// Class table names the copy.
+	if cp.Class(3)[0] != cp.Kids(cp.Root)[0] {
+		t.Fatal("clone class table names original nodes")
 	}
 	// Mutating the copy leaves the original alone.
-	cp.Root.Kids[0].Shadowed = true
-	if tr.Class(3)[0].Shadowed {
+	cp.Node(cp.Kids(cp.Root)[0]).Shadowed = true
+	if tr.Node(tr.Class(3)[0]).Shadowed {
 		t.Error("clone shares Shadowed flag")
 	}
 	// Temp IDs are preserved: the clone denotes the same logical node.
-	if cp.Root.TempID != tr.Root.TempID {
+	if cp.Node(cp.Root).TempID != tr.Node(tr.Root).TempID {
 		t.Error("clone changed TempID")
 	}
 }
@@ -186,15 +199,16 @@ func TestContent(t *testing.T) {
 			ageOrd = int32(i)
 		}
 	}
-	if got := Content(s, storeNode(s, id, ageOrd)); got != "30" {
+	b := newBuilder()
+	if got := b.a.Content(s, b.storeNode(s, id, ageOrd)); got != "30" {
 		t.Errorf("Content(age) = %q", got)
 	}
-	el := NewTempElement("count")
-	Attach(el, NewTempText("7"))
-	if got := Content(s, el); got != "7" {
+	el := b.el("count")
+	b.Attach(el, b.TempText("7"))
+	if got := b.a.Content(s, el); got != "7" {
 		t.Errorf("Content(temp) = %q", got)
 	}
-	if got := Content(s, NewTempAttr("@id", "p9")); got != "p9" {
+	if got := b.a.Content(s, b.TempAttr(Intern("@id"), "p9")); got != "p9" {
 		t.Errorf("Content(attr) = %q", got)
 	}
 }
@@ -203,16 +217,17 @@ func TestMaterialize(t *testing.T) {
 	s, id := loadSample(t)
 	s.ResetStats()
 	persons := s.Tag(id, "person")
-	n := Materialize(s, id, persons[0])
-	if !n.Full || len(n.Kids) != 3 {
-		t.Fatalf("materialized person: full=%v kids=%d", n.Full, len(n.Kids))
+	a := NewArena()
+	n := MaterializeIn(a, s, id, persons[0])
+	if !a.Node(n).Full || len(a.Kids(n)) != 3 {
+		t.Fatalf("materialized person: full=%v kids=%d", a.Node(n).Full, len(a.Kids(n)))
 	}
 	if got := s.Snapshot().NodesMaterialized; got != int64(s.Doc(id).SubtreeSize(persons[0])) {
 		t.Errorf("materialized count = %d", got)
 	}
 	var names int
-	n.Walk(func(m *Node) bool {
-		if m.Tag == "name" {
+	a.Walk(n, func(m NodeID) bool {
+		if a.Tag(s, m) == "name" {
 			names++
 		}
 		return true
@@ -225,20 +240,20 @@ func TestMaterialize(t *testing.T) {
 func TestXMLSerialization(t *testing.T) {
 	s, id := loadSample(t)
 	persons := s.Tag(id, "person")
+	b := newBuilder()
 	// Unmaterialized store ref serializes the full store subtree.
-	tr := NewTree(storeNode(s, id, persons[0]))
-	xml := tr.XML(s)
+	xml := b.NewTree(b.storeNode(s, id, persons[0])).XML(s)
 	if !strings.Contains(xml, "<name>Alice</name>") || !strings.Contains(xml, `id="p0"`) {
 		t.Errorf("store ref XML = %s", xml)
 	}
 	// Constructed tree serializes its kids; shadowed nodes are invisible.
-	el := NewTempElement("person")
-	Attach(el, NewTempAttr("@name", "Alice"))
-	hidden := NewTempElement("secret")
-	hidden.Shadowed = true
-	Attach(el, hidden)
-	Attach(el, NewTempText("x<y"))
-	out := NewTree(el).XML(s)
+	el := b.el("person")
+	b.Attach(el, b.TempAttr(Intern("@name"), "Alice"))
+	hidden := b.el("secret")
+	b.node(hidden).Shadowed = true
+	b.Attach(el, hidden)
+	b.Attach(el, b.TempText("x<y"))
+	out := b.NewTree(el).XML(s)
 	if out != `<person name="Alice">x&lt;y</person>` {
 		t.Errorf("constructed XML = %s", out)
 	}
@@ -247,14 +262,16 @@ func TestXMLSerialization(t *testing.T) {
 func TestSeqXML(t *testing.T) {
 	s, id := loadSample(t)
 	persons := s.Tag(id, "person")
-	sq := Seq{NewTree(storeNode(s, id, persons[0])), NewTree(storeNode(s, id, persons[1]))}
+	sq := Seq{
+		NewTree(NewStoreNode(id, persons[0], s.Doc(id))),
+		NewTree(NewStoreNode(id, persons[1], s.Doc(id))),
+	}
 	out := sq.XML(s)
 	if strings.Count(out, "<person") != 2 || !strings.Contains(out, "\n") {
 		t.Errorf("Seq.XML = %s", out)
 	}
-	cp := sq.Clone()
-	if cp[0] == sq[0] || cp[0].Root == sq[0].Root {
-		t.Error("Seq.Clone shares trees")
+	if cp := sq[0].Clone(); cp == sq[0] || cp.Root == sq[0].Root {
+		t.Error("Clone shares trees")
 	}
 }
 
@@ -262,21 +279,22 @@ func TestSeqXML(t *testing.T) {
 // mixed node populations.
 func TestQuickLessIsStrictOrder(t *testing.T) {
 	s, id := loadSample(t)
+	b := newBuilder()
 	mk := func(sel uint8) *Node {
 		if sel%2 == 0 {
-			return storeNode(s, id, int32(sel)%int32(s.Doc(id).Len()))
+			return b.node(b.storeNode(s, id, int32(sel)%int32(s.Doc(id).Len())))
 		}
-		return NewTempElement("t")
+		return b.node(b.el("t"))
 	}
-	f := func(a, b, c uint8) bool {
-		x, y, z := mk(a), mk(b), mk(c)
-		if Less(x, x) || Less(y, y) {
+	f := func(x, y, z uint8) bool {
+		a, c, e := mk(x), mk(y), mk(z)
+		if Less(a, a) || Less(c, c) {
 			return false
 		}
-		if Less(x, y) && Less(y, x) {
+		if Less(a, c) && Less(c, a) {
 			return false
 		}
-		if Less(x, y) && Less(y, z) && !Less(x, z) {
+		if Less(a, c) && Less(c, e) && !Less(a, e) {
 			return false
 		}
 		return true
@@ -289,7 +307,8 @@ func TestQuickLessIsStrictOrder(t *testing.T) {
 func TestExpandInPlacePreservesMatchedKids(t *testing.T) {
 	s, id := loadSample(t)
 	persons := s.Tag(id, "person")
-	p := storeNode(s, id, persons[0])
+	b := newBuilder()
+	p := b.storeNode(s, id, persons[0])
 	// Attach a matched witness kid (the @id attribute) and classify it.
 	var idOrd int32 = -1
 	doc := s.Doc(id)
@@ -298,21 +317,21 @@ func TestExpandInPlacePreservesMatchedKids(t *testing.T) {
 			idOrd = c
 		}
 	}
-	kid := storeNode(s, id, idOrd)
-	Attach(p, kid)
-	tr := NewTree(p)
+	kid := b.storeNode(s, id, idOrd)
+	b.Attach(p, kid)
+	tr := b.NewTree(p)
 	tr.AddToClass(7, kid)
 
-	ExpandInPlace(s, p)
-	if !p.Full {
+	ExpandInPlaceIn(b.a, s, p)
+	if !b.node(p).Full {
 		t.Fatal("node not expanded")
 	}
-	// The classified kid is still the same pointer, now among full kids.
+	// The classified kid is still the same node, now among full kids.
 	if got := tr.Class(7); len(got) != 1 || got[0] != kid {
 		t.Fatal("classified kid lost by expansion")
 	}
 	found := false
-	for _, k := range p.Kids {
+	for _, k := range tr.Kids(p) {
 		if k == kid {
 			found = true
 		}
@@ -321,12 +340,12 @@ func TestExpandInPlacePreservesMatchedKids(t *testing.T) {
 		t.Error("matched kid not reused in expanded child list")
 	}
 	// All stored children are present exactly once.
-	if len(p.Kids) != len(doc.Children(persons[0])) {
-		t.Errorf("expanded kids = %d, want %d", len(p.Kids), len(doc.Children(persons[0])))
+	if len(tr.Kids(p)) != len(doc.Children(persons[0])) {
+		t.Errorf("expanded kids = %d, want %d", len(tr.Kids(p)), len(doc.Children(persons[0])))
 	}
 	// Idempotent.
-	ExpandInPlace(s, p)
-	if len(p.Kids) != len(doc.Children(persons[0])) {
+	ExpandInPlaceIn(b.a, s, p)
+	if len(tr.Kids(p)) != len(doc.Children(persons[0])) {
 		t.Error("second expansion changed kids")
 	}
 }
@@ -334,12 +353,13 @@ func TestExpandInPlacePreservesMatchedKids(t *testing.T) {
 func TestExpandInPlaceKeepsTemporaries(t *testing.T) {
 	s, id := loadSample(t)
 	persons := s.Tag(id, "person")
-	p := storeNode(s, id, persons[0])
-	agg := NewTempElement("count")
-	Attach(p, agg)
-	ExpandInPlace(s, p)
+	b := newBuilder()
+	p := b.storeNode(s, id, persons[0])
+	agg := b.el("count")
+	b.Attach(p, agg)
+	ExpandInPlaceIn(b.a, s, p)
 	found := false
-	for _, k := range p.Kids {
+	for _, k := range b.a.Kids(p) {
 		if k == agg {
 			found = true
 		}
@@ -352,9 +372,10 @@ func TestExpandInPlaceKeepsTemporaries(t *testing.T) {
 func TestAppendXMLOnExpandedTree(t *testing.T) {
 	s, id := loadSample(t)
 	persons := s.Tag(id, "person")
-	p := storeNode(s, id, persons[0])
-	ExpandInPlace(s, p)
-	out := NewTree(p).XML(s)
+	b := newBuilder()
+	p := b.storeNode(s, id, persons[0])
+	ExpandInPlaceIn(b.a, s, p)
+	out := b.NewTree(p).XML(s)
 	if !strings.Contains(out, "<name>Alice</name>") || !strings.Contains(out, `id="p0"`) {
 		t.Errorf("expanded XML = %s", out)
 	}

@@ -32,7 +32,7 @@ func pointPattern() *pattern.Tree {
 func countNodes(trees seq.Seq) int {
 	n := 0
 	for _, t := range trees {
-		t.Root.Walk(func(*seq.Node) bool { n++; return true })
+		t.Walk(t.Root, func(seq.NodeID) bool { n++; return true })
 	}
 	return n
 }
@@ -42,8 +42,8 @@ func countNodes(trees seq.Seq) int {
 func answerNodes(st *store.Store, trees seq.Seq) int {
 	n := 0
 	for _, t := range trees {
-		t.Root.Walk(func(x *seq.Node) bool {
-			if x.IsStore() && !x.Full {
+		t.Walk(t.Root, func(id seq.NodeID) bool {
+			if x := t.Node(id); x.IsStore() && !x.Full {
 				n += st.Doc(x.Doc).SubtreeSize(x.Ord)
 				return false
 			}

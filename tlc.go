@@ -820,7 +820,7 @@ func (r *Result) TreeXML(i int) string { return string(r.AppendTreeXML(nil, i)) 
 // and returns the extended slice; stored subtrees are written straight
 // from the columns.
 func (r *Result) AppendTreeXML(dst []byte, i int) []byte {
-	return seq.AppendXML(dst, r.st, r.trees[i].Root)
+	return r.trees[i].AppendXML(dst, r.st)
 }
 
 // SortedXML returns the serialized trees sorted lexicographically — an
