@@ -41,8 +41,8 @@ func main() {
 	filt := algebra.NewFilter(agg, 5, pattern.Predicate{Op: pattern.GT, Value: "5"}, algebra.AtLeastOne)
 	cons := algebra.NewConstruct(filt, func() *pattern.ConstructNode {
 		el := pattern.NewElement("busy",
-			pattern.NewElement("bids", pattern.NewTextRef(5)),
-			pattern.NewElement("qty", pattern.NewTextRef(4)),
+			pattern.NewElement("bids", &pattern.ConstructNode{Kind: pattern.ConstructText, FromLCL: 5}),
+			pattern.NewElement("qty", &pattern.ConstructNode{Kind: pattern.ConstructText, FromLCL: 4}),
 		)
 		return el
 	}())

@@ -22,7 +22,7 @@ func TestProjectDupElimAllocsFlat(t *testing.T) {
 	extra := func(n int) float64 {
 		sets := make([]seq.Seq, runs+1) // AllocsPerRun calls once more to warm up
 		for i := range sets {
-			sets[i] = projectInput(ctx.Arena(), n)
+			sets[i] = projectInput(ctx.arena, n)
 		}
 		next := 0
 		ops := testing.AllocsPerRun(runs, func() {

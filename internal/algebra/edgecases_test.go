@@ -117,7 +117,7 @@ func TestPruneRemovesClassAndNodes(t *testing.T) {
 		}
 		p, _ := w.SingletonID(1)
 		for _, k := range w.Kids(p) {
-			if w.Tag(s, k) == "age" {
+			if w.Arena().Tag(s, k) == "age" {
 				t.Error("pruned node still attached")
 			}
 		}
@@ -169,17 +169,6 @@ func TestNestAllJoin(t *testing.T) {
 	}
 }
 
-func TestSortDocOrderFallsBackToRoot(t *testing.T) {
-	s := loadAuction(t)
-	res, err := Run(s, NewSortDocOrder(personSelect(), 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 3 {
-		t.Fatalf("%d trees", len(res))
-	}
-}
-
 func TestSortMissingKeysLast(t *testing.T) {
 	s := store.New()
 	if _, err := s.LoadXML("m.xml", strings.NewReader(
@@ -206,43 +195,30 @@ func TestSortMissingKeysLast(t *testing.T) {
 	}
 }
 
-func TestUnionRemap(t *testing.T) {
-	u := NewUnion(personSelect(), auctionSelect())
-	if got := len(u.Inputs()); got != 2 {
-		t.Fatalf("union inputs = %d", got)
-	}
-	repl := personSelect()
-	if !ReplaceInput(u, u.Inputs()[0], repl) {
-		t.Error("ReplaceInput on union failed")
-	}
-	if u.Inputs()[0] != repl {
-		t.Error("union input not replaced")
-	}
-}
-
 func TestOpsAndRefsCoverage(t *testing.T) {
 	s := loadAuction(t)
-	// Build a plan touching most operators and exercise RefsOf/RemapOf on
-	// every node. A plan is a tree, so Flatten and Shadow each read their
-	// own Sort chain.
+	// Build plans touching most operators and exercise RefsOf/RemapOf on
+	// every node. Flatten and Shadow each read their own Sort chain.
 	sorted := func() Op {
 		agg := NewAggregate(auctionSelect(), Count, 5, 11)
 		fil := NewFilter(agg, 11, pattern.Predicate{Op: pattern.GT, Value: "0"}, AtLeastOne)
 		return NewSort(NewDupElim(NewProject(fil, 4, 5), 4), SortKey{LCL: 4})
 	}
-	fl := NewFlatten(sorted(), 4, 5)
-	il := NewIlluminate(NewShadow(sorted(), 4, 5), 5)
-	un := NewUnion(fl, il)
-	for _, op := range Ops(un) {
-		refs := RefsOf(op)
-		RemapOf(op, map[int]int{99: 98}) // no-op remap
-		_ = refs
-		if op.Label() == "" {
-			t.Errorf("%T has empty label", op)
+	for _, plan := range []Op{
+		NewFlatten(sorted(), 4, 5),
+		NewIlluminate(NewShadow(sorted(), 4, 5), 5),
+	} {
+		for _, op := range Ops(plan) {
+			refs := RefsOf(op)
+			RemapOf(op, map[int]int{99: 98}) // no-op remap
+			_ = refs
+			if op.Label() == "" {
+				t.Errorf("%T has empty label", op)
+			}
 		}
-	}
-	if _, err := Run(s, un); err != nil {
-		t.Fatalf("combined plan: %v", err)
+		if _, err := Run(s, plan); err != nil {
+			t.Fatalf("%s: %v", plan.Label(), err)
+		}
 	}
 }
 

@@ -31,13 +31,4 @@ func (j *IdentityJoinOp) eval(ctx *Context, in []seq.Seq) (seq.Seq, error) {
 	return physical.IdentityMergeJoin(ctx.GoContext(), ctx.Store, in[0], in[1], j.LeftLCL, j.RightLCL)
 }
 
-// ClassRefs implements ClassUser.
-func (j *IdentityJoinOp) ClassRefs() []int { return []int{j.LeftLCL, j.RightLCL} }
-
-// RemapClasses implements ClassRemapper.
-func (j *IdentityJoinOp) RemapClasses(m map[int]int) {
-	j.LeftLCL = remap(m, j.LeftLCL)
-	j.RightLCL = remap(m, j.RightLCL)
-}
-
 var _ Op = (*IdentityJoinOp)(nil)

@@ -77,41 +77,6 @@ func (j *Join) eval(ctx *Context, in []seq.Seq) (seq.Seq, error) {
 	})
 }
 
-// Union concatenates the results of its inputs, preserving input order —
-// the operator OR-expressions translate to (Figure 6, ORExp case).
-type Union struct {
-	ins []Op
-}
-
-// NewUnion returns a Union of the given inputs.
-func NewUnion(ins ...Op) *Union { return &Union{ins: ins} }
-
-// Inputs implements Op.
-func (u *Union) Inputs() []Op { return u.ins }
-
-func (u *Union) replaceInput(oldIn, newIn Op) bool {
-	done := false
-	for i, in := range u.ins {
-		if in == oldIn {
-			u.ins[i] = newIn
-			done = true
-		}
-	}
-	return done
-}
-
-// Label implements Op.
-func (u *Union) Label() string { return fmt.Sprintf("Union: %d inputs", len(u.ins)) }
-
-func (u *Union) eval(_ *Context, in []seq.Seq) (seq.Seq, error) {
-	var out seq.Seq
-	for _, s := range in {
-		out = append(out, s...)
-	}
-	return out, nil
-}
-
 var _ Op = (*Join)(nil)
-var _ Op = (*Union)(nil)
 var _ Op = (*Select)(nil)
 var _ Op = (*Filter)(nil)

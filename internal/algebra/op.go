@@ -1,6 +1,6 @@
 // Package algebra implements the TLC logical algebra of Section 2.3 of the
 // paper — Select, Filter, Join, Project, Duplicate-Elimination,
-// Aggregate-Function, Construct, Sort, Union — together with the
+// Aggregate-Function, Construct, Sort — together with the
 // redundancy-eliminating operators of Section 4: Flatten, Shadow and
 // Illuminate. It also provides the Materialize and GroupBy operators
 // that the TAX and GTP baseline plan generators use; sharing one executor
@@ -80,10 +80,6 @@ func NewContextFor(goCtx context.Context, st *store.Store) *Context {
 	arena := seq.NewArena().WithGovernor(gov)
 	return &Context{Store: st, Matcher: physical.NewMatcher(st).WithArena(arena), goCtx: goCtx, arena: arena, gov: gov}
 }
-
-// Arena returns the evaluation's witness-node arena (never nil for
-// contexts built by NewContextFor).
-func (ctx *Context) Arena() *seq.Arena { return ctx.arena }
 
 // GoContext returns the context.Context governing this evaluation; it is
 // never nil. Operators pass it down to the physical layer.

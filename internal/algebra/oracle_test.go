@@ -448,7 +448,7 @@ func toRef(st *store.Store, s seq.Seq) []rtree {
 			n := t.Node(id)
 			r := &rnode{store: n.IsStore(), ord: n.Ord, id: n.TempID, kind: n.Kind, shadowed: n.Shadowed}
 			if !r.store {
-				r.tag = t.Tag(st, id)
+				r.tag = t.Arena().Tag(st, id)
 				if n.Kind != xmltree.Element {
 					r.val = t.Content(st, id)
 				}
@@ -550,9 +550,9 @@ func (c *oracleCase) constructPattern(ls []int, depth int) *pattern.ConstructNod
 		var ch *pattern.ConstructNode
 		switch k := c.rng.Intn(6); {
 		case k <= 1 && len(ls) > 0:
-			ch = pattern.NewSubtreeRef(c.pick(ls))
+			ch = &pattern.ConstructNode{Kind: pattern.ConstructSubtree, FromLCL: c.pick(ls)}
 		case k == 2 && len(ls) > 0:
-			ch = pattern.NewTextRef(c.pick(ls))
+			ch = &pattern.ConstructNode{Kind: pattern.ConstructText, FromLCL: c.pick(ls)}
 		case k == 3 && depth < 2:
 			ch = c.constructPattern(ls, depth+1)
 		default:

@@ -117,12 +117,6 @@ func (s *Sort) RemapClasses(m map[int]int) {
 }
 
 // ClassRefs implements ClassUser.
-func (s *SortDocOrder) ClassRefs() []int { return []int{s.LCL} }
-
-// RemapClasses implements ClassRemapper.
-func (s *SortDocOrder) RemapClasses(m map[int]int) { s.LCL = remap(m, s.LCL) }
-
-// ClassRefs implements ClassUser.
 func (f *Flatten) ClassRefs() []int { return []int{f.PLCL, f.CLCL} }
 
 // RemapClasses implements ClassRemapper.
@@ -145,25 +139,6 @@ func (i *Illuminate) ClassRefs() []int { return []int{i.LCL} }
 
 // RemapClasses implements ClassRemapper.
 func (i *Illuminate) RemapClasses(m map[int]int) { i.LCL = remap(m, i.LCL) }
-
-// ClassRefs implements ClassUser.
-func (mt *Materialize) ClassRefs() []int { return append([]int(nil), mt.Classes...) }
-
-// RemapClasses implements ClassRemapper.
-func (mt *Materialize) RemapClasses(m map[int]int) {
-	for i := range mt.Classes {
-		mt.Classes[i] = remap(m, mt.Classes[i])
-	}
-}
-
-// ClassRefs implements ClassUser.
-func (g *GroupByOp) ClassRefs() []int { return []int{g.BasisLCL, g.MemberLCL} }
-
-// RemapClasses implements ClassRemapper.
-func (g *GroupByOp) RemapClasses(m map[int]int) {
-	g.BasisLCL = remap(m, g.BasisLCL)
-	g.MemberLCL = remap(m, g.MemberLCL)
-}
 
 // ClassRefs implements ClassUser: an extension Select reads its anchor
 // class; a document Select reads nothing.

@@ -82,44 +82,6 @@ func (s *Sort) eval(ctx *Context, in []seq.Seq) (seq.Seq, error) {
 	return out, nil
 }
 
-// SortDocOrder restores document order by the identifier of the node bound
-// to LCL (or the tree root when LCL is zero) — the final pass of the
-// sort–merge–sort strategy, exposed as its own operator for baseline plans
-// that lose order in grouping.
-type SortDocOrder struct {
-	unary
-	LCL int
-}
-
-// NewSortDocOrder returns a document-order Sort over in.
-func NewSortDocOrder(in Op, lcl int) *SortDocOrder {
-	s := &SortDocOrder{LCL: lcl}
-	s.In = in
-	return s
-}
-
-// Label implements Op.
-func (s *SortDocOrder) Label() string {
-	if s.LCL == 0 {
-		return "SortDocOrder: root"
-	}
-	return fmt.Sprintf("SortDocOrder: (%d)", s.LCL)
-}
-
-func (s *SortDocOrder) eval(_ *Context, in []seq.Seq) (seq.Seq, error) {
-	out := append(seq.Seq(nil), in[0]...)
-	anchor := func(t *seq.Tree) *seq.Node {
-		if m := t.Class(s.LCL); s.LCL != 0 && len(m) > 0 {
-			return t.Node(m[0])
-		}
-		return t.Node(t.Root)
-	}
-	sort.SliceStable(out, func(a, b int) bool {
-		return seq.Less(anchor(out[a]), anchor(out[b]))
-	})
-	return out, nil
-}
-
 // sortVal is a comparison key with numeric-aware semantics.
 type sortVal struct {
 	raw     string
@@ -158,4 +120,3 @@ func (v sortVal) compare(o sortVal) int {
 }
 
 var _ Op = (*Sort)(nil)
-var _ Op = (*SortDocOrder)(nil)

@@ -13,6 +13,7 @@ import (
 	"tlc/internal/baselines/gtp"
 	"tlc/internal/baselines/nav"
 	"tlc/internal/baselines/tax"
+	"tlc/internal/rewrite"
 	"tlc/internal/seq"
 	"tlc/internal/store"
 	"tlc/internal/translate"
@@ -113,6 +114,75 @@ var crossQueries = map[string]string{
 		WHERE $p/age > 0
 		ORDER BY $p/age DESCENDING
 		RETURN $p/age/text()`,
+	// The queries below each reach an evaluation path that no other test
+	// query runs. A path of two steps into a nested block's constructed
+	// binding anchors the extension at a constructed node, which the
+	// extender matches in memory (physical.memAlts).
+	"reach-temp-anchor": `FOR $p IN document("auction.xml")//person
+		FOR $a IN FOR $o IN document("auction.xml")//open_auction
+			WHERE $p/@id = $o/bidder/personref/@person
+			RETURN <w><q>{$o/quantity}</q></w>
+		RETURN <r>{$a/q/quantity}</r>`,
+	// A step below a stored node copied into the constructed tree reads
+	// the stored node's children from the columns (storedRelatives).
+	"reach-stored-below-temp": `FOR $p IN document("auction.xml")//person
+		FOR $a IN FOR $o IN document("auction.xml")//open_auction
+			WHERE $p/@id = $o/bidder/personref/@person
+			RETURN <w><q>{$o/bidder}</q></w>
+		RETURN <r>{$a/q/bidder/increase}</r>`,
+	// An uncorrelated LET joins every outer tree with all inner trees
+	// (physical.NestAllJoin).
+	"reach-nest-all": `FOR $p IN document("auction.xml")//person
+		LET $a := FOR $o IN document("auction.xml")//open_auction
+			RETURN $o/quantity
+		RETURN <r>{$p/name}<n>{count($a)}</n></r>`,
+	// A bare path as a condition is an existence test.
+	"reach-where-exists": `FOR $p IN document("auction.xml")//person
+		WHERE $p/age RETURN $p/name`,
+	// A comparison of two classes of one joined tree filters after the
+	// value join (algebra.FilterCompare).
+	"reach-filter-compare": `FOR $p IN document("auction.xml")//person
+		FOR $o IN document("auction.xml")//open_auction
+		WHERE $p/@id = $o/bidder/personref/@person AND $p/age > $o/quantity
+		RETURN <r>{$p/name}{$o/quantity}</r>`,
+	// A join path below a LET-clustered variable gives each left tree
+	// several join values; one right tree matching several of them pairs
+	// once (physical.dedupSorted).
+	"reach-clustered-left-key": `FOR $o IN document("auction.xml")//open_auction
+		LET $b := $o/bidder
+		FOR $p IN document("auction.xml")//person
+		WHERE $b/personref/@person = $p/@id
+		RETURN <r>{$o/quantity}{$p/name}</r>`,
+	// The rewriter reads the classes of every operator above a Select
+	// it could Flatten (algebra.ClassUser): here a FilterCompare, a
+	// DisjFilter, a Sort and, once one Flatten is in, the Flatten.
+	"reach-flatten-chain": `FOR $o IN document("auction.xml")//open_auction
+		FOR $b IN $o/bidder
+		WHERE count($o/bidder) > 3 AND $b/increase > $o/quantity
+		  AND ($b/increase > 7 OR $o/quantity > 4)
+		ORDER BY $b/increase DESCENDING
+		RETURN <r>{$b/increase}</r>`,
+	// ... and a Prune above a LET's join.
+	"reach-flatten-prune": `FOR $o IN document("auction.xml")//open_auction
+		FOR $b IN $o/bidder
+		LET $a := FOR $p IN document("auction.xml")//person
+			WHERE $p/@id = $b/personref/@person
+			RETURN <w>{$p/name}</w>
+		WHERE count($o/bidder) > 3
+		RETURN <r>{$b/increase}{$a/name}</r>`,
+	// ... and, in the round after a Shadow rewrite, the Shadow and the
+	// Illuminate.
+	"reach-shadow-chain": `FOR $o IN document("auction.xml")//open_auction
+		FOR $b IN $o/bidder
+		FOR $c IN $o/bidder
+		WHERE $c/increase > 7
+		RETURN <x>{$b/increase}{$o/bidder}</x>`,
+	// Under the Section 4 rewrites the repeated bidder branch is removed
+	// by a pure Flatten (Def. 5).
+	"reach-flatten": `FOR $o IN document("auction.xml")//open_auction
+		FOR $b IN $o/bidder
+		WHERE count($o/bidder) > 3
+		RETURN <r>{$b/increase}</r>`,
 }
 
 func loadStore(t *testing.T) *store.Store {
@@ -150,6 +220,27 @@ func TestEnginesAgree(t *testing.T) {
 				t.Fatalf("tlc eval: %v", err)
 			}
 			wantC := canonical(s, want)
+			if strings.HasPrefix(name, "reach-") && len(want) == 0 {
+				t.Fatalf("empty answer; the query must reach its path with data")
+			}
+
+			// TLCOpt: the Section 4 rewrites over a fresh TLC plan.
+			optRes, err := translate.Translate(ast)
+			if err != nil {
+				t.Fatalf("translate: %v", err)
+			}
+			optPlan, _ := rewrite.Optimize(optRes.Plan)
+			optOut, err := algebra.Run(s, optPlan)
+			if err != nil {
+				t.Fatalf("opt eval: %v\nplan:\n%s", err, algebra.Explain(optPlan))
+			}
+			if name == "reach-flatten" && !strings.Contains(algebra.Explain(optPlan), "Flatten (") {
+				t.Errorf("OPT plan holds no Flatten:\n%s", algebra.Explain(optPlan))
+			}
+			if got := canonical(s, optOut); got != wantC {
+				t.Errorf("OPT differs from TLC.\nTLC:\n%s\nOPT:\n%s\nplan:\n%s",
+					wantC, got, algebra.Explain(optPlan))
+			}
 
 			gtpRes, err := gtp.Translate(ast)
 			if err != nil {

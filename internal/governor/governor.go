@@ -17,6 +17,7 @@ package governor
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -109,18 +110,6 @@ func (g *Governor) kill(e *ErrBudgetExceeded) error {
 		countKill(e.Resource)
 	}
 	return g.killed.Load()
-}
-
-// Err returns the latched budget error, or nil while the query is within
-// budget.
-func (g *Governor) Err() error {
-	if g == nil {
-		return nil
-	}
-	if e := g.killed.Load(); e != nil {
-		return e
-	}
-	return nil
 }
 
 // AddAlloc records an arena allocation of n nodes occupying b bytes and
@@ -220,34 +209,22 @@ func AbortError(r any) (error, bool) {
 	return nil, false
 }
 
-// Process-wide kill counters by resource, exported through /varz and the
-// shell's .stats: how many queries each budget has aborted since start.
-var (
-	killsNodes atomic.Int64
-	killsBytes atomic.Int64
-	killsCard  atomic.Int64
-	killsWall  atomic.Int64
-)
+// Process-wide kill counters, one per resource in Resources order,
+// exported through /varz and the shell's .stats: how many queries each
+// budget has aborted since start.
+var kills = make([]atomic.Int64, len(Resources()))
 
 func countKill(r Resource) {
-	switch r {
-	case ResourceNodes:
-		killsNodes.Add(1)
-	case ResourceBytes:
-		killsBytes.Add(1)
-	case ResourceCardinality:
-		killsCard.Add(1)
-	case ResourceWall:
-		killsWall.Add(1)
+	if i := slices.Index(Resources(), r); i >= 0 {
+		kills[i].Add(1)
 	}
 }
 
 // KillTotals reports the process-wide budget-kill counts by resource.
 func KillTotals() map[Resource]int64 {
-	return map[Resource]int64{
-		ResourceNodes:       killsNodes.Load(),
-		ResourceBytes:       killsBytes.Load(),
-		ResourceCardinality: killsCard.Load(),
-		ResourceWall:        killsWall.Load(),
+	out := make(map[Resource]int64, len(kills))
+	for i, r := range Resources() {
+		out[r] = kills[i].Load()
 	}
+	return out
 }

@@ -25,9 +25,6 @@ func TestNilGovernorPermitsEverything(t *testing.T) {
 	if err := g.Check(); err != nil {
 		t.Errorf("nil Check = %v", err)
 	}
-	if err := g.Err(); err != nil {
-		t.Errorf("nil Err = %v", err)
-	}
 }
 
 func TestAddAllocNodeBudget(t *testing.T) {

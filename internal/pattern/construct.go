@@ -62,16 +62,6 @@ func NewElement(tag string, children ...*ConstructNode) *ConstructNode {
 	return &ConstructNode{Kind: ConstructElement, Tag: tag, Children: children}
 }
 
-// NewSubtreeRef returns a construct node copying the subtrees of class lcl.
-func NewSubtreeRef(lcl int) *ConstructNode {
-	return &ConstructNode{Kind: ConstructSubtree, FromLCL: lcl}
-}
-
-// NewTextRef returns a construct node emitting the text of class lcl.
-func NewTextRef(lcl int) *ConstructNode {
-	return &ConstructNode{Kind: ConstructText, FromLCL: lcl}
-}
-
 // String renders the construct pattern compactly for plan explanation.
 func (c *ConstructNode) String() string {
 	if c == nil {

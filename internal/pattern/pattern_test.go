@@ -208,8 +208,8 @@ func btoi(b bool) int {
 
 func TestConstructString(t *testing.T) {
 	c := NewElement("person",
-		NewSubtreeRef(13),
-		NewTextRef(12),
+		&ConstructNode{Kind: ConstructSubtree, FromLCL: 13},
+		&ConstructNode{Kind: ConstructText, FromLCL: 12},
 		&ConstructNode{Kind: ConstructLiteral, Literal: "hi"},
 	)
 	c.Attrs = append(c.Attrs, ConstructAttr{Tag: "@name", FromLCL: 12})

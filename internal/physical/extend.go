@@ -103,7 +103,10 @@ func (x *extender) rewind(s *site) {
 // anchor that fails, or for a stored node no input tree anchors at. Anchors
 // that are temporary nodes — constructed intermediate results — are matched
 // against their in-memory children instead, and matching nodes are
-// classified in place. Below a stored node of such a tree, which stands
+// classified in place: a query reaches this with a path of two or more
+// steps into a nested block's constructed binding, FOR $a IN (FOR ...
+// RETURN <w><q>{$o/quantity}</q></w>) RETURN $a/q/quantity, anchored at
+// the constructed root. Below a stored node of such a tree, which stands
 // for its stored subtree, the match reads the columns and attaches the
 // nodes it classifies to the stored node in each witness tree.
 func (m *Matcher) MatchExtend(ctx context.Context, input seq.Seq, apt *pattern.Tree) (seq.Seq, error) {

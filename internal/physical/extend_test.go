@@ -42,7 +42,7 @@ func TestExtendAddsBranches(t *testing.T) {
 	}
 	// The branches are attached under the anchor.
 	w := out[0]
-	if kids := w.Kids(w.Class(1)[0]); len(kids) != 2 || w.Tag(s, kids[0]) != "b" {
+	if kids := w.Kids(w.Class(1)[0]); len(kids) != 2 || w.Arena().Tag(s, kids[0]) != "b" {
 		t.Errorf("anchor kids = %v", tags(s, w, kids))
 	}
 	// Single-combination extensions mutate in place (an operator owns its
@@ -365,7 +365,7 @@ func TestExtendBelowStoreReference(t *testing.T) {
 					if w.Node(m).IsStore() {
 						ids = append(ids, fmt.Sprint(w.Node(m).Key()))
 					} else {
-						ids = append(ids, w.Tag(s, m)) // temporary IDs differ from build to build
+						ids = append(ids, w.Arena().Tag(s, m)) // temporary IDs differ from build to build
 					}
 				}
 				lines = append(lines, fmt.Sprintf("  %d: %s", lcl, strings.Join(ids, " ")))

@@ -57,8 +57,8 @@ func TestValueJoinPairs(t *testing.T) {
 		t.Fatalf("got %d joined trees, want 3", len(out))
 	}
 	for _, w := range out {
-		if w.Tag(s, w.Root) != "join_root" {
-			t.Errorf("root tag = %q", w.Tag(s, w.Root))
+		if w.Arena().Tag(s, w.Root) != "join_root" {
+			t.Errorf("root tag = %q", w.Arena().Tag(s, w.Root))
 		}
 		if len(w.Kids(w.Root)) != 2 {
 			t.Errorf("pair join root has %d kids, want 2", len(w.Kids(w.Root)))

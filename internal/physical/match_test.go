@@ -45,7 +45,7 @@ func edge(tag string, lcl int, axis pattern.Axis, spec pattern.MSpec) pattern.Ed
 func tags(st *store.Store, t *seq.Tree, nodes []seq.NodeID) []string {
 	out := make([]string, len(nodes))
 	for i, n := range nodes {
-		out[i] = t.Tag(st, n)
+		out[i] = t.Arena().Tag(st, n)
 	}
 	return out
 }

@@ -115,8 +115,9 @@ func findNestedRematch(chain []algebra.Op, anchorLCL int, eb pattern.Edge) *rema
 		if !ee.Spec.Nested() || ee.Axis != eb.Axis {
 			continue
 		}
+		// embed(b, c) maps c's labels onto b's: the orientation m takes.
 		if m, extras, ok := embed(eb.To, ee.To); ok {
-			return &rematch{es: es, m: invertMap(m), postIlluminate: extras, idx: i}
+			return &rematch{es: es, m: m, postIlluminate: extras, idx: i}
 		}
 		// Reverse direction: the re-match asks for bare nodes that the
 		// select branch restricts further.
@@ -129,13 +130,6 @@ func findNestedRematch(chain []algebra.Op, anchorLCL int, eb pattern.Edge) *rema
 		}
 	}
 	return nil
-}
-
-// invertMap flips an embed mapping (c-label → b-label) into the
-// (extension-label → branch-label) orientation finishIlluminate expects.
-func invertMap(m map[int]int) map[int]int {
-	// embed(b=eb.To, c=ee.To) maps ee labels to eb labels already.
-	return m
 }
 
 func applyShadowNative(p *plan, sel *algebra.Select, a *pattern.Node,

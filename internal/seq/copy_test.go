@@ -45,10 +45,10 @@ func TestNodeMapCoversDeepChain(t *testing.T) {
 	for _, n := range nodes {
 		cp := nm.Get(n)
 		if cp == n {
-			t.Fatalf("node %s not mapped", tr.Tag(nil, n))
+			t.Fatalf("node %s not mapped", tr.Arena().Tag(nil, n))
 		}
-		if mt.Tag(nil, cp) != tr.Tag(nil, n) {
-			t.Fatalf("mapped to wrong node: %s vs %s", mt.Tag(nil, cp), tr.Tag(nil, n))
+		if mt.Arena().Tag(nil, cp) != tr.Arena().Tag(nil, n) {
+			t.Fatalf("mapped to wrong node: %s vs %s", mt.Arena().Tag(nil, cp), tr.Arena().Tag(nil, n))
 		}
 	}
 	nm.Release()

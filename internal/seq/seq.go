@@ -171,27 +171,6 @@ func (n *Node) Key() Key {
 	return Key{Ord: -1, Temp: n.TempID}
 }
 
-// Less orders nodes for document-order sorts: store references order by
-// (document, start) — property 3 — and temporary nodes by creation order —
-// property 4. Store references sort before temporaries, which only matters
-// when a class mixes both (constructed nodes are "later" than base data).
-func Less(a, b *Node) bool {
-	as, bs := a.IsStore(), b.IsStore()
-	switch {
-	case as && bs:
-		if a.Doc != b.Doc {
-			return a.Doc < b.Doc
-		}
-		return a.Ord < b.Ord
-	case as:
-		return true
-	case bs:
-		return false
-	default:
-		return a.TempID < b.TempID
-	}
-}
-
 // Tag returns the tag of node id: for a store reference the stored tag,
 // read from st.
 func (a *Arena) Tag(st *store.Store, id NodeID) string {
@@ -301,9 +280,6 @@ func (t *Tree) Kids(id NodeID) []NodeID { return t.Arena().Kids(id) }
 
 // Walk visits the subtree rooted at id; see Arena.Walk.
 func (t *Tree) Walk(id NodeID, fn func(NodeID) bool) bool { return t.Arena().Walk(id, fn) }
-
-// Tag returns the tag of node id; see Arena.Tag.
-func (t *Tree) Tag(st *store.Store, id NodeID) string { return t.Arena().Tag(st, id) }
 
 // Content returns the textual content of node id; see Arena.Content.
 func (t *Tree) Content(st *store.Store, id NodeID) string { return t.Arena().Content(st, id) }

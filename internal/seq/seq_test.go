@@ -4,7 +4,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"tlc/internal/store"
 )
@@ -67,22 +66,6 @@ func TestIdentity(t *testing.T) {
 	}
 	if t1.Key().Ord >= 0 || n1.Key().Temp != 0 {
 		t.Error("temporary and store keys must live in disjoint ranges")
-	}
-}
-
-func TestLessOrdering(t *testing.T) {
-	s, id := loadSample(t)
-	b := newBuilder()
-	x, y := b.node(b.storeNode(s, id, 1)), b.node(b.storeNode(s, id, 5))
-	tx, ty := b.node(b.el("x")), b.node(b.el("y"))
-	if !Less(x, y) || Less(y, x) {
-		t.Error("store order wrong")
-	}
-	if !Less(tx, ty) || Less(ty, tx) {
-		t.Error("temp order wrong")
-	}
-	if !Less(x, tx) || Less(tx, x) {
-		t.Error("store/temp order wrong")
 	}
 }
 
@@ -272,35 +255,6 @@ func TestSeqXML(t *testing.T) {
 	}
 	if cp := sq[0].Clone(); cp == sq[0] || cp.Root == sq[0].Root {
 		t.Error("Clone shares trees")
-	}
-}
-
-// TestQuickLessIsStrictOrder checks that Less is a strict weak order over
-// mixed node populations.
-func TestQuickLessIsStrictOrder(t *testing.T) {
-	s, id := loadSample(t)
-	b := newBuilder()
-	mk := func(sel uint8) *Node {
-		if sel%2 == 0 {
-			return b.node(b.storeNode(s, id, int32(sel)%int32(s.Doc(id).Len())))
-		}
-		return b.node(b.el("t"))
-	}
-	f := func(x, y, z uint8) bool {
-		a, c, e := mk(x), mk(y), mk(z)
-		if Less(a, a) || Less(c, c) {
-			return false
-		}
-		if Less(a, c) && Less(c, a) {
-			return false
-		}
-		if Less(a, c) && Less(c, e) && !Less(a, e) {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
 	}
 }
 

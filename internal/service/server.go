@@ -239,9 +239,6 @@ func (s *Server) EndRecovery(applied, skipped int, dur time.Duration) {
 	s.recovering.Store(false)
 }
 
-// Recovering reports whether the server is replaying its WAL.
-func (s *Server) Recovering() bool { return s.recovering.Load() }
-
 // SetDraining marks the server as shutting down: /readyz flips to 503 so
 // load balancers stop routing new work, while in-flight requests drain.
 func (s *Server) SetDraining() { s.draining.Store(true) }

@@ -104,9 +104,6 @@ type lifetime struct{ superseded *atomic.Int64 }
 // Name returns the document name under which the document was loaded.
 func (d *Doc) Name() string { return d.name }
 
-// DocID returns the document's store-wide ID.
-func (d *Doc) DocID() DocID { return d.id }
-
 // Version returns the document's MVCC version (1 for a fresh load; each
 // committed mutation increments it).
 func (d *Doc) Version() uint64 { return d.version }
@@ -146,9 +143,6 @@ func (d *Doc) Kind(ord int32) xmltree.Kind { return xmltree.Kind(d.c.kind[ord]) 
 func (d *Doc) ID(ord int32) xmltree.NodeID {
 	return xmltree.NodeID{Start: ord, End: d.c.end[ord], Level: d.c.level[ord]}
 }
-
-// TagID returns the tag dictionary ID of the node.
-func (d *Doc) TagID(ord int32) uint32 { return d.c.tag[ord] }
 
 // Tag returns the node's tag (elements plain, attributes with "@", text
 // nodes as "#text").

@@ -90,7 +90,7 @@ func TestSpliceInsertAppend(t *testing.T) {
 	if refs := s.Tag(id, "person"); len(refs) != 3 {
 		t.Fatalf("person count after insert = %d, want 3", len(refs))
 	}
-	if refs := s.Value(id, "Carol"); len(refs) != 2 {
+	if refs := s.Doc(id).valueRefsByName("Carol"); len(refs) != 2 {
 		t.Fatalf("Value(Carol) = %d refs, want 2 (element + text)", len(refs))
 	}
 }
@@ -114,7 +114,7 @@ func TestSpliceInsertFirst(t *testing.T) {
 	if got := nd.Tag(nd.FirstChild(people)); got != "person" {
 		t.Fatalf("first child tag = %q", got)
 	}
-	if refs := s.Value(id, "Alice"); len(refs) != 2 {
+	if refs := s.Doc(id).valueRefsByName("Alice"); len(refs) != 2 {
 		t.Fatalf("Value(Alice) = %d refs after shift, want 2", len(refs))
 	}
 }
@@ -139,7 +139,7 @@ func TestSpliceDelete(t *testing.T) {
 	if refs := s.Tag(id, "person"); len(refs) != 1 {
 		t.Fatalf("person count after delete = %d, want 1", len(refs))
 	}
-	if refs := s.Value(id, "Bob"); len(refs) != 0 {
+	if refs := s.Doc(id).valueRefsByName("Bob"); len(refs) != 0 {
 		t.Fatalf("Value(Bob) = %d refs after delete, want 0", len(refs))
 	}
 }
@@ -162,10 +162,10 @@ func TestSpliceReplace(t *testing.T) {
 	if refs := s.Tag(id, "bidder"); len(refs) != 2 {
 		t.Fatalf("bidder count after replace = %d, want 2", len(refs))
 	}
-	if refs := s.Value(id, "9"); len(refs) != 2 {
+	if refs := s.Doc(id).valueRefsByName("9"); len(refs) != 2 {
 		t.Fatalf("Value(9) = %d refs, want 2", len(refs))
 	}
-	if refs := s.Value(id, "3"); len(refs) != 0 {
+	if refs := s.Doc(id).valueRefsByName("3"); len(refs) != 0 {
 		t.Fatalf("Value(3) = %d refs after replace, want 0", len(refs))
 	}
 }
@@ -189,7 +189,7 @@ func TestSpliceDeleteAttribute(t *testing.T) {
 	}
 	// The deleted attribute's value drops out; the personref attribute
 	// sharing the string survives.
-	if refs := s.Value(id, "p0"); len(refs) != 1 {
+	if refs := s.Doc(id).valueRefsByName("p0"); len(refs) != 1 {
 		t.Fatalf("Value(p0) = %d refs after attribute delete, want 1", len(refs))
 	}
 }

@@ -26,7 +26,6 @@ package store
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -57,15 +56,6 @@ type Stats struct {
 	NodesMaterialized int64
 }
 
-// Add accumulates other into s.
-func (s *Stats) Add(other Stats) {
-	s.TagLookups += other.TagLookups
-	s.TagRefs += other.TagRefs
-	s.ValueLookups += other.ValueLookups
-	s.NodesRead += other.NodesRead
-	s.NodesMaterialized += other.NodesMaterialized
-}
-
 // String renders the counters in a compact single-line form.
 func (s Stats) String() string {
 	return fmt.Sprintf("tagLookups=%d tagRefs=%d valueLookups=%d nodesRead=%d materialized=%d",
@@ -73,7 +63,7 @@ func (s Stats) String() string {
 }
 
 // counters is the mutable, atomically-maintained form of Stats. Keeping
-// the exported Stats a plain value type preserves the snapshot/Add/String
+// the exported Stats a plain value type preserves the snapshot/String
 // API while making the live counters safe for concurrent writers.
 type counters struct {
 	tagLookups        atomic.Int64
@@ -124,8 +114,7 @@ type Store struct {
 	// loadMu serializes directory swaps between concurrent loads. The
 	// expensive part of a load (parsing, indexing) runs before
 	// taking it, so concurrent loads overlap almost entirely.
-	loadMu  sync.Mutex
-	noStats bool
+	loadMu sync.Mutex
 	// maps holds the snapshot file mappings backing snapshot-opened
 	// documents; Close unmaps them. Guarded by loadMu.
 	maps []*mapping
@@ -278,7 +267,7 @@ func (s *Store) NumDocs() int { return len(s.dir.Load().docs) }
 // version committed, and no document loaded, after the Pin. Pinning is
 // one small allocation; readers never block writers and vice versa.
 func (s *Store) Pin() *Store {
-	p := &Store{tags: s.tags, vals: s.vals, stats: s.stats, noStats: s.noStats, pinned: true}
+	p := &Store{tags: s.tags, vals: s.vals, stats: s.stats, pinned: true}
 	p.dir.Store(s.dir.Load())
 	return p
 }
@@ -382,56 +371,13 @@ func (s *Store) ResetStats() { s.stats.reset() }
 // Snapshot returns a copy of the current access counters.
 func (s *Store) Snapshot() Stats { return s.stats.snapshot() }
 
-// DisableStats turns off counter maintenance; used by throughput-focused
-// benchmarks where even the counter writes are unwanted.
-func (s *Store) DisableStats() { s.noStats = true }
-
-// TagCount returns the number of nodes with the given tag, read off the
-// postings length without touching the access counters.
-func (s *Store) TagCount(id DocID, tag string) int {
-	return len(s.entry(id).tagRefsByName(tag))
-}
-
 // Tag returns the ordinals of all nodes with the given tag in document id,
 // in document order. The returned slice is shared and must not be modified.
 func (s *Store) Tag(id DocID, tag string) []int32 {
 	d := s.entry(id)
 	refs := d.tagRefsByName(tag)
-	if !s.noStats {
-		st := s.stats
-		st.tagLookups.Add(1)
-		st.tagRefs.Add(int64(len(refs)))
-	}
-	return refs
-}
-
-// TagWithin returns the ordinals of nodes with the given tag that lie
-// strictly inside the interval of the node at ancestor, using binary search
-// over the tag index (node-ID property 2 makes this a range scan).
-func (s *Store) TagWithin(id DocID, tag string, ancestor int32) []int32 {
-	d := s.entry(id)
-	refs := d.tagRefsByName(tag)
-	end := d.c.end[ancestor]
-	lo := sort.Search(len(refs), func(i int) bool { return refs[i] > ancestor })
-	hi := sort.Search(len(refs), func(i int) bool { return refs[i] > end })
-	if !s.noStats {
-		st := s.stats
-		st.tagLookups.Add(1)
-		st.tagRefs.Add(int64(hi - lo))
-	}
-	return refs[lo:hi]
-}
-
-// Value returns the ordinals of all nodes in document id whose content is
-// exactly v, in document order.
-func (s *Store) Value(id DocID, v string) []int32 {
-	d := s.entry(id)
-	refs := d.valueRefsByName(v)
-	if !s.noStats {
-		st := s.stats
-		st.valueLookups.Add(1)
-		st.tagRefs.Add(int64(len(refs)))
-	}
+	s.stats.tagLookups.Add(1)
+	s.stats.tagRefs.Add(int64(len(refs)))
 	return refs
 }
 
@@ -443,10 +389,8 @@ func (s *Store) TagValue(id DocID, tag, v string) []int32 {
 	tagRefs := d.tagRefsByName(tag)
 	valRefs := d.valueRefsByName(v)
 	st := s.stats
-	if !s.noStats {
-		st.tagLookups.Add(1)
-		st.valueLookups.Add(1)
-	}
+	st.tagLookups.Add(1)
+	st.valueLookups.Add(1)
 	var out []int32
 	i, j := 0, 0
 	for i < len(tagRefs) && j < len(valRefs) {
@@ -461,9 +405,7 @@ func (s *Store) TagValue(id DocID, tag, v string) []int32 {
 			j++
 		}
 	}
-	if !s.noStats {
-		st.tagRefs.Add(int64(len(out)))
-	}
+	st.tagRefs.Add(int64(len(out)))
 	return out
 }
 
@@ -481,9 +423,7 @@ type NodeData struct {
 // Node fetches a node record, counting the access.
 func (s *Store) Node(id DocID, ord int32) NodeData {
 	d := s.entry(id)
-	if !s.noStats {
-		s.stats.nodesRead.Add(1)
-	}
+	s.stats.nodesRead.Add(1)
 	return NodeData{
 		ID:         d.ID(ord),
 		Kind:       d.Kind(ord),
@@ -498,9 +438,7 @@ func (s *Store) Node(id DocID, ord int32) NodeData {
 // the access.
 func (s *Store) Content(id DocID, ord int32) string {
 	d := s.entry(id)
-	if !s.noStats {
-		s.stats.nodesRead.Add(1)
-	}
+	s.stats.nodesRead.Add(1)
 	return d.Content(ord)
 }
 
@@ -509,16 +447,12 @@ func (s *Store) Content(id DocID, ord int32) string {
 func (s *Store) Children(id DocID, ord int32) []int32 {
 	d := s.entry(id)
 	kids := d.Children(ord)
-	if !s.noStats {
-		s.stats.nodesRead.Add(int64(len(kids)) + 1)
-	}
+	s.stats.nodesRead.Add(int64(len(kids)) + 1)
 	return kids
 }
 
 // CountMaterialized records that n nodes were copied out of the store into
 // an intermediate result.
 func (s *Store) CountMaterialized(n int) {
-	if !s.noStats {
-		s.stats.nodesMaterialized.Add(int64(n))
-	}
+	s.stats.nodesMaterialized.Add(int64(n))
 }

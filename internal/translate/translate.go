@@ -263,9 +263,6 @@ func (t *translator) allBoundVars() map[string]bool {
 func (t *translator) setVar(name string, b *binding) {
 	t.vars[name] = b
 	t.varOrder = append(t.varOrder, name)
-	if b.node != nil && b.node.LCL == 0 {
-		b.node.LCL = t.newLCL(tagOfNode(b.node))
-	}
 	if t.shared != nil {
 		if b.node != nil {
 			t.shared.varLCLs = append(t.shared.varLCLs, b.node.LCL)
@@ -286,17 +283,6 @@ func (t *translator) extendChain(from *pattern.Node, steps []xquery.Step, spec p
 		cur = n
 	}
 	return cur, nil
-}
-
-func tagOfNode(n *pattern.Node) string {
-	switch n.Kind {
-	case pattern.TestDocRoot:
-		return "doc_root"
-	case pattern.TestTag:
-		return n.Tag
-	default:
-		return "?"
-	}
 }
 
 func contains(xs []string, x string) bool {

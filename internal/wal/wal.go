@@ -276,9 +276,6 @@ func (l *Log) openActive() error {
 
 func (l *Log) active() *segment { return l.segments[len(l.segments)-1] }
 
-// Dir returns the log directory.
-func (l *Log) Dir() string { return l.dir }
-
 // LastSeq returns the sequence number of the newest appended record (0
 // for an empty log whose base is 0).
 func (l *Log) LastSeq() uint64 {

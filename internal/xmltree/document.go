@@ -19,9 +19,6 @@ type Document struct {
 // Root returns the ordinal of the document root element (always 0).
 func (d *Document) Root() int32 { return 0 }
 
-// Node returns the node at the given arena ordinal.
-func (d *Document) Node(ordinal int32) *Node { return &d.Nodes[ordinal] }
-
 // Len returns the number of nodes in the document.
 func (d *Document) Len() int { return len(d.Nodes) }
 
@@ -60,13 +57,6 @@ func (d *Document) Content(ordinal int32) string {
 		}
 	}
 	return sb.String()
-}
-
-// SubtreeSize returns the number of nodes in the subtree rooted at ordinal,
-// including the root itself.
-func (d *Document) SubtreeSize(ordinal int32) int {
-	n := &d.Nodes[ordinal]
-	return int(n.ID.End - n.ID.Start + 1)
 }
 
 // Validate checks the structural invariants of the arena encoding and

@@ -60,16 +60,6 @@ func (id NodeID) Contains(other NodeID) bool {
 	return id.Start < other.Start && other.End <= id.End
 }
 
-// ParentOf reports whether id identifies the parent of other: containment
-// at exactly one level apart.
-func (id NodeID) ParentOf(other NodeID) bool {
-	return id.Contains(other) && id.Level+1 == other.Level
-}
-
-// Before reports whether id precedes other in document order
-// (property 3 of Figure 13). An ancestor precedes its descendants.
-func (id NodeID) Before(other NodeID) bool { return id.Start < other.Start }
-
 // String renders the identifier as (start:end@level).
 func (id NodeID) String() string {
 	return fmt.Sprintf("(%d:%d@%d)", id.Start, id.End, id.Level)
@@ -99,6 +89,3 @@ type Node struct {
 
 // TextTag is the pseudo tag name under which text nodes are stored.
 const TextTag = "#text"
-
-// IsAttr reports whether tag names an attribute class ("@name").
-func IsAttr(tag string) bool { return len(tag) > 0 && tag[0] == '@' }

@@ -73,11 +73,6 @@ func (d *Document) WriteXML(w io.Writer, ordinal int32) error {
 	return err
 }
 
-// XML returns the subtree rooted at ordinal as XML text.
-func (d *Document) XML(ordinal int32) string {
-	return string(d.appendXML(nil, ordinal))
-}
-
 func (d *Document) appendXML(dst []byte, ordinal int32) []byte {
 	n := &d.Nodes[ordinal]
 	switch n.Kind {

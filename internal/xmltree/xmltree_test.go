@@ -35,7 +35,7 @@ func mustParse(t *testing.T, s string) *Document {
 
 func TestParseBasic(t *testing.T) {
 	d := mustParse(t, sampleXML)
-	root := d.Node(d.Root())
+	root := &d.Nodes[d.Root()]
 	if root.Tag != "site" {
 		t.Errorf("root tag = %q, want site", root.Tag)
 	}
@@ -74,8 +74,8 @@ func TestChildren(t *testing.T) {
 	if len(kids) != 2 {
 		t.Fatalf("root has %d children, want 2", len(kids))
 	}
-	if d.Node(kids[0]).Tag != "people" || d.Node(kids[1]).Tag != "open_auctions" {
-		t.Errorf("children tags = %q, %q", d.Node(kids[0]).Tag, d.Node(kids[1]).Tag)
+	if d.Nodes[kids[0]].Tag != "people" || d.Nodes[kids[1]].Tag != "open_auctions" {
+		t.Errorf("children tags = %q, %q", d.Nodes[kids[0]].Tag, d.Nodes[kids[1]].Tag)
 	}
 	// person p0 has @id, name, age children.
 	for i := range d.Nodes {
@@ -127,16 +127,25 @@ func TestNodeIDRelations(t *testing.T) {
 			if got, want := d.Nodes[a].ID.Contains(d.Nodes[b].ID), anc(a, b); got != want {
 				t.Fatalf("Contains(%d,%d) = %v, want %v", i, j, got, want)
 			}
-			if got, want := d.Nodes[a].ID.ParentOf(d.Nodes[b].ID), d.Nodes[b].Parent == a; got != want {
-				t.Fatalf("ParentOf(%d,%d) = %v, want %v", i, j, got, want)
+			// The parent is the container exactly one level up.
+			ia, ib := d.Nodes[a].ID, d.Nodes[b].ID
+			if got, want := ia.Contains(ib) && ia.Level+1 == ib.Level, d.Nodes[b].Parent == a; got != want {
+				t.Fatalf("parent(%d,%d) = %v, want %v", i, j, got, want)
 			}
 		}
 	}
 }
 
+// xmlOf serializes the whole document.
+func xmlOf(d *Document) string {
+	var sb strings.Builder
+	d.WriteXML(&sb, d.Root())
+	return sb.String()
+}
+
 func TestWriteXMLRoundTrip(t *testing.T) {
 	d := mustParse(t, sampleXML)
-	out := d.XML(0)
+	out := xmlOf(d)
 	d2 := mustParse(t, out)
 	if d2.Len() != d.Len() {
 		t.Fatalf("round trip length %d, want %d", d2.Len(), d.Len())
@@ -150,7 +159,7 @@ func TestWriteXMLRoundTrip(t *testing.T) {
 
 func TestXMLEscaping(t *testing.T) {
 	d := mustParse(t, `<a v="x&amp;y"><b>1 &lt; 2</b></a>`)
-	out := d.XML(0)
+	out := xmlOf(d)
 	if !strings.Contains(out, "&amp;") || !strings.Contains(out, "&lt;") {
 		t.Errorf("escaping lost: %s", out)
 	}
@@ -189,8 +198,9 @@ func TestBuilderElementHelper(t *testing.T) {
 
 func TestSubtreeSize(t *testing.T) {
 	d := mustParse(t, sampleXML)
-	if got := d.SubtreeSize(0); got != d.Len() {
-		t.Errorf("SubtreeSize(root) = %d, want %d", got, d.Len())
+	// A node's interval spans its subtree: the root's spans the document.
+	if id := d.Nodes[0].ID; int(id.End-id.Start+1) != d.Len() {
+		t.Errorf("root subtree = %d nodes, want %d", id.End-id.Start+1, d.Len())
 	}
 }
 
@@ -246,7 +256,7 @@ func TestQuickRandomDocumentsValid(t *testing.T) {
 func TestQuickRoundTripPreservesShape(t *testing.T) {
 	f := func(seed int64, size uint8) bool {
 		d := buildRandom(rand.New(rand.NewSource(seed)), int(size)%64)
-		d2, err := ParseString("rt", d.XML(0))
+		d2, err := ParseString("rt", xmlOf(d))
 		if err != nil {
 			return false
 		}

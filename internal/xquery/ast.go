@@ -200,12 +200,3 @@ type RetAttr struct {
 	Path    *Path
 	Literal string
 }
-
-// Vars returns the variables bound by the FLWOR's own clauses, in order.
-func (f *FLWOR) Vars() []string {
-	out := make([]string, len(f.Bindings))
-	for i, b := range f.Bindings {
-		out[i] = b.Var
-	}
-	return out
-}

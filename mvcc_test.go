@@ -252,3 +252,35 @@ func TestUpdateConcurrentReaders(t *testing.T) {
 		})
 	}
 }
+
+// TestUpdateDeleteCoalescesText deletes the element between two text
+// nodes: the neighbours merge into one text node, as re-parsing the
+// serialized document would make them, so a query reads one text value and
+// the document equals a fresh load of its own serialization.
+func TestUpdateDeleteCoalescesText(t *testing.T) {
+	db := Open()
+	if err := db.LoadXMLString("m.xml", `<doc><p>alpha<b>x</b>omega</p></doc>`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Update(UpdateRequest{Doc: "m.xml", Op: UpdateDelete, Target: "/doc/p/b"}); err != nil {
+		t.Fatal(err)
+	}
+	const q = `FOR $p IN document("m.xml")//p RETURN <t>{$p/text()}</t>`
+	res, err := db.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.XML(), "<t>alphaomega</t>"; got != want {
+		t.Errorf("after delete: %q, want %q", got, want)
+	}
+	fresh := Open()
+	if err := fresh.LoadXMLString("m.xml", documentXML(t, db, "m.xml")); err != nil {
+		t.Fatal(err)
+	}
+	st, fst := dbStore(db), dbStore(fresh)
+	id, _ := st.Lookup("m.xml")
+	fid, _ := fst.Lookup("m.xml")
+	if got, want := st.Doc(id).Fingerprint(), fst.Doc(fid).Fingerprint(); got != want {
+		t.Errorf("spliced document differs from a fresh load of its XML:\n%s\nwant:\n%s", got, want)
+	}
+}

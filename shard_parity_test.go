@@ -1,10 +1,13 @@
 package tlc
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
+
+	"tlc/internal/xmark"
 )
 
 // snapshotReopen writes db to a fresh snapshot directory and opens it as
@@ -48,6 +51,30 @@ func TestShardParity(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestXMarkXMLLoadsLikeGenerated holds the XMark text that cmd/xmarkgen
+// and the benchmark write (xmltree.Document.WriteXML) to the document the
+// generator builds in process: both load to the same columns and indexes
+// (store.Doc.Fingerprint).
+func TestXMarkXMLLoadsLikeGenerated(t *testing.T) {
+	doc := xmark.Generate("auction.xml", parityFactor)
+	var buf bytes.Buffer
+	if err := doc.WriteXML(&buf, doc.Root()); err != nil {
+		t.Fatal(err)
+	}
+	fromXML := Open()
+	if err := fromXML.LoadXML("auction.xml", &buf); err != nil {
+		t.Fatal(err)
+	}
+	fingerprint := func(db *Database) string {
+		st := dbStore(db)
+		id, _ := st.Lookup("auction.xml")
+		return st.Doc(id).Fingerprint()
+	}
+	if fingerprint(fromXML) != fingerprint(openXMark(t)) {
+		t.Error("XMark XML text loads to a different document than the generated one")
 	}
 }
 

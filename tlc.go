@@ -533,15 +533,6 @@ func (db *Database) WALStats() (s wal.Stats, replay WALReplayStats, ok bool) {
 	return db.wal.Stats(), db.walReplay, true
 }
 
-// SyncWAL forces any pending group-commit batch to durable storage (a
-// no-op without an attached WAL or with nothing pending).
-func (db *Database) SyncWAL() error {
-	if db.wal == nil {
-		return nil
-	}
-	return db.wal.Sync()
-}
-
 // MappedBytes returns the total size of the snapshot file mappings the
 // database currently holds.
 func (db *Database) MappedBytes() int64 { return db.st.MappedBytes() }
