@@ -213,6 +213,19 @@ func TestVarzWALSection(t *testing.T) {
 	if wal["appended"].(float64) != 1 || wal["last_seq"].(float64) != 1 {
 		t.Fatalf("wal gauges after one update: %v", wal)
 	}
+	// A batch that never fills reaches the disk when its BatchDelay fires,
+	// not only at Close.
+	for deadline := time.Now().Add(5 * time.Second); wal["pending"].(float64) != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("batch still pending past its deadline: %v", wal)
+		}
+		time.Sleep(time.Millisecond)
+		_, vz = getJSON[map[string]any](t, ts.URL+"/varz")
+		wal = vz["wal"].(map[string]any)
+	}
+	if wal["synced"].(float64) != 1 {
+		t.Fatalf("wal gauges after the batch deadline: %v", wal)
+	}
 }
 
 // TestUpdateConflictRetries scripts a conflict sequence through the
