@@ -18,7 +18,7 @@
 # Run from the repository root: bash .github/reachability.sh
 set -euo pipefail
 
-reasons='bench-shell marker stringer test-oracle fault-surface open'
+reasons='bench-shell marker stringer test-oracle open'
 accepted=.github/reachability-accepted.txt
 mod=$(go list -m)
 dir=$(mktemp -d)

@@ -237,17 +237,15 @@ func (s *server) siteState(t *testing.T) string {
 	return strings.Join(s.query(t, `FOR $c IN document("auction.xml")//crashmark RETURN $c`), "\n")
 }
 
-// waitFired polls /faultz until the fault point's fired counter reaches
+// waitFired polls /varz until the fault point's fired counter reaches
 // n — the deterministic signal that the injected stall is in progress.
-// /faultz (not /varz): an injected stall inside the commit path holds
-// store and WAL locks that /varz's gauges read behind, so a /varz poll
-// would block for the whole stall and observe fired only after the
-// crash window has already closed.
+// /varz takes none of the store or WAL locks the stalled commit holds, so
+// it answers inside the crash window.
 func (s *server) waitFired(t *testing.T, point string, n float64) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(s.url("/faultz"))
+		resp, err := http.Get(s.url("/varz"))
 		if err == nil {
 			var fz struct {
 				Faults map[string]struct {

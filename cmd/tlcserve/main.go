@@ -54,7 +54,6 @@ func main() {
 	walDir := flag.String("wal", "", "write-ahead log directory: replay it at startup (after any -snapshot open), then log every update durably before acknowledging")
 	fsync := flag.String("fsync", "always", "WAL durability policy: always (fsync per update), batch (group commit), off")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown deadline for in-flight requests on SIGTERM/SIGINT")
-	updateRetries := flag.Int("update-retries", 3, "attempts per /update when the commit keeps losing its race (jittered backoff between attempts)")
 	faults := flag.String("faults", os.Getenv("TLC_FAULTS"),
 		"fault-injection spec, e.g. 'store.load=error;physical.valuejoin=panic,after=2' (default $TLC_FAULTS; testing only)")
 	flag.Parse()
@@ -132,7 +131,6 @@ func main() {
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
 		CacheSize:      *cacheSize,
-		UpdateRetries:  *updateRetries,
 		Limits: tlc.Limits{
 			MaxArenaNodes: *maxNodes,
 			MaxArenaBytes: *maxBytes,

@@ -23,7 +23,9 @@
 //	          entropy (default p=1, always fire)
 //
 // Counting is per point and deterministic, which is what lets the chaos
-// tests assert exact outcomes.
+// tests assert exact outcomes. Installing a new spec or disabling
+// injection ends every slow-mode stall in progress, so a test can hold a
+// caller inside a stall for exactly as long as it needs.
 package faultinject
 
 import (
@@ -116,7 +118,8 @@ const (
 	ModeError Mode = iota
 	// ModePanic makes Hit panic — exercising the recover barriers.
 	ModePanic
-	// ModeSlow makes Hit sleep for the rule's delay, then proceed.
+	// ModeSlow makes Hit sleep for the rule's delay (or until the rule is
+	// replaced or removed), then proceed.
 	ModeSlow
 )
 
@@ -144,6 +147,9 @@ type rule struct {
 
 	hits  atomic.Int64
 	fired atomic.Int64
+	// disarmed is closed when the rule is replaced or removed; it ends
+	// the rule's stalls in progress.
+	disarmed chan struct{}
 
 	rngMu sync.Mutex
 	rng   *rand.Rand // nil when prob == 1
@@ -164,19 +170,23 @@ func Enable(spec string) error {
 	if err != nil {
 		return err
 	}
-	mu.Lock()
-	rules = parsed
-	mu.Unlock()
-	enabled.Store(len(parsed) > 0)
+	install(parsed)
 	return nil
 }
 
 // Disable removes every armed point.
-func Disable() {
-	enabled.Store(false)
+func Disable() { install(nil) }
+
+// install replaces the armed rules and ends the old rules' stalls.
+func install(next map[string]*rule) {
 	mu.Lock()
-	rules = nil
+	old := rules
+	rules = next
 	mu.Unlock()
+	enabled.Store(len(next) > 0)
+	for _, r := range old {
+		close(r.disarmed)
+	}
 }
 
 // parse parses "point=mode[,k=v...]" rules separated by ';'.
@@ -204,7 +214,7 @@ func parse(spec string) (map[string]*rule, error) {
 			return nil, fmt.Errorf("faultinject: unknown point %q (catalog: %s)", point, strings.Join(Catalog(), " "))
 		}
 		parts := strings.Split(rest, ",")
-		r := &rule{point: point, delay: 10 * time.Millisecond, after: 1, prob: 1}
+		r := &rule{point: point, delay: 10 * time.Millisecond, after: 1, prob: 1, disarmed: make(chan struct{})}
 		switch strings.TrimSpace(parts[0]) {
 		case "error":
 			r.mode = ModeError
@@ -284,7 +294,12 @@ func Hit(point string) error {
 	case ModePanic:
 		panic(fmt.Sprintf("faultinject: injected panic at %s", point))
 	case ModeSlow:
-		time.Sleep(r.delay)
+		t := time.NewTimer(r.delay)
+		defer t.Stop()
+		select {
+		case <-t.C:
+		case <-r.disarmed:
+		}
 		return nil
 	default:
 		return fmt.Errorf("%w at %s", ErrInjected, point)

@@ -64,6 +64,29 @@ func TestSlowMode(t *testing.T) {
 	}
 }
 
+// TestRespecEndsStalls holds a Hit in an hour-long stall; replacing the
+// spec and then disabling injection each end the stalls in progress.
+func TestRespecEndsStalls(t *testing.T) {
+	t.Cleanup(Disable)
+	for _, end := range []func(){
+		func() { Enable(PointStoreLoad + "=error") },
+		Disable,
+	} {
+		if err := Enable(PointServiceQuery + "=slow,delay=1h"); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error)
+		go func() { done <- Hit(PointServiceQuery) }()
+		for Stats()[PointServiceQuery].Fired == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		end()
+		if err := <-done; err != nil {
+			t.Fatalf("stall ended with %v, want nil", err)
+		}
+	}
+}
+
 func TestAfterAndTimes(t *testing.T) {
 	t.Cleanup(Disable)
 	if err := Enable(PointMatcher + "=error,after=3,times=2"); err != nil {

@@ -1,8 +1,8 @@
 // Package mutate is the MVCC update subsystem: it turns user-level
 // subtree operations — insert, delete, replace — into the store's splice
 // primitive, applies write budgets, retries optimistic-concurrency
-// conflicts, and keeps the process-wide update counters the service and
-// shell surface.
+// conflicts with a jittered backoff, and keeps the process-wide update
+// counters the service and shell surface.
 //
 // Every update is one splice on one document: the target is resolved by a
 // simple absolute path (`/site/people/person[2]`, attribute steps like
@@ -28,9 +28,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"strconv"
 	"strings"
 	"sync/atomic"
+	"time"
 
 	"tlc/internal/governor"
 	"tlc/internal/store"
@@ -174,9 +176,15 @@ type Result struct {
 	Conflicts int
 }
 
-// maxRetries bounds optimistic-concurrency retries before the conflict is
-// surfaced to the caller.
-const maxRetries = 3
+// maxRetries bounds the commit attempts of one update before the conflict
+// is surfaced to the caller. Between attempts the writer waits
+// retryBackoff, doubled per retry, plus up to half of it again at random,
+// so writers that collided spread out instead of colliding again in
+// lockstep.
+const (
+	maxRetries   = 3
+	retryBackoff = 2 * time.Millisecond
+)
 
 // Process-wide update counters (mirrored at /varz and in the shell).
 var (
@@ -201,9 +209,10 @@ func Counters() Totals {
 // Apply runs one update against the store. The write cost is charged to
 // the governor carried by ctx (nodes written and an estimate of bytes),
 // so update budgets use the same taxonomy as query budgets. On a commit
-// conflict the target is re-resolved against the winning version and the
-// splice retried a bounded number of times; the final conflict, if any,
-// wraps store.ErrVersionConflict.
+// conflict the writer backs off, re-resolves the target against the
+// winning version and retries the splice, a bounded number of times; the
+// final conflict, if any — also one whose backoff outlived ctx — wraps
+// store.ErrVersionConflict.
 func Apply(ctx context.Context, st *store.Store, req Request) (Result, error) {
 	var res Result
 	frag, err := parseRequest(req)
@@ -229,6 +238,9 @@ func Apply(ctx context.Context, st *store.Store, req Request) (Result, error) {
 
 	var lastErr error
 	for attempt := 0; attempt < maxRetries; attempt++ {
+		if attempt > 0 && !sleepBackoff(ctx, attempt) {
+			break
+		}
 		id, ok := st.Lookup(req.Doc)
 		if !ok {
 			return res, fmt.Errorf("%w: %q", ErrUnknownDocument, req.Doc)
@@ -255,6 +267,21 @@ func Apply(ctx context.Context, st *store.Store, req Request) (Result, error) {
 		return res, nil
 	}
 	return res, lastErr
+}
+
+// sleepBackoff waits before the attempt-th retry and reports whether ctx
+// was still live when the wait ended.
+func sleepBackoff(ctx context.Context, attempt int) bool {
+	d := retryBackoff << (attempt - 1)
+	d += time.Duration(rand.Int64N(int64(d)/2 + 1))
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return false
+	case <-t.C:
+		return true
+	}
 }
 
 // parseRequest checks everything about a request that does not depend on a

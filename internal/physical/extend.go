@@ -2,6 +2,7 @@ package physical
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"tlc/internal/pattern"
@@ -37,6 +38,11 @@ type ExplosionError struct {
 func (e *ExplosionError) Error() string {
 	return fmt.Sprintf("physical: extension match explodes past %d witness trees", e.Limit)
 }
+
+// ErrLogicalBelowConstructed reports an extension pattern with an OR or
+// NOT edge below a node of a constructed tree. No translated plan extends
+// one: the extender decides only plain edges there.
+var ErrLogicalBelowConstructed = errors.New("physical: OR/NOT edge below a constructed node")
 
 // site is one anchor node of an input tree together with the alternatives
 // the extension pattern has there. A stored anchor's alternatives are the
@@ -276,18 +282,16 @@ func (x *extender) place(l label, nm seq.NodeMap) seq.NodeID {
 	return cp
 }
 
-// memAlts matches the plain and logical edges of p below the in-memory node
-// n (already known to satisfy p's own test) and returns the alternatives,
-// each the list of labels it adds below n; nil when a required, NOT or OR
-// edge fails. Deeper pattern levels are resolved in memory as well.
+// memAlts matches the edges of p below the in-memory node n (already known
+// to satisfy p's own test) and returns the alternatives, each the list of
+// labels it adds below n; nil when a required edge fails. Deeper pattern
+// levels are resolved in memory as well. An OR or NOT edge is refused with
+// ErrLogicalBelowConstructed.
 func (x *extender) memAlts(n seq.NodeID, p *pattern.Node) ([][]label, error) {
 	alts := [][]label{nil}
-	for i, e := range p.Edges {
+	for _, e := range p.Edges {
 		if e.Logical() {
-			if ok, err := x.memLogical(n, p.Edges, i); err != nil || !ok {
-				return nil, err
-			}
-			continue
+			return nil, ErrLogicalBelowConstructed
 		}
 		var ms [][]label // what each match of the edge adds, in document order
 		for _, r := range x.relatives(n, e.Axis) {
@@ -334,47 +338,6 @@ func (x *extender) memMatch(k seq.NodeID, p *pattern.Node) ([][]label, error) {
 		return nil, nil
 	}
 	return x.memAlts(k, p)
-}
-
-// memLogical decides the logical unit edge i of edges belongs to, below the
-// in-memory node n: a NOT edge holds when its subtree has no match, an OR
-// group — decided once, at its first member — when some member holds.
-func (x *extender) memLogical(n seq.NodeID, edges []pattern.Edge, i int) (bool, error) {
-	if edges[i].Group == 0 {
-		found, err := x.memExists(n, edges[i])
-		return !found, err
-	}
-	if !opensGroup(edges, i) {
-		return true, nil
-	}
-	for _, e := range edges[i:] {
-		if e.Group != edges[i].Group {
-			continue
-		}
-		if found, err := x.memExists(n, e); err != nil || found != e.Not {
-			return err == nil, err
-		}
-	}
-	return false, nil
-}
-
-// memExists reports whether edge e, taken as a bare existence test, has a
-// match below n. A stored node inside a constructed tree is probed in the
-// store; a temporary one through its in-memory relatives.
-func (x *extender) memExists(n seq.NodeID, e pattern.Edge) (bool, error) {
-	if nn := x.a.Node(n); nn.IsStore() {
-		cv, err := x.m.vector(x.ctx, nn.Doc, e.To)
-		if err != nil {
-			return false, err
-		}
-		return related(x.m.st.Doc(nn.Doc), cv.ords, nn.Ord, e.Axis), nil
-	}
-	for _, r := range x.relatives(n, e.Axis) {
-		if sub, err := x.memMatch(r.node, e.To); err != nil || len(sub) > 0 {
-			return err == nil, err
-		}
-	}
-	return false, nil
 }
 
 // relatives returns the children or descendants of n, shadowed ones

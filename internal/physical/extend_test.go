@@ -251,60 +251,27 @@ func TestExtendTemporaryAnchorDeepPattern(t *testing.T) {
 	}
 }
 
-// lateCancel is a context that reports cancellation from its n+1st Err call
-// on: it lets a test cancel "after" the polls that precede the one under
-// test.
-type lateCancel struct {
-	context.Context
-	left int
-}
-
-func (c *lateCancel) Err() error {
-	if c.left > 0 {
-		c.left--
-		return nil
-	}
-	return context.Canceled
-}
-
-// TestExtendLogicalEdgeUnderTemporaryAnchorHonoursContext: a NOT edge below
-// a stored node that sits inside a constructed tree is decided by a store
-// match, which must run under the request's context — cancellable, and
-// charged to the governor's poll — not under context.Background().
-func TestExtendLogicalEdgeUnderTemporaryAnchorHonoursContext(t *testing.T) {
+// TestExtendRefusesLogicalEdgeBelowConstructedNode: the extender decides
+// only plain edges below the nodes of a constructed tree, so a NOT edge
+// there is refused with a typed error rather than decided.
+func TestExtendRefusesLogicalEdgeBelowConstructedNode(t *testing.T) {
 	s, id := loadFixture(t, fixtureXML)
-	build := func() seq.Seq {
-		tr, sl := constructed()
-		for _, o := range s.Tag(id, "a") {
-			sl.Attach(tr.Root, sl.StoreNodeOf(id, o, s.Doc(id)))
-		}
-		return seq.Seq{tr}
+	tr, sl := constructed()
+	for _, o := range s.Tag(id, "a") {
+		sl.Attach(tr.Root, sl.StoreNodeOf(id, o, s.Doc(id)))
 	}
-	// class(1) -> a{*}[5] with NOT /b: only the third a has no b.
 	anchor := pattern.NewLCAnchor(0, 1)
 	a := anchor.Add(pattern.NewTagNode(5, "a"), pattern.Child, pattern.ZeroOrMore)
 	a.Edges = append(a.Edges, pattern.Edge{Axis: pattern.Child, To: pattern.NewTagNode(0, "b"), Not: true})
-	apt := &pattern.Tree{Root: anchor}
-
-	out, err := NewMatcher(s).MatchExtend(context.Background(), build(), apt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(out[0].Class(5)); got != 1 {
-		t.Fatalf("class 5 = %d members, want 1 (the a without b)", got)
-	}
-	// The first poll is MatchExtend's own, before the first tree; the second
-	// is the store match of the NOT edge's subtree.
-	ctx := &lateCancel{Context: context.Background(), left: 1}
-	if _, err := NewMatcher(s).MatchExtend(ctx, build(), apt); !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want context.Canceled from the logical edge's store match", err)
+	_, err := NewMatcher(s).MatchExtend(context.Background(), seq.Seq{tr}, &pattern.Tree{Root: anchor})
+	if !errors.Is(err, ErrLogicalBelowConstructed) {
+		t.Fatalf("err = %v, want ErrLogicalBelowConstructed", err)
 	}
 }
 
 // TestExtendBelowStoreReference extends a constructed tree whose kids are
 // store references, which stand for their stored subtrees, with child and
-// descendant edges, NOT and OR edges and a "-" edge that multiplies the
-// tree. The labels and answers must be those of the same tree with the
+// descendant edges and a "-" edge that multiplies the tree. The labels and answers must be those of the same tree with the
 // subtrees materialised, and every labelled node must hang in its own
 // witness tree.
 func TestExtendBelowStoreReference(t *testing.T) {
@@ -331,19 +298,10 @@ func TestExtendBelowStoreReference(t *testing.T) {
 		e.To.Edges = edges
 		return e
 	}
-	not := func(e pattern.Edge) pattern.Edge { e.Not = true; return e }
-	or := func(es ...pattern.Edge) []pattern.Edge {
-		for i := range es {
-			es[i].Group = 1
-		}
-		return es
-	}
 	cases := map[string]*pattern.Tree{
 		"child":      anchored(aWith(pattern.ZeroOrMore, edge("b", 6, pattern.Child, pattern.One))),
 		"descendant": anchored(edge("b", 6, pattern.Descendant, pattern.ZeroOrMore)),
 		"deep":       anchored(aWith(pattern.ZeroOrMore, edge("c", 6, pattern.Descendant, pattern.ZeroOrOne))),
-		"not":        anchored(aWith(pattern.ZeroOrMore, not(edge("b", 0, pattern.Child, pattern.One)))),
-		"or":         anchored(aWith(pattern.ZeroOrMore, or(edge("c", 0, pattern.Child, pattern.One), not(edge("b", 0, pattern.Descendant, pattern.One)))...)),
 		"multiplies": anchored(aWith(pattern.One, edge("b", 6, pattern.Child, pattern.One))),
 	}
 	// describe renders each witness tree as its answer and its labels, and

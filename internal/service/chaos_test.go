@@ -26,9 +26,7 @@ const joinQuery = `FOR $a IN document("site.xml")//person
 // code: injected faults are internal errors, never blamed on the client.
 func TestInjectedFaultTaxonomy(t *testing.T) {
 	t.Cleanup(faultinject.Disable)
-	// A high breaker threshold keeps repeated deliberate 500s from
-	// tripping the breakers mid-table.
-	_, ts := newServer(t, Config{BreakerThreshold: 1000})
+	_, ts := newServer(t, Config{})
 	cases := []struct {
 		point string
 		hit   func() (*http.Response, []byte)
@@ -104,7 +102,7 @@ func readAll(t *testing.T, resp *http.Response) []byte {
 // server — keep serving, with the recovery visible in /varz.
 func TestHandlerPanicContained(t *testing.T) {
 	t.Cleanup(faultinject.Disable)
-	_, ts := newServer(t, Config{BreakerThreshold: 1000})
+	_, ts := newServer(t, Config{})
 	_, vbefore := getBody(t, ts.URL+"/varz")
 	before := decode[varz](t, vbefore).PanicsRecovered
 
@@ -256,54 +254,34 @@ func TestShedCodesAndRetryAfter(t *testing.T) {
 	}
 }
 
-// TestBreakerOpensShedsAndRecovers drives the /query breaker through its
-// whole cycle: repeated internal errors open it, an open breaker sheds
-// with 503 + Retry-After without touching the engine, other endpoints stay
-// up, and after the cooldown a successful probe closes it again.
-func TestBreakerOpensShedsAndRecovers(t *testing.T) {
+// TestPoisonQueryLeavesHealthyQueriesServed interleaves a query that
+// panics on every run (a value join under physical.valuejoin=panic) with a
+// healthy one that has no join: each poison run is a 500 for that request
+// alone, and the healthy query stays 200 throughout, however many poison
+// runs came before it.
+func TestPoisonQueryLeavesHealthyQueriesServed(t *testing.T) {
 	t.Cleanup(faultinject.Disable)
-	_, ts := newServer(t, Config{BreakerThreshold: 2, BreakerCooldown: 300 * time.Millisecond})
-	if err := faultinject.Enable(faultinject.PointServiceQuery + "=error"); err != nil {
+	_, ts := newServer(t, Config{})
+	if err := faultinject.Enable(faultinject.PointValueJoin + "=panic"); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		resp, body := postJSON(t, ts.URL+"/query", map[string]any{"query": siteQuery})
-		if resp.StatusCode != http.StatusInternalServerError {
-			t.Fatalf("request %d: status = %d (%s), want 500", i, resp.StatusCode, body)
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 5; i++ {
+			resp, body := postJSON(t, ts.URL+"/query", map[string]any{"query": joinQuery})
+			if resp.StatusCode != http.StatusInternalServerError {
+				t.Fatalf("round %d, poison %d: status = %d (%s), want 500", round, i, resp.StatusCode, body)
+			}
+			if e := decode[errorResponse](t, body); e.Code != "internal" {
+				t.Fatalf("round %d, poison %d: code = %q, want internal", round, i, e.Code)
+			}
 		}
-	}
-
-	// Threshold reached: the breaker sheds without evaluating.
-	resp, body := postJSON(t, ts.URL+"/query", map[string]any{"query": siteQuery})
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("open breaker: status = %d (%s), want 503", resp.StatusCode, body)
-	}
-	if e := decode[errorResponse](t, body); e.Code != "unavailable" || !strings.Contains(e.Error, "circuit breaker") {
-		t.Errorf("open breaker response = %+v", e)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("open breaker shed without Retry-After")
-	}
-	_, vbody := getBody(t, ts.URL+"/varz")
-	if v := decode[varz](t, vbody); v.Breakers["query"] != "open" {
-		t.Errorf("varz breakers = %v, want query open", v.Breakers)
-	}
-
-	// The breaker is per endpoint: /explain still answers.
-	if resp, body := postJSON(t, ts.URL+"/explain", map[string]any{"query": siteQuery}); resp.StatusCode != http.StatusOK {
-		t.Errorf("explain during open query breaker: status = %d (%s)", resp.StatusCode, body)
-	}
-
-	// Cooldown passes, the fault is gone, the half-open probe succeeds.
-	faultinject.Disable()
-	time.Sleep(400 * time.Millisecond)
-	resp, body = postJSON(t, ts.URL+"/query", map[string]any{"query": siteQuery})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("probe after cooldown: status = %d (%s), want 200", resp.StatusCode, body)
-	}
-	_, vbody = getBody(t, ts.URL+"/varz")
-	if v := decode[varz](t, vbody); v.Breakers["query"] != "closed" {
-		t.Errorf("varz breakers after recovery = %v, want query closed", v.Breakers)
+		resp, body := postJSON(t, ts.URL+"/query", map[string]any{"query": siteQuery})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("round %d: healthy query after 5 poison runs: status = %d (%s), want 200", round, resp.StatusCode, body)
+		}
+		if out := decode[queryResponse](t, body); out.Count != 2 {
+			t.Fatalf("round %d: healthy query count = %d, want 2", round, out.Count)
+		}
 	}
 }
 
@@ -312,7 +290,7 @@ func TestBreakerOpensShedsAndRecovers(t *testing.T) {
 // outage) and hides the section entirely in normal operation.
 func TestVarzFaultsVisibleOnlyWhenArmed(t *testing.T) {
 	t.Cleanup(faultinject.Disable)
-	_, ts := newServer(t, Config{BreakerThreshold: 1000})
+	_, ts := newServer(t, Config{})
 	if err := faultinject.Enable(faultinject.PointServiceQuery + "=error,times=1"); err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +319,7 @@ func TestVarzFaultsVisibleOnlyWhenArmed(t *testing.T) {
 func TestChaosBarrage(t *testing.T) {
 	t.Cleanup(faultinject.Disable)
 	db := newSiteDB(t)
-	srv, err := New(Config{DB: db, MaxConcurrent: 4, QueueDepth: 64, BreakerThreshold: 1 << 30})
+	srv, err := New(Config{DB: db, MaxConcurrent: 4, QueueDepth: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ import (
 //	                      writer after retries
 //	overloaded       429  shed before evaluation: admission queue full
 //	canceled         503  the client went away mid-evaluation
-//	unavailable      503  shed while queued, or circuit breaker open
+//	unavailable      503  shed while queued
 //	timeout          504  the evaluation deadline expired
 //	internal         500  a contained panic, injected fault, or a commit
 //	                      vetoed by a WAL write failure
@@ -77,11 +77,4 @@ func classify(err error) (int, string) {
 	default:
 		return http.StatusUnprocessableEntity, codeQueryError
 	}
-}
-
-// internalClass reports whether err belongs to the internal (500) class —
-// the trigger for the circuit breaker.
-func internalClass(err error) bool {
-	status, _ := classify(err)
-	return status == http.StatusInternalServerError
 }

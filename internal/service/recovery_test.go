@@ -1,14 +1,17 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"tlc"
+	"tlc/internal/faultinject"
 )
 
 func getJSON[T any](t *testing.T, url string) (int, T) {
@@ -228,64 +231,135 @@ func TestVarzWALSection(t *testing.T) {
 	}
 }
 
-// TestUpdateConflictRetries scripts a conflict sequence through the
-// updateOverride seam: the handler must absorb transient conflicts with
-// backoff and only surface a 409 (with Retry-After) when attempts are
-// exhausted.
-func TestUpdateConflictRetries(t *testing.T) {
-	srv, ts := newServer(t, Config{UpdateRetries: 3, UpdateRetryBackoff: time.Millisecond})
+// commitStall holds the next commit inside the mutate.commit injection
+// point until the fault spec is replaced or disabled.
+const commitStall = faultinject.PointMutateCommit + "=slow,delay=1m,times=1"
 
-	var calls int
-	srv.updateOverride = func(ctx context.Context, req tlc.UpdateRequest, opts ...tlc.Option) (tlc.UpdateResult, error) {
-		calls++
-		if calls < 3 {
-			return tlc.UpdateResult{}, tlc.ErrUpdateConflict
+// armCommitStall installs commitStall (ending any stall in progress, so a
+// held update goes on to its commit) and returns a func that waits until
+// an update is held in the new stall.
+func armCommitStall(t *testing.T) (waitHeld func()) {
+	t.Helper()
+	if err := faultinject.Enable(commitStall); err != nil {
+		t.Fatal(err)
+	}
+	return func() {
+		waitFor(t, func() bool { return faultinject.Stats()[faultinject.PointMutateCommit].Fired == 1 })
+	}
+}
+
+// heldUpdate posts an /update of davePerson in the background; its reply
+// arrives on the returned channel, with a nil response if the request
+// failed.
+func heldUpdate(t *testing.T, url string) <-chan updateReply {
+	out := make(chan updateReply, 1)
+	body := `{"doc": "site.xml", "op": "insert", "target": "/site", "fragment": ` + strconv.Quote(davePerson) + `}`
+	go func() {
+		var r updateReply
+		resp, err := http.Post(url+"/update", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+		} else {
+			defer resp.Body.Close()
+			r.resp = resp
+			r.body, err = io.ReadAll(resp.Body)
+			if err != nil {
+				t.Error(err)
+			}
 		}
-		return tlc.UpdateResult{Doc: req.Doc, Version: 2}, nil
-	}
-	resp, body := postJSON(t, ts.URL+"/update",
-		map[string]any{"doc": "site.xml", "op": "delete", "target": "/site/person[1]"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("update after transient conflicts = %d %s", resp.StatusCode, body)
-	}
-	if calls != 3 {
-		t.Fatalf("handler attempted %d times, want 3", calls)
-	}
-	if srv.updateRetries.Load() != 2 {
-		t.Fatalf("updateRetries counter = %d, want 2", srv.updateRetries.Load())
-	}
+		out <- r
+	}()
+	return out
+}
 
-	// Persistent conflict: attempts exhaust, 409 + Retry-After.
-	calls = 0
-	srv.updateOverride = func(ctx context.Context, req tlc.UpdateRequest, opts ...tlc.Option) (tlc.UpdateResult, error) {
-		calls++
-		return tlc.UpdateResult{}, tlc.ErrUpdateConflict
-	}
-	resp, body = postJSON(t, ts.URL+"/update",
-		map[string]any{"doc": "site.xml", "op": "delete", "target": "/site/person[1]"})
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("persistent conflict = %d %s", resp.StatusCode, body)
-	}
-	if calls != 3 {
-		t.Fatalf("persistent conflict attempted %d times, want 3", calls)
-	}
-	if er := decode[errorResponse](t, body); er.Code != codeConflict {
-		t.Fatalf("code = %q, want %q", er.Code, codeConflict)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("final 409 carries no Retry-After")
-	}
+type updateReply struct {
+	resp *http.Response
+	body []byte
+}
 
-	// UpdateRetries=1 disables retrying entirely.
-	srv2, ts2 := newServer(t, Config{UpdateRetries: 1})
-	calls = 0
-	srv2.updateOverride = func(ctx context.Context, req tlc.UpdateRequest, opts ...tlc.Option) (tlc.UpdateResult, error) {
-		calls++
-		return tlc.UpdateResult{}, tlc.ErrUpdateConflict
+// kid is an update a second writer commits while the first is held; the
+// inserted person is below siteQuery's age predicate.
+func kid(i int) tlc.UpdateRequest {
+	return tlc.UpdateRequest{Doc: "site.xml", Op: tlc.UpdateInsert, Target: "/site",
+		Fragment: fmt.Sprintf(`<person id="k%d"><name>Kid</name><age>10</age></person>`, i)}
+}
+
+// TestUpdateLostRaceIsRetried holds an /update inside its commit, commits
+// a second writer's update to the same document meanwhile, then lets the
+// first go on: its commit loses the race once, the database retries it
+// against the winning version, and it commits. /varz counts the retry.
+func TestUpdateLostRaceIsRetried(t *testing.T) {
+	t.Cleanup(faultinject.Disable)
+	srv, ts := newServer(t, Config{})
+	_, v0 := getJSON[varz](t, ts.URL+"/varz")
+
+	waitHeld := armCommitStall(t)
+	reply := heldUpdate(t, ts.URL)
+	waitHeld()
+	if _, err := srv.db.Update(kid(0)); err != nil {
+		t.Fatalf("second writer: %v", err)
 	}
-	resp, _ = postJSON(t, ts2.URL+"/update",
-		map[string]any{"doc": "site.xml", "op": "delete", "target": "/site/person[1]"})
-	if resp.StatusCode != http.StatusConflict || calls != 1 {
-		t.Fatalf("retries=1: status %d after %d calls, want 409 after 1", resp.StatusCode, calls)
+	faultinject.Disable()
+
+	r := <-reply
+	if r.resp == nil {
+		t.FailNow()
+	}
+	if r.resp.StatusCode != http.StatusOK {
+		t.Fatalf("held update = %d %s, want 200", r.resp.StatusCode, r.body)
+	}
+	if out := decode[updateResponse](t, r.body); out.Conflicts != 1 || out.Version != 3 {
+		t.Fatalf("held update = %+v, want 1 conflict and version 3", out)
+	}
+	if n := queryCount(t, ts.URL); n != 3 {
+		t.Fatalf("count = %d, want 3 (Dave committed)", n)
+	}
+	_, v1 := getJSON[varz](t, ts.URL+"/varz")
+	if d := v1.UpdateRetries - v0.UpdateRetries; d != 1 {
+		t.Errorf("varz update_retries moved by %d, want 1", d)
+	}
+}
+
+// TestUpdateConflictExhausted409 holds an /update inside each of its
+// commit attempts in turn and commits a second writer's update before
+// letting it go on: every attempt loses, and the last loss is a 409
+// conflict with a Retry-After, the document holding only the second
+// writer's updates.
+func TestUpdateConflictExhausted409(t *testing.T) {
+	t.Cleanup(faultinject.Disable)
+	srv, ts := newServer(t, Config{})
+
+	waitHeld := armCommitStall(t)
+	reply := heldUpdate(t, ts.URL)
+	for i := 0; i < 3; i++ {
+		waitHeld()
+		if _, err := srv.db.Update(kid(i)); err != nil {
+			t.Fatalf("second writer, update %d: %v", i, err)
+		}
+		if i < 2 {
+			// Lets the held attempt lose, and holds the retry.
+			waitHeld = armCommitStall(t)
+		}
+	}
+	faultinject.Disable()
+
+	r := <-reply
+	if r.resp == nil {
+		t.FailNow()
+	}
+	if r.resp.StatusCode != http.StatusConflict {
+		t.Fatalf("exhausted update = %d %s, want 409", r.resp.StatusCode, r.body)
+	}
+	if e := decode[errorResponse](t, r.body); e.Code != codeConflict {
+		t.Fatalf("code = %q, want %q", e.Code, codeConflict)
+	}
+	if r.resp.Header.Get("Retry-After") == "" {
+		t.Fatal("409 carries no Retry-After")
+	}
+	if v, _ := srv.db.DocumentVersion("site.xml"); v != 4 {
+		t.Fatalf("version = %d, want 4 (the second writer's three updates only)", v)
+	}
+	if n := queryCount(t, ts.URL); n != 2 {
+		t.Fatalf("count = %d, want 2 (Dave never committed)", n)
 	}
 }

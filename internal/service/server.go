@@ -1,10 +1,10 @@
 // Package service exposes a tlc.Database as a concurrent HTTP/JSON query
-// service. The server composes four pieces the engine was extended for:
-// context cancellation threaded through plan evaluation (request
-// deadlines stop operator loops, not just handler returns), a
-// prepared-plan LRU cache (see plancache) shared by concurrent requests,
-// admission control with a bounded wait queue (429/503 shedding under
-// overload), and /varz metrics with latency quantiles.
+// service. The server composes context cancellation threaded through plan
+// evaluation (request deadlines stop operator loops, not just handler
+// returns), a prepared-plan cache (see plancache) shared by concurrent
+// requests, admission control with a bounded wait queue (429/503 shedding
+// under overload), a panic barrier per request (a panic is a 500 for that
+// request alone), and /varz metrics with latency quantiles.
 //
 // Endpoints:
 //
@@ -19,9 +19,7 @@
 //	GET  /documents loaded document names and versions
 //	GET  /healthz   liveness (alias /livez): the process is up
 //	GET  /readyz    readiness: 503 while replaying the WAL or draining
-//	GET  /varz      metrics JSON
-//	GET  /faultz    fault-injection counters only (lock-free; stays
-//	                responsive while an injected stall wedges /varz)
+//	GET  /varz      metrics JSON; takes no lock a stalled commit can hold
 package service
 
 import (
@@ -30,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -71,20 +68,6 @@ type Config struct {
 	// Requests may set their own limits, which override the corresponding
 	// defaults; exceeding any budget aborts that query with a 422.
 	Limits tlc.Limits
-	// BreakerThreshold is how many consecutive internal (500-class) errors
-	// open an endpoint's circuit breaker (default 5).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker sheds before letting a
-	// probe through (default 5s).
-	BreakerCooldown time.Duration
-	// UpdateRetries is how many times /update attempts an update that
-	// keeps losing its commit race before surfacing the 409 (default 3;
-	// 1 disables retrying). Each retry waits a jittered exponential
-	// backoff so competing writers de-synchronize.
-	UpdateRetries int
-	// UpdateRetryBackoff is the base backoff before the first retry
-	// (default 2ms, doubling per attempt, capped at 1s).
-	UpdateRetryBackoff time.Duration
 }
 
 func (c *Config) fillDefaults() {
@@ -103,18 +86,6 @@ func (c *Config) fillDefaults() {
 	if c.CacheSize <= 0 {
 		c.CacheSize = 128
 	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 5 * time.Second
-	}
-	if c.UpdateRetries <= 0 {
-		c.UpdateRetries = 3
-	}
-	if c.UpdateRetryBackoff <= 0 {
-		c.UpdateRetryBackoff = 2 * time.Millisecond
-	}
 }
 
 // Server handles the HTTP endpoints. Create with New, mount with Handler.
@@ -126,9 +97,6 @@ type Server struct {
 	metrics *Metrics
 	start   time.Time
 
-	// breakers holds one circuit breaker per evaluation endpoint, keyed by
-	// endpoint name (query, explain, profile, load, snapshot, update).
-	breakers map[string]*breaker
 	// Snapshot gauges for /varz: snapshots written since start, and the
 	// byte size and wall time of the most recent one.
 	snapshotsWritten  atomic.Int64
@@ -149,17 +117,11 @@ type Server struct {
 	recApplied atomic.Int64
 	recSkipped atomic.Int64
 	recDurNs   atomic.Int64
-	// updateRetries counts /update commit-race retries that were absorbed
-	// by the handler's backoff loop rather than surfaced as 409s.
-	updateRetries atomic.Int64
 
 	// preEval, when set by tests, runs after admission and plan lookup,
 	// immediately before evaluation — it lets overload tests hold all
 	// evaluation slots deterministically.
 	preEval func()
-	// updateOverride, when set by tests, replaces db.UpdateContext in
-	// handleUpdate — it lets retry tests script conflict sequences.
-	updateOverride func(context.Context, tlc.UpdateRequest, ...tlc.Option) (tlc.UpdateResult, error)
 }
 
 // New returns a Server for cfg.
@@ -168,18 +130,13 @@ func New(cfg Config) (*Server, error) {
 		return nil, errors.New("service: Config.DB is required")
 	}
 	cfg.fillDefaults()
-	breakers := make(map[string]*breaker, 4)
-	for _, ep := range []string{"query", "explain", "profile", "load", "snapshot", "update"} {
-		breakers[ep] = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
-	}
 	return &Server{
-		cfg:      cfg,
-		db:       cfg.DB,
-		cache:    plancache.New(cfg.CacheSize),
-		limiter:  NewLimiter(cfg.MaxConcurrent, cfg.QueueDepth),
-		metrics:  NewMetrics(),
-		start:    time.Now(),
-		breakers: breakers,
+		cfg:     cfg,
+		db:      cfg.DB,
+		cache:   plancache.New(cfg.CacheSize),
+		limiter: NewLimiter(cfg.MaxConcurrent, cfg.QueueDepth),
+		metrics: NewMetrics(),
+		start:   time.Now(),
 	}, nil
 }
 
@@ -197,24 +154,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/livez", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	mux.HandleFunc("/varz", s.handleVarz)
-	mux.HandleFunc("/faultz", s.handleFaultz)
 	return mux
-}
-
-// handleFaultz reports the armed fault-injection points and their hit
-// counters. Unlike /varz it reads nothing but faultinject's atomics, so
-// it stays responsive while an injected stall holds store or WAL locks —
-// the kill-and-restart chaos harness polls it to time a SIGKILL inside a
-// crash window that wedges every other introspection endpoint.
-func (s *Server) handleFaultz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErrorCode(w, http.StatusMethodNotAllowed, codeUserError, "use GET")
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"active": faultinject.Active(),
-		"faults": faultinject.Stats(),
-	})
 }
 
 // BeginRecovery puts the server in the recovering state: /readyz reports
@@ -289,20 +229,11 @@ func (s *Server) instrument(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// protect wraps an evaluation endpoint in its containment shell: the
-// endpoint's circuit breaker in front, a panic barrier around the handler
-// (a handler panic becomes a 500, not a dead process), and outcome
-// recording behind — only 500-class results trip the breaker; shed and
-// overload responses don't count either way.
+// protect wraps an evaluation endpoint in its panic barrier: a handler
+// panic becomes a 500 for that request alone, not a dead process, and the
+// next request is served as if it never happened.
 func (s *Server) protect(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	br := s.breakers[endpoint]
 	return func(w http.ResponseWriter, r *http.Request) {
-		if ok, retry := br.Allow(); !ok {
-			w.Header().Set("Retry-After", retryAfter(retry))
-			writeErrorCode(w, http.StatusServiceUnavailable, codeUnavailable,
-				"circuit breaker open for /%s after repeated internal errors", endpoint)
-			return
-		}
 		defer func() {
 			if rec := recover(); rec != nil {
 				err := failure.FromPanic("service."+endpoint, rec)
@@ -310,46 +241,9 @@ func (s *Server) protect(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 					writeErrorCode(w, http.StatusInternalServerError, codeInternal, "%v", err)
 				}
 			}
-			if sw, ok := w.(*statusWriter); ok {
-				switch {
-				case sw.status == http.StatusInternalServerError:
-					br.Record(true)
-				case sw.status != http.StatusTooManyRequests && sw.status != http.StatusServiceUnavailable:
-					br.Record(false)
-				}
-			}
 		}()
 		h(w, r)
 	}
-}
-
-// retryAfter renders a Retry-After header value: whole seconds, at least 1.
-// sleepBackoff waits the attempt-th retry backoff: base doubled per
-// attempt, capped at a second, plus up to 50% random jitter so competing
-// writers spread out instead of colliding again in lockstep. It returns
-// false if ctx expired first.
-func sleepBackoff(ctx context.Context, base time.Duration, attempt int) bool {
-	d := base << uint(attempt-1)
-	if d > time.Second {
-		d = time.Second
-	}
-	d += time.Duration(rand.Int63n(int64(d)/2 + 1))
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
-}
-
-func retryAfter(d time.Duration) string {
-	secs := int(d / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
 }
 
 // queryRequest is the JSON body of /query, /explain and /profile.
@@ -420,6 +314,18 @@ func writeErrorCode(w http.ResponseWriter, status int, code, format string, args
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...), Code: code})
 }
 
+// writeCompileError answers an error from compiling or loading what the
+// request sent: the client's fault (400 user_error), unless the error is of
+// the internal class — a contained panic or an injected fault — which keeps
+// its 500.
+func writeCompileError(w http.ResponseWriter, what string, err error) {
+	status, code := classify(err)
+	if status != http.StatusInternalServerError {
+		status, code = http.StatusBadRequest, codeUserError
+	}
+	writeErrorCode(w, status, code, "%s: %v", what, err)
+}
+
 // decodeQueryRequest parses and validates the shared request body.
 func decodeQueryRequest(w http.ResponseWriter, r *http.Request) (*queryRequest, bool) {
 	if r.Method != http.MethodPost {
@@ -461,7 +367,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, req *queryRequest
 		s.shed.Add(1)
 		// Shed responses tell the client when to come back: the queue is
 		// sized for ~one evaluation's worth of waiting.
-		w.Header().Set("Retry-After", retryAfter(time.Second))
+		w.Header().Set("Retry-After", "1")
 		switch {
 		case errors.Is(err, ErrQueueFull):
 			writeErrorCode(w, http.StatusTooManyRequests, codeOverloaded, "overloaded: admission queue full")
@@ -499,12 +405,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	begin := time.Now()
 	prep, hit, err := s.plan(ctx, req)
 	if err != nil {
-		if internalClass(err) {
-			status, code := classify(err)
-			writeErrorCode(w, status, code, "compile: %v", err)
-			return
-		}
-		writeErrorCode(w, http.StatusBadRequest, codeUserError, "compile: %v", err)
+		writeCompileError(w, "compile", err)
 		return
 	}
 	if s.preEval != nil {
@@ -540,12 +441,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	engine, _ := tlc.ParseEngine(req.Engine)
 	plan, err := s.db.ExplainContext(ctx, req.Query, tlc.WithEngine(engine))
 	if err != nil {
-		if internalClass(err) {
-			status, code := classify(err)
-			writeErrorCode(w, status, code, "explain: %v", err)
-			return
-		}
-		writeErrorCode(w, http.StatusBadRequest, codeUserError, "explain: %v", err)
+		writeCompileError(w, "explain", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"engine": engine.String(), "plan": plan})
@@ -626,12 +522,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		err = s.db.LoadXML(name, io.LimitReader(r.Body, 1<<28))
 	}
 	if err != nil {
-		if internalClass(err) {
-			status, code := classify(err)
-			writeErrorCode(w, status, code, "load: %v", err)
-			return
-		}
-		writeErrorCode(w, http.StatusBadRequest, codeUserError, "load: %v", err)
+		writeCompileError(w, "load", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"documents": s.db.Documents()})
@@ -741,34 +632,16 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	defer release()
 
+	// The database retries a lost commit race itself, with a jittered
+	// backoff between attempts; a conflict reaching here exhausted them.
 	begin := time.Now()
-	apply := s.db.UpdateContext
-	if s.updateOverride != nil {
-		apply = s.updateOverride
-	}
-	ureq := tlc.UpdateRequest{
+	res, err := s.db.UpdateContext(ctx, tlc.UpdateRequest{
 		Doc:      req.Doc,
 		Op:       op,
 		Target:   req.Target,
 		Position: req.Position,
 		Fragment: req.Fragment,
-	}
-	// The database already retries a conflicted commit a few times
-	// back-to-back; this outer loop adds jittered backoff between whole
-	// attempts, so sustained writer herds de-synchronize instead of
-	// bouncing 409s off every client.
-	var res tlc.UpdateResult
-	err = nil
-	for attempt := 1; ; attempt++ {
-		res, err = apply(ctx, ureq, tlc.WithLimits(s.limits(qreq)))
-		if err == nil || !errors.Is(err, tlc.ErrUpdateConflict) || attempt >= s.cfg.UpdateRetries {
-			break
-		}
-		s.updateRetries.Add(1)
-		if !sleepBackoff(ctx, s.cfg.UpdateRetryBackoff, attempt) {
-			break // context expired while backing off; surface the conflict
-		}
-	}
+	}, tlc.WithLimits(s.limits(qreq)))
 	if err != nil {
 		switch {
 		case errors.Is(err, tlc.ErrBadUpdateRequest):
@@ -884,12 +757,11 @@ type varz struct {
 	// PanicsRecovered counts panics converted to errors at containment
 	// barriers; any nonzero value is a bug report waiting to be filed.
 	PanicsRecovered int64 `json:"panics_recovered"`
-	// Breakers maps endpoint name to its circuit breaker state.
-	Breakers map[string]string `json:"breakers"`
 	// Shed counts requests refused by admission control.
 	Shed int64 `json:"shed_total"`
-	// UpdateRetries counts /update commit-race retries absorbed by the
-	// handler's backoff loop.
+	// UpdateRetries counts the commit races updates lost inside the
+	// database's retry loop: mutate.update_conflicts by another name. Each
+	// is retried, except the last of an update that ran out of attempts.
 	UpdateRetries int64 `json:"update_retries"`
 	// Recovery reports the WAL-replay state: "recovering" while records
 	// re-apply at startup, then "ok" with the final totals.
@@ -918,6 +790,31 @@ func mutateVarz(db *tlc.Database) map[string]int64 {
 	}
 }
 
+// walVarz builds the /varz WAL section: nil when no log is attached.
+func walVarz(db *tlc.Database) map[string]any {
+	ws, replay, ok := db.WALStats()
+	if !ok {
+		return nil
+	}
+	return map[string]any{
+		"policy":           ws.Policy,
+		"appended":         ws.Appended,
+		"synced":           ws.Synced,
+		"rotations":        ws.Rotations,
+		"torn_repairs":     ws.TornRepairs,
+		"segments":         ws.Segments,
+		"segments_removed": ws.SegmentsRemoved,
+		"pending":          ws.Pending,
+		"last_seq":         ws.LastSeq,
+		"bytes":            ws.Bytes,
+		"replay_applied":   replay.Applied,
+		"replay_skipped":   replay.Skipped,
+	}
+}
+
+// handleVarz takes no lock that a commit holds, so it answers while an
+// injected stall holds a commit inside the store or the WAL; the
+// kill-and-restart harness polls it to time a SIGKILL inside such a stall.
 func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
 	snap := s.metrics.Snapshot()
 	cs := s.cache.Stats()
@@ -961,9 +858,8 @@ func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
 		Documents:       len(s.db.Documents()),
 		Governor:        make(map[string]int64, 4),
 		PanicsRecovered: failure.PanicsRecovered(),
-		Breakers:        make(map[string]string, len(s.breakers)),
 		Shed:            s.shed.Load(),
-		UpdateRetries:   s.updateRetries.Load(),
+		UpdateRetries:   tlc.UpdateCounters().Conflicts,
 	}
 	recState := "ok"
 	if s.recovering.Load() {
@@ -977,27 +873,13 @@ func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
 		"skipped":     s.recSkipped.Load(),
 		"duration_ms": time.Duration(s.recDurNs.Load()).Milliseconds(),
 	}
-	if ws, replay, ok := s.db.WALStats(); ok {
-		v.WAL = map[string]any{
-			"policy":           ws.Policy,
-			"appended":         ws.Appended,
-			"synced":           ws.Synced,
-			"rotations":        ws.Rotations,
-			"torn_repairs":     ws.TornRepairs,
-			"segments":         ws.Segments,
-			"segments_removed": ws.SegmentsRemoved,
-			"pending":          ws.Pending,
-			"last_seq":         ws.LastSeq,
-			"bytes":            ws.Bytes,
-			"replay_applied":   replay.Applied,
-			"replay_skipped":   replay.Skipped,
-		}
+	// AttachWAL installs the log as recovery ends; asking for it before
+	// then would race with that write.
+	if recState != "recovering" {
+		v.WAL = walVarz(s.db)
 	}
 	for res, n := range governor.KillTotals() {
 		v.Governor[string(res)] = n
-	}
-	for ep, br := range s.breakers {
-		v.Breakers[ep] = br.State()
 	}
 	if faultinject.Active() {
 		v.Faults = faultinject.Stats()

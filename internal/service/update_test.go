@@ -3,7 +3,6 @@ package service
 import (
 	"fmt"
 	"net/http"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -118,9 +117,6 @@ func TestUpdateEndpoint(t *testing.T) {
 	if v.Mutate["dict_tag_strings"] == 0 {
 		t.Error("varz mutate.dict_tag_strings = 0")
 	}
-	if _, ok := v.Breakers["update"]; !ok {
-		t.Errorf("varz breakers lack the update endpoint: %v", v.Breakers)
-	}
 }
 
 // TestUpdateEndpointErrors drives the /update error taxonomy: client
@@ -201,12 +197,12 @@ func TestUpdateBudgetExceeded(t *testing.T) {
 }
 
 // TestUpdateFaultInjected arms the update-path injection points — the
-// handler itself, the pre-commit hook, and the statistics-delta hook —
-// and checks each fault reads as a 500 internal with the store still on
-// the old version; clearing injection makes the same update succeed.
+// handler itself and the commit — and checks each fault reads as a 500
+// internal with the store still on the old version; clearing injection
+// makes the same update succeed.
 func TestUpdateFaultInjected(t *testing.T) {
 	t.Cleanup(faultinject.Disable)
-	_, ts := newServer(t, Config{BreakerThreshold: 1000})
+	_, ts := newServer(t, Config{})
 	ins := map[string]any{"doc": "site.xml", "op": "insert", "target": "/site", "fragment": davePerson}
 
 	for _, point := range []string{
@@ -239,43 +235,6 @@ func TestUpdateFaultInjected(t *testing.T) {
 	}
 	if n := queryCount(t, ts.URL); n != 3 {
 		t.Errorf("post-chaos count = %d, want 3", n)
-	}
-}
-
-// TestUpdateBreakerTrips feeds the /update breaker consecutive injected
-// 500s past its threshold and checks it opens — shedding with 503 before
-// the handler — then closes again after the cooldown probe succeeds.
-func TestUpdateBreakerTrips(t *testing.T) {
-	t.Cleanup(faultinject.Disable)
-	_, ts := newServer(t, Config{BreakerThreshold: 2, BreakerCooldown: 50 * time.Millisecond})
-	ins := map[string]any{"doc": "site.xml", "op": "insert", "target": "/site", "fragment": davePerson}
-
-	if err := faultinject.Enable(faultinject.PointServiceUpdate + "=error,times=2"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if resp, _ := postJSON(t, ts.URL+"/update", ins); resp.StatusCode != http.StatusInternalServerError {
-			t.Fatalf("request %d: status = %d, want 500", i, resp.StatusCode)
-		}
-	}
-	resp, body := postJSON(t, ts.URL+"/update", ins)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("breaker-open status = %d (%s), want 503", resp.StatusCode, body)
-	}
-	if e := decode[errorResponse](t, body); !strings.Contains(e.Error, "circuit breaker") {
-		t.Fatalf("breaker-open error = %q", e.Error)
-	}
-	// Queries ride a different breaker: reads keep working while writes shed.
-	if n := queryCount(t, ts.URL); n != 2 {
-		t.Fatalf("query during open update breaker: count = %d, want 2", n)
-	}
-
-	// After the cooldown the injection budget is spent, so the probe
-	// succeeds and closes the breaker.
-	time.Sleep(60 * time.Millisecond)
-	resp, body = postJSON(t, ts.URL+"/update", ins)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("probe status = %d (%s), want 200", resp.StatusCode, body)
 	}
 }
 

@@ -56,6 +56,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tlc/internal/faultinject"
@@ -197,7 +198,6 @@ type Log struct {
 	segments []*segment // ascending base; the last one is active
 	f        *os.File   // active segment
 	writeOff int64      // append offset in the active segment
-	pending  int        // appended records not yet fsynced
 	timer    *time.Timer
 	closed   bool
 	// broken latches a failure after which the log can no longer
@@ -206,8 +206,17 @@ type Log struct {
 	// later append refuses, so the damage cannot grow silently.
 	broken error
 
-	stAppended, stSynced, stRotations int64
-	stTornRepairs, stRemoved, stBytes int64
+	// The counters and gauges Stats reports are written under mu but read
+	// without it, so Stats (and /varz above it) answers while a stalled
+	// fsync or rotation holds mu. pending counts appended records not yet
+	// fsynced; segCount and lastSeq mirror len(segments) and the active
+	// segment's last, republished by gauge. stTornRepairs is set by Open
+	// only.
+	pending                                               atomic.Int64
+	stAppended, stSynced, stRotations, stRemoved, stBytes atomic.Int64
+	segCount                                              atomic.Int64
+	lastSeq                                               atomic.Uint64
+	stTornRepairs                                         int64
 }
 
 // Open opens (creating if needed) the log in dir, validating every
@@ -255,6 +264,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err := l.openActive(); err != nil {
 		return nil, err
 	}
+	l.gauge()
 	return l, nil
 }
 
@@ -276,29 +286,30 @@ func (l *Log) openActive() error {
 
 func (l *Log) active() *segment { return l.segments[len(l.segments)-1] }
 
-// LastSeq returns the sequence number of the newest appended record (0
-// for an empty log whose base is 0).
-func (l *Log) LastSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.active().last
+// gauge republishes the segment count and the newest sequence number for
+// lock-free readers. Caller holds l.mu (or owns l, in Open).
+func (l *Log) gauge() {
+	l.segCount.Store(int64(len(l.segments)))
+	l.lastSeq.Store(l.active().last)
 }
 
-// Stats returns the log's counters and gauges.
+// LastSeq returns the sequence number of the newest appended record (0
+// for an empty log whose base is 0).
+func (l *Log) LastSeq() uint64 { return l.lastSeq.Load() }
+
+// Stats returns the log's counters and gauges. It takes no lock.
 func (l *Log) Stats() Stats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return Stats{
 		Policy:          l.opts.Policy.String(),
-		Appended:        l.stAppended,
-		Synced:          l.stSynced,
-		Rotations:       l.stRotations,
+		Appended:        l.stAppended.Load(),
+		Synced:          l.stSynced.Load(),
+		Rotations:       l.stRotations.Load(),
 		TornRepairs:     l.stTornRepairs,
-		SegmentsRemoved: l.stRemoved,
-		Segments:        len(l.segments),
-		Pending:         l.pending,
-		LastSeq:         l.active().last,
-		Bytes:           l.stBytes,
+		SegmentsRemoved: l.stRemoved.Load(),
+		Segments:        int(l.segCount.Load()),
+		Pending:         int(l.pending.Load()),
+		LastSeq:         l.lastSeq.Load(),
+		Bytes:           l.stBytes.Load(),
 	}
 }
 
@@ -340,9 +351,10 @@ func (l *Log) Append(seq uint64, payload []byte) error {
 	}
 	l.writeOff += int64(len(rec))
 	act.last = seq
-	l.pending++
-	l.stAppended++
-	l.stBytes += int64(len(rec))
+	l.lastSeq.Store(seq)
+	l.pending.Add(1)
+	l.stAppended.Add(1)
+	l.stBytes.Add(int64(len(rec)))
 
 	switch l.opts.Policy {
 	case SyncAlways:
@@ -354,14 +366,15 @@ func (l *Log) Append(seq uint64, payload []byte) error {
 			} else {
 				l.writeOff = prevOff
 				act.last = seq - 1
-				l.pending--
-				l.stAppended--
-				l.stBytes -= int64(len(rec))
+				l.lastSeq.Store(seq - 1)
+				l.pending.Add(-1)
+				l.stAppended.Add(-1)
+				l.stBytes.Add(-int64(len(rec)))
 			}
 			return err
 		}
 	case SyncBatch:
-		if l.pending >= l.opts.BatchRecords {
+		if l.pending.Load() >= int64(l.opts.BatchRecords) {
 			if err := l.syncLocked(); err != nil {
 				// Earlier records of this batch were already acknowledged;
 				// poison the log instead of pretending.
@@ -381,7 +394,7 @@ func (l *Log) flushTimer() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.timer = nil
-	if l.closed || l.broken != nil || l.pending == 0 {
+	if l.closed || l.broken != nil || l.pending.Load() == 0 {
 		return
 	}
 	if err := l.syncLocked(); err != nil {
@@ -397,8 +410,8 @@ func (l *Log) syncLocked() error {
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("wal: fsync: %w", err)
 	}
-	l.pending = 0
-	l.stSynced++
+	l.pending.Store(0)
+	l.stSynced.Add(1)
 	if l.timer != nil {
 		l.timer.Stop()
 		l.timer = nil
@@ -417,7 +430,7 @@ func (l *Log) Sync() error {
 	if l.broken != nil {
 		return l.broken
 	}
-	if l.pending == 0 {
+	if l.pending.Load() == 0 {
 		return nil
 	}
 	return l.syncLocked()
@@ -462,7 +475,7 @@ func (l *Log) rotateTo(base uint64) error {
 	}
 	// Everything in the sealed segment must be durable before the new
 	// segment exists: replay trusts sealed segments completely.
-	if l.pending > 0 {
+	if l.pending.Load() > 0 {
 		if err := l.syncLocked(); err != nil {
 			return err
 		}
@@ -476,16 +489,17 @@ func (l *Log) rotateTo(base uint64) error {
 		return fmt.Errorf("wal: sealing %s: %w", filepath.Base(act.path), err)
 	}
 	l.segments = append(l.segments, sg)
+	defer l.gauge()
 	if err := l.openActive(); err != nil {
 		l.broken = err
 		return err
 	}
-	l.stRotations++
+	l.stRotations.Add(1)
 	// A sealed segment with no records carries nothing to replay; drop it
 	// now instead of waiting for a checkpoint.
 	if act.last == act.base {
 		if err := os.Remove(act.path); err == nil {
-			l.stRemoved++
+			l.stRemoved.Add(1)
 			l.segments = append(l.segments[:len(l.segments)-2], sg)
 			syncDir(l.dir)
 		}
@@ -502,6 +516,7 @@ func (l *Log) TruncateThrough(seq uint64) (int, error) {
 	if l.closed {
 		return 0, ErrClosed
 	}
+	defer l.gauge()
 	removed := 0
 	kept := l.segments[:0]
 	for i, sg := range l.segments {
@@ -512,7 +527,7 @@ func (l *Log) TruncateThrough(seq uint64) (int, error) {
 				return removed, fmt.Errorf("wal: truncate: %w", err)
 			}
 			removed++
-			l.stRemoved++
+			l.stRemoved.Add(1)
 			continue
 		}
 		kept = append(kept, sg)
@@ -567,7 +582,7 @@ func (l *Log) Close() error {
 		l.timer = nil
 	}
 	var firstErr error
-	if l.pending > 0 && l.broken == nil {
+	if l.pending.Load() > 0 && l.broken == nil {
 		firstErr = l.syncLocked()
 	}
 	if err := l.f.Close(); err != nil && firstErr == nil {

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"tlc/internal/faultinject"
 )
 
 func mustOpen(t *testing.T, dir string, opts Options) *Log {
@@ -233,6 +235,40 @@ func TestSyncCountFollowsPolicy(t *testing.T) {
 		if st.Appended != n || st.Synced < tc.min || st.Synced > tc.max {
 			t.Errorf("%s: %d appends gave %d fsyncs, want %d..%d", tc.policy, st.Appended, st.Synced, tc.min, tc.max)
 		}
+	}
+}
+
+// TestStatsDuringStalledFsync holds an append inside its fsync, under the
+// log's lock, and reads Stats meanwhile: it answers at once, with the held
+// record appended but not yet synced.
+func TestStatsDuringStalledFsync(t *testing.T) {
+	l := mustOpen(t, t.TempDir(), Options{Policy: SyncAlways})
+	t.Cleanup(faultinject.Disable) // before Close, which waits for the held append
+	appendN(t, l, 1, 2)
+	if err := faultinject.Enable(faultinject.PointWALFsync + "=slow,delay=1h"); err != nil {
+		t.Fatal(err)
+	}
+	appended := make(chan error)
+	go func() { appended <- l.Append(3, []byte("record-3")) }()
+	for faultinject.Stats()[faultinject.PointWALFsync].Fired == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if l.mu.TryLock() {
+		t.Fatal("the stalled fsync does not hold the log's lock")
+	}
+	stats := make(chan Stats)
+	go func() { stats <- l.Stats() }()
+	select {
+	case st := <-stats:
+		if st.Appended != 3 || st.Synced != 2 || st.Pending != 1 || st.LastSeq != 3 || st.Segments != 1 {
+			t.Errorf("stats during the stall = %+v, want 3 appended, 2 synced, 1 pending, last seq 3, 1 segment", st)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Stats waited for the log's lock")
+	}
+	faultinject.Disable()
+	if err := <-appended; err != nil {
+		t.Fatalf("Append after the stall: %v", err)
 	}
 }
 
